@@ -2,27 +2,31 @@
 
 A strategy fixes one pure action at every point its role can move, which is
 exactly the game tree's strategy space per role.  The harness runs whole
-contract episodes on a fresh ledger per trial with the biased oracle as
-arbiter, measuring realized utilities:
+contract episodes on a fresh ledger with the biased oracle as arbiter,
+measuring realized utilities:
 
 * buyer utility  = cash delta + item value if the item arrived and the buyer
   did not lose an arbitration over it (a lost dispute forfeits the claim),
 * seller utility = cash delta - production cost when the item was shipped.
 
-Payoffs, rates, and means are exact rationals, so identical seeds give
-identical statistics bit for bit.
+For a fixed strategy pair an episode depends only on its outcome class: no
+arbitration, or an arbitration the honest party wins or loses.  `simulate`
+therefore runs one episode per class that occurs and draws, per trial, only
+the oracle's error bit.  Payoffs, rates, and means are exact rationals, so
+identical seeds give identical statistics bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Optional, Sequence
 
-from .arbiter import oracle_arbitrate
+from .arbiter import arbiter_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
 from .equilibrium import SecurityReport, security_report
 from .gametree import (
@@ -118,6 +122,13 @@ class SimStats:
         }
 
 
+def _branch(seller_strategy: SellerStrategy, buyer_strategy: BuyerStrategy) -> tuple[bool, bool]:
+    """(buyer disputes, seller counters) on the branch the pair plays."""
+    if seller_strategy.send:
+        return buyer_strategy.dispute_if_delivered, seller_strategy.counter_if_delivered
+    return buyer_strategy.dispute_if_undelivered, seller_strategy.counter_if_undelivered
+
+
 def run_trial(
     params: TradeParams,
     scheme: WagerScheme,
@@ -138,11 +149,7 @@ def run_trial(
 
     if seller_strategy.send:
         contract.notify_delivery("seller")
-        disputing = buyer_strategy.dispute_if_delivered
-        countering = seller_strategy.counter_if_delivered
-    else:
-        disputing = buyer_strategy.dispute_if_undelivered
-        countering = seller_strategy.counter_if_undelivered
+    disputing, countering = _branch(seller_strategy, buyer_strategy)
 
     if not disputing:
         contract.accept_delivery("buyer")
@@ -183,25 +190,44 @@ def simulate(
 ) -> SimStats:
     """Repeated trades with one strategy pair, deterministic for a seed.
 
-    Each trial owns its ledger and draws from its own seed-derived stream, so
-    trials are order-independent and safe to fan out.
+    Trial i draws from its own stream `Random(f"{seed}:{i}")`, and only when
+    the pair reaches arbitration: the oracle's error bit picks the trial's
+    outcome class.  Each class that occurs is played out once by
+    `run_trial`, on the stream of its first trial, and its result counts
+    once per trial in the class.  The statistics are those of running every
+    trial as its own episode.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    buyer_total = Fraction(0)
-    seller_total = Fraction(0)
-    disputes = arbitrations = 0
-    fees = Fraction(0)
-    for i in range(trials):
-        rng = Random(f"{seed}:{i}")
+
+    def episode(i: int) -> tuple:
         buyer_utility, seller_utility, contract, ledger = run_trial(
-            params, scheme, seller_strategy, buyer_strategy, rng, policy
+            params, scheme, seller_strategy, buyer_strategy, Random(f"{seed}:{i}"), policy
         )
-        buyer_total += buyer_utility
-        seller_total += seller_utility
-        disputes += contract.settled_how != "accept"
-        arbitrations += contract.last_verdict is not None
-        fees += ledger.fee_sink
+        disputed = contract.settled_how != "accept"
+        arbitrated = contract.last_verdict is not None
+        return buyer_utility, seller_utility, disputed, arbitrated, ledger.fee_sink
+
+    disputing, countering = _branch(seller_strategy, buyer_strategy)
+    if disputing and countering:
+        first: dict[bool, int] = {}  # oracle erred -> first trial of the class
+        counts: Counter[bool] = Counter()
+        for i in range(trials):
+            errs = arbiter_errs(params.arbiter_error, Random(f"{seed}:{i}"))
+            first.setdefault(errs, i)
+            counts[errs] += 1
+        tally = [(episode(first[errs]), n) for errs, n in counts.items()]
+    else:
+        tally = [(episode(0), trials)]
+
+    buyer_total = seller_total = fees = Fraction(0)
+    disputes = arbitrations = 0
+    for (buyer_utility, seller_utility, disputed, arbitrated, fee_sink), n in tally:
+        buyer_total += n * buyer_utility
+        seller_total += n * seller_utility
+        disputes += n * disputed
+        arbitrations += n * arbitrated
+        fees += n * fee_sink
     return SimStats(
         trials=trials,
         mean_buyer_payoff=buyer_total / trials,

@@ -191,17 +191,21 @@ def replay_winner(transcript: Transcript) -> Party:
 # ---------------------------------------------------------------------------
 
 
-def oracle_arbitrate(honest_party: Party, gamma, rng: Random) -> Verdict:
-    """Rule for the honest party except with probability gamma.
+def arbiter_errs(gamma, rng: Random) -> bool:
+    """One draw of the error event, true with probability exactly gamma.
 
-    The error event is drawn exactly on the rational gamma, so seeded runs
-    hit the advertised frequency without float rounding.
+    The event is drawn on the rational gamma, so seeded runs hit the
+    advertised frequency without float rounding.
     """
     g = as_fraction(gamma)
     if not 0 <= g <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {g}")
-    errs = rng.randrange(g.denominator) < g.numerator
-    winner = honest_party.other() if errs else honest_party
+    return rng.randrange(g.denominator) < g.numerator
+
+
+def oracle_arbitrate(honest_party: Party, gamma, rng: Random) -> Verdict:
+    """Rule for the honest party except with probability gamma."""
+    winner = honest_party.other() if arbiter_errs(gamma, rng) else honest_party
     transcript = (("arbiter", f"RULE {winner.value}"),)
     return Verdict(winner=winner, basis=BASIS_ORACLE, transcript=transcript)
 
@@ -213,10 +217,7 @@ def jury_arbitrate(honest_party: Party, jurors: int, per_juror_error, rng: Rando
     """
     if jurors < 1 or jurors % 2 == 0:
         raise ValueError("need an odd, positive number of jurors")
-    g = as_fraction(per_juror_error)
-    votes_for_honest = sum(
-        1 for _ in range(jurors) if not (rng.randrange(g.denominator) < g.numerator)
-    )
+    votes_for_honest = sum(1 for _ in range(jurors) if not arbiter_errs(per_juror_error, rng))
     winner = honest_party if 2 * votes_for_honest > jurors else honest_party.other()
     transcript = (
         ("jury", f"VOTES {votes_for_honest}/{jurors}"),
@@ -244,7 +245,11 @@ class Channel(Protocol):
 
 
 class HonestSeller:
-    """Samples a bit, commits, and opens honestly when asked."""
+    """Samples a bit, commits, and opens honestly when asked.
+
+    Asked to open before it has committed, it stays silent, which the
+    coin toss records as the seller's timeout.
+    """
 
     def __init__(self, rng: Random):
         self.rng = rng
@@ -254,7 +259,7 @@ class HonestSeller:
         if request == "commit":
             self._commitment = Commitment.sample(self.rng)
             return Commit(self._commitment.digest)
-        if request == "open":
+        if request == "open" and self._commitment is not None:
             return Open(*self._commitment.opening())
         return None
 

@@ -203,7 +203,7 @@ def from_kv(text: str) -> tuple[TradeParams, WagerScheme]:
     """Parse the flat key=value format back into (TradeParams, WagerScheme).
 
     Blank lines and '#' comments are ignored; values may be integers,
-    decimals, or ratios like 1/4.
+    decimals, or ratios like 1/4.  A key given twice is rejected.
     """
     values: dict[str, str] = {}
     for raw in text.splitlines():
@@ -216,6 +216,8 @@ def from_kv(text: str) -> tuple[TradeParams, WagerScheme]:
         key = key.strip()
         if key not in _KV_KEYS:
             raise ValueError(f"unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"duplicate key {key!r}")
         values[key] = val.strip()
 
     for required in ("x", "y"):

@@ -1,21 +1,27 @@
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escrowlab.agents import (
     BuyerStrategy,
     SellerStrategy,
+    SimStats,
     all_buyer_strategies,
     all_seller_strategies,
     best_buyer_response,
+    run_trial,
     simulate,
     strategies_for_leaf,
     sweep,
     sweep_csv,
 )
 from escrowlab.gametree import HONEST_PROFILE, Leaf, leaf_payoff
-from escrowlab.trade import Standard, TradeParams
+from escrowlab.ledger import TimeoutPolicy
+from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld
 
 PARAMS = TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error="1/4")
 
@@ -57,6 +63,79 @@ def test_identical_seeds_give_identical_statistics():
     assert a == b
     c = simulate(PARAMS, Standard(1), seller, buyer, trials=300, seed=12)
     assert c != a
+
+
+def naive(params, scheme, seller, buyer, trials, seed, policy=None) -> SimStats:
+    """Reference: every trial played out as its own contract episode."""
+    buyer_total = seller_total = fees = Fraction(0)
+    disputes = arbitrations = 0
+    for i in range(trials):
+        buyer_utility, seller_utility, contract, ledger = run_trial(
+            params, scheme, seller, buyer, Random(f"{seed}:{i}"), policy
+        )
+        buyer_total += buyer_utility
+        seller_total += seller_utility
+        disputes += contract.settled_how != "accept"
+        arbitrations += contract.last_verdict is not None
+        fees += ledger.fee_sink
+    return SimStats(
+        trials=trials,
+        mean_buyer_payoff=buyer_total / trials,
+        mean_seller_payoff=seller_total / trials,
+        dispute_rate=Fraction(disputes, trials),
+        arbitration_rate=Fraction(arbitrations, trials),
+        fees_total=fees,
+    )
+
+
+PAIRS = [(s, b) for s in all_seller_strategies() for b in all_buyer_strategies()]
+AMOUNT = st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12)
+
+
+@st.composite
+def trade_setups(draw):
+    price = draw(AMOUNT)
+    params = TradeParams(
+        price=price,
+        seller_value=price * draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)),
+        buyer_value=price + draw(AMOUNT),
+        arbiter_error=draw(
+            st.sampled_from([0, Fraction(1, 2), 1])
+            | st.fractions(min_value=0, max_value=1, max_denominator=60)
+        ),
+        fee=draw(st.just(0) | st.fractions(min_value=Fraction(1, 20), max_value=Fraction(1, 2), max_denominator=20)),
+    )
+    kind = draw(st.sampled_from([Standard, WinnerRebate, Withheld, Generic]))
+    if kind is Generic:
+        loss = draw(st.just(0) | AMOUNT)
+        # Winning beats losing (win > -loss) and the payout fits in the pot
+        # (win <= price + loss).
+        share = draw(st.fractions(min_value=Fraction(1, 12), max_value=1, max_denominator=12))
+        scheme = Generic(share * (price + 2 * loss) - loss, loss)
+    else:
+        scheme = kind(draw(AMOUNT))
+    policy = draw(st.none() | st.builds(
+        lambda threshold, window, deposit: TimeoutPolicy(threshold, threshold + window, deposit),
+        st.integers(0, 3), st.integers(1, 4), st.none() | st.just(0) | AMOUNT,
+    ))
+    return params, scheme, policy
+
+
+@pytest.mark.parametrize("pair", range(len(PAIRS)))
+@settings(max_examples=15, deadline=None)
+@given(setup=trade_setups(), trials=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_simulate_matches_the_per_trial_episode_loop(pair, setup, trials, seed):
+    params, scheme, policy = setup
+    seller, buyer = PAIRS[pair]
+    assert simulate(params, scheme, seller, buyer, trials, seed, policy) == naive(
+        params, scheme, seller, buyer, trials, seed, policy
+    )
+
+
+def test_simulate_rejects_an_empty_run():
+    seller, buyer = strategies_for_leaf(Leaf.SEND_DISPUTE_COUNTER)
+    with pytest.raises(ValueError):
+        simulate(PARAMS, Standard(1), seller, buyer, trials=0, seed=1)
 
 
 def binomial_3sigma(spread: float, p: float, n: int) -> float:

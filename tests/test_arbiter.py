@@ -263,6 +263,26 @@ def test_digest_peeking_buyer_gains_nothing():
 # ---------------------------------------------------------------------------
 
 
+def test_open_before_commit_is_the_sellers_timeout():
+    rng = Random(10)
+    seller = HonestSeller(rng)
+    assert seller.respond("open", ()) is None
+
+    class StaleRelay:
+        # Answers "commit" with a digest of its own, so the honest seller's
+        # first request is "open".
+        def respond(self, request, transcript):
+            if request == "commit":
+                return Commit(commit(1, bytes(32)))
+            return seller.respond(request, transcript)
+
+    verdict = coin_toss_arbitrate(StaleRelay(), HonestBuyer(rng))
+    assert verdict.winner is Party.BUYER
+    assert verdict.basis == BASIS_TIMEOUT
+    assert verdict.transcript[-1] == ("seller", "TIMEOUT")
+    assert replay_winner(verdict.transcript) is Party.BUYER
+
+
 def test_transcript_replay_matches_the_verdict():
     rng = Random(8)
     for _ in range(50):

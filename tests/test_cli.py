@@ -55,6 +55,21 @@ def test_simulate_is_deterministic(capsys):
     assert "dispute_rate=1" in first
 
 
+def test_simulate_readme_command_output_is_pinned(capsys):
+    out = run_cli(
+        capsys, "simulate", "--x", "1", "--y", "2", "--gamma", "1/4", "--lambda", "1",
+        "--buyer", "always-dispute", "--trials", "10000", "--seed", "7",
+    )
+    assert out == (
+        "trials=10000\n"
+        "mean_buyer_payoff=-618/625\n"
+        "mean_seller_payoff=309/625\n"
+        "dispute_rate=1\n"
+        "arbitration_rate=1\n"
+        "fees_total=0\n"
+    )
+
+
 def test_simulate_honest_pair(capsys):
     out = run_cli(
         capsys, "simulate", "--x", "1", "--y", "2", "--trials", "10", "--seed", "1",

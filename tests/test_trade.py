@@ -102,3 +102,8 @@ def test_kv_parsing_tolerates_comments_and_defaults():
 def test_kv_parsing_rejects_malformed_input(text):
     with pytest.raises(ValueError):
         from_kv(text)
+
+
+def test_kv_parsing_rejects_a_repeated_key():
+    with pytest.raises(ValueError, match="duplicate key 'x'"):
+        from_kv("x=1\ny=4\nx=3\n")
