@@ -21,8 +21,9 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import product
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -38,9 +39,10 @@ from .gametree import (
     Action,
     Leaf,
     Party,
+    leaf_path,
 )
 from .ledger import Ledger, TimeoutPolicy
-from .trade import Standard, TradeParams, WagerScheme, Withheld, WinnerRebate
+from .trade import Standard, TradeParams, WagerScheme, wager_class
 
 
 @dataclass(frozen=True)
@@ -78,25 +80,19 @@ class BuyerStrategy:
 
 
 def all_seller_strategies() -> list[SellerStrategy]:
-    return [
-        SellerStrategy(send, cd, cu)
-        for send in (True, False)
-        for cd in (True, False)
-        for cu in (True, False)
-    ]
+    return [SellerStrategy(*choices) for choices in product((True, False), repeat=3)]
 
 
 def all_buyer_strategies() -> list[BuyerStrategy]:
-    return [
-        BuyerStrategy(dd, du) for dd in (True, False) for du in (True, False)
-    ]
+    return [BuyerStrategy(*choices) for choices in product((True, False), repeat=2)]
 
 
 def strategies_for_leaf(leaf: Leaf) -> tuple[SellerStrategy, BuyerStrategy]:
     """The strategy pair that forces play down to the given leaf."""
-    send = leaf in (Leaf.SEND_ACCEPT, Leaf.SEND_DISPUTE_FORFEIT, Leaf.SEND_DISPUTE_COUNTER)
-    dispute = leaf not in (Leaf.SEND_ACCEPT, Leaf.NOSEND_ACCEPT)
-    counter = leaf in (Leaf.SEND_DISPUTE_COUNTER, Leaf.NOSEND_DISPUTE_COUNTER)
+    moves = {action for _, action in leaf_path(leaf)}
+    send = Action.SEND in moves
+    dispute = Action.DISPUTE in moves
+    counter = Action.COUNTER in moves
     seller = SellerStrategy(send, counter, counter)
     buyer = BuyerStrategy(dispute_if_delivered=dispute, dispute_if_undelivered=dispute)
     return seller, buyer
@@ -112,14 +108,7 @@ class SimStats:
     fees_total: Fraction
 
     def to_row(self) -> dict[str, str]:
-        return {
-            "trials": str(self.trials),
-            "mean_buyer_payoff": str(self.mean_buyer_payoff),
-            "mean_seller_payoff": str(self.mean_seller_payoff),
-            "dispute_rate": str(self.dispute_rate),
-            "arbitration_rate": str(self.arbitration_rate),
-            "fees_total": str(self.fees_total),
-        }
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
 
 def _branch(seller_strategy: SellerStrategy, buyer_strategy: BuyerStrategy) -> tuple[bool, bool]:
@@ -138,12 +127,13 @@ def run_trial(
     policy: Optional[TimeoutPolicy] = None,
 ) -> tuple[Fraction, Fraction, EscrowContract, Ledger]:
     """One full contract episode; returns both utilities plus the artifacts."""
-    stake = scheme.stake(params)
-    endow = params.price + stake + 10 * (params.fee + 1)
     ledger = Ledger(tau=params.fee)
+    contract = propose(ledger, "trade", "buyer", "seller", params, scheme, policy)
+    # Enough for all either party can put in: the price, the wager, the
+    # liveness deposit and three fee-bearing moves.
+    endow = params.price + contract.stake + contract.liveness_deposit + 3 * params.fee
     ledger.open_account("buyer", endow)
     ledger.open_account("seller", endow)
-    contract = propose(ledger, "trade", "buyer", "seller", params, scheme, policy)
     contract.accept("seller")
     contract.fund("buyer")
 
@@ -254,13 +244,6 @@ def best_buyer_response(
     return best, means
 
 
-_SCHEME_BUILDERS = {
-    "standard": Standard,
-    "winner_rebate": WinnerRebate,
-    "withheld": Withheld,
-}
-
-
 def sweep(
     price,
     seller_value,
@@ -268,12 +251,16 @@ def sweep(
     gammas: Iterable,
     wagers: Iterable,
     fees: Iterable = (0,),
-    schemes: Sequence[str] = ("standard",),
+    schemes: Sequence = (Standard.name,),
 ) -> list[SecurityReport]:
-    """Security report at every grid point, one row per combination."""
+    """Security report at every grid point, one row per combination.
+
+    Schemes are given by name (any spelling `trade.scheme_name` accepts) or
+    class, and must have a single wager to sweep.
+    """
     reports = []
-    for scheme_name in schemes:
-        builder = _SCHEME_BUILDERS[scheme_name]
+    for scheme in schemes:
+        kind = wager_class(scheme)
         for gamma in gammas:
             for fee in fees:
                 params = TradeParams(
@@ -284,7 +271,7 @@ def sweep(
                     fee=fee,
                 )
                 for wager in wagers:
-                    reports.append(security_report(params, builder(wager)))
+                    reports.append(security_report(params, kind(wager)))
     return reports
 
 

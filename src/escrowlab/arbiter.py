@@ -179,11 +179,15 @@ def replay_winner(transcript: Transcript) -> Party:
             opening = msg
     if digest is None or buyer_bit is None or opening is None:
         raise ValueError("incomplete transcript")
+    return _coin_winner(digest, buyer_bit, opening)[0]
+
+
+def _coin_winner(digest: bytes, buyer_bit: int, opening: Open) -> tuple[Party, str]:
+    """Winner and basis of a completed toss: the seller wins on heads (1).
+    An opening that fails verification forces the coin to 0."""
     if verify(digest, opening.bit, opening.randomness):
-        coin = opening.bit ^ buyer_bit
-    else:
-        coin = 0
-    return Party.SELLER if coin == 1 else Party.BUYER
+        return (Party.SELLER if opening.bit ^ buyer_bit else Party.BUYER), BASIS_COIN
+    return Party.BUYER, BASIS_INVALID_OPENING
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +322,5 @@ def coin_toss_arbitrate(
     if opening is None:
         return Verdict(Party.BUYER, BASIS_TIMEOUT, tuple(transcript))
 
-    if verify(commitment.digest, opening.bit, opening.randomness):
-        coin = opening.bit ^ buyer_bit.value
-        basis = BASIS_COIN
-    else:
-        coin = 0
-        basis = BASIS_INVALID_OPENING
-    winner = Party.SELLER if coin == 1 else Party.BUYER
+    winner, basis = _coin_winner(commitment.digest, buyer_bit.value, opening)
     return Verdict(winner=winner, basis=basis, transcript=tuple(transcript))

@@ -23,7 +23,17 @@ from .agents import BuyerStrategy, SellerStrategy, simulate, sweep, sweep_csv
 from .equilibrium import lambda_interval, security_report
 from .ledger import Ledger
 from .multiparty import multiparty_run
-from .trade import TradeParams, as_fraction, from_kv, scheme_from_kv
+from .trade import (
+    _SCHEMES,
+    Generic,
+    Standard,
+    TradeParams,
+    as_fraction,
+    from_kv,
+    scheme_from_kv,
+    scheme_name,
+    wager_class,
+)
 
 SELLER_STRATEGIES = {
     "honest": SellerStrategy.honest(),
@@ -46,8 +56,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--y", help="buyer's value of the item")
     parser.add_argument("--gamma", default="0", help="arbiter error rate")
     parser.add_argument("--tau", default="0", help="per-move fee")
-    parser.add_argument("--scheme", default="standard",
-                        choices=["standard", "winner_rebate", "withheld", "generic"])
+    parser.add_argument("--scheme", default=Standard.name, type=scheme_name, choices=list(_SCHEMES))
     parser.add_argument("--lambda", dest="wager", help="wager size (defaults to the price)")
     parser.add_argument("--omega", help="generic scheme: winner's net gain")
     parser.add_argument("--ell", help="generic scheme: loser's net loss")
@@ -65,13 +74,8 @@ def _build_params(args: argparse.Namespace):
         arbiter_error=args.gamma,
         fee=args.tau,
     )
-    values = {"scheme": args.scheme}
-    if args.wager is not None:
-        values["lambda"] = args.wager
-    if args.omega is not None:
-        values["omega"] = args.omega
-    if args.ell is not None:
-        values["ell"] = args.ell
+    flags = {"scheme": args.scheme, "lambda": args.wager, "omega": args.omega, "ell": args.ell}
+    values = {key: value for key, value in flags.items() if value is not None}
     return params, scheme_from_kv(values, params)
 
 
@@ -91,7 +95,7 @@ def cmd_solve(args: argparse.Namespace) -> None:
     report = security_report(params, scheme)
     for key, value in report.to_row().items():
         print(f"{key}={value}")
-    if scheme.name != "generic":
+    if not isinstance(scheme, Generic):
         print(f"complete_interval={lambda_interval(params, scheme)}")
 
 
@@ -99,10 +103,13 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     gammas = _fractions_list(args.gammas)
     wagers = _fractions_list(args.lambdas) if args.lambdas else [as_fraction(args.x)]
     fees = _fractions_list(args.taus)
+    try:
+        schemes = [wager_class(name) for name in args.schemes.split(",")]
+    except ValueError as exc:
+        raise SystemExit(f"escrowlab sweep: {exc}") from None
     reports = sweep(
         args.x, args.x_seller, args.y,
-        gammas=gammas, wagers=wagers, fees=fees,
-        schemes=args.schemes.split(","),
+        gammas=gammas, wagers=wagers, fees=fees, schemes=schemes,
     )
     sys.stdout.write(sweep_csv(reports))
 
@@ -165,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--gammas", default=",".join(f"{k}/20" for k in range(20)))
     sweep_cmd.add_argument("--lambdas", default=None, help="comma list; defaults to the price")
     sweep_cmd.add_argument("--taus", default="0")
-    sweep_cmd.add_argument("--schemes", default="standard")
+    sweep_cmd.add_argument("--schemes", default=Standard.name, help="comma list of wager schemes")
     sweep_cmd.set_defaults(func=cmd_sweep)
 
     sim = sub.add_parser("simulate", help="repeated trades with scripted strategies")

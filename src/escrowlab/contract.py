@@ -44,6 +44,10 @@ class WrongPhaseError(ContractError):
     pass
 
 
+class DuplicateContractError(ContractError):
+    """Another contract on the same ledger already has this id."""
+
+
 class DeadlineExpired(ContractError):
     """The move arrived past its phase deadline; the default was applied."""
 
@@ -81,6 +85,10 @@ class EscrowContract:
             raise InvalidSchemeError(
                 "winner payout exceeds the pot; the contract cannot subsidize it"
             )
+        # The id names the contract's pot, which the ledger keeps once opened.
+        if contract_id in ledger.pots:
+            raise DuplicateContractError(f"contract id {contract_id!r} is already used on this ledger")
+        ledger.pots[contract_id] = Fraction(0)
         self.ledger = ledger
         self.contract_id = contract_id
         self.buyer = buyer
@@ -162,12 +170,6 @@ class EscrowContract:
         lateness = self.ledger.time - self.phase_entered_at
         self.worst_lateness[party] = max(self.worst_lateness.get(party, 0), lateness)
 
-    def _post_liveness_deposit(self, party: str) -> None:
-        amount = self.liveness_deposit
-        if amount > 0:
-            self.ledger.escrow_deposit(party, self.contract_id, amount)
-            self.liveness_deposits[party] = amount
-
     # -- party moves -----------------------------------------------------------
 
     def accept(self, actor: str) -> None:
@@ -177,9 +179,12 @@ class EscrowContract:
             raise WrongPhaseError("already accepted")
         self._mark_response(actor)
         self.ledger.charge_move(actor)
-        self._post_liveness_deposit(actor)
+        deposit = self.liveness_deposit
+        if deposit > 0:
+            self.ledger.escrow_deposit(actor, self.contract_id, deposit)
+            self.liveness_deposits[actor] = deposit
         self.seller_accepted = True
-        self._log(actor, "accept", self.liveness_deposits.get(actor, Fraction(0)))
+        self._log(actor, "accept", deposit)
 
     def fund(self, actor: str) -> None:
         """Buyer escrows the price and enters the contract (fee-bearing)."""

@@ -35,13 +35,12 @@ from .gametree import (
     build_game_tree,
 )
 from .trade import (
-    Generic,
     Standard,
     TradeParams,
     WagerScheme,
     Withheld,
-    WinnerRebate,
     as_fraction,
+    wager_class,
 )
 
 Profile = dict[str, Action]
@@ -100,8 +99,12 @@ def check_completeness(
     are charged.
     """
     margins = node_margins(params, scheme)
-    slacks = {_COMPLETENESS_NAMES[node]: margin for node, margin in margins.items()}
-    return all(margin > 0 for margin in margins.values()), slacks
+    return all(margin > 0 for margin in margins.values()), _slacks(margins)
+
+
+def _slacks(margins: dict[str, Fraction]) -> dict[str, Fraction]:
+    """The node margins under their constraint names."""
+    return {_COMPLETENESS_NAMES[node]: margin for node, margin in margins.items()}
 
 
 class SoundnessPreconditionError(ValueError):
@@ -139,7 +142,11 @@ def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
 
 def sound_epsilon_max(params: TradeParams, scheme: WagerScheme) -> Optional[Fraction]:
     """Largest deviation bound the dispute-layer constraints support, if any."""
-    worst = min(soundness_margins(params, scheme).values())
+    return _eps_max(node_margins(params, scheme))
+
+
+def _eps_max(margins: dict[str, Fraction]) -> Optional[Fraction]:
+    worst = min(margins[node] for node in _SOUNDNESS_NODES)
     return worst if worst > 0 else None
 
 
@@ -182,8 +189,9 @@ class SecurityReport:
 
 def security_report(params: TradeParams, scheme: WagerScheme) -> SecurityReport:
     margins = node_margins(params, scheme)
-    complete, slacks = check_completeness(params, scheme)
-    eps_max = sound_epsilon_max(params, scheme)
+    complete = all(margin > 0 for margin in margins.values())
+    slacks = _slacks(margins)
+    eps_max = _eps_max(margins)
     strong = complete and eps_max is not None
     weak = all(margin >= 0 for margin in margins.values())
     low = min(slacks.values())
@@ -279,15 +287,6 @@ class LambdaInterval:
         return f"{lo}{self.lower}, {top}{hi}"
 
 
-_SCHEME_KINDS = {
-    "standard": Standard,
-    "winner_rebate": WinnerRebate,
-    "withheld": Withheld,
-}
-# win_gain as an affine function of the wager: win = x + slope * wager.
-_WIN_SLOPE = {Standard: 0, WinnerRebate: 1, Withheld: -1}
-
-
 def lambda_interval(
     params: TradeParams,
     scheme: Union[WagerScheme, type, str] = Standard,
@@ -301,10 +300,7 @@ def lambda_interval(
     closed.  Empty when the constraints conflict, including when a
     wager-independent completeness condition already fails.
     """
-    kind = _scheme_kind(scheme)
-    if kind is Generic:
-        raise ValueError("generic schemes have no single wager to solve for")
-    slope = _WIN_SLOPE[kind]
+    slope = wager_class(scheme).slope
 
     x = params.price
     g = params.arbiter_error
@@ -356,17 +352,6 @@ def lambda_interval(
     return LambdaInterval(lower, lower_closed, upper, upper_closed)
 
 
-def _scheme_kind(scheme: Union[WagerScheme, type, str]) -> type:
-    if isinstance(scheme, str):
-        try:
-            return _SCHEME_KINDS[scheme.lower().replace("-", "_")]
-        except KeyError:
-            raise ValueError(f"unknown scheme {scheme!r}") from None
-    if isinstance(scheme, type):
-        return scheme
-    return type(scheme)
-
-
 # ---------------------------------------------------------------------------
 # Backward induction
 # ---------------------------------------------------------------------------
@@ -411,17 +396,12 @@ def backward_induction(tree: GameTree) -> SolvedTree:
         if isinstance(node, LeafNode):
             return node.payoff
         outcomes = {action: solve(child) for action, child in node.actions.items()}
-        ranked = sorted(
-            outcomes.items(), key=lambda item: item[1].for_party(node.owner), reverse=True
-        )
-        best_value = ranked[0][1].for_party(node.owner)
-        maximizers = [a for a, p in outcomes.items() if p.for_party(node.owner) == best_value]
+        own = {action: payoff.for_party(node.owner) for action, payoff in outcomes.items()}
+        best_value = max(own.values())
+        maximizers = [a for a, value in own.items() if value == best_value]
         honest = HONEST_PROFILE.get(node.node_id)
         pick = honest if honest in maximizers else maximizers[0]
-        runner_up = max(
-            (p.for_party(node.owner) for a, p in outcomes.items() if a != pick),
-            default=best_value,
-        )
+        runner_up = max((value for a, value in own.items() if a != pick), default=best_value)
         chosen[node.node_id] = pick
         margins[node.node_id] = best_value - runner_up
         tied[node.node_id] = tuple(maximizers)

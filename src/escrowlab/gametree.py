@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from .trade import InvalidTradeError, TradeParams, WagerScheme
@@ -76,19 +77,6 @@ class PayoffPair(tuple):
         return self[0] if party is Party.BUYER else self[1]
 
 
-# Fee-bearing moves by each party on the path to every leaf.  Accepting and
-# forfeiting coincide with timeout defaults and cost nothing; so does the
-# seller never sending.
-_FEE_MOVES: dict[Leaf, tuple[int, int]] = {
-    Leaf.SEND_ACCEPT: (0, 1),
-    Leaf.SEND_DISPUTE_FORFEIT: (1, 1),
-    Leaf.SEND_DISPUTE_COUNTER: (1, 2),
-    Leaf.NOSEND_ACCEPT: (0, 0),
-    Leaf.NOSEND_DISPUTE_FORFEIT: (1, 0),
-    Leaf.NOSEND_DISPUTE_COUNTER: (1, 1),
-}
-
-
 def leaf_payoff(
     leaf_id: Union[Leaf, str],
     params: TradeParams,
@@ -127,7 +115,8 @@ def leaf_payoff(
         pair = (buyer, seller)
 
     if fees_enabled and params.fee:
-        b_moves, s_moves = _FEE_MOVES[leaf]
+        movers = [mover for mover, action in leaf_path(leaf) if action in _FEE_BEARING]
+        b_moves, s_moves = movers.count(Party.BUYER), movers.count(Party.SELLER)
         pair = (pair[0] - b_moves * params.fee, pair[1] - s_moves * params.fee)
     return PayoffPair(*pair)
 
@@ -153,54 +142,63 @@ DISPUTE_AFTER_SEND = "dispute_after_send"
 AFTER_NOSEND = "after_not_send"
 DISPUTE_AFTER_NOSEND = "dispute_after_not_send"
 
-#: The honest action at every decision node: deliver, accept deliveries,
-#: contest bogus disputes, raise and stand by justified ones.
-HONEST_PROFILE: dict[str, Action] = {
-    ROOT: Action.SEND,
-    AFTER_SEND: Action.ACCEPT,
-    DISPUTE_AFTER_SEND: Action.COUNTER,
-    AFTER_NOSEND: Action.DISPUTE,
-    DISPUTE_AFTER_NOSEND: Action.FORFEIT,
-}
+#: The tree, one row per decision node, parents before children:
+#: (node id, owner, honest action, action -> child node id or leaf).  The
+#: honest actions deliver, accept deliveries, contest bogus disputes, and
+#: raise and stand by justified ones.
+_TREE: tuple[tuple[str, Party, Action, dict[Action, Union[str, Leaf]]], ...] = (
+    (ROOT, Party.SELLER, Action.SEND,
+     {Action.SEND: AFTER_SEND, Action.NOT_SEND: AFTER_NOSEND}),
+    (AFTER_SEND, Party.BUYER, Action.ACCEPT,
+     {Action.ACCEPT: Leaf.SEND_ACCEPT, Action.DISPUTE: DISPUTE_AFTER_SEND}),
+    (DISPUTE_AFTER_SEND, Party.SELLER, Action.COUNTER,
+     {Action.COUNTER: Leaf.SEND_DISPUTE_COUNTER, Action.FORFEIT: Leaf.SEND_DISPUTE_FORFEIT}),
+    (AFTER_NOSEND, Party.BUYER, Action.DISPUTE,
+     {Action.ACCEPT: Leaf.NOSEND_ACCEPT, Action.DISPUTE: DISPUTE_AFTER_NOSEND}),
+    (DISPUTE_AFTER_NOSEND, Party.SELLER, Action.FORFEIT,
+     {Action.COUNTER: Leaf.NOSEND_DISPUTE_COUNTER, Action.FORFEIT: Leaf.NOSEND_DISPUTE_FORFEIT}),
+)
+
+#: The honest action at every decision node.
+HONEST_PROFILE: dict[str, Action] = {node_id: honest for node_id, _, honest, _ in _TREE}
+
+#: Moves that cost their mover the fee.  Accepting and forfeiting coincide
+#: with timeout defaults and cost nothing; so does the seller never sending.
+_FEE_BEARING = (Action.SEND, Action.DISPUTE, Action.COUNTER)
+
+
+@cache
+def leaf_path(leaf: Leaf) -> tuple[tuple[Party, Action], ...]:
+    """The (mover, action) pairs from the root down to `leaf`."""
+    paths: dict = {ROOT: ()}
+    for node_id, owner, _, edges in _TREE:
+        for action, target in edges.items():
+            paths[target] = paths[node_id] + ((owner, action),)
+    return paths[leaf]
 
 
 @dataclass(frozen=True)
 class GameTree:
-    root: DecisionNode
+    """The built tree: its decision nodes by id, root first, in `_TREE` order."""
+
+    nodes: dict[str, DecisionNode] = field(hash=False)
     params: TradeParams
     scheme: WagerScheme
     fees_enabled: bool
 
+    @property
+    def root(self) -> DecisionNode:
+        return self.nodes[ROOT]
+
     def decision_nodes(self) -> list[DecisionNode]:
-        out: list[DecisionNode] = []
-
-        def walk(node: TreeNode) -> None:
-            if isinstance(node, DecisionNode):
-                out.append(node)
-                for child in node.actions.values():
-                    walk(child)
-
-        walk(self.root)
-        return out
+        return list(self.nodes.values())
 
     def leaves(self) -> list[LeafNode]:
-        out: list[LeafNode] = []
-
-        def walk(node: TreeNode) -> None:
-            if isinstance(node, LeafNode):
-                out.append(node)
-            else:
-                for child in node.actions.values():
-                    walk(child)
-
-        walk(self.root)
-        return out
+        children = (child for node in self.nodes.values() for child in node.actions.values())
+        return [child for child in children if isinstance(child, LeafNode)]
 
     def node(self, node_id: str) -> DecisionNode:
-        for node in self.decision_nodes():
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
+        return self.nodes[node_id]
 
 
 def build_game_tree(
@@ -210,47 +208,15 @@ def build_game_tree(
     if not isinstance(params, TradeParams):
         raise InvalidTradeError("params must be a TradeParams instance")
 
-    def leaf(leaf_id: Leaf) -> LeafNode:
-        return LeafNode(leaf_id, leaf_payoff(leaf_id, params, scheme, fees_enabled))
+    def child(target: Union[str, Leaf]) -> TreeNode:
+        if isinstance(target, Leaf):
+            return LeafNode(target, leaf_payoff(target, params, scheme, fees_enabled))
+        return nodes[target]
 
-    dispute_after_send = DecisionNode(
-        DISPUTE_AFTER_SEND,
-        Party.SELLER,
-        {
-            Action.COUNTER: leaf(Leaf.SEND_DISPUTE_COUNTER),
-            Action.FORFEIT: leaf(Leaf.SEND_DISPUTE_FORFEIT),
-        },
-    )
-    after_send = DecisionNode(
-        AFTER_SEND,
-        Party.BUYER,
-        {
-            Action.ACCEPT: leaf(Leaf.SEND_ACCEPT),
-            Action.DISPUTE: dispute_after_send,
-        },
-    )
-    dispute_after_nosend = DecisionNode(
-        DISPUTE_AFTER_NOSEND,
-        Party.SELLER,
-        {
-            Action.COUNTER: leaf(Leaf.NOSEND_DISPUTE_COUNTER),
-            Action.FORFEIT: leaf(Leaf.NOSEND_DISPUTE_FORFEIT),
-        },
-    )
-    after_nosend = DecisionNode(
-        AFTER_NOSEND,
-        Party.BUYER,
-        {
-            Action.ACCEPT: leaf(Leaf.NOSEND_ACCEPT),
-            Action.DISPUTE: dispute_after_nosend,
-        },
-    )
-    root = DecisionNode(
-        ROOT,
-        Party.SELLER,
-        {
-            Action.SEND: after_send,
-            Action.NOT_SEND: after_nosend,
-        },
-    )
-    return GameTree(root=root, params=params, scheme=scheme, fees_enabled=fees_enabled)
+    # Children are built before their parents; the tree lists the root first.
+    nodes: dict[str, DecisionNode] = {}
+    for node_id, owner, _, edges in reversed(_TREE):
+        nodes[node_id] = DecisionNode(
+            node_id, owner, {action: child(target) for action, target in edges.items()}
+        )
+    return GameTree(dict(reversed(nodes.items())), params, scheme, fees_enabled)

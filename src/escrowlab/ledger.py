@@ -105,12 +105,24 @@ class Ledger:
         if name not in self.balances:
             raise UnknownAccountError(name)
 
-    def _require_funds(self, name: str, needed: Fraction) -> None:
-        self._require_account(name)
-        if self.balances[name] < needed:
+    def _move(self, party: str, amount: Fraction, contract_move: bool) -> None:
+        """Credit `amount` to a party (a debit when negative); a contract move
+        also costs the party the fee and counts as one of their moves.
+
+        Raises, before any change, if the balance cannot cover it.
+        """
+        self._require_account(party)
+        balance = self.balances[party] + amount
+        if contract_move:
+            balance -= self.tau
+        if balance < 0:
             raise InsufficientFundsError(
-                f"{name} has {self.balances[name]}, needs {needed}"
+                f"{party} has {self.balances[party]}, needs {self.balances[party] - balance}"
             )
+        self.balances[party] = balance
+        if contract_move:
+            self.fee_sink += self.tau
+            self.move_counts[party] = self.move_counts.get(party, 0) + 1
 
     # -- fund movement -----------------------------------------------------
 
@@ -120,25 +132,15 @@ class Ledger:
         if value < 0:
             raise ValueError("amount must be >= 0")
         self._require_account(dst)
-        fee = self.tau if contract_move else Fraction(0)
-        self._require_funds(src, value + fee)
-        self.balances[src] -= value + fee
+        self._move(src, -value, contract_move)
         self.balances[dst] += value
-        self.fee_sink += fee
-        if contract_move:
-            self.move_counts[src] = self.move_counts.get(src, 0) + 1
 
     def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False) -> None:
         value = as_fraction(amount)
         if value < 0:
             raise ValueError("amount must be >= 0")
-        fee = self.tau if contract_move else Fraction(0)
-        self._require_funds(party, value + fee)
-        self.balances[party] -= value + fee
+        self._move(party, -value, contract_move)
         self.pots[contract_id] = self.pots.get(contract_id, Fraction(0)) + value
-        self.fee_sink += fee
-        if contract_move:
-            self.move_counts[party] = self.move_counts.get(party, 0) + 1
 
     def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False) -> None:
         """Pay out of a pot; a fee-bearing release is a withdrawal claimed by
@@ -149,38 +151,25 @@ class Ledger:
         pot = self.pots.get(contract_id, Fraction(0))
         if pot < value:
             raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
-        self._require_account(party)
-        fee = self.tau if contract_move else Fraction(0)
-        if self.balances[party] + value < fee:
-            raise InsufficientFundsError(f"{party} cannot cover the withdrawal fee")
+        self._move(party, value, contract_move)
         self.pots[contract_id] = pot - value
-        self.balances[party] += value - fee
-        self.fee_sink += fee
-        if contract_move:
-            self.move_counts[party] = self.move_counts.get(party, 0) + 1
 
     def charge_move(self, party: str) -> None:
         """A fee-bearing contract move with no fund movement of its own."""
-        self._require_funds(party, self.tau)
-        self.balances[party] -= self.tau
-        self.fee_sink += self.tau
-        self.move_counts[party] = self.move_counts.get(party, 0) + 1
+        self._move(party, Fraction(0), contract_move=True)
 
     def pot_to_arbiter(self, contract_id: str, amount) -> None:
-        value = as_fraction(amount)
-        pot = self.pots.get(contract_id, Fraction(0))
-        if value < 0 or pot < value:
-            raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
-        self.pots[contract_id] = pot - value
-        self.arbiter_sink += value
+        self.arbiter_sink += self._take_from_pot(contract_id, as_fraction(amount))
 
     def burn_from_pot(self, contract_id: str, amount) -> None:
-        value = as_fraction(amount)
+        self.fee_sink += self._take_from_pot(contract_id, as_fraction(amount))
+
+    def _take_from_pot(self, contract_id: str, value: Fraction) -> Fraction:
         pot = self.pots.get(contract_id, Fraction(0))
         if value < 0 or pot < value:
             raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
         self.pots[contract_id] = pot - value
-        self.fee_sink += value
+        return value
 
     def pot_balance(self, contract_id: str) -> Fraction:
         return self.pots.get(contract_id, Fraction(0))

@@ -71,39 +71,25 @@ class SettlementMatrix:
                         f"counter ({i},{j}) answers no dispute"
                     )
 
-    def payout_of(self, party: str) -> Fraction:
-        return self.payouts[self.parties.index(party)]
 
-
-def _as_payment_matrix(parties: Sequence[str], payments) -> Matrix:
-    n = len(parties)
-    rows = []
-    for i in range(n):
-        row = [as_fraction(v) for v in payments[i]]
-        if len(row) != n:
-            raise MultipartyError(f"payments must be {n}x{n}")
-        if any(v < 0 for v in row):
-            raise MultipartyError("payments must be >= 0")
-        if row[i] != 0:
-            raise MultipartyError("self-payments are not allowed")
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _as_bits(parties: Sequence[str], bits, name: str) -> list[list[int]]:
-    n = len(parties)
-    rows = []
+def _as_matrix(n: int, rows, name: str, entry, valid, rule: str) -> list[list]:
+    """An n x n matrix whose entries parse with `entry` and whose rows pass `valid`."""
+    out = []
     for i in range(n):
         try:
-            row = [int(v) for v in bits[i]]
+            row = [entry(v) for v in rows[i]]
         except (TypeError, ValueError):
-            raise MultipartyError(f"{name} entries must be 0 or 1") from None
+            raise MultipartyError(f"{name} entries must be {rule}") from None
         if len(row) != n:
             raise MultipartyError(f"{name} must be {n}x{n}")
-        if any(v not in (0, 1) for v in row):
-            raise MultipartyError(f"{name} entries must be 0 or 1")
-        rows.append(row)
-    return rows
+        if not valid(row):
+            raise MultipartyError(f"{name} entries must be {rule}")
+        out.append(row)
+    return out
+
+
+def _as_bits(n: int, rows, name: str) -> list[list[int]]:
+    return _as_matrix(n, rows, name, int, lambda row: set(row) <= {0, 1}, "0 or 1")
 
 
 def multiparty_run(
@@ -129,48 +115,46 @@ def multiparty_run(
         raise MultipartyError("need at least two parties")
     if len(set(parties)) != n:
         raise MultipartyError("party names must be distinct")
-    x = [list(row) for row in _as_payment_matrix(parties, payments)]
-    d = _as_bits(parties, disputes, "disputes")
-    c = _as_bits(parties, counters, "counters")
+    x = _as_matrix(
+        n, payments, "payments", as_fraction, lambda row: min(row, default=0) >= 0, "rationals >= 0"
+    )
+    if any(x[i][i] for i in range(n)):
+        raise MultipartyError("self-payments are not allowed")
+    d = _as_bits(n, disputes, "disputes")
+    c = _as_bits(n, counters, "counters")
     if coin_matrix is None:
         if rng is None:
             raise MultipartyError("need an rng or an explicit coin matrix")
         b = [[rng.getrandbits(1) for _ in range(n)] for _ in range(n)]
     else:
-        b = _as_bits(parties, coin_matrix, "coin")
+        b = _as_bits(n, coin_matrix, "coin")
+
+    def unfunded(i: int, total: Fraction) -> bool:
+        """Escrow party i's total for one step as a single fee-bearing
+        deposit; true if the party cannot pay it."""
+        if total == 0:
+            return False
+        try:
+            ledger.escrow_deposit(parties[i], contract_id, total, contract_move=True)
+        except InsufficientFundsError:
+            return True
+        return False
 
     # Purchase deposits; a row that cannot pay is cancelled outright.
-    for i, party in enumerate(parties):
-        total = sum(x[i], Fraction(0))
-        if total == 0:
-            continue
-        try:
-            ledger.escrow_deposit(party, contract_id, total, contract_move=True)
-        except InsufficientFundsError:
+    for i in range(n):
+        if unfunded(i, sum(x[i], Fraction(0))):
             x[i] = [Fraction(0)] * n
 
     # Dispute wagers (the trade's price); unfunded disputes default to accept.
-    for i, party in enumerate(parties):
+    for i in range(n):
         d[i] = [d[i][j] if x[i][j] > 0 else 0 for j in range(n)]
-        d[i][i] = 0
-        total = sum((x[i][j] for j in range(n) if d[i][j]), Fraction(0))
-        if total == 0:
-            continue
-        try:
-            ledger.escrow_deposit(party, contract_id, total, contract_move=True)
-        except InsufficientFundsError:
+        if unfunded(i, sum((x[i][j] for j in range(n) if d[i][j]), Fraction(0))):
             d[i] = [0] * n
 
     # Counter wagers (the disputed trade's price); unfunded counters forfeit.
-    for i, party in enumerate(parties):
+    for i in range(n):
         c[i] = [c[i][j] if d[j][i] else 0 for j in range(n)]
-        c[i][i] = 0
-        total = sum((x[j][i] for j in range(n) if c[i][j]), Fraction(0))
-        if total == 0:
-            continue
-        try:
-            ledger.escrow_deposit(party, contract_id, total, contract_move=True)
-        except InsufficientFundsError:
+        if unfunded(i, sum((x[j][i] for j in range(n) if c[i][j]), Fraction(0))):
             c[i] = [0] * n
 
     # Settle every trade as its own two-party outcome.

@@ -70,73 +70,55 @@ class InvalidSchemeError(ValueError):
 
 
 @dataclass(frozen=True)
-class Standard:
+class AffineWager:
+    """A scheme with one wager: both disputants stake `wager`, the loser
+    forfeits it, and the winner nets price + slope * wager.  The named
+    schemes differ only in the slope, that is in where the loser's wager
+    goes."""
+
+    wager: Fraction
+
+    name = ""
+    slope = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wager", as_fraction(self.wager))
+        if self.wager <= 0:
+            raise InvalidSchemeError(f"wager must be > 0, got {self.wager}")
+
+    def stake(self, params: TradeParams) -> Fraction:
+        return self.wager
+
+    def win_gain(self, params: TradeParams) -> Fraction:
+        return params.price + self.slope * self.wager
+
+    def loss_cost(self, params: TradeParams) -> Fraction:
+        return self.wager
+
+
+@dataclass(frozen=True)
+class Standard(AffineWager):
     """Both disputants stake `wager`; the winner is repaid price + wager,
     the loser's wager compensates the arbiter."""
 
-    wager: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wager", as_fraction(self.wager))
-        if self.wager <= 0:
-            raise InvalidSchemeError(f"wager must be > 0, got {self.wager}")
-
     name = "standard"
-
-    def stake(self, params: TradeParams) -> Fraction:
-        return self.wager
-
-    def win_gain(self, params: TradeParams) -> Fraction:
-        return params.price
-
-    def loss_cost(self, params: TradeParams) -> Fraction:
-        return self.wager
+    slope = 0
 
 
 @dataclass(frozen=True)
-class WinnerRebate:
+class WinnerRebate(AffineWager):
     """Like Standard, but the winner also pockets the loser's wager."""
 
-    wager: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wager", as_fraction(self.wager))
-        if self.wager <= 0:
-            raise InvalidSchemeError(f"wager must be > 0, got {self.wager}")
-
     name = "winner_rebate"
-
-    def stake(self, params: TradeParams) -> Fraction:
-        return self.wager
-
-    def win_gain(self, params: TradeParams) -> Fraction:
-        return params.price + self.wager
-
-    def loss_cost(self, params: TradeParams) -> Fraction:
-        return self.wager
+    slope = 1
 
 
 @dataclass(frozen=True)
-class Withheld:
+class Withheld(AffineWager):
     """No wager is ever returned: the winner recovers only the escrowed price."""
 
-    wager: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wager", as_fraction(self.wager))
-        if self.wager <= 0:
-            raise InvalidSchemeError(f"wager must be > 0, got {self.wager}")
-
     name = "withheld"
-
-    def stake(self, params: TradeParams) -> Fraction:
-        return self.wager
-
-    def win_gain(self, params: TradeParams) -> Fraction:
-        return params.price - self.wager
-
-    def loss_cost(self, params: TradeParams) -> Fraction:
-        return self.wager
+    slope = -1
 
 
 @dataclass(frozen=True)
@@ -176,7 +158,35 @@ class Generic:
         return self.loss_amount
 
 
-WagerScheme = Union[Standard, WinnerRebate, Withheld, Generic]
+WagerScheme = Union[AffineWager, Generic]
+
+#: Every scheme by name: the one table `scheme_from_kv`, the CLI,
+#: `agents.sweep` and `equilibrium.lambda_interval` look names up in.
+_SCHEMES = {kind.name: kind for kind in (Standard, WinnerRebate, Withheld, Generic)}
+
+
+def scheme_name(text: str) -> str:
+    """A scheme name as the table spells it: any case, '-' or '_' between words."""
+    return text.lower().replace("-", "_")
+
+
+def scheme_class(scheme: Union[str, type, WagerScheme]) -> type:
+    """The scheme class a name, a scheme class or a scheme stands for."""
+    if isinstance(scheme, str):
+        try:
+            return _SCHEMES[scheme_name(scheme)]
+        except KeyError:
+            raise ValueError(f"unknown scheme {scheme!r} (known: {', '.join(_SCHEMES)})") from None
+    return scheme if isinstance(scheme, type) else type(scheme)
+
+
+def wager_class(scheme: Union[str, type, WagerScheme]) -> type:
+    """Like `scheme_class`, but only for the schemes with a single wager."""
+    kind = scheme_class(scheme)
+    if not issubclass(kind, AffineWager):
+        raise ValueError(f"{kind.__name__} schemes have no single wager (lambda)")
+    return kind
+
 
 _KV_KEYS = ("x", "x_seller", "y", "gamma", "tau", "scheme", "lambda", "omega", "ell")
 
@@ -239,16 +249,10 @@ def scheme_from_kv(values: dict[str, str], params: TradeParams) -> WagerScheme:
 
     The wager defaults to the price (lambda = x) for the named variants.
     """
-    kind = values.get("scheme", "standard").lower().replace("-", "_")
+    kind = scheme_class(values.get("scheme", Standard.name))
     wager = as_fraction(values["lambda"]) if "lambda" in values else params.price
-    if kind == "standard":
-        return Standard(wager)
-    if kind == "winner_rebate":
-        return WinnerRebate(wager)
-    if kind == "withheld":
-        return Withheld(wager)
-    if kind == "generic":
+    if kind is Generic:
         if "omega" not in values or "ell" not in values:
             raise ValueError("generic scheme needs omega and ell")
         return Generic(as_fraction(values["omega"]), as_fraction(values["ell"]))
-    raise ValueError(f"unknown scheme {kind!r}")
+    return kind(wager)

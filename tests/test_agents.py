@@ -132,6 +132,16 @@ def test_simulate_matches_the_per_trial_episode_loop(pair, setup, trials, seed):
     )
 
 
+def test_run_trial_endows_each_party_for_the_liveness_deposit_too():
+    # The disputing buyer puts in the price, the liveness deposit (the wager
+    # by default) and the wager: 1 + 11 + 11, more than price + wager + 10.
+    args = (
+        TradeParams(price=1, buyer_value=2, arbiter_error="1/4"), Standard(11),
+        SellerStrategy.honest(), BuyerStrategy(True, True), 5, 1, TimeoutPolicy(1, 3),
+    )
+    assert simulate(*args) == naive(*args)
+
+
 def test_simulate_rejects_an_empty_run():
     seller, buyer = strategies_for_leaf(Leaf.SEND_DISPUTE_COUNTER)
     with pytest.raises(ValueError):

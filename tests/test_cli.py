@@ -43,6 +43,23 @@ def test_sweep_emits_the_csv_schema(capsys):
     assert lines[3] == "1/2,1,0,standard,false,,false,true"
 
 
+def test_scheme_flags_accept_the_spellings_of_params_files(capsys):
+    out = run_cli(
+        capsys, "sweep", "--x", "1", "--y", "2", "--gammas", "0", "--lambdas", "1",
+        "--schemes", "winner-rebate,Withheld",
+    )
+    assert out.splitlines()[1:] == ["0,1,0,winner_rebate,true,1,true,true", "0,1,0,withheld,false,,false,true"]
+    out = run_cli(capsys, "solve", "--x", "1", "--y", "2", "--scheme", "Winner-Rebate")
+    assert "scheme=winner_rebate" in out.splitlines()
+
+
+def test_sweep_rejects_the_generic_scheme_by_name():
+    with pytest.raises(SystemExit, match="escrowlab sweep: Generic schemes have no single wager"):
+        main(["sweep", "--x", "1", "--y", "2", "--schemes", "generic"])
+    with pytest.raises(SystemExit, match="unknown scheme 'bogus'"):
+        main(["sweep", "--x", "1", "--y", "2", "--schemes", "standard,bogus"])
+
+
 def test_simulate_is_deterministic(capsys):
     args = [
         "simulate", "--x", "1", "--y", "2", "--gamma", "1/4", "--lambda", "1",
@@ -97,3 +114,76 @@ def test_multiparty_rejects_ragged_matrices(tmp_path):
     (tmp_path / "bad.txt").write_text("0 1\n2\n")
     with pytest.raises(SystemExit):
         main(["multiparty", "--matrix", str(tmp_path / "bad.txt")])
+
+
+# The README `solve` and `sweep` commands and a three-scheme, two-fee sweep,
+# stdout byte for byte as the code printed it before the scheme and tree
+# tables (the CSV writer ends rows with \r\n).
+def test_solve_readme_command_output_is_pinned(capsys):
+    out = run_cli(capsys, "solve", "--x", "1", "--y", "2", "--gamma", "1/4", "--lambda", "1")
+    assert out == (
+        "gamma=1/4\n"
+        "lambda=1\n"
+        "tau=0\n"
+        "scheme=standard\n"
+        "complete=true\n"
+        "eps_max=1/2\n"
+        "strong=true\n"
+        "weak=true\n"
+        "complete_interval=(1/3, 3)\n"
+    )
+
+
+def test_sweep_readme_command_output_is_pinned(capsys):
+    out = run_cli(
+        capsys, "sweep", "--x", "1", "--y", "2", "--gammas", "0,1/10,1/4,1/2", "--lambdas", "1/2,1,2",
+    )
+    assert out == (
+        "gamma,lambda,tau,scheme,complete,eps_max,strong,weak\r\n"
+        "0,1/2,0,standard,true,1/2,true,true\r\n"
+        "0,1,0,standard,true,1,true,true\r\n"
+        "0,2,0,standard,true,1,true,true\r\n"
+        "1/10,1/2,0,standard,true,7/20,true,true\r\n"
+        "1/10,1,0,standard,true,4/5,true,true\r\n"
+        "1/10,2,0,standard,true,7/10,true,true\r\n"
+        "1/4,1/2,0,standard,true,1/8,true,true\r\n"
+        "1/4,1,0,standard,true,1/2,true,true\r\n"
+        "1/4,2,0,standard,true,1/4,true,true\r\n"
+        "1/2,1/2,0,standard,false,,false,false\r\n"
+        "1/2,1,0,standard,false,,false,true\r\n"
+        "1/2,2,0,standard,false,,false,false\r\n"
+    )
+
+
+def test_sweep_over_all_three_wager_schemes_and_two_fees_is_pinned(capsys):
+    out = run_cli(
+        capsys, "sweep", "--x", "1", "--y", "2", "--gammas", "1/10,1/4", "--lambdas", "1/2,2",
+        "--schemes", "standard,winner_rebate,withheld", "--taus", "0,1/10",
+    )
+    assert out == (
+        "gamma,lambda,tau,scheme,complete,eps_max,strong,weak\r\n"
+        "1/10,1/2,0,standard,true,7/20,true,true\r\n"
+        "1/10,2,0,standard,true,7/10,true,true\r\n"
+        "1/10,1/2,1/10,standard,true,9/20,true,true\r\n"
+        "1/10,2,1/10,standard,true,3/5,true,true\r\n"
+        "1/4,1/2,0,standard,true,1/8,true,true\r\n"
+        "1/4,2,0,standard,true,1/4,true,true\r\n"
+        "1/4,1/2,1/10,standard,true,9/40,true,true\r\n"
+        "1/4,2,1/10,standard,true,3/20,true,true\r\n"
+        "1/10,1/2,0,winner_rebate,true,3/10,true,true\r\n"
+        "1/10,2,0,winner_rebate,true,3/2,true,true\r\n"
+        "1/10,1/2,1/10,winner_rebate,true,2/5,true,true\r\n"
+        "1/10,2,1/10,winner_rebate,true,8/5,true,true\r\n"
+        "1/4,1/2,0,winner_rebate,false,,false,true\r\n"
+        "1/4,2,0,winner_rebate,true,3/4,true,true\r\n"
+        "1/4,1/2,1/10,winner_rebate,true,1/10,true,true\r\n"
+        "1/4,2,1/10,winner_rebate,true,17/20,true,true\r\n"
+        "1/10,1/2,0,withheld,true,2/5,true,true\r\n"
+        "1/10,2,0,withheld,false,,false,false\r\n"
+        "1/10,1/2,1/10,withheld,true,3/10,true,true\r\n"
+        "1/10,2,1/10,withheld,false,,false,false\r\n"
+        "1/4,1/2,0,withheld,true,1/4,true,true\r\n"
+        "1/4,2,0,withheld,false,,false,false\r\n"
+        "1/4,1/2,1/10,withheld,true,3/20,true,true\r\n"
+        "1/4,2,1/10,withheld,false,,false,false\r\n"
+    )

@@ -6,6 +6,7 @@ from escrowlab.arbiter import BASIS_ORACLE, Verdict, oracle_arbitrate
 from escrowlab.contract import (
     TERMINAL_PHASES,
     DeadlineExpired,
+    DuplicateContractError,
     Phase,
     WrongActorError,
     WrongPhaseError,
@@ -283,6 +284,30 @@ def test_wrong_phase_rejected():
         c.counter("bob")  # nothing disputed
     with pytest.raises(WrongPhaseError):
         c.begin_arbitration()
+
+
+def test_reused_contract_id_rejected_without_effect():
+    # A second contract under a live contract's id would share its pot and
+    # replace its deadline; it is refused and the ledger is left as it was.
+    policy = TimeoutPolicy(threshold=1, timeout=3, deposit=1)
+    ledger, first = world(policy=policy)
+    first.accept("bob")
+    first.fund("alice")
+    ledger.open_account("carol", 100)
+    ledger.open_account("dave", 100)
+    ledger.advance_time(1)
+    before = ledger.snapshot()
+    with pytest.raises(DuplicateContractError):
+        propose(ledger, "c1", "carol", "dave", PARAMS, Standard(1), policy)
+    assert ledger.snapshot() == before
+    # The first contract's deadline still stands: the buyer's silence
+    # settles it as accepted at tick 3, not tick 4.
+    ledger.advance_time(2)
+    assert first.phase is Phase.SETTLED and first.settled_how == "accept"
+    assert ledger.pot_balance("c1") == 0
+    # A settled contract's id stays taken.
+    with pytest.raises(DuplicateContractError):
+        propose(ledger, "c1", "carol", "dave", PARAMS, Standard(1))
 
 
 def test_insufficient_funds_rejected_atomically():

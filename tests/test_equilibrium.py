@@ -296,6 +296,17 @@ def test_strong_implies_complete_and_sound_at_the_reported_bound():
             assert report.weak
 
 
+def test_report_agrees_with_the_separate_checkers():
+    rng = Random(29)
+    for _ in range(200):
+        p = draw_params(rng, fee=rand_fraction(rng, 0, Fraction(1, 2)))
+        for kind in (Standard, WinnerRebate, Withheld):
+            scheme = kind(rand_fraction(rng, Fraction(1, 4), 6))
+            report = security_report(p, scheme)
+            assert (report.complete, report.slacks) == check_completeness(p, scheme)
+            assert report.sound_epsilon_max == sound_epsilon_max(p, scheme)
+
+
 def test_report_row_shape():
     row = security_report(params(gamma="1/4"), Standard(1)).to_row()
     assert row == {

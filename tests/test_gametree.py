@@ -9,7 +9,7 @@ from escrowlab.gametree import (
     build_game_tree,
     leaf_payoff,
 )
-from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate
+from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
 
 from conftest import draw_params, rand_fraction
 
@@ -149,14 +149,17 @@ def test_fees_reduce_each_player_by_fee_times_their_moves():
 
 def test_generic_with_standard_payouts_reproduces_standard():
     # The standard winner is paid price + wager gross; net of their own wager
-    # that is a win of exactly the price against a loss of the wager.
+    # that is a win of exactly the price against a loss of the wager.  The
+    # winner-rebate winner also nets the loser's wager, the withheld winner
+    # loses their own: a win of price + slope * wager in every named scheme.
     rng = Random(19)
     for _ in range(100):
         p = draw_params(rng)
         lam = rand_fraction(rng, Fraction(1, 4), 6)
-        generic = Generic(win_amount=p.price, loss_amount=lam)
-        for leaf_id in Leaf:
-            assert leaf_payoff(leaf_id, p, generic) == leaf_payoff(leaf_id, p, Standard(lam))
+        for kind, slope in ((Standard, 0), (WinnerRebate, 1), (Withheld, -1)):
+            generic = Generic(win_amount=p.price + slope * lam, loss_amount=lam)
+            for leaf_id in Leaf:
+                assert leaf_payoff(leaf_id, p, generic) == leaf_payoff(leaf_id, p, kind(lam))
 
 
 def test_build_game_tree_rejects_non_params():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from escrowlab.equilibrium import lambda_interval
 from escrowlab.trade import (
     Generic,
     InvalidSchemeError,
@@ -71,6 +72,9 @@ def test_scheme_payout_parameters():
     assert Standard(3).win_gain(p) == 4 and Standard(3).loss_cost(p) == 3
     assert WinnerRebate(3).win_gain(p) == 7
     assert Withheld(3).win_gain(p) == 1
+    # One affine rule: win = price + slope * wager, stake = loss = wager.
+    assert (Standard.slope, WinnerRebate.slope, Withheld.slope) == (0, 1, -1)
+    assert WinnerRebate(3).stake(p) == Withheld(3).loss_cost(p) == 3
     g = Generic(win_amount=5, loss_amount=2)
     assert g.win_gain(p) == 5 and g.loss_cost(p) == 2 and g.stake(p) == 2
 
@@ -107,3 +111,17 @@ def test_kv_parsing_rejects_malformed_input(text):
 def test_kv_parsing_rejects_a_repeated_key():
     with pytest.raises(ValueError, match="duplicate key 'x'"):
         from_kv("x=1\ny=4\nx=3\n")
+
+
+@pytest.mark.parametrize("spelling, kind", [
+    ("standard", Standard), ("STANDARD", Standard),
+    ("winner_rebate", WinnerRebate), ("winner-rebate", WinnerRebate), ("Winner-Rebate", WinnerRebate),
+    ("withheld", Withheld), ("Withheld", Withheld),
+])
+def test_scheme_names_are_read_from_one_table(spelling, kind):
+    # scheme= in a parameter file and lambda_interval take the same spellings.
+    params, scheme = from_kv(f"x=2\ny=3\ngamma=1/4\nscheme={spelling}\nlambda=1\n")
+    assert scheme == kind(1)
+    assert lambda_interval(params, spelling) == lambda_interval(params, kind) == lambda_interval(params, scheme)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        from_kv(f"x=2\ny=3\nscheme={spelling}x\n")
