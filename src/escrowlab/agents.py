@@ -255,7 +255,7 @@ def sweep(
 ) -> list[SecurityReport]:
     """Security report at every grid point, one row per combination.
 
-    Schemes are given by name (any spelling `trade.scheme_name` accepts) or
+    Schemes are given by name (any spelling `trade.scheme_class` accepts) or
     class, and must have a single wager to sweep.
     """
     reports = []

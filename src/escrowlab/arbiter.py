@@ -214,22 +214,6 @@ def oracle_arbitrate(honest_party: Party, gamma, rng: Random) -> Verdict:
     return Verdict(winner=winner, basis=BASIS_ORACLE, transcript=transcript)
 
 
-def jury_arbitrate(honest_party: Party, jurors: int, per_juror_error, rng: Random) -> Verdict:
-    """Majority vote of independent, equally unreliable jurors.
-
-    Experimentation plumbing only; no security claims attach to it.
-    """
-    if jurors < 1 or jurors % 2 == 0:
-        raise ValueError("need an odd, positive number of jurors")
-    votes_for_honest = sum(1 for _ in range(jurors) if not arbiter_errs(per_juror_error, rng))
-    winner = honest_party if 2 * votes_for_honest > jurors else honest_party.other()
-    transcript = (
-        ("jury", f"VOTES {votes_for_honest}/{jurors}"),
-        ("jury", f"RULE {winner.value}"),
-    )
-    return Verdict(winner=winner, basis=BASIS_ORACLE, transcript=transcript)
-
-
 # ---------------------------------------------------------------------------
 # Coin-toss arbiter
 # ---------------------------------------------------------------------------

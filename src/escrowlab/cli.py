@@ -7,8 +7,10 @@ Subcommands:
 * simulate    repeated contract episodes with scripted strategies
 * multiparty  one settlement batch from a payment-matrix file
 
-Parameters mirror the key=value file format (x, x_seller, y, gamma, tau,
-scheme, lambda, omega, ell); values may be integers, decimals, or ratios.
+The parameter flags are the keys of the key=value file format (x, x_seller,
+y, gamma, tau, scheme, lambda, omega, ell) and go through the same parser,
+so a flag and a file key share one default and one error message; values
+may be integers, decimals, or ratios.
 """
 
 from __future__ import annotations
@@ -23,17 +25,7 @@ from .agents import BuyerStrategy, SellerStrategy, simulate, sweep, sweep_csv
 from .equilibrium import lambda_interval, security_report
 from .ledger import Ledger
 from .multiparty import multiparty_run
-from .trade import (
-    _SCHEMES,
-    Generic,
-    Standard,
-    TradeParams,
-    as_fraction,
-    from_kv,
-    scheme_from_kv,
-    scheme_name,
-    wager_class,
-)
+from .trade import _KV_KEYS, _SCHEMES, Generic, Standard, as_fraction, from_kv, params_from_kv, wager_class
 
 SELLER_STRATEGIES = {
     "honest": SellerStrategy.honest(),
@@ -50,14 +42,16 @@ BUYER_STRATEGIES = {
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per key of the parameter-file format; the defaults of the
+    flags left out are the file format's."""
     parser.add_argument("--params", type=Path, help="key=value parameter file")
     parser.add_argument("--x", help="price")
-    parser.add_argument("--x-seller", default="0", help="seller's value of the item")
+    parser.add_argument("--x-seller", help="seller's value of the item (default 0)")
     parser.add_argument("--y", help="buyer's value of the item")
-    parser.add_argument("--gamma", default="0", help="arbiter error rate")
-    parser.add_argument("--tau", default="0", help="per-move fee")
-    parser.add_argument("--scheme", default=Standard.name, type=scheme_name, choices=list(_SCHEMES))
-    parser.add_argument("--lambda", dest="wager", help="wager size (defaults to the price)")
+    parser.add_argument("--gamma", help="arbiter error rate (default 0)")
+    parser.add_argument("--tau", help="per-move fee (default 0)")
+    parser.add_argument("--scheme", help=f"wager scheme: {', '.join(_SCHEMES)} (default {Standard.name})")
+    parser.add_argument("--lambda", help="wager size (defaults to the price)")
     parser.add_argument("--omega", help="generic scheme: winner's net gain")
     parser.add_argument("--ell", help="generic scheme: loser's net loss")
 
@@ -65,18 +59,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 def _build_params(args: argparse.Namespace):
     if args.params is not None:
         return from_kv(args.params.read_text())
-    if args.x is None or args.y is None:
-        raise SystemExit("need --x and --y (or --params FILE)")
-    params = TradeParams(
-        price=args.x,
-        seller_value=args.x_seller,
-        buyer_value=args.y,
-        arbiter_error=args.gamma,
-        fee=args.tau,
-    )
-    flags = {"scheme": args.scheme, "lambda": args.wager, "omega": args.omega, "ell": args.ell}
-    values = {key: value for key, value in flags.items() if value is not None}
-    return params, scheme_from_kv(values, params)
+    flags = vars(args)
+    return params_from_kv({key: flags[key] for key in _KV_KEYS if flags[key] is not None})
 
 
 def _fractions_list(text: str) -> list[Fraction]:
@@ -86,7 +70,7 @@ def _fractions_list(text: str) -> list[Fraction]:
 def _read_matrix(path: Path) -> list[list[str]]:
     rows = [line.split() for line in path.read_text().splitlines() if line.strip()]
     if not rows or any(len(row) != len(rows) for row in rows):
-        raise SystemExit(f"{path}: expected a square whitespace-separated grid")
+        raise ValueError(f"{path}: expected a square whitespace-separated grid")
     return rows
 
 
@@ -103,10 +87,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     gammas = _fractions_list(args.gammas)
     wagers = _fractions_list(args.lambdas) if args.lambdas else [as_fraction(args.x)]
     fees = _fractions_list(args.taus)
-    try:
-        schemes = [wager_class(name) for name in args.schemes.split(",")]
-    except ValueError as exc:
-        raise SystemExit(f"escrowlab sweep: {exc}") from None
+    schemes = [wager_class(name) for name in args.schemes.split(",")]
     reports = sweep(
         args.x, args.x_seller, args.y,
         gammas=gammas, wagers=wagers, fees=fees, schemes=schemes,
@@ -195,8 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; malformed input or an unreadable file ends it with
+    one line, `escrowlab <command>: <message>`, and exit status 1."""
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"escrowlab {args.command}: {exc}") from None
     return 0
 
 

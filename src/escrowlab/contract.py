@@ -173,15 +173,15 @@ class EscrowContract:
     # -- party moves -----------------------------------------------------------
 
     def accept(self, actor: str) -> None:
-        """Seller commits to the trade (fee-bearing)."""
+        """Seller commits to the trade (fee-bearing), posting the liveness
+        deposit, if any, in the same ledger move."""
         self._require(actor, self.seller, Phase.PROPOSED)
         if self.seller_accepted:
             raise WrongPhaseError("already accepted")
-        self._mark_response(actor)
-        self.ledger.charge_move(actor)
         deposit = self.liveness_deposit
+        self.ledger.escrow_deposit(actor, self.contract_id, deposit, contract_move=True)
+        self._mark_response(actor)
         if deposit > 0:
-            self.ledger.escrow_deposit(actor, self.contract_id, deposit)
             self.liveness_deposits[actor] = deposit
         self.seller_accepted = True
         self._log(actor, "accept", deposit)
@@ -191,9 +191,9 @@ class EscrowContract:
         self._require(actor, self.buyer, Phase.PROPOSED)
         if not self.seller_accepted:
             raise WrongPhaseError("seller has not accepted yet")
-        self._mark_response(actor)
         deposit = self.liveness_deposit
         self.ledger.escrow_deposit(actor, self.contract_id, self.params.price + deposit, contract_move=True)
+        self._mark_response(actor)
         self.payment_pot += self.params.price
         if deposit > 0:
             self.liveness_deposits[actor] = deposit
@@ -203,8 +203,8 @@ class EscrowContract:
     def notify_delivery(self, actor: str) -> None:
         """Seller reports the item as sent (fee-bearing)."""
         self._require(actor, self.seller, Phase.FUNDED)
-        self._mark_response(actor)
         self.ledger.charge_move(actor)
+        self._mark_response(actor)
         self.delivered = True
         self._enter(Phase.DELIVERED_NOTIFIED)
         self._log(actor, "notify", Fraction(0))
@@ -212,8 +212,8 @@ class EscrowContract:
     def dispute(self, actor: str) -> None:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
-        self._mark_response(actor)
         self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
+        self._mark_response(actor)
         self.buyer_wager_pot += self.stake
         self.disputed_after_delivery = self.delivered
         self._enter(Phase.DISPUTED)
@@ -222,8 +222,8 @@ class EscrowContract:
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""
         self._require(actor, self.seller, Phase.DISPUTED)
-        self._mark_response(actor)
         self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
+        self._mark_response(actor)
         self.seller_wager_pot += self.stake
         self._enter(Phase.COUNTERED)
         self._log(actor, "counter", self.stake)

@@ -291,7 +291,6 @@ def lambda_interval(
     params: TradeParams,
     scheme: Union[WagerScheme, type, str] = Standard,
     epsilon=None,
-    tau=None,
 ) -> LambdaInterval:
     """Wagers under which the scheme is complete (epsilon=None) or
     epsilon-sound (epsilon given).
@@ -304,7 +303,7 @@ def lambda_interval(
 
     x = params.price
     g = params.arbiter_error
-    t = params.fee if tau is None else as_fraction(tau)
+    t = params.fee
     if epsilon is None:
         strict = True
         eps = Fraction(0)

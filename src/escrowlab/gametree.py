@@ -14,10 +14,10 @@ value y enters an arbitration leaf only on the branch where the buyer wins;
 that convention is what makes the no-dispute and arbitration leaves line up
 with the contract's actual fund flows.
 
-When fees are enabled, every non-default move on the path to a leaf costs its
-mover the fee; default actions (accept for the buyer, forfeit for the seller,
-and the seller staying silent) are free because a party can always reach them
-by timing out.
+Every non-default move on the path to a leaf costs its mover the fee
+(`TradeParams.fee`); default actions (accept for the buyer, forfeit for the
+seller, and the seller staying silent) are free because a party can always
+reach them by timing out.
 """
 
 from __future__ import annotations
@@ -77,12 +77,7 @@ class PayoffPair(tuple):
         return self[0] if party is Party.BUYER else self[1]
 
 
-def leaf_payoff(
-    leaf_id: Union[Leaf, str],
-    params: TradeParams,
-    scheme: WagerScheme,
-    fees_enabled: bool = True,
-) -> PayoffPair:
+def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerScheme) -> PayoffPair:
     """Expected (buyer, seller) payoff at one of the six named outcomes."""
     try:
         leaf = Leaf(leaf_id) if not isinstance(leaf_id, Leaf) else leaf_id
@@ -114,7 +109,7 @@ def leaf_payoff(
         seller = g * win - (1 - g) * loss
         pair = (buyer, seller)
 
-    if fees_enabled and params.fee:
+    if params.fee:
         movers = [mover for mover, action in leaf_path(leaf) if action in _FEE_BEARING]
         b_moves, s_moves = movers.count(Party.BUYER), movers.count(Party.SELLER)
         pair = (pair[0] - b_moves * params.fee, pair[1] - s_moves * params.fee)
@@ -184,7 +179,6 @@ class GameTree:
     nodes: dict[str, DecisionNode] = field(hash=False)
     params: TradeParams
     scheme: WagerScheme
-    fees_enabled: bool
 
     @property
     def root(self) -> DecisionNode:
@@ -201,16 +195,14 @@ class GameTree:
         return self.nodes[node_id]
 
 
-def build_game_tree(
-    params: TradeParams, scheme: WagerScheme, fees_enabled: bool = True
-) -> GameTree:
+def build_game_tree(params: TradeParams, scheme: WagerScheme) -> GameTree:
     """Build the contract's game tree with scheme- and fee-adjusted payoffs."""
     if not isinstance(params, TradeParams):
         raise InvalidTradeError("params must be a TradeParams instance")
 
     def child(target: Union[str, Leaf]) -> TreeNode:
         if isinstance(target, Leaf):
-            return LeafNode(target, leaf_payoff(target, params, scheme, fees_enabled))
+            return LeafNode(target, leaf_payoff(target, params, scheme))
         return nodes[target]
 
     # Children are built before their parents; the tree lists the root first.
@@ -219,4 +211,4 @@ def build_game_tree(
         nodes[node_id] = DecisionNode(
             node_id, owner, {action: child(target) for action, target in edges.items()}
         )
-    return GameTree(dict(reversed(nodes.items())), params, scheme, fees_enabled)
+    return GameTree(dict(reversed(nodes.items())), params, scheme)

@@ -73,13 +73,16 @@ def deposit_payback(t: int, policy: TimeoutPolicy, deposit=None) -> Fraction:
 
 @dataclass
 class Ledger:
+    """The per-move fee `tau` is its one setting; balances, pots, sinks,
+    clock and move counts start empty and are kept by the operations below."""
+
     tau: Fraction = Fraction(0)
-    balances: dict[str, Fraction] = field(default_factory=dict)
-    pots: dict[str, Fraction] = field(default_factory=dict)
-    fee_sink: Fraction = Fraction(0)
-    arbiter_sink: Fraction = Fraction(0)
-    time: int = 0
-    move_counts: dict[str, int] = field(default_factory=dict)
+    balances: dict[str, Fraction] = field(init=False, default_factory=dict)
+    pots: dict[str, Fraction] = field(init=False, default_factory=dict)
+    fee_sink: Fraction = field(init=False, default=Fraction(0))
+    arbiter_sink: Fraction = field(init=False, default=Fraction(0))
+    time: int = field(init=False, default=0)
+    move_counts: dict[str, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.tau = as_fraction(self.tau)

@@ -13,21 +13,28 @@ loser's wager compensates the arbiter, as in the standard two-party scheme.
 
 A party that cannot fund a step has that step's moves converted to defaults:
 unfunded purchases are cancelled, unfunded disputes become acceptance,
-unfunded counters become forfeits.
+unfunded counters become forfeits.  A batch that still cannot complete
+(a party cannot pay the fee on its withdrawal) raises and leaves the ledger
+as it was.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .ledger import InsufficientFundsError, Ledger
 from .trade import as_fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 BitMatrix = tuple[tuple[int, ...], ...]
+
+
+#: The ledger pot every batch escrows into; it is empty between batches.
+POT = "multiparty"
 
 
 class MultipartyError(ValueError):
@@ -92,6 +99,27 @@ def _as_bits(n: int, rows, name: str) -> list[list[int]]:
     return _as_matrix(n, rows, name, int, lambda row: set(row) <= {0, 1}, "0 or 1")
 
 
+@contextmanager
+def _all_or_nothing(ledger: Ledger, parties: tuple[str, ...]) -> Iterator[None]:
+    """Put the parties' balances and move counts, the batch pot and the sinks
+    back as they were if the block raises."""
+    balances = {p: ledger.balances[p] for p in parties if p in ledger.balances}
+    moves = {p: ledger.move_counts[p] for p in parties if p in ledger.move_counts}
+    pot, fee_sink, arbiter_sink = ledger.pots.get(POT), ledger.fee_sink, ledger.arbiter_sink
+    try:
+        yield
+    except BaseException:
+        ledger.balances.update(balances)
+        for p in parties:
+            ledger.move_counts.pop(p, None)
+        ledger.move_counts.update(moves)
+        ledger.pots.pop(POT, None)
+        if pot is not None:
+            ledger.pots[POT] = pot
+        ledger.fee_sink, ledger.arbiter_sink = fee_sink, arbiter_sink
+        raise
+
+
 def multiparty_run(
     ledger: Ledger,
     parties: Sequence[str],
@@ -100,14 +128,13 @@ def multiparty_run(
     counters,
     rng: Optional[Random] = None,
     coin_matrix=None,
-    contract_id: str = "multiparty",
 ) -> SettlementMatrix:
     """Run one settlement batch against the ledger.
 
     disputes[i][j] says party i disputes the item bought from j; counters are
     masked to existing disputes.  The coin matrix is sampled from rng unless
     supplied explicitly (entry [i][j] settles the trade i bought from j, the
-    seller winning on 1).
+    seller winning on 1).  The batch escrows into the ledger pot `POT`.
     """
     parties = tuple(parties)
     n = len(parties)
@@ -135,49 +162,47 @@ def multiparty_run(
         if total == 0:
             return False
         try:
-            ledger.escrow_deposit(parties[i], contract_id, total, contract_move=True)
+            ledger.escrow_deposit(parties[i], POT, total, contract_move=True)
         except InsufficientFundsError:
             return True
         return False
 
-    # Purchase deposits; a row that cannot pay is cancelled outright.
-    for i in range(n):
-        if unfunded(i, sum(x[i], Fraction(0))):
-            x[i] = [Fraction(0)] * n
+    with _all_or_nothing(ledger, parties):
+        # Purchase deposits; a row that cannot pay is cancelled outright.
+        for i in range(n):
+            if unfunded(i, sum(x[i], Fraction(0))):
+                x[i] = [Fraction(0)] * n
 
-    # Dispute wagers (the trade's price); unfunded disputes default to accept.
-    for i in range(n):
-        d[i] = [d[i][j] if x[i][j] > 0 else 0 for j in range(n)]
-        if unfunded(i, sum((x[i][j] for j in range(n) if d[i][j]), Fraction(0))):
-            d[i] = [0] * n
+        # Dispute wagers (the trade's price); unfunded disputes default to accept.
+        for i in range(n):
+            d[i] = [d[i][j] if x[i][j] > 0 else 0 for j in range(n)]
+            if unfunded(i, sum((x[i][j] for j in range(n) if d[i][j]), Fraction(0))):
+                d[i] = [0] * n
 
-    # Counter wagers (the disputed trade's price); unfunded counters forfeit.
-    for i in range(n):
-        c[i] = [c[i][j] if d[j][i] else 0 for j in range(n)]
-        if unfunded(i, sum((x[j][i] for j in range(n) if c[i][j]), Fraction(0))):
-            c[i] = [0] * n
+        # Counter wagers (the disputed trade's price); unfunded counters forfeit.
+        for i in range(n):
+            c[i] = [c[i][j] if d[j][i] else 0 for j in range(n)]
+            if unfunded(i, sum((x[j][i] for j in range(n) if c[i][j]), Fraction(0))):
+                c[i] = [0] * n
 
-    # Settle every trade as its own two-party outcome.
-    payouts = [Fraction(0)] * n
-    for i in range(n):  # buyer
-        for j in range(n):  # seller
-            price = x[i][j]
-            if price == 0:
-                continue
-            if not d[i][j]:
-                payouts[j] += price
-            elif not c[j][i]:
-                payouts[i] += 2 * price  # price and wager back
-            elif b[i][j]:
-                payouts[j] += 2 * price
-                ledger.pot_to_arbiter(contract_id, price)
-            else:
-                payouts[i] += 2 * price
-                ledger.pot_to_arbiter(contract_id, price)
+        # Settle every trade as its own two-party outcome.
+        payouts = [Fraction(0)] * n
+        for i in range(n):  # buyer
+            for j in range(n):  # seller
+                price = x[i][j]
+                if price == 0:
+                    continue
+                if not d[i][j]:
+                    payouts[j] += price
+                elif not c[j][i]:
+                    payouts[i] += 2 * price  # price and wager back
+                else:  # the coin's winner gets price and wager, the loser's wager pays the arbiter
+                    payouts[j if b[i][j] else i] += 2 * price
+                    ledger.pot_to_arbiter(POT, price)
 
-    for i, party in enumerate(parties):
-        if payouts[i] > 0:
-            ledger.escrow_release(contract_id, party, payouts[i], contract_move=True)
+        for i, party in enumerate(parties):
+            if payouts[i] > 0:
+                ledger.escrow_release(POT, party, payouts[i], contract_move=True)
 
     return SettlementMatrix(
         parties=parties,
@@ -188,25 +213,3 @@ def multiparty_run(
         payouts=tuple(payouts),
     )
 
-
-def literal_settlement_payouts(payments, disputes, counters, coin, wagers=None) -> list[Fraction]:
-    """The one-line payout formula, kept for comparison.
-
-    payout_i = sum_j (x_ji - b_ij * c_ij * d_ij * lam_ij), with lam_ij
-    defaulting to x_ji.  Unlike the batch settlement above it never refunds a
-    buyer whose dispute went uncountered, and it pairs the dispute and counter
-    flags by position rather than by the trade they refer to, so the two only
-    agree on dispute-free runs.
-    """
-    n = len(payments)
-    x = [[as_fraction(v) for v in row] for row in payments]
-    lam = [[as_fraction(v) for v in row] for row in wagers] if wagers else [
-        [x[j][i] for j in range(n)] for i in range(n)
-    ]
-    out = []
-    for i in range(n):
-        total = Fraction(0)
-        for j in range(n):
-            total += x[j][i] - coin[i][j] * counters[i][j] * disputes[i][j] * lam[i][j]
-        out.append(total)
-    return out

@@ -160,21 +160,17 @@ class Generic:
 
 WagerScheme = Union[AffineWager, Generic]
 
-#: Every scheme by name: the one table `scheme_from_kv`, the CLI,
+#: Every scheme by name: the one table `params_from_kv`, the CLI,
 #: `agents.sweep` and `equilibrium.lambda_interval` look names up in.
 _SCHEMES = {kind.name: kind for kind in (Standard, WinnerRebate, Withheld, Generic)}
 
 
-def scheme_name(text: str) -> str:
-    """A scheme name as the table spells it: any case, '-' or '_' between words."""
-    return text.lower().replace("-", "_")
-
-
 def scheme_class(scheme: Union[str, type, WagerScheme]) -> type:
-    """The scheme class a name, a scheme class or a scheme stands for."""
+    """The scheme class a name (any case, '-' or '_' between words), a scheme
+    class or a scheme stands for."""
     if isinstance(scheme, str):
         try:
-            return _SCHEMES[scheme_name(scheme)]
+            return _SCHEMES[scheme.lower().replace("-", "_")]
         except KeyError:
             raise ValueError(f"unknown scheme {scheme!r} (known: {', '.join(_SCHEMES)})") from None
     return scheme if isinstance(scheme, type) else type(scheme)
@@ -230,6 +226,15 @@ def from_kv(text: str) -> tuple[TradeParams, WagerScheme]:
             raise ValueError(f"duplicate key {key!r}")
         values[key] = val.strip()
 
+    return params_from_kv(values)
+
+
+def params_from_kv(values: dict[str, str]) -> tuple[TradeParams, WagerScheme]:
+    """The parameter set named by parsed key -> value strings: the half of
+    `from_kv` that the CLI's flags go through too, so both share one set of
+    defaults.  Only x and y are required; the wager defaults to the price
+    (lambda = x) for the named variants.
+    """
     for required in ("x", "y"):
         if required not in values:
             raise ValueError(f"missing key {required!r}")
@@ -240,19 +245,9 @@ def from_kv(text: str) -> tuple[TradeParams, WagerScheme]:
         arbiter_error=values.get("gamma", "0"),
         fee=values.get("tau", "0"),
     )
-    scheme = scheme_from_kv(values, params)
-    return params, scheme
-
-
-def scheme_from_kv(values: dict[str, str], params: TradeParams) -> WagerScheme:
-    """Build a WagerScheme from parsed key/value strings.
-
-    The wager defaults to the price (lambda = x) for the named variants.
-    """
     kind = scheme_class(values.get("scheme", Standard.name))
-    wager = as_fraction(values["lambda"]) if "lambda" in values else params.price
-    if kind is Generic:
-        if "omega" not in values or "ell" not in values:
-            raise ValueError("generic scheme needs omega and ell")
-        return Generic(as_fraction(values["omega"]), as_fraction(values["ell"]))
-    return kind(wager)
+    if kind is not Generic:
+        return params, kind(values.get("lambda", params.price))
+    if "omega" not in values or "ell" not in values:
+        raise ValueError("generic scheme needs omega and ell")
+    return params, Generic(values["omega"], values["ell"])

@@ -17,7 +17,6 @@ from escrowlab.arbiter import (
     Open,
     coin_toss_arbitrate,
     commit,
-    jury_arbitrate,
     oracle_arbitrate,
     parse_message,
     parse_transcript,
@@ -108,14 +107,6 @@ def test_oracle_is_deterministic_for_a_seed():
     a = [oracle_arbitrate(Party.BUYER, "1/3", Random(9)).winner for _ in range(1)]
     b = [oracle_arbitrate(Party.BUYER, "1/3", Random(9)).winner for _ in range(1)]
     assert a == b
-
-
-def test_jury_stub_takes_majorities():
-    rng = Random(4)
-    verdict = jury_arbitrate(Party.SELLER, jurors=5, per_juror_error=0, rng=rng)
-    assert verdict.winner is Party.SELLER
-    with pytest.raises(ValueError):
-        jury_arbitrate(Party.SELLER, jurors=4, per_juror_error=0, rng=rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import escrowlab
 from escrowlab.cli import main
 
 
@@ -29,6 +35,23 @@ def test_solve_reads_a_parameter_file(tmp_path, capsys):
 def test_solve_requires_enough_flags():
     with pytest.raises(SystemExit):
         main(["solve", "--x", "1"])
+
+
+def test_flags_and_parameter_files_share_defaults_and_errors(tmp_path, capsys):
+    path = tmp_path / "trade.kv"
+    path.write_text("x=3\ny=5\n")
+    assert run_cli(capsys, "solve", "--x", "3", "--y", "5") == run_cli(capsys, "solve", "--params", str(path))
+    for flags, text in (
+        (["--x", "1", "--y", "2", "--scheme", "bogus"], "x=1\ny=2\nscheme=bogus\n"),
+        (["--x", "1", "--y", "2", "--scheme", "generic", "--omega", "1"], "x=1\ny=2\nscheme=generic\nomega=1\n"),
+        (["--x", "1"], "x=1\n"),
+    ):
+        path.write_text(text)
+        with pytest.raises(SystemExit) as by_flags:
+            main(["solve", *flags])
+        with pytest.raises(SystemExit) as by_file:
+            main(["solve", "--params", str(path)])
+        assert by_flags.value.code == by_file.value.code
 
 
 def test_sweep_emits_the_csv_schema(capsys):
@@ -187,3 +210,40 @@ def test_sweep_over_all_three_wager_schemes_and_two_fees_is_pinned(capsys):
         "1/4,1/2,1/10,withheld,true,3/20,true,true\r\n"
         "1/4,2,1/10,withheld,false,,false,false\r\n"
     )
+
+
+# Malformed input ends the command with one line on stderr and exit status 1.
+MALFORMED = {
+    "ill-posed trade": (
+        ["solve", "--x", "2", "--y", "1"],
+        "escrowlab solve: need buyer_value > price > seller_value, got 1 / 2 / 0",
+    ),
+    "unknown scheme in a file": (
+        ["solve", "--params", "bogus.kv"],
+        "escrowlab solve: unknown scheme 'bogus' (known: standard, winner_rebate, withheld, generic)",
+    ),
+    "unparsable grid": (
+        ["sweep", "--x", "1", "--y", "2", "--gammas", "abc"],
+        "escrowlab sweep: Invalid literal for Fraction: 'abc'",
+    ),
+    "missing matrix file": (
+        ["multiparty", "--matrix", "missing.txt"],
+        "escrowlab multiparty: [Errno 2] No such file or directory: 'missing.txt'",
+    ),
+    "unparsable matrix entry": (
+        ["multiparty", "--matrix", "letters.txt"],
+        "escrowlab multiparty: Invalid literal for Fraction: 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_ends_in_one_named_line(tmp_path, argv, message):
+    (tmp_path / "bogus.kv").write_text("x=1\ny=2\nscheme=bogus\n")
+    (tmp_path / "letters.txt").write_text("0 x\n1 0\n")
+    src = str(Path(escrowlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "escrowlab.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n")

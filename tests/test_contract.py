@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escrowlab.arbiter import BASIS_ORACLE, Verdict, oracle_arbitrate
 from escrowlab.contract import (
@@ -322,6 +324,21 @@ def test_insufficient_funds_rejected_atomically():
     assert ledger.balance("alice") == 1
 
 
+def test_accept_that_cannot_post_the_deposit_burns_no_fee():
+    # The fee and the liveness deposit are one ledger move: a seller who can
+    # pay the fee but not also the deposit is refused without paying either.
+    ledger = Ledger(tau=1)
+    ledger.open_account("b", 100)
+    ledger.open_account("s", 2)
+    c = propose(ledger, "c1", "b", "s", PARAMS, Standard(3), TimeoutPolicy(1, 5))
+    before = ledger.snapshot()
+    with pytest.raises(InsufficientFundsError, match="s has 2, needs 4"):
+        c.accept("s")
+    assert ledger.snapshot() == before
+    assert ledger.move_counts == {}
+    assert not c.seller_accepted and c.phase is Phase.PROPOSED
+
+
 def test_late_move_is_converted_to_the_default():
     policy = TimeoutPolicy(threshold=2, timeout=5, deposit=0)
     ledger, c = world(policy=policy)
@@ -427,3 +444,36 @@ def test_arbitrating_phase_is_visible_mid_flight():
     assert c.phase is Phase.ARBITRATING
     c.settle_arbitration(buyer_wins())
     assert c.phase is Phase.SETTLED
+
+
+REFUSALS = (WrongActorError, WrongPhaseError, InsufficientFundsError)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    buyer_funds=st.integers(0, 8),
+    seller_funds=st.integers(0, 8),
+    tau=st.fractions(min_value=0, max_value=2, max_denominator=2),
+    wager=st.integers(1, 3),
+    policy=st.sampled_from([None, POLICY, TimeoutPolicy(threshold=1, timeout=4)]),
+    moves=st.lists(st.sampled_from(sorted(ACTIONS)), max_size=10),
+)
+def test_refused_moves_on_short_accounts_change_nothing(buyer_funds, seller_funds, tau, wager, policy, moves):
+    # Every move either happens or is refused with the ledger as it was; only
+    # a move past its deadline changes state, by applying the default.
+    ledger = Ledger(tau=tau)
+    ledger.open_account("alice", buyer_funds)
+    ledger.open_account("bob", seller_funds)
+    contract = propose(ledger, "c1", "alice", "bob", PARAMS, Standard(wager), policy)
+    total = ledger.total_funds()
+    for name in moves:
+        before, counts = ledger.snapshot(), dict(ledger.move_counts)
+        try:
+            ACTIONS[name](ledger, contract)
+        except DeadlineExpired:
+            pass
+        except REFUSALS:
+            assert ledger.snapshot() == before
+            assert ledger.move_counts == counts
+        assert ledger.total_funds() == total
+        assert contract.pot_total() == ledger.pot_balance("c1")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -140,8 +141,8 @@ def test_fees_reduce_each_player_by_fee_times_their_moves():
         p = draw_params(rng, fee=fee)
         lam = rand_fraction(rng, Fraction(1, 4), 6)
         for leaf_id, (b_moves, s_moves) in EXPECTED_FEE_MOVES.items():
-            free = leaf_payoff(leaf_id, p, Standard(lam), fees_enabled=False)
-            charged = leaf_payoff(leaf_id, p, Standard(lam), fees_enabled=True)
+            free = leaf_payoff(leaf_id, replace(p, fee=0), Standard(lam))
+            charged = leaf_payoff(leaf_id, p, Standard(lam))
             assert charged.buyer == free.buyer - b_moves * fee
             assert charged.seller == free.seller - s_moves * fee
             assert charged.buyer <= free.buyer and charged.seller <= free.seller
@@ -165,10 +166,3 @@ def test_generic_with_standard_payouts_reproduces_standard():
 def test_build_game_tree_rejects_non_params():
     with pytest.raises(InvalidTradeError):
         build_game_tree({"x": 1}, Standard(1))
-
-
-def test_fee_disabled_tree_ignores_params_fee():
-    p = TradeParams(price=1, buyer_value=2, fee="1/10")
-    tree = build_game_tree(p, Standard(1), fees_enabled=False)
-    leaf = {l.leaf_id: l for l in tree.leaves()}[Leaf.SEND_ACCEPT]
-    assert leaf.payoff == (1, 1)

@@ -3,12 +3,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from escrowlab.ledger import Ledger
+from escrowlab.ledger import InsufficientFundsError, Ledger
 from escrowlab.multiparty import (
     MultipartyError,
     SettlementMatrix,
-    literal_settlement_payouts,
     multiparty_run,
 )
 
@@ -203,7 +204,62 @@ def test_unfunded_counters_default_to_forfeit():
 
 
 # ---------------------------------------------------------------------------
-# Validation and the literal formula
+# All or nothing
+# ---------------------------------------------------------------------------
+
+
+def test_an_unpayable_withdrawal_fee_leaves_the_ledger_as_it_was():
+    # b's payout of 3 cannot cover the fee of 5 on b's withdrawal; a's
+    # deposit and fee, already taken, are put back.
+    ledger = Ledger(tau=5)
+    ledger.open_account("a", 10)
+    ledger.open_account("b", 0)
+    zeros = [[0, 0], [0, 0]]
+    before = ledger.snapshot()
+    with pytest.raises(InsufficientFundsError, match="b has 0, needs 2"):
+        multiparty_run(ledger, ["a", "b"], [[0, 3], [0, 0]], zeros, zeros, coin_matrix=zeros)
+    assert ledger.snapshot() == before
+    assert ledger.move_counts == {}
+    assert "multiparty" not in ledger.pots
+
+
+BITS = st.integers(0, 1)
+PRICES = st.sampled_from([0, Fraction(1, 2), 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), tau=st.sampled_from([0, 1, 2]))
+def test_a_batch_conserves_funds_or_changes_nothing(data, tau):
+    # Short endowments: some steps go unfunded and some withdrawal fees
+    # cannot be paid.  Two batches run on one ledger, so the second starts
+    # from the first one's move counts and pot.
+    n = data.draw(st.integers(2, 4))
+    names = [f"p{i}" for i in range(n)]
+
+    def grid(entries):
+        return data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+    ledger = Ledger(tau=tau)
+    for name in names:
+        ledger.open_account(name, data.draw(st.integers(0, 3)))
+    total = ledger.total_funds()
+    for _ in range(2):
+        payments = grid(PRICES)
+        for i in range(n):
+            payments[i][i] = 0
+        before, counts = ledger.snapshot(), dict(ledger.move_counts)
+        try:
+            multiparty_run(ledger, names, payments, grid(BITS), grid(BITS), coin_matrix=grid(BITS))
+        except InsufficientFundsError:
+            assert ledger.snapshot() == before
+            assert ledger.move_counts == counts
+        else:
+            assert ledger.pot_balance("multiparty") == 0
+        assert ledger.total_funds() == total
+
+
+# ---------------------------------------------------------------------------
+# Validation
 # ---------------------------------------------------------------------------
 
 
@@ -229,23 +285,3 @@ def test_settlement_matrix_rejects_unanswered_counters():
             coin=((0, 0), (0, 0)),
             payouts=(Fraction(0), Fraction(0)),
         )
-
-
-def test_literal_formula_matches_on_dispute_free_runs():
-    payments = [[0, 3], [5, 0]]
-    zeros = [[0, 0], [0, 0]]
-    _, result = run(["p1", "p2"], payments)
-    literal = literal_settlement_payouts(payments, zeros, zeros, zeros)
-    assert list(result.payouts) == literal
-
-
-def test_literal_formula_omits_forfeit_refunds():
-    # A forfeited dispute refunds price + wager in the batch settlement, but
-    # the one-line formula pays the buyer as if the trade had completed.
-    payments = [[0, 3], [0, 0]]
-    disputes = [[0, 1], [0, 0]]
-    zeros = [[0, 0], [0, 0]]
-    _, result = run(["p1", "p2"], payments, disputes)
-    literal = literal_settlement_payouts(payments, disputes, zeros, zeros)
-    assert result.payouts == (6, 0)
-    assert literal == [0, 3]
