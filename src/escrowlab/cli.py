@@ -9,8 +9,9 @@ Subcommands:
 
 The parameter flags are the keys of the key=value file format (x, x_seller,
 y, gamma, tau, scheme, lambda, omega, ell) and go through the same parser,
-so a flag and a file key share one default and one error message; values
-may be integers, decimals, or ratios.
+so a flag and a file key share one default and one error message; a flag
+given with --params overrides the file's key.  Values may be integers,
+decimals, or ratios.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .agents import BuyerStrategy, SellerStrategy, simulate, sweep, sweep_csv
 from .equilibrium import lambda_interval, security_report
 from .ledger import Ledger
 from .multiparty import multiparty_run
-from .trade import _KV_KEYS, _SCHEMES, Generic, Standard, as_fraction, from_kv, params_from_kv, wager_class
+from .trade import _KV_KEYS, _SCHEMES, Generic, Standard, as_fraction, params_from_kv, read_kv, wager_class
 
 SELLER_STRATEGIES = {
     "honest": SellerStrategy.honest(),
@@ -44,7 +45,7 @@ BUYER_STRATEGIES = {
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per key of the parameter-file format; the defaults of the
     flags left out are the file format's."""
-    parser.add_argument("--params", type=Path, help="key=value parameter file")
+    parser.add_argument("--params", type=Path, help="key=value parameter file; the flags given override its keys")
     parser.add_argument("--x", help="price")
     parser.add_argument("--x-seller", help="seller's value of the item (default 0)")
     parser.add_argument("--y", help="buyer's value of the item")
@@ -57,10 +58,12 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_params(args: argparse.Namespace):
-    if args.params is not None:
-        return from_kv(args.params.read_text())
+    """The parameter file's keys, if one is given, overridden by the flags
+    that were given."""
+    values = read_kv(args.params.read_text()) if args.params is not None else {}
     flags = vars(args)
-    return params_from_kv({key: flags[key] for key in _KV_KEYS if flags[key] is not None})
+    values.update({key: flags[key] for key in _KV_KEYS if flags[key] is not None})
+    return params_from_kv(values)
 
 
 def _fractions_list(text: str) -> list[Fraction]:
@@ -118,9 +121,9 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
     parties = [f"p{i + 1}" for i in range(n)]
     ledger = Ledger(tau=args.tau)
     totals = [sum(as_fraction(v) for v in row) for row in payments]
+    grand_total = sum(totals)
     for name, row_total in zip(parties, totals):
-        endow = 3 * (row_total + sum(totals)) + 3 * ledger.tau + 1
-        ledger.open_account(name, endow)
+        ledger.open_account(name, 3 * (row_total + grand_total) + 3 * ledger.tau + 1)
     before = dict(ledger.balances)
 
     result = multiparty_run(

@@ -52,17 +52,15 @@ class TimeoutPolicy:
                 raise ValueError(f"deposit must be >= 0, got {self.deposit}")
 
 
-def deposit_payback(t: int, policy: TimeoutPolicy, deposit=None) -> Fraction:
-    """Refund for a party who responded t ticks into their window.
+def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
+    """Refund of `deposit` for a party who responded t ticks into their window.
 
     Full deposit up to the threshold, linear ramp down to zero at the
     timeout, nothing after.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    amount = as_fraction(deposit) if deposit is not None else policy.deposit
-    if amount is None:
-        raise ValueError("no deposit configured on the policy or supplied")
+    amount = as_fraction(deposit)
     if t <= policy.threshold:
         return amount
     if t < policy.timeout:

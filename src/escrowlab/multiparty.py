@@ -11,6 +11,11 @@ disputed trade resolves exactly as the two-party coin-toss contract with the
 wager set to that trade's price, using one coin matrix entry per trade.  The
 loser's wager compensates the arbiter, as in the standard two-party scheme.
 
+The n x n grids are only parsed.  Settlement work is per trade: each buyer
+keeps the list of sellers it pays, and the deposit totals and payouts are
+exact sums over those lists, so a batch does rational arithmetic once per
+trade, not once per cell.
+
 A party that cannot fund a step has that step's moves converted to defaults:
 unfunded purchases are cancelled, unfunded disputes become acceptance,
 unfunded counters become forfeits.  A batch that still cannot complete
@@ -35,6 +40,8 @@ BitMatrix = tuple[tuple[int, ...], ...]
 
 #: The ledger pot every batch escrows into; it is empty between batches.
 POT = "multiparty"
+
+_ZERO = Fraction(0)
 
 
 class MultipartyError(ValueError):
@@ -79,24 +86,47 @@ class SettlementMatrix:
                     )
 
 
-def _as_matrix(n: int, rows, name: str, entry, valid, rule: str) -> list[list]:
-    """An n x n matrix whose entries parse with `entry` and whose rows pass `valid`."""
-    out = []
+def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
+    """The payment grid, parsed once: rows of exact rationals whose zeros are
+    the shared `_ZERO`, and for each buyer the sellers it pays, in order."""
+    grid, sellers = [], []
     for i in range(n):
         try:
-            row = [entry(v) for v in rows[i]]
+            entries = list(rows[i])
+            row, paid = [_ZERO] * len(entries), []
+            for j, v in enumerate(entries):
+                if v.__class__ is int and not v:  # most cells: no arithmetic
+                    continue
+                value = v if v.__class__ is Fraction else as_fraction(v)
+                if value:
+                    row[j] = value
+                    paid.append(j)
         except (TypeError, ValueError):
-            raise MultipartyError(f"{name} entries must be {rule}") from None
+            raise MultipartyError("payments entries must be rationals >= 0") from None
         if len(row) != n:
-            raise MultipartyError(f"{name} must be {n}x{n}")
-        if not valid(row):
-            raise MultipartyError(f"{name} entries must be {rule}")
-        out.append(row)
-    return out
+            raise MultipartyError(f"payments must be {n}x{n}")
+        if any(row[j] < 0 for j in paid):
+            raise MultipartyError("payments entries must be rationals >= 0")
+        grid.append(row)
+        sellers.append(paid)
+    if any(grid[i][i] for i in range(n)):
+        raise MultipartyError("self-payments are not allowed")
+    return grid, sellers
 
 
 def _as_bits(n: int, rows, name: str) -> list[list[int]]:
-    return _as_matrix(n, rows, name, int, lambda row: set(row) <= {0, 1}, "0 or 1")
+    out = []
+    for i in range(n):
+        try:
+            row = list(map(int, rows[i]))
+        except (TypeError, ValueError):
+            raise MultipartyError(f"{name} entries must be 0 or 1") from None
+        if len(row) != n:
+            raise MultipartyError(f"{name} must be {n}x{n}")
+        if not set(row) <= {0, 1}:
+            raise MultipartyError(f"{name} entries must be 0 or 1")
+        out.append(row)
+    return out
 
 
 @contextmanager
@@ -142,11 +172,7 @@ def multiparty_run(
         raise MultipartyError("need at least two parties")
     if len(set(parties)) != n:
         raise MultipartyError("party names must be distinct")
-    x = _as_matrix(
-        n, payments, "payments", as_fraction, lambda row: min(row, default=0) >= 0, "rationals >= 0"
-    )
-    if any(x[i][i] for i in range(n)):
-        raise MultipartyError("self-payments are not allowed")
+    x, sellers = _payment_grid(n, payments)
     d = _as_bits(n, disputes, "disputes")
     c = _as_bits(n, counters, "counters")
     if coin_matrix is None:
@@ -156,9 +182,10 @@ def multiparty_run(
     else:
         b = _as_bits(n, coin_matrix, "coin")
 
-    def unfunded(i: int, total: Fraction) -> bool:
-        """Escrow party i's total for one step as a single fee-bearing
-        deposit; true if the party cannot pay it."""
+    def unfunded(i: int, prices: list[Fraction]) -> bool:
+        """Escrow the sum of party i's prices for one step as a single
+        fee-bearing deposit; true if the party cannot pay it."""
+        total = sum(prices, _ZERO)
         if total == 0:
             return False
         try:
@@ -167,31 +194,45 @@ def multiparty_run(
             return True
         return False
 
+    def marked(steps: list[list[int]]) -> list[list[int]]:
+        """The bit matrix with a 1 at (i, j) for each j in steps[i]."""
+        rows = []
+        for cols in steps:
+            row = [0] * n
+            for j in cols:
+                row[j] = 1
+            rows.append(row)
+        return rows
+
     with _all_or_nothing(ledger, parties):
-        # Purchase deposits; a row that cannot pay is cancelled outright.
-        for i in range(n):
-            if unfunded(i, sum(x[i], Fraction(0))):
-                x[i] = [Fraction(0)] * n
+        # Purchase deposits; a buyer who cannot pay has every purchase cancelled.
+        for i, paid in enumerate(sellers):
+            if unfunded(i, [x[i][j] for j in paid]):
+                x[i], sellers[i] = [_ZERO] * n, []
 
         # Dispute wagers (the trade's price); unfunded disputes default to accept.
-        for i in range(n):
-            d[i] = [d[i][j] if x[i][j] > 0 else 0 for j in range(n)]
-            if unfunded(i, sum((x[i][j] for j in range(n) if d[i][j]), Fraction(0))):
-                d[i] = [0] * n
+        disputed = []  # per buyer, the sellers it disputes
+        for i, paid in enumerate(sellers):
+            cols = [j for j in paid if d[i][j]]
+            disputed.append([] if unfunded(i, [x[i][j] for j in cols]) else cols)
+        d = marked(disputed)
 
         # Counter wagers (the disputed trade's price); unfunded counters forfeit.
-        for i in range(n):
-            c[i] = [c[i][j] if d[j][i] else 0 for j in range(n)]
-            if unfunded(i, sum((x[j][i] for j in range(n) if c[i][j]), Fraction(0))):
-                c[i] = [0] * n
+        disputers = [[] for _ in range(n)]  # per seller, the buyers disputing it
+        for i, cols in enumerate(disputed):
+            for j in cols:
+                disputers[j].append(i)
+        countered = []  # per seller, the disputes it counters
+        for i, buyers in enumerate(disputers):
+            cols = [j for j in buyers if c[i][j]]
+            countered.append([] if unfunded(i, [x[j][i] for j in cols]) else cols)
+        c = marked(countered)
 
         # Settle every trade as its own two-party outcome.
-        payouts = [Fraction(0)] * n
-        for i in range(n):  # buyer
-            for j in range(n):  # seller
+        payouts = [_ZERO] * n
+        for i, paid in enumerate(sellers):  # buyer i, seller j
+            for j in paid:
                 price = x[i][j]
-                if price == 0:
-                    continue
                 if not d[i][j]:
                     payouts[j] += price
                 elif not c[j][i]:

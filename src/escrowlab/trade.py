@@ -206,10 +206,16 @@ def to_kv(params: TradeParams, scheme: WagerScheme) -> str:
 
 
 def from_kv(text: str) -> tuple[TradeParams, WagerScheme]:
-    """Parse the flat key=value format back into (TradeParams, WagerScheme).
+    """Parse the flat key=value format back into (TradeParams, WagerScheme)."""
+    return params_from_kv(read_kv(text))
+
+
+def read_kv(text: str) -> dict[str, str]:
+    """The key -> value strings of the flat key=value format.
 
     Blank lines and '#' comments are ignored; values may be integers,
-    decimals, or ratios like 1/4.  A key given twice is rejected.
+    decimals, or ratios like 1/4.  An unknown key or a key given twice is
+    rejected.
     """
     values: dict[str, str] = {}
     for raw in text.splitlines():
@@ -225,15 +231,14 @@ def from_kv(text: str) -> tuple[TradeParams, WagerScheme]:
         if key in values:
             raise ValueError(f"duplicate key {key!r}")
         values[key] = val.strip()
-
-    return params_from_kv(values)
+    return values
 
 
 def params_from_kv(values: dict[str, str]) -> tuple[TradeParams, WagerScheme]:
     """The parameter set named by parsed key -> value strings: the half of
-    `from_kv` that the CLI's flags go through too, so both share one set of
-    defaults.  Only x and y are required; the wager defaults to the price
-    (lambda = x) for the named variants.
+    `from_kv` that the CLI's flags and parameter files go through together,
+    so both share one set of defaults.  Only x and y are required; the
+    wager defaults to the price (lambda = x) for the named variants.
     """
     for required in ("x", "y"):
         if required not in values:

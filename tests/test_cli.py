@@ -54,6 +54,21 @@ def test_flags_and_parameter_files_share_defaults_and_errors(tmp_path, capsys):
         assert by_flags.value.code == by_file.value.code
 
 
+def test_flags_override_the_keys_of_a_parameter_file(tmp_path, capsys):
+    path = tmp_path / "trade.kv"
+    path.write_text("x=1\ny=2\ngamma=1/4\nlambda=1\n")
+    lines = run_cli(capsys, "solve", "--params", str(path), "--gamma", "1/2").splitlines()
+    assert "gamma=1/2" in lines
+    assert "lambda=1" in lines  # the file's keys that no flag names still hold
+    assert run_cli(capsys, "solve", "--params", str(path), "--gamma", "1/2", "--x", "3", "--y", "5") == run_cli(
+        capsys, "solve", "--x", "3", "--y", "5", "--gamma", "1/2", "--lambda", "1"
+    )
+    path.write_text("x=1\ny=2\nscheme=bogus\n")
+    with pytest.raises(SystemExit, match="unknown scheme 'bogus'"):
+        main(["solve", "--params", str(path)])
+    assert "scheme=withheld" in run_cli(capsys, "solve", "--params", str(path), "--scheme", "withheld").splitlines()
+
+
 def test_sweep_emits_the_csv_schema(capsys):
     out = run_cli(
         capsys, "sweep", "--x", "1", "--y", "2",
@@ -131,6 +146,27 @@ def test_multiparty_from_files(tmp_path, capsys):
     assert "party p1 payout 11 delta +5 fee_moves 3" in out
     assert "party p2 payout 0 delta -5 fee_moves 1" in out
     assert "arbiter_sink 0" in out
+
+
+# stdout byte for byte as the dense, per-cell settlement printed it.
+def test_multiparty_with_disputes_counters_and_fees_is_pinned(tmp_path, capsys):
+    (tmp_path / "pay.txt").write_text("0 1 3\n1 0 0\n4 1/2 0\n")
+    (tmp_path / "disputes.txt").write_text("0 1 0\n0 0 0\n1 0 0\n")
+    (tmp_path / "counters.txt").write_text("0 0 1\n1 0 0\n0 0 0\n")
+    out = run_cli(
+        capsys, "multiparty",
+        "--matrix", str(tmp_path / "pay.txt"),
+        "--disputes", str(tmp_path / "disputes.txt"),
+        "--counters", str(tmp_path / "counters.txt"),
+        "--tau", "1/10", "--seed", "3",
+    )
+    assert out == (
+        "party p1 payout 9 delta -2/5 fee_moves 4\n"
+        "party p2 payout 5/2 delta +1/5 fee_moves 3\n"
+        "party p3 payout 3 delta -29/5 fee_moves 3\n"
+        "arbiter_sink 5\n"
+        "fee_sink 1\n"
+    )
 
 
 def test_multiparty_rejects_ragged_matrices(tmp_path):

@@ -119,37 +119,36 @@ POLICY = TimeoutPolicy(threshold=10, timeout=30, deposit=6)
 
 
 def test_payback_full_until_threshold():
-    assert deposit_payback(0, POLICY) == 6
-    assert deposit_payback(10, POLICY) == 6
+    assert deposit_payback(0, POLICY, POLICY.deposit) == 6
+    assert deposit_payback(10, POLICY, POLICY.deposit) == 6
 
 
 def test_payback_ramps_linearly():
-    assert deposit_payback(20, POLICY) == 3  # midpoint of the ramp
-    assert deposit_payback(15, POLICY) == Fraction(9, 2)
+    assert deposit_payback(20, POLICY, POLICY.deposit) == 3  # midpoint of the ramp
+    assert deposit_payback(15, POLICY, POLICY.deposit) == Fraction(9, 2)
 
 
 def test_payback_zero_from_timeout_on():
-    assert deposit_payback(30, POLICY) == 0
-    assert deposit_payback(1000, POLICY) == 0
+    assert deposit_payback(30, POLICY, POLICY.deposit) == 0
+    assert deposit_payback(1000, POLICY, POLICY.deposit) == 0
 
 
 def test_payback_is_monotone_and_continuous_at_the_threshold():
-    values = [deposit_payback(t, POLICY) for t in range(0, 40)]
+    values = [deposit_payback(t, POLICY, POLICY.deposit) for t in range(0, 40)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     # Approaching the threshold from above: ramp value at threshold equals D.
     ramp_at_threshold = POLICY.deposit * (
         1 - Fraction(POLICY.threshold - POLICY.threshold, POLICY.timeout - POLICY.threshold)
     )
-    assert ramp_at_threshold == deposit_payback(POLICY.threshold, POLICY)
+    assert ramp_at_threshold == deposit_payback(POLICY.threshold, POLICY, POLICY.deposit)
 
 
 def test_payback_deposit_override_and_validation():
     bare = TimeoutPolicy(threshold=1, timeout=2)
-    assert deposit_payback(0, bare, deposit=4) == 4
+    assert deposit_payback(0, bare, 4) == 4
+    assert deposit_payback(0, POLICY, 4) == 4  # the amount given, not the policy's
     with pytest.raises(ValueError):
-        deposit_payback(0, bare)
-    with pytest.raises(ValueError):
-        deposit_payback(-1, POLICY)
+        deposit_payback(-1, POLICY, POLICY.deposit)
     with pytest.raises(ValueError):
         TimeoutPolicy(threshold=5, timeout=5)
 

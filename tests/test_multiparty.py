@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from escrowlab.ledger import InsufficientFundsError, Ledger
 from escrowlab.multiparty import (
+    POT,
     MultipartyError,
     SettlementMatrix,
+    _all_or_nothing,
     multiparty_run,
 )
+from escrowlab.trade import as_fraction
 
 from conftest import PAIR_STATES, matrices_from_states, two_party_trade_outcome
 
@@ -285,3 +288,179 @@ def test_settlement_matrix_rejects_unanswered_counters():
             coin=((0, 0), (0, 0)),
             payouts=(Fraction(0), Fraction(0)),
         )
+
+
+# ---------------------------------------------------------------------------
+# Per-trade settlement against the dense per-cell loop
+# ---------------------------------------------------------------------------
+
+
+def _dense_matrix(n, rows, name, entry, valid, rule):
+    out = []
+    for i in range(n):
+        try:
+            row = [entry(v) for v in rows[i]]
+        except (TypeError, ValueError):
+            raise MultipartyError(f"{name} entries must be {rule}") from None
+        if len(row) != n:
+            raise MultipartyError(f"{name} must be {n}x{n}")
+        if not valid(row):
+            raise MultipartyError(f"{name} entries must be {rule}")
+        out.append(row)
+    return out
+
+
+def _dense_bits(n, rows, name):
+    return _dense_matrix(n, rows, name, int, lambda row: set(row) <= {0, 1}, "0 or 1")
+
+
+def naive(ledger, parties, payments, disputes, counters, rng=None, coin_matrix=None):
+    """Reference: every step walks all n^2 cells of the grid."""
+    parties = tuple(parties)
+    n = len(parties)
+    if n < 2:
+        raise MultipartyError("need at least two parties")
+    if len(set(parties)) != n:
+        raise MultipartyError("party names must be distinct")
+    x = _dense_matrix(
+        n, payments, "payments", as_fraction, lambda row: min(row, default=0) >= 0, "rationals >= 0"
+    )
+    if any(x[i][i] for i in range(n)):
+        raise MultipartyError("self-payments are not allowed")
+    d = _dense_bits(n, disputes, "disputes")
+    c = _dense_bits(n, counters, "counters")
+    if coin_matrix is None:
+        if rng is None:
+            raise MultipartyError("need an rng or an explicit coin matrix")
+        b = [[rng.getrandbits(1) for _ in range(n)] for _ in range(n)]
+    else:
+        b = _dense_bits(n, coin_matrix, "coin")
+
+    def unfunded(i, total):
+        if total == 0:
+            return False
+        try:
+            ledger.escrow_deposit(parties[i], POT, total, contract_move=True)
+        except InsufficientFundsError:
+            return True
+        return False
+
+    with _all_or_nothing(ledger, parties):
+        for i in range(n):
+            if unfunded(i, sum(x[i], Fraction(0))):
+                x[i] = [Fraction(0)] * n
+        for i in range(n):
+            d[i] = [d[i][j] if x[i][j] > 0 else 0 for j in range(n)]
+            if unfunded(i, sum((x[i][j] for j in range(n) if d[i][j]), Fraction(0))):
+                d[i] = [0] * n
+        for i in range(n):
+            c[i] = [c[i][j] if d[j][i] else 0 for j in range(n)]
+            if unfunded(i, sum((x[j][i] for j in range(n) if c[i][j]), Fraction(0))):
+                c[i] = [0] * n
+        payouts = [Fraction(0)] * n
+        for i in range(n):
+            for j in range(n):
+                price = x[i][j]
+                if price == 0:
+                    continue
+                if not d[i][j]:
+                    payouts[j] += price
+                elif not c[j][i]:
+                    payouts[i] += 2 * price
+                else:
+                    payouts[j if b[i][j] else i] += 2 * price
+                    ledger.pot_to_arbiter(POT, price)
+        for i, party in enumerate(parties):
+            if payouts[i] > 0:
+                ledger.escrow_release(POT, party, payouts[i], contract_move=True)
+
+    return SettlementMatrix(
+        parties=parties,
+        payments=tuple(tuple(row) for row in x),
+        disputes=tuple(tuple(row) for row in d),
+        counters=tuple(tuple(row) for row in c),
+        coin=tuple(tuple(row) for row in b),
+        payouts=tuple(payouts),
+    )
+
+
+class RecordingLedger(Ledger):
+    """A ledger that also keeps the list of batch calls made on it."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = []
+
+    def escrow_deposit(self, *args, **kwargs):
+        self.calls.append(("escrow_deposit", args, kwargs))
+        super().escrow_deposit(*args, **kwargs)
+
+    def escrow_release(self, *args, **kwargs):
+        self.calls.append(("escrow_release", args, kwargs))
+        super().escrow_release(*args, **kwargs)
+
+    def pot_to_arbiter(self, *args, **kwargs):
+        self.calls.append(("pot_to_arbiter", args, kwargs))
+        super().pot_to_arbiter(*args, **kwargs)
+
+
+ZEROS = [0, Fraction(0), 0.0, "0", "0/3"]
+ENTRIES = ZEROS * 2 + [1, 2, Fraction(1, 3), Fraction(3, 2), 0.5, 1.25, "1/2", "0.5", "2"]
+MALFORMED = [-1, Fraction(-1, 2), -0.5, "-1/2", "x", "", None, 1 + 0j, float("nan"), 1]
+
+
+def _outcome(run, tau, endow, *args, **kwargs):
+    ledger = RecordingLedger(tau=tau)
+    for name, amount in endow.items():
+        ledger.open_account(name, amount)
+    before = ledger.snapshot()
+    try:
+        result = run(ledger, *args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        assert ledger.snapshot() == before
+        assert ledger.move_counts == {}
+        return ("raised", type(exc), str(exc), ledger.calls)
+    return (repr(result), result, ledger.snapshot(), ledger.move_counts, ledger.calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tau=st.sampled_from([0, Fraction(1, 10), 2]))
+def test_per_trade_settlement_matches_the_dense_loop(data, tau):
+    n = data.draw(st.integers(2, 6))
+    names = [f"p{i}" for i in range(n)]
+
+    def grid(entries):
+        return data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+    payments = grid(st.sampled_from(ENTRIES))
+    for i in range(n):
+        payments[i][i] = data.draw(st.sampled_from(ZEROS))
+    if data.draw(st.integers(0, 4)) == 0:  # one malformed entry, self-payments included
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        payments[i][j] = data.draw(st.sampled_from(MALFORMED))
+    if data.draw(st.integers(0, 4)) == 0:  # one ragged row
+        row = payments[data.draw(st.integers(0, n - 1))]
+        if data.draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(data.draw(st.sampled_from(ENTRIES + MALFORMED)))
+    disputes = grid(st.sampled_from([0, 1, 1]))
+    counters = grid(st.sampled_from([0, 1, 1]))
+    if data.draw(st.integers(0, 9)) == 0:  # one bit that is not 0 or 1, or is spelled otherwise
+        bits = data.draw(st.sampled_from([disputes, counters]))
+        bits[data.draw(st.integers(0, n - 1))][0] = data.draw(st.sampled_from([2, "1", "x", 0.5]))
+    coin = grid(st.sampled_from([0, 1])) if data.draw(st.booleans()) else None
+    seed = data.draw(st.integers(0, 2**16))
+    # Short endowments: some steps go unfunded, some withdrawal fees cannot be paid.
+    endow = {name: data.draw(st.sampled_from([0, Fraction(1, 2), 1, 3, 6, 20])) for name in names}
+
+    outcomes, states = [], []
+    for run in (multiparty_run, naive):
+        rng = Random(seed)
+        outcomes.append(_outcome(
+            run, tau, endow, names, [list(row) for row in payments], disputes, counters,
+            rng=rng, coin_matrix=coin,
+        ))
+        states.append(rng.getstate())
+    assert outcomes[0] == outcomes[1]
+    assert states[0] == states[1]
