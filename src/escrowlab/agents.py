@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .arbiter import arbiter_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
-from .equilibrium import SecurityReport, security_report
+from .equilibrium import SecurityReport, _report, _wager_forms
 from .gametree import (
     AFTER_NOSEND,
     AFTER_SEND,
@@ -228,22 +228,6 @@ def simulate(
     )
 
 
-def best_buyer_response(
-    params: TradeParams,
-    scheme: WagerScheme,
-    seller_strategy: SellerStrategy,
-    trials: int,
-    seed: int,
-) -> tuple[BuyerStrategy, dict[BuyerStrategy, Fraction]]:
-    """Empirically best buyer strategy against a fixed seller."""
-    means = {
-        strategy: simulate(params, scheme, seller_strategy, strategy, trials, seed).mean_buyer_payoff
-        for strategy in all_buyer_strategies()
-    }
-    best = max(means, key=lambda s: means[s])
-    return best, means
-
-
 def sweep(
     price,
     seller_value,
@@ -256,11 +240,15 @@ def sweep(
     """Security report at every grid point, one row per combination.
 
     Schemes are given by name (any spelling `trade.scheme_class` accepts) or
-    class, and must have a single wager to sweep.
+    class, and must have a single wager to sweep.  Each grid is read once.
+    The node margins are affine in the wager, so they are solved once per
+    (scheme, gamma, fee) row and evaluated at each wager.
     """
+    gammas, wagers, fees = list(gammas), list(wagers), list(fees)
     reports = []
     for scheme in schemes:
         kind = wager_class(scheme)
+        stakes = [kind(wager).wager for wager in wagers]
         for gamma in gammas:
             for fee in fees:
                 params = TradeParams(
@@ -270,8 +258,10 @@ def sweep(
                     arbiter_error=gamma,
                     fee=fee,
                 )
-                for wager in wagers:
-                    reports.append(security_report(params, kind(wager)))
+                rows, forms = _wager_forms(params, kind.slope)
+                for stake in stakes:
+                    margins = [constant + coeff * stake for constant, coeff in forms]
+                    reports.append(_report(params, stake, kind.name, rows, margins))
     return reports
 
 

@@ -9,14 +9,16 @@ Subcommands:
 
 The parameter flags are the keys of the key=value file format (x, x_seller,
 y, gamma, tau, scheme, lambda, omega, ell) and go through the same parser,
-so a flag and a file key share one default and one error message; a flag
-given with --params overrides the file's key.  Values may be integers,
+so a flag and a file key share one default and one error message (sweep's
+--x, --x-seller and --y too); a flag given with --params overrides the
+file's key.  Values may be integers,
 decimals, or ratios.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -60,9 +62,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 def _build_params(args: argparse.Namespace):
     """The parameter file's keys, if one is given, overridden by the flags
     that were given."""
-    values = read_kv(args.params.read_text()) if args.params is not None else {}
     flags = vars(args)
-    values.update({key: flags[key] for key in _KV_KEYS if flags[key] is not None})
+    values = read_kv(flags["params"].read_text()) if flags.get("params") is not None else {}
+    values.update({key: flags[key] for key in _KV_KEYS if flags.get(key) is not None})
     return params_from_kv(values)
 
 
@@ -87,12 +89,13 @@ def cmd_solve(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
+    params, scheme = _build_params(args)
     gammas = _fractions_list(args.gammas)
-    wagers = _fractions_list(args.lambdas) if args.lambdas else [as_fraction(args.x)]
+    wagers = _fractions_list(args.lambdas) if args.lambdas else [scheme.wager]
     fees = _fractions_list(args.taus)
     schemes = [wager_class(name) for name in args.schemes.split(",")]
     reports = sweep(
-        args.x, args.x_seller, args.y,
+        params.price, params.seller_value, params.buyer_value,
         gammas=gammas, wagers=wagers, fees=fees, schemes=schemes,
     )
     sys.stdout.write(sweep_csv(reports))
@@ -138,7 +141,9 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
     print(f"fee_sink {ledger.fee_sink}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `escrowlab` argument parser, built on first use and then kept."""
     parser = argparse.ArgumentParser(
         prog="escrowlab",
         description="Wager-based escrow contract laboratory",
@@ -150,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve)
 
     sweep_cmd = sub.add_parser("sweep", help="CSV report over parameter grids")
-    sweep_cmd.add_argument("--x", required=True)
-    sweep_cmd.add_argument("--x-seller", default="0")
-    sweep_cmd.add_argument("--y", required=True)
+    sweep_cmd.add_argument("--x")
+    sweep_cmd.add_argument("--x-seller")
+    sweep_cmd.add_argument("--y")
     sweep_cmd.add_argument("--gammas", default=",".join(f"{k}/20" for k in range(20)))
     sweep_cmd.add_argument("--lambdas", default=None, help="comma list; defaults to the price")
     sweep_cmd.add_argument("--taus", default="0")

@@ -2,7 +2,7 @@
 
 Three independent routes answer the same questions:
 
-* closed-form node margins (the analytic checkers below),
+* closed-form node margins, one affine table (the analytic checkers below),
 * backward induction over the built tree,
 * brute-force enumeration of every pure strategy profile.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .gametree import (
     AFTER_NOSEND,
@@ -32,7 +32,6 @@ from .gametree import (
     Party,
     PayoffPair,
     TreeNode,
-    build_game_tree,
 )
 from .trade import (
     Standard,
@@ -53,40 +52,58 @@ BUYER_DISPUTES = "dispute-worth-the-fee"
 SELLER_SENDS = "delivery-worth-the-fee"
 
 
+class _Row(NamedTuple):
+    """One decision node's constraint.  The honest action's advantage there,
+    with honest play downstream, is affine in the arbitration payouts:
+    constant + per_win * (winner's net gain) + per_loss * (loser's net cost).
+    """
+
+    node: str
+    name: str
+    dispute: bool  # a dispute-layer margin, one that bounds every dishonest deviation
+    constant: Fraction
+    per_win: Fraction
+    per_loss: Fraction
+
+
+def _margin_table(params: TradeParams) -> tuple[_Row, ...]:
+    """Every decision node's margin, ordered as the constraint names above.
+
+    Fees enter with the sign of the move they attach to: countering and
+    disputing cost the fee, while the timeout defaults are free.
+    """
+    x, y, g, t = params.price, params.buyer_value, params.arbiter_error, params.fee
+    return (
+        _Row(DISPUTE_AFTER_SEND, SELLER_COUNTERS, True, -t, 1 - g, -g),
+        _Row(DISPUTE_AFTER_NOSEND, SELLER_FORFEITS, True, t, -g, 1 - g),
+        _Row(AFTER_SEND, BUYER_ACCEPTS, True, y * (1 - g) + t, -g, 1 - g),
+        _Row(AFTER_NOSEND, BUYER_DISPUTES, False, x - t, 0, 0),
+        _Row(ROOT, SELLER_SENDS, False, x - params.seller_value - t, 0, 0),
+    )
+
+
+def _margins(params: TradeParams, scheme: WagerScheme) -> tuple[tuple[_Row, ...], list[Fraction]]:
+    """The table and its margins at the scheme's arbitration payouts."""
+    rows = _margin_table(params)
+    win, loss = scheme.win_gain(params), scheme.loss_cost(params)
+    return rows, [row.constant + row.per_win * win + row.per_loss * loss for row in rows]
+
+
+def _wager_forms(params: TradeParams, slope: int) -> tuple[tuple[_Row, ...], list[tuple[Fraction, Fraction]]]:
+    """The table and each row's margin as (constant, coefficient) in the wager
+    of an affine scheme: the winner nets x + slope * wager, the loser the wager."""
+    rows = _margin_table(params)
+    x = params.price
+    return rows, [(row.constant + row.per_win * x, row.per_win * slope + row.per_loss) for row in rows]
+
+
 def node_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction]:
     """Honest-action advantage at each decision node, honest play downstream.
 
     Positive margin means the honest action strictly beats the alternative.
-    Fees enter with the sign of the move they attach to: countering and
-    disputing cost the fee, while the timeout defaults are free.
     """
-    x = params.price
-    xs = params.seller_value
-    y = params.buyer_value
-    g = params.arbiter_error
-    t = params.fee
-    win = scheme.win_gain(params)
-    loss = scheme.loss_cost(params)
-
-    counter = (1 - g) * win - g * loss - t
-    forfeit = (1 - g) * loss - g * win + t
-    accept = y * (1 - g) + forfeit
-    return {
-        DISPUTE_AFTER_SEND: counter,
-        DISPUTE_AFTER_NOSEND: forfeit,
-        AFTER_SEND: accept,
-        AFTER_NOSEND: x - t,
-        ROOT: x - xs - t,
-    }
-
-
-_COMPLETENESS_NAMES = {
-    DISPUTE_AFTER_SEND: SELLER_COUNTERS,
-    DISPUTE_AFTER_NOSEND: SELLER_FORFEITS,
-    AFTER_SEND: BUYER_ACCEPTS,
-    AFTER_NOSEND: BUYER_DISPUTES,
-    ROOT: SELLER_SENDS,
-}
+    rows, margins = _margins(params, scheme)
+    return {row.node: margin for row, margin in zip(rows, margins)}
 
 
 def check_completeness(
@@ -98,13 +115,8 @@ def check_completeness(
     slack below is positive.  The last two constraints only bite when fees
     are charged.
     """
-    margins = node_margins(params, scheme)
-    return all(margin > 0 for margin in margins.values()), _slacks(margins)
-
-
-def _slacks(margins: dict[str, Fraction]) -> dict[str, Fraction]:
-    """The node margins under their constraint names."""
-    return {_COMPLETENESS_NAMES[node]: margin for node, margin in margins.items()}
+    report = security_report(params, scheme)
+    return report.complete, report.slacks
 
 
 class SoundnessPreconditionError(ValueError):
@@ -112,13 +124,10 @@ class SoundnessPreconditionError(ValueError):
     (needs buyer_value - epsilon >= price >= epsilon)."""
 
 
-_SOUNDNESS_NODES = (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND)
-
-
 def soundness_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction]:
     """The three dispute-layer margins that bound every dishonest deviation."""
-    margins = node_margins(params, scheme)
-    return {_COMPLETENESS_NAMES[node]: margins[node] for node in _SOUNDNESS_NODES}
+    rows, margins = _margins(params, scheme)
+    return {row.name: margin for row, margin in zip(rows, margins) if row.dispute}
 
 
 def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
@@ -142,12 +151,7 @@ def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
 
 def sound_epsilon_max(params: TradeParams, scheme: WagerScheme) -> Optional[Fraction]:
     """Largest deviation bound the dispute-layer constraints support, if any."""
-    return _eps_max(node_margins(params, scheme))
-
-
-def _eps_max(margins: dict[str, Fraction]) -> Optional[Fraction]:
-    worst = min(margins[node] for node in _SOUNDNESS_NODES)
-    return worst if worst > 0 else None
+    return security_report(params, scheme).sound_epsilon_max
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +192,31 @@ class SecurityReport:
 
 
 def security_report(params: TradeParams, scheme: WagerScheme) -> SecurityReport:
-    margins = node_margins(params, scheme)
-    complete = all(margin > 0 for margin in margins.values())
-    slacks = _slacks(margins)
-    eps_max = _eps_max(margins)
+    return _report(params, scheme.stake(params), scheme.name, *_margins(params, scheme))
+
+
+def _report(
+    params: TradeParams, wager: Fraction, scheme_name: str, rows: tuple[_Row, ...], margins: list[Fraction]
+) -> SecurityReport:
+    """The report for one setup whose table `rows` evaluates to `margins`."""
+    complete = all(margin > 0 for margin in margins)
+    slacks = {row.name: margin for row, margin in zip(rows, margins)}
+    worst = min(margin for row, margin in zip(rows, margins) if row.dispute)
+    eps_max = worst if worst > 0 else None
     strong = complete and eps_max is not None
-    weak = all(margin >= 0 for margin in margins.values())
-    low = min(slacks.values())
-    binding = tuple(name for name, slack in slacks.items() if slack == low)
+    low = min(margins)
     return SecurityReport(
         complete=complete,
         sound_epsilon_max=eps_max,
         strong=strong,
         strong_epsilon=eps_max if strong else None,
-        weak=weak,
+        weak=low >= 0,
         slacks=slacks,
-        binding=binding,
+        binding=tuple(name for name, slack in slacks.items() if slack == low),
         gamma=params.arbiter_error,
-        wager=scheme.stake(params),
+        wager=wager,
         fee=params.fee,
-        scheme=scheme.name,
+        scheme=scheme_name,
     )
 
 
@@ -299,11 +308,7 @@ def lambda_interval(
     closed.  Empty when the constraints conflict, including when a
     wager-independent completeness condition already fails.
     """
-    slope = wager_class(scheme).slope
-
-    x = params.price
-    g = params.arbiter_error
-    t = params.fee
+    rows, forms = _wager_forms(params, wager_class(scheme).slope)
     if epsilon is None:
         strict = True
         eps = Fraction(0)
@@ -313,20 +318,15 @@ def lambda_interval(
         if eps <= 0:
             raise ValueError(f"epsilon must be > 0, got {eps}")
 
-    if strict and not (x > t and x - params.seller_value > t):
-        return LambdaInterval.nothing()
-
-    # Margins are affine in the wager w:
-    #   counter: (1-g)(x + slope*w) - g*w - t  >= eps (or > 0)
-    #   forfeit: (1-g)*w - g*(x + slope*w) + t >= eps (or > 0)
-    constraints = [
-        ((1 - g) * slope - g, eps + t - (1 - g) * x),
-        ((1 - g) - g * slope, eps - t + g * x),
-    ]
+    # Each margin is constant + coeff * wager, and must be > 0 (complete)
+    # or >= eps (sound); a zero coeff leaves a condition on the setup alone.
     lower, lower_closed = Fraction(0), False  # wagers must be positive
     upper: Optional[Fraction] = None
     upper_closed = False
-    for coeff, bound in constraints:
+    for row, (constant, coeff) in zip(rows, forms):
+        if not (strict or row.dispute):
+            continue
+        bound = eps - constant
         if coeff == 0:
             if bound > 0 or (strict and bound == 0):
                 return LambdaInterval.nothing()
@@ -475,9 +475,3 @@ def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
     found = [p for p in all_profiles(tree) if profile_epsilon(tree, p) <= eps]
     found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found
-
-
-def spe_is_uniquely_honest(params: TradeParams, scheme: WagerScheme) -> bool:
-    """Oracle form of completeness: enumeration finds exactly the honest profile."""
-    tree = build_game_tree(params, scheme)
-    return brute_force_spe(tree, 0) == [HONEST_PROFILE]

@@ -238,7 +238,9 @@ def params_from_kv(values: dict[str, str]) -> tuple[TradeParams, WagerScheme]:
     """The parameter set named by parsed key -> value strings: the half of
     `from_kv` that the CLI's flags and parameter files go through together,
     so both share one set of defaults.  Only x and y are required; the
-    wager defaults to the price (lambda = x) for the named variants.
+    wager defaults to the price (lambda = x) for the named variants.  A key
+    the chosen scheme does not use (omega or ell for a named scheme, lambda
+    for generic) is rejected.
     """
     for required in ("x", "y"):
         if required not in values:
@@ -251,6 +253,9 @@ def params_from_kv(values: dict[str, str]) -> tuple[TradeParams, WagerScheme]:
         fee=values.get("tau", "0"),
     )
     kind = scheme_class(values.get("scheme", Standard.name))
+    for unused in ("lambda",) if kind is Generic else ("omega", "ell"):
+        if unused in values:
+            raise ValueError(f"the {kind.name} scheme takes no {unused!r}")
     if kind is not Generic:
         return params, kind(values.get("lambda", params.price))
     if "omega" not in values or "ell" not in values:

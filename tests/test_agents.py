@@ -12,7 +12,6 @@ from escrowlab.agents import (
     SimStats,
     all_buyer_strategies,
     all_seller_strategies,
-    best_buyer_response,
     run_trial,
     simulate,
     strategies_for_leaf,
@@ -189,8 +188,11 @@ def test_honesty_is_the_empirical_best_buyer_response():
     # seller.  Strategies differing only in the never-reached undelivered flag
     # tie with honesty exactly; every strategy that disputes a delivery trails
     # by a macroscopic margin (x(1-2g) = 1/2 up to arbitration noise).
-    best, means = best_buyer_response(PARAMS, Standard(1), SellerStrategy.honest(),
-                                      trials=4000, seed=29)
+    means = {
+        strategy: simulate(PARAMS, Standard(1), SellerStrategy.honest(), strategy,
+                           trials=4000, seed=29).mean_buyer_payoff
+        for strategy in all_buyer_strategies()
+    }
     honest_mean = means[BuyerStrategy.honest()]
     assert honest_mean == max(means.values())
     for strategy, mean in means.items():
@@ -274,3 +276,8 @@ def test_sweep_csv_round_trips_through_the_report_fields():
     text = sweep_csv(reports)
     lines = text.strip().splitlines()
     assert len(lines) == 1 + len(reports)
+    # Each grid is read once, so one-shot iterators give every row too.
+    assert sweep(
+        1, 0, 2, gammas=iter([0, Fraction(1, 4)]), wagers=iter([1, 2]), fees=iter([0]),
+        schemes=iter(["standard", "withheld"]),
+    ) == reports

@@ -45,6 +45,11 @@ def test_flags_and_parameter_files_share_defaults_and_errors(tmp_path, capsys):
         (["--x", "1", "--y", "2", "--scheme", "bogus"], "x=1\ny=2\nscheme=bogus\n"),
         (["--x", "1", "--y", "2", "--scheme", "generic", "--omega", "1"], "x=1\ny=2\nscheme=generic\nomega=1\n"),
         (["--x", "1"], "x=1\n"),
+        (["--x", "1", "--y", "2", "--omega", "5", "--ell", "3"], "x=1\ny=2\nomega=5\nell=3\n"),
+        (
+            ["--x", "1", "--y", "2", "--scheme", "generic", "--omega", "2", "--ell", "1", "--lambda", "7"],
+            "x=1\ny=2\nscheme=generic\nomega=2\nell=1\nlambda=7\n",
+        ),
     ):
         path.write_text(text)
         with pytest.raises(SystemExit) as by_flags:
@@ -261,6 +266,14 @@ MALFORMED = {
     "unparsable grid": (
         ["sweep", "--x", "1", "--y", "2", "--gammas", "abc"],
         "escrowlab sweep: Invalid literal for Fraction: 'abc'",
+    ),
+    "sweep of an ill-posed trade with no gammas": (
+        ["sweep", "--x", "2", "--y", "1", "--gammas", ""],
+        "escrowlab sweep: need buyer_value > price > seller_value, got 1 / 2 / 0",
+    ),
+    "sweep without a price": (
+        ["sweep", "--y", "2"],
+        "escrowlab sweep: missing key 'x'",
     ),
     "missing matrix file": (
         ["multiparty", "--matrix", "missing.txt"],

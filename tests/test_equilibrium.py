@@ -2,12 +2,18 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from escrowlab.agents import sweep
 from escrowlab.equilibrium import (
     BUYER_ACCEPTS,
+    BUYER_DISPUTES,
     SELLER_COUNTERS,
     SELLER_FORFEITS,
+    SELLER_SENDS,
     LambdaInterval,
+    SecurityReport,
     SoundnessPreconditionError,
     backward_induction,
     brute_force_spe,
@@ -20,17 +26,20 @@ from escrowlab.equilibrium import (
     security_report,
     sound_epsilon_max,
     soundness_margins,
-    spe_is_uniquely_honest,
     winner_rebate_lambda,
     withheld_security,
 )
 from escrowlab.gametree import (
+    AFTER_NOSEND,
+    AFTER_SEND,
+    DISPUTE_AFTER_NOSEND,
     DISPUTE_AFTER_SEND,
     HONEST_PROFILE,
+    ROOT,
     Action,
     build_game_tree,
 )
-from escrowlab.trade import Standard, TradeParams, WinnerRebate, Withheld
+from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld
 
 from conftest import draw_params, rand_fraction
 
@@ -51,7 +60,6 @@ def test_perfect_arbiter_selects_the_honest_profile():
     assert solved.unique
     # Oracle: enumerate all 2^5 pure profiles.
     assert brute_force_spe(tree, 0) == [HONEST_PROFILE]
-    assert spe_is_uniquely_honest(params(gamma=0), Standard(1))
 
 
 def test_always_wrong_arbiter_makes_the_honest_seller_forfeit():
@@ -381,6 +389,144 @@ def test_interval_respects_fee_feasibility():
 def test_generic_scheme_has_no_wager_interval():
     with pytest.raises(ValueError):
         lambda_interval(params(), "generic")
+
+
+# ---------------------------------------------------------------------------
+# The margin table against the formulas and solver it replaced
+# ---------------------------------------------------------------------------
+
+
+def naive_node_margins(p, scheme):
+    """Reference: each node margin written out as its own formula."""
+    g, t = p.arbiter_error, p.fee
+    win, loss = scheme.win_gain(p), scheme.loss_cost(p)
+    counter = (1 - g) * win - g * loss - t
+    forfeit = (1 - g) * loss - g * win + t
+    accept = p.buyer_value * (1 - g) + forfeit
+    return {
+        DISPUTE_AFTER_SEND: counter,
+        DISPUTE_AFTER_NOSEND: forfeit,
+        AFTER_SEND: accept,
+        AFTER_NOSEND: p.price - t,
+        ROOT: p.price - p.seller_value - t,
+    }
+
+
+NAIVE_NAMES = {
+    DISPUTE_AFTER_SEND: SELLER_COUNTERS,
+    DISPUTE_AFTER_NOSEND: SELLER_FORFEITS,
+    AFTER_SEND: BUYER_ACCEPTS,
+    AFTER_NOSEND: BUYER_DISPUTES,
+    ROOT: SELLER_SENDS,
+}
+
+
+def naive_security_report(p, scheme):
+    """Reference: the report read off `naive_node_margins`."""
+    margins = naive_node_margins(p, scheme)
+    slacks = {NAIVE_NAMES[node]: margin for node, margin in margins.items()}
+    worst = min(margins[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND))
+    eps_max = worst if worst > 0 else None
+    complete = all(margin > 0 for margin in margins.values())
+    strong = complete and eps_max is not None
+    low = min(slacks.values())
+    return SecurityReport(
+        complete=complete,
+        sound_epsilon_max=eps_max,
+        strong=strong,
+        strong_epsilon=eps_max if strong else None,
+        weak=all(margin >= 0 for margin in margins.values()),
+        slacks=slacks,
+        binding=tuple(name for name, slack in slacks.items() if slack == low),
+        gamma=p.arbiter_error,
+        wager=scheme.stake(p),
+        fee=p.fee,
+        scheme=scheme.name,
+    )
+
+
+def naive_lambda_interval(p, kind, epsilon=None):
+    """Reference: the counter and forfeit constraints as (coefficient, bound)
+    pairs in the wager, after a wager-free check of the two fee constraints."""
+    slope, x, g, t = kind.slope, p.price, p.arbiter_error, p.fee
+    strict = epsilon is None
+    eps = Fraction(0) if strict else Fraction(epsilon)
+    if strict and not (x > t and x - p.seller_value > t):
+        return LambdaInterval.nothing()
+    constraints = [
+        ((1 - g) * slope - g, eps + t - (1 - g) * x),
+        ((1 - g) - g * slope, eps - t + g * x),
+    ]
+    lower, lower_closed = Fraction(0), False
+    upper, upper_closed = None, False
+    for coeff, bound in constraints:
+        if coeff == 0:
+            if bound > 0 or (strict and bound == 0):
+                return LambdaInterval.nothing()
+            continue
+        point = bound / coeff
+        if coeff > 0:
+            if point > lower:
+                lower, lower_closed = point, not strict
+            elif point == lower:
+                lower_closed = lower_closed and not strict
+        else:
+            if upper is None or point < upper:
+                upper, upper_closed = point, not strict
+            elif point == upper:
+                upper_closed = upper_closed and not strict
+    if upper is not None:
+        if lower > upper:
+            return LambdaInterval.nothing()
+        if lower == upper and not (lower_closed and upper_closed):
+            return LambdaInterval.nothing()
+    return LambdaInterval(lower, lower_closed, upper, upper_closed)
+
+
+AMOUNT = st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Standard, WinnerRebate, Withheld, Generic]))
+def test_margin_table_matches_the_naive_formulas_and_solver(data, kind):
+    x = data.draw(AMOUNT)
+    xs = x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+    gamma = data.draw(
+        st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(min_value=0, max_value=1, max_denominator=60)
+    )
+    # The two fee constraints flip at x - x' and at x.
+    fee = data.draw(
+        st.sampled_from([0, x - xs, x, x + data.draw(AMOUNT)])
+        | st.fractions(min_value=0, max_value=2 * x, max_denominator=12)
+    )
+    p = TradeParams(price=x, seller_value=xs, buyer_value=x + data.draw(AMOUNT), arbiter_error=gamma, fee=fee)
+    if kind is Generic:
+        loss = data.draw(st.just(0) | AMOUNT)
+        scheme = Generic(data.draw(AMOUNT) - loss, loss)
+        assert list(node_margins(p, scheme).items()) == list(naive_node_margins(p, scheme).items())
+        assert security_report(p, scheme) == naive_security_report(p, scheme)
+        return
+
+    bound = x * (1 - 2 * gamma)  # the matching wager's strength bound
+    epsilon = data.draw(AMOUNT | st.just(bound)) if bound > 0 else data.draw(AMOUNT)
+    endpoints = []
+    for eps in (None, epsilon):
+        interval = naive_lambda_interval(p, kind, eps)
+        assert lambda_interval(p, kind, eps) == interval, eps
+        if not interval.empty:
+            endpoints += [v for v in (interval.lower, interval.upper) if v]
+    wagers = [data.draw(AMOUNT), *endpoints]
+    for wager in wagers:
+        scheme = kind(wager)
+        naive = naive_node_margins(p, scheme)
+        assert list(node_margins(p, scheme).items()) == list(naive.items())
+        assert soundness_margins(p, scheme) == {
+            NAIVE_NAMES[node]: naive[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND)
+        }
+        report, expected = security_report(p, scheme), naive_security_report(p, scheme)
+        assert report == expected and list(report.slacks) == list(expected.slacks)
+    rows = sweep(x, xs, p.buyer_value, gammas=[gamma], wagers=wagers, fees=[fee], schemes=[kind])
+    assert rows == [naive_security_report(p, kind(wager)) for wager in wagers]
 
 
 # ---------------------------------------------------------------------------

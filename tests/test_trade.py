@@ -102,7 +102,10 @@ def test_kv_parsing_tolerates_comments_and_defaults():
     assert scheme == Standard(Fraction(1))  # wager defaults to the price
 
 
-@pytest.mark.parametrize("text", ["x=1\ny=2\nbogus=3\n", "x=1 y=2", "y=2\n"])
+@pytest.mark.parametrize("text", [
+    "x=1\ny=2\nbogus=3\n", "x=1 y=2", "y=2\n",
+    "x=1\ny=2\nomega=5\nell=3\n", "x=1\ny=2\nscheme=generic\nomega=2\nell=1\nlambda=7\n",
+])
 def test_kv_parsing_rejects_malformed_input(text):
     with pytest.raises(ValueError):
         from_kv(text)
