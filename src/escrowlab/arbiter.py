@@ -8,8 +8,10 @@ Two production arbiters:
   commits to a bit, the buyer answers with a bit, and the XOR decides.
 
 Messages are tagged records with a stable one-line wire form, and every
-verdict carries its transcript; replaying a transcript re-derives the same
-winner, including the timeout and invalid-opening paths.
+verdict carries its transcript.  The coin toss decides by the same rule
+that replays a transcript, on the transcript it recorded, so replay always
+re-derives the verdict's winner, including the timeout and invalid-opening
+paths.
 """
 
 from __future__ import annotations
@@ -160,13 +162,20 @@ class Verdict:
 
 def replay_winner(transcript: Transcript) -> Party:
     """Re-derive the winner from a transcript alone."""
+    return _decide(transcript)[0]
+
+
+def _decide(transcript: Transcript) -> tuple[Party, str]:
+    """Winner and basis by the transcript's last record: an oracle's rule, a
+    party's timeout (the other party wins), or a completed toss (the seller
+    wins on heads; an opening that fails verification forces tails)."""
     if not transcript:
         raise ValueError("empty transcript")
     sender, line = transcript[-1]
     if line.startswith("RULE "):
-        return Party(line.split()[1])
+        return Party(line.split()[1]), BASIS_ORACLE
     if line == "TIMEOUT":
-        return Party(sender).other()
+        return Party(sender).other(), BASIS_TIMEOUT
 
     digest = buyer_bit = opening = None
     for sender, line in transcript:
@@ -179,12 +188,6 @@ def replay_winner(transcript: Transcript) -> Party:
             opening = msg
     if digest is None or buyer_bit is None or opening is None:
         raise ValueError("incomplete transcript")
-    return _coin_winner(digest, buyer_bit, opening)[0]
-
-
-def _coin_winner(digest: bytes, buyer_bit: int, opening: Open) -> tuple[Party, str]:
-    """Winner and basis of a completed toss: the seller wins on heads (1).
-    An opening that fails verification forces the coin to 0."""
     if verify(digest, opening.bit, opening.randomness):
         return (Party.SELLER if opening.bit ^ buyer_bit else Party.BUYER), BASIS_COIN
     return Party.BUYER, BASIS_INVALID_OPENING
@@ -262,7 +265,15 @@ class HonestBuyer:
         return None
 
 
-_EXPECTED = {"commit": Commit, "bit": Bit, "open": Open}
+#: The exchange, in order: who is asked, for which record.
+_ROUNDS = ((Party.SELLER, "commit", Commit), (Party.BUYER, "bit", Bit), (Party.SELLER, "open", Open))
+
+
+def _round_trips(message: Message) -> bool:
+    try:
+        return parse_message(message.wire()) == message
+    except ValueError:
+        return False
 
 
 def coin_toss_arbitrate(
@@ -272,39 +283,28 @@ def coin_toss_arbitrate(
 ) -> Verdict:
     """Run the commit / bit / open exchange and decide by XOR.
 
-    A party that stays silent, answers with the wrong record, or (under a
-    policy) answers at or past the timeout forfeits on the spot.  An opening
-    that fails verification counts as heads-for-the-buyer rather than a
-    forfeit: the coin is forced to 0.
+    A party that stays silent, answers with the wrong record or with one
+    whose wire line does not parse back to it, or (under a policy) answers
+    at or past the timeout forfeits on the spot: the transcript records
+    their TIMEOUT.  An opening that fails verification counts as
+    heads-for-the-buyer rather than a forfeit: the coin is forced to 0.
+    The verdict is the transcript's own: `replay_winner`'s rule decides it.
     """
+    channels = {Party.SELLER: seller_channel, Party.BUYER: buyer_channel}
     transcript: list[tuple[str, str]] = []
-
-    def ask(channel: Channel, party: Party, request: str) -> Optional[Message]:
-        response = channel.respond(request, tuple(transcript))
+    for party, request, expected in _ROUNDS:
+        response = channels[party].respond(request, tuple(transcript))
         ticks = 0
         if isinstance(response, Late):
             response, ticks = response.message, response.ticks
-        expected = _EXPECTED[request]
-        timed_out = (
-            response is None
-            or not isinstance(response, expected)
+        if (
+            not isinstance(response, expected)
+            or not _round_trips(response)
             or (policy is not None and ticks >= policy.timeout)
-        )
-        if timed_out:
+        ):
             transcript.append((party.value, "TIMEOUT"))
-            return None
+            break
         transcript.append((party.value, response.wire()))
-        return response
-
-    commitment = ask(seller_channel, Party.SELLER, "commit")
-    if commitment is None:
-        return Verdict(Party.BUYER, BASIS_TIMEOUT, tuple(transcript))
-    buyer_bit = ask(buyer_channel, Party.BUYER, "bit")
-    if buyer_bit is None:
-        return Verdict(Party.SELLER, BASIS_TIMEOUT, tuple(transcript))
-    opening = ask(seller_channel, Party.SELLER, "open")
-    if opening is None:
-        return Verdict(Party.BUYER, BASIS_TIMEOUT, tuple(transcript))
-
-    winner, basis = _coin_winner(commitment.digest, buyer_bit.value, opening)
-    return Verdict(winner=winner, basis=basis, transcript=tuple(transcript))
+    record = tuple(transcript)
+    winner, basis = _decide(record)
+    return Verdict(winner=winner, basis=basis, transcript=record)

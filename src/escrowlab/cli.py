@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -68,8 +67,12 @@ def _build_params(args: argparse.Namespace):
     return params_from_kv(values)
 
 
-def _fractions_list(text: str) -> list[Fraction]:
-    return [as_fraction(part) for part in text.split(",") if part.strip()]
+def _grid(flag: str, text: str, parse=as_fraction) -> list:
+    """The parsed parts of a comma list; an empty part is an error, not a skip."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"empty value in --{flag} {text!r}")
+    return [parse(part) for part in parts]
 
 
 def _read_matrix(path: Path) -> list[list[str]]:
@@ -90,10 +93,10 @@ def cmd_solve(args: argparse.Namespace) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> None:
     params, scheme = _build_params(args)
-    gammas = _fractions_list(args.gammas)
-    wagers = _fractions_list(args.lambdas) if args.lambdas else [scheme.wager]
-    fees = _fractions_list(args.taus)
-    schemes = [wager_class(name) for name in args.schemes.split(",")]
+    gammas = _grid("gammas", args.gammas)
+    wagers = _grid("lambdas", args.lambdas) if args.lambdas is not None else [scheme.wager]
+    fees = _grid("taus", args.taus)
+    schemes = _grid("schemes", args.schemes, wager_class)
     reports = sweep(
         params.price, params.seller_value, params.buyer_value,
         gammas=gammas, wagers=wagers, fees=fees, schemes=schemes,

@@ -10,14 +10,18 @@ Phase graph:
 
 Accepting and forfeiting are the timeout defaults and never cost a fee:
 a silent buyer is assumed to have received the item, a silent seller to have
-forfeited the dispute.  Explicitly playing a default action is free as well,
-since the mover could have reached it by waiting.
+forfeited the dispute.  `_DEFAULTS` is the one table of them: for each timed
+phase, whose silence the timeout charges and how the contract then ends.
+Explicitly playing a default action is free as well, since the mover could
+have reached it by waiting, and ends the contract the same way.  Every
+ending, arbitration's too, goes through one routine, `_end`.
 
 With a TimeoutPolicy attached, each party posts a liveness deposit when they
 enter the contract (the wager size unless the policy fixes one).  At
 settlement a party is repaid the payback ramp evaluated at their slowest
 response; the shortfall is burned.  A party whose timeout fired gets nothing
-back.
+back.  An aborted contract repays the deposits whole: nothing was misplayed
+before funding.
 """
 
 from __future__ import annotations
@@ -65,8 +69,18 @@ class Phase(enum.Enum):
 
 TERMINAL_PHASES = (Phase.SETTLED, Phase.ABORTED)
 
-#: Phases whose timeout applies a party's default action.
-_TIMED_PHASES = (Phase.PROPOSED, Phase.FUNDED, Phase.DELIVERED_NOTIFIED, Phase.DISPUTED)
+#: The timed phases and their defaults: the role whose silence the timeout
+#: charges, how the contract then ends, and the role paid the pot less the
+#: liveness deposits, i.e. the payment and the buyer's wager (the seller's
+#: wager enters only with a counter, which leaves the timed phases).
+#: "owner" is whoever owes the next move: the seller until they accept,
+#: then the buyer.
+_DEFAULTS = {
+    Phase.PROPOSED: ("owner", "abort", "buyer"),
+    Phase.FUNDED: ("buyer", "accept", "seller"),
+    Phase.DELIVERED_NOTIFIED: ("buyer", "accept", "seller"),
+    Phase.DISPUTED: ("seller", "forfeit", "buyer"),
+}
 
 
 class EscrowContract:
@@ -97,7 +111,6 @@ class EscrowContract:
         self.scheme = scheme
         self.policy = policy
 
-        self.phase = Phase.PROPOSED
         self.seller_accepted = False
         self.delivered = False
         self.disputed_after_delivery = False
@@ -112,9 +125,7 @@ class EscrowContract:
         self.worst_lateness: dict[str, int] = {}
 
         self.events: list[str] = []
-        self.phase_entered_at = ledger.time
-        self._arm_deadline()
-        self._log("buyer", "propose", Fraction(0))
+        self._step("buyer", "propose", Fraction(0), Phase.PROPOSED)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -130,30 +141,26 @@ class EscrowContract:
             return self.policy.deposit
         return self.stake
 
-    def pot_total(self) -> Fraction:
-        return (
-            self.payment_pot
-            + self.buyer_wager_pot
-            + self.seller_wager_pot
-            + sum(self.liveness_deposits.values(), Fraction(0))
-        )
+    def _wagered(self) -> Fraction:
+        return self.payment_pot + self.buyer_wager_pot + self.seller_wager_pot
 
-    def _log(self, actor: str, action: str, pot_delta: Fraction) -> None:
+    def pot_total(self) -> Fraction:
+        return self._wagered() + sum(self.liveness_deposits.values(), Fraction(0))
+
+    def _step(self, actor: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
+        """Log a move's event, entering `phase` first if it is given: the
+        deadline is re-armed when the new phase is timed, cancelled if not."""
+        if phase is not None:
+            self.phase = phase
+            self.phase_entered_at = self.ledger.time
+            self.ledger.cancel_timeout(self.contract_id)
+            if self.policy is not None and phase in _DEFAULTS:
+                self.ledger.register_timeout(
+                    self.contract_id, self.ledger.time + self.policy.timeout, self.on_timeout
+                )
         role = {self.buyer: "buyer", self.seller: "seller"}.get(actor, actor)
         sign = f"+{pot_delta}" if pot_delta > 0 else str(pot_delta)
         self.events.append(f"{self.ledger.time} {self.phase.value} {role} {action} {sign}")
-
-    def _enter(self, phase: Phase) -> None:
-        self.phase = phase
-        self.phase_entered_at = self.ledger.time
-        self._arm_deadline()
-
-    def _arm_deadline(self) -> None:
-        self.ledger.cancel_timeout(self.contract_id)
-        if self.policy is not None and self.phase in _TIMED_PHASES:
-            self.ledger.register_timeout(
-                self.contract_id, self.ledger.time + self.policy.timeout, self.on_timeout
-            )
 
     def _require(self, actor: str, allowed: str, *phases: Phase) -> None:
         if self.phase not in phases:
@@ -170,6 +177,17 @@ class EscrowContract:
         lateness = self.ledger.time - self.phase_entered_at
         self.worst_lateness[party] = max(self.worst_lateness.get(party, 0), lateness)
 
+    def _pay_in(self, actor: str, action: str, amount: Fraction, phase: Optional[Phase] = None) -> None:
+        """A fee-bearing move paying `amount` into the pot.  Made while the
+        contract is proposed, it is the party's entry, and `amount` includes
+        their liveness deposit.  The response time and the deposit are
+        recorded only once the ledger has taken the money."""
+        self.ledger.escrow_deposit(actor, self.contract_id, amount, contract_move=True)
+        self._mark_response(actor)
+        if self.phase is Phase.PROPOSED and self.liveness_deposit > 0:
+            self.liveness_deposits[actor] = self.liveness_deposit
+        self._step(actor, action, amount, phase)
+
     # -- party moves -----------------------------------------------------------
 
     def accept(self, actor: str) -> None:
@@ -178,27 +196,16 @@ class EscrowContract:
         self._require(actor, self.seller, Phase.PROPOSED)
         if self.seller_accepted:
             raise WrongPhaseError("already accepted")
-        deposit = self.liveness_deposit
-        self.ledger.escrow_deposit(actor, self.contract_id, deposit, contract_move=True)
-        self._mark_response(actor)
-        if deposit > 0:
-            self.liveness_deposits[actor] = deposit
+        self._pay_in(actor, "accept", self.liveness_deposit)
         self.seller_accepted = True
-        self._log(actor, "accept", deposit)
 
     def fund(self, actor: str) -> None:
         """Buyer escrows the price and enters the contract (fee-bearing)."""
         self._require(actor, self.buyer, Phase.PROPOSED)
         if not self.seller_accepted:
             raise WrongPhaseError("seller has not accepted yet")
-        deposit = self.liveness_deposit
-        self.ledger.escrow_deposit(actor, self.contract_id, self.params.price + deposit, contract_move=True)
-        self._mark_response(actor)
+        self._pay_in(actor, "fund", self.params.price + self.liveness_deposit, Phase.FUNDED)
         self.payment_pot += self.params.price
-        if deposit > 0:
-            self.liveness_deposits[actor] = deposit
-        self._enter(Phase.FUNDED)
-        self._log(actor, "fund", self.params.price + deposit)
 
     def notify_delivery(self, actor: str) -> None:
         """Seller reports the item as sent (fee-bearing)."""
@@ -206,63 +213,48 @@ class EscrowContract:
         self.ledger.charge_move(actor)
         self._mark_response(actor)
         self.delivered = True
-        self._enter(Phase.DELIVERED_NOTIFIED)
-        self._log(actor, "notify", Fraction(0))
+        self._step(actor, "notify", Fraction(0), Phase.DELIVERED_NOTIFIED)
 
     def dispute(self, actor: str) -> None:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
-        self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
-        self._mark_response(actor)
+        self._pay_in(actor, "dispute", self.stake, Phase.DISPUTED)
         self.buyer_wager_pot += self.stake
         self.disputed_after_delivery = self.delivered
-        self._enter(Phase.DISPUTED)
-        self._log(actor, "dispute", self.stake)
 
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""
         self._require(actor, self.seller, Phase.DISPUTED)
-        self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
-        self._mark_response(actor)
+        self._pay_in(actor, "counter", self.stake, Phase.COUNTERED)
         self.seller_wager_pot += self.stake
-        self._enter(Phase.COUNTERED)
-        self._log(actor, "counter", self.stake)
 
     def forfeit(self, actor: str) -> None:
         """Seller concedes the dispute; free, being the timeout default."""
         self._require(actor, self.seller, Phase.DISPUTED)
         self._mark_response(actor)
-        self._settle_forfeit(actor, "forfeit")
+        self._end_by_default(actor, "forfeit")
 
     def accept_delivery(self, actor: str) -> None:
         """Buyer closes the trade as received; free, being the timeout default."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
         self._mark_response(actor)
-        self._settle_accept(actor, "accept_delivery")
+        self._end_by_default(actor, "accept_delivery")
 
     # -- arbitration -------------------------------------------------------------
 
     def begin_arbitration(self) -> None:
         if self.phase is not Phase.COUNTERED:
             raise WrongPhaseError(f"cannot arbitrate from {self.phase.value}")
-        self._enter(Phase.ARBITRATING)
-        self._log("contract", "arbitrate", Fraction(0))
+        self._step("contract", "arbitrate", Fraction(0), Phase.ARBITRATING)
 
     def settle_arbitration(self, verdict: Verdict) -> None:
         if self.phase is not Phase.ARBITRATING:
             raise WrongPhaseError(f"no arbitration to settle in {self.phase.value}")
-        pot_before = self.ledger.pot_balance(self.contract_id)
         self.last_verdict = verdict
         winner = self.buyer if verdict.winner is Party.BUYER else self.seller
         payout = self.scheme.win_gain(self.params) + self.stake
-        wagered = self.payment_pot + self.buyer_wager_pot + self.seller_wager_pot
-        self.ledger.escrow_release(self.contract_id, winner, payout)
-        if wagered - payout > 0:
-            self.ledger.pot_to_arbiter(self.contract_id, wagered - payout)
-        self.payment_pot = self.buyer_wager_pot = self.seller_wager_pot = Fraction(0)
-        self._finish(
-            Phase.SETTLED, f"arbitration:{verdict.winner.value}", "contract", "settle", pot_before
-        )
+        how = f"arbitration:{verdict.winner.value}"
+        self._end(how, "contract", "settle", [(winner, payout)], self._wagered() - payout)
 
     def run_arbitration(self, decide: Callable[["EscrowContract"], Verdict]) -> Verdict:
         """Convenience: begin, obtain a verdict, settle."""
@@ -271,65 +263,51 @@ class EscrowContract:
         self.settle_arbitration(verdict)
         return verdict
 
-    # -- timeouts -----------------------------------------------------------------
+    # -- timeouts and endings ---------------------------------------------------------
 
     def on_timeout(self) -> None:
-        """Apply the defaulting party's default action at zero fee."""
-        if self.phase is Phase.PROPOSED:
-            defaulter = self.buyer if self.seller_accepted else self.seller
-            self.worst_lateness[defaulter] = self.policy.timeout
-            self._abort("timeout_abort")
-        elif self.phase in (Phase.FUNDED, Phase.DELIVERED_NOTIFIED):
-            self.worst_lateness[self.buyer] = self.policy.timeout
-            self._settle_accept("timeout", "timeout_accept")
-        elif self.phase is Phase.DISPUTED:
-            self.worst_lateness[self.seller] = self.policy.timeout
-            self._settle_forfeit("timeout", "timeout_forfeit")
-        else:
+        """Charge the silent party the whole timeout and apply their default
+        at zero fee."""
+        default = _DEFAULTS.get(self.phase)
+        if default is None:
             raise WrongPhaseError(f"no timeout default in phase {self.phase.value}")
+        silent, how, _ = default
+        if silent == "owner":
+            silent = "buyer" if self.seller_accepted else "seller"
+        self.worst_lateness[getattr(self, silent)] = self.policy.timeout
+        self._end_by_default("contract" if how == "abort" else "timeout", f"timeout_{how}")
 
-    # -- settlement ------------------------------------------------------------------
+    def _end_by_default(self, actor: str, action: str) -> None:
+        """End the contract by the current phase's default, which the mover
+        plays or the timeout applies.  An abort repays the deposits whole,
+        and first: nothing was misplayed before funding."""
+        _, how, paid = _DEFAULTS[self.phase]
+        pays = [(getattr(self, paid), self.payment_pot + self.buyer_wager_pot)]
+        if how == "abort":
+            pays = [*self.liveness_deposits.items(), *pays]
+            self.liveness_deposits.clear()
+        self._end(how, actor, action, pays)
 
-    def _settle_accept(self, actor: str, action: str) -> None:
-        pot_before = self.ledger.pot_balance(self.contract_id)
-        self.ledger.escrow_release(self.contract_id, self.seller, self.payment_pot)
-        self.payment_pot = Fraction(0)
-        self._finish(Phase.SETTLED, "accept", actor, action, pot_before)
-
-    def _settle_forfeit(self, actor: str, action: str) -> None:
-        pot_before = self.ledger.pot_balance(self.contract_id)
-        refund = self.payment_pot + self.buyer_wager_pot
-        self.ledger.escrow_release(self.contract_id, self.buyer, refund)
-        self.payment_pot = self.buyer_wager_pot = Fraction(0)
-        self._finish(Phase.SETTLED, "forfeit", actor, action, pot_before)
-
-    def _abort(self, action: str) -> None:
-        # Nothing was misplayed before funding, so deposits come back whole.
-        pot_before = self.ledger.pot_balance(self.contract_id)
-        for party, amount in list(self.liveness_deposits.items()):
-            self.ledger.escrow_release(self.contract_id, party, amount)
-            del self.liveness_deposits[party]
-        self.ledger.escrow_release(self.contract_id, self.buyer, self.payment_pot)
-        self.payment_pot = Fraction(0)
-        self._finish(Phase.ABORTED, "abort", "contract", action, pot_before)
-
-    def _finish(self, phase: Phase, how: str, actor: str, action: str, pot_before: Fraction) -> None:
-        self._release_liveness_deposits()
-        self.settled_how = how
-        self.ledger.cancel_timeout(self.contract_id)
-        self.phase = phase
-        self._log(actor, action, self.ledger.pot_balance(self.contract_id) - pot_before)
-
-    def _release_liveness_deposits(self) -> None:
-        if self.policy is None:
-            return
-        for party, amount in list(self.liveness_deposits.items()):
+    def _end(self, how: str, actor: str, action: str, pays: list, to_arbiter: Fraction = Fraction(0)) -> None:
+        """The one way a contract ends: pay out of the pot in the order given,
+        send the arbiter its share, repay the liveness deposits on the
+        payback ramp (burning the shortfall), and close with one event."""
+        ledger, cid = self.ledger, self.contract_id
+        pot = ledger.pot_balance(cid)
+        for party, amount in pays:
+            ledger.escrow_release(cid, party, amount)
+        if to_arbiter > 0:
+            ledger.pot_to_arbiter(cid, to_arbiter)
+        for party, amount in self.liveness_deposits.items():
             back = deposit_payback(self.worst_lateness.get(party, 0), self.policy, amount)
             if back > 0:
-                self.ledger.escrow_release(self.contract_id, party, back)
+                ledger.escrow_release(cid, party, back)
             if amount - back > 0:
-                self.ledger.burn_from_pot(self.contract_id, amount - back)
-            del self.liveness_deposits[party]
+                ledger.burn_from_pot(cid, amount - back)
+        self.payment_pot = self.buyer_wager_pot = self.seller_wager_pot = Fraction(0)
+        self.liveness_deposits.clear()
+        self.settled_how = how
+        self._step(actor, action, -pot, Phase.ABORTED if how == "abort" else Phase.SETTLED)
 
 
 def propose(

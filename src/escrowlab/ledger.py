@@ -42,6 +42,8 @@ class TimeoutPolicy:
     deposit: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
+        _require_whole("threshold", self.threshold)
+        _require_whole("timeout", self.timeout)
         if not 0 <= self.threshold < self.timeout:
             raise ValueError(
                 f"need 0 <= threshold < timeout, got {self.threshold}, {self.timeout}"
@@ -50,6 +52,19 @@ class TimeoutPolicy:
             object.__setattr__(self, "deposit", as_fraction(self.deposit))
             if self.deposit < 0:
                 raise ValueError(f"deposit must be >= 0, got {self.deposit}")
+
+
+def _require_whole(name: str, value) -> None:
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be a whole number of ticks, got {value!r}")
+
+
+def _amount(amount) -> Fraction:
+    """The one check of an amount that an operation moves."""
+    value = as_fraction(amount)
+    if value < 0:
+        raise ValueError(f"amount must be >= 0, got {value}")
+    return value
 
 
 def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
@@ -129,26 +144,20 @@ class Ledger:
 
     def transfer(self, src: str, dst: str, amount, contract_move: bool = False) -> None:
         """Move funds between accounts; a contract move also costs the fee."""
-        value = as_fraction(amount)
-        if value < 0:
-            raise ValueError("amount must be >= 0")
+        value = _amount(amount)
         self._require_account(dst)
         self._move(src, -value, contract_move)
         self.balances[dst] += value
 
     def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False) -> None:
-        value = as_fraction(amount)
-        if value < 0:
-            raise ValueError("amount must be >= 0")
+        value = _amount(amount)
         self._move(party, -value, contract_move)
         self.pots[contract_id] = self.pots.get(contract_id, Fraction(0)) + value
 
     def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False) -> None:
         """Pay out of a pot; a fee-bearing release is a withdrawal claimed by
         the recipient, who covers the fee out of the proceeds."""
-        value = as_fraction(amount)
-        if value < 0:
-            raise ValueError("amount must be >= 0")
+        value = _amount(amount)
         pot = self.pots.get(contract_id, Fraction(0))
         if pot < value:
             raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
@@ -160,14 +169,14 @@ class Ledger:
         self._move(party, Fraction(0), contract_move=True)
 
     def pot_to_arbiter(self, contract_id: str, amount) -> None:
-        self.arbiter_sink += self._take_from_pot(contract_id, as_fraction(amount))
+        self.arbiter_sink += self._take_from_pot(contract_id, _amount(amount))
 
     def burn_from_pot(self, contract_id: str, amount) -> None:
-        self.fee_sink += self._take_from_pot(contract_id, as_fraction(amount))
+        self.fee_sink += self._take_from_pot(contract_id, _amount(amount))
 
     def _take_from_pot(self, contract_id: str, value: Fraction) -> Fraction:
         pot = self.pots.get(contract_id, Fraction(0))
-        if value < 0 or pot < value:
+        if pot < value:
             raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
         self.pots[contract_id] = pot - value
         return value
@@ -186,6 +195,7 @@ class Ledger:
     # -- time and timeouts ---------------------------------------------------
 
     def register_timeout(self, contract_id: str, due: int, callback: Callable[[], None]) -> None:
+        _require_whole("due", due)
         if due <= self.time:
             raise ValueError(f"due {due} is not in the future (now {self.time})")
         self._timeouts[contract_id] = (due, callback)
@@ -199,6 +209,7 @@ class Ledger:
         Timeouts fire at their due instant, in (due, contract-id) order;
         callbacks may register follow-up timeouts within the window.
         """
+        _require_whole("ticks", ticks)
         if ticks <= 0:
             raise ValueError(f"ticks must be > 0, got {ticks}")
         target = self.time + ticks

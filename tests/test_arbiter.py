@@ -2,6 +2,8 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escrowlab.arbiter import (
     BASIS_COIN,
@@ -15,6 +17,7 @@ from escrowlab.arbiter import (
     HonestSeller,
     Late,
     Open,
+    Verdict,
     coin_toss_arbitrate,
     commit,
     oracle_arbitrate,
@@ -301,3 +304,110 @@ def test_message_parsing_rejects_garbage():
     for line in ["COMMIT", "BIT 2", "OPEN 1", "NOPE 1", "BIT x", "OPEN 1 zz"]:
         with pytest.raises(ValueError):
             parse_message(line)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts read from their own transcript
+# ---------------------------------------------------------------------------
+
+
+def naive_coin_toss_arbitrate(seller_channel, buyer_channel, policy=None):
+    """The coin toss as it was: three early returns, the winner decided
+    apart from the transcript."""
+    transcript = []
+    expected_of = {"commit": Commit, "bit": Bit, "open": Open}
+
+    def ask(channel, party, request):
+        response = channel.respond(request, tuple(transcript))
+        ticks = 0
+        if isinstance(response, Late):
+            response, ticks = response.message, response.ticks
+        if (
+            response is None
+            or not isinstance(response, expected_of[request])
+            or (policy is not None and ticks >= policy.timeout)
+        ):
+            transcript.append((party.value, "TIMEOUT"))
+            return None
+        transcript.append((party.value, response.wire()))
+        return response
+
+    commitment = ask(seller_channel, Party.SELLER, "commit")
+    if commitment is None:
+        return Verdict(Party.BUYER, BASIS_TIMEOUT, tuple(transcript))
+    buyer_bit = ask(buyer_channel, Party.BUYER, "bit")
+    if buyer_bit is None:
+        return Verdict(Party.SELLER, BASIS_TIMEOUT, tuple(transcript))
+    opening = ask(seller_channel, Party.SELLER, "open")
+    if opening is None:
+        return Verdict(Party.BUYER, BASIS_TIMEOUT, tuple(transcript))
+    if verify(commitment.digest, opening.bit, opening.randomness):
+        winner = Party.SELLER if opening.bit ^ buyer_bit.value else Party.BUYER
+        return Verdict(winner, BASIS_COIN, tuple(transcript))
+    return Verdict(Party.BUYER, BASIS_INVALID_OPENING, tuple(transcript))
+
+
+class Script:
+    """Answers each request with a fixed response."""
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def respond(self, request, transcript):
+        return self.answers.get(request)
+
+
+@pytest.mark.parametrize(
+    "seller, buyer",
+    [
+        ({"commit": Commit(commit(1, bytes(32))), "open": Open(1, bytes(32))}, {"bit": Bit(2)}),
+        ({"commit": Commit(commit(1, bytes(32))), "open": Open(7, bytes(32))}, {"bit": Bit(0)}),
+        ({"commit": Commit(b""), "open": Open(1, bytes(32))}, {"bit": Bit(0)}),
+    ],
+    ids=["bit 2", "open 7", "empty commit"],
+)
+def test_a_response_that_does_not_parse_back_is_its_senders_timeout(seller, buyer):
+    verdict = coin_toss_arbitrate(Script(seller), Script(buyer))
+    assert verdict.basis == BASIS_TIMEOUT
+    assert verdict.transcript[-1][1] == "TIMEOUT"
+    assert verdict.replay() is verdict.winner is Party(verdict.transcript[-1][0]).other()
+
+
+def round_trips(message):
+    try:
+        return parse_message(message.wire()) == message
+    except ValueError:
+        return False
+
+
+_R = bytes(range(32))
+MESSAGES = st.one_of(
+    st.none(),
+    st.sampled_from([Commit(commit(1, _R)), Bit(0), Bit(1), Open(1, _R), Open(0, _R)]),
+    st.builds(Commit, st.binary(max_size=40)),
+    st.builds(Bit, st.integers(-2, 3)),
+    st.builds(Open, st.integers(-1, 3), st.sampled_from([_R, bytes(32), b"", bytes(16)])),
+)
+RESPONSES = st.one_of(MESSAGES, st.builds(Late, MESSAGES, st.integers(0, 8)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    commit_reply=RESPONSES,
+    bit_reply=RESPONSES,
+    open_reply=RESPONSES,
+    policy=st.sampled_from([None, TimeoutPolicy(threshold=2, timeout=5)]),
+)
+def test_every_verdict_replays_from_its_transcript(commit_reply, bit_reply, open_reply, policy):
+    # Silence, the wrong record, values out of range and late replies, with
+    # and without a policy: the verdict is always its transcript's, and
+    # wherever every reply parses back from its wire line it is the verdict
+    # the coin toss gave before it read its own transcript.
+    seller = Script({"commit": commit_reply, "open": open_reply})
+    buyer = Script({"bit": bit_reply})
+    verdict = coin_toss_arbitrate(seller, buyer, policy)
+    assert verdict.replay() == verdict.winner
+    assert replay_winner(parse_transcript(serialize_transcript(verdict.transcript))) == verdict.winner
+    replies = [r.message if isinstance(r, Late) else r for r in (commit_reply, bit_reply, open_reply)]
+    if all(r is None or round_trips(r) for r in replies):
+        assert verdict == naive_coin_toss_arbitrate(seller, buyer, policy)

@@ -271,6 +271,22 @@ MALFORMED = {
         ["sweep", "--x", "2", "--y", "1", "--gammas", ""],
         "escrowlab sweep: need buyer_value > price > seller_value, got 1 / 2 / 0",
     ),
+    "empty part in a grid": (
+        ["sweep", "--x", "1", "--y", "2", "--gammas", "1/4,,1/2"],
+        "escrowlab sweep: empty value in --gammas '1/4,,1/2'",
+    ),
+    "empty fee grid": (
+        ["sweep", "--x", "1", "--y", "2", "--taus", ""],
+        "escrowlab sweep: empty value in --taus ''",
+    ),
+    "wager grid of empty parts": (
+        ["sweep", "--x", "1", "--y", "2", "--lambdas", ","],
+        "escrowlab sweep: empty value in --lambdas ','",
+    ),
+    "trailing comma in the schemes": (
+        ["sweep", "--x", "1", "--y", "2", "--schemes", "standard,"],
+        "escrowlab sweep: empty value in --schemes 'standard,'",
+    ),
     "sweep without a price": (
         ["sweep", "--y", "2"],
         "escrowlab sweep: missing key 'x'",

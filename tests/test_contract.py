@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,13 @@ from escrowlab.contract import (
     propose,
 )
 from escrowlab.gametree import Party
-from escrowlab.ledger import InsufficientFundsError, Ledger, TimeoutPolicy
+from escrowlab.ledger import InsufficientFundsError, Ledger, TimeoutPolicy, deposit_payback
 from escrowlab.trade import (
     Generic,
     InvalidSchemeError,
     Standard,
     TradeParams,
+    WagerScheme,
     WinnerRebate,
     Withheld,
 )
@@ -339,6 +341,29 @@ def test_accept_that_cannot_post_the_deposit_burns_no_fee():
     assert not c.seller_accepted and c.phase is Phase.PROPOSED
 
 
+def test_a_refused_move_leaves_the_response_time_alone():
+    # The buyer's dispute at lateness 4 is refused for want of the wager, so
+    # it is no response: accepting delivery later at once repays the buyer's
+    # deposit whole.  Only the seller's notification at lateness 4 is on the
+    # ramp, which burns 2/3 of their deposit.
+    ledger = Ledger()
+    ledger.open_account("alice", 3)
+    ledger.open_account("bob", 10)
+    params = TradeParams(price=2, seller_value=1, buyer_value=5)
+    c = propose(ledger, "c1", "alice", "bob", params, Standard(2), TimeoutPolicy(2, 5, deposit=1))
+    c.accept("bob")
+    c.fund("alice")
+    ledger.advance_time(4)
+    with pytest.raises(InsufficientFundsError):
+        c.dispute("alice")
+    assert c.worst_lateness == {"bob": 0, "alice": 0}
+    c.notify_delivery("bob")
+    c.accept_delivery("alice")
+    assert c.settled_how == "accept"
+    assert ledger.balance("alice") == 1
+    assert ledger.fee_sink == Fraction(2, 3)
+
+
 def test_late_move_is_converted_to_the_default():
     policy = TimeoutPolicy(threshold=2, timeout=5, deposit=0)
     ledger, c = world(policy=policy)
@@ -477,3 +502,434 @@ def test_refused_moves_on_short_accounts_change_nothing(buyer_funds, seller_fund
             assert ledger.move_counts == counts
         assert ledger.total_funds() == total
         assert contract.pot_total() == ledger.pot_balance("c1")
+
+
+# ---------------------------------------------------------------------------
+# Reference: each ending written out on its own, as before the defaults table
+# ---------------------------------------------------------------------------
+
+_NAIVE_TIMED_PHASES = (Phase.PROPOSED, Phase.FUNDED, Phase.DELIVERED_NOTIFIED, Phase.DISPUTED)
+
+
+class NaiveEscrowContract:
+    """The contract as it was before the defaults table and the one ending
+    routine: each ending written out on its own."""
+
+    def __init__(
+        self,
+        ledger: Ledger,
+        contract_id: str,
+        buyer: str,
+        seller: str,
+        params: TradeParams,
+        scheme: WagerScheme,
+        policy: Optional[TimeoutPolicy] = None,
+    ):
+        stake = scheme.stake(params)
+        if scheme.win_gain(params) > params.price + stake:
+            raise InvalidSchemeError(
+                "winner payout exceeds the pot; the contract cannot subsidize it"
+            )
+        # The id names the contract's pot, which the ledger keeps once opened.
+        if contract_id in ledger.pots:
+            raise DuplicateContractError(f"contract id {contract_id!r} is already used on this ledger")
+        ledger.pots[contract_id] = Fraction(0)
+        self.ledger = ledger
+        self.contract_id = contract_id
+        self.buyer = buyer
+        self.seller = seller
+        self.params = params
+        self.scheme = scheme
+        self.policy = policy
+
+        self.phase = Phase.PROPOSED
+        self.seller_accepted = False
+        self.delivered = False
+        self.disputed_after_delivery = False
+        self.last_verdict: Optional[Verdict] = None
+        self.settled_how: Optional[str] = None
+
+        # Pot breakdown; the ledger pot holds the sum of all four.
+        self.payment_pot = Fraction(0)
+        self.buyer_wager_pot = Fraction(0)
+        self.seller_wager_pot = Fraction(0)
+        self.liveness_deposits: dict[str, Fraction] = {}
+        self.worst_lateness: dict[str, int] = {}
+
+        self.events: list[str] = []
+        self.phase_entered_at = ledger.time
+        self._arm_deadline()
+        self._log("buyer", "propose", Fraction(0))
+
+    # -- plumbing ------------------------------------------------------------
+
+    @property
+    def stake(self) -> Fraction:
+        return self.scheme.stake(self.params)
+
+    @property
+    def liveness_deposit(self) -> Fraction:
+        if self.policy is None:
+            return Fraction(0)
+        if self.policy.deposit is not None:
+            return self.policy.deposit
+        return self.stake
+
+    def pot_total(self) -> Fraction:
+        return (
+            self.payment_pot
+            + self.buyer_wager_pot
+            + self.seller_wager_pot
+            + sum(self.liveness_deposits.values(), Fraction(0))
+        )
+
+    def _log(self, actor: str, action: str, pot_delta: Fraction) -> None:
+        role = {self.buyer: "buyer", self.seller: "seller"}.get(actor, actor)
+        sign = f"+{pot_delta}" if pot_delta > 0 else str(pot_delta)
+        self.events.append(f"{self.ledger.time} {self.phase.value} {role} {action} {sign}")
+
+    def _enter(self, phase: Phase) -> None:
+        self.phase = phase
+        self.phase_entered_at = self.ledger.time
+        self._arm_deadline()
+
+    def _arm_deadline(self) -> None:
+        self.ledger.cancel_timeout(self.contract_id)
+        if self.policy is not None and self.phase in _NAIVE_TIMED_PHASES:
+            self.ledger.register_timeout(
+                self.contract_id, self.ledger.time + self.policy.timeout, self.on_timeout
+            )
+
+    def _require(self, actor: str, allowed: str, *phases: Phase) -> None:
+        if self.phase not in phases:
+            raise WrongPhaseError(f"cannot act in phase {self.phase.value}")
+        if actor != allowed:
+            raise WrongActorError(f"{actor} does not own this move ({allowed} does)")
+        if self.policy is not None:
+            lateness = self.ledger.time - self.phase_entered_at
+            if lateness >= self.policy.timeout:
+                self.on_timeout()
+                raise DeadlineExpired("deadline passed; default action applied")
+
+    def _mark_response(self, party: str) -> None:
+        lateness = self.ledger.time - self.phase_entered_at
+        self.worst_lateness[party] = max(self.worst_lateness.get(party, 0), lateness)
+
+    # -- party moves -----------------------------------------------------------
+
+    def accept(self, actor: str) -> None:
+        """Seller commits to the trade (fee-bearing), posting the liveness
+        deposit, if any, in the same ledger move."""
+        self._require(actor, self.seller, Phase.PROPOSED)
+        if self.seller_accepted:
+            raise WrongPhaseError("already accepted")
+        deposit = self.liveness_deposit
+        self.ledger.escrow_deposit(actor, self.contract_id, deposit, contract_move=True)
+        self._mark_response(actor)
+        if deposit > 0:
+            self.liveness_deposits[actor] = deposit
+        self.seller_accepted = True
+        self._log(actor, "accept", deposit)
+
+    def fund(self, actor: str) -> None:
+        """Buyer escrows the price and enters the contract (fee-bearing)."""
+        self._require(actor, self.buyer, Phase.PROPOSED)
+        if not self.seller_accepted:
+            raise WrongPhaseError("seller has not accepted yet")
+        deposit = self.liveness_deposit
+        self.ledger.escrow_deposit(actor, self.contract_id, self.params.price + deposit, contract_move=True)
+        self._mark_response(actor)
+        self.payment_pot += self.params.price
+        if deposit > 0:
+            self.liveness_deposits[actor] = deposit
+        self._enter(Phase.FUNDED)
+        self._log(actor, "fund", self.params.price + deposit)
+
+    def notify_delivery(self, actor: str) -> None:
+        """Seller reports the item as sent (fee-bearing)."""
+        self._require(actor, self.seller, Phase.FUNDED)
+        self.ledger.charge_move(actor)
+        self._mark_response(actor)
+        self.delivered = True
+        self._enter(Phase.DELIVERED_NOTIFIED)
+        self._log(actor, "notify", Fraction(0))
+
+    def dispute(self, actor: str) -> None:
+        """Buyer wagers that the item did not arrive (fee-bearing)."""
+        self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
+        self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
+        self._mark_response(actor)
+        self.buyer_wager_pot += self.stake
+        self.disputed_after_delivery = self.delivered
+        self._enter(Phase.DISPUTED)
+        self._log(actor, "dispute", self.stake)
+
+    def counter(self, actor: str) -> None:
+        """Seller matches the wager to contest the dispute (fee-bearing)."""
+        self._require(actor, self.seller, Phase.DISPUTED)
+        self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
+        self._mark_response(actor)
+        self.seller_wager_pot += self.stake
+        self._enter(Phase.COUNTERED)
+        self._log(actor, "counter", self.stake)
+
+    def forfeit(self, actor: str) -> None:
+        """Seller concedes the dispute; free, being the timeout default."""
+        self._require(actor, self.seller, Phase.DISPUTED)
+        self._mark_response(actor)
+        self._settle_forfeit(actor, "forfeit")
+
+    def accept_delivery(self, actor: str) -> None:
+        """Buyer closes the trade as received; free, being the timeout default."""
+        self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
+        self._mark_response(actor)
+        self._settle_accept(actor, "accept_delivery")
+
+    # -- arbitration -------------------------------------------------------------
+
+    def begin_arbitration(self) -> None:
+        if self.phase is not Phase.COUNTERED:
+            raise WrongPhaseError(f"cannot arbitrate from {self.phase.value}")
+        self._enter(Phase.ARBITRATING)
+        self._log("contract", "arbitrate", Fraction(0))
+
+    def settle_arbitration(self, verdict: Verdict) -> None:
+        if self.phase is not Phase.ARBITRATING:
+            raise WrongPhaseError(f"no arbitration to settle in {self.phase.value}")
+        pot_before = self.ledger.pot_balance(self.contract_id)
+        self.last_verdict = verdict
+        winner = self.buyer if verdict.winner is Party.BUYER else self.seller
+        payout = self.scheme.win_gain(self.params) + self.stake
+        wagered = self.payment_pot + self.buyer_wager_pot + self.seller_wager_pot
+        self.ledger.escrow_release(self.contract_id, winner, payout)
+        if wagered - payout > 0:
+            self.ledger.pot_to_arbiter(self.contract_id, wagered - payout)
+        self.payment_pot = self.buyer_wager_pot = self.seller_wager_pot = Fraction(0)
+        self._finish(
+            Phase.SETTLED, f"arbitration:{verdict.winner.value}", "contract", "settle", pot_before
+        )
+
+    def run_arbitration(self, decide: Callable) -> Verdict:
+        """Convenience: begin, obtain a verdict, settle."""
+        self.begin_arbitration()
+        verdict = decide(self)
+        self.settle_arbitration(verdict)
+        return verdict
+
+    # -- timeouts -----------------------------------------------------------------
+
+    def on_timeout(self) -> None:
+        """Apply the defaulting party's default action at zero fee."""
+        if self.phase is Phase.PROPOSED:
+            defaulter = self.buyer if self.seller_accepted else self.seller
+            self.worst_lateness[defaulter] = self.policy.timeout
+            self._abort("timeout_abort")
+        elif self.phase in (Phase.FUNDED, Phase.DELIVERED_NOTIFIED):
+            self.worst_lateness[self.buyer] = self.policy.timeout
+            self._settle_accept("timeout", "timeout_accept")
+        elif self.phase is Phase.DISPUTED:
+            self.worst_lateness[self.seller] = self.policy.timeout
+            self._settle_forfeit("timeout", "timeout_forfeit")
+        else:
+            raise WrongPhaseError(f"no timeout default in phase {self.phase.value}")
+
+    # -- settlement ------------------------------------------------------------------
+
+    def _settle_accept(self, actor: str, action: str) -> None:
+        pot_before = self.ledger.pot_balance(self.contract_id)
+        self.ledger.escrow_release(self.contract_id, self.seller, self.payment_pot)
+        self.payment_pot = Fraction(0)
+        self._finish(Phase.SETTLED, "accept", actor, action, pot_before)
+
+    def _settle_forfeit(self, actor: str, action: str) -> None:
+        pot_before = self.ledger.pot_balance(self.contract_id)
+        refund = self.payment_pot + self.buyer_wager_pot
+        self.ledger.escrow_release(self.contract_id, self.buyer, refund)
+        self.payment_pot = self.buyer_wager_pot = Fraction(0)
+        self._finish(Phase.SETTLED, "forfeit", actor, action, pot_before)
+
+    def _abort(self, action: str) -> None:
+        # Nothing was misplayed before funding, so deposits come back whole.
+        pot_before = self.ledger.pot_balance(self.contract_id)
+        for party, amount in list(self.liveness_deposits.items()):
+            self.ledger.escrow_release(self.contract_id, party, amount)
+            del self.liveness_deposits[party]
+        self.ledger.escrow_release(self.contract_id, self.buyer, self.payment_pot)
+        self.payment_pot = Fraction(0)
+        self._finish(Phase.ABORTED, "abort", "contract", action, pot_before)
+
+    def _finish(self, phase: Phase, how: str, actor: str, action: str, pot_before: Fraction) -> None:
+        self._release_liveness_deposits()
+        self.settled_how = how
+        self.ledger.cancel_timeout(self.contract_id)
+        self.phase = phase
+        self._log(actor, action, self.ledger.pot_balance(self.contract_id) - pot_before)
+
+    def _release_liveness_deposits(self) -> None:
+        if self.policy is None:
+            return
+        for party, amount in list(self.liveness_deposits.items()):
+            back = deposit_payback(self.worst_lateness.get(party, 0), self.policy, amount)
+            if back > 0:
+                self.ledger.escrow_release(self.contract_id, party, back)
+            if amount - back > 0:
+                self.ledger.burn_from_pot(self.contract_id, amount - back)
+            del self.liveness_deposits[party]
+
+
+class RecordingLedger(Ledger):
+    """A ledger that also keeps the ordered list of calls made on it; a
+    timeout is recorded without its callback."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = []
+
+
+def _recorded(name):
+    def method(self, *args, **kwargs):
+        self.calls.append((name, args[:2] if name == "register_timeout" else args, kwargs))
+        return getattr(Ledger, name)(self, *args, **kwargs)
+
+    return method
+
+
+for _name in (
+    "transfer", "escrow_deposit", "escrow_release", "charge_move", "pot_to_arbiter",
+    "burn_from_pot", "register_timeout", "cancel_timeout", "advance_time",
+):
+    setattr(RecordingLedger, _name, _recorded(_name))
+
+DIFF_MOVES = {
+    "accept": "seller", "fund": "buyer", "notify_delivery": "seller", "dispute": "buyer",
+    "counter": "seller", "forfeit": "seller", "accept_delivery": "buyer",
+}
+#: The steps that can move each phase on; the others are drawn too, less often.
+PHASE_STEPS = {
+    Phase.PROPOSED: [("fund", "owner")],
+    Phase.FUNDED: [("notify_delivery", "owner"), ("dispute", "owner"), ("accept_delivery", "owner")],
+    Phase.DELIVERED_NOTIFIED: [("dispute", "owner"), ("accept_delivery", "owner")],
+    Phase.DISPUTED: [("counter", "owner"), ("forfeit", "owner")],
+    Phase.COUNTERED: [("begin_arbitration", None)],
+    Phase.ARBITRATING: [("verdict", Party.BUYER), ("verdict", Party.SELLER)],
+    Phase.SETTLED: [],
+    Phase.ABORTED: [],
+}
+PARTY_STEP = st.tuples(st.sampled_from(sorted(DIFF_MOVES)), st.sampled_from(["owner", "other"]))
+ANY_STEP = st.one_of(
+    PARTY_STEP,
+    st.tuples(st.sampled_from(["tick", "sleep"]), st.integers(1, 6)),
+    st.tuples(st.just("verdict"), st.sampled_from([Party.BUYER, Party.SELLER])),
+    st.tuples(st.sampled_from(["begin_arbitration", "on_timeout"]), st.none()),
+)
+
+
+def _next_step(contract, anything=ANY_STEP):
+    """A step that can move the contract on: mostly a move, after funding
+    sometimes waiting out the deadline, now and then `anything`."""
+    steps = PHASE_STEPS[contract.phase] if contract.seller_accepted else [("accept", "owner")]
+    if contract.phase is not Phase.PROPOSED:
+        steps = [*steps, *steps, ("tick", 6)]
+    return st.integers(0, 7).flatmap(lambda roll: st.sampled_from(steps) if roll and steps else anything)
+
+
+def _diff_step(ledger, contract, step):
+    kind, arg = step
+    if kind == "tick":
+        ledger.advance_time(arg)
+    elif kind == "sleep":  # an unwatched clock: the next move finds itself late
+        ledger.cancel_timeout("c1")
+        ledger.advance_time(arg)
+    elif kind == "verdict":
+        contract.settle_arbitration(Verdict(arg, BASIS_ORACLE, (("arbiter", f"RULE {arg.value}"),)))
+    elif arg is None:
+        getattr(contract, kind)()
+    else:
+        owner = getattr(contract, DIFF_MOVES[kind])
+        other = contract.buyer if owner == contract.seller else contract.seller
+        getattr(contract, kind)(owner if arg == "owner" else other)
+
+
+def _diff_state(ledger, contract, error):
+    return (
+        error, list(contract.events), contract.settled_how, contract.phase,
+        dict(contract.worst_lateness), dict(contract.liveness_deposits), ledger.snapshot(),
+        dict(ledger.move_counts), list(ledger.calls), contract.pot_total(), contract.last_verdict,
+        (contract.seller_accepted, contract.delivered, contract.disputed_after_delivery),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    buyer_funds=st.sampled_from([20, 20, 6, 4, 3, 2, 1, 0]),
+    seller_funds=st.sampled_from([20, 20, 6, 4, 3, 2, 1, 0]),
+    tau=st.sampled_from([0, Fraction(1, 10), Fraction(1, 2)]),
+    scheme=st.builds(lambda kind, wager: kind(wager), st.sampled_from([Standard, WinnerRebate, Withheld]), st.integers(1, 3)),
+    policy=st.sampled_from([None, POLICY, TimeoutPolicy(threshold=1, timeout=4), TimeoutPolicy(0, 3, deposit=2)]),
+)
+def test_defaults_table_matches_the_written_out_endings(data, buyer_funds, seller_funds, tau, scheme, policy):
+    # Both contracts take the same moves, verdicts and ticks, on short
+    # balances, with fees and late moves, and with no policy, a fixed
+    # deposit or one of the wager's size; after every step they agree on
+    # their records, the ledger and every call made on it, and any error.
+    sides = []
+    for kind in (propose, NaiveEscrowContract):
+        ledger = RecordingLedger(tau=tau)
+        ledger.open_account("alice", buyer_funds)
+        ledger.open_account("bob", seller_funds)
+        sides.append((ledger, kind(ledger, "c1", "alice", "bob", PARAMS, scheme, policy)))
+
+    def compare(step):
+        states = []
+        for ledger, contract in sides:
+            error = None
+            try:
+                if step is not None:
+                    _diff_step(ledger, contract, step)
+            except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
+                error = (type(exc), str(exc))
+            states.append(_diff_state(ledger, contract, error))
+        assert states[0] == states[1]
+
+    compare(None)
+    for _ in range(data.draw(st.integers(0, 16))):
+        compare(data.draw(_next_step(sides[0][1])))
+
+
+# ---------------------------------------------------------------------------
+# Many contracts on one ledger
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_interleaved_contracts_keep_their_pots_apart_on_one_ledger(data):
+    # Contracts with and without a policy share one ledger; their moves
+    # interleave and one tick can fire several deadlines.  After every move
+    # and tick each live contract's books match its pot, each ended
+    # contract's pot is empty, and the ledger's total is unchanged.
+    ledger = Ledger(tau=data.draw(st.sampled_from([0, Fraction(1, 10)])))
+    contracts = []
+    for i in range(data.draw(st.integers(2, 5))):
+        ledger.open_account(f"b{i}", data.draw(st.sampled_from([20, 6, 3, 1])))
+        ledger.open_account(f"s{i}", data.draw(st.sampled_from([20, 6, 3, 1])))
+        policy = data.draw(st.sampled_from([POLICY, None, TimeoutPolicy(threshold=1, timeout=4)]))
+        scheme = Standard(data.draw(st.integers(1, 3)))
+        contracts.append(propose(ledger, f"c{i}", f"b{i}", f"s{i}", PARAMS, scheme, policy))
+    total = ledger.total_funds()
+    for _ in range(data.draw(st.integers(0, 40))):
+        if data.draw(st.integers(0, 4)):
+            contract = data.draw(st.sampled_from(contracts))
+            try:
+                _diff_step(ledger, contract, data.draw(_next_step(contract, PARTY_STEP)))
+            except EXPECTED_ERRORS:
+                pass
+        else:
+            ledger.advance_time(data.draw(st.integers(1, 3)))
+        for c in contracts:
+            if c.phase in TERMINAL_PHASES:
+                assert ledger.pot_balance(c.contract_id) == 0 == c.pot_total()
+            else:
+                assert c.pot_total() == ledger.pot_balance(c.contract_id)
+        assert ledger.total_funds() == total

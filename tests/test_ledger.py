@@ -75,6 +75,26 @@ def test_pot_release_and_sinks():
         ledger.escrow_release("c1", "seller", 1)
 
 
+AMOUNT_OPS = {
+    "transfer": lambda ledger: ledger.transfer("buyer", "seller", -1),
+    "escrow_deposit": lambda ledger: ledger.escrow_deposit("buyer", "c1", "-1/2"),
+    "escrow_release": lambda ledger: ledger.escrow_release("c1", "seller", -1),
+    "pot_to_arbiter": lambda ledger: ledger.pot_to_arbiter("c1", -1),
+    "burn_from_pot": lambda ledger: ledger.burn_from_pot("c1", Fraction(-1, 3)),
+}
+
+
+@pytest.mark.parametrize("op", AMOUNT_OPS.values(), ids=AMOUNT_OPS.keys())
+def test_negative_amounts_are_refused_by_one_check(op):
+    ledger = fresh_ledger(tau="1/10")
+    ledger.escrow_deposit("buyer", "c1", 3)
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match=r"^amount must be >= 0, got -"):
+        op(ledger)
+    assert ledger.snapshot() == before
+    assert ledger.move_counts == {}
+
+
 OPS = st.lists(
     st.tuples(
         st.sampled_from(["deposit", "release", "transfer", "arbiter", "burn", "fee_move"]),
@@ -209,6 +229,26 @@ def test_time_only_moves_forward():
         ledger.advance_time(0)
     with pytest.raises(ValueError):
         ledger.register_timeout("c1", 0, lambda: None)
+
+
+TIMES = {
+    "half a tick": lambda ledger: ledger.advance_time(1.5),
+    "a ratio of ticks": lambda ledger: ledger.advance_time(Fraction(3, 2)),
+    "a tick count in text": lambda ledger: ledger.advance_time("2"),
+    "a fractional due": lambda ledger: ledger.register_timeout("c1", 2.5, lambda: None),
+    "a fractional threshold": lambda ledger: TimeoutPolicy(0.5, 2),
+    "a fractional timeout": lambda ledger: TimeoutPolicy(0, 2.5),
+    "a timeout that is a float": lambda ledger: TimeoutPolicy(1, 3.0),
+}
+
+
+@pytest.mark.parametrize("act", TIMES.values(), ids=TIMES.keys())
+def test_time_is_counted_in_whole_ticks(act):
+    ledger = fresh_ledger()
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match="must be a whole number of ticks"):
+        act(ledger)
+    assert ledger.snapshot() == before
 
 
 def test_snapshot_format_is_stable():
