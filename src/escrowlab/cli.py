@@ -126,7 +126,8 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
 
     parties = [f"p{i + 1}" for i in range(n)]
     ledger = Ledger(tau=args.tau)
-    totals = [sum(as_fraction(v) for v in row) for row in payments]
+    # Magnitudes: a negative entry is the batch's to refuse, not an overdraft here.
+    totals = [sum(abs(as_fraction(v)) for v in row) for row in payments]
     grand_total = sum(totals)
     for name, row_total in zip(parties, totals):
         ledger.open_account(name, 3 * (row_total + grand_total) + 3 * ledger.tau + 1)

@@ -271,6 +271,8 @@ class EscrowContract:
         default = _DEFAULTS.get(self.phase)
         if default is None:
             raise WrongPhaseError(f"no timeout default in phase {self.phase.value}")
+        if self.policy is None:
+            raise ContractError(f"contract {self.contract_id!r} has no timeout policy")
         silent, how, _ = default
         if silent == "owner":
             silent = "buyer" if self.seller_accepted else "seller"
@@ -291,11 +293,13 @@ class EscrowContract:
     def _end(self, how: str, actor: str, action: str, pays: list, to_arbiter: Fraction = Fraction(0)) -> None:
         """The one way a contract ends: pay out of the pot in the order given,
         send the arbiter its share, repay the liveness deposits on the
-        payback ramp (burning the shortfall), and close with one event."""
+        payback ramp (burning the shortfall), and close with one event.
+        A zero amount makes no ledger call."""
         ledger, cid = self.ledger, self.contract_id
         pot = ledger.pot_balance(cid)
         for party, amount in pays:
-            ledger.escrow_release(cid, party, amount)
+            if amount > 0:
+                ledger.escrow_release(cid, party, amount)
         if to_arbiter > 0:
             ledger.pot_to_arbiter(cid, to_arbiter)
         for party, amount in self.liveness_deposits.items():

@@ -10,9 +10,10 @@ state, so a rejected operation leaves the ledger untouched.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .trade import as_fraction
 
@@ -183,6 +184,18 @@ class Ledger:
 
     def pot_balance(self, contract_id: str) -> Fraction:
         return self.pots.get(contract_id, Fraction(0))
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """All or nothing for a block of operations: if it raises, the fund
+        state (balances, pots, move counts, both sinks) is put back as it was
+        on entry.  The clock and the pending timeouts are not restored."""
+        saved = dict(self.balances), dict(self.pots), dict(self.move_counts), self.fee_sink, self.arbiter_sink
+        try:
+            yield
+        except BaseException:
+            self.balances, self.pots, self.move_counts, self.fee_sink, self.arbiter_sink = saved
+            raise
 
     def total_funds(self) -> Fraction:
         return (

@@ -19,17 +19,16 @@ trade, not once per cell.
 A party that cannot fund a step has that step's moves converted to defaults:
 unfunded purchases are cancelled, unfunded disputes become acceptance,
 unfunded counters become forfeits.  A batch that still cannot complete
-(a party cannot pay the fee on its withdrawal) raises and leaves the ledger
-as it was.
+(a withdrawal fee it cannot pay, a party with no account) raises, and
+`Ledger.transaction()`, its one rollback, leaves the ledger as it was.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ledger import InsufficientFundsError, Ledger
 from .trade import as_fraction
@@ -63,27 +62,6 @@ class SettlementMatrix:
     counters: BitMatrix
     coin: BitMatrix
     payouts: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.parties)
-        for name, m in (
-            ("payments", self.payments),
-            ("disputes", self.disputes),
-            ("counters", self.counters),
-            ("coin", self.coin),
-        ):
-            if len(m) != n or any(len(row) != n for row in m):
-                raise MultipartyError(f"{name} must be {n}x{n}")
-        for i in range(n):
-            if self.payments[i][i] != 0:
-                raise MultipartyError("self-payments are not allowed")
-            if self.disputes[i][i] or self.counters[i][i]:
-                raise MultipartyError("self-disputes are not allowed")
-            for j in range(n):
-                if self.counters[i][j] and not self.disputes[j][i]:
-                    raise MultipartyError(
-                        f"counter ({i},{j}) answers no dispute"
-                    )
 
 
 def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
@@ -127,27 +105,6 @@ def _as_bits(n: int, rows, name: str) -> list[list[int]]:
             raise MultipartyError(f"{name} entries must be 0 or 1")
         out.append(row)
     return out
-
-
-@contextmanager
-def _all_or_nothing(ledger: Ledger, parties: tuple[str, ...]) -> Iterator[None]:
-    """Put the parties' balances and move counts, the batch pot and the sinks
-    back as they were if the block raises."""
-    balances = {p: ledger.balances[p] for p in parties if p in ledger.balances}
-    moves = {p: ledger.move_counts[p] for p in parties if p in ledger.move_counts}
-    pot, fee_sink, arbiter_sink = ledger.pots.get(POT), ledger.fee_sink, ledger.arbiter_sink
-    try:
-        yield
-    except BaseException:
-        ledger.balances.update(balances)
-        for p in parties:
-            ledger.move_counts.pop(p, None)
-        ledger.move_counts.update(moves)
-        ledger.pots.pop(POT, None)
-        if pot is not None:
-            ledger.pots[POT] = pot
-        ledger.fee_sink, ledger.arbiter_sink = fee_sink, arbiter_sink
-        raise
 
 
 def multiparty_run(
@@ -204,7 +161,7 @@ def multiparty_run(
             rows.append(row)
         return rows
 
-    with _all_or_nothing(ledger, parties):
+    with ledger.transaction():
         # Purchase deposits; a buyer who cannot pay has every purchase cancelled.
         for i, paid in enumerate(sellers):
             if unfunded(i, [x[i][j] for j in paid]):

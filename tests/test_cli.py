@@ -299,6 +299,10 @@ MALFORMED = {
         ["multiparty", "--matrix", "letters.txt"],
         "escrowlab multiparty: Invalid literal for Fraction: 'x'",
     ),
+    "negative matrix entry": (
+        ["multiparty", "--matrix", "negative.txt"],
+        "escrowlab multiparty: payments entries must be rationals >= 0",
+    ),
 }
 
 
@@ -306,6 +310,7 @@ MALFORMED = {
 def test_malformed_input_ends_in_one_named_line(tmp_path, argv, message):
     (tmp_path / "bogus.kv").write_text("x=1\ny=2\nscheme=bogus\n")
     (tmp_path / "letters.txt").write_text("0 x\n1 0\n")
+    (tmp_path / "negative.txt").write_text("0 -5\n0 0\n")
     src = str(Path(escrowlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

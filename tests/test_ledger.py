@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from escrowlab.ledger import (
     InsufficientFundsError,
     Ledger,
+    LedgerError,
     TimeoutPolicy,
     UnknownAccountError,
     deposit_payback,
@@ -105,6 +106,33 @@ OPS = st.lists(
 )
 
 
+TX_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["deposit"] * 3 + ["release", "transfer", "arbiter", "burn", "fee_move"]),
+        st.sampled_from(["buyer", "seller"] * 6 + ["ghost"]),  # ghost has no account
+        st.sampled_from(["c1", "c2"]),
+        st.fractions(min_value=0, max_value=2, max_denominator=4),
+        st.booleans(),
+    ),
+    max_size=12,
+)
+
+
+def _apply(ledger, op, party, pot, amount, fee):
+    if op == "deposit":
+        ledger.escrow_deposit(party, pot, amount, contract_move=fee)
+    elif op == "release":
+        ledger.escrow_release(pot, party, amount, contract_move=fee)
+    elif op == "transfer":
+        ledger.transfer(party, "buyer" if party == "seller" else "seller", amount, contract_move=fee)
+    elif op == "arbiter":
+        ledger.pot_to_arbiter(pot, amount)
+    elif op == "burn":
+        ledger.burn_from_pot(pot, amount)
+    else:
+        ledger.charge_move(party)
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=OPS, tau=st.fractions(min_value=0, max_value=1, max_denominator=4))
 def test_conservation_under_random_operation_sequences(ops, tau):
@@ -112,23 +140,51 @@ def test_conservation_under_random_operation_sequences(ops, tau):
     total = ledger.total_funds()
     for op, party, amount in ops:
         try:
-            if op == "deposit":
-                ledger.escrow_deposit(party, "c1", amount, contract_move=True)
-            elif op == "release":
-                ledger.escrow_release("c1", party, amount)
-            elif op == "transfer":
-                ledger.transfer(party, "buyer" if party == "seller" else "seller", amount)
-            elif op == "arbiter":
-                ledger.pot_to_arbiter("c1", amount)
-            elif op == "burn":
-                ledger.burn_from_pot("c1", amount)
-            else:
-                ledger.charge_move(party)
+            _apply(ledger, op, party, "c1", amount, fee=op == "deposit")
         except (InsufficientFundsError, ValueError):
             pass
         assert ledger.total_funds() == total
         assert all(balance >= 0 for balance in ledger.balances.values())
         assert all(pot >= 0 for pot in ledger.pots.values())
+
+
+class Abort(Exception):
+    pass
+
+
+def _fund_state(ledger):
+    return ledger.snapshot(), dict(ledger.move_counts), dict(ledger.pots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), setup=TX_OPS, ops=TX_OPS, tau=st.sampled_from([0, Fraction(1, 4), 1]))
+def test_a_transaction_completes_as_plain_operations_or_changes_nothing(data, setup, ops, tau):
+    # Two ledgers reach the same state by `setup`; one then runs `ops` in a
+    # transaction that raises at the first refused operation or at a drawn
+    # step, the other runs them plainly only if the transaction completed.
+    inside, plain = fresh_ledger(tau), fresh_ledger(tau)
+    for ledger in (inside, plain):
+        for step in setup:
+            try:
+                _apply(ledger, *step)
+            except LedgerError:
+                pass
+    stop = data.draw(st.none() | st.integers(0, len(ops)))
+    before = _fund_state(inside)
+    try:
+        with inside.transaction():
+            for k, step in enumerate(ops):
+                if k == stop:
+                    raise Abort
+                _apply(inside, *step)
+            if stop == len(ops):
+                raise Abort
+    except (Abort, LedgerError):
+        assert _fund_state(inside) == before
+    else:
+        for step in ops:
+            _apply(plain, *step)
+        assert _fund_state(inside) == _fund_state(plain)
 
 
 # ---------------------------------------------------------------------------

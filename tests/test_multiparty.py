@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escrowlab.ledger import InsufficientFundsError, Ledger
+from escrowlab.ledger import InsufficientFundsError, Ledger, UnknownAccountError
 from escrowlab.multiparty import (
     POT,
     MultipartyError,
     SettlementMatrix,
-    _all_or_nothing,
     multiparty_run,
 )
 from escrowlab.trade import as_fraction
@@ -226,6 +225,22 @@ def test_an_unpayable_withdrawal_fee_leaves_the_ledger_as_it_was():
     assert "multiparty" not in ledger.pots
 
 
+def test_a_party_with_no_account_leaves_the_ledger_as_it_was():
+    # a and b deposit their purchases, with fees, before the batch reaches
+    # the party the ledger has never heard of.
+    ledger = Ledger(tau=1)
+    ledger.open_account("a", 10)
+    ledger.open_account("b", 10)
+    ledger.charge_move("a")
+    before, counts = ledger.snapshot(), dict(ledger.move_counts)
+    payments = [[0, 1, 0], [2, 0, 0], [0, 3, 0]]
+    zeros = [[0] * 3 for _ in range(3)]
+    with pytest.raises(UnknownAccountError, match="ghost"):
+        multiparty_run(ledger, ["a", "b", "ghost"], payments, zeros, zeros, coin_matrix=zeros)
+    assert ledger.snapshot() == before
+    assert ledger.move_counts == counts
+
+
 BITS = st.integers(0, 1)
 PRICES = st.sampled_from([0, Fraction(1, 2), 1])
 
@@ -276,18 +291,6 @@ def test_input_validation():
         multiparty_run(ledger, ["a", "b"], [[0, -1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
     with pytest.raises(MultipartyError):
         multiparty_run(ledger, ["a", "b"], [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])  # no rng
-
-
-def test_settlement_matrix_rejects_unanswered_counters():
-    with pytest.raises(MultipartyError):
-        SettlementMatrix(
-            parties=("a", "b"),
-            payments=((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),
-            disputes=((0, 0), (0, 0)),
-            counters=((0, 1), (0, 0)),
-            coin=((0, 0), (0, 0)),
-            payouts=(Fraction(0), Fraction(0)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,7 @@ def naive(ledger, parties, payments, disputes, counters, rng=None, coin_matrix=N
             return True
         return False
 
-    with _all_or_nothing(ledger, parties):
+    with ledger.transaction():
         for i in range(n):
             if unfunded(i, sum(x[i], Fraction(0))):
                 x[i] = [Fraction(0)] * n
