@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from .arbiter import Verdict
 from .gametree import Party
-from .ledger import Ledger, TimeoutPolicy, deposit_payback
+from .ledger import Ledger, LedgerError, TimeoutPolicy, deposit_payback
 from .trade import InvalidSchemeError, TradeParams, WagerScheme
 
 
@@ -100,9 +100,10 @@ class EscrowContract:
                 "winner payout exceeds the pot; the contract cannot subsidize it"
             )
         # The id names the contract's pot, which the ledger keeps once opened.
-        if contract_id in ledger.pots:
-            raise DuplicateContractError(f"contract id {contract_id!r} is already used on this ledger")
-        ledger.pots[contract_id] = Fraction(0)
+        try:
+            ledger.open_pot(contract_id)
+        except LedgerError:
+            raise DuplicateContractError(f"contract id {contract_id!r} is already used on this ledger") from None
         self.ledger = ledger
         self.contract_id = contract_id
         self.buyer = buyer

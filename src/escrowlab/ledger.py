@@ -6,13 +6,21 @@ account balances, escrow pots, and the two sinks never changes: fees and
 forfeited liveness deposits are burned into the fee sink, withheld wagers go
 to the arbiter sink.  Each operation validates every debit before touching
 state, so a rejected operation leaves the ledger untouched.
+
+Timeouts fire in (due, id) order, with the clock reading the due instant
+inside each callback.  They are kept in a min-heap: registering and firing
+cost O(log n) in the n pending timeouts.  Cancelling or re-registering an id
+leaves its old heap entry in place, to be skipped when popped; the heap is
+rebuilt from the live entries once stale ones outnumber them.
 """
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Iterator, Optional
 
 from .trade import as_fraction
@@ -102,7 +110,12 @@ class Ledger:
         self.tau = as_fraction(self.tau)
         if self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        self._timeouts: dict[str, tuple[int, Callable[[], None]]] = {}
+        # id -> its live (due, seq, callback); the heap holds (due, id, seq)
+        # for these and for the entries a cancel or a re-registration left
+        # stale.  Stale entries hold no callback, so they keep nothing alive.
+        self._timeouts: dict[str, tuple[int, int, Callable[[], None]]] = {}
+        self._heap: list[tuple[int, str, int]] = []
+        self._seq = count()
 
     # -- accounts ----------------------------------------------------------
 
@@ -182,6 +195,12 @@ class Ledger:
         self.pots[contract_id] = pot - value
         return value
 
+    def open_pot(self, pot_id: str) -> None:
+        """Open an empty pot under an id no pot has used on this ledger."""
+        if pot_id in self.pots:
+            raise LedgerError(f"pot {pot_id!r} is already open")
+        self.pots[pot_id] = Fraction(0)
+
     def pot_balance(self, contract_id: str) -> Fraction:
         return self.pots.get(contract_id, Fraction(0))
 
@@ -208,10 +227,19 @@ class Ledger:
     # -- time and timeouts ---------------------------------------------------
 
     def register_timeout(self, contract_id: str, due: int, callback: Callable[[], None]) -> None:
+        """Arm (or re-arm) the id's one timeout; a later registration of the
+        same id replaces the earlier one."""
         _require_whole("due", due)
         if due <= self.time:
             raise ValueError(f"due {due} is not in the future (now {self.time})")
-        self._timeouts[contract_id] = (due, callback)
+        seq = next(self._seq)
+        self._timeouts[contract_id] = (due, seq, callback)
+        heapq.heappush(self._heap, (due, contract_id, seq))
+        # Rebuild once stale entries outnumber live ones; the slack of 64
+        # spares a small heap a rebuild every few registrations.
+        if len(self._heap) > 2 * len(self._timeouts) + 64:
+            self._heap = [(d, cid, s) for cid, (d, s, _) in self._timeouts.items()]
+            heapq.heapify(self._heap)
 
     def cancel_timeout(self, contract_id: str) -> None:
         self._timeouts.pop(contract_id, None)
@@ -220,20 +248,21 @@ class Ledger:
         """Advance the clock, firing every due timeout exactly once.
 
         Timeouts fire at their due instant, in (due, contract-id) order;
-        callbacks may register follow-up timeouts within the window.
+        callbacks may register or cancel timeouts within the window, and
+        those follow-ups fire in the same order.  If a callback raises, the
+        clock stays at its due and the later timeouts stay pending.  Each
+        firing costs O(log n) in the pending timeouts.
         """
         _require_whole("ticks", ticks)
         if ticks <= 0:
             raise ValueError(f"ticks must be > 0, got {ticks}")
         target = self.time + ticks
-        while True:
-            due_now = sorted(
-                (due, cid) for cid, (due, _) in self._timeouts.items() if due <= target
-            )
-            if not due_now:
-                break
-            due, cid = due_now[0]
-            _, callback = self._timeouts.pop(cid)
+        while self._heap and self._heap[0][0] <= target:
+            due, cid, seq = heapq.heappop(self._heap)
+            live = self._timeouts.get(cid)
+            if live is None or live[1] != seq:
+                continue  # cancelled or re-registered since it was pushed
+            _, _, callback = self._timeouts.pop(cid)
             self.time = max(self.time, due)
             callback()
         self.time = target

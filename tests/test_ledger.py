@@ -320,3 +320,160 @@ def test_snapshot_format_is_stable():
         "arbiter_sink 1\n"
         "time 4\n"
     )
+
+
+def test_open_pot_refuses_an_id_already_used():
+    ledger = fresh_ledger()
+    ledger.open_pot("c1")
+    assert ledger.pot_balance("c1") == 0
+    ledger.escrow_deposit("buyer", "c1", 1)
+    ledger.escrow_release("c1", "seller", 1)
+    before = ledger.snapshot()
+    with pytest.raises(LedgerError, match="already open"):
+        ledger.open_pot("c1")  # an emptied pot keeps its id
+    assert ledger.snapshot() == before
+
+
+def test_cancel_and_reregister_at_the_same_due_fires_only_the_new_callback():
+    ledger = fresh_ledger()
+    fired = []
+    ledger.register_timeout("c1", 3, lambda: fired.append("old"))
+    ledger.cancel_timeout("c1")
+    ledger.register_timeout("c1", 3, lambda: fired.append("new"))
+    ledger.advance_time(5)
+    assert fired == ["new"]
+    ledger.advance_time(5)
+    assert fired == ["new"]
+
+
+def test_a_raising_callback_leaves_the_clock_at_its_due_and_the_rest_pending():
+    ledger = fresh_ledger()
+    ledger.advance_time(6)
+    fired = []
+
+    def boom():
+        fired.append(("a", ledger.time))
+        raise Abort
+
+    ledger.register_timeout("a", 8, boom)
+    ledger.register_timeout("b", 9, lambda: fired.append(("b", ledger.time)))
+    ledger.register_timeout("c", 9, lambda: fired.append(("c", ledger.time)))
+    with pytest.raises(Abort):
+        ledger.advance_time(5)
+    assert ledger.time == 8
+    assert fired == [("a", 8)]
+    assert set(ledger._timeouts) == {"b", "c"}
+    ledger.advance_time(1)
+    assert fired == [("a", 8), ("b", 9), ("c", 9)]
+    assert ledger.time == 9
+
+
+def test_rearming_one_id_many_times_fires_once_and_keeps_little():
+    ledger = fresh_ledger()
+    fired = []
+    for k in range(10_000):
+        ledger.register_timeout("c1", 2 + k % 7, lambda k=k: fired.append((k, ledger.time)))
+        # Whatever the scheduler keeps besides the one live timeout stays
+        # within twice the live count plus a small constant.
+        assert max(len(v) for v in vars(ledger).values() if isinstance(v, (list, dict))) <= 2 + 64
+    ledger.advance_time(10)
+    assert fired == [(9_999, 2 + 9_999 % 7)]
+
+
+def test_a_heap_rebuild_inside_a_callback_keeps_the_firing_order():
+    ledger = fresh_ledger()
+    fired = []
+
+    def rearm_b():
+        fired.append(("a", ledger.time))
+        for k in range(1_000):  # enough stale entries to rebuild mid-window
+            ledger.register_timeout("b", ledger.time + 1 + k % 3, lambda: fired.append(("b", ledger.time)))
+
+    ledger.register_timeout("a", 1, rearm_b)
+    ledger.register_timeout("c", 2, lambda: fired.append(("c", ledger.time)))
+    ledger.advance_time(5)
+    assert fired == [("a", 1), ("b", 2), ("c", 2)]
+
+
+class NaiveClock:
+    """The sorted-scan scheduler the ledger used before its heap: every
+    firing re-sorts all pending timeouts.  Kept as the reference."""
+
+    def __init__(self):
+        self.time = 0
+        self._timeouts = {}
+
+    def register_timeout(self, contract_id, due, callback):
+        if due <= self.time:
+            raise ValueError(f"due {due} is not in the future (now {self.time})")
+        self._timeouts[contract_id] = (due, callback)
+
+    def cancel_timeout(self, contract_id):
+        self._timeouts.pop(contract_id, None)
+
+    def advance_time(self, ticks):
+        target = self.time + ticks
+        while True:
+            due_now = sorted(
+                (due, cid) for cid, (due, _) in self._timeouts.items() if due <= target
+            )
+            if not due_now:
+                break
+            due, cid = due_now[0]
+            _, callback = self._timeouts.pop(cid)
+            self.time = max(self.time, due)
+            callback()
+        self.time = target
+
+
+IDS = st.sampled_from("abcd")
+# What a callback does when it fires: nothing, raise, cancel an id (its own
+# included), or register an id (its own included) with a callback of its own.
+CALLBACK = st.recursive(
+    st.just(("none",)) | st.just(("raise",)) | st.tuples(st.just("cancel"), IDS),
+    lambda inner: st.tuples(st.just("register"), IDS, st.integers(1, 3), inner),
+    max_leaves=4,
+)
+SCHEDULE = st.lists(
+    st.tuples(st.just("register"), IDS, st.integers(1, 4), CALLBACK)
+    | st.tuples(st.just("cancel"), IDS)
+    | st.tuples(st.just("advance"), st.integers(1, 5)),
+    max_size=30,
+)
+
+
+def _run_schedule(clock, schedule):
+    log = []
+
+    def make(label, cid, action):
+        def callback():
+            log.append(("fire", label, cid, clock.time))
+            if action[0] == "raise":
+                raise Abort
+            if action[0] == "cancel":
+                clock.cancel_timeout(action[1])
+            elif action[0] == "register":
+                _, target, delta, inner = action
+                clock.register_timeout(target, clock.time + delta, make(f"{label}>{target}", target, inner))
+
+        return callback
+
+    for k, step in enumerate(schedule):
+        if step[0] == "register":
+            _, cid, delta, action = step
+            clock.register_timeout(cid, clock.time + delta, make(str(k), cid, action))
+        elif step[0] == "cancel":
+            clock.cancel_timeout(step[1])
+        else:
+            try:
+                clock.advance_time(step[1])
+            except Abort:
+                log.append(("raised", clock.time))
+        log.append(("time", clock.time))
+    return log, clock.time, set(clock._timeouts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule=SCHEDULE)
+def test_heap_scheduler_matches_the_sorted_scan(schedule):
+    assert _run_schedule(fresh_ledger(), schedule) == _run_schedule(NaiveClock(), schedule)
