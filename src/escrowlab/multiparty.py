@@ -12,9 +12,10 @@ wager set to that trade's price, using one coin matrix entry per trade.  The
 loser's wager compensates the arbiter, as in the standard two-party scheme.
 
 The n x n grids are only parsed.  Settlement work is per trade: each buyer
-keeps the list of sellers it pays, and the deposit totals and payouts are
-exact sums over those lists, so a batch does rational arithmetic once per
-trade, not once per cell.
+keeps the list of sellers it pays, and each deposit and each payout is the
+exact sum of that step's prices, added as integers over the least common
+multiple of their own denominators, so a batch builds one `Fraction` per
+deposit and per payout, not one per trade.
 
 A party that cannot fund a step has that step's moves converted to defaults:
 unfunded purchases are cancelled, unfunded disputes become acceptance,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Optional, Sequence
 
@@ -64,6 +66,14 @@ class SettlementMatrix:
     payouts: tuple[Fraction, ...]
 
 
+def _sum(values: list[Fraction]) -> Fraction:
+    """The exact sum of `values`: one integer sum over the least common
+    multiple of their denominators, then one `Fraction`."""
+    ratios = [v.as_integer_ratio() for v in values]  # (p, q) for each p/q
+    scale = lcm(*{q for _, q in ratios})
+    return Fraction(sum(p * (scale // q) for p, q in ratios), scale)
+
+
 def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
     """The payment grid, parsed once: rows of exact rationals whose zeros are
     the shared `_ZERO`, and for each buyer the sellers it pays, in order."""
@@ -71,7 +81,7 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
     for i in range(n):
         try:
             entries = list(rows[i])
-            row, paid = [_ZERO] * len(entries), []
+            row, paid, negative = [_ZERO] * len(entries), [], False
             for j, v in enumerate(entries):
                 if v.__class__ is int and not v:  # most cells: no arithmetic
                     continue
@@ -79,11 +89,13 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
                 if value:
                     row[j] = value
                     paid.append(j)
+                    if value.numerator < 0:
+                        negative = True
         except (TypeError, ValueError):
             raise MultipartyError("payments entries must be rationals >= 0") from None
         if len(row) != n:
             raise MultipartyError(f"payments must be {n}x{n}")
-        if any(row[j] < 0 for j in paid):
+        if negative:
             raise MultipartyError("payments entries must be rationals >= 0")
         grid.append(row)
         sellers.append(paid)
@@ -142,11 +154,10 @@ def multiparty_run(
     def unfunded(i: int, prices: list[Fraction]) -> bool:
         """Escrow the sum of party i's prices for one step as a single
         fee-bearing deposit; true if the party cannot pay it."""
-        total = sum(prices, _ZERO)
-        if total == 0:
+        if not prices:
             return False
         try:
-            ledger.escrow_deposit(parties[i], POT, total, contract_move=True)
+            ledger.escrow_deposit(parties[i], POT, _sum(prices), contract_move=True)
         except InsufficientFundsError:
             return True
         return False
@@ -185,18 +196,20 @@ def multiparty_run(
             countered.append([] if unfunded(i, [x[j][i] for j in cols]) else cols)
         c = marked(countered)
 
-        # Settle every trade as its own two-party outcome.
-        payouts = [_ZERO] * n
+        # Settle every trade as its own two-party outcome; each party's
+        # credits are summed once, into its payout.
+        credits = [[] for _ in range(n)]
         for i, paid in enumerate(sellers):  # buyer i, seller j
             for j in paid:
                 price = x[i][j]
                 if not d[i][j]:
-                    payouts[j] += price
+                    credits[j].append(price)
                 elif not c[j][i]:
-                    payouts[i] += 2 * price  # price and wager back
+                    credits[i] += (price, price)  # price and wager back
                 else:  # the coin's winner gets price and wager, the loser's wager pays the arbiter
-                    payouts[j if b[i][j] else i] += 2 * price
+                    credits[j if b[i][j] else i] += (price, price)
                     ledger.pot_to_arbiter(POT, price)
+        payouts = [_sum(owed) for owed in credits]
 
         for i, party in enumerate(parties):
             if payouts[i] > 0:

@@ -467,3 +467,76 @@ def test_per_trade_settlement_matches_the_dense_loop(data, tau):
         states.append(rng.getstate())
     assert outcomes[0] == outcomes[1]
     assert states[0] == states[1]
+
+
+# ---------------------------------------------------------------------------
+# Integer settlement sums against the Fraction sums of the dense loop
+# ---------------------------------------------------------------------------
+
+
+COPRIME = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), "7/13", 0.2, Fraction(10**6, 999983)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), tau=st.sampled_from([0, Fraction(1, 10), Fraction(3, 7)]))
+def test_integer_sums_match_fraction_sums_on_coprime_denominators(data, tau):
+    n = data.draw(st.integers(2, 6))
+    names = [f"p{i}" for i in range(n)]
+
+    def grid(entries):
+        return data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+    payments = grid(st.sampled_from([0, 0] + COPRIME))
+    for i in range(n):
+        payments[i][i] = 0
+    disputes = grid(st.sampled_from([0, 1, 1]))
+    counters = grid(st.sampled_from([0, 1, 1]))
+    coin = grid(st.sampled_from([0, 1])) if data.draw(st.booleans()) else None
+    seed = data.draw(st.integers(0, 2**16))
+    endow = {name: data.draw(st.sampled_from([0, Fraction(1, 3), Fraction(5, 7), 2, 20])) for name in names}
+
+    outcomes, states = [], []
+    for run in (multiparty_run, naive):
+        rng = Random(seed)
+        outcomes.append(_outcome(
+            run, tau, endow, names, [list(row) for row in payments], disputes, counters,
+            rng=rng, coin_matrix=coin,
+        ))
+        states.append(rng.getstate())
+    assert outcomes[0] == outcomes[1]
+    assert states[0] == states[1]
+
+
+def test_a_sale_a_refund_and_a_coin_win_sum_into_one_exact_payout():
+    # "a" sells to "b" at 1/3 (accepted), is refunded the price and wager of
+    # its forfeited dispute with "c" at 2/7, and wins the coin toss of its
+    # countered dispute with "d" at 3/11.
+    names = ["a", "b", "c", "d"]
+    payments = [
+        [0, 0, Fraction(2, 7), Fraction(3, 11)],
+        [Fraction(1, 3), 0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 0],
+    ]
+    disputes = [[0, 0, 1, 1], [0] * 4, [0] * 4, [0] * 4]
+    counters = [[0] * 4, [0] * 4, [0] * 4, [1, 0, 0, 0]]
+    coin = [[0] * 4 for _ in range(4)]  # the buyer wins
+    ledger = RecordingLedger(tau=Fraction(1, 10))
+    for name in names:
+        ledger.open_account(name, 10)
+    result = multiparty_run(ledger, names, payments, disputes, counters, coin_matrix=coin)
+
+    owed = Fraction(1, 3) + 2 * Fraction(2, 7) + 2 * Fraction(3, 11)
+    assert result.payouts[0] == owed
+    releases = [args for kind, args, _ in ledger.calls if kind == "escrow_release" and args[1] == "a"]
+    assert releases == [(POT, "a", owed)]
+    assert type(releases[0][2]) is Fraction
+
+
+def test_a_ragged_row_is_reported_before_its_negative_entry():
+    ledger = fresh_ledger(["a", "b"])
+    zeros = [[0, 0], [0, 0]]
+    with pytest.raises(MultipartyError, match="payments must be 2x2"):
+        multiparty_run(ledger, ["a", "b"], [[0, -1, 0], [0, 0]], zeros, zeros, coin_matrix=zeros)
+    with pytest.raises(MultipartyError, match="payments must be 2x2"):
+        multiparty_run(ledger, ["a", "b"], [[0, 0], [Fraction(-1, 3)]], zeros, zeros, coin_matrix=zeros)
