@@ -30,17 +30,7 @@ from typing import Iterable, Optional, Sequence
 from .arbiter import arbiter_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
 from .equilibrium import SecurityReport, _report, _wager_forms
-from .gametree import (
-    AFTER_NOSEND,
-    AFTER_SEND,
-    DISPUTE_AFTER_NOSEND,
-    DISPUTE_AFTER_SEND,
-    ROOT,
-    Action,
-    Leaf,
-    Party,
-    leaf_path,
-)
+from .gametree import Party
 from .ledger import Ledger, TimeoutPolicy
 from .trade import Standard, TradeParams, WagerScheme, wager_class
 
@@ -55,13 +45,6 @@ class SellerStrategy:
     def honest(cls) -> "SellerStrategy":
         return cls(send=True, counter_if_delivered=True, counter_if_undelivered=False)
 
-    def to_profile(self) -> dict[str, Action]:
-        return {
-            ROOT: Action.SEND if self.send else Action.NOT_SEND,
-            DISPUTE_AFTER_SEND: Action.COUNTER if self.counter_if_delivered else Action.FORFEIT,
-            DISPUTE_AFTER_NOSEND: Action.COUNTER if self.counter_if_undelivered else Action.FORFEIT,
-        }
-
 
 @dataclass(frozen=True)
 class BuyerStrategy:
@@ -72,12 +55,6 @@ class BuyerStrategy:
     def honest(cls) -> "BuyerStrategy":
         return cls(dispute_if_delivered=False, dispute_if_undelivered=True)
 
-    def to_profile(self) -> dict[str, Action]:
-        return {
-            AFTER_SEND: Action.DISPUTE if self.dispute_if_delivered else Action.ACCEPT,
-            AFTER_NOSEND: Action.DISPUTE if self.dispute_if_undelivered else Action.ACCEPT,
-        }
-
 
 def all_seller_strategies() -> list[SellerStrategy]:
     return [SellerStrategy(*choices) for choices in product((True, False), repeat=3)]
@@ -85,17 +62,6 @@ def all_seller_strategies() -> list[SellerStrategy]:
 
 def all_buyer_strategies() -> list[BuyerStrategy]:
     return [BuyerStrategy(*choices) for choices in product((True, False), repeat=2)]
-
-
-def strategies_for_leaf(leaf: Leaf) -> tuple[SellerStrategy, BuyerStrategy]:
-    """The strategy pair that forces play down to the given leaf."""
-    moves = {action for _, action in leaf_path(leaf)}
-    send = Action.SEND in moves
-    dispute = Action.DISPUTE in moves
-    counter = Action.COUNTER in moves
-    seller = SellerStrategy(send, counter, counter)
-    buyer = BuyerStrategy(dispute_if_delivered=dispute, dispute_if_undelivered=dispute)
-    return seller, buyer
 
 
 @dataclass(frozen=True)

@@ -126,20 +126,6 @@ def parse_message(line: str) -> Message:
 Transcript = tuple[tuple[str, str], ...]
 
 
-def serialize_transcript(transcript: Transcript) -> str:
-    return "\n".join(f"{sender} {line}" for sender, line in transcript) + "\n"
-
-
-def parse_transcript(text: str) -> Transcript:
-    entries = []
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        sender, _, line = raw.partition(" ")
-        entries.append((sender, line))
-    return tuple(entries)
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------

@@ -131,13 +131,13 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
     grand_total = sum(totals)
     for name, row_total in zip(parties, totals):
         ledger.open_account(name, 3 * (row_total + grand_total) + 3 * ledger.tau + 1)
-    before = dict(ledger.balances)
+    before = [ledger.balance(name) for name in parties]
 
     result = multiparty_run(
         ledger, parties, payments, disputes, counters, rng=Random(args.seed)
     )
     for i, name in enumerate(parties):
-        delta = ledger.balance(name) - before[name]
+        delta = ledger.balance(name) - before[i]
         sign = f"+{delta}" if delta > 0 else str(delta)
         moves = ledger.move_counts.get(name, 0)
         print(f"party {name} payout {result.payouts[i]} delta {sign} fee_moves {moves}")

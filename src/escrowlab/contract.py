@@ -95,7 +95,8 @@ class EscrowContract:
         policy: Optional[TimeoutPolicy] = None,
     ):
         stake = scheme.stake(params)
-        if scheme.win_gain(params) > params.price + stake:
+        win_gain = scheme.win_gain(params)
+        if win_gain > params.price + stake:
             raise InvalidSchemeError(
                 "winner payout exceeds the pot; the contract cannot subsidize it"
             )
@@ -111,6 +112,13 @@ class EscrowContract:
         self.params = params
         self.scheme = scheme
         self.policy = policy
+        # Fixed once: the wager, the arbitration winner's gross payout, the liveness deposit.
+        self.stake = stake
+        self._payout = win_gain + stake
+        if policy is None:
+            self.liveness_deposit = Fraction(0)
+        else:
+            self.liveness_deposit = stake if policy.deposit is None else policy.deposit
 
         self.seller_accepted = False
         self.delivered = False
@@ -118,10 +126,8 @@ class EscrowContract:
         self.last_verdict: Optional[Verdict] = None
         self.settled_how: Optional[str] = None
 
-        # Pot breakdown; the ledger pot holds the sum of all four.
-        self.payment_pot = Fraction(0)
-        self.buyer_wager_pot = Fraction(0)
-        self.seller_wager_pot = Fraction(0)
+        # The pot less the liveness deposits: the payment and the wagers.
+        self._wagered = Fraction(0)
         self.liveness_deposits: dict[str, Fraction] = {}
         self.worst_lateness: dict[str, int] = {}
 
@@ -130,23 +136,8 @@ class EscrowContract:
 
     # -- plumbing ------------------------------------------------------------
 
-    @property
-    def stake(self) -> Fraction:
-        return self.scheme.stake(self.params)
-
-    @property
-    def liveness_deposit(self) -> Fraction:
-        if self.policy is None:
-            return Fraction(0)
-        if self.policy.deposit is not None:
-            return self.policy.deposit
-        return self.stake
-
-    def _wagered(self) -> Fraction:
-        return self.payment_pot + self.buyer_wager_pot + self.seller_wager_pot
-
     def pot_total(self) -> Fraction:
-        return self._wagered() + sum(self.liveness_deposits.values(), Fraction(0))
+        return sum(self.liveness_deposits.values(), self._wagered)
 
     def _step(self, actor: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
         """Log a move's event, entering `phase` first if it is given: the
@@ -185,7 +176,7 @@ class EscrowContract:
         recorded only once the ledger has taken the money."""
         self.ledger.escrow_deposit(actor, self.contract_id, amount, contract_move=True)
         self._mark_response(actor)
-        if self.phase is Phase.PROPOSED and self.liveness_deposit > 0:
+        if self.phase is Phase.PROPOSED and self.liveness_deposit:
             self.liveness_deposits[actor] = self.liveness_deposit
         self._step(actor, action, amount, phase)
 
@@ -206,7 +197,7 @@ class EscrowContract:
         if not self.seller_accepted:
             raise WrongPhaseError("seller has not accepted yet")
         self._pay_in(actor, "fund", self.params.price + self.liveness_deposit, Phase.FUNDED)
-        self.payment_pot += self.params.price
+        self._wagered = self.params.price
 
     def notify_delivery(self, actor: str) -> None:
         """Seller reports the item as sent (fee-bearing)."""
@@ -220,14 +211,14 @@ class EscrowContract:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
         self._pay_in(actor, "dispute", self.stake, Phase.DISPUTED)
-        self.buyer_wager_pot += self.stake
+        self._wagered += self.stake
         self.disputed_after_delivery = self.delivered
 
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""
         self._require(actor, self.seller, Phase.DISPUTED)
         self._pay_in(actor, "counter", self.stake, Phase.COUNTERED)
-        self.seller_wager_pot += self.stake
+        self._wagered += self.stake
 
     def forfeit(self, actor: str) -> None:
         """Seller concedes the dispute; free, being the timeout default."""
@@ -253,9 +244,8 @@ class EscrowContract:
             raise WrongPhaseError(f"no arbitration to settle in {self.phase.value}")
         self.last_verdict = verdict
         winner = self.buyer if verdict.winner is Party.BUYER else self.seller
-        payout = self.scheme.win_gain(self.params) + self.stake
         how = f"arbitration:{verdict.winner.value}"
-        self._end(how, "contract", "settle", [(winner, payout)], self._wagered() - payout)
+        self._end(how, "contract", "settle", [(winner, self._payout)], self._wagered - self._payout)
 
     def run_arbitration(self, decide: Callable[["EscrowContract"], Verdict]) -> Verdict:
         """Convenience: begin, obtain a verdict, settle."""
@@ -285,7 +275,7 @@ class EscrowContract:
         plays or the timeout applies.  An abort repays the deposits whole,
         and first: nothing was misplayed before funding."""
         _, how, paid = _DEFAULTS[self.phase]
-        pays = [(getattr(self, paid), self.payment_pot + self.buyer_wager_pot)]
+        pays = [(getattr(self, paid), self._wagered)]
         if how == "abort":
             pays = [*self.liveness_deposits.items(), *pays]
             self.liveness_deposits.clear()
@@ -295,21 +285,21 @@ class EscrowContract:
         """The one way a contract ends: pay out of the pot in the order given,
         send the arbiter its share, repay the liveness deposits on the
         payback ramp (burning the shortfall), and close with one event.
-        A zero amount makes no ledger call."""
+        A zero amount makes no ledger call; no amount is negative."""
         ledger, cid = self.ledger, self.contract_id
         pot = ledger.pot_balance(cid)
         for party, amount in pays:
-            if amount > 0:
+            if amount:
                 ledger.escrow_release(cid, party, amount)
-        if to_arbiter > 0:
+        if to_arbiter:
             ledger.pot_to_arbiter(cid, to_arbiter)
         for party, amount in self.liveness_deposits.items():
             back = deposit_payback(self.worst_lateness.get(party, 0), self.policy, amount)
-            if back > 0:
+            if back:
                 ledger.escrow_release(cid, party, back)
-            if amount - back > 0:
+            if back != amount:
                 ledger.burn_from_pot(cid, amount - back)
-        self.payment_pot = self.buyer_wager_pot = self.seller_wager_pot = Fraction(0)
+        self._wagered = Fraction(0)
         self.liveness_deposits.clear()
         self.settled_how = how
         self._step(actor, action, -pot, Phase.ABORTED if how == "abort" else Phase.SETTLED)

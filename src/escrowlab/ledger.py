@@ -1,11 +1,18 @@
 """Deterministic in-memory ledger with escrow pots, per-move fees, discrete
 time, and timeout callbacks.
 
-Funds are exact rationals.  The conservation invariant is that the sum of all
-account balances, escrow pots, and the two sinks never changes: fees and
-forfeited liveness deposits are burned into the fee sink, withheld wagers go
-to the arbiter sink.  Each operation validates every debit before touching
-state, so a rejected operation leaves the ledger untouched.
+Funds are exact rationals held as integers: each balance, pot and sink is
+its own reduced (numerator, denominator) pair, added as plain integers when
+denominators agree; an amount is converted once, on entry.  Reads return
+`Fraction`s: `balance()`, `pot_balance()`, `fee_sink`, `arbiter_sink`,
+`total_funds()` and the read-only copies `balances` and `pots`.
+
+The conservation invariant is that the sum of all account balances, escrow
+pots, and the two sinks never changes: fees and forfeited liveness deposits
+are burned into the fee sink, withheld wagers go to the arbiter sink.  Each
+operation validates every debit before touching state, so a rejected
+operation leaves the ledger untouched; `transaction()` does so for a block
+of operations by copying the pair dicts on entry.
 
 Timeouts fire in (due, id) order, with the clock reading the due instant
 inside each callback.  They are kept in a min-heap: registering and firing
@@ -18,12 +25,18 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from typing import Callable, Iterator, Optional
+from itertools import chain, count
+from math import gcd
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional
 
 from .trade import as_fraction
+
+#: An exact amount as (numerator, denominator): reduced, denominator > 0.
+Pair = tuple[int, int]
+_ZERO: Pair = (0, 1)
 
 
 class LedgerError(Exception):
@@ -58,22 +71,44 @@ class TimeoutPolicy:
                 f"need 0 <= threshold < timeout, got {self.threshold}, {self.timeout}"
             )
         if self.deposit is not None:
-            object.__setattr__(self, "deposit", as_fraction(self.deposit))
+            object.__setattr__(self, "deposit", Fraction(*_pair(self.deposit)))
             if self.deposit < 0:
                 raise ValueError(f"deposit must be >= 0, got {self.deposit}")
 
 
 def _require_whole(name: str, value) -> None:
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be a whole number of ticks, got {value!r}")
 
 
-def _amount(amount) -> Fraction:
-    """The one check of an amount that an operation moves."""
-    value = as_fraction(amount)
-    if value < 0:
-        raise ValueError(f"amount must be >= 0, got {value}")
+def _pair(value) -> Pair:
+    """Any rational as a pair; a bool is not an amount."""
+    if type(value) is not Fraction and type(value) is not int:
+        if isinstance(value, bool):
+            raise ValueError(f"an amount must be a number, got {value!r}")
+        value = as_fraction(value)
+    return value.numerator, value.denominator
+
+
+def _amount(amount) -> Pair:
+    """The one check of an amount that an operation moves, converted once."""
+    value = _pair(amount)
+    if value[0] < 0:
+        raise ValueError(f"amount must be >= 0, got {Fraction(*value)}")
     return value
+
+
+def _add(a: Pair, b: Pair) -> Pair:
+    """a + b, reduced, by the steps of `Fraction`'s own addition: a plain
+    integer add when the denominators agree, no gcd when they are coprime."""
+    (na, da), (nb, db) = a, b
+    g = da if da == db else gcd(da, db)
+    if g == 1:
+        return na * db + nb * da, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return t // g2, s * (db // g2)
 
 
 def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
@@ -85,31 +120,29 @@ def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     amount = as_fraction(deposit)
+    if amount < 0:
+        raise ValueError(f"deposit must be >= 0, got {amount}")
     if t <= policy.threshold:
         return amount
     if t < policy.timeout:
-        ramp = Fraction(t - policy.threshold, policy.timeout - policy.threshold)
-        return amount * (1 - ramp)
+        return amount * Fraction(policy.timeout - t, policy.timeout - policy.threshold)
     return Fraction(0)
 
 
-@dataclass
 class Ledger:
     """The per-move fee `tau` is its one setting; balances, pots, sinks,
     clock and move counts start empty and are kept by the operations below."""
 
-    tau: Fraction = Fraction(0)
-    balances: dict[str, Fraction] = field(init=False, default_factory=dict)
-    pots: dict[str, Fraction] = field(init=False, default_factory=dict)
-    fee_sink: Fraction = field(init=False, default=Fraction(0))
-    arbiter_sink: Fraction = field(init=False, default=Fraction(0))
-    time: int = field(init=False, default=0)
-    move_counts: dict[str, int] = field(init=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.tau = as_fraction(self.tau)
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+    def __init__(self, tau=Fraction(0)) -> None:
+        fee = _pair(tau)
+        if fee[0] < 0:
+            raise ValueError(f"tau must be >= 0, got {Fraction(*fee)}")
+        self._fee = fee
+        self._balances: dict[str, Pair] = {}
+        self._pots: dict[str, Pair] = {}
+        self._fee_sink = self._arbiter_sink = _ZERO
+        self.time = 0
+        self.move_counts: dict[str, int] = {}
         # id -> its live (due, seq, callback); the heap holds (due, id, seq)
         # for these and for the entries a cancel or a re-registration left
         # stale.  Stale entries hold no callback, so they keep nothing alive.
@@ -117,112 +150,136 @@ class Ledger:
         self._heap: list[tuple[int, str, int]] = []
         self._seq = count()
 
-    # -- accounts ----------------------------------------------------------
+    @property
+    def tau(self) -> Fraction:
+        return Fraction(*self._fee)
 
-    def open_account(self, name: str, balance=0) -> None:
-        if name in self.balances:
-            raise LedgerError(f"account {name!r} already exists")
-        amount = as_fraction(balance)
-        if amount < 0:
-            raise ValueError("opening balance must be >= 0")
-        self.balances[name] = amount
+    @property
+    def balances(self) -> Mapping[str, Fraction]:
+        return MappingProxyType({name: Fraction(*value) for name, value in self._balances.items()})
+
+    @property
+    def pots(self) -> Mapping[str, Fraction]:
+        return MappingProxyType({pot: Fraction(*value) for pot, value in self._pots.items()})
+
+    @property
+    def fee_sink(self) -> Fraction:
+        return Fraction(*self._fee_sink)
+
+    @property
+    def arbiter_sink(self) -> Fraction:
+        return Fraction(*self._arbiter_sink)
 
     def balance(self, name: str) -> Fraction:
         self._require_account(name)
-        return self.balances[name]
+        return Fraction(*self._balances[name])
+
+    def pot_balance(self, contract_id: str) -> Fraction:
+        return Fraction(*self._pots.get(contract_id, _ZERO))
+
+    def total_funds(self) -> Fraction:
+        sums: dict[int, int] = {}  # denominator -> sum of numerators
+        for n, d in chain(self._balances.values(), self._pots.values(), (self._fee_sink, self._arbiter_sink)):
+            sums[d] = sums.get(d, 0) + n
+        return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
+
+    # -- accounts ----------------------------------------------------------
+
+    def open_account(self, name: str, balance=0) -> None:
+        if name in self._balances:
+            raise LedgerError(f"account {name!r} already exists")
+        amount = _pair(balance)
+        if amount[0] < 0:
+            raise ValueError("opening balance must be >= 0")
+        self._balances[name] = amount
 
     def _require_account(self, name: str) -> None:
-        if name not in self.balances:
+        if name not in self._balances:
             raise UnknownAccountError(name)
 
-    def _move(self, party: str, amount: Fraction, contract_move: bool) -> None:
+    def _move(self, party: str, amount: Pair, contract_move: bool) -> None:
         """Credit `amount` to a party (a debit when negative); a contract move
         also costs the party the fee and counts as one of their moves.
 
         Raises, before any change, if the balance cannot cover it.
         """
-        self._require_account(party)
-        balance = self.balances[party] + amount
+        old = self._balances.get(party)
+        if old is None:
+            raise UnknownAccountError(party)
+        balance = _add(old, amount) if amount[0] else old
+        fee = self._fee if contract_move and self._fee[0] else None
+        if fee is not None:
+            balance = _add(balance, (-fee[0], fee[1]))
+        if balance[0] < 0:
+            raise InsufficientFundsError(f"{party} has {Fraction(*old)}, needs {Fraction(*old) - Fraction(*balance)}")
+        self._balances[party] = balance
         if contract_move:
-            balance -= self.tau
-        if balance < 0:
-            raise InsufficientFundsError(
-                f"{party} has {self.balances[party]}, needs {self.balances[party] - balance}"
-            )
-        self.balances[party] = balance
-        if contract_move:
-            self.fee_sink += self.tau
+            if fee is not None:
+                self._fee_sink = _add(self._fee_sink, fee)
             self.move_counts[party] = self.move_counts.get(party, 0) + 1
 
     # -- fund movement -----------------------------------------------------
 
     def transfer(self, src: str, dst: str, amount, contract_move: bool = False) -> None:
         """Move funds between accounts; a contract move also costs the fee."""
-        value = _amount(amount)
+        n, d = _amount(amount)
         self._require_account(dst)
-        self._move(src, -value, contract_move)
-        self.balances[dst] += value
+        self._move(src, (-n, d), contract_move)
+        self._balances[dst] = _add(self._balances[dst], (n, d))
 
     def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False) -> None:
-        value = _amount(amount)
-        self._move(party, -value, contract_move)
-        self.pots[contract_id] = self.pots.get(contract_id, Fraction(0)) + value
+        n, d = _amount(amount)
+        self._move(party, (-n, d), contract_move)
+        self._pots[contract_id] = _add(self._pots.get(contract_id, _ZERO), (n, d))
 
     def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False) -> None:
         """Pay out of a pot; a fee-bearing release is a withdrawal claimed by
         the recipient, who covers the fee out of the proceeds."""
         value = _amount(amount)
-        pot = self.pots.get(contract_id, Fraction(0))
-        if pot < value:
-            raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
+        rest = self._pot_less(contract_id, value)
         self._move(party, value, contract_move)
-        self.pots[contract_id] = pot - value
+        self._pots[contract_id] = rest
 
     def charge_move(self, party: str) -> None:
         """A fee-bearing contract move with no fund movement of its own."""
-        self._move(party, Fraction(0), contract_move=True)
+        self._move(party, _ZERO, contract_move=True)
 
     def pot_to_arbiter(self, contract_id: str, amount) -> None:
-        self.arbiter_sink += self._take_from_pot(contract_id, _amount(amount))
+        value = _amount(amount)
+        self._pots[contract_id] = self._pot_less(contract_id, value)
+        self._arbiter_sink = _add(self._arbiter_sink, value)
 
     def burn_from_pot(self, contract_id: str, amount) -> None:
-        self.fee_sink += self._take_from_pot(contract_id, _amount(amount))
+        value = _amount(amount)
+        self._pots[contract_id] = self._pot_less(contract_id, value)
+        self._fee_sink = _add(self._fee_sink, value)
 
-    def _take_from_pot(self, contract_id: str, value: Fraction) -> Fraction:
-        pot = self.pots.get(contract_id, Fraction(0))
-        if pot < value:
-            raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
-        self.pots[contract_id] = pot - value
-        return value
+    def _pot_less(self, contract_id: str, value: Pair) -> Pair:
+        """What the pot holds after paying out `value`; raises if it cannot."""
+        pot = self._pots.get(contract_id, _ZERO)
+        rest = _add(pot, (-value[0], value[1]))
+        if rest[0] < 0:
+            raise InsufficientFundsError(f"pot {contract_id} has {Fraction(*pot)}, needs {Fraction(*value)}")
+        return rest if rest[0] else _ZERO  # every emptied pot, kept for its id, shares one zero
 
     def open_pot(self, pot_id: str) -> None:
         """Open an empty pot under an id no pot has used on this ledger."""
-        if pot_id in self.pots:
+        if pot_id in self._pots:
             raise LedgerError(f"pot {pot_id!r} is already open")
-        self.pots[pot_id] = Fraction(0)
-
-    def pot_balance(self, contract_id: str) -> Fraction:
-        return self.pots.get(contract_id, Fraction(0))
+        self._pots[pot_id] = _ZERO
 
     @contextmanager
     def transaction(self) -> Iterator[None]:
         """All or nothing for a block of operations: if it raises, the fund
         state (balances, pots, move counts, both sinks) is put back as it was
-        on entry.  The clock and the pending timeouts are not restored."""
-        saved = dict(self.balances), dict(self.pots), dict(self.move_counts), self.fee_sink, self.arbiter_sink
+        on entry, from copies of its dicts.  The clock and the pending
+        timeouts are not restored."""
+        saved = dict(self._balances), dict(self._pots), dict(self.move_counts), self._fee_sink, self._arbiter_sink
         try:
             yield
         except BaseException:
-            self.balances, self.pots, self.move_counts, self.fee_sink, self.arbiter_sink = saved
+            self._balances, self._pots, self.move_counts, self._fee_sink, self._arbiter_sink = saved
             raise
-
-    def total_funds(self) -> Fraction:
-        return (
-            sum(self.balances.values(), Fraction(0))
-            + sum(self.pots.values(), Fraction(0))
-            + self.fee_sink
-            + self.arbiter_sink
-        )
 
     # -- time and timeouts ---------------------------------------------------
 
@@ -271,9 +328,9 @@ class Ledger:
 
     def snapshot(self) -> str:
         """Line-oriented dump: accounts, then pots and sinks, then the clock."""
-        lines = [f"{name} {self.balances[name]}" for name in sorted(self.balances)]
-        lines += [f"pot:{cid} {self.pots[cid]}" for cid in sorted(self.pots) if self.pots[cid]]
-        lines.append(f"fee_sink {self.fee_sink}")
-        lines.append(f"arbiter_sink {self.arbiter_sink}")
+        lines = [f"{name} {Fraction(*self._balances[name])}" for name in sorted(self._balances)]
+        lines += [f"pot:{cid} {Fraction(*self._pots[cid])}" for cid in sorted(self._pots) if self._pots[cid][0]]
+        lines.append(f"fee_sink {Fraction(*self._fee_sink)}")
+        lines.append(f"arbiter_sink {Fraction(*self._arbiter_sink)}")
         lines.append(f"time {self.time}")
         return "\n".join(lines) + "\n"

@@ -14,21 +14,59 @@ from escrowlab.agents import (
     all_seller_strategies,
     run_trial,
     simulate,
-    strategies_for_leaf,
     sweep,
     sweep_csv,
 )
-from escrowlab.gametree import HONEST_PROFILE, Leaf, leaf_payoff
+from escrowlab.gametree import (
+    AFTER_NOSEND,
+    AFTER_SEND,
+    DISPUTE_AFTER_NOSEND,
+    DISPUTE_AFTER_SEND,
+    HONEST_PROFILE,
+    ROOT,
+    Action,
+    Leaf,
+    leaf_path,
+    leaf_payoff,
+)
 from escrowlab.ledger import TimeoutPolicy
 from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld
 
 PARAMS = TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error="1/4")
 
 
+def seller_profile(strategy: SellerStrategy) -> dict:
+    """The seller's strategy as the game tree's moves at the seller's nodes."""
+    return {
+        ROOT: Action.SEND if strategy.send else Action.NOT_SEND,
+        DISPUTE_AFTER_SEND: Action.COUNTER if strategy.counter_if_delivered else Action.FORFEIT,
+        DISPUTE_AFTER_NOSEND: Action.COUNTER if strategy.counter_if_undelivered else Action.FORFEIT,
+    }
+
+
+def buyer_profile(strategy: BuyerStrategy) -> dict:
+    """The buyer's strategy as the game tree's moves at the buyer's nodes."""
+    return {
+        AFTER_SEND: Action.DISPUTE if strategy.dispute_if_delivered else Action.ACCEPT,
+        AFTER_NOSEND: Action.DISPUTE if strategy.dispute_if_undelivered else Action.ACCEPT,
+    }
+
+
+def strategies_for_leaf(leaf: Leaf) -> tuple[SellerStrategy, BuyerStrategy]:
+    """The strategy pair that forces play down to the given leaf."""
+    moves = {action for _, action in leaf_path(leaf)}
+    send = Action.SEND in moves
+    dispute = Action.DISPUTE in moves
+    counter = Action.COUNTER in moves
+    seller = SellerStrategy(send, counter, counter)
+    buyer = BuyerStrategy(dispute_if_delivered=dispute, dispute_if_undelivered=dispute)
+    return seller, buyer
+
+
 def test_strategy_spaces_cover_the_tree():
     assert len(all_seller_strategies()) == 8
     assert len(all_buyer_strategies()) == 4
-    honest = {**SellerStrategy.honest().to_profile(), **BuyerStrategy.honest().to_profile()}
+    honest = {**seller_profile(SellerStrategy.honest()), **buyer_profile(BuyerStrategy.honest())}
     assert honest == HONEST_PROFILE
 
 

@@ -22,9 +22,7 @@ from escrowlab.arbiter import (
     commit,
     oracle_arbitrate,
     parse_message,
-    parse_transcript,
     replay_winner,
-    serialize_transcript,
     verify,
 )
 from escrowlab.gametree import Party
@@ -33,6 +31,22 @@ from escrowlab.ledger import TimeoutPolicy
 # Critical value of the chi-square distribution with 1 degree of freedom at
 # the 0.99 quantile (significance 0.01).
 CHI2_1DF_CRIT_P99 = 6.6348966010212145
+
+
+def serialize_transcript(transcript) -> str:
+    """A transcript as text, one `sender line` per message."""
+    return "\n".join(f"{sender} {line}" for sender, line in transcript) + "\n"
+
+
+def parse_transcript(text: str):
+    """The transcript `serialize_transcript` wrote; blank lines are skipped."""
+    entries = []
+    for raw in text.splitlines():
+        if not raw.strip():
+            continue
+        sender, _, line = raw.partition(" ")
+        entries.append((sender, line))
+    return tuple(entries)
 
 
 def rand_bytes(rng, bits=COMMIT_RANDOMNESS_BITS):

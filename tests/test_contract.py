@@ -17,7 +17,7 @@ from escrowlab.contract import (
     propose,
 )
 from escrowlab.gametree import Party
-from escrowlab.ledger import InsufficientFundsError, Ledger, TimeoutPolicy, deposit_payback
+from escrowlab.ledger import InsufficientFundsError, Ledger, LedgerError, TimeoutPolicy, deposit_payback
 from escrowlab.trade import (
     Generic,
     InvalidSchemeError,
@@ -544,9 +544,10 @@ class NaiveEscrowContract:
                 "winner payout exceeds the pot; the contract cannot subsidize it"
             )
         # The id names the contract's pot, which the ledger keeps once opened.
-        if contract_id in ledger.pots:
-            raise DuplicateContractError(f"contract id {contract_id!r} is already used on this ledger")
-        ledger.pots[contract_id] = Fraction(0)
+        try:
+            ledger.open_pot(contract_id)
+        except LedgerError:
+            raise DuplicateContractError(f"contract id {contract_id!r} is already used on this ledger") from None
         self.ledger = ledger
         self.contract_id = contract_id
         self.buyer = buyer
@@ -794,8 +795,8 @@ class RecordingLedger(Ledger):
     """A ledger that also keeps the ordered list of calls made on it; a
     timeout is recorded without its callback."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, tau=0):
+        super().__init__(tau)
         self.calls = []
 
 

@@ -529,6 +529,29 @@ def test_margin_table_matches_the_naive_formulas_and_solver(data, kind):
     assert rows == [naive_security_report(p, kind(wager)) for wager in wagers]
 
 
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Standard, WinnerRebate, Withheld]))
+def test_some_wager_is_complete_iff_the_arbiter_favours_honesty_and_the_fee_allows(data, kind):
+    # The paper's "honesty is secure if and only if the arbiter favours honest
+    # parties", with fees: a complete wager exists exactly when the arbiter
+    # errs less than half the time, the sale is worth a fee to the seller,
+    # and, unless the winner pockets the loser's wager (slope > 0), the honest
+    # seller's expected arbitration gain covers the counter's fee.
+    x = data.draw(AMOUNT)
+    xs = x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+    gamma = data.draw(
+        st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(min_value=0, max_value=1, max_denominator=60)
+    )
+    # Every bound of the condition, and either side of it, is drawn.
+    fee = data.draw(
+        st.sampled_from([0, x - xs, (1 - gamma) * x, x])
+        | st.fractions(min_value=0, max_value=2 * x, max_denominator=12)
+    )
+    p = TradeParams(price=x, seller_value=xs, buyer_value=x + data.draw(AMOUNT), arbiter_error=gamma, fee=fee)
+    expected = gamma < Fraction(1, 2) and x - xs > fee and (kind.slope > 0 or fee < (1 - gamma) * x)
+    assert (not lambda_interval(p, kind).empty) == expected
+
+
 # ---------------------------------------------------------------------------
 # Winner rebate and withheld wagers
 # ---------------------------------------------------------------------------

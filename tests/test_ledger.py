@@ -1,4 +1,7 @@
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from escrowlab.ledger import (
     UnknownAccountError,
     deposit_payback,
 )
+from escrowlab.trade import as_fraction
 
 
 def fresh_ledger(tau=0):
@@ -188,6 +192,261 @@ def test_a_transaction_completes_as_plain_operations_or_changes_nothing(data, se
 
 
 # ---------------------------------------------------------------------------
+# Integer pairs against the Fraction ledger they replaced
+# ---------------------------------------------------------------------------
+
+
+def _naive_amount(amount):
+    value = as_fraction(amount)
+    if value < 0:
+        raise ValueError(f"amount must be >= 0, got {value}")
+    return value
+
+
+@dataclass
+class NaiveLedger:
+    """The ledger's fund operations as they were when every balance, pot and
+    sink was a `Fraction`, and every move did `Fraction` arithmetic.  Kept as
+    the reference; it has no scheduler (see `NaiveClock`), so its clock
+    stays at 0."""
+
+    tau: Fraction = Fraction(0)
+    balances: dict = field(init=False, default_factory=dict)
+    pots: dict = field(init=False, default_factory=dict)
+    fee_sink: Fraction = field(init=False, default=Fraction(0))
+    arbiter_sink: Fraction = field(init=False, default=Fraction(0))
+    time: int = field(init=False, default=0)
+    move_counts: dict = field(init=False, default_factory=dict)
+
+    def __post_init__(self):
+        self.tau = as_fraction(self.tau)
+        if self.tau < 0:
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
+
+    def open_account(self, name, balance=0):
+        if name in self.balances:
+            raise LedgerError(f"account {name!r} already exists")
+        amount = as_fraction(balance)
+        if amount < 0:
+            raise ValueError("opening balance must be >= 0")
+        self.balances[name] = amount
+
+    def balance(self, name):
+        self._require_account(name)
+        return self.balances[name]
+
+    def _require_account(self, name):
+        if name not in self.balances:
+            raise UnknownAccountError(name)
+
+    def _move(self, party, amount, contract_move):
+        self._require_account(party)
+        balance = self.balances[party] + amount
+        if contract_move:
+            balance -= self.tau
+        if balance < 0:
+            raise InsufficientFundsError(
+                f"{party} has {self.balances[party]}, needs {self.balances[party] - balance}"
+            )
+        self.balances[party] = balance
+        if contract_move:
+            self.fee_sink += self.tau
+            self.move_counts[party] = self.move_counts.get(party, 0) + 1
+
+    def transfer(self, src, dst, amount, contract_move=False):
+        value = _naive_amount(amount)
+        self._require_account(dst)
+        self._move(src, -value, contract_move)
+        self.balances[dst] += value
+
+    def escrow_deposit(self, party, contract_id, amount, contract_move=False):
+        value = _naive_amount(amount)
+        self._move(party, -value, contract_move)
+        self.pots[contract_id] = self.pots.get(contract_id, Fraction(0)) + value
+
+    def escrow_release(self, contract_id, party, amount, contract_move=False):
+        value = _naive_amount(amount)
+        pot = self.pots.get(contract_id, Fraction(0))
+        if pot < value:
+            raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
+        self._move(party, value, contract_move)
+        self.pots[contract_id] = pot - value
+
+    def charge_move(self, party):
+        self._move(party, Fraction(0), contract_move=True)
+
+    def pot_to_arbiter(self, contract_id, amount):
+        self.arbiter_sink += self._take_from_pot(contract_id, _naive_amount(amount))
+
+    def burn_from_pot(self, contract_id, amount):
+        self.fee_sink += self._take_from_pot(contract_id, _naive_amount(amount))
+
+    def _take_from_pot(self, contract_id, value):
+        pot = self.pots.get(contract_id, Fraction(0))
+        if pot < value:
+            raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
+        self.pots[contract_id] = pot - value
+        return value
+
+    def open_pot(self, pot_id):
+        if pot_id in self.pots:
+            raise LedgerError(f"pot {pot_id!r} is already open")
+        self.pots[pot_id] = Fraction(0)
+
+    def pot_balance(self, contract_id):
+        return self.pots.get(contract_id, Fraction(0))
+
+    @contextmanager
+    def transaction(self):
+        saved = dict(self.balances), dict(self.pots), dict(self.move_counts), self.fee_sink, self.arbiter_sink
+        try:
+            yield
+        except BaseException:
+            self.balances, self.pots, self.move_counts, self.fee_sink, self.arbiter_sink = saved
+            raise
+
+    def total_funds(self):
+        return (
+            sum(self.balances.values(), Fraction(0))
+            + sum(self.pots.values(), Fraction(0))
+            + self.fee_sink
+            + self.arbiter_sink
+        )
+
+    def snapshot(self):
+        lines = [f"{name} {self.balances[name]}" for name in sorted(self.balances)]
+        lines += [f"pot:{cid} {self.pots[cid]}" for cid in sorted(self.pots) if self.pots[cid]]
+        lines.append(f"fee_sink {self.fee_sink}")
+        lines.append(f"arbiter_sink {self.arbiter_sink}")
+        lines.append(f"time {self.time}")
+        return "\n".join(lines) + "\n"
+
+
+#: Primes above 10,000; an amount drawn as ("prime", n) becomes n over the
+#: next one, so each such amount brings a denominator no earlier one had.
+PRIMES = [p for p in range(10_007, 14_000, 2) if all(p % q for q in range(3, isqrt(p) + 1, 2))]
+
+AMOUNT = st.one_of(
+    st.fractions(min_value=0, max_value=6, max_denominator=12),
+    st.integers(0, 6),
+    st.sampled_from(["1/3", "0.5", 0.25, 1.5, "7/9"]),
+    st.tuples(st.just("prime"), st.integers(0, 60_000)),
+    st.fractions(min_value=-2, max_value=Fraction(-1, 12), max_denominator=12),
+    st.sampled_from([-1, -3, "-1/2", -0.5]),
+)
+PARTY = st.sampled_from(["a", "a", "b", "b", "ghost"])
+POT = st.sampled_from(["p1", "p2"])
+LEDGER_OP = st.one_of(
+    st.tuples(st.just("transfer"), PARTY, PARTY, AMOUNT, st.booleans()),
+    st.tuples(st.just("escrow_deposit"), PARTY, POT, AMOUNT, st.booleans()),
+    st.tuples(st.just("escrow_release"), POT, PARTY, AMOUNT, st.booleans()),
+    st.tuples(st.just("charge_move"), PARTY),
+    st.tuples(st.just("pot_to_arbiter"), POT, AMOUNT),
+    st.tuples(st.just("burn_from_pot"), POT, AMOUNT),
+    st.tuples(st.just("open_pot"), POT),
+    st.tuples(st.just("open_account"), st.sampled_from(["a", "c"]), AMOUNT),
+    st.tuples(st.just("balance"), PARTY),
+    st.tuples(st.just("pot_balance"), POT),
+)
+#: A plain operation, or a transaction block of them that may raise at its end.
+LEDGER_STEP = LEDGER_OP | st.tuples(st.just("transaction"), st.lists(LEDGER_OP, max_size=6), st.booleans())
+
+
+def _fresh_denominators(value, primes):
+    if isinstance(value, tuple) and value[:1] == ("prime",):
+        return Fraction(value[1], next(primes))
+    if isinstance(value, (tuple, list)):
+        return type(value)(_fresh_denominators(v, primes) for v in value)
+    return value
+
+
+def _ledger_op(ledger, op):
+    name, *args = op
+    if name in ("transfer", "escrow_deposit", "escrow_release"):
+        *args, fee = args
+        return getattr(ledger, name)(*args, contract_move=fee)
+    return getattr(ledger, name)(*args)
+
+
+def _ledger_step(ledger, step):
+    """The step's result, or the type and message of what it raised."""
+    try:
+        if step[0] != "transaction":
+            return "returned", _ledger_op(ledger, step)
+        _, ops, abort = step
+        with ledger.transaction():
+            for op in ops:
+                _ledger_op(ledger, op)
+            if abort:
+                raise Abort("the block gave up")
+        return "returned", None
+    except (Abort, LedgerError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _ledger_state(ledger):
+    return (
+        ledger.snapshot(), dict(ledger.move_counts), dict(ledger.balances), dict(ledger.pots),
+        ledger.fee_sink, ledger.arbiter_sink, ledger.total_funds(), ledger.tau,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tau=st.sampled_from([0, Fraction(1, 10), Fraction(2, 7), "1/3", 0.5, Fraction(1, 10_009)]),
+    opening=st.tuples(AMOUNT, AMOUNT),
+    steps=st.lists(LEDGER_STEP, max_size=25),
+)
+def test_integer_pairs_match_the_fraction_ledger(tau, opening, steps):
+    # Every operation, plain or in a transaction block that raises, with
+    # amounts given as Fractions, ints, strings and floats, refused ones
+    # included, and many on a fresh prime denominator: the two ledgers
+    # return, raise and record the same, and read back the same Fractions.
+    primes = iter(PRIMES)
+    opening, steps = _fresh_denominators((opening, steps), primes)
+    ours, naive = Ledger(tau=tau), NaiveLedger(tau=tau)
+    for ledger in (ours, naive):
+        for name, amount in zip("ab", opening):
+            _ledger_step(ledger, ("open_account", name, amount))
+    assert _ledger_state(ours) == _ledger_state(naive)
+    for step in steps:
+        assert _ledger_step(ours, step) == _ledger_step(naive, step)
+        state = _ledger_state(ours)
+        assert state == _ledger_state(naive)
+        assert all(type(v) is Fraction for v in (*state[2].values(), *state[3].values(), *state[4:]))
+
+
+def test_amounts_on_fresh_prime_denominators_stay_exact():
+    # Each deposit and release brings a new prime; the pot ends exactly empty.
+    ledger = Ledger(tau=Fraction(1, 10_007))
+    ledger.open_account("a", 10)
+    ledger.open_account("b", 0)
+    amounts = [Fraction(1, p) for p in PRIMES[1:60]]
+    for amount in amounts:
+        ledger.escrow_deposit("a", "p", amount, contract_move=True)
+    for amount in reversed(amounts):
+        ledger.escrow_release("p", "b", amount)
+    assert ledger.pot_balance("p") == 0
+    assert ledger.balance("b") == sum(amounts)
+    assert ledger.balance("a") == 10 - sum(amounts) - Fraction(59, 10_007)
+    assert ledger.total_funds() == 10
+    assert ledger.snapshot().startswith(f"a {ledger.balance('a')}\nb {ledger.balance('b')}\nfee_sink 59/10007\n")
+
+
+def test_balances_and_pots_read_back_as_read_only_fractions():
+    ledger = fresh_ledger()
+    ledger.escrow_deposit("buyer", "c1", Fraction(1, 3))
+    assert dict(ledger.balances) == {"buyer": Fraction(29, 3), "seller": 10}
+    assert dict(ledger.pots) == {"c1": Fraction(1, 3)}
+    assert "c1" in ledger.pots and "c2" not in ledger.pots
+    with pytest.raises(TypeError):
+        ledger.balances["buyer"] = Fraction(100)
+    with pytest.raises(TypeError):
+        ledger.pots["c1"] = Fraction(0)
+    assert ledger.balance("buyer") == Fraction(29, 3)
+
+
+# ---------------------------------------------------------------------------
 # Liveness payback
 # ---------------------------------------------------------------------------
 
@@ -295,6 +554,9 @@ TIMES = {
     "a fractional threshold": lambda ledger: TimeoutPolicy(0.5, 2),
     "a fractional timeout": lambda ledger: TimeoutPolicy(0, 2.5),
     "a timeout that is a float": lambda ledger: TimeoutPolicy(1, 3.0),
+    "a bool as a tick count": lambda ledger: ledger.advance_time(True),
+    "a bool as a due": lambda ledger: ledger.register_timeout("c1", True, lambda: None),
+    "bools as threshold and timeout": lambda ledger: TimeoutPolicy(threshold=False, timeout=True),
 }
 
 
@@ -305,6 +567,33 @@ def test_time_is_counted_in_whole_ticks(act):
     with pytest.raises(ValueError, match="must be a whole number of ticks"):
         act(ledger)
     assert ledger.snapshot() == before
+
+
+BOOL_AMOUNTS = {
+    "an opening balance": lambda ledger: ledger.open_account("a", True),
+    "a deposit": lambda ledger: ledger.escrow_deposit("buyer", "c1", True),
+    "a transfer": lambda ledger: ledger.transfer("buyer", "seller", False),
+    "a fee": lambda ledger: Ledger(tau=True),
+    "a liveness deposit": lambda ledger: TimeoutPolicy(1, 2, deposit=True),
+}
+
+
+@pytest.mark.parametrize("act", BOOL_AMOUNTS.values(), ids=BOOL_AMOUNTS.keys())
+def test_a_bool_is_not_an_amount(act):
+    ledger = fresh_ledger()
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match=r"^an amount must be a number, got (True|False)$"):
+        act(ledger)
+    assert ledger.snapshot() == before
+    assert "a" not in ledger.balances
+
+
+def test_a_negative_deposit_has_no_payback():
+    with pytest.raises(ValueError, match=r"^deposit must be >= 0, got -3$"):
+        deposit_payback(5, TimeoutPolicy(4, 12), -3)
+    with pytest.raises(ValueError, match=r"^deposit must be >= 0, got -1/2$"):
+        deposit_payback(0, TimeoutPolicy(4, 12), "-1/2")
+    assert deposit_payback(5, TimeoutPolicy(4, 12), 0) == 0
 
 
 def test_snapshot_format_is_stable():

@@ -173,8 +173,8 @@ def test_every_step_charges_one_interaction():
 
 
 def test_unfunded_purchases_are_cancelled():
-    ledger = fresh_ledger(["rich", "poor"], endow=100)
-    ledger.balances["poor"] = Fraction(1)
+    ledger = fresh_ledger(["rich"], endow=100)
+    ledger.open_account("poor", 1)
     result = multiparty_run(
         ledger, ["rich", "poor"], [[0, 2], [3, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]],
         rng=Random(1),
@@ -184,8 +184,8 @@ def test_unfunded_purchases_are_cancelled():
 
 
 def test_unfunded_disputes_default_to_acceptance():
-    ledger = fresh_ledger(["buyer", "seller"], endow=100)
-    ledger.balances["buyer"] = Fraction(4)  # covers the price 4, not the wager
+    ledger = fresh_ledger(["seller"], endow=100)
+    ledger.open_account("buyer", 4)  # covers the price 4, not the wager
     result = multiparty_run(
         ledger, ["buyer", "seller"], [[0, 4], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]],
         rng=Random(1),
@@ -195,8 +195,8 @@ def test_unfunded_disputes_default_to_acceptance():
 
 
 def test_unfunded_counters_default_to_forfeit():
-    ledger = fresh_ledger(["buyer", "seller"], endow=100)
-    ledger.balances["seller"] = Fraction(0)
+    ledger = fresh_ledger(["buyer"], endow=100)
+    ledger.open_account("seller", 0)
     result = multiparty_run(
         ledger, ["buyer", "seller"], [[0, 4], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
         rng=Random(1),
@@ -390,8 +390,8 @@ def naive(ledger, parties, payments, disputes, counters, rng=None, coin_matrix=N
 class RecordingLedger(Ledger):
     """A ledger that also keeps the list of batch calls made on it."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, tau=0):
+        super().__init__(tau)
         self.calls = []
 
     def escrow_deposit(self, *args, **kwargs):
