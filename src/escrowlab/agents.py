@@ -121,11 +121,8 @@ def run_trial(
             )
 
     assert contract.phase is Phase.SETTLED
-    buyer_lost_item = (
-        contract.last_verdict is not None
-        and contract.disputed_after_delivery
-        and contract.last_verdict.winner is Party.SELLER
-    )
+    # Read only for a delivered item: an arbitration won by the seller keeps it from the buyer.
+    buyer_lost_item = contract.last_verdict is not None and contract.last_verdict.winner is Party.SELLER
     buyer_utility = ledger.balance("buyer") - endow
     if contract.delivered and not buyer_lost_item:
         buyer_utility += params.buyer_value

@@ -56,26 +56,6 @@ def verify(digest: bytes, bit: int, randomness: bytes) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Commitment:
-    """A committer's local state: the published digest and its secret opening."""
-
-    digest: bytes
-    bit: int
-    randomness: bytes
-
-    @classmethod
-    def create(cls, bit: int, randomness: bytes) -> "Commitment":
-        return cls(digest=commit(bit, randomness), bit=bit, randomness=randomness)
-
-    @classmethod
-    def sample(cls, rng: Random) -> "Commitment":
-        return cls.create(rng.getrandbits(1), rng.randbytes(COMMIT_RANDOMNESS_BITS // 8))
-
-    def opening(self) -> tuple[int, bytes]:
-        return self.bit, self.randomness
-
-
 # ---------------------------------------------------------------------------
 # Wire messages
 # ---------------------------------------------------------------------------
@@ -230,14 +210,14 @@ class HonestSeller:
 
     def __init__(self, rng: Random):
         self.rng = rng
-        self._commitment: Optional[Commitment] = None
+        self._opening: Optional[Open] = None
 
     def respond(self, request: str, transcript: Transcript):
         if request == "commit":
-            self._commitment = Commitment.sample(self.rng)
-            return Commit(self._commitment.digest)
-        if request == "open" and self._commitment is not None:
-            return Open(*self._commitment.opening())
+            self._opening = Open(self.rng.getrandbits(1), self.rng.randbytes(COMMIT_RANDOMNESS_BITS // 8))
+            return Commit(commit(self._opening.bit, self._opening.randomness))
+        if request == "open":
+            return self._opening
         return None
 
 

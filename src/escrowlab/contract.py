@@ -122,7 +122,6 @@ class EscrowContract:
 
         self.seller_accepted = False
         self.delivered = False
-        self.disputed_after_delivery = False
         self.last_verdict: Optional[Verdict] = None
         self.settled_how: Optional[str] = None
 
@@ -212,7 +211,6 @@ class EscrowContract:
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
         self._pay_in(actor, "dispute", self.stake, Phase.DISPUTED)
         self._wagered += self.stake
-        self.disputed_after_delivery = self.delivered
 
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""

@@ -2,13 +2,14 @@
 
 Three independent routes answer the same questions:
 
-* closed-form node margins, one affine table (the analytic checkers below),
-* backward induction over the built tree,
+* closed-form node margins, one affine table, `_margin_table`,
+* backward induction over the built tree's leaves,
 * brute-force enumeration of every pure strategy profile.
 
-The analytic layer is the production surface; the other two act as oracles in
-the test suite.  Everything is exact rational arithmetic, so strict versus
-non-strict boundaries are decided without tolerance.
+The analytic layer is the production surface: every checker below reads the
+table, directly or through the `SecurityReport` built from it; the other two
+act as oracles in the test suite.  Everything is exact rational arithmetic,
+so strict versus non-strict boundaries are decided without tolerance.
 """
 
 from __future__ import annotations
@@ -124,12 +125,6 @@ class SoundnessPreconditionError(ValueError):
     (needs buyer_value - epsilon >= price >= epsilon)."""
 
 
-def soundness_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction]:
-    """The three dispute-layer margins that bound every dishonest deviation."""
-    rows, margins = _margins(params, scheme)
-    return {row.name: margin for row, margin in zip(rows, margins) if row.dispute}
-
-
 def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
     """Does every dishonest action lose at least epsilon versus honest play?
 
@@ -146,7 +141,8 @@ def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
             f"need buyer_value - eps >= price >= eps, got "
             f"y={params.buyer_value} x={params.price} eps={eps}"
         )
-    return all(margin >= eps for margin in soundness_margins(params, scheme).values())
+    eps_max = security_report(params, scheme).sound_epsilon_max  # the least dispute-layer margin
+    return eps_max is not None and eps_max >= eps
 
 
 def sound_epsilon_max(params: TradeParams, scheme: WagerScheme) -> Optional[Fraction]:
@@ -247,14 +243,18 @@ def withheld_security(params: TradeParams) -> SecurityReport:
 def generic_impossibility(omega, ell, gamma) -> bool:
     """Can an arbitrary payout rule make the seller's dispute choices honest?
 
-    True iff a dishonest seller's countering value is strictly below an
-    honest seller's, which for any rule where winning is preferred to losing
-    happens exactly when the arbiter favors honest parties (gamma < 1/2).
+    True iff the seller's counter and forfeit margins, at win = omega and
+    loss = ell, sum to more than 0.  The sum is (1 - 2 gamma)(omega + ell),
+    the fee cancelling, so for any rule where winning is preferred to losing
+    it is positive exactly when the arbiter favors honest parties
+    (gamma < 1/2).  Only gamma enters those rows; the trade is a placeholder.
     """
-    w, l, g = as_fraction(omega), as_fraction(ell), as_fraction(gamma)
+    w, l = as_fraction(omega), as_fraction(ell)
     if w + l <= 0:
         raise ValueError("winning must be preferred to losing (omega > -ell)")
-    return w * g - l * (1 - g) < w * (1 - g) - l * g
+    rows = _margin_table(TradeParams(price=1, buyer_value=2, arbiter_error=gamma))
+    seller = (SELLER_COUNTERS, SELLER_FORFEITS)
+    return sum(row.constant + row.per_win * w + row.per_loss * l for row in rows if row.name in seller) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +305,9 @@ def lambda_interval(
     epsilon-sound (epsilon given).
 
     Completeness bounds are open (strict inequalities), soundness bounds
-    closed.  Empty when the constraints conflict, including when a
-    wager-independent completeness condition already fails.
+    closed, and a lower bound at 0 always open.  Empty when the constraints
+    conflict, including when a wager-independent completeness condition
+    already fails.
     """
     rows, forms = _wager_forms(params, wager_class(scheme).slope)
     if epsilon is None:
@@ -320,9 +321,7 @@ def lambda_interval(
 
     # Each margin is constant + coeff * wager, and must be > 0 (complete)
     # or >= eps (sound); a zero coeff leaves a condition on the setup alone.
-    lower, lower_closed = Fraction(0), False  # wagers must be positive
-    upper: Optional[Fraction] = None
-    upper_closed = False
+    lowers, uppers = [Fraction(0)], []  # wagers must be positive
     for row, (constant, coeff) in zip(rows, forms):
         if not (strict or row.dispute):
             continue
@@ -330,24 +329,13 @@ def lambda_interval(
         if coeff == 0:
             if bound > 0 or (strict and bound == 0):
                 return LambdaInterval.nothing()
-            continue
-        point = bound / coeff
-        if coeff > 0:
-            if point > lower:
-                lower, lower_closed = point, not strict
-            elif point == lower:
-                lower_closed = lower_closed and not strict
         else:
-            if upper is None or point < upper:
-                upper, upper_closed = point, not strict
-            elif point == upper:
-                upper_closed = upper_closed and not strict
-
-    if upper is not None:
-        if lower > upper:
-            return LambdaInterval.nothing()
-        if lower == upper and not (lower_closed and upper_closed):
-            return LambdaInterval.nothing()
+            (lowers if coeff > 0 else uppers).append(bound / coeff)
+    lower, upper = max(lowers), min(uppers, default=None)
+    lower_closed = not strict and lower > 0
+    upper_closed = not strict and upper is not None
+    if upper is not None and (lower > upper or (lower == upper and not (lower_closed and upper_closed))):
+        return LambdaInterval.nothing()
     return LambdaInterval(lower, lower_closed, upper, upper_closed)
 
 
@@ -370,11 +358,6 @@ class SolvedTree:
     chosen: dict[str, Action]
     margins: dict[str, Fraction]
     tied: dict[str, tuple[Action, ...]]
-    values: dict[str, PayoffPair]
-
-    @property
-    def profile(self) -> Profile:
-        return dict(self.chosen)
 
     @property
     def is_honest(self) -> bool:
@@ -389,7 +372,6 @@ def backward_induction(tree: GameTree) -> SolvedTree:
     chosen: dict[str, Action] = {}
     margins: dict[str, Fraction] = {}
     tied: dict[str, tuple[Action, ...]] = {}
-    values: dict[str, PayoffPair] = {}
 
     def solve(node: TreeNode) -> PayoffPair:
         if isinstance(node, LeafNode):
@@ -404,11 +386,10 @@ def backward_induction(tree: GameTree) -> SolvedTree:
         chosen[node.node_id] = pick
         margins[node.node_id] = best_value - runner_up
         tied[node.node_id] = tuple(maximizers)
-        values[node.node_id] = outcomes[pick]
         return outcomes[pick]
 
     solve(tree.root)
-    return SolvedTree(tree=tree, chosen=chosen, margins=margins, tied=tied, values=values)
+    return SolvedTree(tree=tree, chosen=chosen, margins=margins, tied=tied)
 
 
 # ---------------------------------------------------------------------------

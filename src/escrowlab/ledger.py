@@ -27,7 +27,7 @@ import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain
 from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
@@ -82,10 +82,8 @@ def _require_whole(name: str, value) -> None:
 
 
 def _pair(value) -> Pair:
-    """Any rational as a pair; a bool is not an amount."""
+    """Any rational as a pair; `as_fraction` refuses a bool."""
     if type(value) is not Fraction and type(value) is not int:
-        if isinstance(value, bool):
-            raise ValueError(f"an amount must be a number, got {value!r}")
         value = as_fraction(value)
     return value.numerator, value.denominator
 
@@ -117,6 +115,7 @@ def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
     Full deposit up to the threshold, linear ramp down to zero at the
     timeout, nothing after.
     """
+    _require_whole("t", t)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     amount = as_fraction(deposit)
@@ -143,12 +142,11 @@ class Ledger:
         self._fee_sink = self._arbiter_sink = _ZERO
         self.time = 0
         self.move_counts: dict[str, int] = {}
-        # id -> its live (due, seq, callback); the heap holds (due, id, seq)
-        # for these and for the entries a cancel or a re-registration left
-        # stale.  Stale entries hold no callback, so they keep nothing alive.
-        self._timeouts: dict[str, tuple[int, int, Callable[[], None]]] = {}
-        self._heap: list[tuple[int, str, int]] = []
-        self._seq = count()
+        # id -> its live (due, callback); the heap holds (due, id) for these
+        # and for the entries a cancel or a re-registration left stale.
+        # Stale entries hold no callback, so they keep nothing alive.
+        self._timeouts: dict[str, tuple[int, Callable[[], None]]] = {}
+        self._heap: list[tuple[int, str]] = []
 
     @property
     def tau(self) -> Fraction:
@@ -289,13 +287,12 @@ class Ledger:
         _require_whole("due", due)
         if due <= self.time:
             raise ValueError(f"due {due} is not in the future (now {self.time})")
-        seq = next(self._seq)
-        self._timeouts[contract_id] = (due, seq, callback)
-        heapq.heappush(self._heap, (due, contract_id, seq))
+        self._timeouts[contract_id] = (due, callback)
+        heapq.heappush(self._heap, (due, contract_id))
         # Rebuild once stale entries outnumber live ones; the slack of 64
         # spares a small heap a rebuild every few registrations.
         if len(self._heap) > 2 * len(self._timeouts) + 64:
-            self._heap = [(d, cid, s) for cid, (d, s, _) in self._timeouts.items()]
+            self._heap = [(d, cid) for cid, (d, _) in self._timeouts.items()]
             heapq.heapify(self._heap)
 
     def cancel_timeout(self, contract_id: str) -> None:
@@ -315,11 +312,14 @@ class Ledger:
             raise ValueError(f"ticks must be > 0, got {ticks}")
         target = self.time + ticks
         while self._heap and self._heap[0][0] <= target:
-            due, cid, seq = heapq.heappop(self._heap)
+            # An entry is stale if its id has no live timeout at its due.  The
+            # first of equal (due, id) entries fires and removes the live one,
+            # and no registration can reuse a due at or before the clock.
+            due, cid = heapq.heappop(self._heap)
             live = self._timeouts.get(cid)
-            if live is None or live[1] != seq:
+            if live is None or live[0] != due:
                 continue  # cancelled or re-registered since it was pushed
-            _, _, callback = self._timeouts.pop(cid)
+            _, callback = self._timeouts.pop(cid)
             self.time = max(self.time, due)
             callback()
         self.time = target

@@ -105,15 +105,21 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
 
 
 def _as_bits(n: int, rows, name: str) -> list[list[int]]:
+    """Rows of 0/1 ints; a string is parsed, and a number must be whole."""
     out = []
     for i in range(n):
         try:
-            row = list(map(int, rows[i]))
-        except (TypeError, ValueError):
+            entries = rows[i]
+            if entries.__class__ is not list:  # read twice below, so a one-pass row is copied
+                entries = list(entries)
+            row = list(map(int, entries))
+        except (TypeError, ValueError, OverflowError):
             raise MultipartyError(f"{name} entries must be 0 or 1") from None
         if len(row) != n:
             raise MultipartyError(f"{name} must be {n}x{n}")
-        if not set(row) <= {0, 1}:
+        if not set(row) <= {0, 1} or (
+            row != entries and any(b != v for b, v in zip(row, entries) if not isinstance(v, str))
+        ):
             raise MultipartyError(f"{name} entries must be 0 or 1")
         out.append(row)
     return out

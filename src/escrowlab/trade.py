@@ -22,10 +22,12 @@ def as_fraction(value: Rational) -> Fraction:
     """Coerce to an exact Fraction.
 
     Floats go through their decimal repr ("0.1" -> 1/10) rather than their
-    binary expansion, so CLI-style inputs stay exact.
+    binary expansion, so CLI-style inputs stay exact.  A bool is not a number.
     """
     if isinstance(value, float):
         return Fraction(str(value))
+    if isinstance(value, bool):
+        raise ValueError(f"an amount must be a number, got {value!r}")
     return Fraction(value)
 
 

@@ -85,12 +85,15 @@ def test_commit_is_deterministic():
     assert commit(1, r) == commit(1, r)
 
 
-def test_commitment_record_carries_its_own_opening():
-    from escrowlab.arbiter import Commitment
-
-    c = Commitment.sample(Random(10))
-    assert verify(c.digest, *c.opening())
-    assert Commitment.create(c.bit, c.randomness).digest == c.digest
+def test_an_honest_sellers_opening_verifies_its_own_commitment():
+    seller = HonestSeller(Random(10))
+    assert seller.respond("open", ()) is None  # nothing to open before it commits
+    committed = seller.respond("commit", ())
+    opening = seller.respond("open", (("seller", committed.wire()),))
+    assert verify(committed.digest, opening.bit, opening.randomness)
+    assert committed == Commit(commit(opening.bit, opening.randomness))
+    draws = Random(10)  # the bit first, then the randomness
+    assert (opening.bit, opening.randomness) == (draws.getrandbits(1), draws.randbytes(COMMIT_RANDOMNESS_BITS // 8))
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,6 @@ def _state_key(contract):
         contract.phase,
         contract.seller_accepted,
         contract.delivered,
-        contract.disputed_after_delivery,
     )
 
 
@@ -559,7 +558,6 @@ class NaiveEscrowContract:
         self.phase = Phase.PROPOSED
         self.seller_accepted = False
         self.delivered = False
-        self.disputed_after_delivery = False
         self.last_verdict: Optional[Verdict] = None
         self.settled_how: Optional[str] = None
 
@@ -674,7 +672,6 @@ class NaiveEscrowContract:
         self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
         self._mark_response(actor)
         self.buyer_wager_pot += self.stake
-        self.disputed_after_delivery = self.delivered
         self._enter(Phase.DISPUTED)
         self._log(actor, "dispute", self.stake)
 
@@ -878,7 +875,7 @@ def _diff_state(ledger, contract, error):
         error, list(contract.events), contract.settled_how, contract.phase,
         dict(contract.worst_lateness), dict(contract.liveness_deposits), ledger.snapshot(),
         dict(ledger.move_counts), list(ledger.calls), contract.pot_total(), contract.last_verdict,
-        (contract.seller_accepted, contract.delivered, contract.disputed_after_delivery),
+        (contract.seller_accepted, contract.delivered),
     )
 
 

@@ -25,7 +25,6 @@ from escrowlab.equilibrium import (
     profile_epsilon,
     security_report,
     sound_epsilon_max,
-    soundness_margins,
     winner_rebate_lambda,
     withheld_security,
 )
@@ -46,6 +45,10 @@ from conftest import draw_params, rand_fraction
 
 def params(x=1, xs=0, y=2, gamma=0, fee=0):
     return TradeParams(price=x, seller_value=xs, buyer_value=y, arbiter_error=gamma, fee=fee)
+
+
+#: The report's dispute-layer slacks, the margins that bound every dishonest deviation.
+DISPUTE_LAYER = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +188,7 @@ def test_soundness_boundary_has_zero_slack_on_the_forfeit_constraint():
     p = params(x=1, y=3, gamma="1/4")
     eps = Fraction(1, 2)  # x(1 - 2g)
     assert check_soundness(p, Standard(1), eps)
-    margins = soundness_margins(p, Standard(1))
-    assert margins[SELLER_FORFEITS] - eps == 0
+    assert security_report(p, Standard(1)).slacks[SELLER_FORFEITS] - eps == 0
 
 
 def test_soundness_precondition_signalled_distinctly():
@@ -298,8 +300,7 @@ def test_strong_implies_complete_and_sound_at_the_reported_bound():
         report = security_report(p, Standard(lam))
         if report.strong:
             assert report.complete
-            margins = soundness_margins(p, Standard(lam))
-            assert all(m >= report.strong_epsilon for m in margins.values())
+            assert all(report.slacks[name] >= report.strong_epsilon for name in DISPUTE_LAYER)
         if report.complete:
             assert report.weak
 
@@ -520,10 +521,10 @@ def test_margin_table_matches_the_naive_formulas_and_solver(data, kind):
         scheme = kind(wager)
         naive = naive_node_margins(p, scheme)
         assert list(node_margins(p, scheme).items()) == list(naive.items())
-        assert soundness_margins(p, scheme) == {
+        report, expected = security_report(p, scheme), naive_security_report(p, scheme)
+        assert {name: report.slacks[name] for name in DISPUTE_LAYER} == {
             NAIVE_NAMES[node]: naive[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND)
         }
-        report, expected = security_report(p, scheme), naive_security_report(p, scheme)
         assert report == expected and list(report.slacks) == list(expected.slacks)
     rows = sweep(x, xs, p.buyer_value, gammas=[gamma], wagers=wagers, fees=[fee], schemes=[kind])
     assert rows == [naive_security_report(p, kind(wager)) for wager in wagers]
@@ -644,3 +645,30 @@ def test_generic_impossibility_boundary_is_sharp():
 def test_generic_impossibility_requires_winning_preferred():
     with pytest.raises(ValueError):
         generic_impossibility(-1, 1, 0)
+
+
+def naive_generic_impossibility(omega, ell, gamma):
+    """Reference: a dishonest seller's countering value is strictly below an
+    honest seller's."""
+    w, l, g = Fraction(omega), Fraction(ell), Fraction(gamma)
+    return w * g - l * (1 - g) < w * (1 - g) - l * g
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    omega=st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    ell=st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    gamma=st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(min_value=0, max_value=1, max_denominator=60),
+)
+def test_generic_impossibility_reads_the_seller_rows_of_the_margin_table(omega, ell, gamma):
+    if omega + ell <= 0:
+        with pytest.raises(ValueError, match="winning must be preferred"):
+            generic_impossibility(omega, ell, gamma)
+    else:
+        assert generic_impossibility(omega, ell, gamma) == naive_generic_impossibility(omega, ell, gamma)
+
+
+@pytest.mark.parametrize("gamma", [-1, Fraction(-1, 100), Fraction(101, 100), 2, "3/2"])
+def test_generic_impossibility_refuses_a_gamma_outside_the_unit_interval(gamma):
+    with pytest.raises(ValueError, match=r"arbiter_error must lie in \[0, 1\]"):
+        generic_impossibility(2, 1, gamma)

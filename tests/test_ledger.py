@@ -557,6 +557,7 @@ TIMES = {
     "a bool as a tick count": lambda ledger: ledger.advance_time(True),
     "a bool as a due": lambda ledger: ledger.register_timeout("c1", True, lambda: None),
     "bools as threshold and timeout": lambda ledger: TimeoutPolicy(threshold=False, timeout=True),
+    "a response time": lambda ledger: deposit_payback(True, TimeoutPolicy(1, 2), 4),
 }
 
 
@@ -575,6 +576,7 @@ BOOL_AMOUNTS = {
     "a transfer": lambda ledger: ledger.transfer("buyer", "seller", False),
     "a fee": lambda ledger: Ledger(tau=True),
     "a liveness deposit": lambda ledger: TimeoutPolicy(1, 2, deposit=True),
+    "a payback deposit": lambda ledger: deposit_payback(0, TimeoutPolicy(1, 2), True),
 }
 
 

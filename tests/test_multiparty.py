@@ -291,6 +291,21 @@ def test_input_validation():
         multiparty_run(ledger, ["a", "b"], [[0, -1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
     with pytest.raises(MultipartyError):
         multiparty_run(ledger, ["a", "b"], [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])  # no rng
+    with pytest.raises(MultipartyError, match=r"^payments entries must be rationals >= 0$"):
+        multiparty_run(ledger, ["a", "b"], [[0, True], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
+    # A bit that int() would truncate is refused, in every bit grid.
+    for name in ("disputes", "counters", "coin"):
+        for bit in (1.7, 0.5, Fraction(1, 2), float("inf")):
+            grids = {"disputes": [[0, 1], [0, 0]], "counters": [[0, 0], [1, 0]], "coin": [[0, 1], [0, 0]]}
+            grids[name][0][0] = bit
+            with pytest.raises(MultipartyError, match=rf"^{name} entries must be 0 or 1$"):
+                multiparty_run(
+                    ledger, ["a", "b"], [[0, 1], [0, 0]], grids["disputes"], grids["counters"],
+                    coin_matrix=grids["coin"],
+                )
+    with pytest.raises(MultipartyError, match=r"^disputes entries must be 0 or 1$"):  # a one-pass row too
+        multiparty_run(ledger, ["a", "b"], [[0, 1], [0, 0]], [iter([0, 1.5]), [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
+    assert ledger.snapshot() == fresh_ledger(["a", "b"]).snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +318,7 @@ def _dense_matrix(n, rows, name, entry, valid, rule):
     for i in range(n):
         try:
             row = [entry(v) for v in rows[i]]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise MultipartyError(f"{name} entries must be {rule}") from None
         if len(row) != n:
             raise MultipartyError(f"{name} must be {n}x{n}")
@@ -313,8 +328,16 @@ def _dense_matrix(n, rows, name, entry, valid, rule):
     return out
 
 
+def _bit(value):
+    """A bit as the batch reads it: a string is parsed, and a number must be whole."""
+    bit = int(value)
+    if not isinstance(value, str) and bit != value:
+        raise ValueError(f"{value!r} is not whole")
+    return bit
+
+
 def _dense_bits(n, rows, name):
-    return _dense_matrix(n, rows, name, int, lambda row: set(row) <= {0, 1}, "0 or 1")
+    return _dense_matrix(n, rows, name, _bit, lambda row: set(row) <= {0, 1}, "0 or 1")
 
 
 def naive(ledger, parties, payments, disputes, counters, rng=None, coin_matrix=None):
@@ -409,7 +432,7 @@ class RecordingLedger(Ledger):
 
 ZEROS = [0, Fraction(0), 0.0, "0", "0/3"]
 ENTRIES = ZEROS * 2 + [1, 2, Fraction(1, 3), Fraction(3, 2), 0.5, 1.25, "1/2", "0.5", "2"]
-MALFORMED = [-1, Fraction(-1, 2), -0.5, "-1/2", "x", "", None, 1 + 0j, float("nan"), 1]
+MALFORMED = [-1, Fraction(-1, 2), -0.5, "-1/2", "x", "", None, 1 + 0j, float("nan"), True, 1]
 
 
 def _outcome(run, tau, endow, *args, **kwargs):
@@ -451,7 +474,7 @@ def test_per_trade_settlement_matches_the_dense_loop(data, tau):
     counters = grid(st.sampled_from([0, 1, 1]))
     if data.draw(st.integers(0, 9)) == 0:  # one bit that is not 0 or 1, or is spelled otherwise
         bits = data.draw(st.sampled_from([disputes, counters]))
-        bits[data.draw(st.integers(0, n - 1))][0] = data.draw(st.sampled_from([2, "1", "x", 0.5]))
+        bits[data.draw(st.integers(0, n - 1))][0] = data.draw(st.sampled_from([2, "1", "x", 0.5, 1.7, 1.0]))
     coin = grid(st.sampled_from([0, 1])) if data.draw(st.booleans()) else None
     seed = data.draw(st.integers(0, 2**16))
     # Short endowments: some steps go unfunded, some withdrawal fees cannot be paid.
@@ -540,3 +563,13 @@ def test_a_ragged_row_is_reported_before_its_negative_entry():
         multiparty_run(ledger, ["a", "b"], [[0, -1, 0], [0, 0]], zeros, zeros, coin_matrix=zeros)
     with pytest.raises(MultipartyError, match="payments must be 2x2"):
         multiparty_run(ledger, ["a", "b"], [[0, 0], [Fraction(-1, 3)]], zeros, zeros, coin_matrix=zeros)
+
+
+@pytest.mark.parametrize("run", [multiparty_run, naive], ids=["batch", "dense reference"])
+def test_whole_numbers_and_strings_still_read_as_bits(run):
+    ledger = fresh_ledger(["a", "b"])
+    # "a" pays "b" 1 and disputes; "b" counters; the coin names "b" the winner.
+    result = run(ledger, ["a", "b"], [[0, 1], [0, 0]], [[0, 1.0], [0, 0]], [[0, 0], [" 1", 0]],
+                 coin_matrix=[[Fraction(0), True], [0, "0"]])
+    assert (result.disputes, result.counters, result.coin) == (((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 1), (0, 0)))
+    assert result.payouts == (0, 2)

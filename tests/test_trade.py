@@ -1,7 +1,9 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from escrowlab.arbiter import arbiter_errs
 from escrowlab.equilibrium import lambda_interval
 from escrowlab.trade import (
     Generic,
@@ -48,6 +50,24 @@ def test_out_of_range_error_rate_and_fee_rejected():
         TradeParams(price=1, buyer_value=2, arbiter_error="3/2")
     with pytest.raises(InvalidTradeError):
         TradeParams(price=1, buyer_value=2, fee=-1)
+
+
+BOOLS = {
+    "a price": lambda: TradeParams(price=True, buyer_value=2),
+    "a buyer value": lambda: TradeParams(price=1, buyer_value=True),
+    "an error rate": lambda: TradeParams(price=1, buyer_value=2, arbiter_error=False),
+    "a fee": lambda: TradeParams(price=1, buyer_value=2, fee=False),
+    "a wager": lambda: Standard(True),
+    "a generic payout": lambda: Generic(win_amount=True, loss_amount=1),
+    "an oracle's error rate": lambda: arbiter_errs(True, Random(1)),
+    "a coerced amount": lambda: as_fraction(False),
+}
+
+
+@pytest.mark.parametrize("make", BOOLS.values(), ids=BOOLS.keys())
+def test_a_bool_is_not_a_number(make):
+    with pytest.raises(ValueError, match=r"^an amount must be a number, got (True|False)$"):
+        make()
 
 
 def test_named_schemes_require_positive_wager():
