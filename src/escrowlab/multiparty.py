@@ -11,11 +11,18 @@ disputed trade resolves exactly as the two-party coin-toss contract with the
 wager set to that trade's price, using one coin matrix entry per trade.  The
 loser's wager compensates the arbiter, as in the standard two-party scheme.
 
-The n x n grids are only parsed.  Settlement work is per trade: each buyer
-keeps the list of sellers it pays, and each deposit and each payout is the
-exact sum of that step's prices, added as integers over the least common
-multiple of their own denominators, so a batch builds one `Fraction` per
-deposit and per payout, not one per trade.
+The n x n grids are only parsed, and their cells are scanned in C.  A bit
+row that is a list of ints and bools is read whole into `bytes`; any other
+bit row is read cell by cell.  A payment cell that is the int 0 object is
+passed over by `itertools.compress`; only the other cells reach Python.  A
+grid with other than n rows is refused.  A drawn coin grid is one
+`getrandbits(32 * n * n)` call whose words each give their top bit, which
+equals n * n `getrandbits(1)` calls: the same coins and the same final rng
+state.  Settlement work is per trade: each buyer keeps the list of sellers
+it pays, and each deposit and each payout is the exact sum of that step's
+prices, added as integers over the least common multiple of their own
+denominators, so a batch builds one `Fraction` per deposit and per payout,
+not one per trade.
 
 A party that cannot fund a step has that step's moves converted to defaults:
 unfunded purchases are cancelled, unfunded disputes become acceptance,
@@ -28,7 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import lcm
+from operator import is_not
 from random import Random
 from typing import Optional, Sequence
 
@@ -43,6 +52,10 @@ BitMatrix = tuple[tuple[int, ...], ...]
 POT = "multiparty"
 
 _ZERO = Fraction(0)
+
+#: Byte -> its top bit; applied to the most significant byte of a 32-bit
+#: word, the bit `getrandbits(1)` takes from that word.
+_TOP_BIT = bytes(v >> 7 for v in range(256))
 
 
 class MultipartyError(ValueError):
@@ -74,16 +87,35 @@ def _sum(values: list[Fraction]) -> Fraction:
     return Fraction(sum(p * (scale // q) for p, q in ratios), scale)
 
 
+def _rows(n: int, rows, name: str, malformed: str) -> list:
+    """The n rows of an n x n grid, in order.  A grid with any other number
+    of rows is refused before its entries are read; one that cannot be
+    indexed is refused as malformed."""
+    try:
+        out = [rows[i] for i in range(n)]
+        if len(rows) == n:
+            return out
+    except IndexError:
+        pass
+    except (TypeError, ValueError, OverflowError):
+        raise MultipartyError(malformed) from None
+    raise MultipartyError(f"{name} must be {n}x{n}")
+
+
 def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
     """The payment grid, parsed once: rows of exact rationals whose zeros are
     the shared `_ZERO`, and for each buyer the sellers it pays, in order."""
+    malformed = "payments entries must be rationals >= 0"
     grid, sellers = [], []
-    for i in range(n):
+    for entries in _rows(n, rows, "payments", malformed):
         try:
-            entries = list(rows[i])
+            if entries.__class__ is not list:  # indexed below, so a one-pass row is copied
+                entries = list(entries)
             row, paid, negative = [_ZERO] * len(entries), [], False
-            for j, v in enumerate(entries):
-                if v.__class__ is int and not v:  # most cells: no arithmetic
+            # The int 0 object, most cells, is passed over in C.
+            for j in compress(range(len(entries)), map(is_not, entries, repeat(0))):
+                v = entries[j]
+                if v.__class__ is int and not v:  # an int zero that is another object
                     continue
                 value = v if v.__class__ is Fraction else as_fraction(v)
                 if value:
@@ -92,11 +124,11 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
                     if value.numerator < 0:
                         negative = True
         except (TypeError, ValueError):
-            raise MultipartyError("payments entries must be rationals >= 0") from None
+            raise MultipartyError(malformed) from None
         if len(row) != n:
             raise MultipartyError(f"payments must be {n}x{n}")
         if negative:
-            raise MultipartyError("payments entries must be rationals >= 0")
+            raise MultipartyError(malformed)
         grid.append(row)
         sellers.append(paid)
     if any(grid[i][i] for i in range(n)):
@@ -104,24 +136,35 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
     return grid, sellers
 
 
-def _as_bits(n: int, rows, name: str) -> list[list[int]]:
-    """Rows of 0/1 ints; a string is parsed, and a number must be whole."""
+def _as_bits(n: int, rows, name: str) -> list[bytes]:
+    """Rows of 0/1 bytes.  A list row of ints and bools is read in C; any
+    other row cell by cell, where a string is parsed and a number must be
+    whole."""
+    malformed = f"{name} entries must be 0 or 1"
     out = []
-    for i in range(n):
+    for entries in _rows(n, rows, name, malformed):
+        if entries.__class__ is list:
+            try:
+                bits = bytes(entries)  # refuses floats, Fractions, complex numbers and strings
+            except (TypeError, ValueError):
+                pass
+            else:
+                if len(bits) == n and bits.count(0) + bits.count(1) == n:
+                    out.append(bits)
+                    continue
         try:
-            entries = rows[i]
             if entries.__class__ is not list:  # read twice below, so a one-pass row is copied
                 entries = list(entries)
             row = list(map(int, entries))
         except (TypeError, ValueError, OverflowError):
-            raise MultipartyError(f"{name} entries must be 0 or 1") from None
+            raise MultipartyError(malformed) from None
         if len(row) != n:
             raise MultipartyError(f"{name} must be {n}x{n}")
         if not set(row) <= {0, 1} or (
             row != entries and any(b != v for b, v in zip(row, entries) if not isinstance(v, str))
         ):
-            raise MultipartyError(f"{name} entries must be 0 or 1")
-        out.append(row)
+            raise MultipartyError(malformed)
+        out.append(bytes(row))
     return out
 
 
@@ -153,7 +196,12 @@ def multiparty_run(
     if coin_matrix is None:
         if rng is None:
             raise MultipartyError("need an rng or an explicit coin matrix")
-        b = [[rng.getrandbits(1) for _ in range(n)] for _ in range(n)]
+        # One draw of n*n 32-bit words; each coin is the top bit of its own
+        # word, so the coins and the rng's final state are those of n*n
+        # getrandbits(1) calls.
+        words = rng.getrandbits(32 * n * n).to_bytes(4 * n * n, "little")
+        coins = words[3::4].translate(_TOP_BIT)
+        b = [coins[k:k + n] for k in range(0, n * n, n)]
     else:
         b = _as_bits(n, coin_matrix, "coin")
 

@@ -295,7 +295,7 @@ def test_input_validation():
         multiparty_run(ledger, ["a", "b"], [[0, True], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
     # A bit that int() would truncate is refused, in every bit grid.
     for name in ("disputes", "counters", "coin"):
-        for bit in (1.7, 0.5, Fraction(1, 2), float("inf")):
+        for bit in (1.7, 0.5, Fraction(1, 2), float("inf"), 1 + 0j):
             grids = {"disputes": [[0, 1], [0, 0]], "counters": [[0, 0], [1, 0]], "coin": [[0, 1], [0, 0]]}
             grids[name][0][0] = bit
             with pytest.raises(MultipartyError, match=rf"^{name} entries must be 0 or 1$"):
@@ -305,6 +305,17 @@ def test_input_validation():
                 )
     with pytest.raises(MultipartyError, match=r"^disputes entries must be 0 or 1$"):  # a one-pass row too
         multiparty_run(ledger, ["a", "b"], [[0, 1], [0, 0]], [iter([0, 1.5]), [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
+    # A grid with a row too few or a row too many is refused, in every grid.
+    for name in ("payments", "disputes", "counters", "coin"):
+        for rows in ([[0, 0]], [[0, 0], [0, 0], [7, 7]]):
+            grids = {"payments": [[0, 1], [0, 0]], "disputes": [[0, 1], [0, 0]], "counters": [[0, 0], [1, 0]],
+                     "coin": [[0, 1], [0, 0]]}
+            grids[name] = rows
+            with pytest.raises(MultipartyError, match=rf"^{name} must be 2x2$"):
+                multiparty_run(
+                    ledger, ["a", "b"], grids["payments"], grids["disputes"], grids["counters"],
+                    coin_matrix=grids["coin"],
+                )
     assert ledger.snapshot() == fresh_ledger(["a", "b"]).snapshot()
 
 
@@ -314,6 +325,8 @@ def test_input_validation():
 
 
 def _dense_matrix(n, rows, name, entry, valid, rule):
+    if len(rows) != n:
+        raise MultipartyError(f"{name} must be {n}x{n}")
     out = []
     for i in range(n):
         try:
@@ -432,7 +445,9 @@ class RecordingLedger(Ledger):
 
 ZEROS = [0, Fraction(0), 0.0, "0", "0/3"]
 ENTRIES = ZEROS * 2 + [1, 2, Fraction(1, 3), Fraction(3, 2), 0.5, 1.25, "1/2", "0.5", "2"]
-MALFORMED = [-1, Fraction(-1, 2), -0.5, "-1/2", "x", "", None, 1 + 0j, float("nan"), True, 1]
+MALFORMED = [-1, Fraction(-1, 2), -0.5, "-1/2", "x", "", None, 1 + 0j, 0j, float("nan"), True, False, 1]
+#: Numbers equal to 0 or 1 that both sides read as bits, as (0, 1) pairs.
+SPELLED_BITS = [0, 1, False, True, 0.0, 1.0, Fraction(0), Fraction(1)]
 
 
 def _outcome(run, tau, endow, *args, **kwargs):
@@ -470,12 +485,24 @@ def test_per_trade_settlement_matches_the_dense_loop(data, tau):
             row.pop()
         else:
             row.append(data.draw(st.sampled_from(ENTRIES + MALFORMED)))
-    disputes = grid(st.sampled_from([0, 1, 1]))
-    counters = grid(st.sampled_from([0, 1, 1]))
+    # Each bit row is ints, or numbers of any spelling that equal 0 or 1.
+    bit_row = st.lists(st.sampled_from([0, 1, 1]), min_size=n, max_size=n) | st.lists(
+        st.sampled_from(SPELLED_BITS), min_size=n, max_size=n
+    )
+    disputes = data.draw(st.lists(bit_row, min_size=n, max_size=n))
+    counters = data.draw(st.lists(bit_row, min_size=n, max_size=n))
     if data.draw(st.integers(0, 9)) == 0:  # one bit that is not 0 or 1, or is spelled otherwise
         bits = data.draw(st.sampled_from([disputes, counters]))
-        bits[data.draw(st.integers(0, n - 1))][0] = data.draw(st.sampled_from([2, "1", "x", 0.5, 1.7, 1.0]))
+        bits[data.draw(st.integers(0, n - 1))][0] = data.draw(
+            st.sampled_from([2, "1", "x", 0.5, 1.7, 1.0, True, 1 + 0j])
+        )
     coin = grid(st.sampled_from([0, 1])) if data.draw(st.booleans()) else None
+    if data.draw(st.integers(0, 9)) == 0:  # one grid with a row too few or a row too many
+        rows = data.draw(st.sampled_from([g for g in (payments, disputes, counters, coin) if g is not None]))
+        if data.draw(st.booleans()):
+            rows.pop(data.draw(st.integers(0, n - 1)))
+        else:
+            rows.append(data.draw(st.sampled_from([[0] * n, [7] * n, list(rows[0])])))
     seed = data.draw(st.integers(0, 2**16))
     # Short endowments: some steps go unfunded, some withdrawal fees cannot be paid.
     endow = {name: data.draw(st.sampled_from([0, Fraction(1, 2), 1, 3, 6, 20])) for name in names}
@@ -567,9 +594,35 @@ def test_a_ragged_row_is_reported_before_its_negative_entry():
 
 @pytest.mark.parametrize("run", [multiparty_run, naive], ids=["batch", "dense reference"])
 def test_whole_numbers_and_strings_still_read_as_bits(run):
-    ledger = fresh_ledger(["a", "b"])
     # "a" pays "b" 1 and disputes; "b" counters; the coin names "b" the winner.
-    result = run(ledger, ["a", "b"], [[0, 1], [0, 0]], [[0, 1.0], [0, 0]], [[0, 0], [" 1", 0]],
-                 coin_matrix=[[Fraction(0), True], [0, "0"]])
-    assert (result.disputes, result.counters, result.coin) == (((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 1), (0, 0)))
-    assert result.payouts == (0, 2)
+    spellings = [
+        ([[0, 1.0], [0, 0]], [[0, 0], [" 1", 0]], [[Fraction(0), True], [0, "0"]]),
+        *(
+            ([[zero, one], [zero, zero]], [[zero, zero], [one, zero]], [[zero, one], [zero, zero]])
+            for zero, one in zip(SPELLED_BITS[::2], SPELLED_BITS[1::2])
+        ),
+    ]
+    for disputes, counters, coin in spellings:
+        result = run(fresh_ledger(["a", "b"]), ["a", "b"], [[0, 1], [0, 0]], disputes, counters, coin_matrix=coin)
+        assert repr((result.disputes, result.counters, result.coin)) == "(((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 1), (0, 0)))"
+        assert result.payouts == (0, 2)
+    # 1 + 0j equals 1 but is not a bit.
+    for name, (disputes, counters, coin) in zip(("disputes", "counters", "coin"), [
+        ([[0, 1 + 0j], [0, 0]], [[0, 0], [1, 0]], [[0, 1], [0, 0]]),
+        ([[0, 1], [0, 0]], [[0, 0], [1 + 0j, 0]], [[0, 1], [0, 0]]),
+        ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 1 + 0j], [0, 0]]),
+    ]):
+        with pytest.raises(MultipartyError, match=rf"^{name} entries must be 0 or 1$"):
+            run(fresh_ledger(["a", "b"]), ["a", "b"], [[0, 1], [0, 0]], disputes, counters, coin_matrix=coin)
+
+
+@pytest.mark.parametrize("n", [2, 7, 50, 200])
+def test_the_drawn_coin_grid_is_n_squared_single_bit_draws(n):
+    names = [f"p{i}" for i in range(n)]
+    zeros = [[0] * n for _ in range(n)]
+    for seed in (0, 1, 2, 2**40 + 3):
+        rng, reference = Random(seed), Random(seed)
+        result = multiparty_run(Ledger(), names, zeros, zeros, zeros, rng=rng)
+        expected = tuple(tuple(reference.getrandbits(1) for _ in range(n)) for _ in range(n))
+        assert repr(result.coin) == repr(expected)
+        assert rng.getstate() == reference.getstate()
