@@ -38,13 +38,11 @@ from .equilibrium import (
     SoundnessPreconditionError,
     backward_induction,
     brute_force_spe,
-    check_completeness,
     check_soundness,
     generic_impossibility,
     lambda_interval,
     node_margins,
     security_report,
-    sound_epsilon_max,
     winner_rebate_lambda,
     withheld_security,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "backward_induction",
     "brute_force_spe",
     "build_game_tree",
-    "check_completeness",
     "check_soundness",
     "from_kv",
     "generic_impossibility",
@@ -80,7 +77,6 @@ __all__ = [
     "leaf_payoff",
     "node_margins",
     "security_report",
-    "sound_epsilon_max",
     "to_kv",
     "winner_rebate_lambda",
     "withheld_security",

@@ -150,6 +150,8 @@ def simulate(
     once per trial in the class.  The statistics are those of running every
     trial as its own episode.
     """
+    if not isinstance(trials, int) or isinstance(trials, bool):
+        raise ValueError(f"trials must be a whole number, got {trials!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 

@@ -94,7 +94,7 @@ class EscrowContract:
         scheme: WagerScheme,
         policy: Optional[TimeoutPolicy] = None,
     ):
-        stake = scheme.stake(params)
+        stake = scheme.loss_cost(params)
         win_gain = scheme.win_gain(params)
         if win_gain > params.price + stake:
             raise InvalidSchemeError(

@@ -6,10 +6,11 @@ Three independent routes answer the same questions:
 * backward induction over the built tree's leaves,
 * brute-force enumeration of every pure strategy profile.
 
-The analytic layer is the production surface: every checker below reads the
-table, directly or through the `SecurityReport` built from it; the other two
-act as oracles in the test suite.  Everything is exact rational arithmetic,
-so strict versus non-strict boundaries are decided without tolerance.
+The analytic layer is the production surface: `security_report` reads the
+table into the one record per setup, and every other checker reads that
+record or the table; the other two act as oracles in the test suite.
+Everything is exact rational arithmetic, so strict versus non-strict
+boundaries are decided without tolerance.
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class _Row(NamedTuple):
     per_win: Fraction
     per_loss: Fraction
 
+    def at(self, win: Fraction, loss: Fraction) -> Fraction:
+        """The margin when the winner nets `win` and the loser loses `loss`."""
+        return self.constant + self.per_win * win + self.per_loss * loss
+
 
 def _margin_table(params: TradeParams) -> tuple[_Row, ...]:
     """Every decision node's margin, ordered as the constraint names above.
@@ -87,7 +92,7 @@ def _margins(params: TradeParams, scheme: WagerScheme) -> tuple[tuple[_Row, ...]
     """The table and its margins at the scheme's arbitration payouts."""
     rows = _margin_table(params)
     win, loss = scheme.win_gain(params), scheme.loss_cost(params)
-    return rows, [row.constant + row.per_win * win + row.per_loss * loss for row in rows]
+    return rows, [row.at(win, loss) for row in rows]
 
 
 def _wager_forms(params: TradeParams, slope: int) -> tuple[tuple[_Row, ...], list[tuple[Fraction, Fraction]]]:
@@ -107,17 +112,11 @@ def node_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction
     return {row.node: margin for row, margin in zip(rows, margins)}
 
 
-def check_completeness(
-    params: TradeParams, scheme: WagerScheme
-) -> tuple[bool, dict[str, Fraction]]:
-    """Is the honest profile the unique subgame perfect equilibrium?
-
-    True exactly when every honest action is strictly preferred, i.e. every
-    slack below is positive.  The last two constraints only bite when fees
-    are charged.
-    """
-    report = security_report(params, scheme)
-    return report.complete, report.slacks
+def _positive_epsilon(epsilon) -> Fraction:
+    eps = as_fraction(epsilon)
+    if eps <= 0:
+        raise ValueError(f"epsilon must be > 0, got {eps}")
+    return eps
 
 
 class SoundnessPreconditionError(ValueError):
@@ -133,9 +132,7 @@ def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
     hypothesis of the bound, not part of the verdict, and are signalled
     separately when violated.
     """
-    eps = as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError(f"epsilon must be > 0, got {eps}")
+    eps = _positive_epsilon(epsilon)
     if not (params.buyer_value - eps >= params.price >= eps):
         raise SoundnessPreconditionError(
             f"need buyer_value - eps >= price >= eps, got "
@@ -145,11 +142,6 @@ def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
     return eps_max is not None and eps_max >= eps
 
 
-def sound_epsilon_max(params: TradeParams, scheme: WagerScheme) -> Optional[Fraction]:
-    """Largest deviation bound the dispute-layer constraints support, if any."""
-    return security_report(params, scheme).sound_epsilon_max
-
-
 # ---------------------------------------------------------------------------
 # Security report
 # ---------------------------------------------------------------------------
@@ -157,12 +149,14 @@ def sound_epsilon_max(params: TradeParams, scheme: WagerScheme) -> Optional[Frac
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Summary of the contract's game-theoretic guarantees for one setup."""
+    """Summary of the contract's game-theoretic guarantees for one setup:
+    complete (the honest profile is the unique SPE, every slack positive),
+    sound_epsilon_max (the largest deviation bound the dispute-layer slacks
+    support, if any), and strong (complete and sound at that bound)."""
 
     complete: bool
     sound_epsilon_max: Optional[Fraction]
     strong: bool
-    strong_epsilon: Optional[Fraction]
     weak: bool
     slacks: dict[str, Fraction]
     binding: tuple[str, ...]
@@ -188,7 +182,7 @@ class SecurityReport:
 
 
 def security_report(params: TradeParams, scheme: WagerScheme) -> SecurityReport:
-    return _report(params, scheme.stake(params), scheme.name, *_margins(params, scheme))
+    return _report(params, scheme.loss_cost(params), scheme.name, *_margins(params, scheme))
 
 
 def _report(
@@ -199,13 +193,11 @@ def _report(
     slacks = {row.name: margin for row, margin in zip(rows, margins)}
     worst = min(margin for row, margin in zip(rows, margins) if row.dispute)
     eps_max = worst if worst > 0 else None
-    strong = complete and eps_max is not None
     low = min(margins)
     return SecurityReport(
         complete=complete,
         sound_epsilon_max=eps_max,
-        strong=strong,
-        strong_epsilon=eps_max if strong else None,
+        strong=complete and eps_max is not None,
         weak=low >= 0,
         slacks=slacks,
         binding=tuple(name for name, slack in slacks.items() if slack == low),
@@ -223,15 +215,18 @@ def _report(
 
 def winner_rebate_lambda(params: TradeParams, epsilon) -> Fraction:
     """Wager making the winner-rebate contract epsilon-strong:
-    (x * gamma + epsilon) / (1 - 2 * gamma)."""
-    eps = as_fraction(epsilon)
+    (x * gamma + epsilon) / (1 - 2 * gamma), the least such wager without a
+    fee.  With a fee, `lambda_interval(params, WinnerRebate, epsilon).lower`
+    is the least one.  Raises if no wager works: the arbiter errs half the
+    time or more, or a wager-free row of the table fails at this fee.
+    """
+    eps = _positive_epsilon(epsilon)
     g = params.arbiter_error
-    if eps <= 0:
-        raise ValueError(f"epsilon must be > 0, got {eps}")
     if g >= Fraction(1, 2):
-        raise ValueError(
-            f"no wager achieves this with arbiter_error {g} >= 1/2"
-        )
+        raise ValueError(f"no wager achieves this with arbiter_error {g} >= 1/2")
+    for row in _margin_table(params):
+        if not (row.per_win or row.per_loss) and row.constant <= 0:
+            raise ValueError(f"no wager achieves this with fee {params.fee}: {row.name} fails")
     return (params.price * g + eps) / (1 - 2 * g)
 
 
@@ -254,7 +249,7 @@ def generic_impossibility(omega, ell, gamma) -> bool:
         raise ValueError("winning must be preferred to losing (omega > -ell)")
     rows = _margin_table(TradeParams(price=1, buyer_value=2, arbiter_error=gamma))
     seller = (SELLER_COUNTERS, SELLER_FORFEITS)
-    return sum(row.constant + row.per_win * w + row.per_loss * l for row in rows if row.name in seller) > 0
+    return sum(row.at(w, l) for row in rows if row.name in seller) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +305,8 @@ def lambda_interval(
     already fails.
     """
     rows, forms = _wager_forms(params, wager_class(scheme).slope)
-    if epsilon is None:
-        strict = True
-        eps = Fraction(0)
-    else:
-        strict = False
-        eps = as_fraction(epsilon)
-        if eps <= 0:
-            raise ValueError(f"epsilon must be > 0, got {eps}")
+    strict = epsilon is None
+    eps = Fraction(0) if strict else _positive_epsilon(epsilon)
 
     # Each margin is constant + coeff * wager, and must be > 0 (complete)
     # or >= eps (sound); a zero coeff leaves a condition on the setup alone.

@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .trade import InvalidTradeError, TradeParams, WagerScheme
 
@@ -59,22 +59,14 @@ class Leaf(enum.Enum):
     NOSEND_DISPUTE_COUNTER = "not-send,dispute,counter"
 
 
-class PayoffPair(tuple):
+class PayoffPair(NamedTuple):
     """(buyer, seller) expected payoff at a leaf."""
 
-    def __new__(cls, buyer: Fraction, seller: Fraction):
-        return super().__new__(cls, (Fraction(buyer), Fraction(seller)))
-
-    @property
-    def buyer(self) -> Fraction:
-        return self[0]
-
-    @property
-    def seller(self) -> Fraction:
-        return self[1]
+    buyer: Fraction
+    seller: Fraction
 
     def for_party(self, party: Party) -> Fraction:
-        return self[0] if party is Party.BUYER else self[1]
+        return self.buyer if party is Party.BUYER else self.seller
 
 
 def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerScheme) -> PayoffPair:

@@ -71,9 +71,7 @@ class TimeoutPolicy:
                 f"need 0 <= threshold < timeout, got {self.threshold}, {self.timeout}"
             )
         if self.deposit is not None:
-            object.__setattr__(self, "deposit", Fraction(*_pair(self.deposit)))
-            if self.deposit < 0:
-                raise ValueError(f"deposit must be >= 0, got {self.deposit}")
+            object.__setattr__(self, "deposit", Fraction(*_amount(self.deposit, "deposit")))
 
 
 def _require_whole(name: str, value) -> None:
@@ -88,11 +86,11 @@ def _pair(value) -> Pair:
     return value.numerator, value.denominator
 
 
-def _amount(amount) -> Pair:
-    """The one check of an amount that an operation moves, converted once."""
+def _amount(amount, what: str = "amount") -> Pair:
+    """The one check that an amount is not negative, converted once."""
     value = _pair(amount)
     if value[0] < 0:
-        raise ValueError(f"amount must be >= 0, got {Fraction(*value)}")
+        raise ValueError(f"{what} must be >= 0, got {Fraction(*value)}")
     return value
 
 
@@ -118,9 +116,7 @@ def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
     _require_whole("t", t)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    amount = as_fraction(deposit)
-    if amount < 0:
-        raise ValueError(f"deposit must be >= 0, got {amount}")
+    amount = Fraction(*_amount(deposit, "deposit"))
     if t <= policy.threshold:
         return amount
     if t < policy.timeout:
@@ -133,10 +129,7 @@ class Ledger:
     clock and move counts start empty and are kept by the operations below."""
 
     def __init__(self, tau=Fraction(0)) -> None:
-        fee = _pair(tau)
-        if fee[0] < 0:
-            raise ValueError(f"tau must be >= 0, got {Fraction(*fee)}")
-        self._fee = fee
+        self._fee = _amount(tau, "tau")
         self._balances: dict[str, Pair] = {}
         self._pots: dict[str, Pair] = {}
         self._fee_sink = self._arbiter_sink = _ZERO
@@ -186,10 +179,7 @@ class Ledger:
     def open_account(self, name: str, balance=0) -> None:
         if name in self._balances:
             raise LedgerError(f"account {name!r} already exists")
-        amount = _pair(balance)
-        if amount[0] < 0:
-            raise ValueError("opening balance must be >= 0")
-        self._balances[name] = amount
+        self._balances[name] = _amount(balance, "opening balance")
 
     def _require_account(self, name: str) -> None:
         if name not in self._balances:

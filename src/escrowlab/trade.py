@@ -74,9 +74,9 @@ class InvalidSchemeError(ValueError):
 @dataclass(frozen=True)
 class AffineWager:
     """A scheme with one wager: both disputants stake `wager`, the loser
-    forfeits it, and the winner nets price + slope * wager.  The named
-    schemes differ only in the slope, that is in where the loser's wager
-    goes."""
+    forfeits exactly that stake (`loss_cost`), and the winner nets
+    price + slope * wager (`win_gain`).  The named schemes differ only in
+    the slope, that is in where the loser's wager goes."""
 
     wager: Fraction
 
@@ -87,9 +87,6 @@ class AffineWager:
         object.__setattr__(self, "wager", as_fraction(self.wager))
         if self.wager <= 0:
             raise InvalidSchemeError(f"wager must be > 0, got {self.wager}")
-
-    def stake(self, params: TradeParams) -> Fraction:
-        return self.wager
 
     def win_gain(self, params: TradeParams) -> Fraction:
         return params.price + self.slope * self.wager
@@ -130,8 +127,9 @@ class Generic:
     inclusive of all wager handling.
 
     Winning must be strictly preferred to losing (win_amount > -loss_amount).
-    Each disputant's stake is loss_amount (the loser forfeits exactly their
-    stake); the winner's gross payout from the pot is win_amount + loss_amount.
+    Each disputant stakes loss_amount and the loser forfeits exactly that
+    stake (`loss_cost`); the winner's gross payout from the pot is
+    win_amount + loss_amount.
     """
 
     win_amount: Fraction
@@ -149,9 +147,6 @@ class Generic:
             )
 
     name = "generic"
-
-    def stake(self, params: TradeParams) -> Fraction:
-        return self.loss_amount
 
     def win_gain(self, params: TradeParams) -> Fraction:
         return self.win_amount

@@ -29,7 +29,6 @@ from escrowlab.equilibrium import (
     LambdaInterval,
     backward_induction,
     brute_force_spe,
-    check_completeness,
     check_soundness,
     lambda_interval,
     security_report,
@@ -81,7 +80,7 @@ def test_criterion_1_completeness_boundary_matches_brute_force():
                                  arbiter_error=gamma)
             for wager in wagers:
                 scheme = Standard(wager)
-                analytic = check_completeness(params, scheme)[0]
+                analytic = security_report(params, scheme).complete
                 tree = build_game_tree(params, scheme)
                 unique_honest = brute_force_spe(tree, 0) == [HONEST_PROFILE]
                 solved = backward_induction(tree)
@@ -98,7 +97,7 @@ def test_criterion_2_matching_wager_strong_security_exact():
             params = draw_valid_params(rng)
             report = security_report(params, Standard(params.price))
             assert report.strong
-            assert report.strong_epsilon == params.price * (1 - 2 * params.arbiter_error)
+            assert report.sound_epsilon_max == params.price * (1 - 2 * params.arbiter_error)
 
 
 def test_criterion_3_wager_intervals_exact():
@@ -157,7 +156,7 @@ def test_criterion_6_fee_discounted_strength():
                                  arbiter_error=base.arbiter_error, fee=fee)
             report = security_report(params, Standard(params.price))
             assert report.strong
-            assert report.strong_epsilon == headroom - fee
+            assert report.sound_epsilon_max == headroom - fee
             done += 1
 
 

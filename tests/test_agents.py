@@ -181,8 +181,16 @@ def test_run_trial_endows_each_party_for_the_liveness_deposit_too():
 
 def test_simulate_rejects_an_empty_run():
     seller, buyer = strategies_for_leaf(Leaf.SEND_DISPUTE_COUNTER)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
         simulate(PARAMS, Standard(1), seller, buyer, trials=0, seed=1)
+
+
+@pytest.mark.parametrize("trials", [True, False, Fraction(5, 2), 2.5, Fraction(2), "3"])
+@pytest.mark.parametrize("leaf", [Leaf.SEND_ACCEPT, Leaf.SEND_DISPUTE_COUNTER])
+def test_simulate_counts_trials_in_whole_numbers(trials, leaf):
+    seller, buyer = strategies_for_leaf(leaf)
+    with pytest.raises(ValueError, match=r"^trials must be a whole number, got "):
+        simulate(PARAMS, Standard(1), seller, buyer, trials=trials, seed=1)
 
 
 def binomial_3sigma(spread: float, p: float, n: int) -> float:

@@ -537,7 +537,7 @@ class NaiveEscrowContract:
         scheme: WagerScheme,
         policy: Optional[TimeoutPolicy] = None,
     ):
-        stake = scheme.stake(params)
+        stake = scheme.loss_cost(params)
         if scheme.win_gain(params) > params.price + stake:
             raise InvalidSchemeError(
                 "winner payout exceeds the pot; the contract cannot subsidize it"
@@ -577,7 +577,7 @@ class NaiveEscrowContract:
 
     @property
     def stake(self) -> Fraction:
-        return self.scheme.stake(self.params)
+        return self.scheme.loss_cost(self.params)
 
     @property
     def liveness_deposit(self) -> Fraction:

@@ -17,14 +17,12 @@ from escrowlab.equilibrium import (
     SoundnessPreconditionError,
     backward_induction,
     brute_force_spe,
-    check_completeness,
     check_soundness,
     generic_impossibility,
     lambda_interval,
     node_margins,
     profile_epsilon,
     security_report,
-    sound_epsilon_max,
     winner_rebate_lambda,
     withheld_security,
 )
@@ -91,7 +89,7 @@ def test_backward_induction_margins_equal_analytic_margins_when_complete():
     while seen < 30:
         p = draw_params(rng, gamma_hi=Fraction(9, 20))
         scheme = Standard(p.price)
-        if not check_completeness(p, scheme)[0]:
+        if not security_report(p, scheme).complete:
             continue
         seen += 1
         solved = backward_induction(build_game_tree(p, scheme))
@@ -105,35 +103,34 @@ def test_backward_induction_margins_equal_analytic_margins_when_complete():
 
 
 def test_completeness_example_with_quarter_error():
-    complete, slacks = check_completeness(params(gamma="1/4"), Standard(1))
-    assert complete
-    assert slacks[SELLER_COUNTERS] == Fraction(1, 2)  # x(1-g) - lam*g
+    report = security_report(params(gamma="1/4"), Standard(1))
+    assert report.complete
+    assert report.slacks[SELLER_COUNTERS] == Fraction(1, 2)  # x(1-g) - lam*g
 
 
 def test_fair_coin_is_never_complete():
     rng = Random(29)
     for _ in range(20):
         lam = rand_fraction(rng, Fraction(1, 4), 6)
-        complete, _ = check_completeness(params(gamma="1/2", y=3), Standard(lam))
-        assert not complete
+        assert not security_report(params(gamma="1/2", y=3), Standard(lam)).complete
 
 
 def test_fee_at_the_counter_bound_breaks_completeness():
     # tau >= x(1-g) - lam*g leaves the honest seller unwilling to counter.
     p = params(gamma="1/4", fee="1/2")
-    complete, slacks = check_completeness(p, Standard(1))
-    assert not complete
-    assert slacks[SELLER_COUNTERS] == 0
-    assert check_completeness(params(gamma="1/4", fee="2/5"), Standard(1))[0]
+    report = security_report(p, Standard(1))
+    assert not report.complete
+    assert report.slacks[SELLER_COUNTERS] == 0
+    assert security_report(params(gamma="1/4", fee="2/5"), Standard(1)).complete
 
 
 def test_completeness_requires_item_worth_the_fee():
     # x - x' > tau fails although the dispute-layer constraints hold.
     p = TradeParams(price=2, seller_value="9/5", buyer_value=4, arbiter_error="1/10", fee="1/4")
-    complete, slacks = check_completeness(p, Standard(2))
-    assert not complete
-    assert slacks["delivery-worth-the-fee"] <= 0
-    assert slacks[SELLER_COUNTERS] > 0 and slacks[SELLER_FORFEITS] > 0
+    report = security_report(p, Standard(2))
+    assert not report.complete
+    assert report.slacks["delivery-worth-the-fee"] <= 0
+    assert report.slacks[SELLER_COUNTERS] > 0 and report.slacks[SELLER_FORFEITS] > 0
 
 
 def test_oracle_agreement_on_random_draws():
@@ -148,7 +145,7 @@ def test_oracle_agreement_on_random_draws():
         )
         scheme = Standard(lam)
         tree = build_game_tree(p, scheme)
-        analytic = check_completeness(p, scheme)[0]
+        analytic = security_report(p, scheme).complete
         solved = backward_induction(tree)
         oracle = brute_force_spe(tree, 0) == [HONEST_PROFILE] and solved.unique
         assert analytic == oracle, f"disagree at {p} lam={lam}"
@@ -164,7 +161,7 @@ def test_redundant_buyer_constraint():
     for _ in range(200):
         p = draw_params(rng)
         lam = rand_fraction(rng, Fraction(1, 8), 8)
-        _, slacks = check_completeness(p, Standard(lam))
+        slacks = security_report(p, Standard(lam)).slacks
         assert slacks[BUYER_ACCEPTS] >= slacks[SELLER_FORFEITS]
         if slacks[SELLER_FORFEITS] > 0:
             assert slacks[BUYER_ACCEPTS] > 0
@@ -213,7 +210,7 @@ def test_soundness_tightness_at_matching_wager():
         )
         scheme = Standard(p.price)
         boundary = p.price * (1 - 2 * p.arbiter_error)
-        assert sound_epsilon_max(p, scheme) == boundary
+        assert security_report(p, scheme).sound_epsilon_max == boundary
         assert check_soundness(p, scheme, boundary)
         if p.arbiter_error > 0:
             delta = p.arbiter_error * p.price
@@ -244,7 +241,7 @@ def _all_dishonest_profiles(tree):
 def test_dishonest_profiles_enter_the_enumeration_above_the_boundary():
     p = params(x=1, y=3, gamma="1/4")
     tree = build_game_tree(p, Standard(1))
-    eps_max = sound_epsilon_max(p, Standard(1))
+    eps_max = security_report(p, Standard(1)).sound_epsilon_max
     below = brute_force_spe(tree, eps_max - Fraction(1, 100))
     at_or_above = brute_force_spe(tree, eps_max + Fraction(1, 100))
     assert below == [HONEST_PROFILE]
@@ -268,8 +265,7 @@ def test_matching_wager_strength_across_error_rates(tenths):
     gamma = Fraction(tenths, 10)
     p = params(x=3, y=7, gamma=gamma)
     report = security_report(p, Standard(3))
-    assert report.strong
-    assert report.strong_epsilon == 3 * (1 - 2 * gamma)
+    assert report.strong and report.sound_epsilon_max == 3 * (1 - 2 * gamma)
 
 
 def test_fee_discount_on_the_strength_bound():
@@ -288,8 +284,7 @@ def test_fee_discount_on_the_strength_bound():
             fee=fee,
         )
         report = security_report(p, Standard(p.price))
-        assert report.strong
-        assert report.strong_epsilon == headroom - fee
+        assert report.strong and report.sound_epsilon_max == headroom - fee
 
 
 def test_strong_implies_complete_and_sound_at_the_reported_bound():
@@ -300,20 +295,9 @@ def test_strong_implies_complete_and_sound_at_the_reported_bound():
         report = security_report(p, Standard(lam))
         if report.strong:
             assert report.complete
-            assert all(report.slacks[name] >= report.strong_epsilon for name in DISPUTE_LAYER)
+            assert all(report.slacks[name] >= report.sound_epsilon_max for name in DISPUTE_LAYER)
         if report.complete:
             assert report.weak
-
-
-def test_report_agrees_with_the_separate_checkers():
-    rng = Random(29)
-    for _ in range(200):
-        p = draw_params(rng, fee=rand_fraction(rng, 0, Fraction(1, 2)))
-        for kind in (Standard, WinnerRebate, Withheld):
-            scheme = kind(rand_fraction(rng, Fraction(1, 4), 6))
-            report = security_report(p, scheme)
-            assert (report.complete, report.slacks) == check_completeness(p, scheme)
-            assert report.sound_epsilon_max == sound_epsilon_max(p, scheme)
 
 
 def test_report_row_shape():
@@ -378,7 +362,7 @@ def test_interval_consistency_with_the_completeness_checker():
             if lam <= 0:
                 continue
             expected = interval.contains(lam)
-            assert check_completeness(p, Standard(lam))[0] == expected, (p, lam)
+            assert security_report(p, Standard(lam)).complete == expected, (p, lam)
 
 
 def test_interval_respects_fee_feasibility():
@@ -429,18 +413,16 @@ def naive_security_report(p, scheme):
     worst = min(margins[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND))
     eps_max = worst if worst > 0 else None
     complete = all(margin > 0 for margin in margins.values())
-    strong = complete and eps_max is not None
     low = min(slacks.values())
     return SecurityReport(
         complete=complete,
         sound_epsilon_max=eps_max,
-        strong=strong,
-        strong_epsilon=eps_max if strong else None,
+        strong=complete and eps_max is not None,
         weak=all(margin >= 0 for margin in margins.values()),
         slacks=slacks,
         binding=tuple(name for name, slack in slacks.items() if slack == low),
         gamma=p.arbiter_error,
-        wager=scheme.stake(p),
+        wager=scheme.loss_cost(p),
         fee=p.fee,
         scheme=scheme.name,
     )
@@ -595,12 +577,43 @@ def test_winner_rebate_impossible_at_fair_coin():
         winner_rebate_lambda(params(gamma="1/2"), 1)
 
 
+def test_winner_rebate_impossible_when_the_fee_breaks_a_wager_free_row():
+    # A fee of 2 above the price of 1: disputing a missing item is not worth it.
+    with pytest.raises(ValueError, match="dispute-worth-the-fee"):
+        winner_rebate_lambda(params(gamma="1/4", fee=2), Fraction(1, 4))
+    # A fee of 1/2 above the seller's 1/4 gain from the sale.
+    with pytest.raises(ValueError, match="delivery-worth-the-fee"):
+        winner_rebate_lambda(params(xs="3/4", gamma="1/4", fee="1/2"), Fraction(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_winner_rebate_wager_is_strong_whenever_some_wager_is_complete(data):
+    x = data.draw(AMOUNT)
+    xs = x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+    gamma = data.draw(st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=60).filter(lambda g: g < 1 / 2))
+    # A fee on either side of the two wager-free rows, which flip at x - x' and at x.
+    fee = data.draw(
+        st.sampled_from([x - xs, x]) | st.fractions(min_value=Fraction(1, 12), max_value=2 * x, max_denominator=12)
+    )
+    p = TradeParams(price=x, seller_value=xs, buyer_value=x + data.draw(AMOUNT), arbiter_error=gamma, fee=fee)
+    eps = data.draw(AMOUNT)
+    if lambda_interval(p, WinnerRebate).empty:
+        with pytest.raises(ValueError, match="no wager achieves this"):
+            winner_rebate_lambda(p, eps)
+        return
+    lam = winner_rebate_lambda(p, eps)
+    report = security_report(p, WinnerRebate(lam))
+    assert report.strong and report.sound_epsilon_max >= eps
+    assert lam >= lambda_interval(p, WinnerRebate, eps).lower
+
+
 def test_withheld_security_examples():
     report = withheld_security(params(x=2, y=5, gamma=0))
-    assert report.strong and report.strong_epsilon == 1 and report.wager == 1
+    assert report.strong and report.sound_epsilon_max == 1 and report.wager == 1
 
     report = withheld_security(params(x=1, y=3, gamma="1/4"))
-    assert report.strong and report.strong_epsilon == Fraction(1, 4)
+    assert report.strong and report.sound_epsilon_max == Fraction(1, 4)
 
     report = withheld_security(params(gamma="1/2"))
     assert not report.strong
@@ -617,7 +630,7 @@ def test_withheld_half_wager_bound_matches_brute_force():
         )
         expected = p.price * (1 - 2 * p.arbiter_error) / 2
         assert requirement == expected
-        assert sound_epsilon_max(p, scheme) == expected
+        assert security_report(p, scheme).sound_epsilon_max == expected
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ class NaiveLedger:
             raise LedgerError(f"account {name!r} already exists")
         amount = as_fraction(balance)
         if amount < 0:
-            raise ValueError("opening balance must be >= 0")
+            raise ValueError(f"opening balance must be >= 0, got {amount}")
         self.balances[name] = amount
 
     def balance(self, name):
@@ -596,6 +596,22 @@ def test_a_negative_deposit_has_no_payback():
     with pytest.raises(ValueError, match=r"^deposit must be >= 0, got -1/2$"):
         deposit_payback(0, TimeoutPolicy(4, 12), "-1/2")
     assert deposit_payback(5, TimeoutPolicy(4, 12), 0) == 0
+
+
+NEGATIVE_AMOUNTS = {
+    "tau": lambda ledger: Ledger(tau="-1/10"),
+    "opening balance": lambda ledger: ledger.open_account("a", "-1/10"),
+    "deposit": lambda ledger: TimeoutPolicy(1, 2, deposit="-1/10"),
+}
+
+
+@pytest.mark.parametrize("what", NEGATIVE_AMOUNTS)
+def test_a_negative_amount_is_refused_by_name(what):
+    ledger = fresh_ledger()
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match=rf"^{what} must be >= 0, got -1/10$"):
+        NEGATIVE_AMOUNTS[what](ledger)
+    assert ledger.snapshot() == before
 
 
 def test_snapshot_format_is_stable():

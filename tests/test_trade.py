@@ -94,9 +94,9 @@ def test_scheme_payout_parameters():
     assert Withheld(3).win_gain(p) == 1
     # One affine rule: win = price + slope * wager, stake = loss = wager.
     assert (Standard.slope, WinnerRebate.slope, Withheld.slope) == (0, 1, -1)
-    assert WinnerRebate(3).stake(p) == Withheld(3).loss_cost(p) == 3
+    assert WinnerRebate(3).loss_cost(p) == Withheld(3).loss_cost(p) == 3
     g = Generic(win_amount=5, loss_amount=2)
-    assert g.win_gain(p) == 5 and g.loss_cost(p) == 2 and g.stake(p) == 2
+    assert g.win_gain(p) == 5 and g.loss_cost(p) == 2
 
 
 def test_kv_round_trip_named_scheme():
