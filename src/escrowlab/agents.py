@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -194,9 +194,7 @@ def simulate(
 
 
 def sweep(
-    price,
-    seller_value,
-    buyer_value,
+    params: TradeParams,
     gammas: Iterable,
     wagers: Iterable,
     fees: Iterable = (0,),
@@ -204,6 +202,7 @@ def sweep(
 ) -> list[SecurityReport]:
     """Security report at every grid point, one row per combination.
 
+    Each point is `params` with its gamma and fee replaced, validated anew.
     Schemes are given by name (any spelling `trade.scheme_class` accepts) or
     class, and must have a single wager to sweep.  Each grid is read once.
     The node margins are affine in the wager, so they are solved once per
@@ -216,17 +215,11 @@ def sweep(
         stakes = [kind(wager).wager for wager in wagers]
         for gamma in gammas:
             for fee in fees:
-                params = TradeParams(
-                    price=price,
-                    seller_value=seller_value,
-                    buyer_value=buyer_value,
-                    arbiter_error=gamma,
-                    fee=fee,
-                )
-                rows, forms = _wager_forms(params, kind.slope)
+                point = replace(params, arbiter_error=gamma, fee=fee)
+                rows, forms = _wager_forms(point, kind.slope)
                 for stake in stakes:
                     margins = [constant + coeff * stake for constant, coeff in forms]
-                    reports.append(_report(params, stake, kind.name, rows, margins))
+                    reports.append(_report(point, stake, kind.name, rows, margins))
     return reports
 
 

@@ -22,7 +22,7 @@ from random import Random
 from typing import Optional, Protocol, Union
 
 from .gametree import Party
-from .ledger import TimeoutPolicy
+from .ledger import TimeoutPolicy, _require_whole
 from .trade import as_fraction
 
 #: Size of the commitment randomness, in bits.
@@ -190,10 +190,15 @@ def oracle_arbitrate(honest_party: Party, gamma, rng: Random) -> Verdict:
 
 @dataclass(frozen=True)
 class Late:
-    """A response delivered after `ticks` of delay."""
+    """A response delivered after `ticks` of delay, a whole number >= 0."""
 
     message: Message
     ticks: int
+
+    def __post_init__(self) -> None:
+        _require_whole("ticks", self.ticks)
+        if self.ticks < 0:
+            raise ValueError(f"ticks must be >= 0, got {self.ticks}")
 
 
 class Channel(Protocol):

@@ -97,11 +97,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     wagers = _grid("lambdas", args.lambdas) if args.lambdas is not None else [scheme.wager]
     fees = _grid("taus", args.taus)
     schemes = _grid("schemes", args.schemes, wager_class)
-    reports = sweep(
-        params.price, params.seller_value, params.buyer_value,
-        gammas=gammas, wagers=wagers, fees=fees, schemes=schemes,
-    )
-    sys.stdout.write(sweep_csv(reports))
+    sys.stdout.write(sweep_csv(sweep(params, gammas=gammas, wagers=wagers, fees=fees, schemes=schemes)))
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:

@@ -94,6 +94,8 @@ class EscrowContract:
         scheme: WagerScheme,
         policy: Optional[TimeoutPolicy] = None,
     ):
+        if buyer == seller:
+            raise ContractError(f"buyer and seller must be different accounts, got {buyer!r} for both")
         stake = scheme.loss_cost(params)
         win_gain = scheme.win_gain(params)
         if win_gain > params.price + stake:
@@ -138,9 +140,9 @@ class EscrowContract:
     def pot_total(self) -> Fraction:
         return sum(self.liveness_deposits.values(), self._wagered)
 
-    def _step(self, actor: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
-        """Log a move's event, entering `phase` first if it is given: the
-        deadline is re-armed when the new phase is timed, cancelled if not."""
+    def _step(self, role: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
+        """Log the move's event for `role`, entering `phase` first if given:
+        the deadline is re-armed when the new phase is timed, cancelled if not."""
         if phase is not None:
             self.phase = phase
             self.phase_entered_at = self.ledger.time
@@ -149,7 +151,6 @@ class EscrowContract:
                 self.ledger.register_timeout(
                     self.contract_id, self.ledger.time + self.policy.timeout, self.on_timeout
                 )
-        role = {self.buyer: "buyer", self.seller: "seller"}.get(actor, actor)
         sign = f"+{pot_delta}" if pot_delta > 0 else str(pot_delta)
         self.events.append(f"{self.ledger.time} {self.phase.value} {role} {action} {sign}")
 
@@ -168,16 +169,17 @@ class EscrowContract:
         lateness = self.ledger.time - self.phase_entered_at
         self.worst_lateness[party] = max(self.worst_lateness.get(party, 0), lateness)
 
-    def _pay_in(self, actor: str, action: str, amount: Fraction, phase: Optional[Phase] = None) -> None:
-        """A fee-bearing move paying `amount` into the pot.  Made while the
-        contract is proposed, it is the party's entry, and `amount` includes
-        their liveness deposit.  The response time and the deposit are
-        recorded only once the ledger has taken the money."""
-        self.ledger.escrow_deposit(actor, self.contract_id, amount, contract_move=True)
-        self._mark_response(actor)
+    def _pay_in(self, role: str, action: str, amount: Fraction, phase: Optional[Phase] = None) -> None:
+        """A fee-bearing move by `role` paying `amount` into the pot.  Made
+        while the contract is proposed, it is the party's entry, and `amount`
+        includes their liveness deposit.  The response time and the deposit
+        are recorded only once the ledger has taken the money."""
+        party = getattr(self, role)
+        self.ledger.escrow_deposit(party, self.contract_id, amount, contract_move=True)
+        self._mark_response(party)
         if self.phase is Phase.PROPOSED and self.liveness_deposit:
-            self.liveness_deposits[actor] = self.liveness_deposit
-        self._step(actor, action, amount, phase)
+            self.liveness_deposits[party] = self.liveness_deposit
+        self._step(role, action, amount, phase)
 
     # -- party moves -----------------------------------------------------------
 
@@ -187,7 +189,7 @@ class EscrowContract:
         self._require(actor, self.seller, Phase.PROPOSED)
         if self.seller_accepted:
             raise WrongPhaseError("already accepted")
-        self._pay_in(actor, "accept", self.liveness_deposit)
+        self._pay_in("seller", "accept", self.liveness_deposit)
         self.seller_accepted = True
 
     def fund(self, actor: str) -> None:
@@ -195,7 +197,7 @@ class EscrowContract:
         self._require(actor, self.buyer, Phase.PROPOSED)
         if not self.seller_accepted:
             raise WrongPhaseError("seller has not accepted yet")
-        self._pay_in(actor, "fund", self.params.price + self.liveness_deposit, Phase.FUNDED)
+        self._pay_in("buyer", "fund", self.params.price + self.liveness_deposit, Phase.FUNDED)
         self._wagered = self.params.price
 
     def notify_delivery(self, actor: str) -> None:
@@ -204,31 +206,31 @@ class EscrowContract:
         self.ledger.charge_move(actor)
         self._mark_response(actor)
         self.delivered = True
-        self._step(actor, "notify", Fraction(0), Phase.DELIVERED_NOTIFIED)
+        self._step("seller", "notify", Fraction(0), Phase.DELIVERED_NOTIFIED)
 
     def dispute(self, actor: str) -> None:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
-        self._pay_in(actor, "dispute", self.stake, Phase.DISPUTED)
+        self._pay_in("buyer", "dispute", self.stake, Phase.DISPUTED)
         self._wagered += self.stake
 
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""
         self._require(actor, self.seller, Phase.DISPUTED)
-        self._pay_in(actor, "counter", self.stake, Phase.COUNTERED)
+        self._pay_in("seller", "counter", self.stake, Phase.COUNTERED)
         self._wagered += self.stake
 
     def forfeit(self, actor: str) -> None:
         """Seller concedes the dispute; free, being the timeout default."""
         self._require(actor, self.seller, Phase.DISPUTED)
         self._mark_response(actor)
-        self._end_by_default(actor, "forfeit")
+        self._end_by_default("seller", "forfeit")
 
     def accept_delivery(self, actor: str) -> None:
         """Buyer closes the trade as received; free, being the timeout default."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
         self._mark_response(actor)
-        self._end_by_default(actor, "accept_delivery")
+        self._end_by_default("buyer", "accept_delivery")
 
     # -- arbitration -------------------------------------------------------------
 
@@ -268,7 +270,7 @@ class EscrowContract:
         self.worst_lateness[getattr(self, silent)] = self.policy.timeout
         self._end_by_default("contract" if how == "abort" else "timeout", f"timeout_{how}")
 
-    def _end_by_default(self, actor: str, action: str) -> None:
+    def _end_by_default(self, role: str, action: str) -> None:
         """End the contract by the current phase's default, which the mover
         plays or the timeout applies.  An abort repays the deposits whole,
         and first: nothing was misplayed before funding."""
@@ -277,9 +279,9 @@ class EscrowContract:
         if how == "abort":
             pays = [*self.liveness_deposits.items(), *pays]
             self.liveness_deposits.clear()
-        self._end(how, actor, action, pays)
+        self._end(how, role, action, pays)
 
-    def _end(self, how: str, actor: str, action: str, pays: list, to_arbiter: Fraction = Fraction(0)) -> None:
+    def _end(self, how: str, role: str, action: str, pays: list, to_arbiter: Fraction = Fraction(0)) -> None:
         """The one way a contract ends: pay out of the pot in the order given,
         send the arbiter its share, repay the liveness deposits on the
         payback ramp (burning the shortfall), and close with one event.
@@ -300,7 +302,7 @@ class EscrowContract:
         self._wagered = Fraction(0)
         self.liveness_deposits.clear()
         self.settled_how = how
-        self._step(actor, action, -pot, Phase.ABORTED if how == "abort" else Phase.SETTLED)
+        self._step(role, action, -pot, Phase.ABORTED if how == "abort" else Phase.SETTLED)
 
 
 def propose(

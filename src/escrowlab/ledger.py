@@ -79,6 +79,12 @@ def _require_whole(name: str, value) -> None:
         raise ValueError(f"{name} must be a whole number of ticks, got {value!r}")
 
 
+def _require_name(what: str, name) -> None:
+    """The one check that a name prints as one word of `snapshot()`."""
+    if type(name) is not str or name.split() != [name]:
+        raise ValueError(f"{what} must be a non-empty string without whitespace, got {name!r}")
+
+
 def _pair(value) -> Pair:
     """Any rational as a pair; `as_fraction` refuses a bool."""
     if type(value) is not Fraction and type(value) is not int:
@@ -177,6 +183,9 @@ class Ledger:
     # -- accounts ----------------------------------------------------------
 
     def open_account(self, name: str, balance=0) -> None:
+        _require_name("account name", name)
+        if name in ("fee_sink", "arbiter_sink", "time") or name.startswith("pot:"):
+            raise ValueError(f"account name {name!r} would read as a snapshot line of its own")
         if name in self._balances:
             raise LedgerError(f"account {name!r} already exists")
         self._balances[name] = _amount(balance, "opening balance")
@@ -217,8 +226,11 @@ class Ledger:
 
     def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False) -> None:
         n, d = _amount(amount)
+        pot = self._pots.get(contract_id, _ZERO)
+        if not pot[0]:  # only a deposit fills a pot, so snapshot() prints only checked ids
+            _require_name("pot id", contract_id)
         self._move(party, (-n, d), contract_move)
-        self._pots[contract_id] = _add(self._pots.get(contract_id, _ZERO), (n, d))
+        self._pots[contract_id] = _add(pot, (n, d))
 
     def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False) -> None:
         """Pay out of a pot; a fee-bearing release is a withdrawal claimed by
@@ -252,6 +264,7 @@ class Ledger:
 
     def open_pot(self, pot_id: str) -> None:
         """Open an empty pot under an id no pot has used on this ledger."""
+        _require_name("pot id", pot_id)
         if pot_id in self._pots:
             raise LedgerError(f"pot {pot_id!r} is already open")
         self._pots[pot_id] = _ZERO
@@ -274,6 +287,7 @@ class Ledger:
     def register_timeout(self, contract_id: str, due: int, callback: Callable[[], None]) -> None:
         """Arm (or re-arm) the id's one timeout; a later registration of the
         same id replaces the earlier one."""
+        _require_name("timeout id", contract_id)
         _require_whole("due", due)
         if due <= self.time:
             raise ValueError(f"due {due} is not in the future (now {self.time})")
@@ -319,7 +333,7 @@ class Ledger:
     def snapshot(self) -> str:
         """Line-oriented dump: accounts, then pots and sinks, then the clock."""
         lines = [f"{name} {Fraction(*self._balances[name])}" for name in sorted(self._balances)]
-        lines += [f"pot:{cid} {Fraction(*self._pots[cid])}" for cid in sorted(self._pots) if self._pots[cid][0]]
+        lines += [f"pot:{cid} {Fraction(*value)}" for cid, value in sorted(p for p in self._pots.items() if p[1][0])]
         lines.append(f"fee_sink {Fraction(*self._fee_sink)}")
         lines.append(f"arbiter_sink {Fraction(*self._arbiter_sink)}")
         lines.append(f"time {self.time}")

@@ -24,11 +24,13 @@ prices, added as integers over the least common multiple of their own
 denominators, so a batch builds one `Fraction` per deposit and per payout,
 not one per trade.
 
-A party that cannot fund a step has that step's moves converted to defaults:
-unfunded purchases are cancelled, unfunded disputes become acceptance,
-unfunded counters become forfeits.  A batch that still cannot complete
-(a withdrawal fee it cannot pay, a party with no account) raises, and
-`Ledger.transaction()`, its one rollback, leaves the ledger as it was.
+Purchases, dispute wagers and counter wagers follow one deposit rule: in
+index order, each payer deposits the exact sum of its step's prices as one
+fee-bearing move, or, if it cannot pay, has its whole step dropped to the
+default (purchases cancelled, disputes accepted, counters forfeited).  A
+batch that still cannot complete (a withdrawal fee it cannot pay, a party
+with no account) raises, and `Ledger.transaction()`, its one rollback,
+leaves the ledger as it was.
 """
 
 from __future__ import annotations
@@ -85,6 +87,17 @@ def _sum(values: list[Fraction]) -> Fraction:
     ratios = [v.as_integer_ratio() for v in values]  # (p, q) for each p/q
     scale = lcm(*{q for _, q in ratios})
     return Fraction(sum(p * (scale // q) for p, q in ratios), scale)
+
+
+def _bit_grid(n: int, steps: list[list[int]]) -> BitMatrix:
+    """The effective bit grid: a 1 at (i, j) for each j in steps[i]."""
+    rows = []
+    for cols in steps:
+        row = [0] * n
+        for j in cols:
+            row[j] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _rows(n: int, rows, name: str, malformed: str) -> list:
@@ -205,50 +218,31 @@ def multiparty_run(
     else:
         b = _as_bits(n, coin_matrix, "coin")
 
-    def unfunded(i: int, prices: list[Fraction]) -> bool:
-        """Escrow the sum of party i's prices for one step as a single
-        fee-bearing deposit; true if the party cannot pay it."""
-        if not prices:
-            return False
-        try:
-            ledger.escrow_deposit(parties[i], POT, _sum(prices), contract_move=True)
-        except InsufficientFundsError:
-            return True
-        return False
-
-    def marked(steps: list[list[int]]) -> list[list[int]]:
-        """The bit matrix with a 1 at (i, j) for each j in steps[i]."""
-        rows = []
-        for cols in steps:
-            row = [0] * n
-            for j in cols:
-                row[j] = 1
-            rows.append(row)
-        return rows
+    def deposit(steps: list[list[int]], by_seller: bool = False) -> list[list[int]]:
+        """The one deposit rule (see the module docstring) over steps[i],
+        payer i's trades in this step: the sellers it pays, or, `by_seller`,
+        the buyers whose disputes it counters.  Returns the funded steps."""
+        for i, cols in enumerate(steps):
+            if cols:
+                prices = [x[j][i] for j in cols] if by_seller else [x[i][j] for j in cols]
+                try:
+                    ledger.escrow_deposit(parties[i], POT, _sum(prices), contract_move=True)
+                except InsufficientFundsError:
+                    steps[i] = []
+        return steps
 
     with ledger.transaction():
-        # Purchase deposits; a buyer who cannot pay has every purchase cancelled.
-        for i, paid in enumerate(sellers):
-            if unfunded(i, [x[i][j] for j in paid]):
-                x[i], sellers[i] = [_ZERO] * n, []
-
-        # Dispute wagers (the trade's price); unfunded disputes default to accept.
-        disputed = []  # per buyer, the sellers it disputes
-        for i, paid in enumerate(sellers):
-            cols = [j for j in paid if d[i][j]]
-            disputed.append([] if unfunded(i, [x[i][j] for j in cols]) else cols)
-        d = marked(disputed)
-
-        # Counter wagers (the disputed trade's price); unfunded counters forfeit.
+        # Purchases: a buyer that cannot pay has every purchase cancelled.
+        sellers = deposit(sellers)
+        # Dispute wagers (the trade's price): an unfunded dispute is accepted.
+        disputed = deposit([[j for j in paid if d[i][j]] for i, paid in enumerate(sellers)])
+        # Counter wagers (the disputed trade's price): an unfunded counter forfeits.
         disputers = [[] for _ in range(n)]  # per seller, the buyers disputing it
         for i, cols in enumerate(disputed):
             for j in cols:
                 disputers[j].append(i)
-        countered = []  # per seller, the disputes it counters
-        for i, buyers in enumerate(disputers):
-            cols = [j for j in buyers if c[i][j]]
-            countered.append([] if unfunded(i, [x[j][i] for j in cols]) else cols)
-        c = marked(countered)
+        countered = deposit([[j for j in buyers if c[i][j]] for i, buyers in enumerate(disputers)], by_seller=True)
+        d, c = _bit_grid(n, disputed), _bit_grid(n, countered)
 
         # Settle every trade as its own two-party outcome; each party's
         # credits are summed once, into its payout.
@@ -271,9 +265,9 @@ def multiparty_run(
 
     return SettlementMatrix(
         parties=parties,
-        payments=tuple(tuple(row) for row in x),
-        disputes=tuple(tuple(row) for row in d),
-        counters=tuple(tuple(row) for row in c),
+        payments=tuple(tuple(row) if paid else (_ZERO,) * n for row, paid in zip(x, sellers)),
+        disputes=d,
+        counters=c,
         coin=tuple(tuple(row) for row in b),
         payouts=tuple(payouts),
     )

@@ -30,7 +30,7 @@ from escrowlab.gametree import (
     leaf_payoff,
 )
 from escrowlab.ledger import TimeoutPolicy
-from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld
+from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
 
 PARAMS = TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error="1/4")
 
@@ -292,7 +292,7 @@ def test_empirical_best_response_matches_the_solved_tree_per_phase():
 
 def test_sweep_reproduces_the_strength_boundary():
     gammas = [Fraction(k, 20) for k in range(11)]
-    reports = sweep(1, 0, 2, gammas=gammas, wagers=[1])
+    reports = sweep(TradeParams(1, 0, 2), gammas=gammas, wagers=[1])
     for report in reports:
         assert report.strong == (report.gamma < Fraction(1, 2))
         if report.strong:
@@ -301,14 +301,14 @@ def test_sweep_reproduces_the_strength_boundary():
 
 def test_sweep_over_wagers_matches_the_completeness_interval():
     wagers = [Fraction(k, 12) for k in range(1, 48)]
-    reports = sweep(1, 0, 2, gammas=[Fraction(1, 4)], wagers=wagers)
+    reports = sweep(TradeParams(1, 0, 2), gammas=[Fraction(1, 4)], wagers=wagers)
     for report in reports:
         inside = Fraction(1, 3) < report.wager < 3
         assert report.complete == inside
 
 
 def test_sweep_rows_drop_the_bound_when_fees_eat_it():
-    reports = sweep(1, 0, 2, gammas=[Fraction(1, 4)], wagers=[1], fees=[Fraction(1, 2), Fraction(3, 5)])
+    reports = sweep(TradeParams(1, 0, 2), gammas=[Fraction(1, 4)], wagers=[1], fees=[Fraction(1, 2), Fraction(3, 5)])
     for report in reports:
         assert report.sound_epsilon_max is None  # tau >= x(1-2g)
     text = sweep_csv(reports)
@@ -318,12 +318,22 @@ def test_sweep_rows_drop_the_bound_when_fees_eat_it():
 
 
 def test_sweep_csv_round_trips_through_the_report_fields():
-    reports = sweep(1, 0, 2, gammas=[0, Fraction(1, 4)], wagers=[1, 2], schemes=["standard", "withheld"])
+    reports = sweep(TradeParams(1, 0, 2), gammas=[0, Fraction(1, 4)], wagers=[1, 2], schemes=["standard", "withheld"])
     text = sweep_csv(reports)
     lines = text.strip().splitlines()
     assert len(lines) == 1 + len(reports)
     # Each grid is read once, so one-shot iterators give every row too.
     assert sweep(
-        1, 0, 2, gammas=iter([0, Fraction(1, 4)]), wagers=iter([1, 2]), fees=iter([0]),
+        TradeParams(1, 0, 2), gammas=iter([0, Fraction(1, 4)]), wagers=iter([1, 2]), fees=iter([0]),
         schemes=iter(["standard", "withheld"]),
     ) == reports
+
+
+def test_sweep_replaces_the_trades_gamma_and_fee_at_each_point():
+    params = TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error=Fraction(1, 3), fee=1)
+    [report] = sweep(params, gammas=[0], wagers=[1], fees=[0])
+    assert (report.gamma, report.fee) == (0, 0) and report.to_row()["tau"] == "0"
+    assert report == sweep(TradeParams(1, 0, 2), gammas=[0], wagers=[1])[0]
+    for gamma in (-1, Fraction(3, 2)):  # each point is validated as a TradeParams
+        with pytest.raises(InvalidTradeError, match="arbiter_error must lie in"):
+            sweep(params, gammas=[gamma], wagers=[1])

@@ -224,6 +224,20 @@ def test_late_reply_past_the_policy_timeout_forfeits():
     assert verdict.basis == BASIS_COIN
 
 
+@pytest.mark.parametrize(
+    "ticks, message",
+    [
+        (-5, r"^ticks must be >= 0, got -5$"),
+        (2.5, r"^ticks must be a whole number of ticks, got 2.5$"),
+        (True, r"^ticks must be a whole number of ticks, got True$"),
+    ],
+)
+def test_a_late_reply_is_late_by_whole_ticks(ticks, message):
+    with pytest.raises(ValueError, match=message):
+        Late(Bit(0), ticks)
+    assert Late(Bit(0), 0).ticks == 0
+
+
 def test_honest_coin_is_uniform_chi_square():
     rng = Random(5)
     n = 10_000

@@ -80,6 +80,36 @@ def test_honest_trade_event_log_is_stable():
     ]
 
 
+def test_a_contract_between_an_account_and_itself_is_refused():
+    ledger = Ledger()
+    ledger.open_account("a", 100)
+    before = ledger.snapshot()
+    with pytest.raises(ContractError, match="buyer and seller must be different accounts, got 'a' for both"):
+        propose(ledger, "c", "a", "a", PARAMS, Standard(1), TimeoutPolicy(1, 2))
+    assert ledger.snapshot() == before and "c" not in ledger.pots
+    ledger.advance_time(5)  # no deadline was armed
+    assert ledger.snapshot() == before.replace("time 0", "time 5")
+
+
+def test_events_name_roles_even_when_accounts_are_named_after_the_other_role():
+    ledger = Ledger()
+    ledger.open_account("seller", 100)  # the buyer
+    ledger.open_account("buyer", 100)  # the seller
+    c = propose(ledger, "c1", "seller", "buyer", PARAMS, Standard(1))
+    c.accept("buyer")
+    c.fund("seller")
+    c.dispute("seller")
+    c.forfeit("buyer")
+    assert c.events == [
+        "0 proposed buyer propose 0",
+        "0 proposed seller accept 0",
+        "0 funded buyer fund +2",
+        "0 disputed buyer dispute +1",
+        "0 settled seller forfeit -3",
+    ]
+    assert ledger.balance("seller") == 100 and ledger.balance("buyer") == 100
+
+
 def test_honest_trade_charges_exactly_three_fee_bearing_moves():
     # Buyer's funding, seller's acceptance, and the delivery notification are
     # the only fee-bearing interactions; accepting delivery is the default.

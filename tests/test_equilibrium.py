@@ -508,7 +508,7 @@ def test_margin_table_matches_the_naive_formulas_and_solver(data, kind):
             NAIVE_NAMES[node]: naive[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND)
         }
         assert report == expected and list(report.slacks) == list(expected.slacks)
-    rows = sweep(x, xs, p.buyer_value, gammas=[gamma], wagers=wagers, fees=[fee], schemes=[kind])
+    rows = sweep(p, gammas=[gamma], wagers=wagers, fees=[fee], schemes=[kind])
     assert rows == [naive_security_report(p, kind(wager)) for wager in wagers]
 
 

@@ -590,6 +590,45 @@ def test_a_bool_is_not_an_amount(act):
     assert "a" not in ledger.balances
 
 
+BAD_NAMES = {
+    "an account name that is not a str": lambda ledger: ledger.open_account(7, 3),
+    "an empty account name": lambda ledger: ledger.open_account("", 1),
+    "an account name with a space": lambda ledger: ledger.open_account("a b", 1),
+    "an account name with a newline": lambda ledger: ledger.open_account("a\n", 1),
+    "a pot id that is not a str": lambda ledger: ledger.open_pot(7),
+    "an empty pot id": lambda ledger: ledger.open_pot(""),
+    "a pot id with a tab": lambda ledger: ledger.open_pot("c\t1"),
+    "a deposit into a pot id that is not a str": lambda ledger: ledger.escrow_deposit("buyer", 7, 1),
+    "a timeout id that is not a str": lambda ledger: ledger.register_timeout(5, 10, lambda: None),
+    "a timeout id with a space": lambda ledger: ledger.register_timeout("c 1", 10, lambda: None),
+}
+
+
+@pytest.mark.parametrize("act", BAD_NAMES.values(), ids=BAD_NAMES.keys())
+def test_a_name_snapshot_cannot_print_is_refused(act):
+    ledger = fresh_ledger()
+    before, pots = ledger.snapshot(), dict(ledger.pots)
+    with pytest.raises(ValueError, match="must be a non-empty string without whitespace, got "):
+        act(ledger)
+    assert ledger.snapshot() == before and dict(ledger.pots) == pots
+    # Names that print still work, and nothing was left armed.
+    fired = []
+    ledger.open_account("z", 1)
+    ledger.register_timeout("a", 10, lambda: fired.append("a"))
+    ledger.advance_time(20)
+    assert fired == ["a"]
+    assert ledger.snapshot() == before.replace("seller 10\n", "seller 10\nz 1\n").replace("time 0", "time 20")
+
+
+@pytest.mark.parametrize("name", ["fee_sink", "arbiter_sink", "time", "pot:c1", "pot:"])
+def test_an_account_cannot_take_a_name_of_the_snapshots_own_lines(name):
+    ledger = fresh_ledger()
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match=f"account name '{name}' would read as a snapshot line of its own"):
+        ledger.open_account(name, 5)
+    assert ledger.snapshot() == before and name not in ledger.balances
+
+
 def test_a_negative_deposit_has_no_payback():
     with pytest.raises(ValueError, match=r"^deposit must be >= 0, got -3$"):
         deposit_payback(5, TimeoutPolicy(4, 12), -3)
