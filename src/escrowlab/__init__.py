@@ -44,7 +44,6 @@ from .equilibrium import (
     node_margins,
     security_report,
     winner_rebate_lambda,
-    withheld_security,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "security_report",
     "to_kv",
     "winner_rebate_lambda",
-    "withheld_security",
 ]
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from .arbiter import arbiter_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
-from .equilibrium import SecurityReport, _report, _wager_forms
+from .equilibrium import SecurityReport, _reports, _wager_forms
 from .gametree import Party
 from .ledger import Ledger, TimeoutPolicy
 from .trade import Standard, TradeParams, WagerScheme, wager_class
@@ -206,7 +206,8 @@ def sweep(
     Schemes are given by name (any spelling `trade.scheme_class` accepts) or
     class, and must have a single wager to sweep.  Each grid is read once.
     The node margins are affine in the wager, so they are solved once per
-    (scheme, gamma, fee) row and evaluated at each wager.
+    (scheme, gamma, fee) row and evaluated at each wager, in ints over the
+    row's one scale (`equilibrium._reports`).
     """
     gammas, wagers, fees = list(gammas), list(wagers), list(fees)
     reports = []
@@ -216,10 +217,7 @@ def sweep(
         for gamma in gammas:
             for fee in fees:
                 point = replace(params, arbiter_error=gamma, fee=fee)
-                rows, forms = _wager_forms(point, kind.slope)
-                for stake in stakes:
-                    margins = [constant + coeff * stake for constant, coeff in forms]
-                    reports.append(_report(point, stake, kind.name, rows, margins))
+                reports += _reports(point, kind.name, *_wager_forms(point, kind.slope), stakes)
     return reports
 
 

@@ -9,8 +9,11 @@ Three independent routes answer the same questions:
 The analytic layer is the production surface: `security_report` reads the
 table into the one record per setup, and every other checker reads that
 record or the table; the other two act as oracles in the test suite.
-Everything is exact rational arithmetic, so strict versus non-strict
-boundaries are decided without tolerance.
+Every value returned is an exact `Fraction`.  The sweep's and the
+enumeration's decisions are made in ints: a sweep row's margin forms and
+wagers, or a tree's leaf payoffs and epsilon, are put over one common
+scale (`trade.scaled`), so strict versus non-strict boundaries are decided
+exactly, without tolerance and without a `Fraction` per comparison.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .gametree import (
     Action,
     DecisionNode,
     GameTree,
+    Leaf,
     LeafNode,
     Party,
     PayoffPair,
@@ -39,8 +43,8 @@ from .trade import (
     Standard,
     TradeParams,
     WagerScheme,
-    Withheld,
     as_fraction,
+    scaled,
     wager_class,
 )
 
@@ -88,19 +92,15 @@ def _margin_table(params: TradeParams) -> tuple[_Row, ...]:
     )
 
 
-def _margins(params: TradeParams, scheme: WagerScheme) -> tuple[tuple[_Row, ...], list[Fraction]]:
-    """The table and its margins at the scheme's arbitration payouts."""
+def _wager_forms(
+    params: TradeParams, slope: int, base: Optional[Fraction] = None
+) -> tuple[tuple[_Row, ...], list[tuple[Fraction, Fraction]]]:
+    """The table and each row's margin as (constant, coefficient) in the
+    wager: the winner nets base + slope * wager (base defaults to the price,
+    as in an affine scheme), the loser the wager."""
     rows = _margin_table(params)
-    win, loss = scheme.win_gain(params), scheme.loss_cost(params)
-    return rows, [row.at(win, loss) for row in rows]
-
-
-def _wager_forms(params: TradeParams, slope: int) -> tuple[tuple[_Row, ...], list[tuple[Fraction, Fraction]]]:
-    """The table and each row's margin as (constant, coefficient) in the wager
-    of an affine scheme: the winner nets x + slope * wager, the loser the wager."""
-    rows = _margin_table(params)
-    x = params.price
-    return rows, [(row.constant + row.per_win * x, row.per_win * slope + row.per_loss) for row in rows]
+    win = params.price if base is None else base
+    return rows, [(row.constant + row.per_win * win, row.per_win * slope + row.per_loss) for row in rows]
 
 
 def node_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction]:
@@ -108,8 +108,8 @@ def node_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction
 
     Positive margin means the honest action strictly beats the alternative.
     """
-    rows, margins = _margins(params, scheme)
-    return {row.node: margin for row, margin in zip(rows, margins)}
+    win, loss = scheme.win_gain(params), scheme.loss_cost(params)
+    return {row.node: row.at(win, loss) for row in _margin_table(params)}
 
 
 def _positive_epsilon(epsilon) -> Fraction:
@@ -182,30 +182,54 @@ class SecurityReport:
 
 
 def security_report(params: TradeParams, scheme: WagerScheme) -> SecurityReport:
-    return _report(params, scheme.loss_cost(params), scheme.name, *_margins(params, scheme))
+    """The report at the scheme's own stake, from its arbitration payouts."""
+    forms = _wager_forms(params, 0, scheme.win_gain(params))
+    return _reports(params, scheme.name, *forms, [scheme.loss_cost(params)])[0]
 
 
-def _report(
-    params: TradeParams, wager: Fraction, scheme_name: str, rows: tuple[_Row, ...], margins: list[Fraction]
-) -> SecurityReport:
-    """The report for one setup whose table `rows` evaluates to `margins`."""
-    complete = all(margin > 0 for margin in margins)
-    slacks = {row.name: margin for row, margin in zip(rows, margins)}
-    worst = min(margin for row, margin in zip(rows, margins) if row.dispute)
-    eps_max = worst if worst > 0 else None
-    low = min(margins)
-    return SecurityReport(
-        complete=complete,
-        sound_epsilon_max=eps_max,
-        strong=complete and eps_max is not None,
-        weak=low >= 0,
-        slacks=slacks,
-        binding=tuple(name for name, slack in slacks.items() if slack == low),
-        gamma=params.arbiter_error,
-        wager=wager,
-        fee=params.fee,
-        scheme=scheme_name,
-    )
+def _reports(
+    params: TradeParams,
+    scheme_name: str,
+    rows: tuple[_Row, ...],
+    forms: list[tuple[Fraction, Fraction]],
+    stakes: list[Fraction],
+) -> list[SecurityReport]:
+    """The report at each stake, for the table `rows` whose margins are
+    constant + coefficient * stake by `forms`.
+
+    The forms and the stakes are put over one scale s, so each margin times
+    s * s is an int: every verdict, minimum and tie is decided in ints, and
+    only the slacks are built as `Fraction`s, once per distinct margin (a
+    wager-free row's margin recurs at every stake).
+    """
+    ints, scale = scaled([*itertools.chain.from_iterable(forms), *stakes])
+    size = 2 * len(rows)
+    table = [(constant * scale, coeff) for constant, coeff in zip(ints[0:size:2], ints[1:size:2])]
+    den = scale * scale
+    names = [row.name for row in rows]
+    dispute = [k for k, row in enumerate(rows) if row.dispute]
+    built: dict[int, Fraction] = {}
+    reports = []
+    for stake, wager in zip(stakes, ints[size:]):
+        margins = [constant + coeff * wager for constant, coeff in table]
+        slacks = [built[m] if m in built else built.setdefault(m, Fraction(m, den)) for m in margins]
+        worst = min(dispute, key=margins.__getitem__)  # the least dispute-layer margin's row
+        low = min(margins)
+        complete = low > 0
+        eps_max = slacks[worst] if margins[worst] > 0 else None
+        reports.append(SecurityReport(
+            complete=complete,
+            sound_epsilon_max=eps_max,
+            strong=complete and eps_max is not None,
+            weak=low >= 0,
+            slacks=dict(zip(names, slacks)),
+            binding=tuple(name for name, margin in zip(names, margins) if margin == low),
+            gamma=params.arbiter_error,
+            wager=stake,
+            fee=params.fee,
+            scheme=scheme_name,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +252,6 @@ def winner_rebate_lambda(params: TradeParams, epsilon) -> Fraction:
         if not (row.per_win or row.per_loss) and row.constant <= 0:
             raise ValueError(f"no wager achieves this with fee {params.fee}: {row.name} fails")
     return (params.price * g + eps) / (1 - 2 * g)
-
-
-def withheld_security(params: TradeParams) -> SecurityReport:
-    """Report for the withheld-wager contract at its canonical wager x/2."""
-    return security_report(params, Withheld(params.price / 2))
 
 
 def generic_impossibility(omega, ell, gamma) -> bool:
@@ -338,15 +357,14 @@ class SolvedTree:
     """Backward-induction annotation of a game tree.
 
     chosen maps every decision node to the owner-optimal action (the honest
-    action on exact ties, with all maximizers listed in tied); margin is the
-    chosen action's value lead over the best alternative, so the solved
-    profile is the unique pure SPE exactly when every margin is positive.
+    action on exact ties); margin is the chosen action's value lead over the
+    best alternative, 0 on a tie, so the solved profile is the unique pure
+    SPE exactly when every margin is positive.
     """
 
     tree: GameTree
     chosen: dict[str, Action]
     margins: dict[str, Fraction]
-    tied: dict[str, tuple[Action, ...]]
 
     @property
     def is_honest(self) -> bool:
@@ -360,7 +378,6 @@ class SolvedTree:
 def backward_induction(tree: GameTree) -> SolvedTree:
     chosen: dict[str, Action] = {}
     margins: dict[str, Fraction] = {}
-    tied: dict[str, tuple[Action, ...]] = {}
 
     def solve(node: TreeNode) -> PayoffPair:
         if isinstance(node, LeafNode):
@@ -374,11 +391,10 @@ def backward_induction(tree: GameTree) -> SolvedTree:
         runner_up = max((value for a, value in own.items() if a != pick), default=best_value)
         chosen[node.node_id] = pick
         margins[node.node_id] = best_value - runner_up
-        tied[node.node_id] = tuple(maximizers)
         return outcomes[pick]
 
     solve(tree.root)
-    return SolvedTree(tree=tree, chosen=chosen, margins=margins, tied=tied)
+    return SolvedTree(tree=tree, chosen=chosen, margins=margins)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +411,28 @@ def all_profiles(tree: GameTree) -> Iterable[Profile]:
         yield {node.node_id: action for node, action in zip(nodes, combo)}
 
 
+def _reached(node: TreeNode, profile: Profile) -> LeafNode:
+    """The leaf play reaches when it follows `profile` from `node`."""
+    while isinstance(node, DecisionNode):
+        node = node.actions[profile[node.node_id]]
+    return node
+
+
 def profile_value(tree: GameTree, profile: Profile, node: Optional[TreeNode] = None) -> PayoffPair:
     """Payoff vector when play follows `profile` from `node` (default root)."""
-    current: TreeNode = tree.root if node is None else node
-    while isinstance(current, DecisionNode):
-        current = current.actions[profile[current.node_id]]
-    return current.payoff
+    return _reached(tree.root if node is None else node, profile).payoff
+
+
+#: A leaf's (buyer, seller) payoff as ints over the tree's scale, by leaf.
+_IntPayoffs = dict[Leaf, tuple[int, int]]
+
+
+def _scaled_leaves(tree: GameTree, epsilon: Fraction = Fraction(0)) -> tuple[_IntPayoffs, int, int]:
+    """The leaf payoffs and `epsilon` over one scale, read from the tree's
+    leaves alone: (payoffs by leaf, epsilon, scale)."""
+    leaves = tree.leaves()
+    (bound, *ints), scale = scaled([epsilon, *(value for leaf in leaves for value in leaf.payoff)])
+    return {leaf.leaf_id: (ints[2 * k], ints[2 * k + 1]) for k, leaf in enumerate(leaves)}, bound, scale
 
 
 def profile_epsilon(tree: GameTree, profile: Profile) -> Fraction:
@@ -410,27 +442,29 @@ def profile_epsilon(tree: GameTree, profile: Profile) -> Fraction:
     subgame's mover-to-be owners, of the deviation's gain.  Zero means exact
     subgame perfection.
     """
-    worst = Fraction(0)
+    payoffs, _, scale = _scaled_leaves(tree)
+    return Fraction(_worst_gain(tree, profile, payoffs), scale)
+
+
+def _worst_gain(tree: GameTree, profile: Profile, payoffs: _IntPayoffs) -> int:
+    """`profile_epsilon` over the scaled leaf payoffs."""
+    worst = 0
     for node in tree.decision_nodes():
-        actual = profile_value(tree, profile, node).for_party(node.owner)
-        best = _best_response_value(tree, profile, node, node.owner)
-        gain = best - actual
+        side = node.owner is Party.SELLER  # the owner's index in a payoff pair
+        actual = payoffs[_reached(node, profile).leaf_id][side]
+        gain = _best_response(node, profile, node.owner, side, payoffs) - actual
         if gain > worst:
             worst = gain
     return worst
 
 
-def _best_response_value(
-    tree: GameTree, profile: Profile, node: TreeNode, player: Party
-) -> Fraction:
+def _best_response(node: TreeNode, profile: Profile, player: Party, side: int, payoffs: _IntPayoffs) -> int:
+    """The most `player` gets from `node` while every other node follows `profile`."""
     if isinstance(node, LeafNode):
-        return node.payoff.for_party(player)
+        return payoffs[node.leaf_id][side]
     if node.owner is player:
-        return max(
-            _best_response_value(tree, profile, child, player)
-            for child in node.actions.values()
-        )
-    return _best_response_value(tree, profile, node.actions[profile[node.node_id]], player)
+        return max(_best_response(child, profile, player, side, payoffs) for child in node.actions.values())
+    return _best_response(node.actions[profile[node.node_id]], profile, player, side, payoffs)
 
 
 def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
@@ -438,10 +472,11 @@ def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
 
     epsilon=0 gives the exact SPE set.  Ground truth for the analytic
     checkers; quadratic in the profile count, so capped at 20 decision nodes.
+    The leaf payoffs and epsilon are scaled to ints once per call.
     """
     if len(tree.decision_nodes()) > MAX_BRUTE_FORCE_NODES:
         raise ValueError(f"tree too large for enumeration (> {MAX_BRUTE_FORCE_NODES} nodes)")
-    eps = as_fraction(epsilon)
-    found = [p for p in all_profiles(tree) if profile_epsilon(tree, p) <= eps]
+    payoffs, bound, _ = _scaled_leaves(tree, as_fraction(epsilon))
+    found = [p for p in all_profiles(tree) if _worst_gain(tree, p, payoffs) <= bound]
     found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found

@@ -12,7 +12,9 @@ pots, and the two sinks never changes: fees and forfeited liveness deposits
 are burned into the fee sink, withheld wagers go to the arbiter sink.  Each
 operation validates every debit before touching state, so a rejected
 operation leaves the ledger untouched; `transaction()` does so for a block
-of operations by copying the pair dicts on entry.
+of operations by copying the pair dicts on entry.  A pot exists once
+`open_pot` or a deposit names it; a payout out of any other id raises
+`UnknownPotError`, zero amounts included.
 
 Timeouts fire in (due, id) order, with the clock reading the due instant
 inside each callback.  They are kept in a min-heap: registering and firing
@@ -49,6 +51,10 @@ class UnknownAccountError(LedgerError):
 
 class InsufficientFundsError(LedgerError):
     pass
+
+
+class UnknownPotError(LedgerError):
+    """A payout out of a pot id that no `open_pot` or deposit has used."""
 
 
 @dataclass(frozen=True)
@@ -255,8 +261,11 @@ class Ledger:
         self._fee_sink = _add(self._fee_sink, value)
 
     def _pot_less(self, contract_id: str, value: Pair) -> Pair:
-        """What the pot holds after paying out `value`; raises if it cannot."""
-        pot = self._pots.get(contract_id, _ZERO)
+        """What the pot holds after paying out `value`; raises if it cannot,
+        an id no pot has used even for a zero amount."""
+        pot = self._pots.get(contract_id)
+        if pot is None:
+            raise UnknownPotError(f"no pot {contract_id!r} on this ledger")
         rest = _add(pot, (-value[0], value[1]))
         if rest[0] < 0:
             raise InsufficientFundsError(f"pot {contract_id} has {Fraction(*pot)}, needs {Fraction(*value)}")

@@ -38,13 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from math import lcm
 from operator import is_not
 from random import Random
 from typing import Optional, Sequence
 
 from .ledger import InsufficientFundsError, Ledger
-from .trade import as_fraction
+from .trade import as_fraction, scaled
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 BitMatrix = tuple[tuple[int, ...], ...]
@@ -82,11 +81,10 @@ class SettlementMatrix:
 
 
 def _sum(values: list[Fraction]) -> Fraction:
-    """The exact sum of `values`: one integer sum over the least common
-    multiple of their denominators, then one `Fraction`."""
-    ratios = [v.as_integer_ratio() for v in values]  # (p, q) for each p/q
-    scale = lcm(*{q for _, q in ratios})
-    return Fraction(sum(p * (scale // q) for p, q in ratios), scale)
+    """The exact sum of `values`: one integer sum over their common scale,
+    then one `Fraction`."""
+    ints, scale = scaled(values)
+    return Fraction(sum(ints), scale)
 
 
 def _bit_grid(n: int, steps: list[list[int]]) -> BitMatrix:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Iterable, Union
 
 Rational = Union[int, str, float, Fraction]
 
@@ -29,6 +30,16 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"an amount must be a number, got {value!r}")
     return Fraction(value)
+
+
+def scaled(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:
+    """Exact rationals as ints over one scale: (each value times `scale`,
+    `scale`), where `scale` is the least common multiple of their
+    denominators.  Sums, differences and comparisons of the ints are those
+    of the values, without building a `Fraction` per step."""
+    ratios = [v.as_integer_ratio() for v in values]  # (p, q) for each p/q
+    scale = lcm(*{q for _, q in ratios})
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,11 @@ from escrowlab.equilibrium import (
     lambda_interval,
     security_report,
     winner_rebate_lambda,
-    withheld_security,
 )
 from escrowlab.gametree import HONEST_PROFILE, Leaf, Party, build_game_tree, leaf_payoff
 from escrowlab.ledger import Ledger
 from escrowlab.multiparty import multiparty_run
-from escrowlab.trade import Standard, TradeParams, WinnerRebate
+from escrowlab.trade import Standard, TradeParams, WinnerRebate, Withheld
 
 from conftest import (
     PAIR_STATES,
@@ -135,7 +134,7 @@ def test_criterion_5_withheld_wagers():
         rng = Random(505)
         for _ in range(100):
             params = draw_valid_params(rng)
-            report = withheld_security(params)
+            report = security_report(params, Withheld(params.price / 2))
             assert report.wager == params.price / 2
             assert report.sound_epsilon_max == params.price * (1 - 2 * params.arbiter_error) / 2
 

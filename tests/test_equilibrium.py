@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -15,6 +16,7 @@ from escrowlab.equilibrium import (
     LambdaInterval,
     SecurityReport,
     SoundnessPreconditionError,
+    all_profiles,
     backward_induction,
     brute_force_spe,
     check_soundness,
@@ -22,9 +24,9 @@ from escrowlab.equilibrium import (
     lambda_interval,
     node_margins,
     profile_epsilon,
+    profile_value,
     security_report,
     winner_rebate_lambda,
-    withheld_security,
 )
 from escrowlab.gametree import (
     AFTER_NOSEND,
@@ -34,6 +36,7 @@ from escrowlab.gametree import (
     HONEST_PROFILE,
     ROOT,
     Action,
+    LeafNode,
     build_game_tree,
 )
 from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld
@@ -80,7 +83,11 @@ def test_fair_coin_with_matching_wager_is_weakly_optimal_everywhere():
     zero_nodes = [n for n, margin in solved.margins.items() if margin == 0]
     assert zero_nodes
     for node in zero_nodes:
-        assert len(solved.tied[node]) == 2
+        # A margin of 0 is a tie: both actions are worth the same to the owner.
+        tree_node = tree.node(node)
+        values = {profile_value(tree, {**solved.chosen, node: a}, tree_node).for_party(tree_node.owner)
+                  for a in tree_node.actions}
+        assert len(values) == 1
 
 
 def test_backward_induction_margins_equal_analytic_margins_when_complete():
@@ -536,6 +543,105 @@ def test_some_wager_is_complete_iff_the_arbiter_favours_honesty_and_the_fee_allo
 
 
 # ---------------------------------------------------------------------------
+# The integer paths against the Fraction arithmetic they replaced
+# ---------------------------------------------------------------------------
+
+
+def naive_profile_epsilon(tree, profile):
+    """Reference: `profile_epsilon` as it was, in `Fraction` arithmetic."""
+    worst = Fraction(0)
+    for node in tree.decision_nodes():
+        actual = profile_value(tree, profile, node).for_party(node.owner)
+        gain = naive_best_response_value(profile, node, node.owner) - actual
+        if gain > worst:
+            worst = gain
+    return worst
+
+
+def naive_best_response_value(profile, node, player):
+    if isinstance(node, LeafNode):
+        return node.payoff.for_party(player)
+    if node.owner is player:
+        return max(naive_best_response_value(profile, child, player) for child in node.actions.values())
+    return naive_best_response_value(profile, node.actions[profile[node.node_id]], player)
+
+
+def naive_brute_force_spe(tree, epsilon=Fraction(0)):
+    """Reference: `brute_force_spe` as it was, one `Fraction` per comparison."""
+    eps = Fraction(epsilon)
+    found = [p for p in all_profiles(tree) if naive_profile_epsilon(tree, p) <= eps]
+    found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
+    return found
+
+
+GAMMA = st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+
+def draw_trade(data, fee=None):
+    """A valid trade with gamma at 0, 1/2, 1 or anywhere between, and a fee."""
+    x = data.draw(AMOUNT)
+    xs = x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+    gamma = data.draw(GAMMA)
+    if fee is None:
+        fee = data.draw(st.just(0) | st.fractions(min_value=0, max_value=2 * x, max_denominator=12))
+    return TradeParams(price=x, seller_value=xs, buyer_value=x + data.draw(AMOUNT), arbiter_error=gamma, fee=fee)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Standard, WinnerRebate, Withheld, Generic]))
+def test_integer_enumeration_matches_the_fraction_enumeration(data, kind):
+    p = draw_trade(data)
+    if kind is Generic:
+        loss = data.draw(st.just(0) | AMOUNT)
+        scheme = Generic(data.draw(AMOUNT) - loss, loss)
+    else:
+        scheme = kind(data.draw(AMOUNT))
+    tree = build_game_tree(p, scheme)
+    epsilons = [naive_profile_epsilon(tree, profile) for profile in all_profiles(tree)]
+    ours = [profile_epsilon(tree, profile) for profile in all_profiles(tree)]
+    assert ours == epsilons and all(type(eps) is Fraction for eps in ours)
+    # The least dispute-layer margin is where dishonest profiles enter: test
+    # at it, on either side of it, at a drawn profile's own epsilon and at 0.
+    least = min(node_margins(p, scheme)[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND))
+    tiny = Fraction(1, 10**6)
+    drawn = data.draw(st.sampled_from(epsilons) | AMOUNT)
+    for eps in {0, least, abs(least), abs(least) - tiny, abs(least) + tiny, drawn, "1/3"}:
+        assert brute_force_spe(tree, eps) == naive_brute_force_spe(tree, eps), eps
+
+
+WAGER = st.one_of(
+    st.fractions(min_value=Fraction(1, 60), max_value=6, max_denominator=60),
+    st.integers(1, 6),
+    st.sampled_from(["1/3", "7/9", "0.25", 0.5, Fraction(1, 10_007)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    kinds=st.lists(st.sampled_from([Standard, WinnerRebate, Withheld]), min_size=1, max_size=3),
+    gammas=st.lists(GAMMA, min_size=1, max_size=3),
+)
+def test_every_sweep_report_is_the_security_report_at_its_point(data, kinds, gammas):
+    p = draw_trade(data, fee=0)
+    x, xs = p.price, p.seller_value
+    # Wagers at the price and fees at x - x' and x put margins at exactly 0.
+    wagers = data.draw(st.lists(WAGER | st.just(x), min_size=1, max_size=6))
+    fee = st.sampled_from([0, x - xs, x]) | st.fractions(min_value=0, max_value=2 * x, max_denominator=12)
+    fees = data.draw(st.lists(fee, min_size=1, max_size=3))
+    reports = sweep(p, gammas, wagers, fees, kinds)
+    points = [
+        (replace(p, arbiter_error=gamma, fee=fee), kind(wager))
+        for kind in kinds for gamma in gammas for fee in fees for wager in wagers
+    ]
+    assert reports == [security_report(point, scheme) for point, scheme in points]
+    assert reports == [naive_security_report(point, scheme) for point, scheme in points]
+    for report in reports:
+        assert all(type(v) is Fraction for v in (*report.slacks.values(), report.wager, report.gamma, report.fee))
+        assert report.sound_epsilon_max is None or type(report.sound_epsilon_max) is Fraction
+
+
+# ---------------------------------------------------------------------------
 # Winner rebate and withheld wagers
 # ---------------------------------------------------------------------------
 
@@ -608,14 +714,18 @@ def test_winner_rebate_wager_is_strong_whenever_some_wager_is_complete(data):
     assert lam >= lambda_interval(p, WinnerRebate, eps).lower
 
 
+def withheld_at_half_price(p):
+    return security_report(p, Withheld(p.price / 2))
+
+
 def test_withheld_security_examples():
-    report = withheld_security(params(x=2, y=5, gamma=0))
+    report = withheld_at_half_price(params(x=2, y=5, gamma=0))
     assert report.strong and report.sound_epsilon_max == 1 and report.wager == 1
 
-    report = withheld_security(params(x=1, y=3, gamma="1/4"))
+    report = withheld_at_half_price(params(x=1, y=3, gamma="1/4"))
     assert report.strong and report.sound_epsilon_max == Fraction(1, 4)
 
-    report = withheld_security(params(gamma="1/2"))
+    report = withheld_at_half_price(params(gamma="1/2"))
     assert not report.strong
 
 

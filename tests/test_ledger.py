@@ -13,6 +13,7 @@ from escrowlab.ledger import (
     LedgerError,
     TimeoutPolicy,
     UnknownAccountError,
+    UnknownPotError,
     deposit_payback,
 )
 from escrowlab.trade import as_fraction
@@ -141,6 +142,7 @@ def _apply(ledger, op, party, pot, amount, fee):
 @given(ops=OPS, tau=st.fractions(min_value=0, max_value=1, max_denominator=4))
 def test_conservation_under_random_operation_sequences(ops, tau):
     ledger = fresh_ledger(tau=tau)
+    ledger.open_pot("c1")  # a payout needs an open pot
     total = ledger.total_funds()
     for op, party, amount in ops:
         try:
@@ -266,7 +268,7 @@ class NaiveLedger:
 
     def escrow_release(self, contract_id, party, amount, contract_move=False):
         value = _naive_amount(amount)
-        pot = self.pots.get(contract_id, Fraction(0))
+        pot = self._pot(contract_id)
         if pot < value:
             raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
         self._move(party, value, contract_move)
@@ -281,8 +283,14 @@ class NaiveLedger:
     def burn_from_pot(self, contract_id, amount):
         self.fee_sink += self._take_from_pot(contract_id, _naive_amount(amount))
 
+    def _pot(self, contract_id):
+        """A pot paid out of must exist, even for a zero amount."""
+        if contract_id not in self.pots:
+            raise UnknownPotError(f"no pot {contract_id!r} on this ledger")
+        return self.pots[contract_id]
+
     def _take_from_pot(self, contract_id, value):
-        pot = self.pots.get(contract_id, Fraction(0))
+        pot = self._pot(contract_id)
         if pot < value:
             raise InsufficientFundsError(f"pot {contract_id} has {pot}, needs {value}")
         self.pots[contract_id] = pot - value
@@ -666,6 +674,26 @@ def test_snapshot_format_is_stable():
         "arbiter_sink 1\n"
         "time 4\n"
     )
+
+
+POT_PAYOUTS = {
+    "escrow_release": lambda ledger, pot, amount: ledger.escrow_release(pot, "seller", amount),
+    "pot_to_arbiter": lambda ledger, pot, amount: ledger.pot_to_arbiter(pot, amount),
+    "burn_from_pot": lambda ledger, pot, amount: ledger.burn_from_pot(pot, amount),
+}
+
+
+@pytest.mark.parametrize("op", POT_PAYOUTS.values(), ids=POT_PAYOUTS.keys())
+@pytest.mark.parametrize("pot", [7, "x y", None, "c2"])
+@pytest.mark.parametrize("amount", [0, 1])
+def test_a_payout_out_of_a_pot_no_one_opened_is_refused(op, pot, amount):
+    ledger = fresh_ledger()
+    ledger.escrow_deposit("buyer", "c1", 3)
+    before = ledger.snapshot(), dict(ledger.pots)
+    with pytest.raises(UnknownPotError, match=r"^no pot .* on this ledger$"):
+        op(ledger, pot, amount)
+    assert (ledger.snapshot(), dict(ledger.pots)) == before
+    op(ledger, "c1", amount)  # an open pot pays out as before
 
 
 def test_open_pot_refuses_an_id_already_used():
