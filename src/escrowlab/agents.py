@@ -32,7 +32,7 @@ from .contract import EscrowContract, Phase, propose
 from .equilibrium import SecurityReport, _reports, _wager_forms
 from .gametree import Party
 from .ledger import Ledger, TimeoutPolicy
-from .trade import Standard, TradeParams, WagerScheme, wager_class
+from .trade import AffineWager, Standard, TradeParams, WagerScheme, wager_class
 
 
 @dataclass(frozen=True)
@@ -204,16 +204,17 @@ def sweep(
 
     Each point is `params` with its gamma and fee replaced, validated anew.
     Schemes are given by name (any spelling `trade.scheme_class` accepts) or
-    class, and must have a single wager to sweep.  Each grid is read once.
+    class, and must have a single wager to sweep.  Each grid is read once,
+    and each wager checked once (`AffineWager.checked`), not built as a scheme.
     The node margins are affine in the wager, so they are solved once per
     (scheme, gamma, fee) row and evaluated at each wager, in ints over the
     row's one scale (`equilibrium._reports`).
     """
-    gammas, wagers, fees = list(gammas), list(wagers), list(fees)
+    kinds = [wager_class(scheme) for scheme in schemes]
+    gammas, fees = list(gammas), list(fees)
+    stakes = [AffineWager.checked(wager) for wager in wagers]
     reports = []
-    for scheme in schemes:
-        kind = wager_class(scheme)
-        stakes = [kind(wager).wager for wager in wagers]
+    for kind in kinds:
         for gamma in gammas:
             for fee in fees:
                 point = replace(params, arbiter_error=gamma, fee=fee)
@@ -223,8 +224,7 @@ def sweep(
 
 def sweep_csv(reports: Sequence[SecurityReport]) -> str:
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=SecurityReport.CSV_FIELDS)
-    writer.writeheader()
-    for report in reports:
-        writer.writerow(report.to_row())
+    writer = csv.writer(out)
+    writer.writerow(SecurityReport.CSV_FIELDS)
+    writer.writerows(report.to_row().values() for report in reports)
     return out.getvalue()

@@ -4,7 +4,8 @@ Three independent routes answer the same questions:
 
 * closed-form node margins, one affine table, `_margin_table`,
 * backward induction over the built tree's leaves,
-* brute-force enumeration of every pure strategy profile.
+* brute-force enumeration of every pure strategy profile, in one
+  bottom-up pass over per-subtree tables (`_table`).
 
 The analytic layer is the production surface: `security_report` reads the
 table into the one record per setup, and every other checker reads that
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .gametree import (
     AFTER_NOSEND,
@@ -404,22 +405,27 @@ def backward_induction(tree: GameTree) -> SolvedTree:
 MAX_BRUTE_FORCE_NODES = 20
 
 
-def all_profiles(tree: GameTree) -> Iterable[Profile]:
-    nodes = tree.decision_nodes()
-    action_sets = [list(node.actions) for node in nodes]
-    for combo in itertools.product(*action_sets):
-        yield {node.node_id: action for node, action in zip(nodes, combo)}
+def _choice(node: DecisionNode, profile: Profile) -> TreeNode:
+    """The child `profile` picks at `node`; a node the profile leaves out,
+    or a value that is not one of the node's actions, is refused by name."""
+    if node.node_id not in profile:
+        raise ValueError(f"profile has no action at node {node.node_id!r}")
+    action = profile[node.node_id]
+    if not isinstance(action, Action) or action not in node.actions:
+        raise ValueError(f"profile's {action!r} is not an action at node {node.node_id!r}")
+    return node.actions[action]
 
 
 def _reached(node: TreeNode, profile: Profile) -> LeafNode:
     """The leaf play reaches when it follows `profile` from `node`."""
     while isinstance(node, DecisionNode):
-        node = node.actions[profile[node.node_id]]
+        node = _choice(node, profile)
     return node
 
 
 def profile_value(tree: GameTree, profile: Profile, node: Optional[TreeNode] = None) -> PayoffPair:
-    """Payoff vector when play follows `profile` from `node` (default root)."""
+    """Payoff vector when play follows `profile` from `node` (default root);
+    only the nodes on the path are read."""
     return _reached(tree.root if node is None else node, profile).payoff
 
 
@@ -435,48 +441,56 @@ def _scaled_leaves(tree: GameTree, epsilon: Fraction = Fraction(0)) -> tuple[_In
     return {leaf.leaf_id: (ints[2 * k], ints[2 * k + 1]) for k, leaf in enumerate(leaves)}, bound, scale
 
 
+def _table(node: TreeNode, payoffs: _IntPayoffs) -> list[tuple]:
+    """One entry per profile of the subtree at `node`, from its children's
+    tables: (the choices as (node id, action) pairs, `node` first; the
+    payoff pair reached; each party's best response; the most any owner in
+    the subtree gains by deviating).  The owner's best response is the best
+    of its children's, a deviation at all its own nodes below; the other
+    party's is that of the child the profile picks."""
+    if isinstance(node, LeafNode):
+        pair = payoffs[node.leaf_id]
+        return [((), pair, pair, 0)]
+    side = node.owner is Party.SELLER  # the owner's index in a payoff pair
+    table = []
+    for below in itertools.product(*(_table(child, payoffs) for child in node.actions.values())):
+        choices = tuple(itertools.chain.from_iterable(entry[0] for entry in below))
+        top = max(entry[2][side] for entry in below)
+        worst_below = max(entry[3] for entry in below)
+        for action, (_, reached, best, _) in zip(node.actions, below):
+            response = (best[0], top) if side else (top, best[1])
+            table.append((((node.node_id, action), *choices), reached, response, max(top - reached[side], worst_below)))
+    return table
+
+
 def profile_epsilon(tree: GameTree, profile: Profile) -> Fraction:
     """Smallest slack at which the profile is a subgame perfect equilibrium.
 
-    The maximum, over every subgame and every unilateral deviation by the
-    subgame's mover-to-be owners, of the deviation's gain.  Zero means exact
-    subgame perfection.
+    The maximum, over every subgame, of what its owner gains by deviating at
+    any of its own nodes in it.  Zero means exact subgame perfection.  The
+    profile must give every decision node one of that node's actions.
     """
-    payoffs, _, scale = _scaled_leaves(tree)
-    return Fraction(_worst_gain(tree, profile, payoffs), scale)
-
-
-def _worst_gain(tree: GameTree, profile: Profile, payoffs: _IntPayoffs) -> int:
-    """`profile_epsilon` over the scaled leaf payoffs."""
-    worst = 0
+    for node_id in profile:
+        if node_id not in tree.nodes:
+            raise ValueError(f"profile names {node_id!r}, not a decision node of the tree")
     for node in tree.decision_nodes():
-        side = node.owner is Party.SELLER  # the owner's index in a payoff pair
-        actual = payoffs[_reached(node, profile).leaf_id][side]
-        gain = _best_response(node, profile, node.owner, side, payoffs) - actual
-        if gain > worst:
-            worst = gain
-    return worst
-
-
-def _best_response(node: TreeNode, profile: Profile, player: Party, side: int, payoffs: _IntPayoffs) -> int:
-    """The most `player` gets from `node` while every other node follows `profile`."""
-    if isinstance(node, LeafNode):
-        return payoffs[node.leaf_id][side]
-    if node.owner is player:
-        return max(_best_response(child, profile, player, side, payoffs) for child in node.actions.values())
-    return _best_response(node.actions[profile[node.node_id]], profile, player, side, payoffs)
+        _choice(node, profile)
+    payoffs, _, scale = _scaled_leaves(tree)
+    worst = next(worst for choices, _, _, worst in _table(tree.root, payoffs) if dict(choices) == profile)
+    return Fraction(worst, scale)
 
 
 def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
     """Every pure profile that is a subgame perfect epsilon-equilibrium.
 
     epsilon=0 gives the exact SPE set.  Ground truth for the analytic
-    checkers; quadratic in the profile count, so capped at 20 decision nodes.
+    checkers.  One table entry per profile of each subtree, so linear in the
+    profile count, which is exponential in the nodes: capped at 20 of them.
     The leaf payoffs and epsilon are scaled to ints once per call.
     """
     if len(tree.decision_nodes()) > MAX_BRUTE_FORCE_NODES:
         raise ValueError(f"tree too large for enumeration (> {MAX_BRUTE_FORCE_NODES} nodes)")
     payoffs, bound, _ = _scaled_leaves(tree, as_fraction(epsilon))
-    found = [p for p in all_profiles(tree) if _worst_gain(tree, p, payoffs) <= bound]
+    found = [dict(choices) for choices, _, _, worst in _table(tree.root, payoffs) if worst <= bound]
     found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found

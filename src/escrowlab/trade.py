@@ -24,7 +24,10 @@ def as_fraction(value: Rational) -> Fraction:
 
     Floats go through their decimal repr ("0.1" -> 1/10) rather than their
     binary expansion, so CLI-style inputs stay exact.  A bool is not a number.
+    A `Fraction` is immutable, so it is returned as it is, not copied.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, bool):
@@ -95,9 +98,15 @@ class AffineWager:
     slope = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "wager", as_fraction(self.wager))
-        if self.wager <= 0:
-            raise InvalidSchemeError(f"wager must be > 0, got {self.wager}")
+        object.__setattr__(self, "wager", self.checked(self.wager))
+
+    @staticmethod
+    def checked(value: Rational) -> Fraction:
+        """`value` as an exact wager, refused unless it is > 0."""
+        wager = as_fraction(value)
+        if wager <= 0:
+            raise InvalidSchemeError(f"wager must be > 0, got {wager}")
+        return wager
 
     def win_gain(self, params: TradeParams) -> Fraction:
         return params.price + self.slope * self.wager

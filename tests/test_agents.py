@@ -1,4 +1,7 @@
+import csv
+import io
 import math
+import re
 from fractions import Fraction
 from random import Random
 
@@ -17,6 +20,7 @@ from escrowlab.agents import (
     sweep,
     sweep_csv,
 )
+from escrowlab.equilibrium import SecurityReport
 from escrowlab.gametree import (
     AFTER_NOSEND,
     AFTER_SEND,
@@ -327,6 +331,35 @@ def test_sweep_csv_round_trips_through_the_report_fields():
         TradeParams(1, 0, 2), gammas=iter([0, Fraction(1, 4)]), wagers=iter([1, 2]), fees=iter([0]),
         schemes=iter(["standard", "withheld"]),
     ) == reports
+
+
+def naive_sweep_csv(reports):
+    """Reference: `sweep_csv` as it was, one `DictWriter` row per report."""
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=SecurityReport.CSV_FIELDS)
+    writer.writeheader()
+    for report in reports:
+        writer.writerow(report.to_row())
+    return out.getvalue()
+
+
+def test_sweep_csv_writes_the_bytes_of_the_dict_writer():
+    reports = sweep(
+        TradeParams(1, 0, 2), gammas=[0, Fraction(1, 4), Fraction(1, 2)], wagers=[Fraction(1, 3), 1, 4],
+        fees=[0, Fraction(3, 5)], schemes=["standard", "winner_rebate", "withheld"],
+    )
+    rows = [report.to_row() for report in reports]
+    assert any(row["eps_max"] == "" for row in rows) and any("/" in row["eps_max"] for row in rows)
+    assert sweep_csv(reports) == naive_sweep_csv(reports)
+    assert sweep_csv([]) == naive_sweep_csv([]) == "gamma,lambda,tau,scheme,complete,eps_max,strong,weak\r\n"
+
+
+@pytest.mark.parametrize("wager", [-1, True, 0, "0"])
+def test_sweep_refuses_a_wager_as_the_scheme_does(wager):
+    with pytest.raises(ValueError) as refused:
+        Standard(wager)
+    with pytest.raises(type(refused.value), match=f"^{re.escape(str(refused.value))}$"):
+        sweep(PARAMS, gammas=[0], wagers=[1, wager], schemes=["standard", "withheld"])
 
 
 def test_sweep_replaces_the_trades_gamma_and_fee_at_each_point():

@@ -283,6 +283,10 @@ MALFORMED = {
         ["sweep", "--x", "1", "--y", "2", "--lambdas", ","],
         "escrowlab sweep: empty value in --lambdas ','",
     ),
+    "zero in the wager grid": (
+        ["sweep", "--x", "1", "--y", "2", "--lambdas", "1,0"],
+        "escrowlab sweep: wager must be > 0, got 0",
+    ),
     "trailing comma in the schemes": (
         ["sweep", "--x", "1", "--y", "2", "--schemes", "standard,"],
         "escrowlab sweep: empty value in --schemes 'standard,'",

@@ -1,3 +1,5 @@
+import itertools
+import re
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -16,7 +18,6 @@ from escrowlab.equilibrium import (
     LambdaInterval,
     SecurityReport,
     SoundnessPreconditionError,
-    all_profiles,
     backward_induction,
     brute_force_spe,
     check_soundness,
@@ -239,9 +240,14 @@ def test_oracle_epsilon_requirement_matches_the_analytic_boundary():
         assert requirement == p.price * (1 - 2 * p.arbiter_error)
 
 
-def _all_dishonest_profiles(tree):
-    from escrowlab.equilibrium import all_profiles
+def all_profiles(tree):
+    """Reference: every pure profile, one action per decision node."""
+    nodes = tree.decision_nodes()
+    for combo in itertools.product(*(list(node.actions) for node in nodes)):
+        yield {node.node_id: action for node, action in zip(nodes, combo)}
 
+
+def _all_dishonest_profiles(tree):
     return [p for p in all_profiles(tree) if p != HONEST_PROFILE]
 
 
@@ -253,6 +259,44 @@ def test_dishonest_profiles_enter_the_enumeration_above_the_boundary():
     at_or_above = brute_force_spe(tree, eps_max + Fraction(1, 100))
     assert below == [HONEST_PROFILE]
     assert HONEST_PROFILE in at_or_above and len(at_or_above) > 1
+
+
+MALFORMED_PROFILES = {
+    "a node left out": (
+        {k: v for k, v in HONEST_PROFILE.items() if k != DISPUTE_AFTER_NOSEND},
+        "profile has no action at node 'dispute_after_not_send'",
+    ),
+    "a node the tree lacks": (
+        {**HONEST_PROFILE, "after_dispute": Action.ACCEPT},
+        "profile names 'after_dispute', not a decision node of the tree",
+    ),
+    "a string for an action": (
+        {**HONEST_PROFILE, ROOT: "send"},
+        "profile's 'send' is not an action at node 'root'",
+    ),
+    "another node's action": (
+        {**HONEST_PROFILE, AFTER_SEND: Action.COUNTER},
+        "profile's <Action.COUNTER: 'counter'> is not an action at node 'after_send'",
+    ),
+}
+
+
+@pytest.mark.parametrize("profile, message", MALFORMED_PROFILES.values(), ids=MALFORMED_PROFILES.keys())
+def test_a_malformed_profile_is_refused_by_name(profile, message):
+    tree = build_game_tree(params(gamma="1/4"), Standard(1))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        profile_epsilon(tree, profile)
+
+
+def test_profile_value_names_a_bad_action_on_the_path_and_ignores_the_rest():
+    tree = build_game_tree(params(gamma="1/4"), Standard(1))
+    honest = profile_value(tree, HONEST_PROFILE)
+    off_path = {ROOT: Action.SEND, AFTER_SEND: Action.ACCEPT, AFTER_NOSEND: "accept"}
+    assert profile_value(tree, off_path) == honest
+    with pytest.raises(ValueError, match="^profile's 'accept' is not an action at node 'after_send'$"):
+        profile_value(tree, {**HONEST_PROFILE, AFTER_SEND: "accept"})
+    with pytest.raises(ValueError, match="^profile has no action at node 'dispute_after_send'$"):
+        profile_value(tree, {ROOT: Action.SEND, AFTER_SEND: Action.DISPUTE})
 
 
 def test_fair_coin_keeps_honest_in_the_spe_set_but_not_alone():

@@ -6,6 +6,7 @@ import pytest
 from escrowlab.arbiter import arbiter_errs
 from escrowlab.equilibrium import lambda_interval
 from escrowlab.trade import (
+    AffineWager,
     Generic,
     InvalidSchemeError,
     InvalidTradeError,
@@ -68,6 +69,15 @@ BOOLS = {
 def test_a_bool_is_not_a_number(make):
     with pytest.raises(ValueError, match=r"^an amount must be a number, got (True|False)$"):
         make()
+
+
+def test_a_fraction_is_kept_and_a_wager_has_one_check():
+    third = Fraction(1, 3)
+    assert as_fraction(third) is third
+    assert AffineWager.checked(third) is third and Standard(third).wager is third
+    assert AffineWager.checked("0.5") == Fraction(1, 2)
+    with pytest.raises(InvalidSchemeError, match="^wager must be > 0, got -1/3$"):
+        AffineWager.checked(-third)
 
 
 def test_named_schemes_require_positive_wager():
