@@ -32,7 +32,7 @@ from .contract import EscrowContract, Phase, propose
 from .equilibrium import SecurityReport, _reports, _wager_forms
 from .gametree import Party
 from .ledger import Ledger, TimeoutPolicy
-from .trade import AffineWager, Standard, TradeParams, WagerScheme, wager_class
+from .trade import AffineWager, Standard, TradeParams, WagerScheme, scaled, wager_class
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,9 @@ def run_trial(
     ledger = Ledger(tau=params.fee)
     contract = propose(ledger, "trade", "buyer", "seller", params, scheme, policy)
     # Enough for all either party can put in: the price, the wager, the
-    # liveness deposit and three fee-bearing moves.
-    endow = params.price + contract.stake + contract.liveness_deposit + 3 * params.fee
+    # liveness deposit and three fee-bearing moves, summed in ints.
+    (price, stake, deposit, fee), scale = scaled((params.price, contract.stake, contract.liveness_deposit, params.fee))
+    endow = Fraction(price + stake + deposit + 3 * fee, scale)
     ledger.open_account("buyer", endow)
     ledger.open_account("seller", endow)
     contract.accept("seller")
@@ -123,12 +124,13 @@ def run_trial(
     assert contract.phase is Phase.SETTLED
     # Read only for a delivered item: an arbitration won by the seller keeps it from the buyer.
     buyer_lost_item = contract.last_verdict is not None and contract.last_verdict.winner is Party.SELLER
-    buyer_utility = ledger.balance("buyer") - endow
-    if contract.delivered and not buyer_lost_item:
-        buyer_utility += params.buyer_value
-    seller_utility = ledger.balance("seller") - endow
-    if contract.delivered:
-        seller_utility -= params.seller_value
+    # Each utility is one Fraction of an int sum over one scale.
+    (buyer_cash, seller_cash, spent, value, cost), scale = scaled(
+        (ledger.balance("buyer"), ledger.balance("seller"), endow, params.buyer_value, params.seller_value)
+    )
+    has_item = contract.delivered and not buyer_lost_item
+    buyer_utility = Fraction(buyer_cash - spent + has_item * value, scale)
+    seller_utility = Fraction(seller_cash - spent - contract.delivered * cost, scale)
     return buyer_utility, seller_utility, contract, ledger
 
 
@@ -161,7 +163,7 @@ def simulate(
         )
         disputed = contract.settled_how != "accept"
         arbitrated = contract.last_verdict is not None
-        return buyer_utility, seller_utility, disputed, arbitrated, ledger.fee_sink
+        return buyer_utility, seller_utility, ledger.fee_sink, disputed, arbitrated
 
     disputing, countering = _branch(seller_strategy, buyer_strategy)
     if disputing and countering:
@@ -175,21 +177,24 @@ def simulate(
     else:
         tally = [(episode(0), trials)]
 
-    buyer_total = seller_total = fees = Fraction(0)
-    disputes = arbitrations = 0
-    for (buyer_utility, seller_utility, disputed, arbitrated, fee_sink), n in tally:
+    # Each class's utilities and fees as ints over one scale: every total
+    # is an int sum, and each statistic one Fraction.
+    ints, scale = scaled([amount for outcome, _ in tally for amount in outcome[:3]])
+    buyer_total = seller_total = fees = disputes = arbitrations = 0
+    for k, ((_, _, _, disputed, arbitrated), n) in enumerate(tally):
+        buyer_utility, seller_utility, fee_sink = ints[3 * k : 3 * k + 3]
         buyer_total += n * buyer_utility
         seller_total += n * seller_utility
+        fees += n * fee_sink
         disputes += n * disputed
         arbitrations += n * arbitrated
-        fees += n * fee_sink
     return SimStats(
         trials=trials,
-        mean_buyer_payoff=buyer_total / trials,
-        mean_seller_payoff=seller_total / trials,
+        mean_buyer_payoff=Fraction(buyer_total, scale * trials),
+        mean_seller_payoff=Fraction(seller_total, scale * trials),
         dispute_rate=Fraction(disputes, trials),
         arbitration_rate=Fraction(arbitrations, trials),
-        fees_total=fees,
+        fees_total=Fraction(fees, scale),
     )
 
 

@@ -168,12 +168,14 @@ def arbiter_errs(gamma, rng: Random) -> bool:
     """One draw of the error event, true with probability exactly gamma.
 
     The event is drawn on the rational gamma, so seeded runs hit the
-    advertised frequency without float rounding.
+    advertised frequency without float rounding.  The range check is the
+    int test 0 <= numerator <= denominator (the denominator is positive).
     """
     g = as_fraction(gamma)
-    if not 0 <= g <= 1:
+    n, d = g.numerator, g.denominator
+    if not 0 <= n <= d:
         raise ValueError(f"gamma must lie in [0, 1], got {g}")
-    return rng.randrange(g.denominator) < g.numerator
+    return rng.randrange(d) < n
 
 
 def oracle_arbitrate(honest_party: Party, gamma, rng: Random) -> Verdict:

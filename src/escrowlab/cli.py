@@ -134,7 +134,7 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
     )
     for i, name in enumerate(parties):
         delta = ledger.balance(name) - before[i]
-        sign = f"+{delta}" if delta > 0 else str(delta)
+        sign = f"+{delta}" if delta.numerator > 0 else str(delta)
         moves = ledger.move_counts.get(name, 0)
         print(f"party {name} payout {result.payouts[i]} delta {sign} fee_moves {moves}")
     print(f"arbiter_sink {ledger.arbiter_sink}")

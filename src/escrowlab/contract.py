@@ -33,7 +33,7 @@ from typing import Callable, Optional
 from .arbiter import Verdict
 from .gametree import Party
 from .ledger import Ledger, LedgerError, TimeoutPolicy, deposit_payback
-from .trade import InvalidSchemeError, TradeParams, WagerScheme
+from .trade import InvalidSchemeError, TradeParams, WagerScheme, scaled
 
 
 class ContractError(Exception):
@@ -69,6 +69,9 @@ class Phase(enum.Enum):
 
 TERMINAL_PHASES = (Phase.SETTLED, Phase.ABORTED)
 
+#: The empty books and the pot delta of a move that pays nothing in, built once.
+_ZERO = Fraction(0)
+
 #: The timed phases and their defaults: the role whose silence the timeout
 #: charges, how the contract then ends, and the role paid the pot less the
 #: liveness deposits, i.e. the payment and the buyer's wager (the seller's
@@ -97,8 +100,9 @@ class EscrowContract:
         if buyer == seller:
             raise ContractError(f"buyer and seller must be different accounts, got {buyer!r} for both")
         stake = scheme.loss_cost(params)
-        win_gain = scheme.win_gain(params)
-        if win_gain > params.price + stake:
+        # The subsidy check in ints over one scale, and the payout as one Fraction.
+        (win, price, wager), scale = scaled((scheme.win_gain(params), params.price, stake))
+        if win > price + wager:
             raise InvalidSchemeError(
                 "winner payout exceeds the pot; the contract cannot subsidize it"
             )
@@ -116,9 +120,9 @@ class EscrowContract:
         self.policy = policy
         # Fixed once: the wager, the arbitration winner's gross payout, the liveness deposit.
         self.stake = stake
-        self._payout = win_gain + stake
+        self._payout = Fraction(win + wager, scale)
         if policy is None:
-            self.liveness_deposit = Fraction(0)
+            self.liveness_deposit = _ZERO
         else:
             self.liveness_deposit = stake if policy.deposit is None else policy.deposit
 
@@ -128,12 +132,12 @@ class EscrowContract:
         self.settled_how: Optional[str] = None
 
         # The pot less the liveness deposits: the payment and the wagers.
-        self._wagered = Fraction(0)
+        self._wagered = _ZERO
         self.liveness_deposits: dict[str, Fraction] = {}
         self.worst_lateness: dict[str, int] = {}
 
         self.events: list[str] = []
-        self._step("buyer", "propose", Fraction(0), Phase.PROPOSED)
+        self._step("buyer", "propose", _ZERO, Phase.PROPOSED)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -142,7 +146,8 @@ class EscrowContract:
 
     def _step(self, role: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
         """Log the move's event for `role`, entering `phase` first if given:
-        the deadline is re-armed when the new phase is timed, cancelled if not."""
+        the deadline is re-armed when the new phase is timed, cancelled if not.
+        The delta's sign is read off its numerator."""
         if phase is not None:
             self.phase = phase
             self.phase_entered_at = self.ledger.time
@@ -151,7 +156,7 @@ class EscrowContract:
                 self.ledger.register_timeout(
                     self.contract_id, self.ledger.time + self.policy.timeout, self.on_timeout
                 )
-        sign = f"+{pot_delta}" if pot_delta > 0 else str(pot_delta)
+        sign = f"+{pot_delta}" if pot_delta.numerator > 0 else str(pot_delta)
         self.events.append(f"{self.ledger.time} {self.phase.value} {role} {action} {sign}")
 
     def _require(self, actor: str, allowed: str, *phases: Phase) -> None:
@@ -206,7 +211,7 @@ class EscrowContract:
         self.ledger.charge_move(actor)
         self._mark_response(actor)
         self.delivered = True
-        self._step("seller", "notify", Fraction(0), Phase.DELIVERED_NOTIFIED)
+        self._step("seller", "notify", _ZERO, Phase.DELIVERED_NOTIFIED)
 
     def dispute(self, actor: str) -> None:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
@@ -237,7 +242,7 @@ class EscrowContract:
     def begin_arbitration(self) -> None:
         if self.phase is not Phase.COUNTERED:
             raise WrongPhaseError(f"cannot arbitrate from {self.phase.value}")
-        self._step("contract", "arbitrate", Fraction(0), Phase.ARBITRATING)
+        self._step("contract", "arbitrate", _ZERO, Phase.ARBITRATING)
 
     def settle_arbitration(self, verdict: Verdict) -> None:
         if self.phase is not Phase.ARBITRATING:
@@ -281,7 +286,7 @@ class EscrowContract:
             self.liveness_deposits.clear()
         self._end(how, role, action, pays)
 
-    def _end(self, how: str, role: str, action: str, pays: list, to_arbiter: Fraction = Fraction(0)) -> None:
+    def _end(self, how: str, role: str, action: str, pays: list, to_arbiter: Fraction = _ZERO) -> None:
         """The one way a contract ends: pay out of the pot in the order given,
         send the arbiter its share, repay the liveness deposits on the
         payback ramp (burning the shortfall), and close with one event.
@@ -299,7 +304,7 @@ class EscrowContract:
                 ledger.escrow_release(cid, party, back)
             if back != amount:
                 ledger.burn_from_pot(cid, amount - back)
-        self._wagered = Fraction(0)
+        self._wagered = _ZERO
         self.liveness_deposits.clear()
         self.settled_how = how
         self._step(role, action, -pot, Phase.ABORTED if how == "abort" else Phase.SETTLED)

@@ -379,23 +379,26 @@ class SolvedTree:
 def backward_induction(tree: GameTree) -> SolvedTree:
     chosen: dict[str, Action] = {}
     margins: dict[str, Fraction] = {}
-
-    def solve(node: TreeNode) -> PayoffPair:
-        if isinstance(node, LeafNode):
-            return node.payoff
-        outcomes = {action: solve(child) for action, child in node.actions.items()}
-        own = {action: payoff.for_party(node.owner) for action, payoff in outcomes.items()}
-        best_value = max(own.values())
-        maximizers = [a for a, value in own.items() if value == best_value]
-        honest = HONEST_PROFILE.get(node.node_id)
-        pick = honest if honest in maximizers else maximizers[0]
-        runner_up = max((value for a, value in own.items() if a != pick), default=best_value)
-        chosen[node.node_id] = pick
-        margins[node.node_id] = best_value - runner_up
-        return outcomes[pick]
-
-    solve(tree.root)
+    _solve(tree.root, chosen, margins)
     return SolvedTree(tree=tree, chosen=chosen, margins=margins)
+
+
+def _solve(node: TreeNode, chosen: dict[str, Action], margins: dict[str, Fraction]) -> PayoffPair:
+    """The payoff `node` reaches under backward induction, recording each
+    decision node's pick and margin below it.  A module-level function, not
+    a closure that calls itself, so a call leaves no reference cycle."""
+    if isinstance(node, LeafNode):
+        return node.payoff
+    outcomes = {action: _solve(child, chosen, margins) for action, child in node.actions.items()}
+    own = {action: payoff.for_party(node.owner) for action, payoff in outcomes.items()}
+    best_value = max(own.values())
+    maximizers = [a for a, value in own.items() if value == best_value]
+    honest = HONEST_PROFILE.get(node.node_id)
+    pick = honest if honest in maximizers else maximizers[0]
+    runner_up = max((value for a, value in own.items() if a != pick), default=best_value)
+    chosen[node.node_id] = pick
+    margins[node.node_id] = best_value - runner_up
+    return outcomes[pick]
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ def _pair(value) -> Pair:
 
 
 def _amount(amount, what: str = "amount") -> Pair:
-    """The one check that an amount is not negative, converted once."""
+    """The check that an amount is not negative, converted once to a pair;
+    `deposit_payback`, which returns a `Fraction`, makes it on the number."""
     value = _pair(amount)
     if value[0] < 0:
         raise ValueError(f"{what} must be >= 0, got {Fraction(*value)}")
@@ -123,16 +124,21 @@ def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
     """Refund of `deposit` for a party who responded t ticks into their window.
 
     Full deposit up to the threshold, linear ramp down to zero at the
-    timeout, nothing after.
+    timeout, nothing after.  A `Fraction` deposit is checked by the sign of
+    its numerator and repaid whole as it is; a ramp refund is one `Fraction`
+    of two int products.
     """
     _require_whole("t", t)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    amount = Fraction(*_amount(deposit, "deposit"))
+    amount = as_fraction(deposit)
+    n = amount.numerator
+    if n < 0:
+        raise ValueError(f"deposit must be >= 0, got {amount}")
     if t <= policy.threshold:
         return amount
     if t < policy.timeout:
-        return amount * Fraction(policy.timeout - t, policy.timeout - policy.threshold)
+        return Fraction(n * (policy.timeout - t), amount.denominator * (policy.timeout - policy.threshold))
     return Fraction(0)
 
 

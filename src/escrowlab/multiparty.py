@@ -258,7 +258,7 @@ def multiparty_run(
         payouts = [_sum(owed) for owed in credits]
 
         for i, party in enumerate(parties):
-            if payouts[i] > 0:
+            if payouts[i].numerator > 0:
                 ledger.escrow_release(POT, party, payouts[i], contract_move=True)
 
     return SettlementMatrix(

@@ -20,6 +20,8 @@ from escrowlab.agents import (
     sweep,
     sweep_csv,
 )
+from escrowlab.arbiter import oracle_arbitrate
+from escrowlab.contract import propose
 from escrowlab.equilibrium import SecurityReport
 from escrowlab.gametree import (
     AFTER_NOSEND,
@@ -30,10 +32,11 @@ from escrowlab.gametree import (
     ROOT,
     Action,
     Leaf,
+    Party,
     leaf_path,
     leaf_payoff,
 )
-from escrowlab.ledger import TimeoutPolicy
+from escrowlab.ledger import Ledger, TimeoutPolicy
 from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
 
 PARAMS = TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error="1/4")
@@ -171,6 +174,58 @@ def test_simulate_matches_the_per_trial_episode_loop(pair, setup, trials, seed):
     assert simulate(params, scheme, seller, buyer, trials, seed, policy) == naive(
         params, scheme, seller, buyer, trials, seed, policy
     )
+
+
+def naive_run_trial(params, scheme, seller_strategy, buyer_strategy, rng, policy=None):
+    """Reference: `run_trial` with the endowment and both utilities summed
+    as `Fraction`s, step by step."""
+    ledger = Ledger(tau=params.fee)
+    contract = propose(ledger, "trade", "buyer", "seller", params, scheme, policy)
+    endow = params.price + contract.stake + contract.liveness_deposit + 3 * params.fee
+    ledger.open_account("buyer", endow)
+    ledger.open_account("seller", endow)
+    contract.accept("seller")
+    contract.fund("buyer")
+    if seller_strategy.send:
+        contract.notify_delivery("seller")
+        disputing, countering = buyer_strategy.dispute_if_delivered, seller_strategy.counter_if_delivered
+    else:
+        disputing, countering = buyer_strategy.dispute_if_undelivered, seller_strategy.counter_if_undelivered
+    if not disputing:
+        contract.accept_delivery("buyer")
+    else:
+        contract.dispute("buyer")
+        if not countering:
+            contract.forfeit("seller")
+        else:
+            contract.counter("seller")
+            honest = Party.SELLER if contract.delivered else Party.BUYER
+            contract.run_arbitration(lambda c: oracle_arbitrate(honest, params.arbiter_error, rng))
+    buyer_lost_item = contract.last_verdict is not None and contract.last_verdict.winner is Party.SELLER
+    buyer_utility = ledger.balance("buyer") - endow
+    if contract.delivered and not buyer_lost_item:
+        buyer_utility += params.buyer_value
+    seller_utility = ledger.balance("seller") - endow
+    if contract.delivered:
+        seller_utility -= params.seller_value
+    return buyer_utility, seller_utility, contract, ledger
+
+
+@pytest.mark.parametrize("pair", range(len(PAIRS)))
+@settings(max_examples=10, deadline=None)
+@given(setup=trade_setups(), seed=st.integers(0, 2**32))
+def test_run_trial_matches_the_fraction_sums(pair, setup, seed):
+    # The same utilities, contract events and ledger, with the endowment
+    # and utilities summed in ints over one scale.
+    params, scheme, policy = setup
+    seller, buyer = PAIRS[pair]
+    ours = run_trial(params, scheme, seller, buyer, Random(seed), policy)
+    naive = naive_run_trial(params, scheme, seller, buyer, Random(seed), policy)
+    for buyer_utility, seller_utility, _, _ in (ours, naive):
+        assert type(buyer_utility) is type(seller_utility) is Fraction
+    assert ours[:2] == naive[:2]
+    assert ours[2].events == naive[2].events
+    assert ours[3].snapshot() == naive[3].snapshot()
 
 
 def test_run_trial_endows_each_party_for_the_liveness_deposit_too():

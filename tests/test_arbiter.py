@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -18,6 +19,7 @@ from escrowlab.arbiter import (
     Late,
     Open,
     Verdict,
+    arbiter_errs,
     coin_toss_arbitrate,
     commit,
     oracle_arbitrate,
@@ -27,6 +29,7 @@ from escrowlab.arbiter import (
 )
 from escrowlab.gametree import Party
 from escrowlab.ledger import TimeoutPolicy
+from escrowlab.trade import as_fraction
 
 # Critical value of the chi-square distribution with 1 degree of freedom at
 # the 0.99 quantile (significance 0.01).
@@ -127,6 +130,43 @@ def test_oracle_is_deterministic_for_a_seed():
     a = [oracle_arbitrate(Party.BUYER, "1/3", Random(9)).winner for _ in range(1)]
     b = [oracle_arbitrate(Party.BUYER, "1/3", Random(9)).winner for _ in range(1)]
     assert a == b
+
+
+def naive_arbiter_errs(gamma, rng):
+    """Reference: `arbiter_errs` with its range check made by two `Fraction`
+    comparisons."""
+    g = as_fraction(gamma)
+    if not 0 <= g <= 1:
+        raise ValueError(f"gamma must lie in [0, 1], got {g}")
+    return rng.randrange(g.denominator) < g.numerator
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
+        return type(exc), str(exc)
+
+
+GAMMA_CASES = [Fraction(-1, 2), 0, 1, Fraction(3, 2), "1.5", True, False, "-1/2", 1.5, -0.5, "x", math.nan, math.inf]
+GAMMAS = st.one_of(
+    st.sampled_from(GAMMA_CASES),
+    st.fractions(min_value=-2, max_value=2, max_denominator=60),
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=60).map(str),
+    st.floats(min_value=-2, max_value=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gamma=GAMMAS, seed=st.integers(0, 2**32))
+def test_arbiter_errs_matches_the_fraction_comparisons(gamma, seed):
+    # The same draw from the same stream, the same refusal and message, and
+    # the stream left in the same state.
+    ours, naive = Random(seed), Random(seed)
+    assert outcome(arbiter_errs, gamma, ours) == outcome(naive_arbiter_errs, gamma, naive)
+    assert ours.getstate() == naive.getstate()
 
 
 # ---------------------------------------------------------------------------

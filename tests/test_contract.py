@@ -254,6 +254,38 @@ def test_infeasible_generic_payout_rejected():
         propose(ledger, "c1", "alice", "bob", PARAMS, Generic(win_amount=10, loss_amount=1))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    price=st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+    loss=st.fractions(min_value=0, max_value=4, max_denominator=12),
+    excess=st.just(0) | st.fractions(min_value=-8, max_value=4, max_denominator=12),
+)
+def test_generic_payout_is_refused_exactly_when_it_exceeds_the_pot(price, loss, excess):
+    # The subsidy check, made in ints, refuses exactly when win > price +
+    # loss, a payout that fills the pot exactly included; an accepted scheme
+    # pays the arbitration winner win + loss.
+    win = price + loss + excess
+    if win + loss <= 0:
+        return  # not a scheme: winning must beat losing
+    params = TradeParams(price=price, buyer_value=price + 1)
+    ledger = Ledger()
+    ledger.open_account("alice", price + 2 * loss)
+    ledger.open_account("bob", loss)
+    if win > price + loss:
+        with pytest.raises(InvalidSchemeError, match="^winner payout exceeds the pot; the contract cannot subsidize it$"):
+            propose(ledger, "c1", "alice", "bob", params, Generic(win, loss))
+        return
+    c = propose(ledger, "c1", "alice", "bob", params, Generic(win, loss))
+    c.accept("bob")
+    c.fund("alice")
+    c.dispute("alice")
+    c.counter("bob")
+    c.begin_arbitration()
+    c.settle_arbitration(buyer_wins())
+    assert ledger.balance("alice") == win + 2 * loss
+    assert ledger.arbiter_sink == price + loss - win
+
+
 # ---------------------------------------------------------------------------
 # Liveness deposits
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import re
 from dataclasses import replace
@@ -103,6 +104,21 @@ def test_backward_induction_margins_equal_analytic_margins_when_complete():
         solved = backward_induction(build_game_tree(p, scheme))
         assert solved.chosen == HONEST_PROFILE
         assert solved.margins == node_margins(p, scheme)
+
+
+def test_backward_induction_leaves_no_reference_cycle():
+    # Reference counting alone frees everything a call makes: with the
+    # cyclic collector off around it, there is nothing left to collect.
+    tree = build_game_tree(params(gamma="1/4"), Standard(1))
+    gc.collect()
+    gc.disable()
+    try:
+        solved = backward_induction(tree)
+        assert solved.chosen == HONEST_PROFILE
+        del solved
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

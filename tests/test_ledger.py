@@ -486,6 +486,55 @@ def test_payback_is_monotone_and_continuous_at_the_threshold():
     assert ramp_at_threshold == deposit_payback(POLICY.threshold, POLICY, POLICY.deposit)
 
 
+def naive_deposit_payback(t, policy, deposit):
+    """Reference: `deposit_payback` as it was, converting the deposit to a
+    pair, checking its sign there and rebuilding a `Fraction` from it; the
+    ledger's whole-tick and amount checks are written out."""
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise ValueError(f"t must be a whole number of ticks, got {t!r}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    value = deposit if type(deposit) is Fraction or type(deposit) is int else as_fraction(deposit)
+    pair = value.numerator, value.denominator
+    if pair[0] < 0:
+        raise ValueError(f"deposit must be >= 0, got {Fraction(*pair)}")
+    amount = Fraction(*pair)
+    if t <= policy.threshold:
+        return amount
+    if t < policy.timeout:
+        return amount * Fraction(policy.timeout - t, policy.timeout - policy.threshold)
+    return Fraction(0)
+
+
+def outcome(fn, *args):
+    """What a call returns, with its type, or the type and message of what it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
+        return type(exc), str(exc)
+    return type(result), result
+
+
+DEPOSIT_CASES = [
+    0, -1, 6, "-1/2", "3/4", "1.5", Fraction(-7, 3), Fraction(9, 2), 0.1, -0.25, True, False, "x", float("nan"), float("inf"),
+]
+DEPOSITS = st.one_of(
+    st.sampled_from(DEPOSIT_CASES),
+    st.integers(-5, 20),
+    st.fractions(min_value=-5, max_value=20, max_denominator=24),
+    st.fractions(min_value=-5, max_value=20, max_denominator=24).map(str),
+    st.floats(min_value=-5, max_value=20),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), threshold=st.integers(0, 6), window=st.integers(1, 6), deposit=DEPOSITS)
+def test_payback_matches_the_pair_rebuilding_reference(data, threshold, window, deposit):
+    policy = TimeoutPolicy(threshold, threshold + window)
+    t = data.draw(st.integers(-1, policy.timeout + 2) | st.sampled_from([True, False]), label="t")
+    assert outcome(deposit_payback, t, policy, deposit) == outcome(naive_deposit_payback, t, policy, deposit)
+
+
 def test_payback_deposit_override_and_validation():
     bare = TimeoutPolicy(threshold=1, timeout=2)
     assert deposit_payback(0, bare, 4) == 4
