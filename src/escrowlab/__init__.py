@@ -18,8 +18,6 @@ from .trade import (
     WinnerRebate,
     Withheld,
     as_fraction,
-    from_kv,
-    to_kv,
 )
 from .gametree import (
     Action,
@@ -70,13 +68,11 @@ __all__ = [
     "brute_force_spe",
     "build_game_tree",
     "check_soundness",
-    "from_kv",
     "generic_impossibility",
     "lambda_interval",
     "leaf_payoff",
     "node_margins",
     "security_report",
-    "to_kv",
     "winner_rebate_lambda",
 ]
 

@@ -14,6 +14,11 @@ arbitration, or an arbitration the honest party wins or loses.  `simulate`
 therefore runs one episode per class that occurs and draws, per trial, only
 the oracle's error bit.  Payoffs, rates, and means are exact rationals, so
 identical seeds give identical statistics bit for bit.
+
+The harness has no clock: it never advances the ledger's time, so no
+timeout fires and every liveness deposit would come back whole.  It
+therefore takes no `TimeoutPolicy`; liveness deposits and timeout defaults
+are exercised by the contract tests and the `shared_ledger` workload.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .arbiter import arbiter_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
 from .equilibrium import SecurityReport, _reports, _wager_forms
 from .gametree import Party
-from .ledger import Ledger, TimeoutPolicy
+from .ledger import Ledger
 from .trade import AffineWager, Standard, TradeParams, WagerScheme, scaled, wager_class
 
 
@@ -90,15 +95,14 @@ def run_trial(
     seller_strategy: SellerStrategy,
     buyer_strategy: BuyerStrategy,
     rng: Random,
-    policy: Optional[TimeoutPolicy] = None,
 ) -> tuple[Fraction, Fraction, EscrowContract, Ledger]:
     """One full contract episode; returns both utilities plus the artifacts."""
     ledger = Ledger(tau=params.fee)
-    contract = propose(ledger, "trade", "buyer", "seller", params, scheme, policy)
-    # Enough for all either party can put in: the price, the wager, the
-    # liveness deposit and three fee-bearing moves, summed in ints.
-    (price, stake, deposit, fee), scale = scaled((params.price, contract.stake, contract.liveness_deposit, params.fee))
-    endow = Fraction(price + stake + deposit + 3 * fee, scale)
+    contract = propose(ledger, "trade", "buyer", "seller", params, scheme)
+    # Enough for all either party can put in: the price, the wager and
+    # three fee-bearing moves, summed in ints.
+    (price, stake, fee), scale = scaled((params.price, contract.stake, params.fee))
+    endow = Fraction(price + stake + 3 * fee, scale)
     ledger.open_account("buyer", endow)
     ledger.open_account("seller", endow)
     contract.accept("seller")
@@ -141,7 +145,6 @@ def simulate(
     buyer_strategy: BuyerStrategy,
     trials: int,
     seed: int,
-    policy: Optional[TimeoutPolicy] = None,
 ) -> SimStats:
     """Repeated trades with one strategy pair, deterministic for a seed.
 
@@ -150,16 +153,19 @@ def simulate(
     outcome class.  Each class that occurs is played out once by
     `run_trial`, on the stream of its first trial, and its result counts
     once per trial in the class.  The statistics are those of running every
-    trial as its own episode.
+    trial as its own episode.  A `trials` or `seed` that is not an `int`
+    (a `bool` included) is refused with `ValueError` before any draw, since
+    the equal seeds 1, 1.0 and True would name three different streams.
     """
-    if not isinstance(trials, int) or isinstance(trials, bool):
-        raise ValueError(f"trials must be a whole number, got {trials!r}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     def episode(i: int) -> tuple:
         buyer_utility, seller_utility, contract, ledger = run_trial(
-            params, scheme, seller_strategy, buyer_strategy, Random(f"{seed}:{i}"), policy
+            params, scheme, seller_strategy, buyer_strategy, Random(f"{seed}:{i}")
         )
         disputed = contract.settled_how != "accept"
         arbitrated = contract.last_verdict is not None

@@ -67,8 +67,6 @@ class Phase(enum.Enum):
     ABORTED = "aborted"
 
 
-TERMINAL_PHASES = (Phase.SETTLED, Phase.ABORTED)
-
 #: The empty books and the pot delta of a move that pays nothing in, built once.
 _ZERO = Fraction(0)
 

@@ -153,7 +153,11 @@ class SecurityReport:
     """Summary of the contract's game-theoretic guarantees for one setup:
     complete (the honest profile is the unique SPE, every slack positive),
     sound_epsilon_max (the largest deviation bound the dispute-layer slacks
-    support, if any), and strong (complete and sound at that bound)."""
+    support, if any), and strong (complete and sound at that bound).
+
+    strong always equals complete: when every slack is positive, so is the
+    least dispute-layer slack, and the contract is sound at that bound.  The
+    CSV keeps both columns."""
 
     complete: bool
     sound_epsilon_max: Optional[Fraction]
@@ -363,7 +367,6 @@ class SolvedTree:
     SPE exactly when every margin is positive.
     """
 
-    tree: GameTree
     chosen: dict[str, Action]
     margins: dict[str, Fraction]
 
@@ -380,7 +383,7 @@ def backward_induction(tree: GameTree) -> SolvedTree:
     chosen: dict[str, Action] = {}
     margins: dict[str, Fraction] = {}
     _solve(tree.root, chosen, margins)
-    return SolvedTree(tree=tree, chosen=chosen, margins=margins)
+    return SolvedTree(chosen=chosen, margins=margins)
 
 
 def _solve(node: TreeNode, chosen: dict[str, Action], margins: dict[str, Fraction]) -> PayoffPair:

@@ -72,7 +72,6 @@ class SettlementMatrix:
     dispute exists.  payouts[i] is the gross withdrawal owed to party i.
     """
 
-    parties: tuple[str, ...]
     payments: Matrix
     disputes: BitMatrix
     counters: BitMatrix
@@ -262,7 +261,6 @@ def multiparty_run(
                 ledger.escrow_release(POT, party, payouts[i], contract_move=True)
 
     return SettlementMatrix(
-        parties=parties,
         payments=tuple(tuple(row) if paid else (_ZERO,) * n for row, paid in zip(x, sellers)),
         disputes=d,
         counters=c,

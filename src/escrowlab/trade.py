@@ -204,29 +204,6 @@ def wager_class(scheme: Union[str, type, WagerScheme]) -> type:
 _KV_KEYS = ("x", "x_seller", "y", "gamma", "tau", "scheme", "lambda", "omega", "ell")
 
 
-def to_kv(params: TradeParams, scheme: WagerScheme) -> str:
-    """Serialize a parameter set to the flat key=value text format."""
-    lines = [
-        f"x={params.price}",
-        f"x_seller={params.seller_value}",
-        f"y={params.buyer_value}",
-        f"gamma={params.arbiter_error}",
-        f"tau={params.fee}",
-        f"scheme={scheme.name}",
-    ]
-    if isinstance(scheme, Generic):
-        lines.append(f"omega={scheme.win_amount}")
-        lines.append(f"ell={scheme.loss_amount}")
-    else:
-        lines.append(f"lambda={scheme.wager}")
-    return "\n".join(lines) + "\n"
-
-
-def from_kv(text: str) -> tuple[TradeParams, WagerScheme]:
-    """Parse the flat key=value format back into (TradeParams, WagerScheme)."""
-    return params_from_kv(read_kv(text))
-
-
 def read_kv(text: str) -> dict[str, str]:
     """The key -> value strings of the flat key=value format.
 
@@ -252,8 +229,8 @@ def read_kv(text: str) -> dict[str, str]:
 
 
 def params_from_kv(values: dict[str, str]) -> tuple[TradeParams, WagerScheme]:
-    """The parameter set named by parsed key -> value strings: the half of
-    `from_kv` that the CLI's flags and parameter files go through together,
+    """The parameter set named by parsed key -> value strings (`read_kv`):
+    the one parser the CLI's flags and parameter files go through together,
     so both share one set of defaults.  Only x and y are required; the
     wager defaults to the price (lambda = x) for the named variants.  A key
     the chosen scheme does not use (omega or ell for a named scheme, lambda

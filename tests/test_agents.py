@@ -36,7 +36,7 @@ from escrowlab.gametree import (
     leaf_path,
     leaf_payoff,
 )
-from escrowlab.ledger import Ledger, TimeoutPolicy
+from escrowlab.ledger import Ledger
 from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
 
 PARAMS = TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error="1/4")
@@ -109,13 +109,13 @@ def test_identical_seeds_give_identical_statistics():
     assert c != a
 
 
-def naive(params, scheme, seller, buyer, trials, seed, policy=None) -> SimStats:
+def naive(params, scheme, seller, buyer, trials, seed) -> SimStats:
     """Reference: every trial played out as its own contract episode."""
     buyer_total = seller_total = fees = Fraction(0)
     disputes = arbitrations = 0
     for i in range(trials):
         buyer_utility, seller_utility, contract, ledger = run_trial(
-            params, scheme, seller, buyer, Random(f"{seed}:{i}"), policy
+            params, scheme, seller, buyer, Random(f"{seed}:{i}")
         )
         buyer_total += buyer_utility
         seller_total += seller_utility
@@ -158,30 +158,24 @@ def trade_setups(draw):
         scheme = Generic(share * (price + 2 * loss) - loss, loss)
     else:
         scheme = kind(draw(AMOUNT))
-    policy = draw(st.none() | st.builds(
-        lambda threshold, window, deposit: TimeoutPolicy(threshold, threshold + window, deposit),
-        st.integers(0, 3), st.integers(1, 4), st.none() | st.just(0) | AMOUNT,
-    ))
-    return params, scheme, policy
+    return params, scheme
 
 
 @pytest.mark.parametrize("pair", range(len(PAIRS)))
 @settings(max_examples=15, deadline=None)
 @given(setup=trade_setups(), trials=st.integers(1, 40), seed=st.integers(0, 2**32))
 def test_simulate_matches_the_per_trial_episode_loop(pair, setup, trials, seed):
-    params, scheme, policy = setup
+    params, scheme = setup
     seller, buyer = PAIRS[pair]
-    assert simulate(params, scheme, seller, buyer, trials, seed, policy) == naive(
-        params, scheme, seller, buyer, trials, seed, policy
-    )
+    assert simulate(params, scheme, seller, buyer, trials, seed) == naive(params, scheme, seller, buyer, trials, seed)
 
 
-def naive_run_trial(params, scheme, seller_strategy, buyer_strategy, rng, policy=None):
+def naive_run_trial(params, scheme, seller_strategy, buyer_strategy, rng):
     """Reference: `run_trial` with the endowment and both utilities summed
     as `Fraction`s, step by step."""
     ledger = Ledger(tau=params.fee)
-    contract = propose(ledger, "trade", "buyer", "seller", params, scheme, policy)
-    endow = params.price + contract.stake + contract.liveness_deposit + 3 * params.fee
+    contract = propose(ledger, "trade", "buyer", "seller", params, scheme)
+    endow = params.price + contract.stake + 3 * params.fee
     ledger.open_account("buyer", endow)
     ledger.open_account("seller", endow)
     contract.accept("seller")
@@ -217,25 +211,15 @@ def naive_run_trial(params, scheme, seller_strategy, buyer_strategy, rng, policy
 def test_run_trial_matches_the_fraction_sums(pair, setup, seed):
     # The same utilities, contract events and ledger, with the endowment
     # and utilities summed in ints over one scale.
-    params, scheme, policy = setup
+    params, scheme = setup
     seller, buyer = PAIRS[pair]
-    ours = run_trial(params, scheme, seller, buyer, Random(seed), policy)
-    naive = naive_run_trial(params, scheme, seller, buyer, Random(seed), policy)
+    ours = run_trial(params, scheme, seller, buyer, Random(seed))
+    naive = naive_run_trial(params, scheme, seller, buyer, Random(seed))
     for buyer_utility, seller_utility, _, _ in (ours, naive):
         assert type(buyer_utility) is type(seller_utility) is Fraction
     assert ours[:2] == naive[:2]
     assert ours[2].events == naive[2].events
     assert ours[3].snapshot() == naive[3].snapshot()
-
-
-def test_run_trial_endows_each_party_for_the_liveness_deposit_too():
-    # The disputing buyer puts in the price, the liveness deposit (the wager
-    # by default) and the wager: 1 + 11 + 11, more than price + wager + 10.
-    args = (
-        TradeParams(price=1, buyer_value=2, arbiter_error="1/4"), Standard(11),
-        SellerStrategy.honest(), BuyerStrategy(True, True), 5, 1, TimeoutPolicy(1, 3),
-    )
-    assert simulate(*args) == naive(*args)
 
 
 def test_simulate_rejects_an_empty_run():
@@ -250,6 +234,16 @@ def test_simulate_counts_trials_in_whole_numbers(trials, leaf):
     seller, buyer = strategies_for_leaf(leaf)
     with pytest.raises(ValueError, match=r"^trials must be a whole number, got "):
         simulate(PARAMS, Standard(1), seller, buyer, trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.0, Fraction(1), "1", None])
+@pytest.mark.parametrize("leaf", [Leaf.SEND_ACCEPT, Leaf.SEND_DISPUTE_COUNTER])
+def test_simulate_takes_only_an_int_seed(seed, leaf):
+    # Random(f"{seed}:{i}") would give the equal seeds 1, 1.0 and True
+    # three different streams, so only an int names one.
+    seller, buyer = strategies_for_leaf(leaf)
+    with pytest.raises(ValueError, match=r"^seed must be a whole number, got "):
+        simulate(PARAMS, Standard(1), seller, buyer, trials=5, seed=seed)
 
 
 def binomial_3sigma(spread: float, p: float, n: int) -> float:

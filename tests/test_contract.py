@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from escrowlab.arbiter import BASIS_ORACLE, Verdict, oracle_arbitrate
 from escrowlab.contract import (
-    TERMINAL_PHASES,
     ContractError,
     DeadlineExpired,
     DuplicateContractError,
@@ -29,6 +28,7 @@ from escrowlab.trade import (
 )
 
 PARAMS = TradeParams(price=2, seller_value=1, buyer_value=5)
+TERMINAL_PHASES = (Phase.SETTLED, Phase.ABORTED)
 
 
 def world(tau=0, scheme=Standard(1), policy=None, params=PARAMS):

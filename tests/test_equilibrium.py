@@ -699,6 +699,7 @@ def test_every_sweep_report_is_the_security_report_at_its_point(data, kinds, gam
     for report in reports:
         assert all(type(v) is Fraction for v in (*report.slacks.values(), report.wager, report.gamma, report.fee))
         assert report.sound_epsilon_max is None or type(report.sound_epsilon_max) is Fraction
+        assert report.strong == report.complete
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,6 @@ def naive(ledger, parties, payments, disputes, counters, rng=None, coin_matrix=N
                 ledger.escrow_release(POT, party, payouts[i], contract_move=True)
 
     return SettlementMatrix(
-        parties=parties,
         payments=tuple(tuple(row) for row in x),
         disputes=tuple(tuple(row) for row in d),
         counters=tuple(tuple(row) for row in c),

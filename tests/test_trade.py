@@ -15,8 +15,8 @@ from escrowlab.trade import (
     WinnerRebate,
     Withheld,
     as_fraction,
-    from_kv,
-    to_kv,
+    params_from_kv,
+    read_kv,
 )
 
 
@@ -111,22 +111,22 @@ def test_scheme_payout_parameters():
 
 def test_kv_round_trip_named_scheme():
     p = TradeParams(price=1, seller_value="1/3", buyer_value=2, arbiter_error="1/4", fee="1/10")
-    text = to_kv(p, Standard("5/4"))
-    params, scheme = from_kv(text)
+    text = "x=1\nx_seller=1/3\ny=2\ngamma=1/4\ntau=1/10\nscheme=standard\nlambda=5/4\n"
+    params, scheme = params_from_kv(read_kv(text))
     assert params == p
     assert scheme == Standard(Fraction(5, 4))
 
 
 def test_kv_round_trip_generic_scheme():
     p = TradeParams(price=2, buyer_value=5)
-    text = to_kv(p, Generic(win_amount=3, loss_amount=1))
-    params, scheme = from_kv(text)
+    text = "x=2\nx_seller=0\ny=5\ngamma=0\ntau=0\nscheme=generic\nomega=3\nell=1\n"
+    params, scheme = params_from_kv(read_kv(text))
     assert params == p
     assert scheme == Generic(Fraction(3), Fraction(1))
 
 
 def test_kv_parsing_tolerates_comments_and_defaults():
-    params, scheme = from_kv("# trade\nx = 1\ny = 2\ngamma = 1/4\n")
+    params, scheme = params_from_kv(read_kv("# trade\nx = 1\ny = 2\ngamma = 1/4\n"))
     assert params.arbiter_error == Fraction(1, 4)
     assert params.fee == 0
     assert scheme == Standard(Fraction(1))  # wager defaults to the price
@@ -138,12 +138,12 @@ def test_kv_parsing_tolerates_comments_and_defaults():
 ])
 def test_kv_parsing_rejects_malformed_input(text):
     with pytest.raises(ValueError):
-        from_kv(text)
+        params_from_kv(read_kv(text))
 
 
 def test_kv_parsing_rejects_a_repeated_key():
     with pytest.raises(ValueError, match="duplicate key 'x'"):
-        from_kv("x=1\ny=4\nx=3\n")
+        params_from_kv(read_kv("x=1\ny=4\nx=3\n"))
 
 
 @pytest.mark.parametrize("spelling, kind", [
@@ -153,8 +153,8 @@ def test_kv_parsing_rejects_a_repeated_key():
 ])
 def test_scheme_names_are_read_from_one_table(spelling, kind):
     # scheme= in a parameter file and lambda_interval take the same spellings.
-    params, scheme = from_kv(f"x=2\ny=3\ngamma=1/4\nscheme={spelling}\nlambda=1\n")
+    params, scheme = params_from_kv(read_kv(f"x=2\ny=3\ngamma=1/4\nscheme={spelling}\nlambda=1\n"))
     assert scheme == kind(1)
     assert lambda_interval(params, spelling) == lambda_interval(params, kind) == lambda_interval(params, scheme)
     with pytest.raises(ValueError, match="unknown scheme"):
-        from_kv(f"x=2\ny=3\nscheme={spelling}x\n")
+        params_from_kv(read_kv(f"x=2\ny=3\nscheme={spelling}x\n"))
