@@ -14,7 +14,9 @@ forfeited the dispute.  `_DEFAULTS` is the one table of them: for each timed
 phase, whose silence the timeout charges and how the contract then ends.
 Explicitly playing a default action is free as well, since the mover could
 have reached it by waiting, and ends the contract the same way.  Every
-ending, arbitration's too, goes through one routine, `_end`.
+ending, arbitration's too, goes through one routine, `_end`.  Each move logs
+one record in `events`: the tuple (ledger time, `Phase` after the move, the
+mover's role, action, the `Fraction` paid into the pot, negative paid out).
 
 With a TimeoutPolicy attached, each party posts a liveness deposit when they
 enter the contract (the wager size unless the policy fixes one).  At
@@ -85,6 +87,8 @@ _DEFAULTS = {
 
 
 class EscrowContract:
+    """One trade's contract; `events` holds a (time, phase, role, action, pot_delta) tuple per move."""
+
     def __init__(
         self,
         ledger: Ledger,
@@ -134,7 +138,7 @@ class EscrowContract:
         self.liveness_deposits: dict[str, Fraction] = {}
         self.worst_lateness: dict[str, int] = {}
 
-        self.events: list[str] = []
+        self.events: list[tuple] = []
         self._step("buyer", "propose", _ZERO, Phase.PROPOSED)
 
     # -- plumbing ------------------------------------------------------------
@@ -143,9 +147,9 @@ class EscrowContract:
         return sum(self.liveness_deposits.values(), self._wagered)
 
     def _step(self, role: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
-        """Log the move's event for `role`, entering `phase` first if given:
-        the deadline is re-armed when the new phase is timed, cancelled if not.
-        The delta's sign is read off its numerator."""
+        """Append the move's record (time, phase, role, action, pot_delta),
+        entering `phase` first if given: the deadline is re-armed when the
+        new phase is timed, cancelled if not."""
         if phase is not None:
             self.phase = phase
             self.phase_entered_at = self.ledger.time
@@ -154,8 +158,7 @@ class EscrowContract:
                 self.ledger.register_timeout(
                     self.contract_id, self.ledger.time + self.policy.timeout, self.on_timeout
                 )
-        sign = f"+{pot_delta}" if pot_delta.numerator > 0 else str(pot_delta)
-        self.events.append(f"{self.ledger.time} {self.phase.value} {role} {action} {sign}")
+        self.events.append((self.ledger.time, self.phase, role, action, pot_delta))
 
     def _require(self, actor: str, allowed: str, *phases: Phase) -> None:
         if self.phase not in phases:

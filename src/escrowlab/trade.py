@@ -23,7 +23,7 @@ def as_fraction(value: Rational) -> Fraction:
     """Coerce to an exact Fraction.
 
     Floats go through their decimal repr ("0.1" -> 1/10) rather than their
-    binary expansion, so CLI-style inputs stay exact.  A bool is not a number.
+    binary expansion, so CLI-style inputs stay exact.  A bool or "1/0" is refused.
     A `Fraction` is immutable, so it is returned as it is, not copied.
     """
     if type(value) is Fraction:
@@ -32,7 +32,10 @@ def as_fraction(value: Rational) -> Fraction:
         return Fraction(str(value))
     if isinstance(value, bool):
         raise ValueError(f"an amount must be a number, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"a rational needs a nonzero denominator, got {value!r}") from None
 
 
 def scaled(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:
@@ -109,7 +112,7 @@ class AffineWager:
         return wager
 
     def win_gain(self, params: TradeParams) -> Fraction:
-        return params.price + self.slope * self.wager
+        return params.price + self.slope * self.wager if self.slope else params.price
 
     def loss_cost(self, params: TradeParams) -> Fraction:
         return self.wager

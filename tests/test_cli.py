@@ -307,6 +307,18 @@ MALFORMED = {
         ["multiparty", "--matrix", "negative.txt"],
         "escrowlab multiparty: payments entries must be rationals >= 0",
     ),
+    "zero denominator in the price": (
+        ["solve", "--x", "1/0", "--y", "2"],
+        "escrowlab solve: a rational needs a nonzero denominator, got '1/0'",
+    ),
+    "zero denominator in the error rates": (
+        ["sweep", "--x", "1", "--y", "2", "--gammas", "1/0"],
+        "escrowlab sweep: a rational needs a nonzero denominator, got '1/0'",
+    ),
+    "zero denominator in a matrix entry": (
+        ["multiparty", "--matrix", "zero.txt"],
+        "escrowlab multiparty: a rational needs a nonzero denominator, got '1/0'",
+    ),
 }
 
 
@@ -315,6 +327,7 @@ def test_malformed_input_ends_in_one_named_line(tmp_path, argv, message):
     (tmp_path / "bogus.kv").write_text("x=1\ny=2\nscheme=bogus\n")
     (tmp_path / "letters.txt").write_text("0 x\n1 0\n")
     (tmp_path / "negative.txt").write_text("0 -5\n0 0\n")
+    (tmp_path / "zero.txt").write_text("0 1/0\n0 0\n")
     src = str(Path(escrowlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

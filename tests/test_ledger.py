@@ -647,6 +647,15 @@ def test_a_bool_is_not_an_amount(act):
     assert "a" not in ledger.balances
 
 
+def test_a_zero_denominator_is_refused_by_name_without_effect():
+    ledger = fresh_ledger()
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match=r"^a rational needs a nonzero denominator, got '1/0'$"):
+        ledger.escrow_deposit("buyer", "c1", "1/0")
+    assert ledger.snapshot() == before
+    assert ledger.move_counts == {} and "c1" not in ledger.pots
+
+
 BAD_NAMES = {
     "an account name that is not a str": lambda ledger: ledger.open_account(7, 3),
     "an empty account name": lambda ledger: ledger.open_account("", 1),

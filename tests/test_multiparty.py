@@ -324,6 +324,14 @@ def test_input_validation():
 # ---------------------------------------------------------------------------
 
 
+def test_a_zero_denominator_payment_is_refused_by_name():
+    ledger = fresh_ledger(["a", "b"])
+    before = ledger.snapshot()
+    with pytest.raises(MultipartyError, match=r"^payments entries must be rationals >= 0$"):
+        multiparty_run(ledger, ["a", "b"], [[0, "1/0"], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
+    assert ledger.snapshot() == before
+
+
 def _dense_matrix(n, rows, name, entry, valid, rule):
     if len(rows) != n:
         raise MultipartyError(f"{name} must be {n}x{n}")

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escrowlab.arbiter import arbiter_errs
 from escrowlab.equilibrium import lambda_interval
@@ -69,6 +71,34 @@ BOOLS = {
 def test_a_bool_is_not_a_number(make):
     with pytest.raises(ValueError, match=r"^an amount must be a number, got (True|False)$"):
         make()
+
+
+ZERO_DENOMINATORS = {
+    "a coerced amount": lambda: as_fraction("1/0"),
+    "a price": lambda: TradeParams(price="1/0", buyer_value=2),
+    "a wager": lambda: Standard("1/0"),
+    "a parameter file": lambda: params_from_kv({"x": "1", "y": "2", "gamma": "1/0"}),
+    "an oracle's error rate": lambda: arbiter_errs("1/0", Random(1)),
+}
+
+
+@pytest.mark.parametrize("make", ZERO_DENOMINATORS.values(), ids=ZERO_DENOMINATORS.keys())
+def test_a_zero_denominator_is_refused_by_name(make):
+    with pytest.raises(ValueError, match=r"^a rational needs a nonzero denominator, got '1/0'$"):
+        make()
+
+
+RATIONALS = st.fractions(min_value=Fraction(1, 60), max_value=100, max_denominator=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(price=RATIONALS, wager=RATIONALS, kind=st.sampled_from([Standard, WinnerRebate, Withheld]))
+def test_win_gain_is_the_price_plus_the_slope_times_the_wager(price, wager, kind):
+    params = TradeParams(price=price, buyer_value=price + 1)
+    gain = kind(wager).win_gain(params)
+    assert type(gain) is Fraction and gain == params.price + kind.slope * wager
+    if kind.slope == 0:  # the price as it is, with no arithmetic
+        assert gain is params.price
 
 
 def test_a_fraction_is_kept_and_a_wager_has_one_check():
