@@ -14,7 +14,9 @@ Every value returned is an exact `Fraction`.  The sweep's and the
 enumeration's decisions are made in ints: a sweep row's margin forms and
 wagers, or a tree's leaf payoffs and epsilon, are put over one common
 scale (`trade.scaled`), so strict versus non-strict boundaries are decided
-exactly, without tolerance and without a `Fraction` per comparison.
+exactly, without tolerance and without a `Fraction` per comparison.  A
+`SecurityReport` keeps its margins as those ints and builds its `slacks`
+only when they are read; its `strong` is a property equal to `complete`.
 """
 
 from __future__ import annotations
@@ -148,22 +150,29 @@ def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecurityReport:
     """Summary of the contract's game-theoretic guarantees for one setup:
     complete (the honest profile is the unique SPE, every slack positive),
     sound_epsilon_max (the largest deviation bound the dispute-layer slacks
-    support, if any), and strong (complete and sound at that bound).
+    support, if any), and the constraints that bind.
 
-    strong always equals complete: when every slack is positive, so is the
-    least dispute-layer slack, and the contract is sound at that bound.  The
-    CSV keeps both columns."""
+    The slacks are held as ints, `margins[k] / scale` for the constraint
+    `names[k]`; `slacks` builds them as `Fraction`s each time it is read.
+    Two reports are equal when their slacks and other fields are, whatever
+    scale each holds its margins over.  A report is not hashable.
+
+    `strong` (complete and sound at sound_epsilon_max) is a property equal
+    to `complete`: when every slack is positive, so is the least
+    dispute-layer slack, and the contract is sound at that bound.  The CSV
+    keeps both columns."""
 
     complete: bool
     sound_epsilon_max: Optional[Fraction]
-    strong: bool
     weak: bool
-    slacks: dict[str, Fraction]
+    margins: tuple[int, ...]
+    scale: int
+    names: tuple[str, ...]
     binding: tuple[str, ...]
     gamma: Fraction
     wager: Fraction
@@ -172,16 +181,37 @@ class SecurityReport:
 
     CSV_FIELDS = ("gamma", "lambda", "tau", "scheme", "complete", "eps_max", "strong", "weak")
 
+    @property
+    def slacks(self) -> dict[str, Fraction]:
+        """Each constraint's slack by name, in the table's order."""
+        return {name: Fraction(margin, self.scale) for name, margin in zip(self.names, self.margins)}
+
+    @property
+    def strong(self) -> bool:
+        return self.complete
+
+    def _fields(self) -> tuple:
+        return (self.complete, self.sound_epsilon_max, self.weak, self.binding,
+                self.gamma, self.wager, self.fee, self.scheme)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields() and self.slacks == other.slacks
+
+    __hash__ = None  # equal reports may hold their margins over different scales
+
     def to_row(self) -> dict[str, str]:
         """Flat record for CSV output."""
+        complete = str(self.complete).lower()
         return {
             "gamma": str(self.gamma),
             "lambda": str(self.wager),
             "tau": str(self.fee),
             "scheme": self.scheme,
-            "complete": str(self.complete).lower(),
+            "complete": complete,
             "eps_max": "" if self.sound_epsilon_max is None else str(self.sound_epsilon_max),
-            "strong": str(self.strong).lower(),
+            "strong": complete,
             "weak": str(self.weak).lower(),
         }
 
@@ -204,31 +234,31 @@ def _reports(
 
     The forms and the stakes are put over one scale s, so each margin times
     s * s is an int: every verdict, minimum and tie is decided in ints, and
-    only the slacks are built as `Fraction`s, once per distinct margin (a
-    wager-free row's margin recurs at every stake).
+    each report keeps its margins as those ints.  Only sound_epsilon_max is
+    built as a `Fraction`, once per distinct value in the row.
     """
     ints, scale = scaled([*itertools.chain.from_iterable(forms), *stakes])
     size = 2 * len(rows)
     table = [(constant * scale, coeff) for constant, coeff in zip(ints[0:size:2], ints[1:size:2])]
     den = scale * scale
-    names = [row.name for row in rows]
+    names = tuple(row.name for row in rows)
     dispute = [k for k, row in enumerate(rows) if row.dispute]
     built: dict[int, Fraction] = {}
     reports = []
     for stake, wager in zip(stakes, ints[size:]):
-        margins = [constant + coeff * wager for constant, coeff in table]
-        slacks = [built[m] if m in built else built.setdefault(m, Fraction(m, den)) for m in margins]
-        worst = min(dispute, key=margins.__getitem__)  # the least dispute-layer margin's row
+        margins = tuple([constant + coeff * wager for constant, coeff in table])
+        least = min([margins[k] for k in dispute])  # the least dispute-layer margin
+        if least > 0 and least not in built:
+            built[least] = Fraction(least, den)
         low = min(margins)
-        complete = low > 0
-        eps_max = slacks[worst] if margins[worst] > 0 else None
         reports.append(SecurityReport(
-            complete=complete,
-            sound_epsilon_max=eps_max,
-            strong=complete and eps_max is not None,
+            complete=low > 0,
+            sound_epsilon_max=built.get(least),  # None unless `least` is positive
             weak=low >= 0,
-            slacks=dict(zip(names, slacks)),
-            binding=tuple(name for name, margin in zip(names, margins) if margin == low),
+            margins=margins,
+            scale=den,
+            names=names,
+            binding=tuple([name for name, margin in zip(names, margins) if margin == low]),
             gamma=params.arbiter_error,
             wager=stake,
             fee=params.fee,

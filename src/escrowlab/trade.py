@@ -24,10 +24,16 @@ def as_fraction(value: Rational) -> Fraction:
 
     Floats go through their decimal repr ("0.1" -> 1/10) rather than their
     binary expansion, so CLI-style inputs stay exact.  A bool or "1/0" is refused.
-    A `Fraction` is immutable, so it is returned as it is, not copied.
+    A `Fraction` is immutable, so it is returned as it is, not copied.  A
+    plain ASCII "p" or "p/q" (digits only, q nonzero) is read as two ints;
+    every other string goes through `Fraction`'s own parser.
     """
     if type(value) is Fraction:
         return value
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit() and den.strip("0")):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, bool):
@@ -107,7 +113,7 @@ class AffineWager:
     def checked(value: Rational) -> Fraction:
         """`value` as an exact wager, refused unless it is > 0."""
         wager = as_fraction(value)
-        if wager <= 0:
+        if wager.numerator <= 0:
             raise InvalidSchemeError(f"wager must be > 0, got {wager}")
         return wager
 

@@ -41,7 +41,7 @@ from escrowlab.gametree import (
     LeafNode,
     build_game_tree,
 )
-from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld
+from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld, scaled
 
 from conftest import draw_params, rand_fraction
 
@@ -481,18 +481,28 @@ def naive_security_report(p, scheme):
     eps_max = worst if worst > 0 else None
     complete = all(margin > 0 for margin in margins.values())
     low = min(slacks.values())
-    return SecurityReport(
+    ints, scale = scaled(slacks.values())
+    report = SecurityReport(
         complete=complete,
         sound_epsilon_max=eps_max,
-        strong=complete and eps_max is not None,
         weak=all(margin >= 0 for margin in margins.values()),
-        slacks=slacks,
+        margins=tuple(ints),
+        scale=scale,
+        names=tuple(slacks),
         binding=tuple(name for name, slack in slacks.items() if slack == low),
         gamma=p.arbiter_error,
         wager=scheme.loss_cost(p),
         fee=p.fee,
         scheme=scheme.name,
     )
+    assert list(report.slacks.items()) == list(slacks.items())
+    return report
+
+
+def same_slacks(report, expected):
+    """The slacks as read: equal values, each a `Fraction`, in the same key order."""
+    ours, theirs = list(report.slacks.items()), list(expected.slacks.items())
+    return ours == theirs and all(type(value) is Fraction for _, value in ours)
 
 
 def naive_lambda_interval(p, kind, epsilon=None):
@@ -554,7 +564,8 @@ def test_margin_table_matches_the_naive_formulas_and_solver(data, kind):
         loss = data.draw(st.just(0) | AMOUNT)
         scheme = Generic(data.draw(AMOUNT) - loss, loss)
         assert list(node_margins(p, scheme).items()) == list(naive_node_margins(p, scheme).items())
-        assert security_report(p, scheme) == naive_security_report(p, scheme)
+        report, expected = security_report(p, scheme), naive_security_report(p, scheme)
+        assert report == expected and same_slacks(report, expected)
         return
 
     bound = x * (1 - 2 * gamma)  # the matching wager's strength bound
@@ -574,9 +585,10 @@ def test_margin_table_matches_the_naive_formulas_and_solver(data, kind):
         assert {name: report.slacks[name] for name in DISPUTE_LAYER} == {
             NAIVE_NAMES[node]: naive[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND)
         }
-        assert report == expected and list(report.slacks) == list(expected.slacks)
+        assert report == expected and same_slacks(report, expected)
     rows = sweep(p, gammas=[gamma], wagers=wagers, fees=[fee], schemes=[kind])
-    assert rows == [naive_security_report(p, kind(wager)) for wager in wagers]
+    expected = [naive_security_report(p, kind(wager)) for wager in wagers]
+    assert rows == expected and all(map(same_slacks, rows, expected))
 
 
 @settings(max_examples=500, deadline=None)
@@ -694,12 +706,40 @@ def test_every_sweep_report_is_the_security_report_at_its_point(data, kinds, gam
         (replace(p, arbiter_error=gamma, fee=fee), kind(wager))
         for kind in kinds for gamma in gammas for fee in fees for wager in wagers
     ]
-    assert reports == [security_report(point, scheme) for point, scheme in points]
-    assert reports == [naive_security_report(point, scheme) for point, scheme in points]
+    singles = [security_report(point, scheme) for point, scheme in points]
+    naives = [naive_security_report(point, scheme) for point, scheme in points]
+    assert reports == singles == naives
+    assert all(map(same_slacks, reports, singles)) and all(map(same_slacks, reports, naives))
     for report in reports:
-        assert all(type(v) is Fraction for v in (*report.slacks.values(), report.wager, report.gamma, report.fee))
+        assert all(type(v) is Fraction for v in (report.wager, report.gamma, report.fee))
         assert report.sound_epsilon_max is None or type(report.sound_epsilon_max) is Fraction
         assert report.strong == report.complete
+
+
+def test_a_sweep_report_equals_the_security_report_over_another_scale():
+    # 1/7 beside 1 puts the sweep row's margins over a scale the single wager lacks.
+    p = params(x=Fraction(3, 2), y=4, gamma=Fraction(1, 4))
+    [_, swept] = sweep(p, gammas=[p.arbiter_error], wagers=[Fraction(1, 7), 1])
+    single = security_report(p, Standard(1))
+    assert swept.scale != single.scale and swept.margins != single.margins
+    assert swept == single and not swept != single and same_slacks(swept, single)
+
+
+def test_reports_that_differ_in_one_slack_are_unequal():
+    report = security_report(params(gamma=Fraction(1, 4)), Standard(1))
+    for k in range(len(report.margins)):
+        margins = list(report.margins)
+        margins[k] += 1
+        assert replace(report, margins=tuple(margins)) != report
+    # The same slacks over twice the scale are the same report.
+    doubled = replace(report, margins=tuple(2 * m for m in report.margins), scale=2 * report.scale)
+    assert doubled == report and same_slacks(doubled, report)
+    assert report != replace(report, weak=not report.weak) and report != "a report"
+
+
+def test_a_report_is_not_hashable():
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(security_report(params(), Standard(1)))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,59 @@ def test_a_fraction_is_kept_and_a_wager_has_one_check():
         AffineWager.checked(-third)
 
 
+def naive_as_fraction(value):
+    """Reference: `as_fraction` as it was, every string through `Fraction`'s parser."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        return Fraction(str(value))
+    if isinstance(value, bool):
+        raise ValueError(f"an amount must be a number, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"a rational needs a nonzero denominator, got {value!r}") from None
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=6)
+SIGN = st.sampled_from(["", "+", "-"])
+#: Pieces of a number: ASCII digit runs (leading zeros included), signs,
+#: whitespace, '_', '/', a decimal point, and digits outside ASCII.  No
+#: exponent marker, so a run of pieces never spells a huge power of ten.
+PIECE = st.one_of(
+    DIGITS,
+    st.sampled_from(["+", "-", " ", "\t", "\n", "_", "/", ".", "0", "00", "١", "٣", "²", "１", "０", "½"]),
+)
+NUMERIC_STRINGS = st.one_of(
+    DIGITS,
+    st.builds("{}/{}".format, DIGITS, DIGITS),
+    st.lists(PIECE, max_size=6).map("".join),
+    st.builds("{}{}{}e{}{}".format, SIGN, DIGITS, st.sampled_from(["", ".", ".5"]), SIGN, st.integers(0, 500)),
+)
+
+
+def outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=NUMERIC_STRINGS)
+def test_as_fraction_reads_every_string_as_the_fraction_parser_did(text):
+    assert outcome(as_fraction, text) == outcome(naive_as_fraction, text)
+
+
+@pytest.mark.parametrize("text", [
+    "12", "007", "3/4", "006/008", "0/5", "1/0", "1/00", "", "/", "1/2/3", "-1/2", " 1/2", "1_000", "1_000/3",
+    "1.5e3", "1e400", "١", "١/٢", "²", "１", "1/１",
+])
+def test_as_fraction_reads_the_edge_spellings_as_the_fraction_parser_did(text):
+    assert outcome(as_fraction, text) == outcome(naive_as_fraction, text)
+
+
 def test_named_schemes_require_positive_wager():
     for kind in (Standard, WinnerRebate, Withheld):
         with pytest.raises(InvalidSchemeError):
