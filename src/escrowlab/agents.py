@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .arbiter import arbiter_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
-from .equilibrium import SecurityReport, _reports, _wager_forms
+from .equilibrium import SecurityReport, _reports
 from .gametree import Party
 from .ledger import Ledger
 from .trade import AffineWager, Standard, TradeParams, WagerScheme, scaled, wager_class
@@ -229,7 +229,7 @@ def sweep(
         for gamma in gammas:
             for fee in fees:
                 point = replace(params, arbiter_error=gamma, fee=fee)
-                reports += _reports(point, kind.name, *_wager_forms(point, kind.slope), stakes)
+                reports += _reports(point, kind.name, kind.slope, None, stakes)
     return reports
 
 

@@ -26,7 +26,7 @@ from random import Random
 from .agents import BuyerStrategy, SellerStrategy, simulate, sweep, sweep_csv
 from .equilibrium import lambda_interval, security_report
 from .ledger import Ledger
-from .multiparty import multiparty_run
+from .multiparty import _payment_grid, multiparty_run
 from .trade import _KV_KEYS, _SCHEMES, Generic, Standard, as_fraction, params_from_kv, read_kv, wager_class
 
 SELLER_STRATEGIES = {
@@ -114,16 +114,17 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_multiparty(args: argparse.Namespace) -> None:
-    payments = _read_matrix(args.matrix)
-    n = len(payments)
+    rows = _read_matrix(args.matrix)
+    n = len(rows)
     zeros = [[0] * n for _ in range(n)]
     disputes = _read_matrix(args.disputes) if args.disputes else zeros
     counters = _read_matrix(args.counters) if args.counters else zeros
 
     parties = [f"p{i + 1}" for i in range(n)]
     ledger = Ledger(tau=args.tau)
-    # Magnitudes: a negative entry is the batch's to refuse, not an overdraft here.
-    totals = [sum(abs(as_fraction(v)) for v in row) for row in payments]
+    # Parsed once, by the batch's own rule, and handed to the batch as parsed.
+    payments, _ = _payment_grid(n, rows)
+    totals = [sum(row) for row in payments]
     grand_total = sum(totals)
     for name, row_total in zip(parties, totals):
         ledger.open_account(name, 3 * (row_total + grand_total) + 3 * ledger.tau + 1)

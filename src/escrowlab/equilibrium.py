@@ -2,7 +2,8 @@
 
 Three independent routes answer the same questions:
 
-* closed-form node margins, one affine table, `_margin_table`,
+* closed-form node margins, one table of the paper's five constraints as
+  forms in the wager, `_margin_table`, named in order by `CONSTRAINTS`,
 * backward induction over the built tree's leaves,
 * brute-force enumeration of every pure strategy profile, in one
   bottom-up pass over per-subtree tables (`_table`).
@@ -15,8 +16,9 @@ enumeration's decisions are made in ints: a sweep row's margin forms and
 wagers, or a tree's leaf payoffs and epsilon, are put over one common
 scale (`trade.scaled`), so strict versus non-strict boundaries are decided
 exactly, without tolerance and without a `Fraction` per comparison.  A
-`SecurityReport` keeps its margins as those ints and builds its `slacks`
-only when they are read; its `strong` is a property equal to `complete`.
+`SecurityReport` keeps its margins as those ints, in the order of
+`CONSTRAINTS`, and builds its `slacks` only when they are read; its
+`strong` is a property equal to `complete`.
 """
 
 from __future__ import annotations
@@ -60,50 +62,40 @@ BUYER_ACCEPTS = "buyer-accepts-delivery"
 BUYER_DISPUTES = "dispute-worth-the-fee"
 SELLER_SENDS = "delivery-worth-the-fee"
 
+#: The constraint names in the margin table's order.
+CONSTRAINTS = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS, BUYER_DISPUTES, SELLER_SENDS)
+
 
 class _Row(NamedTuple):
-    """One decision node's constraint.  The honest action's advantage there,
-    with honest play downstream, is affine in the arbitration payouts:
-    constant + per_win * (winner's net gain) + per_loss * (loser's net cost).
-    """
+    """One decision node's constraint: the honest action's advantage there,
+    with honest play downstream, is constant + coeff * wager."""
 
     node: str
     name: str
     dispute: bool  # a dispute-layer margin, one that bounds every dishonest deviation
     constant: Fraction
-    per_win: Fraction
-    per_loss: Fraction
-
-    def at(self, win: Fraction, loss: Fraction) -> Fraction:
-        """The margin when the winner nets `win` and the loser loses `loss`."""
-        return self.constant + self.per_win * win + self.per_loss * loss
+    coeff: Fraction
 
 
-def _margin_table(params: TradeParams) -> tuple[_Row, ...]:
-    """Every decision node's margin, ordered as the constraint names above.
+def _margin_table(params: TradeParams, slope: int = 0, win: Optional[Fraction] = None) -> tuple[_Row, ...]:
+    """Every decision node's margin as a form in the wager, ordered as
+    `CONSTRAINTS`, when the arbitration winner nets win + slope * wager
+    (`win` defaults to the price, as in an affine scheme) and the loser
+    loses the wager.  The wager enters the dispute rows alone.
 
     Fees enter with the sign of the move they attach to: countering and
     disputing cost the fee, while the timeout defaults are free.
     """
     x, y, g, t = params.price, params.buyer_value, params.arbiter_error, params.fee
+    w = x if win is None else win
+    h = 1 - g  # the chance the arbiter rules for the honest party
     return (
-        _Row(DISPUTE_AFTER_SEND, SELLER_COUNTERS, True, -t, 1 - g, -g),
-        _Row(DISPUTE_AFTER_NOSEND, SELLER_FORFEITS, True, t, -g, 1 - g),
-        _Row(AFTER_SEND, BUYER_ACCEPTS, True, y * (1 - g) + t, -g, 1 - g),
-        _Row(AFTER_NOSEND, BUYER_DISPUTES, False, x - t, 0, 0),
-        _Row(ROOT, SELLER_SENDS, False, x - params.seller_value - t, 0, 0),
+        _Row(DISPUTE_AFTER_SEND, SELLER_COUNTERS, True, h * w - t, h * slope - g),
+        _Row(DISPUTE_AFTER_NOSEND, SELLER_FORFEITS, True, t - g * w, h - g * slope),
+        _Row(AFTER_SEND, BUYER_ACCEPTS, True, y * h + t - g * w, h - g * slope),
+        _Row(AFTER_NOSEND, BUYER_DISPUTES, False, x - t, 0),
+        _Row(ROOT, SELLER_SENDS, False, x - params.seller_value - t, 0),
     )
-
-
-def _wager_forms(
-    params: TradeParams, slope: int, base: Optional[Fraction] = None
-) -> tuple[tuple[_Row, ...], list[tuple[Fraction, Fraction]]]:
-    """The table and each row's margin as (constant, coefficient) in the
-    wager: the winner nets base + slope * wager (base defaults to the price,
-    as in an affine scheme), the loser the wager."""
-    rows = _margin_table(params)
-    win = params.price if base is None else base
-    return rows, [(row.constant + row.per_win * win, row.per_win * slope + row.per_loss) for row in rows]
 
 
 def node_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction]:
@@ -111,8 +103,8 @@ def node_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction
 
     Positive margin means the honest action strictly beats the alternative.
     """
-    win, loss = scheme.win_gain(params), scheme.loss_cost(params)
-    return {row.node: row.at(win, loss) for row in _margin_table(params)}
+    loss = scheme.loss_cost(params)
+    return {row.node: row.constant + row.coeff * loss for row in _margin_table(params, 0, scheme.win_gain(params))}
 
 
 def _positive_epsilon(epsilon) -> Fraction:
@@ -157,10 +149,12 @@ class SecurityReport:
     sound_epsilon_max (the largest deviation bound the dispute-layer slacks
     support, if any), and the constraints that bind.
 
-    The slacks are held as ints, `margins[k] / scale` for the constraint
-    `names[k]`; `slacks` builds them as `Fraction`s each time it is read.
-    Two reports are equal when their slacks and other fields are, whatever
-    scale each holds its margins over.  A report is not hashable.
+    The slacks are the margin table's forms at the report's stake, held as
+    ints: `margins[k] / scale` for the constraint `CONSTRAINTS[k]`.  `slacks`
+    builds them as `Fraction`s each time it is read, and `binding` names
+    the least of them.  Two reports are equal when their slacks and other
+    fields are, whatever scale each holds its margins over.  A report is
+    not hashable.
 
     `strong` (complete and sound at sound_epsilon_max) is a property equal
     to `complete`: when every slack is positive, so is the least
@@ -172,7 +166,6 @@ class SecurityReport:
     weak: bool
     margins: tuple[int, ...]
     scale: int
-    names: tuple[str, ...]
     binding: tuple[str, ...]
     gamma: Fraction
     wager: Fraction
@@ -184,7 +177,7 @@ class SecurityReport:
     @property
     def slacks(self) -> dict[str, Fraction]:
         """Each constraint's slack by name, in the table's order."""
-        return {name: Fraction(margin, self.scale) for name, margin in zip(self.names, self.margins)}
+        return {name: Fraction(margin, self.scale) for name, margin in zip(CONSTRAINTS, self.margins)}
 
     @property
     def strong(self) -> bool:
@@ -218,30 +211,30 @@ class SecurityReport:
 
 def security_report(params: TradeParams, scheme: WagerScheme) -> SecurityReport:
     """The report at the scheme's own stake, from its arbitration payouts."""
-    forms = _wager_forms(params, 0, scheme.win_gain(params))
-    return _reports(params, scheme.name, *forms, [scheme.loss_cost(params)])[0]
+    return _reports(params, scheme.name, 0, scheme.win_gain(params), [scheme.loss_cost(params)])[0]
 
 
 def _reports(
     params: TradeParams,
     scheme_name: str,
-    rows: tuple[_Row, ...],
-    forms: list[tuple[Fraction, Fraction]],
+    slope: int,
+    win: Optional[Fraction],
     stakes: list[Fraction],
 ) -> list[SecurityReport]:
-    """The report at each stake, for the table `rows` whose margins are
-    constant + coefficient * stake by `forms`.
+    """The report at each stake, from the margin table whose winner nets
+    win + slope * stake (`_margin_table`).
 
-    The forms and the stakes are put over one scale s, so each margin times
-    s * s is an int: every verdict, minimum and tie is decided in ints, and
-    each report keeps its margins as those ints.  Only sound_epsilon_max is
-    built as a `Fraction`, once per distinct value in the row.
+    The table's forms and the stakes are put over one scale s, so each
+    margin times s * s is an int: every verdict, minimum and tie is decided
+    in ints, and each report keeps its margins as those ints.  Only
+    sound_epsilon_max is built as a `Fraction`, once per distinct value in
+    the row.
     """
-    ints, scale = scaled([*itertools.chain.from_iterable(forms), *stakes])
+    rows = _margin_table(params, slope, win)
+    ints, scale = scaled([*itertools.chain.from_iterable((row.constant, row.coeff) for row in rows), *stakes])
     size = 2 * len(rows)
     table = [(constant * scale, coeff) for constant, coeff in zip(ints[0:size:2], ints[1:size:2])]
     den = scale * scale
-    names = tuple(row.name for row in rows)
     dispute = [k for k, row in enumerate(rows) if row.dispute]
     built: dict[int, Fraction] = {}
     reports = []
@@ -257,8 +250,7 @@ def _reports(
             weak=low >= 0,
             margins=margins,
             scale=den,
-            names=names,
-            binding=tuple([name for name, margin in zip(names, margins) if margin == low]),
+            binding=tuple([name for name, margin in zip(CONSTRAINTS, margins) if margin == low]),
             gamma=params.arbiter_error,
             wager=stake,
             fee=params.fee,
@@ -284,7 +276,7 @@ def winner_rebate_lambda(params: TradeParams, epsilon) -> Fraction:
     if g >= Fraction(1, 2):
         raise ValueError(f"no wager achieves this with arbiter_error {g} >= 1/2")
     for row in _margin_table(params):
-        if not (row.per_win or row.per_loss) and row.constant <= 0:
+        if not row.dispute and row.constant <= 0:
             raise ValueError(f"no wager achieves this with fee {params.fee}: {row.name} fails")
     return (params.price * g + eps) / (1 - 2 * g)
 
@@ -301,9 +293,9 @@ def generic_impossibility(omega, ell, gamma) -> bool:
     w, l = as_fraction(omega), as_fraction(ell)
     if w + l <= 0:
         raise ValueError("winning must be preferred to losing (omega > -ell)")
-    rows = _margin_table(TradeParams(price=1, buyer_value=2, arbiter_error=gamma))
+    rows = _margin_table(TradeParams(price=1, buyer_value=2, arbiter_error=gamma), 0, w)
     seller = (SELLER_COUNTERS, SELLER_FORFEITS)
-    return sum(row.at(w, l) for row in rows if row.name in seller) > 0
+    return sum(row.constant + row.coeff * l for row in rows if row.name in seller) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +350,16 @@ def lambda_interval(
     conflict, including when a wager-independent completeness condition
     already fails.
     """
-    rows, forms = _wager_forms(params, wager_class(scheme).slope)
     strict = epsilon is None
     eps = Fraction(0) if strict else _positive_epsilon(epsilon)
 
     # Each margin is constant + coeff * wager, and must be > 0 (complete)
     # or >= eps (sound); a zero coeff leaves a condition on the setup alone.
     lowers, uppers = [Fraction(0)], []  # wagers must be positive
-    for row, (constant, coeff) in zip(rows, forms):
+    for row in _margin_table(params, wager_class(scheme).slope):
         if not (strict or row.dispute):
             continue
-        bound = eps - constant
+        bound, coeff = eps - row.constant, row.coeff
         if coeff == 0:
             if bound > 0 or (strict and bound == 0):
                 return LambdaInterval.nothing()

@@ -301,11 +301,15 @@ MALFORMED = {
     ),
     "unparsable matrix entry": (
         ["multiparty", "--matrix", "letters.txt"],
-        "escrowlab multiparty: Invalid literal for Fraction: 'x'",
+        "escrowlab multiparty: payments entries must be rationals >= 0",
     ),
     "negative matrix entry": (
         ["multiparty", "--matrix", "negative.txt"],
         "escrowlab multiparty: payments entries must be rationals >= 0",
+    ),
+    "self-payment in the matrix": (
+        ["multiparty", "--matrix", "self.txt"],
+        "escrowlab multiparty: self-payments are not allowed",
     ),
     "zero denominator in the price": (
         ["solve", "--x", "1/0", "--y", "2"],
@@ -317,7 +321,7 @@ MALFORMED = {
     ),
     "zero denominator in a matrix entry": (
         ["multiparty", "--matrix", "zero.txt"],
-        "escrowlab multiparty: a rational needs a nonzero denominator, got '1/0'",
+        "escrowlab multiparty: payments entries must be rationals >= 0",
     ),
 }
 
@@ -328,6 +332,7 @@ def test_malformed_input_ends_in_one_named_line(tmp_path, argv, message):
     (tmp_path / "letters.txt").write_text("0 x\n1 0\n")
     (tmp_path / "negative.txt").write_text("0 -5\n0 0\n")
     (tmp_path / "zero.txt").write_text("0 1/0\n0 0\n")
+    (tmp_path / "self.txt").write_text("0 1\n0 2\n")
     src = str(Path(escrowlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

@@ -488,7 +488,6 @@ def naive_security_report(p, scheme):
         weak=all(margin >= 0 for margin in margins.values()),
         margins=tuple(ints),
         scale=scale,
-        names=tuple(slacks),
         binding=tuple(name for name, slack in slacks.items() if slack == low),
         gamma=p.arbiter_error,
         wager=scheme.loss_cost(p),
@@ -813,6 +812,23 @@ def test_winner_rebate_wager_is_strong_whenever_some_wager_is_complete(data):
     report = security_report(p, WinnerRebate(lam))
     assert report.strong and report.sound_epsilon_max >= eps
     assert lam >= lambda_interval(p, WinnerRebate, eps).lower
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_winner_rebate_wager_is_the_least_sound_wager_without_a_fee(data):
+    # The docstring's claim: at fee 0 the closed form is the lower end of the
+    # epsilon-sound interval, and that end is itself sound.
+    x = data.draw(AMOUNT)
+    xs = x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+    gamma = data.draw(
+        st.just(0) | st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=60).filter(lambda g: g < 1 / 2)
+    )
+    p = TradeParams(price=x, seller_value=xs, buyer_value=x + data.draw(AMOUNT), arbiter_error=gamma)
+    eps = data.draw(AMOUNT)
+    interval = lambda_interval(p, WinnerRebate, eps)
+    assert winner_rebate_lambda(p, eps) == interval.lower
+    assert interval.lower_closed and interval.contains(interval.lower)
 
 
 def withheld_at_half_price(p):
