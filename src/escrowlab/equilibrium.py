@@ -16,9 +16,9 @@ enumeration's decisions are made in ints: a sweep row's margin forms and
 wagers, or a tree's leaf payoffs and epsilon, are put over one common
 scale (`trade.scaled`), so strict versus non-strict boundaries are decided
 exactly, without tolerance and without a `Fraction` per comparison.  A
-`SecurityReport` keeps its margins as those ints, in the order of
-`CONSTRAINTS`, and builds its `slacks` only when they are read; its
-`strong` is a property equal to `complete`.
+`SecurityReport` holds its margins as those ints, in the order of
+`CONSTRAINTS`, and its setup: its `slacks` and every verdict are read off
+the margins, as a `LambdaInterval`'s `empty` is read off its bounds.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ SELLER_SENDS = "delivery-worth-the-fee"
 
 #: The constraint names in the margin table's order.
 CONSTRAINTS = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS, BUYER_DISPUTES, SELLER_SENDS)
+#: The dispute layer: the constraints that bound every dishonest deviation.
+DISPUTE_LAYER = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS)
 
 
 class _Row(NamedTuple):
@@ -72,7 +74,6 @@ class _Row(NamedTuple):
 
     node: str
     name: str
-    dispute: bool  # a dispute-layer margin, one that bounds every dishonest deviation
     constant: Fraction
     coeff: Fraction
 
@@ -90,11 +91,11 @@ def _margin_table(params: TradeParams, slope: int = 0, win: Optional[Fraction] =
     w = x if win is None else win
     h = 1 - g  # the chance the arbiter rules for the honest party
     return (
-        _Row(DISPUTE_AFTER_SEND, SELLER_COUNTERS, True, h * w - t, h * slope - g),
-        _Row(DISPUTE_AFTER_NOSEND, SELLER_FORFEITS, True, t - g * w, h - g * slope),
-        _Row(AFTER_SEND, BUYER_ACCEPTS, True, y * h + t - g * w, h - g * slope),
-        _Row(AFTER_NOSEND, BUYER_DISPUTES, False, x - t, 0),
-        _Row(ROOT, SELLER_SENDS, False, x - params.seller_value - t, 0),
+        _Row(DISPUTE_AFTER_SEND, SELLER_COUNTERS, h * w - t, h * slope - g),
+        _Row(DISPUTE_AFTER_NOSEND, SELLER_FORFEITS, t - g * w, h - g * slope),
+        _Row(AFTER_SEND, BUYER_ACCEPTS, y * h + t - g * w, h - g * slope),
+        _Row(AFTER_NOSEND, BUYER_DISPUTES, x - t, 0),
+        _Row(ROOT, SELLER_SENDS, x - params.seller_value - t, 0),
     )
 
 
@@ -144,29 +145,24 @@ def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SecurityReport:
-    """Summary of the contract's game-theoretic guarantees for one setup:
-    complete (the honest profile is the unique SPE, every slack positive),
-    sound_epsilon_max (the largest deviation bound the dispute-layer slacks
-    support, if any), and the constraints that bind.
+    """Summary of the contract's game-theoretic guarantees for one setup.
 
-    The slacks are the margin table's forms at the report's stake, held as
-    ints: `margins[k] / scale` for the constraint `CONSTRAINTS[k]`.  `slacks`
-    builds them as `Fraction`s each time it is read, and `binding` names
-    the least of them.  Two reports are equal when their slacks and other
-    fields are, whatever scale each holds its margins over.  A report is
-    not hashable.
+    A report holds its margins and its setup alone.  The margins are the
+    margin table's forms at the report's stake, held as ints:
+    `margins[k] / scale` is the slack of `CONSTRAINTS[k]`.  Every verdict
+    is a property read off them: complete (every slack positive, so the
+    honest profile is the unique SPE), weak (no slack negative),
+    sound_epsilon_max (the least dispute-layer slack, if positive: the
+    largest deviation bound it supports) and binding (the constraints at
+    the least slack).  `strong` (complete and sound at sound_epsilon_max)
+    equals `complete`, since then the least dispute-layer slack is
+    positive too; the CSV keeps both columns.
 
-    `strong` (complete and sound at sound_epsilon_max) is a property equal
-    to `complete`: when every slack is positive, so is the least
-    dispute-layer slack, and the contract is sound at that bound.  The CSV
-    keeps both columns."""
+    Two reports are equal when their setups and slacks are, whatever scale
+    each holds its margins over.  A report is not hashable."""
 
-    complete: bool
-    sound_epsilon_max: Optional[Fraction]
-    weak: bool
     margins: tuple[int, ...]
     scale: int
-    binding: tuple[str, ...]
     gamma: Fraction
     wager: Fraction
     fee: Fraction
@@ -180,30 +176,44 @@ class SecurityReport:
         return {name: Fraction(margin, self.scale) for name, margin in zip(CONSTRAINTS, self.margins)}
 
     @property
-    def strong(self) -> bool:
-        return self.complete
+    def complete(self) -> bool:
+        return min(self.margins) > 0
 
-    def _fields(self) -> tuple:
-        return (self.complete, self.sound_epsilon_max, self.weak, self.binding,
-                self.gamma, self.wager, self.fee, self.scheme)
+    strong = complete
+
+    @property
+    def weak(self) -> bool:
+        return min(self.margins) >= 0
+
+    @property
+    def binding(self) -> tuple[str, ...]:
+        low = min(self.margins)
+        return tuple([name for name, margin in zip(CONSTRAINTS, self.margins) if margin == low])
+
+    @property
+    def sound_epsilon_max(self) -> Optional[Fraction]:
+        least = min([margin for name, margin in zip(CONSTRAINTS, self.margins) if name in DISPUTE_LAYER])
+        return Fraction(least, self.scale) if least > 0 else None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields() and self.slacks == other.slacks
+        setup = (self.gamma, self.wager, self.fee, self.scheme)
+        return setup == (other.gamma, other.wager, other.fee, other.scheme) and self.slacks == other.slacks
 
     __hash__ = None  # equal reports may hold their margins over different scales
 
     def to_row(self) -> dict[str, str]:
         """Flat record for CSV output."""
         complete = str(self.complete).lower()
+        eps_max = self.sound_epsilon_max
         return {
             "gamma": str(self.gamma),
             "lambda": str(self.wager),
             "tau": str(self.fee),
             "scheme": self.scheme,
             "complete": complete,
-            "eps_max": "" if self.sound_epsilon_max is None else str(self.sound_epsilon_max),
+            "eps_max": "" if eps_max is None else str(eps_max),
             "strong": complete,
             "weak": str(self.weak).lower(),
         }
@@ -225,38 +235,18 @@ def _reports(
     win + slope * stake (`_margin_table`).
 
     The table's forms and the stakes are put over one scale s, so each
-    margin times s * s is an int: every verdict, minimum and tie is decided
-    in ints, and each report keeps its margins as those ints.  Only
-    sound_epsilon_max is built as a `Fraction`, once per distinct value in
-    the row.
+    margin times s * s is an int, and each report holds its margins as
+    those ints; its verdicts are decided in ints when read.
     """
     rows = _margin_table(params, slope, win)
     ints, scale = scaled([*itertools.chain.from_iterable((row.constant, row.coeff) for row in rows), *stakes])
     size = 2 * len(rows)
     table = [(constant * scale, coeff) for constant, coeff in zip(ints[0:size:2], ints[1:size:2])]
-    den = scale * scale
-    dispute = [k for k, row in enumerate(rows) if row.dispute]
-    built: dict[int, Fraction] = {}
-    reports = []
-    for stake, wager in zip(stakes, ints[size:]):
-        margins = tuple([constant + coeff * wager for constant, coeff in table])
-        least = min([margins[k] for k in dispute])  # the least dispute-layer margin
-        if least > 0 and least not in built:
-            built[least] = Fraction(least, den)
-        low = min(margins)
-        reports.append(SecurityReport(
-            complete=low > 0,
-            sound_epsilon_max=built.get(least),  # None unless `least` is positive
-            weak=low >= 0,
-            margins=margins,
-            scale=den,
-            binding=tuple([name for name, margin in zip(CONSTRAINTS, margins) if margin == low]),
-            gamma=params.arbiter_error,
-            wager=stake,
-            fee=params.fee,
-            scheme=scheme_name,
-        ))
-    return reports
+    return [
+        SecurityReport(tuple([constant + coeff * wager for constant, coeff in table]), scale * scale,
+                       gamma=params.arbiter_error, wager=stake, fee=params.fee, scheme=scheme_name)
+        for stake, wager in zip(stakes, ints[size:])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +266,7 @@ def winner_rebate_lambda(params: TradeParams, epsilon) -> Fraction:
     if g >= Fraction(1, 2):
         raise ValueError(f"no wager achieves this with arbiter_error {g} >= 1/2")
     for row in _margin_table(params):
-        if not row.dispute and row.constant <= 0:
+        if row.name not in DISPUTE_LAYER and row.constant <= 0:
             raise ValueError(f"no wager achieves this with fee {params.fee}: {row.name} fails")
     return (params.price * g + eps) / (1 - 2 * g)
 
@@ -305,21 +295,26 @@ def generic_impossibility(omega, ell, gamma) -> bool:
 
 @dataclass(frozen=True)
 class LambdaInterval:
-    """Interval of admissible wagers; upper=None means unbounded above."""
+    """Interval of admissible wagers; upper=None means unbounded above.
+    It holds its four bounds alone: `empty` is read off them, and
+    `nothing()` is the open (0, 0)."""
 
     lower: Fraction
     lower_closed: bool
     upper: Optional[Fraction]
     upper_closed: bool
-    empty: bool = False
 
     @classmethod
     def nothing(cls) -> "LambdaInterval":
-        return cls(Fraction(0), False, Fraction(0), False, empty=True)
+        return cls(Fraction(0), False, Fraction(0), False)
+
+    @property
+    def empty(self) -> bool:
+        lower, upper = self.lower, self.upper
+        closed = self.lower_closed and self.upper_closed
+        return upper is not None and (lower > upper or (lower == upper and not closed))
 
     def contains(self, value) -> bool:
-        if self.empty:
-            return False
         v = as_fraction(value)
         if v < self.lower or (v == self.lower and not self.lower_closed):
             return False
@@ -357,7 +352,7 @@ def lambda_interval(
     # or >= eps (sound); a zero coeff leaves a condition on the setup alone.
     lowers, uppers = [Fraction(0)], []  # wagers must be positive
     for row in _margin_table(params, wager_class(scheme).slope):
-        if not (strict or row.dispute):
+        if not (strict or row.name in DISPUTE_LAYER):
             continue
         bound, coeff = eps - row.constant, row.coeff
         if coeff == 0:
@@ -366,11 +361,8 @@ def lambda_interval(
         else:
             (lowers if coeff > 0 else uppers).append(bound / coeff)
     lower, upper = max(lowers), min(uppers, default=None)
-    lower_closed = not strict and lower > 0
-    upper_closed = not strict and upper is not None
-    if upper is not None and (lower > upper or (lower == upper and not (lower_closed and upper_closed))):
-        return LambdaInterval.nothing()
-    return LambdaInterval(lower, lower_closed, upper, upper_closed)
+    interval = LambdaInterval(lower, not strict and lower > 0, upper, not strict and upper is not None)
+    return LambdaInterval.nothing() if interval.empty else interval
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +502,17 @@ def profile_epsilon(tree: GameTree, profile: Profile) -> Fraction:
 def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
     """Every pure profile that is a subgame perfect epsilon-equilibrium.
 
-    epsilon=0 gives the exact SPE set.  Ground truth for the analytic
-    checkers.  One table entry per profile of each subtree, so linear in the
-    profile count, which is exponential in the nodes: capped at 20 of them.
-    The leaf payoffs and epsilon are scaled to ints once per call.
+    epsilon=0 gives the exact SPE set, and a negative one is refused.  Ground
+    truth for the analytic checkers.  One table entry per profile of each
+    subtree, so linear in the profile count, which is exponential in the
+    nodes: capped at 20 of them.  Leaf payoffs and epsilon become ints once.
     """
     if len(tree.decision_nodes()) > MAX_BRUTE_FORCE_NODES:
         raise ValueError(f"tree too large for enumeration (> {MAX_BRUTE_FORCE_NODES} nodes)")
-    payoffs, bound, _ = _scaled_leaves(tree, as_fraction(epsilon))
+    eps = as_fraction(epsilon)
+    if eps < 0:
+        raise ValueError(f"epsilon must be >= 0, got {eps}")
+    payoffs, bound, _ = _scaled_leaves(tree, eps)
     found = [dict(choices) for choices, _, _, worst in _table(tree.root, payoffs) if worst <= bound]
     found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found

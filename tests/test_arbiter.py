@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from random import Random
 
@@ -369,6 +370,22 @@ def test_transcript_serialization_round_trip():
     text = serialize_transcript(verdict.transcript)
     assert parse_transcript(text) == verdict.transcript
     assert replay_winner(parse_transcript(text)) is verdict.winner
+
+
+_DIGEST = commit(1, bytes(32)).hex()
+BAD_TRANSCRIPTS = {
+    "empty": ((), "empty transcript"),
+    "no-opening": ((("seller", f"COMMIT {_DIGEST}"), ("buyer", "BIT 0")), "incomplete transcript"),
+    "rule-for-nobody": ((("arbiter", "RULE nobody"),), "'nobody' is not a valid Party"),
+    "timeout-of-a-non-party": ((("arbiter", "TIMEOUT"),), "'arbiter' is not a valid Party"),
+    "not-a-message": ((("seller", f"COMMIT {_DIGEST}"), ("buyer", "HELLO")), "malformed message 'HELLO'"),
+}
+
+
+@pytest.mark.parametrize("transcript, message", BAD_TRANSCRIPTS.values(), ids=BAD_TRANSCRIPTS.keys())
+def test_replay_refuses_a_bad_transcript_by_name(transcript, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replay_winner(transcript)
 
 
 def test_message_parsing_rejects_garbage():

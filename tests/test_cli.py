@@ -198,6 +198,22 @@ def test_solve_readme_command_output_is_pinned(capsys):
     )
 
 
+def test_solve_of_an_incomplete_setup_is_pinned(capsys):
+    # A fee of 2 on a price of 1 fails a wager-free row: no verdict holds.
+    out = run_cli(capsys, "solve", "--x", "1", "--y", "2", "--gamma", "1/4", "--tau", "2", "--lambda", "1")
+    assert out == (
+        "gamma=1/4\n"
+        "lambda=1\n"
+        "tau=2\n"
+        "scheme=standard\n"
+        "complete=false\n"
+        "eps_max=\n"
+        "strong=false\n"
+        "weak=false\n"
+        "complete_interval=(empty)\n"
+    )
+
+
 def test_sweep_readme_command_output_is_pinned(capsys):
     out = run_cli(
         capsys, "sweep", "--x", "1", "--y", "2", "--gammas", "0,1/10,1/4,1/2", "--lambdas", "1/2,1,2",

@@ -38,7 +38,10 @@ from escrowlab.gametree import (
     HONEST_PROFILE,
     ROOT,
     Action,
+    DecisionNode,
+    GameTree,
     LeafNode,
+    Party,
     build_game_tree,
 )
 from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld, scaled
@@ -322,6 +325,28 @@ def test_fair_coin_keeps_honest_in_the_spe_set_but_not_alone():
     assert len(exact) > 1
 
 
+@pytest.mark.parametrize("epsilon, shown", [(-1, "-1"), ("-1/2", "-1/2"), (Fraction(-1, 3), "-1/3")])
+def test_brute_force_refuses_a_negative_epsilon(epsilon, shown):
+    tree = build_game_tree(params(gamma="1/4"), Standard(1))
+    with pytest.raises(ValueError, match=f"^epsilon must be >= 0, got {re.escape(shown)}$"):
+        brute_force_spe(tree, epsilon)
+    assert brute_force_spe(tree, 0) == brute_force_spe(tree, "0") == [HONEST_PROFILE]
+
+
+def test_brute_force_refuses_a_tree_over_the_node_cap():
+    # A chain of 21 decision nodes, each with a leaf and the next node below it.
+    base = build_game_tree(params(), Standard(1))
+    leaf = base.leaves()[0]
+    nodes, below = {}, leaf
+    for k in reversed(range(21)):
+        node_id = ROOT if k == 0 else f"n{k}"
+        below = nodes[node_id] = DecisionNode(node_id, Party.BUYER, {Action.ACCEPT: leaf, Action.DISPUTE: below})
+    tree = GameTree(dict(reversed(nodes.items())), base.params, base.scheme)
+    assert len(tree.decision_nodes()) == 21 and tree.root is below
+    with pytest.raises(ValueError, match=r"^tree too large for enumeration \(> 20 nodes\)$"):
+        brute_force_spe(tree)
+
+
 # ---------------------------------------------------------------------------
 # Strong security bounds
 # ---------------------------------------------------------------------------
@@ -474,34 +499,43 @@ NAIVE_NAMES = {
 
 
 def naive_security_report(p, scheme):
-    """Reference: the report read off `naive_node_margins`."""
+    """Reference: the report read off `naive_node_margins`, and the verdicts
+    the naive formulas give, as (report, verdicts by property name)."""
     margins = naive_node_margins(p, scheme)
     slacks = {NAIVE_NAMES[node]: margin for node, margin in margins.items()}
     worst = min(margins[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND))
-    eps_max = worst if worst > 0 else None
-    complete = all(margin > 0 for margin in margins.values())
     low = min(slacks.values())
+    verdicts = {
+        "complete": all(margin > 0 for margin in margins.values()),
+        "weak": all(margin >= 0 for margin in margins.values()),
+        "sound_epsilon_max": worst if worst > 0 else None,
+        "binding": tuple(name for name, slack in slacks.items() if slack == low),
+    }
     ints, scale = scaled(slacks.values())
     report = SecurityReport(
-        complete=complete,
-        sound_epsilon_max=eps_max,
-        weak=all(margin >= 0 for margin in margins.values()),
         margins=tuple(ints),
         scale=scale,
-        binding=tuple(name for name, slack in slacks.items() if slack == low),
         gamma=p.arbiter_error,
         wager=scheme.loss_cost(p),
         fee=p.fee,
         scheme=scheme.name,
     )
     assert list(report.slacks.items()) == list(slacks.items())
-    return report
+    return report, verdicts
 
 
 def same_slacks(report, expected):
     """The slacks as read: equal values, each a `Fraction`, in the same key order."""
     ours, theirs = list(report.slacks.items()), list(expected.slacks.items())
     return ours == theirs and all(type(value) is Fraction for _, value in ours)
+
+
+def matches_naive(report, naive):
+    """`report` equals the naive report, with the same slacks as read, and
+    each verdict property reads what the naive formulas give."""
+    expected, verdicts = naive
+    read = {name: getattr(report, name) for name in verdicts}
+    return report == expected and same_slacks(report, expected) and read == verdicts
 
 
 def naive_lambda_interval(p, kind, epsilon=None):
@@ -563,8 +597,7 @@ def test_margin_table_matches_the_naive_formulas_and_solver(data, kind):
         loss = data.draw(st.just(0) | AMOUNT)
         scheme = Generic(data.draw(AMOUNT) - loss, loss)
         assert list(node_margins(p, scheme).items()) == list(naive_node_margins(p, scheme).items())
-        report, expected = security_report(p, scheme), naive_security_report(p, scheme)
-        assert report == expected and same_slacks(report, expected)
+        assert matches_naive(security_report(p, scheme), naive_security_report(p, scheme))
         return
 
     bound = x * (1 - 2 * gamma)  # the matching wager's strength bound
@@ -580,14 +613,14 @@ def test_margin_table_matches_the_naive_formulas_and_solver(data, kind):
         scheme = kind(wager)
         naive = naive_node_margins(p, scheme)
         assert list(node_margins(p, scheme).items()) == list(naive.items())
-        report, expected = security_report(p, scheme), naive_security_report(p, scheme)
+        report = security_report(p, scheme)
         assert {name: report.slacks[name] for name in DISPUTE_LAYER} == {
             NAIVE_NAMES[node]: naive[node] for node in (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND)
         }
-        assert report == expected and same_slacks(report, expected)
+        assert matches_naive(report, naive_security_report(p, scheme))
     rows = sweep(p, gammas=[gamma], wagers=wagers, fees=[fee], schemes=[kind])
-    expected = [naive_security_report(p, kind(wager)) for wager in wagers]
-    assert rows == expected and all(map(same_slacks, rows, expected))
+    naives = [naive_security_report(p, kind(wager)) for wager in wagers]
+    assert len(rows) == len(naives) and all(map(matches_naive, rows, naives))
 
 
 @settings(max_examples=500, deadline=None)
@@ -677,7 +710,11 @@ def test_integer_enumeration_matches_the_fraction_enumeration(data, kind):
     tiny = Fraction(1, 10**6)
     drawn = data.draw(st.sampled_from(epsilons) | AMOUNT)
     for eps in {0, least, abs(least), abs(least) - tiny, abs(least) + tiny, drawn, "1/3"}:
-        assert brute_force_spe(tree, eps) == naive_brute_force_spe(tree, eps), eps
+        if Fraction(eps) < 0:
+            with pytest.raises(ValueError, match="epsilon must be >= 0"):
+                brute_force_spe(tree, eps)
+        else:
+            assert brute_force_spe(tree, eps) == naive_brute_force_spe(tree, eps), eps
 
 
 WAGER = st.one_of(
@@ -707,8 +744,8 @@ def test_every_sweep_report_is_the_security_report_at_its_point(data, kinds, gam
     ]
     singles = [security_report(point, scheme) for point, scheme in points]
     naives = [naive_security_report(point, scheme) for point, scheme in points]
-    assert reports == singles == naives
-    assert all(map(same_slacks, reports, singles)) and all(map(same_slacks, reports, naives))
+    assert reports == singles and all(map(same_slacks, reports, singles))
+    assert len(reports) == len(naives) and all(map(matches_naive, reports, naives))
     for report in reports:
         assert all(type(v) is Fraction for v in (report.wager, report.gamma, report.fee))
         assert report.sound_epsilon_max is None or type(report.sound_epsilon_max) is Fraction
@@ -733,7 +770,14 @@ def test_reports_that_differ_in_one_slack_are_unequal():
     # The same slacks over twice the scale are the same report.
     doubled = replace(report, margins=tuple(2 * m for m in report.margins), scale=2 * report.scale)
     assert doubled == report and same_slacks(doubled, report)
-    assert report != replace(report, weak=not report.weak) and report != "a report"
+    assert report != "a report"
+
+
+def test_a_report_holds_no_verdict_apart_from_its_margins():
+    report = security_report(params(gamma=Fraction(1, 4)), Standard(1))
+    for verdict in ("complete", "strong", "weak", "binding", "sound_epsilon_max"):
+        with pytest.raises(TypeError):
+            replace(report, **{verdict: getattr(report, verdict)})
 
 
 def test_a_report_is_not_hashable():
