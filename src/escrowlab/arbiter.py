@@ -11,7 +11,9 @@ Messages are tagged records with a stable one-line wire form, and every
 verdict carries its transcript.  The coin toss decides by the same rule
 that replays a transcript, on the transcript it recorded, so replay always
 re-derives the verdict's winner, including the timeout and invalid-opening
-paths.
+paths.  Replay accepts only an arbiter's one rule or the exchange in order,
+each record from the party whose turn it is, and refuses by name a
+transcript that breaks it.
 """
 
 from __future__ import annotations
@@ -105,6 +107,9 @@ def parse_message(line: str) -> Message:
 
 Transcript = tuple[tuple[str, str], ...]
 
+#: The exchange, in order: who is asked, for which record.
+_ROUNDS = ((Party.SELLER, "commit", Commit), (Party.BUYER, "bit", Bit), (Party.SELLER, "open", Open))
+
 
 # ---------------------------------------------------------------------------
 # Verdicts
@@ -132,31 +137,41 @@ def replay_winner(transcript: Transcript) -> Party:
 
 
 def _decide(transcript: Transcript) -> tuple[Party, str]:
-    """Winner and basis by the transcript's last record: an oracle's rule, a
-    party's timeout (the other party wins), or a completed toss (the seller
-    wins on heads; an opening that fails verification forces tails)."""
+    """Winner and basis of an arbiter's rule, a timeout (the other party
+    wins) or a completed toss (the seller wins on heads; an opening that
+    fails verification forces tails), the exchange walked against `_ROUNDS`."""
     if not transcript:
         raise ValueError("empty transcript")
-    sender, line = transcript[-1]
+    sender, line = transcript[0]
     if line.startswith("RULE "):
-        return Party(line.split()[1]), BASIS_ORACLE
-    if line == "TIMEOUT":
-        return Party(sender).other(), BASIS_TIMEOUT
+        winner = Party(line[5:])
+        _require_record(transcript, 0, sender == "arbiter")
+        _require_record(transcript, 1, len(transcript) == 1)
+        return winner, BASIS_ORACLE
 
-    digest = buyer_bit = opening = None
-    for sender, line in transcript:
+    received = []
+    for k, (sender, line) in enumerate(transcript):
+        _require_record(transcript, k, k < len(_ROUNDS))
+        party, _, kind = _ROUNDS[k]
+        if line == "TIMEOUT":
+            _require_record(transcript, k, Party(sender) is party)
+            _require_record(transcript, k + 1, k + 1 == len(transcript))
+            return party.other(), BASIS_TIMEOUT
+        _require_record(transcript, k, sender == party.value)
         msg = parse_message(line)
-        if isinstance(msg, Commit):
-            digest = msg.digest
-        elif isinstance(msg, Bit):
-            buyer_bit = msg.value
-        elif isinstance(msg, Open):
-            opening = msg
-    if digest is None or buyer_bit is None or opening is None:
+        _require_record(transcript, k, isinstance(msg, kind) and msg.wire() == line)
+        received.append(msg)
+    if len(received) < len(_ROUNDS):
         raise ValueError("incomplete transcript")
-    if verify(digest, opening.bit, opening.randomness):
-        return (Party.SELLER if opening.bit ^ buyer_bit else Party.BUYER), BASIS_COIN
+    committed, bit, opening = received
+    if verify(committed.digest, opening.bit, opening.randomness):
+        return (Party.SELLER if opening.bit ^ bit.value else Party.BUYER), BASIS_COIN
     return Party.BUYER, BASIS_INVALID_OPENING
+
+
+def _require_record(transcript: Transcript, k: int, ok: bool) -> None:
+    if not ok:
+        raise ValueError(f"record {k} {transcript[k]!r} breaks the exchange")
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +251,6 @@ class HonestBuyer:
         if request == "bit":
             return Bit(self.rng.getrandbits(1))
         return None
-
-
-#: The exchange, in order: who is asked, for which record.
-_ROUNDS = ((Party.SELLER, "commit", Commit), (Party.BUYER, "bit", Bit), (Party.SELLER, "open", Open))
 
 
 def _round_trips(message: Message) -> bool:

@@ -4,7 +4,7 @@ Three independent routes answer the same questions:
 
 * closed-form node margins, one table of the paper's five constraints as
   forms in the wager, `_margin_table`, named in order by `CONSTRAINTS`,
-* backward induction over the built tree's leaves,
+* backward induction over the built tree's leaf table,
 * brute-force enumeration of every pure strategy profile, in one
   bottom-up pass over per-subtree tables (`_table`).
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .gametree import (
     AFTER_NOSEND,
@@ -39,10 +39,8 @@ from .gametree import (
     DecisionNode,
     GameTree,
     Leaf,
-    LeafNode,
     Party,
     PayoffPair,
-    TreeNode,
 )
 from .trade import (
     Standard,
@@ -395,17 +393,18 @@ class SolvedTree:
 def backward_induction(tree: GameTree) -> SolvedTree:
     chosen: dict[str, Action] = {}
     margins: dict[str, Fraction] = {}
-    _solve(tree.root, chosen, margins)
+    _solve(tree.root, tree.payoffs, chosen, margins)
     return SolvedTree(chosen=chosen, margins=margins)
 
 
-def _solve(node: TreeNode, chosen: dict[str, Action], margins: dict[str, Fraction]) -> PayoffPair:
+def _solve(node: Union[DecisionNode, Leaf], payoffs: Mapping[Leaf, PayoffPair],
+           chosen: dict[str, Action], margins: dict[str, Fraction]) -> PayoffPair:
     """The payoff `node` reaches under backward induction, recording each
     decision node's pick and margin below it.  A module-level function, not
     a closure that calls itself, so a call leaves no reference cycle."""
-    if isinstance(node, LeafNode):
-        return node.payoff
-    outcomes = {action: _solve(child, chosen, margins) for action, child in node.actions.items()}
+    if isinstance(node, Leaf):
+        return payoffs[node]
+    outcomes = {action: _solve(child, payoffs, chosen, margins) for action, child in node.actions.items()}
     own = {action: payoff.for_party(node.owner) for action, payoff in outcomes.items()}
     best_value = max(own.values())
     maximizers = [a for a, value in own.items() if value == best_value]
@@ -424,7 +423,7 @@ def _solve(node: TreeNode, chosen: dict[str, Action], margins: dict[str, Fractio
 MAX_BRUTE_FORCE_NODES = 20
 
 
-def _choice(node: DecisionNode, profile: Profile) -> TreeNode:
+def _choice(node: DecisionNode, profile: Profile) -> Union[DecisionNode, Leaf]:
     """The child `profile` picks at `node`; a node the profile leaves out,
     or a value that is not one of the node's actions, is refused by name."""
     if node.node_id not in profile:
@@ -435,40 +434,35 @@ def _choice(node: DecisionNode, profile: Profile) -> TreeNode:
     return node.actions[action]
 
 
-def _reached(node: TreeNode, profile: Profile) -> LeafNode:
+def _reached(node: Union[DecisionNode, Leaf], profile: Profile) -> Leaf:
     """The leaf play reaches when it follows `profile` from `node`."""
     while isinstance(node, DecisionNode):
         node = _choice(node, profile)
     return node
 
 
-def profile_value(tree: GameTree, profile: Profile, node: Optional[TreeNode] = None) -> PayoffPair:
+def profile_value(tree: GameTree, profile: Profile, node: Optional[DecisionNode] = None) -> PayoffPair:
     """Payoff vector when play follows `profile` from `node` (default root);
     only the nodes on the path are read."""
-    return _reached(tree.root if node is None else node, profile).payoff
+    return tree.payoffs[_reached(tree.root if node is None else node, profile)]
 
 
-#: A leaf's (buyer, seller) payoff as ints over the tree's scale, by leaf.
-_IntPayoffs = dict[Leaf, tuple[int, int]]
-
-
-def _scaled_leaves(tree: GameTree, epsilon: Fraction = Fraction(0)) -> tuple[_IntPayoffs, int, int]:
+def _scaled_leaves(tree: GameTree, epsilon: Fraction = Fraction(0)) -> tuple[dict[Leaf, tuple[int, int]], int, int]:
     """The leaf payoffs and `epsilon` over one scale, read from the tree's
-    leaves alone: (payoffs by leaf, epsilon, scale)."""
-    leaves = tree.leaves()
-    (bound, *ints), scale = scaled([epsilon, *(value for leaf in leaves for value in leaf.payoff)])
-    return {leaf.leaf_id: (ints[2 * k], ints[2 * k + 1]) for k, leaf in enumerate(leaves)}, bound, scale
+    leaf table alone: (each leaf's (buyer, seller) ints, epsilon, scale)."""
+    (bound, *ints), scale = scaled([epsilon, *(value for pair in tree.payoffs.values() for value in pair)])
+    return {leaf: (ints[2 * k], ints[2 * k + 1]) for k, leaf in enumerate(tree.payoffs)}, bound, scale
 
 
-def _table(node: TreeNode, payoffs: _IntPayoffs) -> list[tuple]:
+def _table(node: Union[DecisionNode, Leaf], payoffs: dict[Leaf, tuple[int, int]]) -> list[tuple]:
     """One entry per profile of the subtree at `node`, from its children's
     tables: (the choices as (node id, action) pairs, `node` first; the
     payoff pair reached; each party's best response; the most any owner in
     the subtree gains by deviating).  The owner's best response is the best
     of its children's, a deviation at all its own nodes below; the other
     party's is that of the child the profile picks."""
-    if isinstance(node, LeafNode):
-        pair = payoffs[node.leaf_id]
+    if isinstance(node, Leaf):
+        pair = payoffs[node]
         return [((), pair, pair, 0)]
     side = node.owner is Party.SELLER  # the owner's index in a payoff pair
     table = []

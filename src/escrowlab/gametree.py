@@ -18,6 +18,10 @@ Every non-default move on the path to a leaf costs its mover the fee
 (`TradeParams.fee`); default actions (accept for the buyer, forfeit for the
 seller, and the seller staying silent) are free because a party can always
 reach them by timing out.
+
+The shape is built once, at import, from `_TREE`, and every tree shares it
+through read-only views.  A tree adds its leaf table, `_leaf_table`: the six
+payoffs stated once, less the fees counted once per leaf in `_FEE_MOVES`.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from typing import NamedTuple, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Union
 
 from .trade import InvalidTradeError, TradeParams, WagerScheme
 
@@ -69,60 +73,6 @@ class PayoffPair(NamedTuple):
         return self.buyer if party is Party.BUYER else self.seller
 
 
-def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerScheme) -> PayoffPair:
-    """Expected (buyer, seller) payoff at one of the six named outcomes."""
-    try:
-        leaf = Leaf(leaf_id) if not isinstance(leaf_id, Leaf) else leaf_id
-    except ValueError:
-        raise ValueError(f"unknown leaf id {leaf_id!r}") from None
-
-    x = params.price
-    xs = params.seller_value
-    y = params.buyer_value
-    g = params.arbiter_error
-    win = scheme.win_gain(params)
-    loss = scheme.loss_cost(params)
-
-    if leaf is Leaf.SEND_ACCEPT:
-        pair = (y - x, x - xs)
-    elif leaf is Leaf.SEND_DISPUTE_FORFEIT:
-        pair = (y, -xs)
-    elif leaf is Leaf.SEND_DISPUTE_COUNTER:
-        # Disputing buyer (who has the item) wins with probability g.
-        buyer = g * (y + win - x) + (1 - g) * (-x - loss)
-        seller = (1 - g) * win - g * loss - xs
-        pair = (buyer, seller)
-    elif leaf is Leaf.NOSEND_ACCEPT:
-        pair = (-x, x)
-    elif leaf is Leaf.NOSEND_DISPUTE_FORFEIT:
-        pair = (Fraction(0), Fraction(0))
-    else:  # NOSEND_DISPUTE_COUNTER: honest buyer wins with probability 1 - g.
-        buyer = (1 - g) * (win - x) + g * (-x - loss)
-        seller = g * win - (1 - g) * loss
-        pair = (buyer, seller)
-
-    if params.fee:
-        movers = [mover for mover, action in leaf_path(leaf) if action in _FEE_BEARING]
-        b_moves, s_moves = movers.count(Party.BUYER), movers.count(Party.SELLER)
-        pair = (pair[0] - b_moves * params.fee, pair[1] - s_moves * params.fee)
-    return PayoffPair(*pair)
-
-
-@dataclass(frozen=True)
-class LeafNode:
-    leaf_id: Leaf
-    payoff: PayoffPair
-
-
-@dataclass(frozen=True)
-class DecisionNode:
-    node_id: str
-    owner: Party
-    actions: dict[Action, "TreeNode"] = field(hash=False)
-
-
-TreeNode = Union[DecisionNode, LeafNode]
-
 ROOT = "root"
 AFTER_SEND = "after_send"
 DISPUTE_AFTER_SEND = "dispute_after_send"
@@ -154,7 +104,6 @@ HONEST_PROFILE: dict[str, Action] = {node_id: honest for node_id, _, honest, _ i
 _FEE_BEARING = (Action.SEND, Action.DISPUTE, Action.COUNTER)
 
 
-@cache
 def leaf_path(leaf: Leaf) -> tuple[tuple[Party, Action], ...]:
     """The (mover, action) pairs from the root down to `leaf`."""
     paths: dict = {ROOT: ()}
@@ -164,11 +113,71 @@ def leaf_path(leaf: Leaf) -> tuple[tuple[Party, Action], ...]:
     return paths[leaf]
 
 
+#: Each leaf's (buyer, seller) count of fee-bearing moves on its path.
+_FEE_MOVES: dict[Leaf, tuple[int, int]] = {
+    leaf: tuple(sum(mover is party and action in _FEE_BEARING for mover, action in leaf_path(leaf)) for party in Party)
+    for leaf in Leaf
+}
+
+
+def _leaf_table(params: TradeParams, scheme: WagerScheme) -> dict[Leaf, PayoffPair]:
+    """The six leaf payoffs, each party less the fee once per fee-bearing
+    move of its own on the path (`_FEE_MOVES`)."""
+    x, xs, y, g = params.price, params.seller_value, params.buyer_value, params.arbiter_error
+    win, loss, h = scheme.win_gain(params), scheme.loss_cost(params), 1 - g
+    table = {
+        Leaf.SEND_ACCEPT: (y - x, x - xs),
+        Leaf.SEND_DISPUTE_FORFEIT: (y, -xs),
+        # The disputing buyer, who has the item, wins with probability g.
+        Leaf.SEND_DISPUTE_COUNTER: (g * (y + win - x) + h * (-x - loss), h * win - g * loss - xs),
+        Leaf.NOSEND_ACCEPT: (-x, x),
+        Leaf.NOSEND_DISPUTE_FORFEIT: (Fraction(0), Fraction(0)),
+        # The honest buyer wins with probability 1 - g.
+        Leaf.NOSEND_DISPUTE_COUNTER: (h * (win - x) + g * (-x - loss), g * win - h * loss),
+    }
+    fee = params.fee
+    if fee:
+        table = {leaf: (b - _FEE_MOVES[leaf][0] * fee, s - _FEE_MOVES[leaf][1] * fee) for leaf, (b, s) in table.items()}
+    return {leaf: PayoffPair(*pair) for leaf, pair in table.items()}
+
+
+def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerScheme) -> PayoffPair:
+    """Expected (buyer, seller) payoff at one of the six named outcomes."""
+    try:
+        leaf = Leaf(leaf_id) if not isinstance(leaf_id, Leaf) else leaf_id
+    except ValueError:
+        raise ValueError(f"unknown leaf id {leaf_id!r}") from None
+    return _leaf_table(params, scheme)[leaf]
+
+
+@dataclass(frozen=True)
+class DecisionNode:
+    node_id: str
+    owner: Party
+    actions: Mapping[Action, Union["DecisionNode", Leaf]] = field(hash=False)
+
+
+def _shape() -> Mapping[str, DecisionNode]:
+    """The tree's shape, built once and shared by every tree: one
+    `DecisionNode` per `_TREE` row, by id, root first.  A node id target is
+    its node, built before its parent, and a leaf stays a `Leaf`; the nodes
+    and each node's actions are read-only views."""
+    nodes: dict[str, DecisionNode] = {}
+    for node_id, owner, _, edges in reversed(_TREE):
+        children = {action: nodes.get(target, target) for action, target in edges.items()}
+        nodes[node_id] = DecisionNode(node_id, owner, MappingProxyType(children))
+    return MappingProxyType(dict(reversed(nodes.items())))
+
+
+_SHAPE = _shape()
+
+
 @dataclass(frozen=True)
 class GameTree:
-    """The built tree: its decision nodes by id, root first, in `_TREE` order."""
+    """Its decision nodes by id, root first, in `_TREE` order, and its leaf table."""
 
-    nodes: dict[str, DecisionNode] = field(hash=False)
+    nodes: Mapping[str, DecisionNode] = field(hash=False)
+    payoffs: Mapping[Leaf, PayoffPair] = field(hash=False)
     params: TradeParams
     scheme: WagerScheme
 
@@ -179,28 +188,12 @@ class GameTree:
     def decision_nodes(self) -> list[DecisionNode]:
         return list(self.nodes.values())
 
-    def leaves(self) -> list[LeafNode]:
-        children = (child for node in self.nodes.values() for child in node.actions.values())
-        return [child for child in children if isinstance(child, LeafNode)]
-
     def node(self, node_id: str) -> DecisionNode:
         return self.nodes[node_id]
 
 
 def build_game_tree(params: TradeParams, scheme: WagerScheme) -> GameTree:
-    """Build the contract's game tree with scheme- and fee-adjusted payoffs."""
+    """The contract's game tree: the shared shape and the setup's leaf table."""
     if not isinstance(params, TradeParams):
         raise InvalidTradeError("params must be a TradeParams instance")
-
-    def child(target: Union[str, Leaf]) -> TreeNode:
-        if isinstance(target, Leaf):
-            return LeafNode(target, leaf_payoff(target, params, scheme))
-        return nodes[target]
-
-    # Children are built before their parents; the tree lists the root first.
-    nodes: dict[str, DecisionNode] = {}
-    for node_id, owner, _, edges in reversed(_TREE):
-        nodes[node_id] = DecisionNode(
-            node_id, owner, {action: child(target) for action, target in edges.items()}
-        )
-    return GameTree(dict(reversed(nodes.items())), params, scheme)
+    return GameTree(_SHAPE, _leaf_table(params, scheme), params, scheme)

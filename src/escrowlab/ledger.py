@@ -238,11 +238,11 @@ class Ledger:
 
     def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False) -> None:
         n, d = _amount(amount)
-        pot = self._pots.get(contract_id, _ZERO)
-        if not pot[0]:  # only a deposit fills a pot, so snapshot() prints only checked ids
+        pot = self._pots.get(contract_id)
+        if pot is None:
             _require_name("pot id", contract_id)
         self._move(party, (-n, d), contract_move)
-        self._pots[contract_id] = _add(pot, (n, d))
+        self._pots[contract_id] = _add(pot or _ZERO, (n, d))
 
     def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False) -> None:
         """Pay out of a pot; a fee-bearing release is a withdrawal claimed by
@@ -288,8 +288,9 @@ class Ledger:
     def transaction(self) -> Iterator[None]:
         """All or nothing for a block of operations: if it raises, the fund
         state (balances, pots, move counts, both sinks) is put back as it was
-        on entry, from copies of its dicts.  The clock and the pending
-        timeouts are not restored."""
+        on entry, from copies of its dicts, inner blocks' work included; a
+        nested block that raises undoes only its own.  The clock and the
+        pending timeouts are not restored."""
         saved = dict(self._balances), dict(self._pots), dict(self.move_counts), self._fee_sink, self._arbiter_sink
         try:
             yield

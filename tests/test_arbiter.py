@@ -388,6 +388,41 @@ def test_replay_refuses_a_bad_transcript_by_name(transcript, message):
         replay_winner(transcript)
 
 
+_R = bytes(32)
+_COMMIT, _OPEN = ("seller", f"COMMIT {_DIGEST}"), ("seller", f"OPEN 1 {_R.hex()}")
+#: Transcripts that break the exchange, each with the index of its first bad record.
+BROKEN_EXCHANGES = {
+    "parties-swapped": ((("buyer", f"COMMIT {_DIGEST}"), ("seller", "BIT 0"), ("buyer", f"OPEN 1 {_R.hex()}")), 0),
+    "reverse-order": ((_OPEN, ("buyer", "BIT 0"), _COMMIT), 0),
+    "two-bits": ((_COMMIT, ("buyer", "BIT 0"), ("buyer", "BIT 1"), _OPEN), 2),
+    "buyer-times-out-before-the-commit": ((("buyer", "TIMEOUT"),), 0),
+    "rule-after-a-commit": ((_COMMIT, ("arbiter", "RULE buyer")), 1),
+    "party-rules-for-itself": ((("seller", "RULE seller"),), 0),
+    "record-after-the-exchange": ((_COMMIT, ("buyer", "BIT 0"), _OPEN, ("buyer", "TIMEOUT")), 3),
+    "record-after-a-timeout": ((_COMMIT, ("buyer", "TIMEOUT"), ("seller", f"OPEN 1 {_R.hex()}")), 2),
+    "record-after-a-rule": ((("arbiter", "RULE buyer"), ("arbiter", "RULE seller")), 1),
+    "not-the-wire-line": ((_COMMIT, ("buyer", "BIT  0")), 1),
+}
+
+
+@pytest.mark.parametrize("transcript, bad", BROKEN_EXCHANGES.values(), ids=BROKEN_EXCHANGES.keys())
+def test_replay_refuses_a_transcript_that_breaks_the_exchange(transcript, bad):
+    message = f"record {bad} {transcript[bad]!r} breaks the exchange"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replay_winner(transcript)
+
+
+def test_replay_accepts_each_valid_form():
+    assert replay_winner((("arbiter", "RULE buyer"),)) is Party.BUYER
+    assert replay_winner((("arbiter", "RULE seller"),)) is Party.SELLER
+    assert replay_winner((("seller", "TIMEOUT"),)) is Party.BUYER
+    assert replay_winner((_COMMIT, ("buyer", "TIMEOUT"))) is Party.SELLER
+    assert replay_winner((_COMMIT, ("buyer", "BIT 0"), ("seller", "TIMEOUT"))) is Party.BUYER
+    assert replay_winner((_COMMIT, ("buyer", "BIT 0"), _OPEN)) is Party.SELLER
+    assert replay_winner((_COMMIT, ("buyer", "BIT 1"), _OPEN)) is Party.BUYER
+    assert replay_winner((_COMMIT, ("buyer", "BIT 0"), ("seller", f"OPEN 0 {_R.hex()}"))) is Party.BUYER
+
+
 def test_message_parsing_rejects_garbage():
     for line in ["COMMIT", "BIT 2", "OPEN 1", "NOPE 1", "BIT x", "OPEN 1 zz"]:
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ from escrowlab.gametree import (
     Action,
     DecisionNode,
     GameTree,
-    LeafNode,
+    Leaf,
     Party,
     build_game_tree,
 )
@@ -336,12 +336,12 @@ def test_brute_force_refuses_a_negative_epsilon(epsilon, shown):
 def test_brute_force_refuses_a_tree_over_the_node_cap():
     # A chain of 21 decision nodes, each with a leaf and the next node below it.
     base = build_game_tree(params(), Standard(1))
-    leaf = base.leaves()[0]
+    leaf = Leaf.SEND_ACCEPT
     nodes, below = {}, leaf
     for k in reversed(range(21)):
         node_id = ROOT if k == 0 else f"n{k}"
         below = nodes[node_id] = DecisionNode(node_id, Party.BUYER, {Action.ACCEPT: leaf, Action.DISPUTE: below})
-    tree = GameTree(dict(reversed(nodes.items())), base.params, base.scheme)
+    tree = GameTree(dict(reversed(nodes.items())), base.payoffs, base.params, base.scheme)
     assert len(tree.decision_nodes()) == 21 and tree.root is below
     with pytest.raises(ValueError, match=r"^tree too large for enumeration \(> 20 nodes\)$"):
         brute_force_spe(tree)
@@ -656,18 +656,18 @@ def naive_profile_epsilon(tree, profile):
     worst = Fraction(0)
     for node in tree.decision_nodes():
         actual = profile_value(tree, profile, node).for_party(node.owner)
-        gain = naive_best_response_value(profile, node, node.owner) - actual
+        gain = naive_best_response_value(profile, node, node.owner, tree.payoffs) - actual
         if gain > worst:
             worst = gain
     return worst
 
 
-def naive_best_response_value(profile, node, player):
-    if isinstance(node, LeafNode):
-        return node.payoff.for_party(player)
+def naive_best_response_value(profile, node, player, payoffs):
+    if isinstance(node, Leaf):
+        return payoffs[node].for_party(player)
     if node.owner is player:
-        return max(naive_best_response_value(profile, child, player) for child in node.actions.values())
-    return naive_best_response_value(profile, node.actions[profile[node.node_id]], player)
+        return max(naive_best_response_value(profile, child, player, payoffs) for child in node.actions.values())
+    return naive_best_response_value(profile, node.actions[profile[node.node_id]], player, payoffs)
 
 
 def naive_brute_force_spe(tree, epsilon=Fraction(0)):

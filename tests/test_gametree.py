@@ -3,11 +3,17 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escrowlab.gametree import (
+    _FEE_BEARING,
+    Action,
     Leaf,
     Party,
+    PayoffPair,
     build_game_tree,
+    leaf_path,
     leaf_payoff,
 )
 from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
@@ -40,7 +46,7 @@ def test_standard_leaves_match_the_closed_forms():
         lam = rand_fraction(rng, Fraction(1, 4), 6)
         tree = build_game_tree(p, Standard(lam))
         expected = standard_leaf_formulas(p.price, p.seller_value, p.buyer_value, p.arbiter_error, lam)
-        got = {leaf.leaf_id: tuple(leaf.payoff) for leaf in tree.leaves()}
+        got = {leaf: tuple(pair) for leaf, pair in tree.payoffs.items()}
         assert got == expected
 
 
@@ -94,8 +100,10 @@ def test_tree_shape():
     tree = build_game_tree(TradeParams(price=1, buyer_value=2), Standard(1))
     nodes = tree.decision_nodes()
     assert len(nodes) == 5
-    assert len(tree.leaves()) == 6
+    assert len(tree.payoffs) == 6
     assert sum(len(n.actions) for n in nodes) == 10  # edges
+    ends = {child for n in nodes for child in n.actions.values() if isinstance(child, Leaf)}
+    assert ends == set(tree.payoffs) == set(Leaf)
     owners = {n.node_id: n.owner for n in nodes}
     assert owners["root"] == Party.SELLER
     assert owners["after_send"] == Party.BUYER
@@ -161,6 +169,92 @@ def test_generic_with_standard_payouts_reproduces_standard():
             generic = Generic(win_amount=p.price + slope * lam, loss_amount=lam)
             for leaf_id in Leaf:
                 assert leaf_payoff(leaf_id, p, generic) == leaf_payoff(leaf_id, p, kind(lam))
+
+
+def test_every_tree_shares_one_read_only_shape():
+    a = build_game_tree(TradeParams(price=1, buyer_value=2), Standard(1))
+    other = TradeParams(price=3, seller_value=1, buyer_value=7, arbiter_error="1/3", fee="1/20")
+    b = build_game_tree(other, Withheld(2))
+    assert a.root is b.root and a.nodes is b.nodes
+    assert a.payoffs != b.payoffs
+    with pytest.raises(TypeError):
+        a.nodes["root"] = a.root
+    with pytest.raises(TypeError):
+        del a.nodes["root"]
+    with pytest.raises(TypeError):
+        a.root.actions[Action.SEND] = Leaf.SEND_ACCEPT
+    assert a.root.actions[Action.SEND] is b.node("after_send")
+
+
+def naive_leaf_payoff(leaf_id, params, scheme):
+    """Reference: `leaf_payoff` as it was, each leaf derived on its own and
+    its fee moves counted on its path."""
+    try:
+        leaf = Leaf(leaf_id) if not isinstance(leaf_id, Leaf) else leaf_id
+    except ValueError:
+        raise ValueError(f"unknown leaf id {leaf_id!r}") from None
+
+    x = params.price
+    xs = params.seller_value
+    y = params.buyer_value
+    g = params.arbiter_error
+    win = scheme.win_gain(params)
+    loss = scheme.loss_cost(params)
+
+    if leaf is Leaf.SEND_ACCEPT:
+        pair = (y - x, x - xs)
+    elif leaf is Leaf.SEND_DISPUTE_FORFEIT:
+        pair = (y, -xs)
+    elif leaf is Leaf.SEND_DISPUTE_COUNTER:
+        # Disputing buyer (who has the item) wins with probability g.
+        buyer = g * (y + win - x) + (1 - g) * (-x - loss)
+        seller = (1 - g) * win - g * loss - xs
+        pair = (buyer, seller)
+    elif leaf is Leaf.NOSEND_ACCEPT:
+        pair = (-x, x)
+    elif leaf is Leaf.NOSEND_DISPUTE_FORFEIT:
+        pair = (Fraction(0), Fraction(0))
+    else:  # NOSEND_DISPUTE_COUNTER: honest buyer wins with probability 1 - g.
+        buyer = (1 - g) * (win - x) + g * (-x - loss)
+        seller = g * win - (1 - g) * loss
+        pair = (buyer, seller)
+
+    if params.fee:
+        movers = [mover for mover, action in leaf_path(leaf) if action in _FEE_BEARING]
+        b_moves, s_moves = movers.count(Party.BUYER), movers.count(Party.SELLER)
+        pair = (pair[0] - b_moves * params.fee, pair[1] - s_moves * params.fee)
+    return PayoffPair(*pair)
+
+
+AMOUNT = st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from([Standard, WinnerRebate, Withheld, Generic]),
+    charged=st.booleans(),
+)
+def test_leaf_payoff_matches_the_naive_leaf_payoff(data, kind, charged):
+    x = data.draw(AMOUNT)
+    p = TradeParams(
+        price=x,
+        seller_value=x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)),
+        buyer_value=x + data.draw(AMOUNT),
+        arbiter_error=data.draw(st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(0, 1, max_denominator=60)),
+        fee=data.draw(AMOUNT) if charged else 0,
+    )
+    if kind is Generic:
+        loss = data.draw(st.just(0) | AMOUNT)
+        scheme = Generic(data.draw(AMOUNT) - loss, loss)
+    else:
+        scheme = kind(data.draw(AMOUNT))
+    tree = build_game_tree(p, scheme)
+    for leaf in Leaf:
+        expected = naive_leaf_payoff(leaf, p, scheme)
+        for got in (leaf_payoff(leaf, p, scheme), leaf_payoff(leaf.value, p, scheme), tree.payoffs[leaf]):
+            assert got == expected
+            assert type(got) is PayoffPair and [type(v) for v in got] == [type(v) for v in expected]
 
 
 def test_build_game_tree_rejects_non_params():

@@ -193,6 +193,38 @@ def test_a_transaction_completes_as_plain_operations_or_changes_nothing(data, se
         assert _fund_state(inside) == _fund_state(plain)
 
 
+def test_nested_transactions_undo_their_own_block():
+    # An inner block that raises and is caught inside the outer one undoes
+    # only its own operations; the outer block then completes with the rest.
+    ledger = fresh_ledger(Fraction(1, 4))
+    with ledger.transaction():
+        ledger.escrow_deposit("buyer", "c1", 2, contract_move=True)
+        after_outer_move = _fund_state(ledger)
+        with pytest.raises(Abort):
+            with ledger.transaction():
+                ledger.escrow_deposit("seller", "c1", 3, contract_move=True)
+                ledger.escrow_release("c1", "buyer", 1, contract_move=True)
+                raise Abort
+        assert _fund_state(ledger) == after_outer_move
+        ledger.charge_move("seller")
+    assert ledger.pot_balance("c1") == 2
+    assert ledger.move_counts == {"buyer": 1, "seller": 1}
+    assert ledger.balance("buyer") == Fraction(31, 4) and ledger.balance("seller") == Fraction(39, 4)
+
+    # An outer block that raises undoes everything since its entry, the
+    # completed inner block included.
+    before = _fund_state(ledger)
+    with pytest.raises(Abort):
+        with ledger.transaction():
+            ledger.escrow_release("c1", "seller", 2, contract_move=True)
+            with ledger.transaction():
+                ledger.escrow_deposit("buyer", "c2", 1, contract_move=True)
+            assert ledger.move_counts == {"buyer": 2, "seller": 2}
+            raise Abort
+    assert _fund_state(ledger) == before
+    assert ledger.move_counts == {"buyer": 1, "seller": 1} and "c2" not in ledger.pots
+
+
 # ---------------------------------------------------------------------------
 # Integer pairs against the Fraction ledger they replaced
 # ---------------------------------------------------------------------------
