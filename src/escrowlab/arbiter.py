@@ -127,9 +127,6 @@ class Verdict:
     basis: str
     transcript: Transcript
 
-    def replay(self) -> Party:
-        return replay_winner(self.transcript)
-
 
 def replay_winner(transcript: Transcript) -> Party:
     """Re-derive the winner from a transcript alone."""

@@ -3,16 +3,19 @@ time, and timeout callbacks.
 
 Funds are exact rationals held as integers: each balance, pot and sink is
 its own reduced (numerator, denominator) pair, added as plain integers when
-denominators agree; an amount is converted once, on entry.  Reads return
+denominators agree; an amount is converted once, on entry.  The two sinks
+are entries of one dict beside the balances and the pots.  Reads return
 `Fraction`s: `balance()`, `pot_balance()`, `fee_sink`, `arbiter_sink`,
-`total_funds()` and the read-only copies `balances` and `pots`.
+`total_funds()` and the read-only copies `balances` and `pots`;
+`move_counts` is a read-only view of the live counts.
 
 The conservation invariant is that the sum of all account balances, escrow
 pots, and the two sinks never changes: fees and forfeited liveness deposits
 are burned into the fee sink, withheld wagers go to the arbiter sink.  Each
 operation validates every debit before touching state, so a rejected
 operation leaves the ledger untouched; `transaction()` does so for a block
-of operations by copying the pair dicts on entry.  A pot exists once
+of operations by copying the fund dicts on entry and, if the block raises,
+restoring each in place.  A pot exists once
 `open_pot` or a deposit names it; a payout out of any other id raises
 `UnknownPotError`, zero amounts included.
 
@@ -91,20 +94,16 @@ def _require_name(what: str, name) -> None:
         raise ValueError(f"{what} must be a non-empty string without whitespace, got {name!r}")
 
 
-def _pair(value) -> Pair:
-    """Any rational as a pair; `as_fraction` refuses a bool."""
-    if type(value) is not Fraction and type(value) is not int:
-        value = as_fraction(value)
-    return value.numerator, value.denominator
-
-
 def _amount(amount, what: str = "amount") -> Pair:
-    """The check that an amount is not negative, converted once to a pair;
-    `deposit_payback`, which returns a `Fraction`, makes it on the number."""
-    value = _pair(amount)
-    if value[0] < 0:
-        raise ValueError(f"{what} must be >= 0, got {Fraction(*value)}")
-    return value
+    """The check that an amount is not negative, made on its int numerator,
+    and its one conversion to a pair; `as_fraction` refuses a bool.
+    `deposit_payback`, which returns a `Fraction`, makes the check itself."""
+    if type(amount) is not Fraction and type(amount) is not int:
+        amount = as_fraction(amount)
+    n = amount.numerator
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0, got {amount}")
+    return n, amount.denominator
 
 
 def _add(a: Pair, b: Pair) -> Pair:
@@ -150,9 +149,11 @@ class Ledger:
         self._fee = _amount(tau, "tau")
         self._balances: dict[str, Pair] = {}
         self._pots: dict[str, Pair] = {}
-        self._fee_sink = self._arbiter_sink = _ZERO
+        self._sinks: dict[str, Pair] = {"fee_sink": _ZERO, "arbiter_sink": _ZERO}  # in snapshot order
+        self._move_counts: dict[str, int] = {}
+        #: Contract moves per party, a read-only view that a rollback keeps current.
+        self.move_counts: Mapping[str, int] = MappingProxyType(self._move_counts)
         self.time = 0
-        self.move_counts: dict[str, int] = {}
         # id -> its live (due, callback); the heap holds (due, id) for these
         # and for the entries a cancel or a re-registration left stale.
         # Stale entries hold no callback, so they keep nothing alive.
@@ -173,11 +174,11 @@ class Ledger:
 
     @property
     def fee_sink(self) -> Fraction:
-        return Fraction(*self._fee_sink)
+        return Fraction(*self._sinks["fee_sink"])
 
     @property
     def arbiter_sink(self) -> Fraction:
-        return Fraction(*self._arbiter_sink)
+        return Fraction(*self._sinks["arbiter_sink"])
 
     def balance(self, name: str) -> Fraction:
         self._require_account(name)
@@ -188,7 +189,7 @@ class Ledger:
 
     def total_funds(self) -> Fraction:
         sums: dict[int, int] = {}  # denominator -> sum of numerators
-        for n, d in chain(self._balances.values(), self._pots.values(), (self._fee_sink, self._arbiter_sink)):
+        for n, d in chain(self._balances.values(), self._pots.values(), self._sinks.values()):
             sums[d] = sums.get(d, 0) + n
         return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
@@ -196,7 +197,7 @@ class Ledger:
 
     def open_account(self, name: str, balance=0) -> None:
         _require_name("account name", name)
-        if name in ("fee_sink", "arbiter_sink", "time") or name.startswith("pot:"):
+        if name in self._sinks or name == "time" or name.startswith("pot:"):
             raise ValueError(f"account name {name!r} would read as a snapshot line of its own")
         if name in self._balances:
             raise LedgerError(f"account {name!r} already exists")
@@ -224,8 +225,8 @@ class Ledger:
         self._balances[party] = balance
         if contract_move:
             if fee is not None:
-                self._fee_sink = _add(self._fee_sink, fee)
-            self.move_counts[party] = self.move_counts.get(party, 0) + 1
+                self._sinks["fee_sink"] = _add(self._sinks["fee_sink"], fee)
+            self._move_counts[party] = self._move_counts.get(party, 0) + 1
 
     # -- fund movement -----------------------------------------------------
 
@@ -257,14 +258,15 @@ class Ledger:
         self._move(party, _ZERO, contract_move=True)
 
     def pot_to_arbiter(self, contract_id: str, amount) -> None:
-        value = _amount(amount)
-        self._pots[contract_id] = self._pot_less(contract_id, value)
-        self._arbiter_sink = _add(self._arbiter_sink, value)
+        self._pot_to_sink(contract_id, amount, "arbiter_sink")
 
     def burn_from_pot(self, contract_id: str, amount) -> None:
+        self._pot_to_sink(contract_id, amount, "fee_sink")
+
+    def _pot_to_sink(self, contract_id: str, amount, sink: str) -> None:
         value = _amount(amount)
         self._pots[contract_id] = self._pot_less(contract_id, value)
-        self._fee_sink = _add(self._fee_sink, value)
+        self._sinks[sink] = _add(self._sinks[sink], value)
 
     def _pot_less(self, contract_id: str, value: Pair) -> Pair:
         """What the pot holds after paying out `value`; raises if it cannot,
@@ -286,16 +288,19 @@ class Ledger:
 
     @contextmanager
     def transaction(self) -> Iterator[None]:
-        """All or nothing for a block of operations: if it raises, the fund
-        state (balances, pots, move counts, both sinks) is put back as it was
-        on entry, from copies of its dicts, inner blocks' work included; a
-        nested block that raises undoes only its own.  The clock and the
-        pending timeouts are not restored."""
-        saved = dict(self._balances), dict(self._pots), dict(self.move_counts), self._fee_sink, self._arbiter_sink
+        """All or nothing for a block of operations: if it raises, each fund
+        dict (balances, pots, sinks, move counts) is put back in place as it
+        was on entry, from a copy, inner blocks' work included; a nested
+        block that raises undoes only its own.  The clock and the pending
+        timeouts are not restored."""
+        funds = self._balances, self._pots, self._sinks, self._move_counts
+        saved = [dict(held) for held in funds]
         try:
             yield
         except BaseException:
-            self._balances, self._pots, self.move_counts, self._fee_sink, self._arbiter_sink = saved
+            for held, copy in zip(funds, saved):
+                held.clear()
+                held.update(copy)
             raise
 
     # -- time and timeouts ---------------------------------------------------
@@ -340,7 +345,7 @@ class Ledger:
             if live is None or live[0] != due:
                 continue  # cancelled or re-registered since it was pushed
             _, callback = self._timeouts.pop(cid)
-            self.time = max(self.time, due)
+            self.time = due
             callback()
         self.time = target
 
@@ -350,7 +355,6 @@ class Ledger:
         """Line-oriented dump: accounts, then pots and sinks, then the clock."""
         lines = [f"{name} {Fraction(*self._balances[name])}" for name in sorted(self._balances)]
         lines += [f"pot:{cid} {Fraction(*value)}" for cid, value in sorted(p for p in self._pots.items() if p[1][0])]
-        lines.append(f"fee_sink {Fraction(*self._fee_sink)}")
-        lines.append(f"arbiter_sink {Fraction(*self._arbiter_sink)}")
+        lines += [f"{sink} {Fraction(*value)}" for sink, value in self._sinks.items()]
         lines.append(f"time {self.time}")
         return "\n".join(lines) + "\n"

@@ -110,7 +110,7 @@ def test_perfect_oracle_always_picks_the_honest_party():
     for _ in range(200):
         verdict = oracle_arbitrate(Party.SELLER, 0, rng)
         assert verdict.winner is Party.SELLER
-        assert verdict.replay() is Party.SELLER
+        assert replay_winner(verdict.transcript) is Party.SELLER
 
 
 def binomial_3sigma(p, n):
@@ -493,7 +493,7 @@ def test_a_response_that_does_not_parse_back_is_its_senders_timeout(seller, buye
     verdict = coin_toss_arbitrate(Script(seller), Script(buyer))
     assert verdict.basis == BASIS_TIMEOUT
     assert verdict.transcript[-1][1] == "TIMEOUT"
-    assert verdict.replay() is verdict.winner is Party(verdict.transcript[-1][0]).other()
+    assert replay_winner(verdict.transcript) is verdict.winner is Party(verdict.transcript[-1][0]).other()
 
 
 def round_trips(message):
@@ -529,7 +529,7 @@ def test_every_verdict_replays_from_its_transcript(commit_reply, bit_reply, open
     seller = Script({"commit": commit_reply, "open": open_reply})
     buyer = Script({"bit": bit_reply})
     verdict = coin_toss_arbitrate(seller, buyer, policy)
-    assert verdict.replay() == verdict.winner
+    assert replay_winner(verdict.transcript) == verdict.winner
     assert replay_winner(parse_transcript(serialize_transcript(verdict.transcript))) == verdict.winner
     replies = [r.message if isinstance(r, Late) else r for r in (commit_reply, bit_reply, open_reply)]
     if all(r is None or round_trips(r) for r in replies):

@@ -339,6 +339,18 @@ MALFORMED = {
         ["multiparty", "--matrix", "zero.txt"],
         "escrowlab multiparty: payments entries must be rationals >= 0",
     ),
+    "ragged payments file": (
+        ["multiparty", "--matrix", "ragged.txt"],
+        "escrowlab multiparty: payments must be 2x2",
+    ),
+    "disputes file of another size": (
+        ["multiparty", "--matrix", "pay.txt", "--disputes", "three.txt"],
+        "escrowlab multiparty: disputes must be 2x2",
+    ),
+    "empty matrix file": (
+        ["multiparty", "--matrix", "empty.txt"],
+        "escrowlab multiparty: need at least two parties",
+    ),
 }
 
 
@@ -349,6 +361,10 @@ def test_malformed_input_ends_in_one_named_line(tmp_path, argv, message):
     (tmp_path / "negative.txt").write_text("0 -5\n0 0\n")
     (tmp_path / "zero.txt").write_text("0 1/0\n0 0\n")
     (tmp_path / "self.txt").write_text("0 1\n0 2\n")
+    (tmp_path / "pay.txt").write_text("0 1\n0 0\n")
+    (tmp_path / "ragged.txt").write_text("0 1\n2\n")
+    (tmp_path / "three.txt").write_text("0 1 0\n0 0 0\n0 0 0\n")
+    (tmp_path / "empty.txt").write_text("\n \n")
     src = str(Path(escrowlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(

@@ -197,6 +197,7 @@ def test_nested_transactions_undo_their_own_block():
     # An inner block that raises and is caught inside the outer one undoes
     # only its own operations; the outer block then completes with the rest.
     ledger = fresh_ledger(Fraction(1, 4))
+    counts = ledger.move_counts
     with ledger.transaction():
         ledger.escrow_deposit("buyer", "c1", 2, contract_move=True)
         after_outer_move = _fund_state(ledger)
@@ -204,8 +205,12 @@ def test_nested_transactions_undo_their_own_block():
             with ledger.transaction():
                 ledger.escrow_deposit("seller", "c1", 3, contract_move=True)
                 ledger.escrow_release("c1", "buyer", 1, contract_move=True)
+                ledger.pot_to_arbiter("c1", 1)
+                ledger.burn_from_pot("c1", 1)
                 raise Abort
         assert _fund_state(ledger) == after_outer_move
+        assert (ledger.fee_sink, ledger.arbiter_sink) == (Fraction(1, 4), 0)
+        assert counts == {"buyer": 1}
         ledger.charge_move("seller")
     assert ledger.pot_balance("c1") == 2
     assert ledger.move_counts == {"buyer": 1, "seller": 1}
@@ -484,6 +489,30 @@ def test_balances_and_pots_read_back_as_read_only_fractions():
     with pytest.raises(TypeError):
         ledger.pots["c1"] = Fraction(0)
     assert ledger.balance("buyer") == Fraction(29, 3)
+
+
+def test_move_counts_refuse_writes():
+    ledger = fresh_ledger()
+    ledger.charge_move("buyer")
+    with pytest.raises(TypeError):
+        ledger.move_counts["x"] = 1
+    with pytest.raises(TypeError):
+        del ledger.move_counts["buyer"]
+    assert ledger.move_counts == {"buyer": 1}
+
+
+def test_a_move_counts_reference_reads_the_counts_a_rollback_restored():
+    ledger = fresh_ledger(Fraction(1, 4))
+    ledger.charge_move("seller")
+    counts = ledger.move_counts
+    with pytest.raises(Abort):
+        with ledger.transaction():
+            ledger.charge_move("buyer")
+            ledger.transfer("seller", "buyer", 1, contract_move=True)
+            assert counts == {"buyer": 1, "seller": 2}
+            raise Abort
+    assert counts == ledger.move_counts == {"seller": 1}
+    assert ledger.fee_sink == Fraction(1, 4)
 
 
 # ---------------------------------------------------------------------------
