@@ -234,8 +234,11 @@ def sweep(
 
 
 def sweep_csv(reports: Sequence[SecurityReport]) -> str:
+    """The reports as CSV, a header and one row per report.  Each row is the
+    report's cell tuple, read off its int margins with no `Fraction` per
+    row, and holds the values of `to_row` in `CSV_FIELDS` order."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(SecurityReport.CSV_FIELDS)
-    writer.writerows(report.to_row().values() for report in reports)
+    writer.writerows(report._cells() for report in reports)
     return out.getvalue()

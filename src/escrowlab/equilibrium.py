@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .gametree import (
@@ -156,6 +157,11 @@ class SecurityReport:
     equals `complete`, since then the least dispute-layer slack is
     positive too; the CSV keeps both columns.
 
+    The CSV row is read off the int margins by one cell reader, `_cells`,
+    with no `Fraction` per row: `to_row`, `sound_epsilon_max` and
+    `agents.sweep_csv` all read it.  It takes `eps_max` from the table's
+    first `len(DISPUTE_LAYER)` margins, the dispute layer.
+
     Two reports are equal when their setups and slacks are, whatever scale
     each holds its margins over.  A report is not hashable."""
 
@@ -190,8 +196,8 @@ class SecurityReport:
 
     @property
     def sound_epsilon_max(self) -> Optional[Fraction]:
-        least = min([margin for name, margin in zip(CONSTRAINTS, self.margins) if name in DISPUTE_LAYER])
-        return Fraction(least, self.scale) if least > 0 else None
+        eps_max = self.to_row()["eps_max"]
+        return Fraction(eps_max) if eps_max else None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -203,18 +209,24 @@ class SecurityReport:
 
     def to_row(self) -> dict[str, str]:
         """Flat record for CSV output."""
-        complete = str(self.complete).lower()
-        eps_max = self.sound_epsilon_max
-        return {
-            "gamma": str(self.gamma),
-            "lambda": str(self.wager),
-            "tau": str(self.fee),
-            "scheme": self.scheme,
-            "complete": complete,
-            "eps_max": "" if eps_max is None else str(eps_max),
-            "strong": complete,
-            "weak": str(self.weak).lower(),
-        }
+        return dict(zip(self.CSV_FIELDS, self._cells()))
+
+    def _cells(self) -> tuple[str, ...]:
+        """The CSV row in `CSV_FIELDS` order, read off the int margins: one
+        least margin decides complete, strong and weak, and `eps_max` is the
+        least dispute-layer margin (the table's first rows), written over
+        its lowest terms as `str(Fraction)` writes it."""
+        margins, scale = self.margins, self.scale
+        low = min(margins)
+        complete = "true" if low > 0 else "false"
+        least = min(margins[: len(DISPUTE_LAYER)])
+        eps_max = ""
+        if least > 0:
+            common = gcd(least, scale)
+            numerator, denominator = least // common, scale // common
+            eps_max = f"{numerator}/{denominator}" if denominator > 1 else str(numerator)
+        weak = "true" if low >= 0 else "false"
+        return str(self.gamma), str(self.wager), str(self.fee), self.scheme, complete, eps_max, complete, weak
 
 
 def security_report(params: TradeParams, scheme: WagerScheme) -> SecurityReport:
@@ -237,12 +249,13 @@ def _reports(
     those ints; its verdicts are decided in ints when read.
     """
     rows = _margin_table(params, slope, win)
+    gamma, fee = params.arbiter_error, params.fee
     ints, scale = scaled([*itertools.chain.from_iterable((row.constant, row.coeff) for row in rows), *stakes])
     size = 2 * len(rows)
     table = [(constant * scale, coeff) for constant, coeff in zip(ints[0:size:2], ints[1:size:2])]
     return [
         SecurityReport(tuple([constant + coeff * wager for constant, coeff in table]), scale * scale,
-                       gamma=params.arbiter_error, wager=stake, fee=params.fee, scheme=scheme_name)
+                       gamma, stake, fee, scheme_name)
         for stake, wager in zip(stakes, ints[size:])
     ]
 

@@ -21,7 +21,9 @@ reach them by timing out.
 
 The shape is built once, at import, from `_TREE`, and every tree shares it
 through read-only views.  A tree adds its leaf table, `_leaf_table`: the six
-payoffs stated once, less the fees counted once per leaf in `_FEE_MOVES`.
+payoffs stated once, less the fees counted once per leaf in `_FEE_MOVES`,
+computed in ints over one scale for the setup's values (`trade.scaled`) and
+made exact `Fraction`s only at the end.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
-from .trade import InvalidTradeError, TradeParams, WagerScheme
+from .trade import InvalidTradeError, TradeParams, WagerScheme, scaled
 
 
 class Party(enum.Enum):
@@ -122,23 +124,33 @@ _FEE_MOVES: dict[Leaf, tuple[int, int]] = {
 
 def _leaf_table(params: TradeParams, scheme: WagerScheme) -> dict[Leaf, PayoffPair]:
     """The six leaf payoffs, each party less the fee once per fee-bearing
-    move of its own on the path (`_FEE_MOVES`)."""
-    x, xs, y, g = params.price, params.seller_value, params.buyer_value, params.arbiter_error
-    win, loss, h = scheme.win_gain(params), scheme.loss_cost(params), 1 - g
+    move of its own on the path (`_FEE_MOVES`).
+
+    The setup's values are put over one scale s (`trade.scaled`), so each
+    leaf is stated once as an int pair over s * s and the fees come off in
+    ints; each payoff becomes a `Fraction` only at the end."""
+    (x, xs, y, g, win, loss, fee), s = scaled([
+        params.price, params.seller_value, params.buyer_value, params.arbiter_error,
+        scheme.win_gain(params), scheme.loss_cost(params), params.fee,
+    ])
+    h = s - g
     table = {
-        Leaf.SEND_ACCEPT: (y - x, x - xs),
-        Leaf.SEND_DISPUTE_FORFEIT: (y, -xs),
+        Leaf.SEND_ACCEPT: ((y - x) * s, (x - xs) * s),
+        Leaf.SEND_DISPUTE_FORFEIT: (y * s, -xs * s),
         # The disputing buyer, who has the item, wins with probability g.
-        Leaf.SEND_DISPUTE_COUNTER: (g * (y + win - x) + h * (-x - loss), h * win - g * loss - xs),
-        Leaf.NOSEND_ACCEPT: (-x, x),
-        Leaf.NOSEND_DISPUTE_FORFEIT: (Fraction(0), Fraction(0)),
+        Leaf.SEND_DISPUTE_COUNTER: (g * (y + win - x) + h * (-x - loss), h * win - g * loss - xs * s),
+        Leaf.NOSEND_ACCEPT: (-x * s, x * s),
+        Leaf.NOSEND_DISPUTE_FORFEIT: (0, 0),
         # The honest buyer wins with probability 1 - g.
         Leaf.NOSEND_DISPUTE_COUNTER: (h * (win - x) + g * (-x - loss), g * win - h * loss),
     }
-    fee = params.fee
-    if fee:
-        table = {leaf: (b - _FEE_MOVES[leaf][0] * fee, s - _FEE_MOVES[leaf][1] * fee) for leaf, (b, s) in table.items()}
-    return {leaf: PayoffPair(*pair) for leaf, pair in table.items()}
+    fee *= s
+    square = s * s
+    return {
+        leaf: PayoffPair(Fraction(buyer - _FEE_MOVES[leaf][0] * fee, square),
+                         Fraction(seller - _FEE_MOVES[leaf][1] * fee, square))
+        for leaf, (buyer, seller) in table.items()
+    }
 
 
 def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerScheme) -> PayoffPair:

@@ -39,6 +39,8 @@ from escrowlab.gametree import (
 from escrowlab.ledger import Ledger
 from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
 
+from test_equilibrium import DISPUTE_LAYER, GAMMA, WAGER, naive_to_row
+
 PARAMS = TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error="1/4")
 
 
@@ -383,12 +385,13 @@ def test_sweep_csv_round_trips_through_the_report_fields():
 
 
 def naive_sweep_csv(reports):
-    """Reference: `sweep_csv` as it was, one `DictWriter` row per report."""
+    """Reference: `sweep_csv` as it was, one `DictWriter` row per report,
+    each row the naive `to_row`."""
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=SecurityReport.CSV_FIELDS)
     writer.writeheader()
     for report in reports:
-        writer.writerow(report.to_row())
+        writer.writerow(naive_to_row(report))
     return out.getvalue()
 
 
@@ -401,6 +404,38 @@ def test_sweep_csv_writes_the_bytes_of_the_dict_writer():
     assert any(row["eps_max"] == "" for row in rows) and any("/" in row["eps_max"] for row in rows)
     assert sweep_csv(reports) == naive_sweep_csv(reports)
     assert sweep_csv([]) == naive_sweep_csv([]) == "gamma,lambda,tau,scheme,complete,eps_max,strong,weak\r\n"
+
+
+def test_sweep_cells_are_the_naive_rows_and_bytes():
+    # The draws must reach an empty eps_max, an integer one, and one set on
+    # an incomplete row, the three ways the cell reader can go astray.
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        x = Fraction(data.draw(st.integers(1, 4) | st.fractions(Fraction(1, 12), 4, max_denominator=12)))
+        xs = x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+        y = x + data.draw(st.fractions(Fraction(1, 12), 4, max_denominator=12))
+        gammas = data.draw(st.lists(st.just(0) | GAMMA, min_size=1, max_size=3))
+        # Wagers at the price and fees at x - x' and x put margins at exactly 0.
+        wagers = data.draw(st.lists(st.just(x) | WAGER, min_size=1, max_size=4))
+        reports = sweep(TradeParams(x, xs, y), gammas, wagers, [0, x - xs, x], ["standard", "winner_rebate", "withheld"])
+        for report in reports:
+            row = report.to_row()
+            assert row == naive_to_row(report)
+            least = min(report.slacks[name] for name in DISPUTE_LAYER)
+            assert row["eps_max"] == (str(least) if least > 0 else "")
+            if not row["eps_max"]:
+                seen.add("empty")
+            elif "/" not in row["eps_max"]:
+                seen.add("integer")
+            if row["eps_max"] and row["complete"] == "false":
+                seen.add("incomplete with a bound")
+        assert sweep_csv(reports) == naive_sweep_csv(reports)
+
+    check()
+    assert seen == {"empty", "integer", "incomplete with a bound"}
 
 
 @pytest.mark.parametrize("wager", [-1, True, 0, "0"])

@@ -269,6 +269,26 @@ def test_sweep_over_all_three_wager_schemes_and_two_fees_is_pinned(capsys):
     )
 
 
+def test_sweep_with_incomplete_rows_that_keep_a_bound_is_pinned(capsys):
+    # At tau = 1/10, above x - x' = 1/20, delivery is not worth the fee: a row
+    # is incomplete while its dispute layer still bounds every deviation.
+    out = run_cli(
+        capsys, "sweep", "--x", "1", "--x-seller", "19/20", "--y", "2", "--gammas", "0,1/4", "--lambdas", "1,3",
+        "--taus", "0,1/10",
+    )
+    assert out == (
+        "gamma,lambda,tau,scheme,complete,eps_max,strong,weak\r\n"
+        "0,1,0,standard,true,1,true,true\r\n"
+        "0,3,0,standard,true,1,true,true\r\n"
+        "0,1,1/10,standard,false,9/10,false,false\r\n"
+        "0,3,1/10,standard,false,9/10,false,false\r\n"
+        "1/4,1,0,standard,true,1/2,true,true\r\n"
+        "1/4,3,0,standard,false,,false,true\r\n"
+        "1/4,1,1/10,standard,false,2/5,false,false\r\n"
+        "1/4,3,1/10,standard,false,,false,false\r\n"
+    )
+
+
 # Malformed input ends the command with one line on stderr and exit status 1.
 MALFORMED = {
     "ill-posed trade": (

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escrowlab import equilibrium
 from escrowlab.agents import sweep
 from escrowlab.equilibrium import (
     BUYER_ACCEPTS,
@@ -392,6 +393,12 @@ def test_strong_implies_complete_and_sound_at_the_reported_bound():
             assert report.weak
 
 
+def test_the_dispute_layer_heads_the_constraint_table():
+    # A report's eps_max cell reads the table's first len(DISPUTE_LAYER) margins.
+    assert equilibrium.DISPUTE_LAYER == DISPUTE_LAYER
+    assert equilibrium.CONSTRAINTS[: len(DISPUTE_LAYER)] == DISPUTE_LAYER
+
+
 def test_report_row_shape():
     row = security_report(params(gamma="1/4"), Standard(1)).to_row()
     assert row == {
@@ -522,6 +529,23 @@ def naive_security_report(p, scheme):
     )
     assert list(report.slacks.items()) == list(slacks.items())
     return report, verdicts
+
+
+def naive_to_row(report):
+    """Reference: `to_row` as it was, each cell read off the verdict
+    properties and formatted through `str` of its `Fraction`."""
+    complete = str(report.complete).lower()
+    eps_max = report.sound_epsilon_max
+    return {
+        "gamma": str(report.gamma),
+        "lambda": str(report.wager),
+        "tau": str(report.fee),
+        "scheme": report.scheme,
+        "complete": complete,
+        "eps_max": "" if eps_max is None else str(eps_max),
+        "strong": complete,
+        "weak": str(report.weak).lower(),
+    }
 
 
 def same_slacks(report, expected):

@@ -16,7 +16,7 @@ from escrowlab.gametree import (
     leaf_path,
     leaf_payoff,
 )
-from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
+from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld, scaled
 
 from conftest import draw_params, rand_fraction
 
@@ -229,26 +229,52 @@ def naive_leaf_payoff(leaf_id, params, scheme):
 AMOUNT = st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12)
 
 
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+def over_prime(data, prime, whole=3):
+    """A positive fraction whose reduced denominator is exactly `prime`."""
+    return Fraction(prime * data.draw(st.integers(0, whole)) + data.draw(st.integers(1, prime - 1)), prime)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     kind=st.sampled_from([Standard, WinnerRebate, Withheld, Generic]),
     charged=st.booleans(),
+    coprime=st.booleans(),
 )
-def test_leaf_payoff_matches_the_naive_leaf_payoff(data, kind, charged):
-    x = data.draw(AMOUNT)
-    p = TradeParams(
-        price=x,
-        seller_value=x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)),
-        buyer_value=x + data.draw(AMOUNT),
-        arbiter_error=data.draw(st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(0, 1, max_denominator=60)),
-        fee=data.draw(AMOUNT) if charged else 0,
-    )
-    if kind is Generic:
-        loss = data.draw(st.just(0) | AMOUNT)
-        scheme = Generic(data.draw(AMOUNT) - loss, loss)
+def test_leaf_payoff_matches_the_naive_leaf_payoff(data, kind, charged, coprime):
+    if coprime:
+        # Price, gamma, fee and wager over four distinct primes, so the leaf
+        # table's one scale is their product; these draws always carry a fee.
+        primes = data.draw(st.permutations(PRIMES))[:4]
+        x = over_prime(data, primes[0])
+        p = TradeParams(
+            price=x,
+            seller_value=Fraction(data.draw(st.integers(0, x.numerator - 1)), primes[0]),
+            buyer_value=x + data.draw(st.integers(1, 4)),
+            arbiter_error=over_prime(data, primes[1], whole=0),
+            fee=over_prime(data, primes[2]),
+        )
+        wager = over_prime(data, primes[3])
+        scheme = Generic(x + wager, wager) if kind is Generic else kind(wager)
+        values = [x, p.seller_value, p.buyer_value, p.arbiter_error, scheme.win_gain(p), scheme.loss_cost(p), p.fee]
+        assert scaled(values)[1] == primes[0] * primes[1] * primes[2] * primes[3]
     else:
-        scheme = kind(data.draw(AMOUNT))
+        x = data.draw(AMOUNT)
+        p = TradeParams(
+            price=x,
+            seller_value=x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)),
+            buyer_value=x + data.draw(AMOUNT),
+            arbiter_error=data.draw(st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(0, 1, max_denominator=60)),
+            fee=data.draw(AMOUNT) if charged else 0,
+        )
+        if kind is Generic:
+            loss = data.draw(st.just(0) | AMOUNT)
+            scheme = Generic(data.draw(AMOUNT) - loss, loss)
+        else:
+            scheme = kind(data.draw(AMOUNT))
     tree = build_game_tree(p, scheme)
     for leaf in Leaf:
         expected = naive_leaf_payoff(leaf, p, scheme)
