@@ -126,13 +126,12 @@ def run_trial(
             )
 
     assert contract.phase is Phase.SETTLED
-    # Read only for a delivered item: an arbitration won by the seller keeps it from the buyer.
-    buyer_lost_item = contract.last_verdict is not None and contract.last_verdict.winner is Party.SELLER
     # Each utility is one Fraction of an int sum over one scale.
     (buyer_cash, seller_cash, spent, value, cost), scale = scaled(
         (ledger.balance("buyer"), ledger.balance("seller"), endow, params.buyer_value, params.seller_value)
     )
-    has_item = contract.delivered and not buyer_lost_item
+    # An arbitration won by the seller keeps a delivered item from the buyer.
+    has_item = contract.delivered and contract.settled_how != "arbitration:seller"
     buyer_utility = Fraction(buyer_cash - spent + has_item * value, scale)
     seller_utility = Fraction(seller_cash - spent - contract.delivered * cost, scale)
     return buyer_utility, seller_utility, contract, ledger

@@ -14,16 +14,17 @@ forfeited the dispute.  `_DEFAULTS` is the one table of them: for each timed
 phase, whose silence the timeout charges and how the contract then ends.
 Explicitly playing a default action is free as well, since the mover could
 have reached it by waiting, and ends the contract the same way.  Every
-ending, arbitration's too, goes through one routine, `_end`.  Each move logs
-one record in `events`: the tuple (ledger time, `Phase` after the move, the
-mover's role, action, the `Fraction` paid into the pot, negative paid out).
+ending goes through one routine, `_end`, which splits the pot as the
+ending's row of `_SPLITS` says.  Each move logs one record in `events`: the
+tuple (ledger time, `Phase` after the move, the mover's role, action, the
+`Fraction` paid into the pot, negative paid out).
 
 With a TimeoutPolicy attached, each party posts a liveness deposit when they
 enter the contract (the wager size unless the policy fixes one).  At
 settlement a party is repaid the payback ramp evaluated at their slowest
 response; the shortfall is burned.  A party whose timeout fired gets nothing
-back.  An aborted contract repays the deposits whole: nothing was misplayed
-before funding.
+back.  An abort reads the ramp at lateness 0, repaying the deposits whole:
+nothing was misplayed before funding.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .arbiter import Verdict
-from .gametree import Party
 from .ledger import Ledger, LedgerError, TimeoutPolicy, deposit_payback
 from .trade import InvalidSchemeError, TradeParams, WagerScheme, scaled
 
@@ -73,16 +73,24 @@ class Phase(enum.Enum):
 _ZERO = Fraction(0)
 
 #: The timed phases and their defaults: the role whose silence the timeout
-#: charges, how the contract then ends, and the role paid the pot less the
-#: liveness deposits, i.e. the payment and the buyer's wager (the seller's
-#: wager enters only with a counter, which leaves the timed phases).
-#: "owner" is whoever owes the next move: the seller until they accept,
-#: then the buyer.
+#: charges, and how the contract then ends.  "owner" is whoever owes the
+#: next move: the seller until they accept, then the buyer.
 _DEFAULTS = {
-    Phase.PROPOSED: ("owner", "abort", "buyer"),
-    Phase.FUNDED: ("buyer", "accept", "seller"),
-    Phase.DELIVERED_NOTIFIED: ("buyer", "accept", "seller"),
-    Phase.DISPUTED: ("seller", "forfeit", "buyer"),
+    Phase.PROPOSED: ("owner", "abort"),
+    Phase.FUNDED: ("buyer", "accept"),
+    Phase.DELIVERED_NOTIFIED: ("buyer", "accept"),
+    Phase.DISPUTED: ("seller", "forfeit"),
+}
+
+#: Each ending, as `settled_how` names it, and its split of the pot less the
+#: liveness deposits: the role paid, and whether that role gets only the
+#: arbitration payout, the arbiter taking the rest.  An abort pays nothing.
+_SPLITS = {
+    "accept": ("seller", False),
+    "forfeit": ("buyer", False),
+    "abort": ("buyer", False),
+    "arbitration:buyer": ("buyer", True),
+    "arbitration:seller": ("seller", True),
 }
 
 
@@ -230,13 +238,13 @@ class EscrowContract:
         """Seller concedes the dispute; free, being the timeout default."""
         self._require(actor, self.seller, Phase.DISPUTED)
         self._mark_response(actor)
-        self._end_by_default("seller", "forfeit")
+        self._end("forfeit", "seller", "forfeit")
 
     def accept_delivery(self, actor: str) -> None:
         """Buyer closes the trade as received; free, being the timeout default."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
         self._mark_response(actor)
-        self._end_by_default("buyer", "accept_delivery")
+        self._end("accept", "buyer", "accept_delivery")
 
     # -- arbitration -------------------------------------------------------------
 
@@ -249,9 +257,7 @@ class EscrowContract:
         if self.phase is not Phase.ARBITRATING:
             raise WrongPhaseError(f"no arbitration to settle in {self.phase.value}")
         self.last_verdict = verdict
-        winner = self.buyer if verdict.winner is Party.BUYER else self.seller
-        how = f"arbitration:{verdict.winner.value}"
-        self._end(how, "contract", "settle", [(winner, self._payout)], self._wagered - self._payout)
+        self._end(f"arbitration:{verdict.winner.value}", "contract", "settle")
 
     def run_arbitration(self, decide: Callable[["EscrowContract"], Verdict]) -> Verdict:
         """Convenience: begin, obtain a verdict, settle."""
@@ -270,45 +276,36 @@ class EscrowContract:
             raise WrongPhaseError(f"no timeout default in phase {self.phase.value}")
         if self.policy is None:
             raise ContractError(f"contract {self.contract_id!r} has no timeout policy")
-        silent, how, _ = default
+        silent, how = default
         if silent == "owner":
             silent = "buyer" if self.seller_accepted else "seller"
         self.worst_lateness[getattr(self, silent)] = self.policy.timeout
-        self._end_by_default("contract" if how == "abort" else "timeout", f"timeout_{how}")
+        self._end(how, "contract" if how == "abort" else "timeout", f"timeout_{how}")
 
-    def _end_by_default(self, role: str, action: str) -> None:
-        """End the contract by the current phase's default, which the mover
-        plays or the timeout applies.  An abort repays the deposits whole,
-        and first: nothing was misplayed before funding."""
-        _, how, paid = _DEFAULTS[self.phase]
-        pays = [(getattr(self, paid), self._wagered)]
-        if how == "abort":
-            pays = [*self.liveness_deposits.items(), *pays]
-            self.liveness_deposits.clear()
-        self._end(how, role, action, pays)
-
-    def _end(self, how: str, role: str, action: str, pays: list, to_arbiter: Fraction = _ZERO) -> None:
-        """The one way a contract ends: pay out of the pot in the order given,
-        send the arbiter its share, repay the liveness deposits on the
-        payback ramp (burning the shortfall), and close with one event.
-        A zero amount makes no ledger call; no amount is negative."""
+    def _end(self, how: str, role: str, action: str) -> None:
+        """The one way a contract ends: pay out the pot as `_SPLITS[how]`
+        splits it, repay the liveness deposits on the payback ramp (read at
+        lateness 0 for an abort), burning the shortfall, and close with one
+        event.  A zero amount makes no ledger call; no amount is negative."""
         ledger, cid = self.ledger, self.contract_id
         pot = ledger.pot_balance(cid)
-        for party, amount in pays:
-            if amount:
-                ledger.escrow_release(cid, party, amount)
-        if to_arbiter:
-            ledger.pot_to_arbiter(cid, to_arbiter)
-        for party, amount in self.liveness_deposits.items():
-            back = deposit_payback(self.worst_lateness.get(party, 0), self.policy, amount)
+        paid, arbitrated = _SPLITS[how]
+        amount = self._payout if arbitrated else self._wagered
+        if amount:
+            ledger.escrow_release(cid, getattr(self, paid), amount)
+        if amount != self._wagered:
+            ledger.pot_to_arbiter(cid, self._wagered - amount)
+        aborted = how == "abort"
+        for party, deposit in self.liveness_deposits.items():
+            back = deposit_payback(0 if aborted else self.worst_lateness.get(party, 0), self.policy, deposit)
             if back:
                 ledger.escrow_release(cid, party, back)
-            if back != amount:
-                ledger.burn_from_pot(cid, amount - back)
+            if back != deposit:
+                ledger.burn_from_pot(cid, deposit - back)
         self._wagered = _ZERO
         self.liveness_deposits.clear()
         self.settled_how = how
-        self._step(role, action, -pot, Phase.ABORTED if how == "abort" else Phase.SETTLED)
+        self._step(role, action, -pot, Phase.ABORTED if aborted else Phase.SETTLED)
 
 
 def propose(

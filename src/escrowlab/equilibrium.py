@@ -158,9 +158,9 @@ class SecurityReport:
     positive too; the CSV keeps both columns.
 
     The CSV row is read off the int margins by one cell reader, `_cells`,
-    with no `Fraction` per row: `to_row`, `sound_epsilon_max` and
-    `agents.sweep_csv` all read it.  It takes `eps_max` from the table's
-    first `len(DISPUTE_LAYER)` margins, the dispute layer.
+    with no `Fraction` per row: `to_row` and `agents.sweep_csv` read it.
+    It and `sound_epsilon_max` take `eps_max` from the table's first
+    `len(DISPUTE_LAYER)` margins, the dispute layer.
 
     Two reports are equal when their setups and slacks are, whatever scale
     each holds its margins over.  A report is not hashable."""
@@ -196,8 +196,8 @@ class SecurityReport:
 
     @property
     def sound_epsilon_max(self) -> Optional[Fraction]:
-        eps_max = self.to_row()["eps_max"]
-        return Fraction(eps_max) if eps_max else None
+        least = min(self.margins[: len(DISPUTE_LAYER)])
+        return Fraction(least, self.scale) if least > 0 else None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -7,9 +7,11 @@ and receives at most one withdrawal, so fee-bearing ledger interactions stay
 at four per party however many trades they entered.
 
 Settlement is the composition of independent two-party contracts: each
-disputed trade resolves exactly as the two-party coin-toss contract with the
-wager set to that trade's price, using one coin matrix entry per trade.  The
-loser's wager compensates the arbiter, as in the standard two-party scheme.
+trade settles by its row of `contract._SPLITS` at stake = price under the
+standard scheme.  `accept` pays the seller the price, `forfeit` repays the
+buyer price and wager, and a countered dispute is `arbitration:buyer` or
+`arbitration:seller` by its coin matrix entry: the winner is repaid price
+and wager, and the loser's wager pays the arbiter.
 
 The n x n grids are only parsed, and their cells are scanned in C.  A bit
 row that is a list of ints and bools is read whole into `bytes`; any other
@@ -247,11 +249,11 @@ def multiparty_run(
         for i, paid in enumerate(sellers):  # buyer i, seller j
             for j in paid:
                 price = x[i][j]
-                if not d[i][j]:
+                if not d[i][j]:  # accept
                     credits[j].append(price)
-                elif not c[j][i]:
-                    credits[i] += (price, price)  # price and wager back
-                else:  # the coin's winner gets price and wager, the loser's wager pays the arbiter
+                elif not c[j][i]:  # forfeit: price and wager back
+                    credits[i] += (price, price)
+                else:  # arbitration: the coin's winner gets price and wager, the arbiter the loser's wager
                     credits[j if b[i][j] else i] += (price, price)
                     ledger.pot_to_arbiter(POT, price)
         payouts = [_sum(owed) for owed in credits]

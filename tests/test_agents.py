@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -282,6 +283,34 @@ def test_every_leaf_is_reached_and_measured(leaf):
         tolerance = binomial_3sigma(spread, float(PARAMS.arbiter_error), trials)
         assert abs(float(stats.mean_buyer_payoff - expected.buyer)) <= tolerance
         assert abs(float(stats.mean_seller_payoff - expected.seller)) <= tolerance
+
+
+@pytest.mark.parametrize("leaf", list(Leaf))
+@pytest.mark.parametrize("charged", [False, True])
+@settings(max_examples=10, deadline=None)
+@given(
+    setup=trade_setups(),
+    errs=st.booleans(),
+    fee=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(1, 2), max_denominator=20),
+)
+def test_every_leaf_is_the_contracts_split_exactly(leaf, charged, setup, errs, fee):
+    # A real contract played to the leaf, with the verdict fixed (gamma 0:
+    # the honest party wins; gamma 1: the other party does), gives each
+    # party the leaf's payoff at that gamma, less their one entry fee: the
+    # seller's accept and the buyer's fund come before the tree starts.
+    params, scheme = setup
+    params = replace(params, arbiter_error=int(errs), fee=fee if charged else 0)
+    buyer_utility, seller_utility, contract, _ = run_trial(
+        params, scheme, *strategies_for_leaf(leaf), Random(0)
+    )
+    _, last = leaf_path(leaf)[-1]
+    if last is Action.COUNTER:
+        honest = Party.SELLER if contract.delivered else Party.BUYER
+        assert contract.settled_how == f"arbitration:{(honest.other() if errs else honest).value}"
+    else:
+        assert contract.settled_how == last.value
+    expected = leaf_payoff(leaf, params, scheme)
+    assert (buyer_utility, seller_utility) == (expected.buyer - params.fee, expected.seller - params.fee)
 
 
 def test_honesty_is_the_empirical_best_buyer_response():

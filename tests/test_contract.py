@@ -186,6 +186,18 @@ def test_unfunded_proposal_aborts_with_empty_pots():
     assert ledger.pot_balance("c1") == 0
     assert ledger.balance("bob") == 100
 
+    # A late accept is still repaid whole by the abort, although the ramp
+    # at the seller's lateness of 3 would repay only 3 * (5 - 3) / (5 - 2) = 2.
+    ledger, c = world(policy=policy)
+    ledger.advance_time(3)
+    c.accept("bob")
+    assert c.worst_lateness["bob"] == 3 and deposit_payback(3, policy, 3) == 2
+    ledger.advance_time(3)
+    assert c.phase is Phase.ABORTED and c.settled_how == "abort"
+    assert ledger.pot_balance("c1") == 0
+    assert ledger.balance("bob") == 100
+    assert ledger.fee_sink == 0
+
 
 def test_standard_arbitration_routes_the_loser_wager_to_the_arbiter():
     ledger, c = world()
