@@ -41,7 +41,6 @@ from .equilibrium import (
     lambda_interval,
     node_margins,
     security_report,
-    winner_rebate_lambda,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "leaf_payoff",
     "node_margins",
     "security_report",
-    "winner_rebate_lambda",
 ]
 
 __version__ = "0.1.0"

@@ -11,12 +11,13 @@ Three independent routes answer the same questions:
 The analytic layer is the production surface: `security_report` reads the
 table into the one record per setup, and every other checker reads that
 record or the table; the other two act as oracles in the test suite.
-Every value returned is an exact `Fraction`.  The sweep's and the
-enumeration's decisions are made in ints: a sweep row's margin forms and
-wagers, or a tree's leaf payoffs and epsilon, are put over one common
-scale (`trade.scaled`), so strict versus non-strict boundaries are decided
-exactly, without tolerance and without a `Fraction` per comparison.  A
-`SecurityReport` holds its margins as those ints, in the order of
+Every value returned is an exact `Fraction`.  The decisions are made in
+ints, so strict versus non-strict boundaries are decided exactly, without
+tolerance and without a `Fraction` per comparison.  A sweep row's margin
+forms and wagers are put over one common scale (`trade.scaled`).  Both
+tree solvers read the tree's int leaf table, and the enumeration compares
+each profile's gain with epsilon by cross-multiplication.  A
+`SecurityReport` holds its margins as ints, in the order of
 `CONSTRAINTS`, and its setup: its `slacks` and every verdict are read off
 the margins, as a `LambdaInterval`'s `empty` is read off its bounds.
 """
@@ -265,23 +266,6 @@ def _reports(
 # ---------------------------------------------------------------------------
 
 
-def winner_rebate_lambda(params: TradeParams, epsilon) -> Fraction:
-    """Wager making the winner-rebate contract epsilon-strong:
-    (x * gamma + epsilon) / (1 - 2 * gamma), the least such wager without a
-    fee.  With a fee, `lambda_interval(params, WinnerRebate, epsilon).lower`
-    is the least one.  Raises if no wager works: the arbiter errs half the
-    time or more, or a wager-free row of the table fails at this fee.
-    """
-    eps = _positive_epsilon(epsilon)
-    g = params.arbiter_error
-    if g >= Fraction(1, 2):
-        raise ValueError(f"no wager achieves this with arbiter_error {g} >= 1/2")
-    for row in _margin_table(params):
-        if row.name not in DISPUTE_LAYER and row.constant <= 0:
-            raise ValueError(f"no wager achieves this with fee {params.fee}: {row.name} fails")
-    return (params.price * g + eps) / (1 - 2 * g)
-
-
 def generic_impossibility(omega, ell, gamma) -> bool:
     """Can an arbitrary payout rule make the seller's dispute choices honest?
 
@@ -405,20 +389,23 @@ class SolvedTree:
 
 def backward_induction(tree: GameTree) -> SolvedTree:
     chosen: dict[str, Action] = {}
-    margins: dict[str, Fraction] = {}
-    _solve(tree.root, tree.payoffs, chosen, margins)
-    return SolvedTree(chosen=chosen, margins=margins)
+    margins: dict[str, int] = {}
+    _solve(tree.root, tree.leaves, chosen, margins)
+    scale = tree.scale
+    return SolvedTree(chosen=chosen, margins={node_id: Fraction(margin, scale) for node_id, margin in margins.items()})
 
 
-def _solve(node: Union[DecisionNode, Leaf], payoffs: Mapping[Leaf, PayoffPair],
-           chosen: dict[str, Action], margins: dict[str, Fraction]) -> PayoffPair:
-    """The payoff `node` reaches under backward induction, recording each
-    decision node's pick and margin below it.  A module-level function, not
-    a closure that calls itself, so a call leaves no reference cycle."""
+def _solve(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int]],
+           chosen: dict[str, Action], margins: dict[str, int]) -> tuple[int, int]:
+    """The int payoff pair `node` reaches under backward induction, recording
+    each decision node's pick and int margin below it.  A module-level
+    function, not a closure that calls itself, so a call leaves no reference
+    cycle."""
     if isinstance(node, Leaf):
-        return payoffs[node]
-    outcomes = {action: _solve(child, payoffs, chosen, margins) for action, child in node.actions.items()}
-    own = {action: payoff.for_party(node.owner) for action, payoff in outcomes.items()}
+        return leaves[node]
+    outcomes = {action: _solve(child, leaves, chosen, margins) for action, child in node.actions.items()}
+    side = node.owner is Party.SELLER  # the owner's index in a payoff pair
+    own = {action: pair[side] for action, pair in outcomes.items()}
     best_value = max(own.values())
     maximizers = [a for a, value in own.items() if value == best_value]
     honest = HONEST_PROFILE.get(node.node_id)
@@ -457,17 +444,11 @@ def _reached(node: Union[DecisionNode, Leaf], profile: Profile) -> Leaf:
 def profile_value(tree: GameTree, profile: Profile, node: Optional[DecisionNode] = None) -> PayoffPair:
     """Payoff vector when play follows `profile` from `node` (default root);
     only the nodes on the path are read."""
-    return tree.payoffs[_reached(tree.root if node is None else node, profile)]
+    buyer, seller = tree.leaves[_reached(tree.root if node is None else node, profile)]
+    return PayoffPair(Fraction(buyer, tree.scale), Fraction(seller, tree.scale))
 
 
-def _scaled_leaves(tree: GameTree, epsilon: Fraction = Fraction(0)) -> tuple[dict[Leaf, tuple[int, int]], int, int]:
-    """The leaf payoffs and `epsilon` over one scale, read from the tree's
-    leaf table alone: (each leaf's (buyer, seller) ints, epsilon, scale)."""
-    (bound, *ints), scale = scaled([epsilon, *(value for pair in tree.payoffs.values() for value in pair)])
-    return {leaf: (ints[2 * k], ints[2 * k + 1]) for k, leaf in enumerate(tree.payoffs)}, bound, scale
-
-
-def _table(node: Union[DecisionNode, Leaf], payoffs: dict[Leaf, tuple[int, int]]) -> list[tuple]:
+def _table(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int]]) -> list[tuple]:
     """One entry per profile of the subtree at `node`, from its children's
     tables: (the choices as (node id, action) pairs, `node` first; the
     payoff pair reached; each party's best response; the most any owner in
@@ -475,11 +456,11 @@ def _table(node: Union[DecisionNode, Leaf], payoffs: dict[Leaf, tuple[int, int]]
     of its children's, a deviation at all its own nodes below; the other
     party's is that of the child the profile picks."""
     if isinstance(node, Leaf):
-        pair = payoffs[node]
+        pair = leaves[node]
         return [((), pair, pair, 0)]
     side = node.owner is Party.SELLER  # the owner's index in a payoff pair
     table = []
-    for below in itertools.product(*(_table(child, payoffs) for child in node.actions.values())):
+    for below in itertools.product(*(_table(child, leaves) for child in node.actions.values())):
         choices = tuple(itertools.chain.from_iterable(entry[0] for entry in below))
         top = max(entry[2][side] for entry in below)
         worst_below = max(entry[3] for entry in below)
@@ -501,9 +482,8 @@ def profile_epsilon(tree: GameTree, profile: Profile) -> Fraction:
             raise ValueError(f"profile names {node_id!r}, not a decision node of the tree")
     for node in tree.decision_nodes():
         _choice(node, profile)
-    payoffs, _, scale = _scaled_leaves(tree)
-    worst = next(worst for choices, _, _, worst in _table(tree.root, payoffs) if dict(choices) == profile)
-    return Fraction(worst, scale)
+    worst = next(worst for choices, _, _, worst in _table(tree.root, tree.leaves) if dict(choices) == profile)
+    return Fraction(worst, tree.scale)
 
 
 def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
@@ -512,14 +492,15 @@ def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
     epsilon=0 gives the exact SPE set, and a negative one is refused.  Ground
     truth for the analytic checkers.  One table entry per profile of each
     subtree, so linear in the profile count, which is exponential in the
-    nodes: capped at 20 of them.  Leaf payoffs and epsilon become ints once.
+    nodes: capped at 20 of them.  Each profile's worst gain, an int over the
+    tree's scale, is compared with epsilon by cross-multiplication.
     """
     if len(tree.decision_nodes()) > MAX_BRUTE_FORCE_NODES:
         raise ValueError(f"tree too large for enumeration (> {MAX_BRUTE_FORCE_NODES} nodes)")
     eps = as_fraction(epsilon)
     if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
-    payoffs, bound, _ = _scaled_leaves(tree, eps)
-    found = [dict(choices) for choices, _, _, worst in _table(tree.root, payoffs) if worst <= bound]
+    bound, denominator = eps.numerator * tree.scale, eps.denominator
+    found = [dict(choices) for choices, _, _, worst in _table(tree.root, tree.leaves) if worst * denominator <= bound]
     found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found

@@ -22,8 +22,9 @@ reach them by timing out.
 The shape is built once, at import, from `_TREE`, and every tree shares it
 through read-only views.  A tree adds its leaf table, `_leaf_table`: the six
 payoffs stated once, less the fees counted once per leaf in `_FEE_MOVES`,
-computed in ints over one scale for the setup's values (`trade.scaled`) and
-made exact `Fraction`s only at the end.
+computed in ints over one scale for the setup's values (`trade.scaled`).
+The tree holds those ints and their scale as its only form of the table;
+`payoffs` and `leaf_payoff` make exact `Fraction`s of them when called.
 """
 
 from __future__ import annotations
@@ -122,13 +123,16 @@ _FEE_MOVES: dict[Leaf, tuple[int, int]] = {
 }
 
 
-def _leaf_table(params: TradeParams, scheme: WagerScheme) -> dict[Leaf, PayoffPair]:
-    """The six leaf payoffs, each party less the fee once per fee-bearing
-    move of its own on the path (`_FEE_MOVES`).
+def _leaf_table(params: TradeParams, scheme: WagerScheme) -> tuple[dict[Leaf, tuple[int, int]], int]:
+    """The six leaf payoffs as (buyer, seller) int pairs over one scale,
+    each party less the fee once per fee-bearing move of its own on the
+    path (`_FEE_MOVES`): (the pairs by leaf, the scale).
 
     The setup's values are put over one scale s (`trade.scaled`), so each
     leaf is stated once as an int pair over s * s and the fees come off in
-    ints; each payoff becomes a `Fraction` only at the end."""
+    ints."""
+    if not isinstance(params, TradeParams):
+        raise InvalidTradeError("params must be a TradeParams instance")
     (x, xs, y, g, win, loss, fee), s = scaled([
         params.price, params.seller_value, params.buyer_value, params.arbiter_error,
         scheme.win_gain(params), scheme.loss_cost(params), params.fee,
@@ -145,12 +149,16 @@ def _leaf_table(params: TradeParams, scheme: WagerScheme) -> dict[Leaf, PayoffPa
         Leaf.NOSEND_DISPUTE_COUNTER: (h * (win - x) + g * (-x - loss), g * win - h * loss),
     }
     fee *= s
-    square = s * s
-    return {
-        leaf: PayoffPair(Fraction(buyer - _FEE_MOVES[leaf][0] * fee, square),
-                         Fraction(seller - _FEE_MOVES[leaf][1] * fee, square))
+    leaves = {
+        leaf: (buyer - _FEE_MOVES[leaf][0] * fee, seller - _FEE_MOVES[leaf][1] * fee)
         for leaf, (buyer, seller) in table.items()
     }
+    return leaves, s * s
+
+
+def _payoff(pair: tuple[int, int], scale: int) -> PayoffPair:
+    """An int pair over `scale` as its two exact `Fraction`s."""
+    return PayoffPair(Fraction(pair[0], scale), Fraction(pair[1], scale))
 
 
 def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerScheme) -> PayoffPair:
@@ -159,7 +167,8 @@ def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerSch
         leaf = Leaf(leaf_id) if not isinstance(leaf_id, Leaf) else leaf_id
     except ValueError:
         raise ValueError(f"unknown leaf id {leaf_id!r}") from None
-    return _leaf_table(params, scheme)[leaf]
+    leaves, scale = _leaf_table(params, scheme)
+    return _payoff(leaves[leaf], scale)
 
 
 @dataclass(frozen=True)
@@ -186,16 +195,23 @@ _SHAPE = _shape()
 
 @dataclass(frozen=True)
 class GameTree:
-    """Its decision nodes by id, root first, in `_TREE` order, and its leaf table."""
+    """Its decision nodes by id, root first, in `_TREE` order, and its leaf
+    table: each leaf's (buyer, seller) payoffs as ints over `scale`."""
 
     nodes: Mapping[str, DecisionNode] = field(hash=False)
-    payoffs: Mapping[Leaf, PayoffPair] = field(hash=False)
+    leaves: Mapping[Leaf, tuple[int, int]] = field(hash=False)
+    scale: int
     params: TradeParams
     scheme: WagerScheme
 
     @property
     def root(self) -> DecisionNode:
         return self.nodes[ROOT]
+
+    @property
+    def payoffs(self) -> dict[Leaf, PayoffPair]:
+        """Each leaf's payoffs as exact `Fraction`s, built when read."""
+        return {leaf: _payoff(pair, self.scale) for leaf, pair in self.leaves.items()}
 
     def decision_nodes(self) -> list[DecisionNode]:
         return list(self.nodes.values())
@@ -206,6 +222,4 @@ class GameTree:
 
 def build_game_tree(params: TradeParams, scheme: WagerScheme) -> GameTree:
     """The contract's game tree: the shared shape and the setup's leaf table."""
-    if not isinstance(params, TradeParams):
-        raise InvalidTradeError("params must be a TradeParams instance")
-    return GameTree(_SHAPE, _leaf_table(params, scheme), params, scheme)
+    return GameTree(_SHAPE, *_leaf_table(params, scheme), params, scheme)

@@ -32,7 +32,6 @@ from escrowlab.equilibrium import (
     check_soundness,
     lambda_interval,
     security_report,
-    winner_rebate_lambda,
 )
 from escrowlab.gametree import HONEST_PROFILE, Leaf, Party, build_game_tree, leaf_payoff
 from escrowlab.ledger import Ledger
@@ -120,11 +119,13 @@ def test_criterion_4_winner_rebate_wager():
             params = TradeParams(price=x, seller_value=0,
                                  buyer_value=x + eps + rand_fraction(rng, 1, 4),
                                  arbiter_error=gamma)
-            wager = winner_rebate_lambda(params, eps)
+            # The paper's closed form is the least epsilon-sound wager.
+            wager = lambda_interval(params, WinnerRebate, eps).lower
+            assert wager == (x * gamma + eps) / (1 - 2 * gamma)
             assert check_soundness(params, WinnerRebate(wager), eps)
             # At the standard contract's best bound the rebate wager is larger.
             boundary = x * (1 - 2 * gamma)
-            wager_at_boundary = winner_rebate_lambda(params, boundary)
+            wager_at_boundary = lambda_interval(params, WinnerRebate, boundary).lower
             assert wager_at_boundary == x + x * gamma / (1 - 2 * gamma)
             assert wager_at_boundary > x
 

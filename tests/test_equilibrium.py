@@ -29,7 +29,6 @@ from escrowlab.equilibrium import (
     profile_epsilon,
     profile_value,
     security_report,
-    winner_rebate_lambda,
 )
 from escrowlab.gametree import (
     AFTER_NOSEND,
@@ -342,7 +341,7 @@ def test_brute_force_refuses_a_tree_over_the_node_cap():
     for k in reversed(range(21)):
         node_id = ROOT if k == 0 else f"n{k}"
         below = nodes[node_id] = DecisionNode(node_id, Party.BUYER, {Action.ACCEPT: leaf, Action.DISPUTE: below})
-    tree = GameTree(dict(reversed(nodes.items())), base.payoffs, base.params, base.scheme)
+    tree = GameTree(dict(reversed(nodes.items())), base.leaves, base.scale, base.params, base.scheme)
     assert len(tree.decision_nodes()) == 21 and tree.root is below
     with pytest.raises(ValueError, match=r"^tree too large for enumeration \(> 20 nodes\)$"):
         brute_force_spe(tree)
@@ -702,6 +701,29 @@ def naive_brute_force_spe(tree, epsilon=Fraction(0)):
     return found
 
 
+def naive_backward_induction(tree):
+    """Reference: `backward_induction` as it was, in `Fraction` arithmetic
+    on the tree's `payoffs`: (chosen, margins)."""
+    chosen, margins = {}, {}
+
+    def solve(node):
+        if isinstance(node, Leaf):
+            return tree.payoffs[node]
+        outcomes = {action: solve(child) for action, child in node.actions.items()}
+        own = {action: payoff.for_party(node.owner) for action, payoff in outcomes.items()}
+        best_value = max(own.values())
+        maximizers = [a for a, value in own.items() if value == best_value]
+        honest = HONEST_PROFILE.get(node.node_id)
+        pick = honest if honest in maximizers else maximizers[0]
+        runner_up = max((value for a, value in own.items() if a != pick), default=best_value)
+        chosen[node.node_id] = pick
+        margins[node.node_id] = best_value - runner_up
+        return outcomes[pick]
+
+    solve(tree.root)
+    return chosen, margins
+
+
 GAMMA = st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(min_value=0, max_value=1, max_denominator=60)
 
 
@@ -739,6 +761,28 @@ def test_integer_enumeration_matches_the_fraction_enumeration(data, kind):
                 brute_force_spe(tree, eps)
         else:
             assert brute_force_spe(tree, eps) == naive_brute_force_spe(tree, eps), eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Standard, WinnerRebate, Withheld, Generic]))
+def test_backward_induction_matches_the_fraction_backward_induction(data, kind):
+    # Fees at x - x' and x, gamma at 0, 1/2 and 1, and the wager at the
+    # price put margins at exactly 0, so the honest tie-break is exercised.
+    p = draw_trade(data)
+    x = p.price
+    p = replace(p, fee=data.draw(st.sampled_from([p.fee, x - p.seller_value, x])))
+    wager = data.draw(st.just(x) | AMOUNT)
+    if kind is Generic:
+        # A payout the contract can fund: the winner nets at most x + loss.
+        loss = data.draw(st.sampled_from([0, wager]))
+        scheme = Generic(min(data.draw(st.just(x) | AMOUNT), x + loss), loss)
+    else:
+        scheme = kind(wager)
+    solved = backward_induction(build_game_tree(p, scheme))
+    chosen, margins = naive_backward_induction(build_game_tree(p, scheme))
+    assert solved.chosen == chosen
+    assert list(solved.margins.items()) == list(margins.items())
+    assert all(type(margin) is Fraction for margin in solved.margins.values())
 
 
 WAGER = st.one_of(
@@ -814,9 +858,19 @@ def test_a_report_is_not_hashable():
 # ---------------------------------------------------------------------------
 
 
+def winner_rebate_closed_form(p, eps):
+    """The paper's least epsilon-sound winner-rebate wager without a fee."""
+    g = p.arbiter_error
+    return (p.price * g + eps) / (1 - 2 * g)
+
+
+def least_rebate_wager(p, eps):
+    return lambda_interval(p, WinnerRebate, eps).lower
+
+
 def test_winner_rebate_wager_examples():
-    assert winner_rebate_lambda(params(gamma=0), 1) == 1
-    assert winner_rebate_lambda(params(gamma="1/4"), Fraction(1, 4)) == 1
+    assert least_rebate_wager(params(gamma=0), 1) == 1
+    assert least_rebate_wager(params(gamma="1/4"), Fraction(1, 4)) == 1
 
 
 def test_winner_rebate_wager_achieves_its_bound():
@@ -830,7 +884,7 @@ def test_winner_rebate_wager_achieves_its_bound():
             buyer_value=p.price + eps + p.buyer_value,  # keep the side conditions
             arbiter_error=p.arbiter_error,
         )
-        lam = winner_rebate_lambda(p, eps)
+        lam = least_rebate_wager(p, eps)
         assert check_soundness(p, WinnerRebate(lam), eps)
 
 
@@ -841,23 +895,26 @@ def test_winner_rebate_needs_a_larger_wager_at_the_old_bound():
         gamma = rand_fraction(rng, Fraction(1, 20), Fraction(9, 20))
         p = params(x=2, y=9, gamma=gamma)
         eps = 2 * (1 - 2 * gamma)
-        lam = winner_rebate_lambda(p, eps)
+        lam = least_rebate_wager(p, eps)
         assert lam == 2 + 2 * gamma / (1 - 2 * gamma)
         assert lam > 2
 
 
 def test_winner_rebate_impossible_at_fair_coin():
-    with pytest.raises(ValueError):
-        winner_rebate_lambda(params(gamma="1/2"), 1)
+    # No wager is sound once the arbiter errs half the time, whatever the fee.
+    for gamma, fee in itertools.product(["1/2", "3/4", 1], [0, "1/2", 2]):
+        assert lambda_interval(params(gamma=gamma, fee=fee), WinnerRebate, 1).empty
 
 
 def test_winner_rebate_impossible_when_the_fee_breaks_a_wager_free_row():
     # A fee of 2 above the price of 1: disputing a missing item is not worth it.
-    with pytest.raises(ValueError, match="dispute-worth-the-fee"):
-        winner_rebate_lambda(params(gamma="1/4", fee=2), Fraction(1, 4))
+    p = params(gamma="1/4", fee=2)
+    assert lambda_interval(p, WinnerRebate).empty
+    assert security_report(p, WinnerRebate(1)).slacks[BUYER_DISPUTES] < 0
     # A fee of 1/2 above the seller's 1/4 gain from the sale.
-    with pytest.raises(ValueError, match="delivery-worth-the-fee"):
-        winner_rebate_lambda(params(xs="3/4", gamma="1/4", fee="1/2"), Fraction(1, 4))
+    p = params(xs="3/4", gamma="1/4", fee="1/2")
+    assert lambda_interval(p, WinnerRebate).empty
+    assert security_report(p, WinnerRebate(1)).slacks[SELLER_SENDS] < 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -872,21 +929,26 @@ def test_winner_rebate_wager_is_strong_whenever_some_wager_is_complete(data):
     )
     p = TradeParams(price=x, seller_value=xs, buyer_value=x + data.draw(AMOUNT), arbiter_error=gamma, fee=fee)
     eps = data.draw(AMOUNT)
+    closed = winner_rebate_closed_form(p, eps)
     if lambda_interval(p, WinnerRebate).empty:
-        with pytest.raises(ValueError, match="no wager achieves this"):
-            winner_rebate_lambda(p, eps)
+        # Below half, gamma leaves only a wager-free row to fail.
+        slacks = security_report(p, WinnerRebate(closed)).slacks
+        assert min(slacks[BUYER_DISPUTES], slacks[SELLER_SENDS]) <= 0
         return
-    lam = winner_rebate_lambda(p, eps)
-    report = security_report(p, WinnerRebate(lam))
-    assert report.strong and report.sound_epsilon_max >= eps
-    assert lam >= lambda_interval(p, WinnerRebate, eps).lower
+    # With a fee the closed form is sound but need not be the least sound
+    # wager, and the interval may be open at 0.
+    interval = lambda_interval(p, WinnerRebate, eps)
+    assert interval.contains(closed)
+    for lam in [closed, interval.lower] if interval.lower_closed else [closed]:
+        report = security_report(p, WinnerRebate(lam))
+        assert report.strong and report.sound_epsilon_max >= eps
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_winner_rebate_wager_is_the_least_sound_wager_without_a_fee(data):
-    # The docstring's claim: at fee 0 the closed form is the lower end of the
-    # epsilon-sound interval, and that end is itself sound.
+    # At fee 0 the closed form is the lower end of the epsilon-sound
+    # interval, and that end is itself sound.
     x = data.draw(AMOUNT)
     xs = x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
     gamma = data.draw(
@@ -895,7 +957,7 @@ def test_winner_rebate_wager_is_the_least_sound_wager_without_a_fee(data):
     p = TradeParams(price=x, seller_value=xs, buyer_value=x + data.draw(AMOUNT), arbiter_error=gamma)
     eps = data.draw(AMOUNT)
     interval = lambda_interval(p, WinnerRebate, eps)
-    assert winner_rebate_lambda(p, eps) == interval.lower
+    assert winner_rebate_closed_form(p, eps) == interval.lower
     assert interval.lower_closed and interval.contains(interval.lower)
 
 

@@ -286,3 +286,5 @@ def test_leaf_payoff_matches_the_naive_leaf_payoff(data, kind, charged, coprime)
 def test_build_game_tree_rejects_non_params():
     with pytest.raises(InvalidTradeError):
         build_game_tree({"x": 1}, Standard(1))
+    with pytest.raises(InvalidTradeError, match="^params must be a TradeParams instance$"):
+        leaf_payoff(Leaf.SEND_ACCEPT, {"x": 1}, Standard(1))
