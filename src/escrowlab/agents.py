@@ -98,13 +98,13 @@ def run_trial(
 ) -> tuple[Fraction, Fraction, EscrowContract, Ledger]:
     """One full contract episode; returns both utilities plus the artifacts."""
     ledger = Ledger(tau=params.fee)
-    contract = propose(ledger, "trade", "buyer", "seller", params, scheme)
     # Enough for all either party can put in: the price, the wager and
     # three fee-bearing moves, summed in ints.
-    (price, stake, fee), scale = scaled((params.price, contract.stake, params.fee))
+    (price, stake, fee), scale = scaled((params.price, scheme.loss_cost(params), params.fee))
     endow = Fraction(price + stake + 3 * fee, scale)
     ledger.open_account("buyer", endow)
     ledger.open_account("seller", endow)
+    contract = propose(ledger, "trade", "buyer", "seller", params, scheme)
     contract.accept("seller")
     contract.fund("buyer")
 

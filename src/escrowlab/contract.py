@@ -109,6 +109,8 @@ class EscrowContract:
     ):
         if buyer == seller:
             raise ContractError(f"buyer and seller must be different accounts, got {buyer!r} for both")
+        ledger.require_account(buyer)
+        ledger.require_account(seller)
         stake = scheme.loss_cost(params)
         # The subsidy check in ints over one scale, and the payout as one Fraction.
         (win, price, wager), scale = scaled((scheme.win_gain(params), params.price, stake))
@@ -317,5 +319,6 @@ def propose(
     scheme: WagerScheme,
     policy: Optional[TimeoutPolicy] = None,
 ) -> EscrowContract:
-    """Open a contract proposal between two funded ledger accounts."""
+    """Open a contract proposal between two funded ledger accounts; a party
+    with no account is refused with `UnknownAccountError` before the pot opens."""
     return EscrowContract(ledger, contract_id, buyer, seller, params, scheme, policy)

@@ -1,23 +1,31 @@
 """Deterministic in-memory ledger with escrow pots, per-move fees, discrete
 time, and timeout callbacks.
 
-Funds are exact rationals held as integers: each balance, pot and sink is
-its own reduced (numerator, denominator) pair, added as plain integers when
-denominators agree; an amount is converted once, on entry.  The two sinks
-are entries of one dict beside the balances and the pots.  Reads return
-`Fraction`s: `balance()`, `pot_balance()`, `fee_sink`, `arbiter_sink`,
-`total_funds()` and the read-only copies `balances` and `pots`;
-`move_counts` is a read-only view of the live counts.
+Funds are exact rationals held as plain ints over one ledger-wide scale L:
+each balance, pot, sink and the fee is an int v standing for v / L.  L is
+the least common multiple of every denominator the ledger has seen.  An
+amount whose denominator d divides L enters as n * (L // d); any other
+first rescales every held value and the fee, in one pass, by
+lcm(L, d) // L.  Moves are then plain int additions, and `total_funds()`
+is one int sum.  L never shrinks: a held balance keeps the denominators of
+the amounts that moved through it, so an L recomputed from the held values
+would be as large whenever L has grown large.  Each new denominator costs
+one pass over the ledger: near-linear while the amounts share a small lcm,
+quadratic when many contracts each bring a coprime one.  The two sinks are
+entries of one dict beside the balances and the pots.  Reads return
+`Fraction(v, L)`: `balance()`, `pot_balance()`, `fee_sink`,
+`arbiter_sink`, `tau`, `total_funds()` and the read-only copies `balances`
+and `pots`; `move_counts` is a read-only view of the live counts.
 
 The conservation invariant is that the sum of all account balances, escrow
 pots, and the two sinks never changes: fees and forfeited liveness deposits
 are burned into the fee sink, withheld wagers go to the arbiter sink.  Each
-operation validates every debit before touching state, so a rejected
-operation leaves the ledger untouched; `transaction()` does so for a block
-of operations by copying the fund dicts on entry and, if the block raises,
-restoring each in place.  A pot exists once
-`open_pot` or a deposit names it; a payout out of any other id raises
-`UnknownPotError`, zero amounts included.
+operation validates every debit before touching a fund, so a rejected
+operation leaves every read as it was, though a rescale it made stays;
+`transaction()` does so for a block of operations by copying the fund
+dicts, L and the fee on entry and, if the block raises, restoring each in
+place.  A pot exists once `open_pot` or a deposit names it; a payout out
+of any other id raises `UnknownPotError`, zero amounts included.
 
 Timeouts fire in (due, id) order, with the clock reading the due instant
 inside each callback.  They are kept in a min-heap: registering and firing
@@ -32,17 +40,11 @@ import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
 
 from .trade import as_fraction
-
-#: An exact amount as (numerator, denominator): reduced, denominator > 0.
-Pair = tuple[int, int]
-_ZERO: Pair = (0, 1)
-
 
 class LedgerError(Exception):
     pass
@@ -94,29 +96,17 @@ def _require_name(what: str, name) -> None:
         raise ValueError(f"{what} must be a non-empty string without whitespace, got {name!r}")
 
 
-def _amount(amount, what: str = "amount") -> Pair:
+def _amount(amount, what: str = "amount") -> tuple[int, int]:
     """The check that an amount is not negative, made on its int numerator,
-    and its one conversion to a pair; `as_fraction` refuses a bool.
-    `deposit_payback`, which returns a `Fraction`, makes the check itself."""
+    and its one conversion to (numerator, denominator); `as_fraction`
+    refuses a bool.  `deposit_payback`, which returns a `Fraction`, makes
+    the check itself."""
     if type(amount) is not Fraction and type(amount) is not int:
         amount = as_fraction(amount)
     n = amount.numerator
     if n < 0:
         raise ValueError(f"{what} must be >= 0, got {amount}")
     return n, amount.denominator
-
-
-def _add(a: Pair, b: Pair) -> Pair:
-    """a + b, reduced, by the steps of `Fraction`'s own addition: a plain
-    integer add when the denominators agree, no gcd when they are coprime."""
-    (na, da), (nb, db) = a, b
-    g = da if da == db else gcd(da, db)
-    if g == 1:
-        return na * db + nb * da, da * db
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    return t // g2, s * (db // g2)
 
 
 def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
@@ -146,10 +136,11 @@ class Ledger:
     clock and move counts start empty and are kept by the operations below."""
 
     def __init__(self, tau=Fraction(0)) -> None:
-        self._fee = _amount(tau, "tau")
-        self._balances: dict[str, Pair] = {}
-        self._pots: dict[str, Pair] = {}
-        self._sinks: dict[str, Pair] = {"fee_sink": _ZERO, "arbiter_sink": _ZERO}  # in snapshot order
+        # Every held value is an int over the scale; tau's denominator is its first.
+        self._fee, self._scale = _amount(tau, "tau")
+        self._balances: dict[str, int] = {}
+        self._pots: dict[str, int] = {}
+        self._sinks: dict[str, int] = {"fee_sink": 0, "arbiter_sink": 0}  # in snapshot order
         self._move_counts: dict[str, int] = {}
         #: Contract moves per party, a read-only view that a rollback keeps current.
         self.move_counts: Mapping[str, int] = MappingProxyType(self._move_counts)
@@ -162,36 +153,53 @@ class Ledger:
 
     @property
     def tau(self) -> Fraction:
-        return Fraction(*self._fee)
+        return Fraction(self._fee, self._scale)
 
     @property
     def balances(self) -> Mapping[str, Fraction]:
-        return MappingProxyType({name: Fraction(*value) for name, value in self._balances.items()})
+        scale = self._scale
+        return MappingProxyType({name: Fraction(value, scale) for name, value in self._balances.items()})
 
     @property
     def pots(self) -> Mapping[str, Fraction]:
-        return MappingProxyType({pot: Fraction(*value) for pot, value in self._pots.items()})
+        scale = self._scale
+        return MappingProxyType({pot: Fraction(value, scale) for pot, value in self._pots.items()})
 
     @property
     def fee_sink(self) -> Fraction:
-        return Fraction(*self._sinks["fee_sink"])
+        return Fraction(self._sinks["fee_sink"], self._scale)
 
     @property
     def arbiter_sink(self) -> Fraction:
-        return Fraction(*self._sinks["arbiter_sink"])
+        return Fraction(self._sinks["arbiter_sink"], self._scale)
 
     def balance(self, name: str) -> Fraction:
-        self._require_account(name)
-        return Fraction(*self._balances[name])
+        self.require_account(name)
+        return Fraction(self._balances[name], self._scale)
 
     def pot_balance(self, contract_id: str) -> Fraction:
-        return Fraction(*self._pots.get(contract_id, _ZERO))
+        return Fraction(self._pots.get(contract_id, 0), self._scale)
 
     def total_funds(self) -> Fraction:
-        sums: dict[int, int] = {}  # denominator -> sum of numerators
-        for n, d in chain(self._balances.values(), self._pots.values(), self._sinks.values()):
-            sums[d] = sums.get(d, 0) + n
-        return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
+        held = sum(self._balances.values()) + sum(self._pots.values()) + sum(self._sinks.values())
+        return Fraction(held, self._scale)
+
+    def _int(self, amount, what: str = "amount") -> int:
+        """A non-negative amount as an int over the scale, rescaling first if
+        its denominator does not divide the scale."""
+        n, d = _amount(amount, what)
+        if self._scale % d:
+            self._rescale(d)
+        return n * (self._scale // d)
+
+    def _rescale(self, d: int) -> None:
+        """Put the scale, the fee and every held value over lcm(scale, d)."""
+        factor = d // gcd(self._scale, d)
+        self._scale *= factor
+        self._fee *= factor
+        for held in (self._balances, self._pots, self._sinks):
+            for key, value in held.items():
+                held[key] = value * factor
 
     # -- accounts ----------------------------------------------------------
 
@@ -201,13 +209,14 @@ class Ledger:
             raise ValueError(f"account name {name!r} would read as a snapshot line of its own")
         if name in self._balances:
             raise LedgerError(f"account {name!r} already exists")
-        self._balances[name] = _amount(balance, "opening balance")
+        self._balances[name] = self._int(balance, "opening balance")
 
-    def _require_account(self, name: str) -> None:
+    def require_account(self, name: str) -> None:
+        """Raise `UnknownAccountError` unless the ledger has an account `name`."""
         if name not in self._balances:
             raise UnknownAccountError(name)
 
-    def _move(self, party: str, amount: Pair, contract_move: bool) -> None:
+    def _move(self, party: str, amount: int, contract_move: bool) -> None:
         """Credit `amount` to a party (a debit when negative); a contract move
         also costs the party the fee and counts as one of their moves.
 
@@ -216,46 +225,45 @@ class Ledger:
         old = self._balances.get(party)
         if old is None:
             raise UnknownAccountError(party)
-        balance = _add(old, amount) if amount[0] else old
-        fee = self._fee if contract_move and self._fee[0] else None
-        if fee is not None:
-            balance = _add(balance, (-fee[0], fee[1]))
-        if balance[0] < 0:
-            raise InsufficientFundsError(f"{party} has {Fraction(*old)}, needs {Fraction(*old) - Fraction(*balance)}")
+        fee = self._fee if contract_move else 0
+        balance = old + amount - fee
+        if balance < 0:
+            scale = self._scale
+            raise InsufficientFundsError(f"{party} has {Fraction(old, scale)}, needs {Fraction(old - balance, scale)}")
         self._balances[party] = balance
         if contract_move:
-            if fee is not None:
-                self._sinks["fee_sink"] = _add(self._sinks["fee_sink"], fee)
+            self._sinks["fee_sink"] += fee
             self._move_counts[party] = self._move_counts.get(party, 0) + 1
 
     # -- fund movement -----------------------------------------------------
 
     def transfer(self, src: str, dst: str, amount, contract_move: bool = False) -> None:
         """Move funds between accounts; a contract move also costs the fee."""
-        n, d = _amount(amount)
-        self._require_account(dst)
-        self._move(src, (-n, d), contract_move)
-        self._balances[dst] = _add(self._balances[dst], (n, d))
+        value = self._int(amount)
+        self.require_account(dst)
+        self._move(src, -value, contract_move)
+        self._balances[dst] += value
 
     def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False) -> None:
-        n, d = _amount(amount)
+        value = self._int(amount)
         pot = self._pots.get(contract_id)
         if pot is None:
             _require_name("pot id", contract_id)
-        self._move(party, (-n, d), contract_move)
-        self._pots[contract_id] = _add(pot or _ZERO, (n, d))
+            pot = 0
+        self._move(party, -value, contract_move)
+        self._pots[contract_id] = pot + value
 
     def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False) -> None:
         """Pay out of a pot; a fee-bearing release is a withdrawal claimed by
         the recipient, who covers the fee out of the proceeds."""
-        value = _amount(amount)
+        value = self._int(amount)
         rest = self._pot_less(contract_id, value)
         self._move(party, value, contract_move)
         self._pots[contract_id] = rest
 
     def charge_move(self, party: str) -> None:
         """A fee-bearing contract move with no fund movement of its own."""
-        self._move(party, _ZERO, contract_move=True)
+        self._move(party, 0, contract_move=True)
 
     def pot_to_arbiter(self, contract_id: str, amount) -> None:
         self._pot_to_sink(contract_id, amount, "arbiter_sink")
@@ -264,43 +272,45 @@ class Ledger:
         self._pot_to_sink(contract_id, amount, "fee_sink")
 
     def _pot_to_sink(self, contract_id: str, amount, sink: str) -> None:
-        value = _amount(amount)
+        value = self._int(amount)
         self._pots[contract_id] = self._pot_less(contract_id, value)
-        self._sinks[sink] = _add(self._sinks[sink], value)
+        self._sinks[sink] += value
 
-    def _pot_less(self, contract_id: str, value: Pair) -> Pair:
+    def _pot_less(self, contract_id: str, value: int) -> int:
         """What the pot holds after paying out `value`; raises if it cannot,
         an id no pot has used even for a zero amount."""
         pot = self._pots.get(contract_id)
         if pot is None:
             raise UnknownPotError(f"no pot {contract_id!r} on this ledger")
-        rest = _add(pot, (-value[0], value[1]))
-        if rest[0] < 0:
-            raise InsufficientFundsError(f"pot {contract_id} has {Fraction(*pot)}, needs {Fraction(*value)}")
-        return rest if rest[0] else _ZERO  # every emptied pot, kept for its id, shares one zero
+        if pot < value:
+            scale = self._scale
+            raise InsufficientFundsError(f"pot {contract_id} has {Fraction(pot, scale)}, needs {Fraction(value, scale)}")
+        return pot - value
 
     def open_pot(self, pot_id: str) -> None:
         """Open an empty pot under an id no pot has used on this ledger."""
         _require_name("pot id", pot_id)
         if pot_id in self._pots:
             raise LedgerError(f"pot {pot_id!r} is already open")
-        self._pots[pot_id] = _ZERO
+        self._pots[pot_id] = 0
 
     @contextmanager
     def transaction(self) -> Iterator[None]:
         """All or nothing for a block of operations: if it raises, each fund
         dict (balances, pots, sinks, move counts) is put back in place as it
-        was on entry, from a copy, inner blocks' work included; a nested
-        block that raises undoes only its own.  The clock and the pending
-        timeouts are not restored."""
+        was on entry, from a copy, and the scale and the fee with them, inner
+        blocks' work included; a nested block that raises undoes only its
+        own.  The clock and the pending timeouts are not restored."""
         funds = self._balances, self._pots, self._sinks, self._move_counts
         saved = [dict(held) for held in funds]
+        scale, fee = self._scale, self._fee
         try:
             yield
         except BaseException:
             for held, copy in zip(funds, saved):
                 held.clear()
                 held.update(copy)
+            self._scale, self._fee = scale, fee
             raise
 
     # -- time and timeouts ---------------------------------------------------
@@ -353,8 +363,9 @@ class Ledger:
 
     def snapshot(self) -> str:
         """Line-oriented dump: accounts, then pots and sinks, then the clock."""
-        lines = [f"{name} {Fraction(*self._balances[name])}" for name in sorted(self._balances)]
-        lines += [f"pot:{cid} {Fraction(*value)}" for cid, value in sorted(p for p in self._pots.items() if p[1][0])]
-        lines += [f"{sink} {Fraction(*value)}" for sink, value in self._sinks.items()]
+        scale = self._scale
+        lines = [f"{name} {Fraction(self._balances[name], scale)}" for name in sorted(self._balances)]
+        lines += [f"pot:{cid} {Fraction(value, scale)}" for cid, value in sorted(p for p in self._pots.items() if p[1])]
+        lines += [f"{sink} {Fraction(value, scale)}" for sink, value in self._sinks.items()]
         lines.append(f"time {self.time}")
         return "\n".join(lines) + "\n"

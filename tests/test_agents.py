@@ -177,10 +177,10 @@ def naive_run_trial(params, scheme, seller_strategy, buyer_strategy, rng):
     """Reference: `run_trial` with the endowment and both utilities summed
     as `Fraction`s, step by step."""
     ledger = Ledger(tau=params.fee)
-    contract = propose(ledger, "trade", "buyer", "seller", params, scheme)
-    endow = params.price + contract.stake + 3 * params.fee
+    endow = params.price + scheme.loss_cost(params) + 3 * params.fee
     ledger.open_account("buyer", endow)
     ledger.open_account("seller", endow)
+    contract = propose(ledger, "trade", "buyer", "seller", params, scheme)
     contract.accept("seller")
     contract.fund("buyer")
     if seller_strategy.send:

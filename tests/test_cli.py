@@ -174,6 +174,30 @@ def test_multiparty_with_disputes_counters_and_fees_is_pinned(tmp_path, capsys):
     )
 
 
+# Prices and fee on pairwise coprime denominators (3, 7, 11 and 13), so the
+# ledger's amounts share no scale; stdout byte for byte as the parent
+# ledger, which added reduced pairs, printed it.
+def test_multiparty_on_coprime_denominators_is_pinned(tmp_path, capsys):
+    (tmp_path / "pay.txt").write_text("0 1/3 2/7 5/11\n5/11 0 1/3 0\n2/7 5/11 0 1/3\n1/3 0 2/7 0\n")
+    (tmp_path / "disputes.txt").write_text("0 1 0 1\n0 0 1 0\n1 0 0 0\n0 0 1 0\n")
+    (tmp_path / "counters.txt").write_text("0 0 1 0\n1 0 0 0\n0 1 0 1\n1 0 0 0\n")
+    out = run_cli(
+        capsys, "multiparty",
+        "--matrix", str(tmp_path / "pay.txt"),
+        "--disputes", str(tmp_path / "disputes.txt"),
+        "--counters", str(tmp_path / "counters.txt"),
+        "--tau", "1/13", "--seed", "3",
+    )
+    assert out == (
+        "party p1 payout 524/231 delta -80/429 fee_moves 4\n"
+        "party p2 payout 37/33 delta -25/39 fee_moves 4\n"
+        "party p3 payout 32/21 delta -109/143 fee_moves 4\n"
+        "party p4 payout 1/3 delta -1335/1001 fee_moves 4\n"
+        "arbiter_sink 391/231\n"
+        "fee_sink 16/13\n"
+    )
+
+
 def test_multiparty_rejects_ragged_matrices(tmp_path):
     (tmp_path / "bad.txt").write_text("0 1\n2\n")
     with pytest.raises(SystemExit):

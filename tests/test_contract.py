@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 from typing import Callable, Optional
 
 import pytest
@@ -16,7 +17,14 @@ from escrowlab.contract import (
     propose,
 )
 from escrowlab.gametree import Party
-from escrowlab.ledger import InsufficientFundsError, Ledger, LedgerError, TimeoutPolicy, deposit_payback
+from escrowlab.ledger import (
+    InsufficientFundsError,
+    Ledger,
+    LedgerError,
+    TimeoutPolicy,
+    UnknownAccountError,
+    deposit_payback,
+)
 from escrowlab.trade import (
     Generic,
     InvalidSchemeError,
@@ -101,6 +109,20 @@ def test_a_contract_between_an_account_and_itself_is_refused():
     assert ledger.snapshot() == before and "c" not in ledger.pots
     ledger.advance_time(5)  # no deadline was armed
     assert ledger.snapshot() == before.replace("time 0", "time 5")
+
+
+@pytest.mark.parametrize("buyer, seller", [("a", "ghost"), ("ghost", "a"), ("ghost", "spook")])
+def test_a_contract_with_a_party_who_has_no_account_is_refused(buyer, seller):
+    # Refused before the pot is opened, so the id stays free and no deadline is armed.
+    ledger = Ledger()
+    ledger.open_account("a", 100)
+    before = ledger.snapshot()
+    with pytest.raises(UnknownAccountError, match="^ghost$"):
+        propose(ledger, "c1", buyer, seller, PARAMS, Standard(1), TimeoutPolicy(1, 2))
+    assert ledger.snapshot() == before and dict(ledger.pots) == {}
+    ledger.advance_time(5)
+    ledger.open_account("b", 100)
+    assert propose(ledger, "c1", "a", "b", PARAMS, Standard(1)).phase is Phase.PROPOSED
 
 
 def test_events_name_roles_even_when_accounts_are_named_after_the_other_role():
@@ -1051,3 +1073,58 @@ def test_interleaved_contracts_keep_their_pots_apart_on_one_ledger(data):
             else:
                 assert c.pot_total() == ledger.pot_balance(c.contract_id)
         assert ledger.total_funds() == total
+
+
+def test_contracts_on_one_ledger_rescale_only_while_their_first_denominators_come_in(monkeypatch):
+    # Near-linear cost on the amounts the workloads send: one shared ledger
+    # with fee 1/50, eight price kinds, liveness deposits repaid on the ramp,
+    # and every ending.  Every rescale is a pass over the whole ledger, so
+    # none may come once the first contracts have brought their denominators.
+    rescales = []
+    rescale = Ledger._rescale
+
+    def counted(self, d):
+        rescales.append(d)
+        rescale(self, d)
+
+    monkeypatch.setattr(Ledger, "_rescale", counted)
+    fee = Fraction(1, 50)
+    policy = TimeoutPolicy(threshold=4, timeout=12)
+    kinds = [
+        (TradeParams(price=p, seller_value=Fraction(p, 2), buyer_value=2 * p, arbiter_error=Fraction(1, 2), fee=fee), Standard(p))
+        for p in range(1, 9)
+    ]
+    ledger = Ledger(tau=fee)
+    for i in range(400):
+        ledger.open_account(f"b{i}", 1000)
+        ledger.open_account(f"s{i}", 1000)
+    total = ledger.total_funds()
+    settled_how = set()
+    for i in range(400):
+        if i == 40:
+            first = list(rescales)
+        params, scheme = kinds[i % 8]
+        c = propose(ledger, f"c{i}", f"b{i}", f"s{i}", params, scheme, policy)
+        late = i % 11  # on time up to 4, then on the ramp
+        ledger.advance_time(late or 1)
+        c.accept(f"s{i}")
+        c.fund(f"b{i}")
+        c.notify_delivery(f"s{i}")
+        ending = i % 3
+        if ending == 0:
+            ledger.advance_time(late or 1)
+            c.accept_delivery(f"b{i}")
+        else:
+            c.dispute(f"b{i}")
+            ledger.advance_time(late or 1)
+            if ending == 1:
+                c.forfeit(f"s{i}")
+            else:
+                c.counter(f"s{i}")
+                winner = Party.SELLER if i % 2 else Party.BUYER
+                c.run_arbitration(lambda c, winner=winner: oracle_arbitrate(winner, 0, Random(0)))
+        settled_how.add(c.settled_how)
+        assert c.phase is Phase.SETTLED and ledger.pot_balance(f"c{i}") == 0
+    assert settled_how == {"accept", "forfeit", "arbitration:buyer", "arbitration:seller"}
+    assert rescales == first and len(first) <= 2
+    assert ledger.total_funds() == total

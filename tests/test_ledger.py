@@ -461,6 +461,90 @@ def test_integer_pairs_match_the_fraction_ledger(tau, opening, steps):
         assert all(type(v) is Fraction for v in (*state[2].values(), *state[3].values(), *state[4:]))
 
 
+def test_a_rescale_inside_a_block_that_raises_is_undone():
+    # The ledger holds quarters; each block brings sevenths, elevenths or
+    # thirteenths, which rescale it, and then raises.  Every read, and a
+    # move-counts view taken before the block, reads as before, and the
+    # operations after it read as the Fraction ledger's.
+    ours, naive = Ledger(tau=Fraction(1, 4)), NaiveLedger(tau=Fraction(1, 4))
+    for ledger in (ours, naive):
+        ledger.open_account("a", 10)
+        ledger.open_account("b", Fraction(1, 2))
+        ledger.escrow_deposit("a", "p", Fraction(3, 4), contract_move=True)
+    counts = ours.move_counts
+
+    # A plain block.
+    before, seen = _ledger_state(ours), dict(counts)
+    for ledger in (ours, naive):
+        with pytest.raises(Abort):
+            with ledger.transaction():
+                ledger.escrow_deposit("b", "p", Fraction(1, 7), contract_move=True)
+                ledger.pot_to_arbiter("p", Fraction(2, 11))
+                raise Abort
+    assert _ledger_state(ours) == before == _ledger_state(naive)
+    assert counts == seen == {"a": 1}
+
+    # An inner block that raises inside an outer one that completes.
+    for ledger in (ours, naive):
+        with ledger.transaction():
+            ledger.transfer("a", "b", Fraction(1, 3), contract_move=True)
+            after_outer_move = _ledger_state(ledger)
+            with pytest.raises(Abort):
+                with ledger.transaction():
+                    ledger.escrow_release("p", "b", Fraction(1, 13), contract_move=True)
+                    ledger.burn_from_pot("p", Fraction(1, 7))
+                    raise Abort
+            assert _ledger_state(ledger) == after_outer_move
+            assert ledger is naive or counts == {"a": 2}
+            ledger.escrow_release("p", "b", Fraction(1, 2), contract_move=True)
+    assert _ledger_state(ours) == _ledger_state(naive)
+    assert counts == {"a": 2, "b": 1}
+
+    # An inner block that rescales and completes inside an outer one that raises.
+    before, seen = _ledger_state(ours), dict(counts)
+    for ledger in (ours, naive):
+        with pytest.raises(Abort):
+            with ledger.transaction():
+                with ledger.transaction():
+                    ledger.escrow_deposit("b", "q", Fraction(5, 11), contract_move=True)
+                ledger.charge_move("a")
+                raise Abort
+    assert _ledger_state(ours) == before == _ledger_state(naive)
+    assert counts == seen
+    for ledger in (ours, naive):
+        ledger.transfer("b", "a", Fraction(1, 4), contract_move=True)
+        ledger.burn_from_pot("p", Fraction(1, 4))
+    assert _ledger_state(ours) == _ledger_state(naive)
+
+
+def test_refusals_read_as_the_fraction_ledgers_across_a_rescale():
+    # Each refused amount brings a denominator the ledger has not seen, so it
+    # is refused after a rescale; the messages name the Fraction ledger's
+    # amounts, and later refusals over the grown scale do too.
+    ours, naive = Ledger(tau=Fraction(1, 4)), NaiveLedger(tau=Fraction(1, 4))
+    steps = [
+        ("open_account", "a", Fraction(3, 2)),
+        ("open_account", "b", 0),
+        ("escrow_deposit", "a", "p", Fraction(1, 2), True),
+        ("transfer", "a", "b", Fraction(6, 7), True),
+        ("escrow_release", "p", "b", Fraction(6, 11), False),
+        ("pot_to_arbiter", "p", Fraction(7, 13)),
+        ("escrow_deposit", "b", "p", Fraction(1, 17), False),
+        ("transfer", "a", "b", Fraction(3, 4), True),
+        ("burn_from_pot", "p", Fraction(4, 7)),
+        ("charge_move", "b"),
+    ]
+    outcomes = []
+    for step in steps:
+        outcome = _ledger_step(ours, step)
+        assert outcome == _ledger_step(naive, step)
+        assert _ledger_state(ours) == _ledger_state(naive)
+        outcomes.append(outcome)
+    assert [o[1] for o in outcomes if o[0] == "raised"] == [InsufficientFundsError] * 7
+    assert outcomes[3][2] == "a has 3/4, needs 31/28"
+    assert outcomes[4][2] == "pot p has 1/2, needs 6/11"
+
+
 def test_amounts_on_fresh_prime_denominators_stay_exact():
     # Each deposit and release brings a new prime; the pot ends exactly empty.
     ledger = Ledger(tau=Fraction(1, 10_007))
