@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -121,8 +122,8 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
     parties = [f"p{i + 1}" for i in range(n)]
     ledger = Ledger(tau=args.tau)
     # Parsed once, by the batch's own rule, and handed to the batch as parsed.
-    payments, _ = _payment_grid(n, rows)
-    totals = [sum(row) for row in payments]
+    payments, sellers, ints, scale = _payment_grid(n, rows)
+    totals = [Fraction(sum([row[j] for j in paid]), scale) for row, paid in zip(ints, sellers)]
     grand_total = sum(totals)
     for name, row_total in zip(parties, totals):
         ledger.open_account(name, 3 * (row_total + grand_total) + 3 * ledger.tau + 1)

@@ -21,10 +21,10 @@ grid with other than n rows is refused.  A drawn coin grid is one
 `getrandbits(32 * n * n)` call whose words each give their top bit, which
 equals n * n `getrandbits(1)` calls: the same coins and the same final rng
 state.  Settlement work is per trade: each buyer keeps the list of sellers
-it pays, and each deposit and each payout is the exact sum of that step's
-prices, added as integers over the least common multiple of their own
-denominators, so a batch builds one `Fraction` per deposit and per payout,
-not one per trade.
+it pays.  The parse splits each traded price into (p, q) once and puts it
+as an int over one batch scale, the least common multiple of the traded
+prices' denominators.  Each deposit and each payout is an int sum over that
+scale, so a batch builds one `Fraction` per ledger call, not one per trade.
 
 Purchases, dispute wagers and counter wagers follow one deposit rule: in
 index order, each payer deposits the exact sum of its step's prices as one
@@ -40,12 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
+from math import lcm
 from operator import is_not
 from random import Random
 from typing import Optional, Sequence
 
 from .ledger import InsufficientFundsError, Ledger
-from .trade import as_fraction, scaled
+from .trade import as_fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 BitMatrix = tuple[tuple[int, ...], ...]
@@ -81,13 +82,6 @@ class SettlementMatrix:
     payouts: tuple[Fraction, ...]
 
 
-def _sum(values: list[Fraction]) -> Fraction:
-    """The exact sum of `values`: one integer sum over their common scale,
-    then one `Fraction`."""
-    ints, scale = scaled(values)
-    return Fraction(sum(ints), scale)
-
-
 def _bit_grid(n: int, steps: list[list[int]]) -> BitMatrix:
     """The effective bit grid: a 1 at (i, j) for each j in steps[i]."""
     rows = []
@@ -114,26 +108,30 @@ def _rows(n: int, rows, name: str, malformed: str) -> list:
     raise MultipartyError(f"{name} must be {n}x{n}")
 
 
-def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
+def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]], list[list[int]], int]:
     """The payment grid, parsed once: rows of exact rationals whose zeros are
-    the shared `_ZERO`, and for each buyer the sellers it pays, in order."""
+    the shared `_ZERO`; for each buyer the sellers it pays, in order; and the
+    same rows as ints over one batch scale, with that scale, the least common
+    multiple of the traded prices' denominators."""
     malformed = "payments entries must be rationals >= 0"
-    grid, sellers = [], []
+    grid, sellers, ints, denominators = [], [], [], []
     for entries in _rows(n, rows, "payments", malformed):
         try:
             if entries.__class__ is not list:  # indexed below, so a one-pass row is copied
                 entries = list(entries)
-            row, paid, negative = [_ZERO] * len(entries), [], False
+            row, nums, paid, dens, negative = [_ZERO] * len(entries), [0] * len(entries), [], [], False
             # The int 0 object, most cells, is passed over in C.
             for j in compress(range(len(entries)), map(is_not, entries, repeat(0))):
                 v = entries[j]
                 if v.__class__ is int and not v:  # an int zero that is another object
                     continue
                 value = v if v.__class__ is Fraction else as_fraction(v)
-                if value:
-                    row[j] = value
+                p, q = value.as_integer_ratio()  # the one split of this price
+                if p:
+                    row[j], nums[j] = value, p
                     paid.append(j)
-                    if value.numerator < 0:
+                    dens.append(q)
+                    if p < 0:
                         negative = True
         except (TypeError, ValueError):
             raise MultipartyError(malformed) from None
@@ -143,9 +141,17 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]]]:
             raise MultipartyError(malformed)
         grid.append(row)
         sellers.append(paid)
+        ints.append(nums)
+        denominators.append(dens)
     if any(grid[i][i] for i in range(n)):
         raise MultipartyError("self-payments are not allowed")
-    return grid, sellers
+    # Each row's lcm first, so a scale as large as the product of thousands of
+    # distinct primes is folded once per row, not once per price.
+    scale = lcm(*(lcm(*dens) for dens in denominators))
+    for nums, paid, dens in zip(ints, sellers, denominators):
+        for j, q in zip(paid, dens):
+            nums[j] *= scale // q
+    return grid, sellers, ints, scale
 
 
 def _as_bits(n: int, rows, name: str) -> list[bytes]:
@@ -202,7 +208,7 @@ def multiparty_run(
         raise MultipartyError("need at least two parties")
     if len(set(parties)) != n:
         raise MultipartyError("party names must be distinct")
-    x, sellers = _payment_grid(n, payments)
+    x, sellers, xs, scale = _payment_grid(n, payments)
     d = _as_bits(n, disputes, "disputes")
     c = _as_bits(n, counters, "counters")
     if coin_matrix is None:
@@ -223,9 +229,9 @@ def multiparty_run(
         the buyers whose disputes it counters.  Returns the funded steps."""
         for i, cols in enumerate(steps):
             if cols:
-                prices = [x[j][i] for j in cols] if by_seller else [x[i][j] for j in cols]
+                total = sum([xs[j][i] for j in cols] if by_seller else [xs[i][j] for j in cols])
                 try:
-                    ledger.escrow_deposit(parties[i], POT, _sum(prices), contract_move=True)
+                    ledger.escrow_deposit(parties[i], POT, Fraction(total, scale), contract_move=True)
                 except InsufficientFundsError:
                     steps[i] = []
         return steps
@@ -244,22 +250,22 @@ def multiparty_run(
         d, c = _bit_grid(n, disputed), _bit_grid(n, countered)
 
         # Settle every trade as its own two-party outcome; each party's
-        # credits are summed once, into its payout.
-        credits = [[] for _ in range(n)]
+        # credits are summed, over the batch scale, into its payout.
+        credits = [0] * n
         for i, paid in enumerate(sellers):  # buyer i, seller j
             for j in paid:
-                price = x[i][j]
+                price = xs[i][j]
                 if not d[i][j]:  # accept
-                    credits[j].append(price)
+                    credits[j] += price
                 elif not c[j][i]:  # forfeit: price and wager back
-                    credits[i] += (price, price)
+                    credits[i] += 2 * price
                 else:  # arbitration: the coin's winner gets price and wager, the arbiter the loser's wager
-                    credits[j if b[i][j] else i] += (price, price)
-                    ledger.pot_to_arbiter(POT, price)
-        payouts = [_sum(owed) for owed in credits]
+                    credits[j if b[i][j] else i] += 2 * price
+                    ledger.pot_to_arbiter(POT, x[i][j])
+        payouts = [Fraction(owed, scale) for owed in credits]
 
         for i, party in enumerate(parties):
-            if payouts[i].numerator > 0:
+            if credits[i] > 0:
                 ledger.escrow_release(POT, party, payouts[i], contract_move=True)
 
     return SettlementMatrix(

@@ -198,6 +198,30 @@ def test_multiparty_on_coprime_denominators_is_pinned(tmp_path, capsys):
     )
 
 
+# Prices and fee spelled as decimals, so each cell is parsed to its own
+# reduced denominator (2, 4 and 10; the fee 20); stdout byte for byte as
+# the per-step integer sums printed it.
+def test_multiparty_with_decimal_prices_is_pinned(tmp_path, capsys):
+    (tmp_path / "pay.txt").write_text("0 0.5 1.25 0.1\n2.75 0 0.5 0\n0.1 2.75 0 1.25\n1.25 0 0.5 0\n")
+    (tmp_path / "disputes.txt").write_text("0 1 0 1\n0 0 1 0\n1 0 0 1\n0 0 1 0\n")
+    (tmp_path / "counters.txt").write_text("0 0 1 0\n1 0 0 1\n0 1 0 0\n1 0 1 0\n")
+    out = run_cli(
+        capsys, "multiparty",
+        "--matrix", str(tmp_path / "pay.txt"),
+        "--disputes", str(tmp_path / "disputes.txt"),
+        "--counters", str(tmp_path / "counters.txt"),
+        "--tau", "0.05", "--seed", "3",
+    )
+    assert out == (
+        "party p1 payout 22/5 delta +33/20 fee_moves 4\n"
+        "party p2 payout 15/4 delta -7/10 fee_moves 4\n"
+        "party p3 payout 9/4 delta -39/10 fee_moves 4\n"
+        "party p4 payout 7/2 delta -3/10 fee_moves 4\n"
+        "arbiter_sink 49/20\n"
+        "fee_sink 4/5\n"
+    )
+
+
 def test_multiparty_rejects_ragged_matrices(tmp_path):
     (tmp_path / "bad.txt").write_text("0 1\n2\n")
     with pytest.raises(SystemExit):

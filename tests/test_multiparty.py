@@ -564,6 +564,51 @@ def test_integer_sums_match_fraction_sums_on_coprime_denominators(data, tau):
     assert states[0] == states[1]
 
 
+def _primes_above(low, count):
+    primes, k = [], low + 1
+    while len(primes) < count:
+        if all(k % d for d in range(2, int(k**0.5) + 1)):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+@pytest.mark.parametrize("explicit_coin", [True, False], ids=["explicit coin", "drawn coin"])
+def test_prices_on_their_own_prime_denominators_settle_as_the_dense_loop(explicit_coin):
+    # 40 trades among 8 parties, each price over its own prime above 100, so
+    # every row of the grid brings denominators no other row has.
+    n = 8
+    names = [f"p{i}" for i in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j and (3 * i + j) % 4 != 1]
+    payments = [[0] * n for _ in range(n)]
+    for k, ((i, j), p) in enumerate(zip(cells, _primes_above(100, len(cells)))):
+        payments[i][j] = Fraction(p + 7 * k, p)
+    disputes = [[int((i + j) % 3 != 1) for j in range(n)] for i in range(n)]
+    counters = [[int((i * j + i) % 3 != 0) for j in range(n)] for i in range(n)]
+    coin = [[(i + 2 * j) % 3 % 2 for j in range(n)] for i in range(n)] if explicit_coin else None
+    # Tight endowments: some purchases, disputes and counters go unfunded.
+    endow = dict(zip(names, [1, 8, 12, 14, 18, 24, 30, 60]))
+
+    outcomes, states = [], []
+    for run in (multiparty_run, naive):
+        rng = Random(5)
+        outcomes.append(_outcome(
+            run, Fraction(1, 13), endow, names, payments, disputes, counters, rng=rng, coin_matrix=coin,
+        ))
+        states.append(rng.getstate())
+    assert outcomes[0] == outcomes[1]
+    assert states[0] == states[1]
+
+    def traded(grid):
+        return sum(1 for row in grid for v in row if v)
+
+    _, result, _, _, calls = outcomes[0]
+    assert traded(result.payments) == 35  # p0's five purchases are cancelled
+    assert 0 < traded(result.counters) < traded(result.disputes) < traded(result.payments)
+    assert [kind for kind, _, _ in calls].count("pot_to_arbiter") == traded(result.counters)
+    assert all(type(args[-1]) is Fraction for _, args, _ in calls)
+
+
 def test_a_sale_a_refund_and_a_coin_win_sum_into_one_exact_payout():
     # "a" sells to "b" at 1/3 (accepted), is refunded the price and wager of
     # its forfeited dispute with "c" at 2/7, and wins the coin toss of its
