@@ -12,8 +12,10 @@ measuring realized utilities:
 For a fixed strategy pair an episode depends only on its outcome class: no
 arbitration, or an arbitration the honest party wins or loses.  `simulate`
 therefore runs one episode per class that occurs and draws, per trial, only
-the oracle's error bit.  Payoffs, rates, and means are exact rationals, so
-identical seeds give identical statistics bit for bit.
+the oracle's error bit, and counts a class as disputed or arbitrated when
+the path to its contract's `leaf` holds a dispute or a counter.  Payoffs,
+rates, and means are exact rationals, so identical seeds give identical
+statistics bit for bit.
 
 The harness has no clock: it never advances the ledger's time, so no
 timeout fires and every liveness deposit would come back whole.  It
@@ -35,7 +37,7 @@ from typing import Iterable, Sequence
 from .arbiter import arbiter_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
 from .equilibrium import SecurityReport, _reports
-from .gametree import Party
+from .gametree import Action, Party, leaf_path
 from .ledger import Ledger
 from .trade import AffineWager, Standard, TradeParams, WagerScheme, scaled, wager_class
 
@@ -166,9 +168,7 @@ def simulate(
         buyer_utility, seller_utility, contract, ledger = run_trial(
             params, scheme, seller_strategy, buyer_strategy, Random(f"{seed}:{i}")
         )
-        disputed = contract.settled_how != "accept"
-        arbitrated = contract.last_verdict is not None
-        return buyer_utility, seller_utility, ledger.fee_sink, disputed, arbitrated
+        return buyer_utility, seller_utility, ledger.fee_sink, leaf_path(contract.leaf)
 
     disputing, countering = _branch(seller_strategy, buyer_strategy)
     if disputing and countering:
@@ -186,13 +186,13 @@ def simulate(
     # is an int sum, and each statistic one Fraction.
     ints, scale = scaled([amount for outcome, _ in tally for amount in outcome[:3]])
     buyer_total = seller_total = fees = disputes = arbitrations = 0
-    for k, ((_, _, _, disputed, arbitrated), n) in enumerate(tally):
+    for k, ((_, _, _, path), n) in enumerate(tally):
         buyer_utility, seller_utility, fee_sink = ints[3 * k : 3 * k + 3]
         buyer_total += n * buyer_utility
         seller_total += n * seller_utility
         fees += n * fee_sink
-        disputes += n * disputed
-        arbitrations += n * arbitrated
+        disputes += n * ((Party.BUYER, Action.DISPUTE) in path)
+        arbitrations += n * ((Party.SELLER, Action.COUNTER) in path)
     return SimStats(
         trials=trials,
         mean_buyer_payoff=Fraction(buyer_total, scale * trials),

@@ -121,7 +121,7 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
 
     parties = [f"p{i + 1}" for i in range(n)]
     ledger = Ledger(tau=args.tau)
-    # Parsed once, by the batch's own rule, and handed to the batch as parsed.
+    # Parsed here for the endowments; `multiparty_run` parses the grid again.
     payments, sellers, ints, scale = _payment_grid(n, rows)
     totals = [Fraction(sum([row[j] for j in paid]), scale) for row, paid in zip(ints, sellers)]
     grand_total = sum(totals)

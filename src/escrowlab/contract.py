@@ -15,9 +15,10 @@ phase, whose silence the timeout charges and how the contract then ends.
 Explicitly playing a default action is free as well, since the mover could
 have reached it by waiting, and ends the contract the same way.  Every
 ending goes through one routine, `_end`, which splits the pot as the
-ending's row of `_SPLITS` says.  Each move logs one record in `events`: the
-tuple (ledger time, `Phase` after the move, the mover's role, action, the
-`Fraction` paid into the pot, negative paid out).
+ending's row of `_SPLITS` says and records the `gametree.Leaf` reached in
+`leaf` (None while open and after an abort).  Each move logs one record in
+`events`: the tuple (ledger time, `Phase` after the move, the mover's role,
+action, the `Fraction` paid into the pot, negative paid out).
 
 With a TimeoutPolicy attached, each party posts a liveness deposit when they
 enter the contract (the wager size unless the policy fixes one).  At
@@ -34,6 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .arbiter import Verdict
+from .gametree import Leaf
 from .ledger import Ledger, LedgerError, TimeoutPolicy, deposit_payback
 from .trade import InvalidSchemeError, TradeParams, WagerScheme, scaled
 
@@ -82,15 +84,16 @@ _DEFAULTS = {
     Phase.DISPUTED: ("seller", "forfeit"),
 }
 
-#: Each ending, as `settled_how` names it, and its split of the pot less the
-#: liveness deposits: the role paid, and whether that role gets only the
-#: arbitration payout, the arbiter taking the rest.  An abort pays nothing.
+#: Each ending, as `settled_how` names it: its split of the pot less the
+#: liveness deposits (the role paid, and whether that role gets only the
+#: arbitration payout, the arbiter taking the rest), and the tree moves that
+#: follow the seller's first (`delivered`).  An abort pays nothing, no leaf.
 _SPLITS = {
-    "accept": ("seller", False),
-    "forfeit": ("buyer", False),
-    "abort": ("buyer", False),
-    "arbitration:buyer": ("buyer", True),
-    "arbitration:seller": ("seller", True),
+    "accept": ("seller", False, "accept"),
+    "forfeit": ("buyer", False, "dispute,forfeit"),
+    "abort": ("buyer", False, None),
+    "arbitration:buyer": ("buyer", True, "dispute,counter"),
+    "arbitration:seller": ("seller", True, "dispute,counter"),
 }
 
 
@@ -142,6 +145,7 @@ class EscrowContract:
         self.delivered = False
         self.last_verdict: Optional[Verdict] = None
         self.settled_how: Optional[str] = None
+        self.leaf: Optional[Leaf] = None
 
         # The pot less the liveness deposits: the payment and the wagers.
         self._wagered = _ZERO
@@ -287,17 +291,17 @@ class EscrowContract:
     def _end(self, how: str, role: str, action: str) -> None:
         """The one way a contract ends: pay out the pot as `_SPLITS[how]`
         splits it, repay the liveness deposits on the payback ramp (read at
-        lateness 0 for an abort), burning the shortfall, and close with one
-        event.  A zero amount makes no ledger call; no amount is negative."""
+        lateness 0 for an abort), burn the shortfall, record the leaf, and
+        close with one event.  No amount is negative; a zero one makes no call."""
         ledger, cid = self.ledger, self.contract_id
-        pot = ledger.pot_balance(cid)
-        paid, arbitrated = _SPLITS[how]
+        pot = self.pot_total()
+        paid, arbitrated, moves = _SPLITS[how]
         amount = self._payout if arbitrated else self._wagered
         if amount:
             ledger.escrow_release(cid, getattr(self, paid), amount)
         if amount != self._wagered:
             ledger.pot_to_arbiter(cid, self._wagered - amount)
-        aborted = how == "abort"
+        aborted = moves is None
         for party, deposit in self.liveness_deposits.items():
             back = deposit_payback(0 if aborted else self.worst_lateness.get(party, 0), self.policy, deposit)
             if back:
@@ -307,6 +311,7 @@ class EscrowContract:
         self._wagered = _ZERO
         self.liveness_deposits.clear()
         self.settled_how = how
+        self.leaf = None if aborted else Leaf(("send," if self.delivered else "not-send,") + moves)
         self._step(role, action, -pot, Phase.ABORTED if aborted else Phase.SETTLED)
 
 

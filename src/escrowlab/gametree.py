@@ -19,8 +19,8 @@ Every non-default move on the path to a leaf costs its mover the fee
 seller, and the seller staying silent) are free because a party can always
 reach them by timing out.
 
-The shape is built once, at import, from `_TREE`, and every tree shares it
-through read-only views.  A tree adds its leaf table, `_leaf_table`: the six
+The shape and the six leaf paths are built once, at import, from `_TREE`,
+and every tree shares them.  A tree adds its leaf table, `_leaf_table`: the six
 payoffs stated once, less the fees counted once per leaf in `_FEE_MOVES`,
 computed in ints over one scale for the setup's values (`trade.scaled`).
 The tree holds those ints and their scale as its only form of the table;
@@ -107,19 +107,27 @@ HONEST_PROFILE: dict[str, Action] = {node_id: honest for node_id, _, honest, _ i
 _FEE_BEARING = (Action.SEND, Action.DISPUTE, Action.COUNTER)
 
 
-def leaf_path(leaf: Leaf) -> tuple[tuple[Party, Action], ...]:
-    """The (mover, action) pairs from the root down to `leaf`."""
+def _paths() -> dict[Leaf, tuple[tuple[Party, Action], ...]]:
+    """Each leaf's (mover, action) pairs from the root down, walked once through `_TREE`."""
     paths: dict = {ROOT: ()}
     for node_id, owner, _, edges in _TREE:
         for action, target in edges.items():
             paths[target] = paths[node_id] + ((owner, action),)
-    return paths[leaf]
+    return {leaf: paths[leaf] for leaf in Leaf}
+
+
+_PATHS = _paths()
+
+
+def leaf_path(leaf: Leaf) -> tuple[tuple[Party, Action], ...]:
+    """The (mover, action) pairs from the root down to `leaf`."""
+    return _PATHS[leaf]
 
 
 #: Each leaf's (buyer, seller) count of fee-bearing moves on its path.
 _FEE_MOVES: dict[Leaf, tuple[int, int]] = {
-    leaf: tuple(sum(mover is party and action in _FEE_BEARING for mover, action in leaf_path(leaf)) for party in Party)
-    for leaf in Leaf
+    leaf: tuple(sum(mover is party and action in _FEE_BEARING for mover, action in path) for party in Party)
+    for leaf, path in _PATHS.items()
 }
 
 

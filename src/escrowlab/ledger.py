@@ -99,8 +99,7 @@ def _require_name(what: str, name) -> None:
 def _amount(amount, what: str = "amount") -> tuple[int, int]:
     """The check that an amount is not negative, made on its int numerator,
     and its one conversion to (numerator, denominator); `as_fraction`
-    refuses a bool.  `deposit_payback`, which returns a `Fraction`, makes
-    the check itself."""
+    refuses a bool."""
     if type(amount) is not Fraction and type(amount) is not int:
         amount = as_fraction(amount)
     n = amount.numerator
@@ -113,21 +112,19 @@ def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
     """Refund of `deposit` for a party who responded t ticks into their window.
 
     Full deposit up to the threshold, linear ramp down to zero at the
-    timeout, nothing after.  A `Fraction` deposit is checked by the sign of
-    its numerator and repaid whole as it is; a ramp refund is one `Fraction`
-    of two int products.
+    timeout, nothing after.  The deposit is checked by `_amount` and repaid
+    whole as the `Fraction` it is; a ramp refund is one `Fraction` of two
+    int products.
     """
     _require_whole("t", t)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     amount = as_fraction(deposit)
-    n = amount.numerator
-    if n < 0:
-        raise ValueError(f"deposit must be >= 0, got {amount}")
+    n, d = _amount(amount, "deposit")
     if t <= policy.threshold:
         return amount
     if t < policy.timeout:
-        return Fraction(n * (policy.timeout - t), amount.denominator * (policy.timeout - policy.threshold))
+        return Fraction(n * (policy.timeout - t), d * (policy.timeout - policy.threshold))
     return Fraction(0)
 
 

@@ -34,6 +34,7 @@ from escrowlab.gametree import (
     Action,
     Leaf,
     Party,
+    build_game_tree,
     leaf_path,
     leaf_payoff,
 )
@@ -60,6 +61,15 @@ def buyer_profile(strategy: BuyerStrategy) -> dict:
         AFTER_SEND: Action.DISPUTE if strategy.dispute_if_delivered else Action.ACCEPT,
         AFTER_NOSEND: Action.DISPUTE if strategy.dispute_if_undelivered else Action.ACCEPT,
     }
+
+
+def reached_leaf(seller: SellerStrategy, buyer: BuyerStrategy) -> Leaf:
+    """The leaf the pair's moves reach, walked down the game tree."""
+    profile = {**seller_profile(seller), **buyer_profile(buyer)}
+    node = build_game_tree(PARAMS, Standard(1)).root
+    while not isinstance(node, Leaf):
+        node = node.actions[profile[node.node_id]]
+    return node
 
 
 def strategies_for_leaf(leaf: Leaf) -> tuple[SellerStrategy, BuyerStrategy]:
@@ -223,6 +233,7 @@ def test_run_trial_matches_the_fraction_sums(pair, setup, seed):
     assert ours[:2] == naive[:2]
     assert ours[2].events == naive[2].events
     assert ours[3].snapshot() == naive[3].snapshot()
+    assert ours[2].leaf is reached_leaf(seller, buyer)
 
 
 def test_simulate_rejects_an_empty_run():
@@ -303,6 +314,7 @@ def test_every_leaf_is_the_contracts_split_exactly(leaf, charged, setup, errs, f
     buyer_utility, seller_utility, contract, _ = run_trial(
         params, scheme, *strategies_for_leaf(leaf), Random(0)
     )
+    assert contract.leaf is leaf
     _, last = leaf_path(leaf)[-1]
     if last is Action.COUNTER:
         honest = Party.SELLER if contract.delivered else Party.BUYER

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
@@ -16,7 +17,7 @@ from escrowlab.contract import (
     WrongPhaseError,
     propose,
 )
-from escrowlab.gametree import Party
+from escrowlab.gametree import Action, Leaf, Party, leaf_path, leaf_payoff
 from escrowlab.ledger import (
     InsufficientFundsError,
     Ledger,
@@ -34,6 +35,8 @@ from escrowlab.trade import (
     WinnerRebate,
     Withheld,
 )
+
+from test_agents import trade_setups
 
 PARAMS = TradeParams(price=2, seller_value=1, buyer_value=5)
 TERMINAL_PHASES = (Phase.SETTLED, Phase.ABORTED)
@@ -1128,3 +1131,129 @@ def test_contracts_on_one_ledger_rescale_only_while_their_first_denominators_com
     assert settled_how == {"accept", "forfeit", "arbitration:buyer", "arbitration:seller"}
     assert rescales == first and len(first) <= 2
     assert ledger.total_funds() == total
+
+
+# ---------------------------------------------------------------------------
+# Timed contracts against the game tree
+# ---------------------------------------------------------------------------
+
+#: How a party meets a move: within the threshold, late on the payback ramp,
+#: or not at all.
+PROMPT, LATE, SILENT = "prompt", "late", "silent"
+
+
+@st.composite
+def timeout_policies(draw):
+    """A policy with room for a late move (threshold < late < timeout), and
+    a deposit that is the wager's size (None) or drawn."""
+    threshold = draw(st.integers(0, 3))
+    timeout = draw(st.integers(threshold + 2, threshold + 6))
+    deposit = draw(st.none() | st.fractions(min_value=0, max_value=3, max_denominator=6))
+    return TimeoutPolicy(threshold=threshold, timeout=timeout, deposit=deposit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    setup=trade_setups(),
+    errs=st.booleans(),
+    policy=timeout_policies(),
+    aim=st.sampled_from([*Leaf, None]),
+    data=st.data(),
+)
+def test_a_timed_contract_pays_its_leaf_less_its_ramp(setup, errs, policy, aim, data):
+    # A real contract under a timeout policy is played to `aim`, a leaf or
+    # (None) an abort, with the verdict fixed (gamma 0: the honest party
+    # wins; gamma 1: the other party does).  Each fee-bearing move (an
+    # entry, sending, disputing, countering) is prompt or late on the ramp.
+    # A free move may also be left to silence, which is how a silent party
+    # plays it: a silent seller never sends, and once `advance_time` reaches
+    # the timeout a silent buyer accepts, a silent disputed seller forfeits,
+    # and silence before funding aborts.  The contract records the leaf
+    # played, and each party gets that leaf's payoff less its one entry fee,
+    # less the part of its deposit the ramp keeps at its slowest response.
+    # Lateness counts from the start of the phase, which the seller's entry
+    # does not restart.
+    params, scheme = setup
+    params = replace(params, arbiter_error=int(errs))
+    deposit = scheme.loss_cost(params) if policy.deposit is None else policy.deposit
+    ledger = Ledger(tau=params.fee)
+    endowment = params.price + scheme.loss_cost(params) + deposit + 3 * params.fee
+    ledger.open_account("alice", endowment)  # buyer
+    ledger.open_account("bob", endowment)  # seller
+    c = propose(ledger, "c1", "alice", "bob", params, scheme, policy)
+    worst = {"alice": 0, "bob": 0}
+    phase_start = 0
+
+    def meet(party, timings=(PROMPT, LATE, SILENT)):
+        """Bring the clock to `party`'s drawn response; False if silent."""
+        timing = data.draw(st.sampled_from(timings))
+        if timing == SILENT:
+            return False
+        low, high = (0, policy.threshold) if timing == PROMPT else (policy.threshold + 1, policy.timeout - 1)
+        due = phase_start + data.draw(st.integers(low, high))
+        if due > ledger.time:
+            ledger.advance_time(due - ledger.time)
+        worst[party] = max(worst[party], ledger.time - phase_start)
+        return True
+
+    def silent(party):
+        """Wait out the phase: its timeout charges `party` and applies the default."""
+        worst[party] = policy.timeout
+        ledger.advance_time(phase_start + policy.timeout - ledger.time)
+        assert c.phase in TERMINAL_PHASES
+
+    def enter(move, party):
+        """A move that opens the next phase; the contract is still open."""
+        nonlocal phase_start
+        move(party)
+        phase_start = ledger.time
+        assert c.leaf is None and c.phase not in TERMINAL_PHASES
+
+    assert c.leaf is None
+    quitter = None if aim is not None else data.draw(st.sampled_from(["bob", "alice"]))
+    if quitter != "bob":
+        meet("bob", (PROMPT, LATE))
+        c.accept("bob")
+        assert c.leaf is None
+    if quitter is not None:
+        silent(quitter)
+        # An abort reaches no leaf, repays every deposit whole, and costs
+        # only the entry fees paid.
+        assert c.phase is Phase.ABORTED and c.leaf is None
+        assert ledger.balance("alice") == endowment
+        assert ledger.balance("bob") == endowment - (quitter == "alice") * params.fee
+        return
+    meet("alice", (PROMPT, LATE))
+    enter(c.fund, "alice")
+
+    path = [action for _, action in leaf_path(aim)]
+    if path[0] is Action.SEND:
+        meet("bob", (PROMPT, LATE))
+        enter(c.notify_delivery, "bob")
+    if path[1] is Action.ACCEPT:
+        if meet("alice"):
+            c.accept_delivery("alice")
+        else:
+            silent("alice")
+    else:
+        meet("alice", (PROMPT, LATE))
+        enter(c.dispute, "alice")
+        if path[2] is Action.COUNTER:
+            meet("bob", (PROMPT, LATE))
+            c.counter("bob")
+            honest = Party.SELLER if c.delivered else Party.BUYER
+            c.run_arbitration(lambda c: oracle_arbitrate(honest, params.arbiter_error, Random(0)))
+        elif meet("bob"):
+            c.forfeit("bob")
+        else:
+            silent("bob")
+
+    assert c.phase is Phase.SETTLED and c.leaf is aim
+    assert ledger.pot_balance("c1") == 0
+    lost_item = c.last_verdict is not None and c.last_verdict.winner is Party.SELLER
+    buyer_utility = ledger.balance("alice") - endowment + (c.delivered and not lost_item) * params.buyer_value
+    seller_utility = ledger.balance("bob") - endowment - c.delivered * params.seller_value
+    expected = leaf_payoff(aim, params, scheme)
+    kept = {party: deposit - deposit_payback(worst[party], policy, deposit) for party in worst}
+    assert buyer_utility == expected.buyer - params.fee - kept["alice"]
+    assert seller_utility == expected.seller - params.fee - kept["bob"]

@@ -675,11 +675,13 @@ def test_some_wager_is_complete_iff_the_arbiter_favours_honesty_and_the_fee_allo
 
 
 def naive_profile_epsilon(tree, profile):
-    """Reference: `profile_epsilon` as it was, in `Fraction` arithmetic."""
+    """Reference: `profile_epsilon` as it was, in `Fraction` arithmetic on
+    the tree's `payoffs`, read once per call."""
+    payoffs = tree.payoffs
     worst = Fraction(0)
     for node in tree.decision_nodes():
         actual = profile_value(tree, profile, node).for_party(node.owner)
-        gain = naive_best_response_value(profile, node, node.owner, tree.payoffs) - actual
+        gain = naive_best_response_value(profile, node, node.owner, payoffs) - actual
         if gain > worst:
             worst = gain
     return worst
@@ -693,10 +695,17 @@ def naive_best_response_value(profile, node, player, payoffs):
     return naive_best_response_value(profile, node.actions[profile[node.node_id]], player, payoffs)
 
 
-def naive_brute_force_spe(tree, epsilon=Fraction(0)):
-    """Reference: `brute_force_spe` as it was, one `Fraction` per comparison."""
+def naive_profile_epsilons(tree):
+    """Reference: every profile of the tree with its `naive_profile_epsilon`,
+    worked out once, so each epsilon tried filters the same pairs."""
+    return [(profile, naive_profile_epsilon(tree, profile)) for profile in all_profiles(tree)]
+
+
+def naive_brute_force_spe(profile_epsilons, epsilon=Fraction(0)):
+    """Reference: `brute_force_spe` as it was, one `Fraction` per comparison,
+    over a tree's `naive_profile_epsilons`."""
     eps = Fraction(epsilon)
-    found = [p for p in all_profiles(tree) if naive_profile_epsilon(tree, p) <= eps]
+    found = [p for p, worst in profile_epsilons if worst <= eps]
     found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found
 
@@ -705,10 +714,11 @@ def naive_backward_induction(tree):
     """Reference: `backward_induction` as it was, in `Fraction` arithmetic
     on the tree's `payoffs`: (chosen, margins)."""
     chosen, margins = {}, {}
+    payoffs = tree.payoffs
 
     def solve(node):
         if isinstance(node, Leaf):
-            return tree.payoffs[node]
+            return payoffs[node]
         outcomes = {action: solve(child) for action, child in node.actions.items()}
         own = {action: payoff.for_party(node.owner) for action, payoff in outcomes.items()}
         best_value = max(own.values())
@@ -747,7 +757,8 @@ def test_integer_enumeration_matches_the_fraction_enumeration(data, kind):
     else:
         scheme = kind(data.draw(AMOUNT))
     tree = build_game_tree(p, scheme)
-    epsilons = [naive_profile_epsilon(tree, profile) for profile in all_profiles(tree)]
+    profile_epsilons = naive_profile_epsilons(tree)
+    epsilons = [eps for _, eps in profile_epsilons]
     ours = [profile_epsilon(tree, profile) for profile in all_profiles(tree)]
     assert ours == epsilons and all(type(eps) is Fraction for eps in ours)
     # The least dispute-layer margin is where dishonest profiles enter: test
@@ -760,7 +771,7 @@ def test_integer_enumeration_matches_the_fraction_enumeration(data, kind):
             with pytest.raises(ValueError, match="epsilon must be >= 0"):
                 brute_force_spe(tree, eps)
         else:
-            assert brute_force_spe(tree, eps) == naive_brute_force_spe(tree, eps), eps
+            assert brute_force_spe(tree, eps) == naive_brute_force_spe(profile_epsilons, eps), eps
 
 
 @settings(max_examples=300, deadline=None)
