@@ -22,10 +22,13 @@ action, the `Fraction` paid into the pot, negative paid out).
 
 With a TimeoutPolicy attached, each party posts a liveness deposit when they
 enter the contract (the wager size unless the policy fixes one).  At
-settlement a party is repaid the payback ramp evaluated at their slowest
-response; the shortfall is burned.  A party whose timeout fired gets nothing
-back.  An abort reads the ramp at lateness 0, repaying the deposits whole:
-nothing was misplayed before funding.
+settlement a party is repaid the payback ramp (`ledger._repaid`, the one
+rule `deposit_payback` also reads) at their slowest response; the shortfall
+is burned.  A party whose timeout fired gets nothing back.  An abort reads
+the ramp at lateness 0, repaying the deposits whole: nothing was misplayed
+before funding.  The books (price, wager, deposit, payout, pot) are ints over
+one scale fixed at proposal; a `Fraction` is built only where an amount
+leaves the contract: a ledger call, an event record, a `pot_total()` read.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, Optional
 
 from .arbiter import Verdict
 from .gametree import Leaf
-from .ledger import Ledger, LedgerError, TimeoutPolicy, deposit_payback
+from .ledger import Ledger, LedgerError, TimeoutPolicy, _repaid
 from .trade import InvalidSchemeError, TradeParams, WagerScheme, scaled
 
 
@@ -71,7 +74,7 @@ class Phase(enum.Enum):
     ABORTED = "aborted"
 
 
-#: The empty books and the pot delta of a move that pays nothing in, built once.
+#: The zero deposit and the pot delta of a move that pays nothing in, built once.
 _ZERO = Fraction(0)
 
 #: The timed phases and their defaults: the role whose silence the timeout
@@ -98,7 +101,8 @@ _SPLITS = {
 
 
 class EscrowContract:
-    """One trade's contract; `events` holds a (time, phase, role, action, pot_delta) tuple per move."""
+    """One trade's contract; `events` holds a (time, phase, role, action, pot_delta) tuple per move.
+    `stake`, `liveness_deposit`, `liveness_deposits` and `pot_total()` read as `Fraction`s."""
 
     def __init__(
         self,
@@ -115,8 +119,9 @@ class EscrowContract:
         ledger.require_account(buyer)
         ledger.require_account(seller)
         stake = scheme.loss_cost(params)
-        # The subsidy check in ints over one scale, and the payout as one Fraction.
-        (win, price, wager), scale = scaled((scheme.win_gain(params), params.price, stake))
+        deposit = _ZERO if policy is None else stake if policy.deposit is None else policy.deposit
+        # The books over one scale, and the subsidy check in them.
+        (win, price, wager, each), scale = scaled((scheme.win_gain(params), params.price, stake, deposit))
         if win > price + wager:
             raise InvalidSchemeError(
                 "winner payout exceeds the pot; the contract cannot subsidize it"
@@ -133,13 +138,11 @@ class EscrowContract:
         self.params = params
         self.scheme = scheme
         self.policy = policy
-        # Fixed once: the wager, the arbitration winner's gross payout, the liveness deposit.
+        # Fixed once: the wager and the liveness deposit, and the books as
+        # (the arbitration winner's gross payout, price, wager, deposit, scale).
         self.stake = stake
-        self._payout = Fraction(win + wager, scale)
-        if policy is None:
-            self.liveness_deposit = _ZERO
-        else:
-            self.liveness_deposit = stake if policy.deposit is None else policy.deposit
+        self.liveness_deposit = deposit
+        self._books = (win + wager, price, wager, each, scale)
 
         self.seller_accepted = False
         self.delivered = False
@@ -147,8 +150,9 @@ class EscrowContract:
         self.settled_how: Optional[str] = None
         self.leaf: Optional[Leaf] = None
 
-        # The pot less the liveness deposits: the payment and the wagers.
-        self._wagered = _ZERO
+        # The pot: the payment and the wagers, an int over the scale, and
+        # one `liveness_deposit` per party who has entered.
+        self._wagered = 0
         self.liveness_deposits: dict[str, Fraction] = {}
         self.worst_lateness: dict[str, int] = {}
 
@@ -158,7 +162,8 @@ class EscrowContract:
     # -- plumbing ------------------------------------------------------------
 
     def pot_total(self) -> Fraction:
-        return sum(self.liveness_deposits.values(), self._wagered)
+        _, _, _, deposit, scale = self._books
+        return Fraction(self._wagered + deposit * len(self.liveness_deposits), scale)
 
     def _step(self, role: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
         """Append the move's record (time, phase, role, action, pot_delta),
@@ -217,8 +222,9 @@ class EscrowContract:
         self._require(actor, self.buyer, Phase.PROPOSED)
         if not self.seller_accepted:
             raise WrongPhaseError("seller has not accepted yet")
-        self._pay_in("buyer", "fund", self.params.price + self.liveness_deposit, Phase.FUNDED)
-        self._wagered = self.params.price
+        _, price, _, deposit, scale = self._books
+        self._pay_in("buyer", "fund", Fraction(price + deposit, scale), Phase.FUNDED)
+        self._wagered = price
 
     def notify_delivery(self, actor: str) -> None:
         """Seller reports the item as sent (fee-bearing)."""
@@ -232,13 +238,13 @@ class EscrowContract:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
         self._pay_in("buyer", "dispute", self.stake, Phase.DISPUTED)
-        self._wagered += self.stake
+        self._wagered += self._books[2]
 
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""
         self._require(actor, self.seller, Phase.DISPUTED)
         self._pay_in("seller", "counter", self.stake, Phase.COUNTERED)
-        self._wagered += self.stake
+        self._wagered += self._books[2]
 
     def forfeit(self, actor: str) -> None:
         """Seller concedes the dispute; free, being the timeout default."""
@@ -294,25 +300,27 @@ class EscrowContract:
         lateness 0 for an abort), burn the shortfall, record the leaf, and
         close with one event.  No amount is negative; a zero one makes no call."""
         ledger, cid = self.ledger, self.contract_id
-        pot = self.pot_total()
+        payout, _, _, deposit, scale = self._books
+        wagered, deposits = self._wagered, self.liveness_deposits
+        pot = wagered + deposit * len(deposits)
         paid, arbitrated, moves = _SPLITS[how]
-        amount = self._payout if arbitrated else self._wagered
+        amount = payout if arbitrated else wagered
         if amount:
-            ledger.escrow_release(cid, getattr(self, paid), amount)
-        if amount != self._wagered:
-            ledger.pot_to_arbiter(cid, self._wagered - amount)
+            ledger.escrow_release(cid, getattr(self, paid), Fraction(amount, scale))
+        if amount != wagered:
+            ledger.pot_to_arbiter(cid, Fraction(wagered - amount, scale))
         aborted = moves is None
-        for party, deposit in self.liveness_deposits.items():
-            back = deposit_payback(0 if aborted else self.worst_lateness.get(party, 0), self.policy, deposit)
-            if back:
-                ledger.escrow_release(cid, party, back)
-            if back != deposit:
-                ledger.burn_from_pot(cid, deposit - back)
-        self._wagered = _ZERO
-        self.liveness_deposits.clear()
+        for party in deposits:
+            share, whole = _repaid(0 if aborted else self.worst_lateness.get(party, 0), self.policy)
+            if share:
+                ledger.escrow_release(cid, party, Fraction(deposit * share, scale * whole))
+            if share != whole:
+                ledger.burn_from_pot(cid, Fraction(deposit * (whole - share), scale * whole))
+        self._wagered = 0
+        deposits.clear()
         self.settled_how = how
         self.leaf = None if aborted else Leaf(("send," if self.delivered else "not-send,") + moves)
-        self._step(role, action, -pot, Phase.ABORTED if aborted else Phase.SETTLED)
+        self._step(role, action, Fraction(-pot, scale), Phase.ABORTED if aborted else Phase.SETTLED)
 
 
 def propose(

@@ -111,9 +111,8 @@ def _amount(amount, what: str = "amount") -> tuple[int, int]:
 def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
     """Refund of `deposit` for a party who responded t ticks into their window.
 
-    Full deposit up to the threshold, linear ramp down to zero at the
-    timeout, nothing after.  The deposit is checked by `_amount` and repaid
-    whole as the `Fraction` it is; a ramp refund is one `Fraction` of two
+    The deposit is checked by `_amount` and repaid on the one payback ramp,
+    `_repaid`: whole, as the `Fraction` it is, or as one `Fraction` of two
     int products.
     """
     _require_whole("t", t)
@@ -121,11 +120,21 @@ def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
         raise ValueError(f"t must be >= 0, got {t}")
     amount = as_fraction(deposit)
     n, d = _amount(amount, "deposit")
-    if t <= policy.threshold:
+    share, whole = _repaid(t, policy)
+    if share == whole:
         return amount
+    return Fraction(n * share, d * whole)
+
+
+def _repaid(t: int, policy: TimeoutPolicy) -> tuple[int, int]:
+    """The payback ramp: the share of a deposit repaid at t ticks, as
+    (numerator, denominator).  All of it up to the threshold, falling
+    linearly to none at the timeout, none after."""
+    if t <= policy.threshold:
+        return 1, 1
     if t < policy.timeout:
-        return Fraction(n * (policy.timeout - t), d * (policy.timeout - policy.threshold))
-    return Fraction(0)
+        return policy.timeout - t, policy.timeout - policy.threshold
+    return 0, 1
 
 
 class Ledger:

@@ -4,7 +4,7 @@ from random import Random
 from typing import Callable, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from escrowlab.arbiter import BASIS_ORACLE, Verdict, oracle_arbitrate
@@ -992,6 +992,42 @@ def _diff_state(ledger, contract, error):
     )
 
 
+def _assert_sides_agree(sides, step):
+    """Take `step` (None for none) on each (ledger, contract) side and
+    compare their `_diff_state`s."""
+    states = []
+    for ledger, contract in sides:
+        error = None
+        try:
+            if step is not None:
+                _diff_step(ledger, contract, step)
+        except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
+            error = (type(exc), str(exc))
+        states.append(_diff_state(ledger, contract, error))
+    ours, naive = states[0], list(states[1])
+    # Two differences are expected of the written-out endings: they
+    # release zero amounts, which `_end` skips, and they meet a forced
+    # timeout without a policy with an AttributeError, which `on_timeout`
+    # refuses by name.  Either is forgiven on the naive side only.
+    naive[DIFF_CALLS] = [call for call in naive[DIFF_CALLS] if not _zero_release(call)]
+    if naive[0] == (AttributeError, "'NoneType' object has no attribute 'timeout'") and ours[0] == (
+        ContractError, "contract 'c1' has no timeout policy"
+    ):
+        naive[0] = ours[0]
+    assert ours == tuple(naive)
+
+
+def _both_sides(tau, buyer_funds, seller_funds, params, scheme, policy):
+    """The contract and the naive one, each on its own recording ledger."""
+    sides = []
+    for kind in (propose, NaiveEscrowContract):
+        ledger = RecordingLedger(tau=tau)
+        ledger.open_account("alice", buyer_funds)
+        ledger.open_account("bob", seller_funds)
+        sides.append((ledger, kind(ledger, "c1", "alice", "bob", params, scheme, policy)))
+    return sides
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     data=st.data(),
@@ -1006,38 +1042,63 @@ def test_defaults_table_matches_the_written_out_endings(data, buyer_funds, selle
     # balances, with fees and late moves, and with no policy, a fixed
     # deposit or one of the wager's size; after every step they agree on
     # their records, the ledger and every call made on it, and any error.
-    sides = []
-    for kind in (propose, NaiveEscrowContract):
-        ledger = RecordingLedger(tau=tau)
-        ledger.open_account("alice", buyer_funds)
-        ledger.open_account("bob", seller_funds)
-        sides.append((ledger, kind(ledger, "c1", "alice", "bob", PARAMS, scheme, policy)))
-
-    def compare(step):
-        states = []
-        for ledger, contract in sides:
-            error = None
-            try:
-                if step is not None:
-                    _diff_step(ledger, contract, step)
-            except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
-                error = (type(exc), str(exc))
-            states.append(_diff_state(ledger, contract, error))
-        ours, naive = states[0], list(states[1])
-        # Two differences are expected of the written-out endings: they
-        # release zero amounts, which `_end` skips, and they meet a forced
-        # timeout without a policy with an AttributeError, which `on_timeout`
-        # refuses by name.  Either is forgiven on the naive side only.
-        naive[DIFF_CALLS] = [call for call in naive[DIFF_CALLS] if not _zero_release(call)]
-        if naive[0] == (AttributeError, "'NoneType' object has no attribute 'timeout'") and ours[0] == (
-            ContractError, "contract 'c1' has no timeout policy"
-        ):
-            naive[0] = ours[0]
-        assert ours == tuple(naive)
-
-    compare(None)
+    sides = _both_sides(tau, buyer_funds, seller_funds, PARAMS, scheme, policy)
+    _assert_sides_agree(sides, None)
     for _ in range(data.draw(st.integers(0, 16))):
-        compare(data.draw(_next_step(sides[0][1])))
+        _assert_sides_agree(sides, data.draw(_next_step(sides[0][1])))
+
+
+#: Denominators for the coprime amounts, drawn without repeats.
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def coprime_terms(draw):
+    """A trade, a scheme and a timed policy whose price, wager, fee, `Generic`
+    payout and fixed deposit have pairwise coprime denominators (distinct
+    primes, or 1 for a whole payout), with a ramp span of 2-7 ticks."""
+    price_q, wager_q, fee_q, win_q, deposit_q = draw(st.permutations(PRIMES))[:5]
+
+    def over(q, below):
+        """A fraction in (0, below) over exactly `q`."""
+        return Fraction(draw(st.integers(0, below - 1)) * q + draw(st.integers(1, q - 1)), q)
+
+    price, wager, fee = over(price_q, 4), over(wager_q, 3), over(fee_q, 1)
+    params = TradeParams(price=price, buyer_value=price + 1, fee=fee)
+    kind = draw(st.sampled_from([Standard, WinnerRebate, Withheld, Generic]))
+    if kind is Generic:
+        # Winning beats losing and the payout fits in the pot: -wager < win <= price + wager.
+        low, high = (-wager * win_q) // 1 + 1, ((price + wager) * win_q) // 1
+        scheme = Generic(Fraction(draw(st.integers(low, high)), win_q), wager)
+    else:
+        scheme = kind(wager)
+    threshold = draw(st.integers(0, 3))
+    policy = TimeoutPolicy(threshold, threshold + draw(st.integers(2, 7)), deposit=over(deposit_q, 3))
+    return params, scheme, policy
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    terms=coprime_terms(),
+    buyer_funds=st.sampled_from([40, 40, 40, 4, 1]),
+    seller_funds=st.sampled_from([40, 40, 40, 4, 1]),
+)
+def test_int_books_match_the_fraction_contract_on_coprime_amounts(data, terms, buyer_funds, seller_funds):
+    # The contract's books are ints over the lcm of its amounts'
+    # denominators, here a product of distinct primes; the naive contract
+    # keeps `Fraction`s.  Once funded, moves come after ticks short of the
+    # timeout, often late on the ramp, so ledger calls, events, `pot_total()`
+    # and the ramp's refunds and burns are compared off the whole scale,
+    # after every step.
+    params, scheme, policy = terms
+    sides = _both_sides(params.fee, buyer_funds, seller_funds, params, scheme, policy)
+    _assert_sides_agree(sides, None)
+    tick = st.tuples(st.just("tick"), st.integers(1, policy.timeout - 1))
+    for _ in range(data.draw(st.integers(0, 16))):
+        contract = sides[0][1]
+        step = _next_step(contract)
+        _assert_sides_agree(sides, data.draw(step if contract.phase is Phase.PROPOSED else step | tick))
 
 
 # ---------------------------------------------------------------------------
@@ -1152,29 +1213,16 @@ def timeout_policies(draw):
     return TimeoutPolicy(threshold=threshold, timeout=timeout, deposit=deposit)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    setup=trade_setups(),
-    errs=st.booleans(),
-    policy=timeout_policies(),
-    aim=st.sampled_from([*Leaf, None]),
-    data=st.data(),
-)
-def test_a_timed_contract_pays_its_leaf_less_its_ramp(setup, errs, policy, aim, data):
-    # A real contract under a timeout policy is played to `aim`, a leaf or
-    # (None) an abort, with the verdict fixed (gamma 0: the honest party
-    # wins; gamma 1: the other party does).  Each fee-bearing move (an
-    # entry, sending, disputing, countering) is prompt or late on the ramp.
-    # A free move may also be left to silence, which is how a silent party
-    # plays it: a silent seller never sends, and once `advance_time` reaches
-    # the timeout a silent buyer accepts, a silent disputed seller forfeits,
-    # and silence before funding aborts.  The contract records the leaf
-    # played, and each party gets that leaf's payoff less its one entry fee,
-    # less the part of its deposit the ramp keeps at its slowest response.
-    # Lateness counts from the start of the phase, which the seller's entry
-    # does not restart.
-    params, scheme = setup
-    params = replace(params, arbiter_error=int(errs))
+def play_timed(params, scheme, policy, aim, respond, quitter=None):
+    """Play a real contract under `policy` to `aim`, a leaf, or (None) an
+    abort by `quitter`'s silence before funding.  `respond(party, free)`
+    gives the lateness of each of `party`'s moves in turn, counted from the
+    start of its phase, or None to leave a free move to its timeout, which is
+    how a silent party plays it: a silent seller never sends, and once
+    `advance_time` reaches the timeout a silent buyer accepts and a silent
+    disputed seller forfeits.  The seller's entry does not restart the
+    phase, so the buyer funds no earlier than it.  Returns the ledger, the
+    contract, the parties' endowment and each one's slowest response."""
     deposit = scheme.loss_cost(params) if policy.deposit is None else policy.deposit
     ledger = Ledger(tau=params.fee)
     endowment = params.price + scheme.loss_cost(params) + deposit + 3 * params.fee
@@ -1184,13 +1232,12 @@ def test_a_timed_contract_pays_its_leaf_less_its_ramp(setup, errs, policy, aim, 
     worst = {"alice": 0, "bob": 0}
     phase_start = 0
 
-    def meet(party, timings=(PROMPT, LATE, SILENT)):
-        """Bring the clock to `party`'s drawn response; False if silent."""
-        timing = data.draw(st.sampled_from(timings))
-        if timing == SILENT:
+    def meet(party, free=False):
+        """Bring the clock to `party`'s response; False if silent."""
+        lateness = respond(party, free)
+        if lateness is None:
             return False
-        low, high = (0, policy.threshold) if timing == PROMPT else (policy.threshold + 1, policy.timeout - 1)
-        due = phase_start + data.draw(st.integers(low, high))
+        due = phase_start + lateness
         if due > ledger.time:
             ledger.advance_time(due - ledger.time)
         worst[party] = max(worst[party], ledger.time - phase_start)
@@ -1210,50 +1257,120 @@ def test_a_timed_contract_pays_its_leaf_less_its_ramp(setup, errs, policy, aim, 
         assert c.leaf is None and c.phase not in TERMINAL_PHASES
 
     assert c.leaf is None
-    quitter = None if aim is not None else data.draw(st.sampled_from(["bob", "alice"]))
     if quitter != "bob":
-        meet("bob", (PROMPT, LATE))
+        meet("bob")
         c.accept("bob")
         assert c.leaf is None
     if quitter is not None:
         silent(quitter)
+        return ledger, c, endowment, worst
+    meet("alice")
+    enter(c.fund, "alice")
+
+    path = [action for _, action in leaf_path(aim)]
+    if path[0] is Action.SEND:
+        meet("bob")
+        enter(c.notify_delivery, "bob")
+    if path[1] is Action.ACCEPT:
+        if meet("alice", free=True):
+            c.accept_delivery("alice")
+        else:
+            silent("alice")
+    else:
+        meet("alice")
+        enter(c.dispute, "alice")
+        if path[2] is Action.COUNTER:
+            meet("bob")
+            c.counter("bob")
+            honest = Party.SELLER if c.delivered else Party.BUYER
+            c.run_arbitration(lambda c: oracle_arbitrate(honest, params.arbiter_error, Random(0)))
+        elif meet("bob", free=True):
+            c.forfeit("bob")
+        else:
+            silent("bob")
+    assert c.phase is Phase.SETTLED and c.leaf is aim
+    assert ledger.pot_balance("c1") == 0
+    return ledger, c, endowment, worst
+
+
+def utilities(ledger, c, endowment, params):
+    """Each party's utility from a settled contract: the change in its
+    balance, and the item's value to whoever holds it at the end."""
+    lost_item = c.last_verdict is not None and c.last_verdict.winner is Party.SELLER
+    return {
+        "alice": ledger.balance("alice") - endowment + (c.delivered and not lost_item) * params.buyer_value,
+        "bob": ledger.balance("bob") - endowment - c.delivered * params.seller_value,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    setup=trade_setups(),
+    errs=st.booleans(),
+    policy=timeout_policies(),
+    aim=st.sampled_from([*Leaf, None]),
+    data=st.data(),
+)
+def test_a_timed_contract_pays_its_leaf_less_its_ramp(setup, errs, policy, aim, data):
+    # A real contract under a timeout policy is played to `aim`, a leaf or
+    # (None) an abort, with the verdict fixed (gamma 0: the honest party
+    # wins; gamma 1: the other party does).  Each fee-bearing move (an
+    # entry, sending, disputing, countering) is prompt or late on the ramp;
+    # a free move may also be left to silence.  The contract records the
+    # leaf played, and each party gets that leaf's payoff less its one entry
+    # fee, less the part of its deposit the ramp keeps at its slowest response.
+    params, scheme = setup
+    params = replace(params, arbiter_error=int(errs))
+    deposit = scheme.loss_cost(params) if policy.deposit is None else policy.deposit
+    quitter = None if aim is not None else data.draw(st.sampled_from(["bob", "alice"]))
+
+    def respond(party, free):
+        timing = data.draw(st.sampled_from((PROMPT, LATE, SILENT) if free else (PROMPT, LATE)))
+        if timing == SILENT:
+            return None
+        low, high = (0, policy.threshold) if timing == PROMPT else (policy.threshold + 1, policy.timeout - 1)
+        return data.draw(st.integers(low, high))
+
+    ledger, c, endowment, worst = play_timed(params, scheme, policy, aim, respond, quitter)
+    if quitter is not None:
         # An abort reaches no leaf, repays every deposit whole, and costs
         # only the entry fees paid.
         assert c.phase is Phase.ABORTED and c.leaf is None
         assert ledger.balance("alice") == endowment
         assert ledger.balance("bob") == endowment - (quitter == "alice") * params.fee
         return
-    meet("alice", (PROMPT, LATE))
-    enter(c.fund, "alice")
-
-    path = [action for _, action in leaf_path(aim)]
-    if path[0] is Action.SEND:
-        meet("bob", (PROMPT, LATE))
-        enter(c.notify_delivery, "bob")
-    if path[1] is Action.ACCEPT:
-        if meet("alice"):
-            c.accept_delivery("alice")
-        else:
-            silent("alice")
-    else:
-        meet("alice", (PROMPT, LATE))
-        enter(c.dispute, "alice")
-        if path[2] is Action.COUNTER:
-            meet("bob", (PROMPT, LATE))
-            c.counter("bob")
-            honest = Party.SELLER if c.delivered else Party.BUYER
-            c.run_arbitration(lambda c: oracle_arbitrate(honest, params.arbiter_error, Random(0)))
-        elif meet("bob"):
-            c.forfeit("bob")
-        else:
-            silent("bob")
-
-    assert c.phase is Phase.SETTLED and c.leaf is aim
-    assert ledger.pot_balance("c1") == 0
-    lost_item = c.last_verdict is not None and c.last_verdict.winner is Party.SELLER
-    buyer_utility = ledger.balance("alice") - endowment + (c.delivered and not lost_item) * params.buyer_value
-    seller_utility = ledger.balance("bob") - endowment - c.delivered * params.seller_value
+    paid = utilities(ledger, c, endowment, params)
     expected = leaf_payoff(aim, params, scheme)
     kept = {party: deposit - deposit_payback(worst[party], policy, deposit) for party in worst}
-    assert buyer_utility == expected.buyer - params.fee - kept["alice"]
-    assert seller_utility == expected.seller - params.fee - kept["bob"]
+    assert paid["alice"] == expected.buyer - params.fee - kept["alice"]
+    assert paid["bob"] == expected.seller - params.fee - kept["bob"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(setup=trade_setups(), errs=st.booleans(), policy=timeout_policies(), aim=st.sampled_from(Leaf), data=st.data())
+def test_a_party_is_paid_no_more_for_a_later_or_silent_move(setup, errs, policy, aim, data):
+    # A timed contract is played to `aim` twice.  The plays differ only in
+    # one move of one party: made later in its window, or, for a free move,
+    # left silent.  The later or silent play pays that party no more, so a
+    # prompt move weakly dominates every later one and silence.  (A later
+    # entry by the seller can delay the buyer's funding, which cannot come
+    # first; that changes only the buyer's ramp.)
+    params, scheme = setup
+    params = replace(params, arbiter_error=int(errs))
+    plan = []
+
+    def drawn(party, free):
+        plan.append((party, free, data.draw(st.integers(0, policy.timeout - 1))))
+        return plan[-1][2]
+
+    ledger, c, endowment, _ = play_timed(params, scheme, policy, aim, drawn)
+    paid = utilities(ledger, c, endowment, params)
+    movable = [i for i, (_, free, lateness) in enumerate(plan) if free or lateness + 1 < policy.timeout]
+    assume(movable)
+    i = data.draw(st.sampled_from(movable))
+    party, free, lateness = plan[i]
+    later = st.integers(lateness + 1, policy.timeout - 1) if lateness + 1 < policy.timeout else st.nothing()
+    plan[i] = (party, free, data.draw((later | st.none()) if free else later))
+    replayed = iter([move[2] for move in plan])
+    ledger, c, endowment, _ = play_timed(params, scheme, policy, aim, lambda party, free: next(replayed))
+    assert utilities(ledger, c, endowment, params)[party] <= paid[party]
