@@ -12,8 +12,10 @@ measuring realized utilities:
 For a fixed strategy pair an episode depends only on its outcome class: no
 arbitration, or an arbitration the honest party wins or loses.  `simulate`
 therefore runs one episode per class that occurs and draws, per trial, only
-the oracle's error bit, and counts a class as disputed or arbitrated when
-the path to its contract's `leaf` holds a dispute or a counter.  Payoffs,
+the oracle's error bit, from one generator re-seeded to the trial's stream.
+A pair that never reaches arbitration seeds no stream: its one episode gets
+`rng=None`.  A class counts as disputed or arbitrated when the path to its
+contract's `leaf` holds a dispute or a counter.  Payoffs,
 rates, and means are exact rationals, so identical seeds give identical
 statistics bit for bit.
 
@@ -27,14 +29,13 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .arbiter import arbiter_errs, oracle_arbitrate
+from .arbiter import _trial_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
 from .equilibrium import SecurityReport, _reports
 from .gametree import Action, Party, leaf_path
@@ -96,9 +97,17 @@ def run_trial(
     scheme: WagerScheme,
     seller_strategy: SellerStrategy,
     buyer_strategy: BuyerStrategy,
-    rng: Random,
+    rng: Optional[Random],
 ) -> tuple[Fraction, Fraction, EscrowContract, Ledger]:
-    """One full contract episode; returns both utilities plus the artifacts."""
+    """One full contract episode; returns both utilities plus the artifacts.
+
+    `rng` feeds the oracle, the only draw an episode makes.  A pair that
+    never reaches arbitration may pass `None`; a pair that does is refused
+    `None` with `ValueError` before any ledger is built.
+    """
+    disputing, countering = _branch(seller_strategy, buyer_strategy)
+    if disputing and countering and rng is None:
+        raise ValueError("a pair that reaches arbitration needs an rng for the oracle")
     ledger = Ledger(tau=params.fee)
     # Enough for all either party can put in: the price, the wager and
     # three fee-bearing moves, summed in ints.
@@ -112,7 +121,6 @@ def run_trial(
 
     if seller_strategy.send:
         contract.notify_delivery("seller")
-    disputing, countering = _branch(seller_strategy, buyer_strategy)
 
     if not disputing:
         contract.accept_delivery("buyer")
@@ -151,12 +159,15 @@ def simulate(
 
     Trial i draws from its own stream `Random(f"{seed}:{i}")`, and only when
     the pair reaches arbitration: the oracle's error bit picks the trial's
-    outcome class.  Each class that occurs is played out once by
-    `run_trial`, on the stream of its first trial, and its result counts
-    once per trial in the class.  The statistics are those of running every
-    trial as its own episode.  A `trials` or `seed` that is not an `int`
-    (a `bool` included) is refused with `ValueError` before any draw, since
-    the equal seeds 1, 1.0 and True would name three different streams.
+    outcome class.  The bits come from one generator re-seeded per trial
+    (`arbiter._trial_errs`), and at a gamma of 0 or 1 none is drawn.  Each
+    class that occurs is played out once by `run_trial`, on a fresh stream
+    of its first trial, and its result counts once per trial in the class;
+    a pair that never reaches arbitration plays its one episode with no
+    stream at all.  The statistics are those of running every trial as its
+    own episode.  A `trials` or `seed` that is not an `int` (a `bool`
+    included) is refused with `ValueError` before any draw, since the equal
+    seeds 1, 1.0 and True would name three different streams.
     """
     for name, value in (("trials", trials), ("seed", seed)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -164,23 +175,19 @@ def simulate(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def episode(i: int) -> tuple:
+    def episode(rng: Optional[Random]) -> tuple:
         buyer_utility, seller_utility, contract, ledger = run_trial(
-            params, scheme, seller_strategy, buyer_strategy, Random(f"{seed}:{i}")
+            params, scheme, seller_strategy, buyer_strategy, rng
         )
         return buyer_utility, seller_utility, ledger.fee_sink, leaf_path(contract.leaf)
 
     disputing, countering = _branch(seller_strategy, buyer_strategy)
     if disputing and countering:
-        first: dict[bool, int] = {}  # oracle erred -> first trial of the class
-        counts: Counter[bool] = Counter()
-        for i in range(trials):
-            errs = arbiter_errs(params.arbiter_error, Random(f"{seed}:{i}"))
-            first.setdefault(errs, i)
-            counts[errs] += 1
-        tally = [(episode(first[errs]), n) for errs, n in counts.items()]
+        erring, first = _trial_errs(params.arbiter_error, seed, trials)
+        counts = {True: erring, False: trials - erring}
+        tally = [(episode(Random(f"{seed}:{i}")), counts[errs]) for errs, i in first.items()]
     else:
-        tally = [(episode(0), trials)]
+        tally = [(episode(None), trials)]
 
     # Each class's utilities and fees as ints over one scale: every total
     # is an int sum, and each statistic one Fraction.

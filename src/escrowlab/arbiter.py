@@ -176,18 +176,51 @@ def _require_record(transcript: Transcript, k: int, ok: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def arbiter_errs(gamma, rng: Random) -> bool:
-    """One draw of the error event, true with probability exactly gamma.
-
-    The event is drawn on the rational gamma, so seeded runs hit the
-    advertised frequency without float rounding.  The range check is the
-    int test 0 <= numerator <= denominator (the denominator is positive).
-    """
+def _rate(gamma) -> tuple[int, int]:
+    """Gamma as (numerator, denominator), checked by the int test
+    0 <= numerator <= denominator (the denominator is positive)."""
     g = as_fraction(gamma)
     n, d = g.numerator, g.denominator
     if not 0 <= n <= d:
         raise ValueError(f"gamma must lie in [0, 1], got {g}")
+    return n, d
+
+
+def _errs(n: int, d: int, rng: Random) -> bool:
     return rng.randrange(d) < n
+
+
+def arbiter_errs(gamma, rng: Random) -> bool:
+    """One draw of the error event, true with probability exactly gamma.
+
+    The event is drawn on the rational gamma, so seeded runs hit the
+    advertised frequency without float rounding.
+    """
+    return _errs(*_rate(gamma), rng)
+
+
+def _trial_errs(gamma, seed: int, trials: int) -> tuple[int, dict[bool, int]]:
+    """`arbiter_errs(gamma, Random(f"{seed}:{i}"))` over trials 0..trials-1,
+    for trials >= 1.
+
+    Returns how many trials err and, per outcome that occurs, its first
+    trial, in first-trial order.  One generator is re-seeded per trial,
+    which gives it the state a fresh `Random(f"{seed}:{i}")` has.  A gamma
+    of 0 or 1 decides every trial alike, so nothing is drawn.
+    """
+    n, d = _rate(gamma)
+    if d == 1:
+        return n * trials, {bool(n): 0}
+    rng = Random()
+    erring = 0
+    first: dict[bool, int] = {}
+    for i in range(trials):
+        rng.seed(f"{seed}:{i}")
+        errs = _errs(n, d, rng)
+        erring += errs
+        if errs not in first:
+            first[errs] = i
+    return erring, first
 
 
 def oracle_arbitrate(honest_party: Party, gamma, rng: Random) -> Verdict:

@@ -41,6 +41,7 @@ from escrowlab.gametree import (
 from escrowlab.ledger import Ledger
 from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
 
+from test_arbiter import WIDE_RATES
 from test_equilibrium import DISPUTE_LAYER, GAMMA, WAGER, naive_to_row
 
 PARAMS = TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error="1/4")
@@ -159,6 +160,7 @@ def trade_setups(draw):
         arbiter_error=draw(
             st.sampled_from([0, Fraction(1, 2), 1])
             | st.fractions(min_value=0, max_value=1, max_denominator=60)
+            | WIDE_RATES
         ),
         fee=draw(st.just(0) | st.fractions(min_value=Fraction(1, 20), max_value=Fraction(1, 2), max_denominator=20)),
     )
@@ -234,6 +236,38 @@ def test_run_trial_matches_the_fraction_sums(pair, setup, seed):
     assert ours[2].events == naive[2].events
     assert ours[3].snapshot() == naive[3].snapshot()
     assert ours[2].leaf is reached_leaf(seller, buyer)
+
+
+def arbitrates(pair: int) -> bool:
+    seller, buyer = PAIRS[pair]
+    return reached_leaf(seller, buyer) in (Leaf.SEND_DISPUTE_COUNTER, Leaf.NOSEND_DISPUTE_COUNTER)
+
+
+@pytest.mark.parametrize("pair", [k for k in range(len(PAIRS)) if not arbitrates(k)])
+@settings(max_examples=10, deadline=None)
+@given(setup=trade_setups(), seed=st.integers(0, 2**32))
+def test_a_pair_that_never_arbitrates_needs_no_stream(pair, setup, seed):
+    # The same utilities, contract events and ledger with no stream as with
+    # one, and the stream is left unread.
+    params, scheme = setup
+    seller, buyer = PAIRS[pair]
+    rng = Random(seed)
+    ours = run_trial(params, scheme, seller, buyer, None)
+    streamed = run_trial(params, scheme, seller, buyer, rng)
+    assert ours[:2] == streamed[:2]
+    assert ours[2].events == streamed[2].events
+    assert ours[3].snapshot() == streamed[3].snapshot()
+    assert rng.getstate() == Random(seed).getstate()
+
+
+@pytest.mark.parametrize("pair", [k for k in range(len(PAIRS)) if arbitrates(k)])
+def test_an_arbitrating_pair_is_refused_no_stream_before_any_ledger(pair, monkeypatch):
+    def no_ledger(*args, **kwargs):
+        raise AssertionError("a ledger was built")
+
+    monkeypatch.setattr("escrowlab.agents.Ledger", no_ledger)
+    with pytest.raises(ValueError, match=r"^a pair that reaches arbitration needs an rng for the oracle$"):
+        run_trial(PARAMS, Standard(1), *PAIRS[pair], None)
 
 
 def test_simulate_rejects_an_empty_run():

@@ -20,6 +20,7 @@ from escrowlab.arbiter import (
     Late,
     Open,
     Verdict,
+    _trial_errs,
     arbiter_errs,
     coin_toss_arbitrate,
     commit,
@@ -168,6 +169,48 @@ def test_arbiter_errs_matches_the_fraction_comparisons(gamma, seed):
     ours, naive = Random(seed), Random(seed)
     assert outcome(arbiter_errs, gamma, ours) == outcome(naive_arbiter_errs, gamma, naive)
     assert ours.getstate() == naive.getstate()
+
+
+def naive_trial_errs(gamma, seed, trials):
+    """Reference: one fresh stream and one `arbiter_errs` per trial, reduced
+    to the erring count and the first trial of each outcome, in first-trial
+    order."""
+    draws = [arbiter_errs(gamma, Random(f"{seed}:{i}")) for i in range(trials)]
+    first = {}
+    for i, errs in enumerate(draws):
+        first.setdefault(errs, i)
+    return sum(draws), first
+
+
+#: Rates over denominators above 2**32: `randrange` then draws several
+#: 32-bit words and, just above a power of two, rejects about half its draws.
+WIDE_RATES = st.integers(2**32 + 1, 2**70).flatmap(lambda d: st.integers(0, d).map(lambda n: Fraction(n, d)))
+RATES = st.one_of(
+    st.sampled_from([0, 1, Fraction(1, 2)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=60),
+    WIDE_RATES,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=RATES, seed=st.integers(-(2**64), 2**64), trials=st.integers(1, 40))
+def test_trial_errs_matches_a_fresh_stream_per_trial(gamma, seed, trials):
+    erring, first = _trial_errs(gamma, seed, trials)
+    naive_erring, naive_first = naive_trial_errs(gamma, seed, trials)
+    assert erring == naive_erring
+    assert list(first.items()) == list(naive_first.items())  # the same classes, in the same order
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(-(2**64), 2**64), i=st.integers(0, 10**6), draws=st.integers(0, 20), d=st.integers(1, 2**70))
+def test_a_reseeded_generator_is_a_fresh_stream(seed, i, draws, d):
+    # Draws, a pending gauss value included, leave nothing behind a re-seed.
+    rng = Random(seed)
+    for _ in range(draws):
+        rng.randrange(d)
+    rng.gauss()
+    rng.seed(f"{seed}:{i}")
+    assert rng.getstate() == Random(f"{seed}:{i}").getstate()
 
 
 # ---------------------------------------------------------------------------

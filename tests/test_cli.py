@@ -130,6 +130,24 @@ def test_simulate_readme_command_output_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize("gamma, buyer, seller", [("0", "-2", "1"), ("1", "2", "-1")])
+def test_simulate_at_a_certain_oracle_is_pinned(capsys, gamma, buyer, seller):
+    # At gamma 0 the oracle always rules for the honest seller, at gamma 1
+    # always against: every trial is one class and no error bit is drawn.
+    out = run_cli(
+        capsys, "simulate", "--x", "1", "--y", "2", "--gamma", gamma, "--lambda", "1",
+        "--seller", "always-counter", "--buyer", "always-dispute", "--trials", "1000", "--seed", "5",
+    )
+    assert out == (
+        "trials=1000\n"
+        f"mean_buyer_payoff={buyer}\n"
+        f"mean_seller_payoff={seller}\n"
+        "dispute_rate=1\n"
+        "arbitration_rate=1\n"
+        "fees_total=0\n"
+    )
+
+
 def test_simulate_honest_pair(capsys):
     out = run_cli(
         capsys, "simulate", "--x", "1", "--y", "2", "--trials", "10", "--seed", "1",
