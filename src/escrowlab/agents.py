@@ -27,8 +27,6 @@ are exercised by the contract tests and the `shared_ledger` workload.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import product
@@ -37,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 from .arbiter import _trial_errs, oracle_arbitrate
 from .contract import EscrowContract, Phase, propose
-from .equilibrium import SecurityReport, _reports
+from .equilibrium import SecurityReport, _csv_rows, _reports
 from .gametree import Action, Party, leaf_path
 from .ledger import Ledger
 from .trade import AffineWager, Standard, TradeParams, WagerScheme, scaled, wager_class
@@ -240,11 +238,7 @@ def sweep(
 
 
 def sweep_csv(reports: Sequence[SecurityReport]) -> str:
-    """The reports as CSV, a header and one row per report.  Each row is the
-    report's cell tuple, read off its int margins with no `Fraction` per
-    row, and holds the values of `to_row` in `CSV_FIELDS` order."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(SecurityReport.CSV_FIELDS)
-    writer.writerows(report._cells() for report in reports)
-    return out.getvalue()
+    """The reports as CSV: a header, then one row per report, the values of
+    `to_row` (`equilibrium._csv_rows`).  The cells are bare, so joined with
+    ',' and CRLF they are the bytes of `csv.writer`'s excel dialect."""
+    return "\r\n".join([",".join(SecurityReport.CSV_FIELDS), *map(",".join, _csv_rows(reports)), ""])

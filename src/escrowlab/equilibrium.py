@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .gametree import (
     AFTER_NOSEND,
@@ -158,7 +158,7 @@ class SecurityReport:
     equals `complete`, since then the least dispute-layer slack is
     positive too; the CSV keeps both columns.
 
-    The CSV row is read off the int margins by one cell reader, `_cells`,
+    The CSV rows are read off the int margins by one row reader, `_csv_rows`,
     with no `Fraction` per row: `to_row` and `agents.sweep_csv` read it.
     It and `sound_epsilon_max` take `eps_max` from the table's first
     `len(DISPUTE_LAYER)` margins, the dispute layer.
@@ -210,24 +210,27 @@ class SecurityReport:
 
     def to_row(self) -> dict[str, str]:
         """Flat record for CSV output."""
-        return dict(zip(self.CSV_FIELDS, self._cells()))
+        return dict(zip(self.CSV_FIELDS, next(_csv_rows((self,)))))
 
-    def _cells(self) -> tuple[str, ...]:
-        """The CSV row in `CSV_FIELDS` order, read off the int margins: one
-        least margin decides complete, strong and weak, and `eps_max` is the
-        least dispute-layer margin (the table's first rows), written over
-        its lowest terms as `str(Fraction)` writes it."""
-        margins, scale = self.margins, self.scale
-        low = min(margins)
-        complete = "true" if low > 0 else "false"
-        least = min(margins[: len(DISPUTE_LAYER)])
-        eps_max = ""
+
+def _csv_rows(reports: Iterable[SecurityReport]) -> Iterator[tuple[str, ...]]:
+    """Each report's CSV row in `CSV_FIELDS` order, read off its int margins;
+    `eps_max` is the least dispute-layer margin over its lowest terms.  A
+    gamma or fee is formatted once per run of consecutive reports holding
+    the same object.  Every cell is bare, never in need of quoting."""
+    gamma = fee = object()
+    for report in reports:
+        if report.gamma is not gamma:
+            gamma, gamma_cell = report.gamma, str(report.gamma)
+        if report.fee is not fee:
+            fee, fee_cell = report.fee, str(report.fee)
+        margins, scale = report.margins, report.scale
+        low, least, eps_max = min(margins), min(margins[: len(DISPUTE_LAYER)]), ""
         if least > 0:
             common = gcd(least, scale)
-            numerator, denominator = least // common, scale // common
-            eps_max = f"{numerator}/{denominator}" if denominator > 1 else str(numerator)
-        weak = "true" if low >= 0 else "false"
-        return str(self.gamma), str(self.wager), str(self.fee), self.scheme, complete, eps_max, complete, weak
+            eps_max = str(least // common) if common == scale else f"{least // common}/{scale // common}"
+        complete = "true" if low > 0 else "false"
+        yield gamma_cell, str(report.wager), fee_cell, report.scheme, complete, eps_max, complete, "true" if low >= 0 else "false"
 
 
 def security_report(params: TradeParams, scheme: WagerScheme) -> SecurityReport:

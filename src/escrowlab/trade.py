@@ -26,7 +26,8 @@ def as_fraction(value: Rational) -> Fraction:
     binary expansion, so CLI-style inputs stay exact.  A bool or "1/0" is refused.
     A `Fraction` is immutable, so it is returned as it is, not copied.  A
     plain ASCII "p" or "p/q" (digits only, q nonzero) is read as two ints;
-    every other string goes through `Fraction`'s own parser.
+    a string with "_" is refused on every Python version, as 3.10 refuses
+    it; every other string goes through `Fraction`'s own parser.
     """
     if type(value) is Fraction:
         return value
@@ -34,6 +35,8 @@ def as_fraction(value: Rational) -> Fraction:
         num, slash, den = value.partition("/")
         if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit() and den.strip("0")):
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    if isinstance(value, str) and "_" in value:
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, bool):

@@ -23,7 +23,7 @@ from escrowlab.agents import (
 )
 from escrowlab.arbiter import oracle_arbitrate
 from escrowlab.contract import propose
-from escrowlab.equilibrium import SecurityReport
+from escrowlab.equilibrium import SecurityReport, _csv_rows
 from escrowlab.gametree import (
     AFTER_NOSEND,
     AFTER_SEND,
@@ -39,7 +39,7 @@ from escrowlab.gametree import (
     leaf_payoff,
 )
 from escrowlab.ledger import Ledger
-from escrowlab.trade import Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
+from escrowlab.trade import _SCHEMES, Generic, InvalidTradeError, Standard, TradeParams, WinnerRebate, Withheld
 
 from test_arbiter import WIDE_RATES
 from test_equilibrium import DISPUTE_LAYER, GAMMA, WAGER, naive_to_row
@@ -483,7 +483,8 @@ def test_sweep_csv_writes_the_bytes_of_the_dict_writer():
 
 def test_sweep_cells_are_the_naive_rows_and_bytes():
     # The draws must reach an empty eps_max, an integer one, and one set on
-    # an incomplete row, the three ways the cell reader can go astray.
+    # an incomplete row, the three ways the cell reader can go astray, and a
+    # gamma equal to the row before's but held as another object.
     seen = set()
 
     @settings(max_examples=150, deadline=None)
@@ -508,9 +509,34 @@ def test_sweep_cells_are_the_naive_rows_and_bytes():
             if row["eps_max"] and row["complete"] == "false":
                 seen.add("incomplete with a bound")
         assert sweep_csv(reports) == naive_sweep_csv(reports)
+        # Orders `sweep` never makes, so runs of one gamma or fee object break
+        # at arbitrary points: a drawn permutation, and a drawn interleaving
+        # with a second sweep whose equal gammas and fees are other objects.
+        shuffled = data.draw(st.permutations(reports))
+        others = sweep(TradeParams(x, xs, y), [Fraction(g) for g in gammas], wagers, [Fraction(0), x - xs], ["withheld"])
+        sources = [iter(reports), iter(others)]
+        mixed = [next(sources[k]) for k in data.draw(st.permutations([0] * len(reports) + [1] * len(others)))]
+        for reordered in (shuffled, mixed):
+            assert sweep_csv(reordered) == naive_sweep_csv(reordered)
+        if any(a.gamma == b.gamma and a.gamma is not b.gamma for a, b in zip(mixed, mixed[1:])):
+            seen.add("equal gamma, another object")
 
     check()
-    assert seen == {"empty", "integer", "incomplete with a bound"}
+    assert seen == {"empty", "integer", "incomplete with a bound", "equal gamma, another object"}
+
+
+def test_every_csv_cell_is_bare_so_joined_cells_are_the_csv_bytes():
+    # `sweep_csv` joins cells with ',' and never quotes: a scheme name or a
+    # field that needs quoting must fail here rather than corrupt the CSV.
+    for text in (*_SCHEMES, *SecurityReport.CSV_FIELDS):
+        assert not any(char in text for char in ',"\r\n') and text == text.strip(), text
+    reports = sweep(
+        PARAMS, gammas=[0, Fraction(1, 4), Fraction(1, 2)], wagers=[Fraction(1, 3), 1, 4],
+        fees=[0, Fraction(3, 5)], schemes=["standard", "winner_rebate", "withheld"],
+    )
+    rows = list(csv.reader(io.StringIO(sweep_csv(reports), newline="")))
+    assert rows == [list(SecurityReport.CSV_FIELDS), *map(list, _csv_rows(reports))]
+    assert len(rows) == 1 + 3 * 3 * 2 * 3
 
 
 @pytest.mark.parametrize("wager", [-1, True, 0, "0"])

@@ -369,6 +369,10 @@ MALFORMED = {
         ["sweep", "--x", "1", "--y", "2", "--gammas", "abc"],
         "escrowlab sweep: Invalid literal for Fraction: 'abc'",
     ),
+    "underscore in a grid": (
+        ["sweep", "--x", "1", "--y", "2", "--gammas", "1/4", "--lambdas", "1_000"],
+        "escrowlab sweep: Invalid literal for Fraction: '1_000'",
+    ),
     "sweep of an ill-posed trade with no gammas": (
         ["sweep", "--x", "2", "--y", "1", "--gammas", ""],
         "escrowlab sweep: need buyer_value > price > seller_value, got 1 / 2 / 0",
