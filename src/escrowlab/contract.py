@@ -27,8 +27,11 @@ rule `deposit_payback` also reads) at their slowest response; the shortfall
 is burned.  A party whose timeout fired gets nothing back.  An abort reads
 the ramp at lateness 0, repaying the deposits whole: nothing was misplayed
 before funding.  The books (price, wager, deposit, payout, pot) are ints over
-one scale fixed at proposal; a `Fraction` is built only where an amount
-leaves the contract: a ledger call, an event record, a `pot_total()` read.
+one scale fixed at proposal, and every ledger call passes its amount as an
+int over that scale (times the ramp's span for a deposit's share); a
+`Fraction` is built only for an event record and a nonzero `pot_total()`.
+Entering a timed phase re-arms the deadline with one registration, which
+replaces the last; entering an untimed one cancels it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Optional
 
 from .arbiter import Verdict
 from .gametree import Leaf
-from .ledger import Ledger, LedgerError, TimeoutPolicy, _repaid
+from .ledger import _ZERO, Ledger, LedgerError, TimeoutPolicy, _repaid
 from .trade import InvalidSchemeError, TradeParams, WagerScheme, scaled
 
 
@@ -73,9 +76,6 @@ class Phase(enum.Enum):
     SETTLED = "settled"
     ABORTED = "aborted"
 
-
-#: The zero deposit and the pot delta of a move that pays nothing in, built once.
-_ZERO = Fraction(0)
 
 #: The timed phases and their defaults: the role whose silence the timeout
 #: charges, and how the contract then ends.  "owner" is whoever owes the
@@ -163,20 +163,23 @@ class EscrowContract:
 
     def pot_total(self) -> Fraction:
         _, _, _, deposit, scale = self._books
-        return Fraction(self._wagered + deposit * len(self.liveness_deposits), scale)
+        pot = self._wagered + deposit * len(self.liveness_deposits)
+        return Fraction(pot, scale) if pot else _ZERO
 
     def _step(self, role: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
         """Append the move's record (time, phase, role, action, pot_delta),
         entering `phase` first if given: the deadline is re-armed when the
-        new phase is timed, cancelled if not."""
+        new phase is timed, by the one registration that replaces the last,
+        and cancelled if not."""
         if phase is not None:
             self.phase = phase
             self.phase_entered_at = self.ledger.time
-            self.ledger.cancel_timeout(self.contract_id)
             if self.policy is not None and phase in _DEFAULTS:
                 self.ledger.register_timeout(
                     self.contract_id, self.ledger.time + self.policy.timeout, self.on_timeout
                 )
+            else:
+                self.ledger.cancel_timeout(self.contract_id)
         self.events.append((self.ledger.time, self.phase, role, action, pot_delta))
 
     def _require(self, actor: str, allowed: str, *phases: Phase) -> None:
@@ -194,17 +197,19 @@ class EscrowContract:
         lateness = self.ledger.time - self.phase_entered_at
         self.worst_lateness[party] = max(self.worst_lateness.get(party, 0), lateness)
 
-    def _pay_in(self, role: str, action: str, amount: Fraction, phase: Optional[Phase] = None) -> None:
-        """A fee-bearing move by `role` paying `amount` into the pot.  Made
-        while the contract is proposed, it is the party's entry, and `amount`
-        includes their liveness deposit.  The response time and the deposit
-        are recorded only once the ledger has taken the money."""
+    def _pay_in(self, role: str, action: str, amount: int, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
+        """A fee-bearing move by `role` paying `amount`, an int over the
+        books' scale, into the pot; `pot_delta` is the same amount as the
+        event records it.  Made while the contract is proposed, it is the
+        party's entry, and `amount` includes their liveness deposit.  The
+        response time and the deposit are recorded only once the ledger has
+        taken the money."""
         party = getattr(self, role)
-        self.ledger.escrow_deposit(party, self.contract_id, amount, contract_move=True)
+        self.ledger.escrow_deposit(party, self.contract_id, amount, contract_move=True, scale=self._books[4])
         self._mark_response(party)
         if self.phase is Phase.PROPOSED and self.liveness_deposit:
             self.liveness_deposits[party] = self.liveness_deposit
-        self._step(role, action, amount, phase)
+        self._step(role, action, pot_delta, phase)
 
     # -- party moves -----------------------------------------------------------
 
@@ -214,7 +219,7 @@ class EscrowContract:
         self._require(actor, self.seller, Phase.PROPOSED)
         if self.seller_accepted:
             raise WrongPhaseError("already accepted")
-        self._pay_in("seller", "accept", self.liveness_deposit)
+        self._pay_in("seller", "accept", self._books[3], self.liveness_deposit)
         self.seller_accepted = True
 
     def fund(self, actor: str) -> None:
@@ -223,7 +228,7 @@ class EscrowContract:
         if not self.seller_accepted:
             raise WrongPhaseError("seller has not accepted yet")
         _, price, _, deposit, scale = self._books
-        self._pay_in("buyer", "fund", Fraction(price + deposit, scale), Phase.FUNDED)
+        self._pay_in("buyer", "fund", price + deposit, Fraction(price + deposit, scale), Phase.FUNDED)
         self._wagered = price
 
     def notify_delivery(self, actor: str) -> None:
@@ -237,13 +242,13 @@ class EscrowContract:
     def dispute(self, actor: str) -> None:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
-        self._pay_in("buyer", "dispute", self.stake, Phase.DISPUTED)
+        self._pay_in("buyer", "dispute", self._books[2], self.stake, Phase.DISPUTED)
         self._wagered += self._books[2]
 
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""
         self._require(actor, self.seller, Phase.DISPUTED)
-        self._pay_in("seller", "counter", self.stake, Phase.COUNTERED)
+        self._pay_in("seller", "counter", self._books[2], self.stake, Phase.COUNTERED)
         self._wagered += self._books[2]
 
     def forfeit(self, actor: str) -> None:
@@ -306,16 +311,16 @@ class EscrowContract:
         paid, arbitrated, moves = _SPLITS[how]
         amount = payout if arbitrated else wagered
         if amount:
-            ledger.escrow_release(cid, getattr(self, paid), Fraction(amount, scale))
+            ledger.escrow_release(cid, getattr(self, paid), amount, scale=scale)
         if amount != wagered:
-            ledger.pot_to_arbiter(cid, Fraction(wagered - amount, scale))
+            ledger.pot_to_arbiter(cid, wagered - amount, scale=scale)
         aborted = moves is None
         for party in deposits:
             share, whole = _repaid(0 if aborted else self.worst_lateness.get(party, 0), self.policy)
             if share:
-                ledger.escrow_release(cid, party, Fraction(deposit * share, scale * whole))
+                ledger.escrow_release(cid, party, deposit * share, scale=scale * whole)
             if share != whole:
-                ledger.burn_from_pot(cid, Fraction(deposit * (whole - share), scale * whole))
+                ledger.burn_from_pot(cid, deposit * (whole - share), scale=scale * whole)
         self._wagered = 0
         deposits.clear()
         self.settled_how = how

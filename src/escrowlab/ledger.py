@@ -6,8 +6,12 @@ each balance, pot, sink and the fee is an int v standing for v / L.  L is
 the least common multiple of every denominator the ledger has seen.  An
 amount whose denominator d divides L enters as n * (L // d); any other
 first rescales every held value and the fee, in one pass, by
-lcm(L, d) // L.  Moves are then plain int additions, and `total_funds()`
-is one int sum.  L never shrinks: a held balance keeps the denominators of
+lcm(L, d) // L.  `escrow_deposit`, `escrow_release`, `pot_to_arbiter` and
+`burn_from_pot` also take an amount over a caller's own scale s, moving
+amount / s: the pair (n, d * s) enters as above, reduced by its gcd first
+when d * s does not divide L, so L grows as the `Fraction` amount / s would
+make it.  Moves are then plain int additions, and `total_funds()` is one
+int sum.  L never shrinks: a held balance keeps the denominators of
 the amounts that moved through it, so an L recomputed from the held values
 would be as large whenever L has grown large.  Each new denominator costs
 one pass over the ledger: near-linear while the amounts share a small lcm,
@@ -15,7 +19,8 @@ quadratic when many contracts each bring a coprime one.  The two sinks are
 entries of one dict beside the balances and the pots.  Reads return
 `Fraction(v, L)`: `balance()`, `pot_balance()`, `fee_sink`,
 `arbiter_sink`, `tau`, `total_funds()` and the read-only copies `balances`
-and `pots`; `move_counts` is a read-only view of the live counts.
+and `pots`; a single value of zero reads as the shared `_ZERO`, with no
+gcd.  `move_counts` is a read-only view of the live counts.
 
 The conservation invariant is that the sum of all account balances, escrow
 pots, and the two sinks never changes: fees and forfeited liveness deposits
@@ -45,6 +50,10 @@ from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
 
 from .trade import as_fraction
+
+#: The read of every held zero, built once.
+_ZERO = Fraction(0)
+
 
 class LedgerError(Exception):
     pass
@@ -96,16 +105,20 @@ def _require_name(what: str, name) -> None:
         raise ValueError(f"{what} must be a non-empty string without whitespace, got {name!r}")
 
 
-def _amount(amount, what: str = "amount") -> tuple[int, int]:
-    """The check that an amount is not negative, made on its int numerator,
-    and its one conversion to (numerator, denominator); `as_fraction`
-    refuses a bool."""
+def _amount(amount, what: str = "amount", scale: int = 1) -> tuple[int, int]:
+    """The check that an amount over `scale` is not negative, made on its
+    int numerator, and its one conversion to (numerator, denominator), the
+    pair not reduced when `scale` is not 1; `as_fraction` refuses a bool."""
     if type(amount) is not Fraction and type(amount) is not int:
         amount = as_fraction(amount)
-    n = amount.numerator
+    n, d = amount.numerator, amount.denominator
+    if scale != 1:
+        if type(scale) is not int or scale < 1:
+            raise ValueError(f"scale must be a positive int, got {scale!r}")
+        d *= scale
     if n < 0:
-        raise ValueError(f"{what} must be >= 0, got {amount}")
-    return n, amount.denominator
+        raise ValueError(f"{what} must be >= 0, got {Fraction(n, d)}")
+    return n, d
 
 
 def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
@@ -157,9 +170,13 @@ class Ledger:
         self._timeouts: dict[str, tuple[int, Callable[[], None]]] = {}
         self._heap: list[tuple[int, str]] = []
 
+    def _read(self, value: int) -> Fraction:
+        """One held int as the `Fraction` it stands for; zero is the shared `_ZERO`."""
+        return Fraction(value, self._scale) if value else _ZERO
+
     @property
     def tau(self) -> Fraction:
-        return Fraction(self._fee, self._scale)
+        return self._read(self._fee)
 
     @property
     def balances(self) -> Mapping[str, Fraction]:
@@ -173,29 +190,32 @@ class Ledger:
 
     @property
     def fee_sink(self) -> Fraction:
-        return Fraction(self._sinks["fee_sink"], self._scale)
+        return self._read(self._sinks["fee_sink"])
 
     @property
     def arbiter_sink(self) -> Fraction:
-        return Fraction(self._sinks["arbiter_sink"], self._scale)
+        return self._read(self._sinks["arbiter_sink"])
 
     def balance(self, name: str) -> Fraction:
         self.require_account(name)
-        return Fraction(self._balances[name], self._scale)
+        return self._read(self._balances[name])
 
     def pot_balance(self, contract_id: str) -> Fraction:
-        return Fraction(self._pots.get(contract_id, 0), self._scale)
+        return self._read(self._pots.get(contract_id, 0))
 
     def total_funds(self) -> Fraction:
-        held = sum(self._balances.values()) + sum(self._pots.values()) + sum(self._sinks.values())
-        return Fraction(held, self._scale)
+        return self._read(sum(self._balances.values()) + sum(self._pots.values()) + sum(self._sinks.values()))
 
-    def _int(self, amount, what: str = "amount") -> int:
-        """A non-negative amount as an int over the scale, rescaling first if
-        its denominator does not divide the scale."""
-        n, d = _amount(amount, what)
+    def _int(self, amount, what: str = "amount", scale: int = 1) -> int:
+        """A non-negative amount over `scale` as an int over the ledger's
+        scale.  A denominator that does not divide the ledger's is reduced
+        first, so the rescale it then needs is the one its `Fraction` would."""
+        n, d = _amount(amount, what, scale)
         if self._scale % d:
-            self._rescale(d)
+            g = gcd(n, d)
+            n, d = n // g, d // g
+            if self._scale % d:
+                self._rescale(d)
         return n * (self._scale // d)
 
     def _rescale(self, d: int) -> None:
@@ -250,8 +270,9 @@ class Ledger:
         self._move(src, -value, contract_move)
         self._balances[dst] += value
 
-    def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False) -> None:
-        value = self._int(amount)
+    def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False, *, scale: int = 1) -> None:
+        """Pay `amount / scale` into a pot, opening it under a new id."""
+        value = self._int(amount, scale=scale)
         pot = self._pots.get(contract_id)
         if pot is None:
             _require_name("pot id", contract_id)
@@ -259,10 +280,11 @@ class Ledger:
         self._move(party, -value, contract_move)
         self._pots[contract_id] = pot + value
 
-    def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False) -> None:
-        """Pay out of a pot; a fee-bearing release is a withdrawal claimed by
-        the recipient, who covers the fee out of the proceeds."""
-        value = self._int(amount)
+    def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False, *, scale: int = 1) -> None:
+        """Pay `amount / scale` out of a pot; a fee-bearing release is a
+        withdrawal claimed by the recipient, who covers the fee out of the
+        proceeds."""
+        value = self._int(amount, scale=scale)
         rest = self._pot_less(contract_id, value)
         self._move(party, value, contract_move)
         self._pots[contract_id] = rest
@@ -271,14 +293,13 @@ class Ledger:
         """A fee-bearing contract move with no fund movement of its own."""
         self._move(party, 0, contract_move=True)
 
-    def pot_to_arbiter(self, contract_id: str, amount) -> None:
-        self._pot_to_sink(contract_id, amount, "arbiter_sink")
+    def pot_to_arbiter(self, contract_id: str, amount, *, scale: int = 1) -> None:
+        self._pot_to_sink(contract_id, self._int(amount, scale=scale), "arbiter_sink")
 
-    def burn_from_pot(self, contract_id: str, amount) -> None:
-        self._pot_to_sink(contract_id, amount, "fee_sink")
+    def burn_from_pot(self, contract_id: str, amount, *, scale: int = 1) -> None:
+        self._pot_to_sink(contract_id, self._int(amount, scale=scale), "fee_sink")
 
-    def _pot_to_sink(self, contract_id: str, amount, sink: str) -> None:
-        value = self._int(amount)
+    def _pot_to_sink(self, contract_id: str, value: int, sink: str) -> None:
         self._pots[contract_id] = self._pot_less(contract_id, value)
         self._sinks[sink] += value
 

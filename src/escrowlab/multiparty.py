@@ -24,7 +24,10 @@ state.  Settlement work is per trade: each buyer keeps the list of sellers
 it pays.  The parse splits each traded price into (p, q) once and puts it
 as an int over one batch scale, the least common multiple of the traded
 prices' denominators.  Each deposit and each payout is an int sum over that
-scale, so a batch builds one `Fraction` per ledger call, not one per trade.
+scale, and every ledger call passes its int with that scale (a deposit its
+step's total, an arbiter payout its trade's price, a withdrawal its
+party's credit), so a batch builds a `Fraction` only for each returned
+payout.
 
 Purchases, dispute wagers and counter wagers follow one deposit rule: in
 index order, each payer deposits the exact sum of its step's prices as one
@@ -45,7 +48,7 @@ from operator import is_not
 from random import Random
 from typing import Optional, Sequence
 
-from .ledger import InsufficientFundsError, Ledger
+from .ledger import _ZERO, InsufficientFundsError, Ledger
 from .trade import as_fraction
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -54,8 +57,6 @@ BitMatrix = tuple[tuple[int, ...], ...]
 
 #: The ledger pot every batch escrows into; it is empty between batches.
 POT = "multiparty"
-
-_ZERO = Fraction(0)
 
 #: Byte -> its top bit; applied to the most significant byte of a 32-bit
 #: word, the bit `getrandbits(1)` takes from that word.
@@ -231,7 +232,7 @@ def multiparty_run(
             if cols:
                 total = sum([xs[j][i] for j in cols] if by_seller else [xs[i][j] for j in cols])
                 try:
-                    ledger.escrow_deposit(parties[i], POT, Fraction(total, scale), contract_move=True)
+                    ledger.escrow_deposit(parties[i], POT, total, contract_move=True, scale=scale)
                 except InsufficientFundsError:
                     steps[i] = []
         return steps
@@ -261,18 +262,17 @@ def multiparty_run(
                     credits[i] += 2 * price
                 else:  # arbitration: the coin's winner gets price and wager, the arbiter the loser's wager
                     credits[j if b[i][j] else i] += 2 * price
-                    ledger.pot_to_arbiter(POT, x[i][j])
-        payouts = [Fraction(owed, scale) for owed in credits]
+                    ledger.pot_to_arbiter(POT, price, scale=scale)
 
         for i, party in enumerate(parties):
             if credits[i] > 0:
-                ledger.escrow_release(POT, party, payouts[i], contract_move=True)
+                ledger.escrow_release(POT, party, credits[i], contract_move=True, scale=scale)
 
     return SettlementMatrix(
         payments=tuple(tuple(row) if paid else (_ZERO,) * n for row, paid in zip(x, sellers)),
         disputes=d,
         counters=c,
         coin=tuple(tuple(row) for row in b),
-        payouts=tuple(payouts),
+        payouts=tuple(Fraction(owed, scale) for owed in credits),
     )
 

@@ -717,11 +717,14 @@ class NaiveEscrowContract:
         self._arm_deadline()
 
     def _arm_deadline(self) -> None:
-        self.ledger.cancel_timeout(self.contract_id)
+        # A registration replaces the id's earlier deadline, so a timed
+        # phase re-arms with it alone.
         if self.policy is not None and self.phase in _NAIVE_TIMED_PHASES:
             self.ledger.register_timeout(
                 self.contract_id, self.ledger.time + self.policy.timeout, self.on_timeout
             )
+        else:
+            self.ledger.cancel_timeout(self.contract_id)
 
     def _require(self, actor: str, allowed: str, *phases: Phase) -> None:
         if self.phase not in phases:
@@ -901,16 +904,29 @@ class NaiveEscrowContract:
 
 class RecordingLedger(Ledger):
     """A ledger that also keeps the ordered list of calls made on it; a
-    timeout is recorded without its callback."""
+    timeout is recorded without its callback, and a fund call with the
+    amount it moves as one exact `Fraction`, whether it came over a scale
+    or not."""
 
     def __init__(self, tau=0):
         super().__init__(tau)
         self.calls = []
 
 
+#: Each fund call's position of its amount among the arguments.
+AMOUNT_AT = {"transfer": 2, "escrow_deposit": 2, "escrow_release": 2, "pot_to_arbiter": 1, "burn_from_pot": 1}
+
+
 def _recorded(name):
     def method(self, *args, **kwargs):
-        self.calls.append((name, args[:2] if name == "register_timeout" else args, kwargs))
+        record, options = args, kwargs
+        if name == "register_timeout":
+            record = args[:2]
+        elif name in AMOUNT_AT:
+            at = AMOUNT_AT[name]
+            options = {key: value for key, value in kwargs.items() if key != "scale"}
+            record = (*args[:at], Fraction(args[at]) / kwargs.get("scale", 1), *args[at + 1:])
+        self.calls.append((name, record, options))
         return getattr(Ledger, name)(self, *args, **kwargs)
 
     return method

@@ -461,6 +461,75 @@ def test_integer_pairs_match_the_fraction_ledger(tau, opening, steps):
         assert all(type(v) is Fraction for v in (*state[2].values(), *state[3].values(), *state[4:]))
 
 
+#: The ops that take an amount over a caller's scale, with their arguments before it.
+SCALED_OPS = {
+    "escrow_deposit": lambda party, pot: (party, pot),
+    "escrow_release": lambda party, pot: (pot, party),
+    "pot_to_arbiter": lambda party, pot: (pot,),
+    "burn_from_pot": lambda party, pot: (pot,),
+}
+
+
+@st.composite
+def scaled_steps(draw):
+    """One op, its party and pot (unknown ones included), and an amount as
+    (numerator, its own denominator m, the caller's scale s): numerators
+    that are multiples of s, so the pair is not reduced, and negative ones."""
+    s = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 35, 49, 10_007, 2 * 10_009]))
+    n = draw(st.integers(-40, 400) | st.integers(-3, 30).map(lambda k: k * s))
+    m = draw(st.sampled_from([1, 1, 1, 2, 7]))
+    op = draw(st.sampled_from(sorted(SCALED_OPS)))
+    return op, draw(PARTY), draw(st.sampled_from(["p1", "p2", "ghost"])), n, m, s, draw(st.booleans())
+
+
+def _scaled_op(ledger, step, over_scale):
+    """Apply `step` as `op(amount, scale=s)` or as `op(Fraction(amount, s))`;
+    the outcome, with the type and message of what it raised."""
+    op, party, pot, n, m, s, fee = step
+    amount = n if m == 1 else Fraction(n, m)
+    kwargs = {"contract_move": fee} if op.startswith("escrow_") else {}
+    if over_scale:
+        kwargs["scale"] = s
+    else:
+        amount = Fraction(n, m * s)
+    try:
+        getattr(ledger, op)(*SCALED_OPS[op](party, pot), amount, **kwargs)
+    except (LedgerError, ValueError) as exc:
+        return "raised", type(exc), str(exc)
+    return "returned"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.sampled_from([0, Fraction(1, 4), Fraction(1, 6)]), steps=st.lists(scaled_steps(), max_size=20))
+def test_an_amount_over_a_scale_moves_as_its_fraction(tau, steps):
+    # Each op with an int (or a Fraction) over a caller's scale, on one
+    # ledger, and with the one Fraction it stands for, on the other: the
+    # same outcome, the same message, the same snapshot, and the same
+    # internal scale, which an unreduced pair would grow past the
+    # Fraction's.  A refused op leaves the snapshot as it was.
+    scaled, plain = Ledger(tau=tau), Ledger(tau=tau)
+    for ledger in (scaled, plain):
+        ledger.open_account("a", 20)
+        ledger.open_account("b", Fraction(7, 2))
+    for step in steps:
+        before = scaled.snapshot()
+        outcome = _scaled_op(scaled, step, over_scale=True)
+        assert outcome == _scaled_op(plain, step, over_scale=False)
+        assert scaled.snapshot() == plain.snapshot()
+        assert scaled._scale == plain._scale
+        if outcome != "returned":
+            assert scaled.snapshot() == before
+
+
+@pytest.mark.parametrize("scale", [0, -3, 2.0, Fraction(2), "2", False])
+def test_a_scale_that_is_not_a_positive_int_is_refused(scale):
+    ledger = fresh_ledger()
+    before = ledger.snapshot()
+    with pytest.raises(ValueError, match="scale must be a positive int"):
+        ledger.escrow_deposit("buyer", "c1", 1, scale=scale)
+    assert ledger.snapshot() == before
+
+
 def test_a_rescale_inside_a_block_that_raises_is_undone():
     # The ledger holds quarters; each block brings sevenths, elevenths or
     # thirteenths, which rescale it, and then raises.  Every read, and a

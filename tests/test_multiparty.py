@@ -431,22 +431,29 @@ def naive(ledger, parties, payments, disputes, counters, rng=None, coin_matrix=N
 
 
 class RecordingLedger(Ledger):
-    """A ledger that also keeps the list of batch calls made on it."""
+    """A ledger that also keeps the list of batch calls made on it, each
+    with the amount it moves as one exact `Fraction`, whether it came over
+    a scale or not."""
 
     def __init__(self, tau=0):
         super().__init__(tau)
         self.calls = []
 
+    def _record(self, name, args, kwargs):
+        *before, amount = args
+        options = {key: value for key, value in kwargs.items() if key != "scale"}
+        self.calls.append((name, (*before, Fraction(amount) / kwargs.get("scale", 1)), options))
+
     def escrow_deposit(self, *args, **kwargs):
-        self.calls.append(("escrow_deposit", args, kwargs))
+        self._record("escrow_deposit", args, kwargs)
         super().escrow_deposit(*args, **kwargs)
 
     def escrow_release(self, *args, **kwargs):
-        self.calls.append(("escrow_release", args, kwargs))
+        self._record("escrow_release", args, kwargs)
         super().escrow_release(*args, **kwargs)
 
     def pot_to_arbiter(self, *args, **kwargs):
-        self.calls.append(("pot_to_arbiter", args, kwargs))
+        self._record("pot_to_arbiter", args, kwargs)
         super().pot_to_arbiter(*args, **kwargs)
 
 
