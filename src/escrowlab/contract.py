@@ -23,10 +23,10 @@ action, the `Fraction` paid into the pot, negative paid out).
 With a TimeoutPolicy attached, each party posts a liveness deposit when they
 enter the contract (the wager size unless the policy fixes one).  At
 settlement a party is repaid the payback ramp (`ledger._repaid`, the one
-rule `deposit_payback` also reads) at their slowest response; the shortfall
-is burned.  A party whose timeout fired gets nothing back.  An abort reads
-the ramp at lateness 0, repaying the deposits whole: nothing was misplayed
-before funding.  The books (price, wager, deposit, payout, pot) are ints over
+ramp rule) at their slowest response; the shortfall is burned.  A party
+whose timeout fired gets nothing back.  An abort reads the ramp at
+lateness 0, repaying the deposits whole: nothing was misplayed before
+funding.  The books (price, wager, deposit, payout, pot) are ints over
 one scale fixed at proposal, and every ledger call passes its amount as an
 int over that scale (times the ramp's span for a deposit's share); a
 `Fraction` is built only for an event record and a nonzero `pot_total()`.

@@ -10,7 +10,8 @@ Three independent routes answer the same questions:
 
 The analytic layer is the production surface: `security_report` reads the
 table into the one record per setup, and every other checker reads that
-record or the table; the other two act as oracles in the test suite.
+record or the table (`node_margins` is the report's `slacks` keyed by node
+id); the other two act as oracles in the test suite.
 Every value returned is an exact `Fraction`.  The decisions are made in
 ints, so strict versus non-strict boundaries are decided exactly, without
 tolerance and without a `Fraction` per comparison.  A sweep row's margin
@@ -45,6 +46,7 @@ from .gametree import (
     PayoffPair,
 )
 from .trade import (
+    Generic,
     Standard,
     TradeParams,
     WagerScheme,
@@ -66,13 +68,14 @@ SELLER_SENDS = "delivery-worth-the-fee"
 CONSTRAINTS = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS, BUYER_DISPUTES, SELLER_SENDS)
 #: The dispute layer: the constraints that bound every dishonest deviation.
 DISPUTE_LAYER = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS)
+#: Each constraint's decision node, in the order of `CONSTRAINTS`.
+_NODES = (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND, AFTER_NOSEND, ROOT)
 
 
 class _Row(NamedTuple):
     """One decision node's constraint: the honest action's advantage there,
     with honest play downstream, is constant + coeff * wager."""
 
-    node: str
     name: str
     constant: Fraction
     coeff: Fraction
@@ -91,11 +94,11 @@ def _margin_table(params: TradeParams, slope: int = 0, win: Optional[Fraction] =
     w = x if win is None else win
     h = 1 - g  # the chance the arbiter rules for the honest party
     return (
-        _Row(DISPUTE_AFTER_SEND, SELLER_COUNTERS, h * w - t, h * slope - g),
-        _Row(DISPUTE_AFTER_NOSEND, SELLER_FORFEITS, t - g * w, h - g * slope),
-        _Row(AFTER_SEND, BUYER_ACCEPTS, y * h + t - g * w, h - g * slope),
-        _Row(AFTER_NOSEND, BUYER_DISPUTES, x - t, 0),
-        _Row(ROOT, SELLER_SENDS, x - params.seller_value - t, 0),
+        _Row(SELLER_COUNTERS, h * w - t, h * slope - g),
+        _Row(SELLER_FORFEITS, t - g * w, h - g * slope),
+        _Row(BUYER_ACCEPTS, y * h + t - g * w, h - g * slope),
+        _Row(BUYER_DISPUTES, x - t, 0),
+        _Row(SELLER_SENDS, x - params.seller_value - t, 0),
     )
 
 
@@ -103,9 +106,10 @@ def node_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction
     """Honest-action advantage at each decision node, honest play downstream.
 
     Positive margin means the honest action strictly beats the alternative.
+    The margins are the security report's slacks, keyed by each
+    constraint's node.
     """
-    loss = scheme.loss_cost(params)
-    return {row.node: row.constant + row.coeff * loss for row in _margin_table(params, 0, scheme.win_gain(params))}
+    return dict(zip(_NODES, security_report(params, scheme).slacks.values()))
 
 
 def _positive_epsilon(epsilon) -> Fraction:
@@ -281,9 +285,9 @@ def generic_impossibility(omega, ell, gamma) -> bool:
     w, l = as_fraction(omega), as_fraction(ell)
     if w + l <= 0:
         raise ValueError("winning must be preferred to losing (omega > -ell)")
-    rows = _margin_table(TradeParams(price=1, buyer_value=2, arbiter_error=gamma), 0, w)
-    seller = (SELLER_COUNTERS, SELLER_FORFEITS)
-    return sum(row.constant + row.coeff * l for row in rows if row.name in seller) > 0
+    params = TradeParams(price=1, buyer_value=2, arbiter_error=gamma)
+    slacks = _reports(params, Generic.name, 0, w, [l])[0].slacks
+    return slacks[SELLER_COUNTERS] + slacks[SELLER_FORFEITS] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +315,6 @@ class LambdaInterval:
         lower, upper = self.lower, self.upper
         closed = self.lower_closed and self.upper_closed
         return upper is not None and (lower > upper or (lower == upper and not closed))
-
-    def contains(self, value) -> bool:
-        v = as_fraction(value)
-        if v < self.lower or (v == self.lower and not self.lower_closed):
-            return False
-        if self.upper is not None:
-            if v > self.upper or (v == self.upper and not self.upper_closed):
-                return False
-        return True
 
     def __str__(self) -> str:
         if self.empty:

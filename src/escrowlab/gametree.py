@@ -24,7 +24,7 @@ and every tree shares them.  A tree adds its leaf table, `_leaf_table`: the six
 payoffs stated once, less the fees counted once per leaf in `_FEE_MOVES`,
 computed in ints over one scale for the setup's values (`trade.scaled`).
 The tree holds those ints and their scale as its only form of the table;
-`payoffs` and `leaf_payoff` make exact `Fraction`s of them when called.
+`leaf_payoff` makes exact `Fraction`s of one leaf's pair when called.
 """
 
 from __future__ import annotations
@@ -164,11 +164,6 @@ def _leaf_table(params: TradeParams, scheme: WagerScheme) -> tuple[dict[Leaf, tu
     return leaves, s * s
 
 
-def _payoff(pair: tuple[int, int], scale: int) -> PayoffPair:
-    """An int pair over `scale` as its two exact `Fraction`s."""
-    return PayoffPair(Fraction(pair[0], scale), Fraction(pair[1], scale))
-
-
 def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerScheme) -> PayoffPair:
     """Expected (buyer, seller) payoff at one of the six named outcomes."""
     try:
@@ -176,7 +171,8 @@ def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerSch
     except ValueError:
         raise ValueError(f"unknown leaf id {leaf_id!r}") from None
     leaves, scale = _leaf_table(params, scheme)
-    return _payoff(leaves[leaf], scale)
+    buyer, seller = leaves[leaf]
+    return PayoffPair(Fraction(buyer, scale), Fraction(seller, scale))
 
 
 @dataclass(frozen=True)
@@ -215,11 +211,6 @@ class GameTree:
     @property
     def root(self) -> DecisionNode:
         return self.nodes[ROOT]
-
-    @property
-    def payoffs(self) -> dict[Leaf, PayoffPair]:
-        """Each leaf's payoffs as exact `Fraction`s, built when read."""
-        return {leaf: _payoff(pair, self.scale) for leaf, pair in self.leaves.items()}
 
     def decision_nodes(self) -> list[DecisionNode]:
         return list(self.nodes.values())

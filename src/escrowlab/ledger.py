@@ -121,24 +121,6 @@ def _amount(amount, what: str = "amount", scale: int = 1) -> tuple[int, int]:
     return n, d
 
 
-def deposit_payback(t: int, policy: TimeoutPolicy, deposit) -> Fraction:
-    """Refund of `deposit` for a party who responded t ticks into their window.
-
-    The deposit is checked by `_amount` and repaid on the one payback ramp,
-    `_repaid`: whole, as the `Fraction` it is, or as one `Fraction` of two
-    int products.
-    """
-    _require_whole("t", t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    amount = as_fraction(deposit)
-    n, d = _amount(amount, "deposit")
-    share, whole = _repaid(t, policy)
-    if share == whole:
-        return amount
-    return Fraction(n * share, d * whole)
-
-
 def _repaid(t: int, policy: TimeoutPolicy) -> tuple[int, int]:
     """The payback ramp: the share of a deposit repaid at t ticks, as
     (numerator, denominator).  All of it up to the threshold, falling

@@ -195,11 +195,11 @@ _SCHEMES = {kind.name: kind for kind in (Standard, WinnerRebate, Withheld, Gener
 
 
 def scheme_class(scheme: Union[str, type, WagerScheme]) -> type:
-    """The scheme class a name (any case, '-' or '_' between words), a scheme
-    class or a scheme stands for."""
+    """The scheme class a name (any case, '-' or '_' between words, spaces
+    around), a scheme class or a scheme stands for."""
     if isinstance(scheme, str):
         try:
-            return _SCHEMES[scheme.lower().replace("-", "_")]
+            return _SCHEMES[scheme.strip().lower().replace("-", "_")]
         except KeyError:
             raise ValueError(f"unknown scheme {scheme!r} (known: {', '.join(_SCHEMES)})") from None
     return scheme if isinstance(scheme, type) else type(scheme)

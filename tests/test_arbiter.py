@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -577,3 +578,75 @@ def test_every_verdict_replays_from_its_transcript(commit_reply, bit_reply, open
     replies = [r.message if isinstance(r, Late) else r for r in (commit_reply, bit_reply, open_reply)]
     if all(r is None or round_trips(r) for r in replies):
         assert verdict == naive_coin_toss_arbitrate(seller, buyer, policy)
+
+
+# ---------------------------------------------------------------------------
+# The coin toss against every deterministic deviation, the honest bit enumerated
+# ---------------------------------------------------------------------------
+
+TOSS_POLICY = TimeoutPolicy(threshold=2, timeout=5)
+
+#: Each way a seller can answer the opening request, given its committed bit c.
+OPENINGS = {
+    "valid": lambda c: Open(c, _R),
+    "flipped": lambda c: Open(1 - c, _R),
+    "silent": lambda c: None,
+    "the wrong record": lambda c: Bit(c),
+    "late in the window": lambda c: Late(Open(c, _R), TOSS_POLICY.timeout - 1),
+    "late at the timeout": lambda c: Late(Open(c, _R), TOSS_POLICY.timeout),
+}
+
+#: Each fixed answer a buyer can give without reading the seller's bit.
+BIT_REPLIES = {
+    "bit 0": Bit(0),
+    "bit 1": Bit(1),
+    "silent": None,
+    "the wrong record": Open(0, _R),
+    **{f"bit {b} late {ticks}": Late(Bit(b), ticks)
+       for b in (0, 1) for ticks in (TOSS_POLICY.timeout - 1, TOSS_POLICY.timeout)},
+}
+
+
+class OpeningBySellerBit:
+    """A deterministic seller: commits to `bit` (None commits to no bit at
+    all) and opens as the `OPENINGS` entry named `openings[b]`, b the
+    buyer's bit it has seen."""
+
+    def __init__(self, bit, openings):
+        self.digest = commit(bit, _R) if bit is not None else bytes(32)
+        self.openings = [OPENINGS[name](bit or 0) for name in openings]
+
+    def respond(self, request, transcript):
+        if request == "commit":
+            return Commit(self.digest)
+        return self.openings[parse_message(transcript[-1][1]).value]
+
+
+def toss_winners(seller_for, buyer_for, policy):
+    """The winner of the toss for each of the honest party's two bits, each
+    verdict replayed from its transcript."""
+    winners = []
+    for own in (0, 1):
+        verdict = coin_toss_arbitrate(seller_for(own), buyer_for(own), policy)
+        assert replay_winner(verdict.transcript) is verdict.winner
+        winners.append(verdict.winner)
+    return winners
+
+
+@pytest.mark.parametrize("policy", [None, TOSS_POLICY], ids=["no policy", "a policy"])
+def test_no_seller_strategy_wins_both_bits_of_the_honest_buyer(policy):
+    # 3 commitments x 6 x 6 openings, each against both buyer bits.
+    for bit, openings in itertools.product((0, 1, None), itertools.product(OPENINGS, repeat=2)):
+        seller = OpeningBySellerBit(bit, openings)
+        winners = toss_winners(lambda own: seller, lambda own: Script({"bit": Bit(own)}), policy)
+        assert Party.BUYER in winners, (bit, openings)
+
+
+@pytest.mark.parametrize("policy", [None, TOSS_POLICY], ids=["no policy", "a policy"])
+@pytest.mark.parametrize("reply", BIT_REPLIES.values(), ids=BIT_REPLIES.keys())
+def test_no_buyer_strategy_blind_to_the_sellers_bit_wins_both_bits_of_the_honest_seller(reply, policy):
+    def honest_seller(own):
+        return Script({"commit": Commit(commit(own, _R)), "open": Open(own, _R)})
+
+    winners = toss_winners(honest_seller, lambda own: Script({"bit": reply}), policy)
+    assert Party.SELLER in winners

@@ -96,6 +96,16 @@ def test_scheme_flags_accept_the_spellings_of_params_files(capsys):
     assert "scheme=winner_rebate" in out.splitlines()
 
 
+def test_a_scheme_name_may_have_spaces_around_it_as_a_number_may(capsys):
+    # "0, 1/4" is read as "0,1/4"; "standard, winner_rebate" likewise.
+    grid = ["sweep", "--x", "3/2", "--y", "4", "--lambdas", "1/2,1", "--taus", "0,1/100"]
+    tight = run_cli(capsys, *grid, "--gammas", "0,1/4", "--schemes", "standard,winner_rebate")
+    spaced = run_cli(capsys, *grid, "--gammas", "0, 1/4", "--schemes", "standard, winner_rebate")
+    assert spaced.encode() == tight.encode() and tight.count("winner_rebate") == 8
+    solve = ["solve", "--x", "1", "--y", "2", "--gamma", "1/4"]
+    assert run_cli(capsys, *solve, "--scheme", " standard") == run_cli(capsys, *solve, "--scheme", "standard")
+
+
 def test_sweep_rejects_the_generic_scheme_by_name():
     with pytest.raises(SystemExit, match="escrowlab sweep: Generic schemes have no single wager"):
         main(["sweep", "--x", "1", "--y", "2", "--schemes", "generic"])

@@ -24,7 +24,7 @@ from escrowlab.ledger import (
     LedgerError,
     TimeoutPolicy,
     UnknownAccountError,
-    deposit_payback,
+    _repaid,
 )
 from escrowlab.trade import (
     Generic,
@@ -37,6 +37,7 @@ from escrowlab.trade import (
 )
 
 from test_agents import trade_setups
+from test_ledger import naive_deposit_payback
 
 PARAMS = TradeParams(price=2, seller_value=1, buyer_value=5)
 TERMINAL_PHASES = (Phase.SETTLED, Phase.ABORTED)
@@ -216,7 +217,7 @@ def test_unfunded_proposal_aborts_with_empty_pots():
     ledger, c = world(policy=policy)
     ledger.advance_time(3)
     c.accept("bob")
-    assert c.worst_lateness["bob"] == 3 and deposit_payback(3, policy, 3) == 2
+    assert c.worst_lateness["bob"] == 3 and 3 * Fraction(*_repaid(3, policy)) == 2
     ledger.advance_time(3)
     assert c.phase is Phase.ABORTED and c.settled_how == "abort"
     assert ledger.pot_balance("c1") == 0
@@ -894,7 +895,7 @@ class NaiveEscrowContract:
         if self.policy is None:
             return
         for party, amount in list(self.liveness_deposits.items()):
-            back = deposit_payback(self.worst_lateness.get(party, 0), self.policy, amount)
+            back = naive_deposit_payback(self.worst_lateness.get(party, 0), self.policy, amount)
             if back > 0:
                 self.ledger.escrow_release(self.contract_id, party, back)
             if amount - back > 0:
@@ -1357,7 +1358,7 @@ def test_a_timed_contract_pays_its_leaf_less_its_ramp(setup, errs, policy, aim, 
         return
     paid = utilities(ledger, c, endowment, params)
     expected = leaf_payoff(aim, params, scheme)
-    kept = {party: deposit - deposit_payback(worst[party], policy, deposit) for party in worst}
+    kept = {party: deposit - naive_deposit_payback(worst[party], policy, deposit) for party in worst}
     assert paid["alice"] == expected.buyer - params.fee - kept["alice"]
     assert paid["bob"] == expected.seller - params.fee - kept["bob"]
 

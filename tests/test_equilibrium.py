@@ -47,6 +47,7 @@ from escrowlab.gametree import (
 from escrowlab.trade import Generic, Standard, TradeParams, WinnerRebate, Withheld, scaled
 
 from conftest import draw_params, rand_fraction
+from test_gametree import naive_leaf_payoff
 
 
 def params(x=1, xs=0, y=2, gamma=0, fee=0):
@@ -417,6 +418,14 @@ def test_report_row_shape():
 # ---------------------------------------------------------------------------
 
 
+def in_interval(interval, value):
+    """Whether `value` lies in `interval`, each bound read with its closedness."""
+    v = Fraction(value)
+    above = v > interval.lower or (v == interval.lower and interval.lower_closed)
+    below = interval.upper is None or v < interval.upper or (v == interval.upper and interval.upper_closed)
+    return above and below
+
+
 def test_completeness_interval_at_quarter_error():
     interval = lambda_interval(params(gamma="1/4"), Standard)
     assert interval == LambdaInterval(Fraction(1, 3), False, Fraction(3), False)
@@ -433,8 +442,8 @@ def test_completeness_interval_with_perfect_arbiter_is_unbounded():
 def test_soundness_interval_collapses_to_the_matching_wager():
     interval = lambda_interval(params(gamma="1/4"), Standard, epsilon=Fraction(1, 2))
     assert interval == LambdaInterval(Fraction(1), True, Fraction(1), True)
-    assert interval.contains(1)
-    assert not interval.contains(Fraction(101, 100))
+    assert in_interval(interval, 1)
+    assert not in_interval(interval, Fraction(101, 100))
 
 
 def test_interval_empty_at_fair_coin_or_worse():
@@ -459,7 +468,7 @@ def test_interval_consistency_with_the_completeness_checker():
         for lam in candidates:
             if lam <= 0:
                 continue
-            expected = interval.contains(lam)
+            expected = in_interval(interval, lam)
             assert security_report(p, Standard(lam)).complete == expected, (p, lam)
 
 
@@ -674,13 +683,22 @@ def test_some_wager_is_complete_iff_the_arbiter_favours_honesty_and_the_fee_allo
 # ---------------------------------------------------------------------------
 
 
+def naive_payoffs(tree):
+    """Each leaf's payoffs for the tree's setup, by `naive_leaf_payoff`,
+    independent of the tree's own leaf table."""
+    return {leaf: naive_leaf_payoff(leaf, tree.params, tree.scheme) for leaf in Leaf}
+
+
 def naive_profile_epsilon(tree, profile):
     """Reference: `profile_epsilon` as it was, in `Fraction` arithmetic on
-    the tree's `payoffs`, read once per call."""
-    payoffs = tree.payoffs
+    the `naive_payoffs`, worked out once per call."""
+    payoffs = naive_payoffs(tree)
     worst = Fraction(0)
     for node in tree.decision_nodes():
-        actual = profile_value(tree, profile, node).for_party(node.owner)
+        reached = node
+        while not isinstance(reached, Leaf):
+            reached = reached.actions[profile[reached.node_id]]
+        actual = payoffs[reached].for_party(node.owner)
         gain = naive_best_response_value(profile, node, node.owner, payoffs) - actual
         if gain > worst:
             worst = gain
@@ -712,9 +730,9 @@ def naive_brute_force_spe(profile_epsilons, epsilon=Fraction(0)):
 
 def naive_backward_induction(tree):
     """Reference: `backward_induction` as it was, in `Fraction` arithmetic
-    on the tree's `payoffs`: (chosen, margins)."""
+    on the `naive_payoffs`: (chosen, margins)."""
     chosen, margins = {}, {}
-    payoffs = tree.payoffs
+    payoffs = naive_payoffs(tree)
 
     def solve(node):
         if isinstance(node, Leaf):
@@ -949,7 +967,7 @@ def test_winner_rebate_wager_is_strong_whenever_some_wager_is_complete(data):
     # With a fee the closed form is sound but need not be the least sound
     # wager, and the interval may be open at 0.
     interval = lambda_interval(p, WinnerRebate, eps)
-    assert interval.contains(closed)
+    assert in_interval(interval, closed)
     for lam in [closed, interval.lower] if interval.lower_closed else [closed]:
         report = security_report(p, WinnerRebate(lam))
         assert report.strong and report.sound_epsilon_max >= eps
@@ -969,7 +987,7 @@ def test_winner_rebate_wager_is_the_least_sound_wager_without_a_fee(data):
     eps = data.draw(AMOUNT)
     interval = lambda_interval(p, WinnerRebate, eps)
     assert winner_rebate_closed_form(p, eps) == interval.lower
-    assert interval.lower_closed and interval.contains(interval.lower)
+    assert interval.lower_closed and in_interval(interval, interval.lower)
 
 
 def withheld_at_half_price(p):

@@ -39,6 +39,12 @@ def standard_leaf_formulas(x, xs, y, g, lam):
     }
 
 
+def table_payoffs(tree):
+    """The tree's int leaf table as exact `PayoffPair`s, each int read over its scale."""
+    return {leaf: PayoffPair(Fraction(buyer, tree.scale), Fraction(seller, tree.scale))
+            for leaf, (buyer, seller) in tree.leaves.items()}
+
+
 def test_standard_leaves_match_the_closed_forms():
     rng = Random(7)
     for _ in range(50):
@@ -46,7 +52,7 @@ def test_standard_leaves_match_the_closed_forms():
         lam = rand_fraction(rng, Fraction(1, 4), 6)
         tree = build_game_tree(p, Standard(lam))
         expected = standard_leaf_formulas(p.price, p.seller_value, p.buyer_value, p.arbiter_error, lam)
-        got = {leaf: tuple(pair) for leaf, pair in tree.payoffs.items()}
+        got = {leaf: tuple(pair) for leaf, pair in table_payoffs(tree).items()}
         assert got == expected
 
 
@@ -100,10 +106,10 @@ def test_tree_shape():
     tree = build_game_tree(TradeParams(price=1, buyer_value=2), Standard(1))
     nodes = tree.decision_nodes()
     assert len(nodes) == 5
-    assert len(tree.payoffs) == 6
+    assert len(tree.leaves) == 6
     assert sum(len(n.actions) for n in nodes) == 10  # edges
     ends = {child for n in nodes for child in n.actions.values() if isinstance(child, Leaf)}
-    assert ends == set(tree.payoffs) == set(Leaf)
+    assert ends == set(tree.leaves) == set(Leaf)
     owners = {n.node_id: n.owner for n in nodes}
     assert owners["root"] == Party.SELLER
     assert owners["after_send"] == Party.BUYER
@@ -176,7 +182,7 @@ def test_every_tree_shares_one_read_only_shape():
     other = TradeParams(price=3, seller_value=1, buyer_value=7, arbiter_error="1/3", fee="1/20")
     b = build_game_tree(other, Withheld(2))
     assert a.root is b.root and a.nodes is b.nodes
-    assert a.payoffs != b.payoffs
+    assert table_payoffs(a) != table_payoffs(b)
     with pytest.raises(TypeError):
         a.nodes["root"] = a.root
     with pytest.raises(TypeError):
@@ -278,7 +284,7 @@ def test_leaf_payoff_matches_the_naive_leaf_payoff(data, kind, charged, coprime)
     tree = build_game_tree(p, scheme)
     for leaf in Leaf:
         expected = naive_leaf_payoff(leaf, p, scheme)
-        for got in (leaf_payoff(leaf, p, scheme), leaf_payoff(leaf.value, p, scheme), tree.payoffs[leaf]):
+        for got in (leaf_payoff(leaf, p, scheme), leaf_payoff(leaf.value, p, scheme), table_payoffs(tree)[leaf]):
             assert got == expected
             assert type(got) is PayoffPair and [type(v) for v in got] == [type(v) for v in expected]
 

@@ -14,7 +14,7 @@ from escrowlab.ledger import (
     TimeoutPolicy,
     UnknownAccountError,
     UnknownPotError,
-    deposit_payback,
+    _repaid,
 )
 from escrowlab.trade import as_fraction
 
@@ -675,35 +675,42 @@ def test_a_move_counts_reference_reads_the_counts_a_rollback_restored():
 POLICY = TimeoutPolicy(threshold=10, timeout=30, deposit=6)
 
 
+def payback(t, policy):
+    """The refund of `policy.deposit` at t ticks, read off the one ramp rule `_repaid`."""
+    share, whole = _repaid(t, policy)
+    return policy.deposit * share / whole
+
+
 def test_payback_full_until_threshold():
-    assert deposit_payback(0, POLICY, POLICY.deposit) == 6
-    assert deposit_payback(10, POLICY, POLICY.deposit) == 6
+    assert payback(0, POLICY) == 6
+    assert payback(10, POLICY) == 6
 
 
 def test_payback_ramps_linearly():
-    assert deposit_payback(20, POLICY, POLICY.deposit) == 3  # midpoint of the ramp
-    assert deposit_payback(15, POLICY, POLICY.deposit) == Fraction(9, 2)
+    assert payback(20, POLICY) == 3  # midpoint of the ramp
+    assert payback(15, POLICY) == Fraction(9, 2)
 
 
 def test_payback_zero_from_timeout_on():
-    assert deposit_payback(30, POLICY, POLICY.deposit) == 0
-    assert deposit_payback(1000, POLICY, POLICY.deposit) == 0
+    assert payback(30, POLICY) == 0
+    assert payback(1000, POLICY) == 0
 
 
 def test_payback_is_monotone_and_continuous_at_the_threshold():
-    values = [deposit_payback(t, POLICY, POLICY.deposit) for t in range(0, 40)]
+    values = [payback(t, POLICY) for t in range(0, 40)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     # Approaching the threshold from above: ramp value at threshold equals D.
     ramp_at_threshold = POLICY.deposit * (
         1 - Fraction(POLICY.threshold - POLICY.threshold, POLICY.timeout - POLICY.threshold)
     )
-    assert ramp_at_threshold == deposit_payback(POLICY.threshold, POLICY, POLICY.deposit)
+    assert ramp_at_threshold == payback(POLICY.threshold, POLICY)
 
 
 def naive_deposit_payback(t, policy, deposit):
-    """Reference: `deposit_payback` as it was, converting the deposit to a
-    pair, checking its sign there and rebuilding a `Fraction` from it; the
-    ledger's whole-tick and amount checks are written out."""
+    """Reference: the refund of `deposit` at t ticks into a party's window,
+    converting the deposit to a pair, checking its sign there and
+    rebuilding a `Fraction` from it; the ledger's whole-tick and amount
+    checks are written out."""
     if not isinstance(t, int) or isinstance(t, bool):
         raise ValueError(f"t must be a whole number of ticks, got {t!r}")
     if t < 0:
@@ -744,17 +751,18 @@ DEPOSITS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), threshold=st.integers(0, 6), window=st.integers(1, 6), deposit=DEPOSITS)
 def test_payback_matches_the_pair_rebuilding_reference(data, threshold, window, deposit):
-    policy = TimeoutPolicy(threshold, threshold + window)
-    t = data.draw(st.integers(-1, policy.timeout + 2) | st.sampled_from([True, False]), label="t")
-    assert outcome(deposit_payback, t, policy, deposit) == outcome(naive_deposit_payback, t, policy, deposit)
+    # The deposit is checked where the lab takes one, by `TimeoutPolicy`,
+    # and repaid on `_repaid`, at every response time from 0.
+    t = data.draw(st.integers(0, threshold + window + 2), label="t")
+    ported = outcome(lambda: payback(t, TimeoutPolicy(threshold, threshold + window, deposit)))
+    assert ported == outcome(naive_deposit_payback, t, TimeoutPolicy(threshold, threshold + window), deposit)
 
 
 def test_payback_deposit_override_and_validation():
-    bare = TimeoutPolicy(threshold=1, timeout=2)
-    assert deposit_payback(0, bare, 4) == 4
-    assert deposit_payback(0, POLICY, 4) == 4  # the amount given, not the policy's
-    with pytest.raises(ValueError):
-        deposit_payback(-1, POLICY, POLICY.deposit)
+    # A bare policy leaves the deposit to the contract (the wager size); one
+    # that fixes a deposit is repaid that amount.
+    assert TimeoutPolicy(threshold=1, timeout=2).deposit is None
+    assert payback(0, TimeoutPolicy(threshold=1, timeout=2, deposit=4)) == 4
     with pytest.raises(ValueError):
         TimeoutPolicy(threshold=5, timeout=5)
 
@@ -828,7 +836,6 @@ TIMES = {
     "a bool as a tick count": lambda ledger: ledger.advance_time(True),
     "a bool as a due": lambda ledger: ledger.register_timeout("c1", True, lambda: None),
     "bools as threshold and timeout": lambda ledger: TimeoutPolicy(threshold=False, timeout=True),
-    "a response time": lambda ledger: deposit_payback(True, TimeoutPolicy(1, 2), 4),
 }
 
 
@@ -847,7 +854,6 @@ BOOL_AMOUNTS = {
     "a transfer": lambda ledger: ledger.transfer("buyer", "seller", False),
     "a fee": lambda ledger: Ledger(tau=True),
     "a liveness deposit": lambda ledger: TimeoutPolicy(1, 2, deposit=True),
-    "a payback deposit": lambda ledger: deposit_payback(0, TimeoutPolicy(1, 2), True),
 }
 
 
@@ -910,11 +916,12 @@ def test_an_account_cannot_take_a_name_of_the_snapshots_own_lines(name):
 
 
 def test_a_negative_deposit_has_no_payback():
+    # A policy refuses a negative deposit by name, so the ramp never reads one.
     with pytest.raises(ValueError, match=r"^deposit must be >= 0, got -3$"):
-        deposit_payback(5, TimeoutPolicy(4, 12), -3)
+        TimeoutPolicy(4, 12, deposit=-3)
     with pytest.raises(ValueError, match=r"^deposit must be >= 0, got -1/2$"):
-        deposit_payback(0, TimeoutPolicy(4, 12), "-1/2")
-    assert deposit_payback(5, TimeoutPolicy(4, 12), 0) == 0
+        TimeoutPolicy(4, 12, deposit="-1/2")
+    assert payback(5, TimeoutPolicy(4, 12, deposit=0)) == 0
 
 
 NEGATIVE_AMOUNTS = {

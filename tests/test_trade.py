@@ -238,7 +238,7 @@ def test_kv_parsing_rejects_a_repeated_key():
 @pytest.mark.parametrize("spelling, kind", [
     ("standard", Standard), ("STANDARD", Standard),
     ("winner_rebate", WinnerRebate), ("winner-rebate", WinnerRebate), ("Winner-Rebate", WinnerRebate),
-    ("withheld", Withheld), ("Withheld", Withheld),
+    ("withheld", Withheld), ("Withheld", Withheld), (" winner_rebate ", WinnerRebate),
 ])
 def test_scheme_names_are_read_from_one_table(spelling, kind):
     # scheme= in a parameter file and lambda_interval take the same spellings.
