@@ -15,10 +15,12 @@ phase, whose silence the timeout charges and how the contract then ends.
 Explicitly playing a default action is free as well, since the mover could
 have reached it by waiting, and ends the contract the same way.  Every
 ending goes through one routine, `_end`, which splits the pot as the
-ending's row of `_SPLITS` says and records the `gametree.Leaf` reached in
-`leaf` (None while open and after an abort).  Each move logs one record in
-`events`: the tuple (ledger time, `Phase` after the move, the mover's role,
-action, the `Fraction` paid into the pot, negative paid out).
+ending's row of `_SPLITS` says and records in `leaf` the `gametree.Leaf`
+that row names for `delivered` (None while open and after an abort).
+Every pay-in goes through `_pay_in`, the one routine that keeps the
+wagered total.  Each move logs one record in `events`: the tuple (ledger
+time, `Phase` after the move, the mover's role, action, the `Fraction`
+paid into the pot, negative paid out).
 
 With a TimeoutPolicy attached, each party posts a liveness deposit when they
 enter the contract (the wager size unless the policy fixes one).  At
@@ -89,14 +91,15 @@ _DEFAULTS = {
 
 #: Each ending, as `settled_how` names it: its split of the pot less the
 #: liveness deposits (the role paid, and whether that role gets only the
-#: arbitration payout, the arbiter taking the rest), and the tree moves that
-#: follow the seller's first (`delivered`).  An abort pays nothing, no leaf.
+#: arbitration payout, the arbiter taking the rest), and the leaves it
+#: reaches without and with delivery, indexed by `delivered`.  An abort pays
+#: nothing and reaches no leaf.
 _SPLITS = {
-    "accept": ("seller", False, "accept"),
-    "forfeit": ("buyer", False, "dispute,forfeit"),
+    "accept": ("seller", False, (Leaf.NOSEND_ACCEPT, Leaf.SEND_ACCEPT)),
+    "forfeit": ("buyer", False, (Leaf.NOSEND_DISPUTE_FORFEIT, Leaf.SEND_DISPUTE_FORFEIT)),
     "abort": ("buyer", False, None),
-    "arbitration:buyer": ("buyer", True, "dispute,counter"),
-    "arbitration:seller": ("seller", True, "dispute,counter"),
+    "arbitration:buyer": ("buyer", True, (Leaf.NOSEND_DISPUTE_COUNTER, Leaf.SEND_DISPUTE_COUNTER)),
+    "arbitration:seller": ("seller", True, (Leaf.NOSEND_DISPUTE_COUNTER, Leaf.SEND_DISPUTE_COUNTER)),
 }
 
 
@@ -203,12 +206,15 @@ class EscrowContract:
         event records it.  Made while the contract is proposed, it is the
         party's entry, and `amount` includes their liveness deposit.  The
         response time and the deposit are recorded only once the ledger has
-        taken the money."""
+        taken the money.  All of `amount` but an entry's deposit is wagered."""
         party = getattr(self, role)
-        self.ledger.escrow_deposit(party, self.contract_id, amount, contract_move=True, scale=self._books[4])
+        _, _, _, deposit, scale = self._books
+        self.ledger.escrow_deposit(party, self.contract_id, amount, contract_move=True, scale=scale)
         self._mark_response(party)
-        if self.phase is Phase.PROPOSED and self.liveness_deposit:
+        if self.phase is Phase.PROPOSED and deposit:
             self.liveness_deposits[party] = self.liveness_deposit
+            amount -= deposit
+        self._wagered += amount
         self._step(role, action, pot_delta, phase)
 
     # -- party moves -----------------------------------------------------------
@@ -229,7 +235,6 @@ class EscrowContract:
             raise WrongPhaseError("seller has not accepted yet")
         _, price, _, deposit, scale = self._books
         self._pay_in("buyer", "fund", price + deposit, Fraction(price + deposit, scale), Phase.FUNDED)
-        self._wagered = price
 
     def notify_delivery(self, actor: str) -> None:
         """Seller reports the item as sent (fee-bearing)."""
@@ -243,13 +248,11 @@ class EscrowContract:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
         self._pay_in("buyer", "dispute", self._books[2], self.stake, Phase.DISPUTED)
-        self._wagered += self._books[2]
 
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""
         self._require(actor, self.seller, Phase.DISPUTED)
         self._pay_in("seller", "counter", self._books[2], self.stake, Phase.COUNTERED)
-        self._wagered += self._books[2]
 
     def forfeit(self, actor: str) -> None:
         """Seller concedes the dispute; free, being the timeout default."""
@@ -308,13 +311,13 @@ class EscrowContract:
         payout, _, _, deposit, scale = self._books
         wagered, deposits = self._wagered, self.liveness_deposits
         pot = wagered + deposit * len(deposits)
-        paid, arbitrated, moves = _SPLITS[how]
+        paid, arbitrated, leaves = _SPLITS[how]
         amount = payout if arbitrated else wagered
         if amount:
             ledger.escrow_release(cid, getattr(self, paid), amount, scale=scale)
         if amount != wagered:
             ledger.pot_to_arbiter(cid, wagered - amount, scale=scale)
-        aborted = moves is None
+        aborted = leaves is None
         for party in deposits:
             share, whole = _repaid(0 if aborted else self.worst_lateness.get(party, 0), self.policy)
             if share:
@@ -324,7 +327,7 @@ class EscrowContract:
         self._wagered = 0
         deposits.clear()
         self.settled_how = how
-        self.leaf = None if aborted else Leaf(("send," if self.delivered else "not-send,") + moves)
+        self.leaf = None if aborted else leaves[self.delivered]
         self._step(role, action, Fraction(-pot, scale), Phase.ABORTED if aborted else Phase.SETTLED)
 
 

@@ -3,7 +3,7 @@
 Three independent routes answer the same questions:
 
 * closed-form node margins, one table of the paper's five constraints as
-  forms in the wager, `_margin_table`, named in order by `CONSTRAINTS`,
+  (constant, coeff) forms in the wager, `_margin_table`, named by `CONSTRAINTS`,
 * backward induction over the built tree's leaf table,
 * brute-force enumeration of every pure strategy profile, in one
   bottom-up pass over per-subtree tables (`_table`).
@@ -12,15 +12,16 @@ The analytic layer is the production surface: `security_report` reads the
 table into the one record per setup, and every other checker reads that
 record or the table (`node_margins` is the report's `slacks` keyed by node
 id); the other two act as oracles in the test suite.
-Every value returned is an exact `Fraction`.  The decisions are made in
+Every value returned is an exact `Fraction`.  Every verdict is decided in
 ints, so strict versus non-strict boundaries are decided exactly, without
 tolerance and without a `Fraction` per comparison.  A sweep row's margin
 forms and wagers are put over one common scale (`trade.scaled`).  Both
 tree solvers read the tree's int leaf table, and the enumeration compares
 each profile's gain with epsilon by cross-multiplication.  A
 `SecurityReport` holds its margins as ints, in the order of
-`CONSTRAINTS`, and its setup: its `slacks` and every verdict are read off
-the margins, as a `LambdaInterval`'s `empty` is read off its bounds.
+`CONSTRAINTS`, and its setup: its `slacks` and every verdict, that of
+`check_soundness` and `generic_impossibility` too, are read off the
+margins by position.  Only `lambda_interval`'s bounds are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .gametree import (
     AFTER_NOSEND,
@@ -66,26 +67,18 @@ SELLER_SENDS = "delivery-worth-the-fee"
 
 #: The constraint names in the margin table's order.
 CONSTRAINTS = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS, BUYER_DISPUTES, SELLER_SENDS)
-#: The dispute layer: the constraints that bound every dishonest deviation.
-DISPUTE_LAYER = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS)
+#: The dispute layer, the table's prefix: the constraints that bound every dishonest deviation.
+DISPUTE_LAYER = CONSTRAINTS[:3]
 #: Each constraint's decision node, in the order of `CONSTRAINTS`.
 _NODES = (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND, AFTER_NOSEND, ROOT)
 
 
-class _Row(NamedTuple):
-    """One decision node's constraint: the honest action's advantage there,
-    with honest play downstream, is constant + coeff * wager."""
-
-    name: str
-    constant: Fraction
-    coeff: Fraction
-
-
-def _margin_table(params: TradeParams, slope: int = 0, win: Optional[Fraction] = None) -> tuple[_Row, ...]:
-    """Every decision node's margin as a form in the wager, ordered as
-    `CONSTRAINTS`, when the arbitration winner nets win + slope * wager
-    (`win` defaults to the price, as in an affine scheme) and the loser
-    loses the wager.  The wager enters the dispute rows alone.
+def _margin_table(params: TradeParams, slope: int = 0, win: Optional[Fraction] = None) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Every decision node's margin as a form (constant, coeff), meaning
+    constant + coeff * wager, ordered as `CONSTRAINTS`, when the arbitration
+    winner nets win + slope * wager (`win` defaults to the price, as in an
+    affine scheme) and the loser loses the wager.  The wager enters the
+    dispute rows alone.
 
     Fees enter with the sign of the move they attach to: countering and
     disputing cost the fee, while the timeout defaults are free.
@@ -94,11 +87,11 @@ def _margin_table(params: TradeParams, slope: int = 0, win: Optional[Fraction] =
     w = x if win is None else win
     h = 1 - g  # the chance the arbiter rules for the honest party
     return (
-        _Row(SELLER_COUNTERS, h * w - t, h * slope - g),
-        _Row(SELLER_FORFEITS, t - g * w, h - g * slope),
-        _Row(BUYER_ACCEPTS, y * h + t - g * w, h - g * slope),
-        _Row(BUYER_DISPUTES, x - t, 0),
-        _Row(SELLER_SENDS, x - params.seller_value - t, 0),
+        (h * w - t, h * slope - g),
+        (t - g * w, h - g * slope),
+        (y * h + t - g * w, h - g * slope),
+        (x - t, 0),
+        (x - params.seller_value - t, 0),
     )
 
 
@@ -127,10 +120,10 @@ class SoundnessPreconditionError(ValueError):
 def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
     """Does every dishonest action lose at least epsilon versus honest play?
 
-    Decided on the three dispute-layer constraints (non-strict at epsilon).
-    The side conditions buyer_value - epsilon >= price >= epsilon are a
-    hypothesis of the bound, not part of the verdict, and are signalled
-    separately when violated.
+    Decided on the report's dispute-layer margins, compared with epsilon in
+    ints (non-strict).  The side conditions buyer_value - epsilon >= price
+    >= epsilon are a hypothesis of the bound, not part of the verdict, and
+    are signalled separately when violated.
     """
     eps = _positive_epsilon(epsilon)
     if not (params.buyer_value - eps >= params.price >= eps):
@@ -138,8 +131,8 @@ def check_soundness(params: TradeParams, scheme: WagerScheme, epsilon) -> bool:
             f"need buyer_value - eps >= price >= eps, got "
             f"y={params.buyer_value} x={params.price} eps={eps}"
         )
-    eps_max = security_report(params, scheme).sound_epsilon_max  # the least dispute-layer margin
-    return eps_max is not None and eps_max >= eps
+    report = security_report(params, scheme)
+    return min(report.margins[: len(DISPUTE_LAYER)]) * eps.denominator >= eps.numerator * report.scale
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +249,10 @@ def _reports(
     margin times s * s is an int, and each report holds its margins as
     those ints; its verdicts are decided in ints when read.
     """
-    rows = _margin_table(params, slope, win)
+    forms = _margin_table(params, slope, win)
     gamma, fee = params.arbiter_error, params.fee
-    ints, scale = scaled([*itertools.chain.from_iterable((row.constant, row.coeff) for row in rows), *stakes])
-    size = 2 * len(rows)
+    ints, scale = scaled([*itertools.chain.from_iterable(forms), *stakes])
+    size = 2 * len(forms)
     table = [(constant * scale, coeff) for constant, coeff in zip(ints[0:size:2], ints[1:size:2])]
     return [
         SecurityReport(tuple([constant + coeff * wager for constant, coeff in table]), scale * scale,
@@ -280,14 +273,15 @@ def generic_impossibility(omega, ell, gamma) -> bool:
     loss = ell, sum to more than 0.  The sum is (1 - 2 gamma)(omega + ell),
     the fee cancelling, so for any rule where winning is preferred to losing
     it is positive exactly when the arbiter favors honest parties
-    (gamma < 1/2).  Only gamma enters those rows; the trade is a placeholder.
+    (gamma < 1/2).  Only gamma enters those rows, the table's first two;
+    the trade is a placeholder.  Decided on the report's int margins.
     """
     w, l = as_fraction(omega), as_fraction(ell)
     if w + l <= 0:
         raise ValueError("winning must be preferred to losing (omega > -ell)")
     params = TradeParams(price=1, buyer_value=2, arbiter_error=gamma)
-    slacks = _reports(params, Generic.name, 0, w, [l])[0].slacks
-    return slacks[SELLER_COUNTERS] + slacks[SELLER_FORFEITS] > 0
+    counters, forfeits = _reports(params, Generic.name, 0, w, [l])[0].margins[:2]
+    return counters + forfeits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +335,13 @@ def lambda_interval(
     strict = epsilon is None
     eps = Fraction(0) if strict else _positive_epsilon(epsilon)
 
-    # Each margin is constant + coeff * wager, and must be > 0 (complete)
-    # or >= eps (sound); a zero coeff leaves a condition on the setup alone.
+    # Each margin is constant + coeff * wager, and must be > 0 (complete) or
+    # >= eps (sound, the dispute layer alone); a zero coeff leaves a
+    # condition on the setup alone.
+    forms = _margin_table(params, wager_class(scheme).slope)
     lowers, uppers = [Fraction(0)], []  # wagers must be positive
-    for row in _margin_table(params, wager_class(scheme).slope):
-        if not (strict or row.name in DISPUTE_LAYER):
-            continue
-        bound, coeff = eps - row.constant, row.coeff
+    for constant, coeff in forms if strict else forms[: len(DISPUTE_LAYER)]:
+        bound = eps - constant
         if coeff == 0:
             if bound > 0 or (strict and bound == 0):
                 return LambdaInterval.nothing()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -30,9 +31,10 @@ from escrowlab.arbiter import (
     replay_winner,
     verify,
 )
-from escrowlab.gametree import Party
-from escrowlab.ledger import TimeoutPolicy
-from escrowlab.trade import as_fraction
+from escrowlab.contract import propose
+from escrowlab.gametree import Leaf, Party, leaf_payoff
+from escrowlab.ledger import Ledger, TimeoutPolicy
+from escrowlab.trade import Standard, TradeParams, WinnerRebate, as_fraction
 
 # Critical value of the chi-square distribution with 1 degree of freedom at
 # the 0.99 quantile (significance 0.01).
@@ -622,6 +624,21 @@ class OpeningBySellerBit:
         return self.openings[parse_message(transcript[-1][1]).value]
 
 
+#: Every deterministic seller: 3 commitments x 6 x 6 openings.
+SELLER_DEVIATIONS = [
+    OpeningBySellerBit(bit, openings)
+    for bit, openings in itertools.product((0, 1, None), itertools.product(OPENINGS, repeat=2))
+]
+
+
+def honest_buyer(own):
+    return Script({"bit": Bit(own)})
+
+
+def honest_seller(own):
+    return Script({"commit": Commit(commit(own, _R)), "open": Open(own, _R)})
+
+
 def toss_winners(seller_for, buyer_for, policy):
     """The winner of the toss for each of the honest party's two bits, each
     verdict replayed from its transcript."""
@@ -635,18 +652,62 @@ def toss_winners(seller_for, buyer_for, policy):
 
 @pytest.mark.parametrize("policy", [None, TOSS_POLICY], ids=["no policy", "a policy"])
 def test_no_seller_strategy_wins_both_bits_of_the_honest_buyer(policy):
-    # 3 commitments x 6 x 6 openings, each against both buyer bits.
-    for bit, openings in itertools.product((0, 1, None), itertools.product(OPENINGS, repeat=2)):
-        seller = OpeningBySellerBit(bit, openings)
-        winners = toss_winners(lambda own: seller, lambda own: Script({"bit": Bit(own)}), policy)
-        assert Party.BUYER in winners, (bit, openings)
+    # Each deviation against both buyer bits.
+    for seller in SELLER_DEVIATIONS:
+        winners = toss_winners(lambda own: seller, honest_buyer, policy)
+        assert Party.BUYER in winners, (seller.digest, seller.openings)
 
 
 @pytest.mark.parametrize("policy", [None, TOSS_POLICY], ids=["no policy", "a policy"])
 @pytest.mark.parametrize("reply", BIT_REPLIES.values(), ids=BIT_REPLIES.keys())
 def test_no_buyer_strategy_blind_to_the_sellers_bit_wins_both_bits_of_the_honest_seller(reply, policy):
-    def honest_seller(own):
-        return Script({"commit": Commit(commit(own, _R)), "open": Open(own, _R)})
-
     winners = toss_winners(honest_seller, lambda own: Script({"bit": reply}), policy)
     assert Party.SELLER in winners
+
+
+def disputant_utility(params, scheme, policy, honest, seller, buyer):
+    """Play one trade through a contract to `run_arbitration`, the toss
+    between the `seller` and `buyer` channels; the seller delivers exactly
+    when it is the `honest` party.  (The honest party's utility: its change
+    in funds, less the delivery cost if it delivered; whether it lost.)"""
+    ledger = Ledger(params.fee)
+    ledger.open_account("buyer", 10)
+    ledger.open_account("seller", 10)
+    contract = propose(ledger, "trade", "buyer", "seller", params, scheme, policy)
+    contract.accept("seller")
+    contract.fund("buyer")
+    if honest is Party.SELLER:
+        contract.notify_delivery("seller")
+    contract.dispute("buyer")
+    contract.counter("seller")
+    verdict = contract.run_arbitration(lambda c: coin_toss_arbitrate(seller, buyer, policy))
+    utility = ledger.balance(honest.value) - 10
+    if contract.delivered:
+        utility -= params.seller_value
+    return utility, verdict.winner is not honest
+
+
+@pytest.mark.parametrize("fee", [Fraction(0), Fraction(1, 10)], ids=["fee 0", "a fee"])
+@pytest.mark.parametrize("policy", [None, TOSS_POLICY], ids=["no policy", "a policy"])
+def test_the_honest_disputants_contract_utility_is_its_leaf_at_half_its_losses(policy, fee):
+    # Every deviation above, played through a real contract (under the
+    # toss's policy, so with liveness deposits) to a coin-toss arbitration.
+    # Averaged over its own two bits, the honest disputant's utility is its
+    # arbitration leaf at gamma = (its losses) / 2, less the fee on its entry
+    # move (accept or fund), which comes before the tree.  It loses at most
+    # one bit, so it gets at least its gamma = 1/2 leaf.
+    params = TradeParams(price=1, seller_value=Fraction(1, 3), buyer_value=2, arbiter_error=Fraction(1, 2), fee=fee)
+    cases = [(Party.BUYER, Leaf.NOSEND_DISPUTE_COUNTER, lambda own, s=seller: s, honest_buyer)
+             for seller in SELLER_DEVIATIONS]
+    cases += [(Party.SELLER, Leaf.SEND_DISPUTE_COUNTER, honest_seller, lambda own, r=reply: Script({"bit": r}))
+              for reply in BIT_REPLIES.values()]
+    for scheme in (Standard(1), WinnerRebate(Fraction(1, 2))):
+        for honest, leaf, seller_for, buyer_for in cases:
+            played = [disputant_utility(params, scheme, policy, honest, seller_for(own), buyer_for(own))
+                      for own in (0, 1)]
+            losses = sum(lost for _, lost in played)
+            mean = sum(utility for utility, _ in played) / 2
+            at_losses = replace(params, arbiter_error=Fraction(losses, 2))
+            assert mean == leaf_payoff(leaf, at_losses, scheme).for_party(honest) - fee
+            assert losses <= 1
+            assert mean >= leaf_payoff(leaf, params, scheme).for_party(honest) - fee
