@@ -4,9 +4,11 @@ Three independent routes answer the same questions:
 
 * closed-form node margins, one table of the paper's five constraints as
   (constant, coeff) forms in the wager, `_margin_table`, named by `CONSTRAINTS`,
-* backward induction over the built tree's leaf table,
+* backward induction over the built tree's leaf table, one bottom-up pass
+  (`_solve`) that holds each node's outcomes in lists in action order,
 * brute-force enumeration of every pure strategy profile, in one
-  bottom-up pass over per-subtree tables (`_table`).
+  bottom-up pass over per-subtree tables (`_table`) that transposes each
+  combination of the children's entries once.
 
 The analytic layer is the production surface: `security_report` reads the
 table into the one record per setup, and every other checker reads that
@@ -254,8 +256,9 @@ def _reports(
     ints, scale = scaled([*itertools.chain.from_iterable(forms), *stakes])
     size = 2 * len(forms)
     table = [(constant * scale, coeff) for constant, coeff in zip(ints[0:size:2], ints[1:size:2])]
+    square = scale * scale
     return [
-        SecurityReport(tuple([constant + coeff * wager for constant, coeff in table]), scale * scale,
+        SecurityReport(tuple([constant + coeff * wager for constant, coeff in table]), square,
                        gamma, stake, fee, scheme_name)
         for stake, wager in zip(stakes, ints[size:])
     ]
@@ -390,21 +393,24 @@ def backward_induction(tree: GameTree) -> SolvedTree:
 def _solve(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int]],
            chosen: dict[str, Action], margins: dict[str, int]) -> tuple[int, int]:
     """The int payoff pair `node` reaches under backward induction, recording
-    each decision node's pick and int margin below it.  A module-level
-    function, not a closure that calls itself, so a call leaves no reference
-    cycle."""
+    each decision node's pick and int margin below it, children first.  The
+    children's pairs and the owner's values are lists in action order: the
+    pick is the honest action when it attains the maximum, else the first
+    maximizer.  A module-level function, not a closure that calls itself, so
+    a call leaves no reference cycle."""
     if isinstance(node, Leaf):
         return leaves[node]
-    outcomes = {action: _solve(child, leaves, chosen, margins) for action, child in node.actions.items()}
+    outcomes = [_solve(child, leaves, chosen, margins) for child in node.actions.values()]
     side = node.owner is Party.SELLER  # the owner's index in a payoff pair
-    own = {action: pair[side] for action, pair in outcomes.items()}
-    best_value = max(own.values())
-    maximizers = [a for a, value in own.items() if value == best_value]
+    own = [pair[side] for pair in outcomes]
+    best = max(own)
+    actions = [*node.actions]
     honest = HONEST_PROFILE.get(node.node_id)
-    pick = honest if honest in maximizers else maximizers[0]
-    runner_up = max((value for a, value in own.items() if a != pick), default=best_value)
-    chosen[node.node_id] = pick
-    margins[node.node_id] = best_value - runner_up
+    pick = actions.index(honest) if honest in node.actions else None
+    if pick is None or own[pick] != best:
+        pick = own.index(best)
+    chosen[node.node_id] = actions[pick]
+    margins[node.node_id] = best - max(own[:pick] + own[pick + 1:], default=best)
     return outcomes[pick]
 
 
@@ -446,19 +452,25 @@ def _table(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int
     payoff pair reached; each party's best response; the most any owner in
     the subtree gains by deviating).  The owner's best response is the best
     of its children's, a deviation at all its own nodes below; the other
-    party's is that of the child the profile picks."""
+    party's is that of the child the profile picks.
+
+    Each combination of the children's entries is transposed once, and the
+    children's choices joined once, for the node's entries at every action."""
     if isinstance(node, Leaf):
         pair = leaves[node]
         return [((), pair, pair, 0)]
     side = node.owner is Party.SELLER  # the owner's index in a payoff pair
+    moves = [(node.node_id, action) for action in node.actions]
     table = []
-    for below in itertools.product(*(_table(child, leaves) for child in node.actions.values())):
-        choices = tuple(itertools.chain.from_iterable(entry[0] for entry in below))
-        top = max(entry[2][side] for entry in below)
-        worst_below = max(entry[3] for entry in below)
-        for action, (_, reached, best, _) in zip(node.actions, below):
+    for below in itertools.product(*[_table(child, leaves) for child in node.actions.values()]):
+        picks, reached, bests, worsts = zip(*below)
+        choices = sum(picks, ())
+        top = max([best[side] for best in bests])
+        worst_below = max(worsts)
+        for move, pair, best in zip(moves, reached, bests):
+            gain = top - pair[side]
             response = (best[0], top) if side else (top, best[1])
-            table.append((((node.node_id, action), *choices), reached, response, max(top - reached[side], worst_below)))
+            table.append(((move, *choices), pair, response, gain if gain > worst_below else worst_below))
     return table
 
 
@@ -494,5 +506,6 @@ def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
     bound, denominator = eps.numerator * tree.scale, eps.denominator
     found = [dict(choices) for choices, _, _, worst in _table(tree.root, tree.leaves) if worst * denominator <= bound]
-    found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
+    if len(found) > 1:
+        found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found

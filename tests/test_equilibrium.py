@@ -281,6 +281,17 @@ def test_dishonest_profiles_enter_the_enumeration_above_the_boundary():
     assert HONEST_PROFILE in at_or_above and len(at_or_above) > 1
 
 
+def test_every_profile_enters_the_enumeration_once_at_its_own_epsilon():
+    # Some profile's seller gains most by deviating at the root and at a
+    # dispute below it at once, so no one-node deviation reads its epsilon.
+    tree = build_game_tree(params(x=1, y=3, gamma="1/4", fee="1/10"), Standard(1))
+    profiles = list(all_profiles(tree))
+    epsilons = [profile_epsilon(tree, profile) for profile in profiles]
+    assert epsilons == [naive_profile_epsilon(tree, profile) for profile in profiles]
+    everything = brute_force_spe(tree, max(epsilons))
+    assert len(everything) == len(profiles) == 32 and all(profile in everything for profile in profiles)
+
+
 MALFORMED_PROFILES = {
     "a node left out": (
         {k: v for k, v in HONEST_PROFILE.items() if k != DISPUTE_AFTER_NOSEND},
