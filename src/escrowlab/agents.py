@@ -233,7 +233,7 @@ def sweep(
         for gamma in gammas:
             for fee in fees:
                 point = replace(params, arbiter_error=gamma, fee=fee)
-                reports += _reports(point, kind.name, kind.slope, None, stakes)
+                reports += _reports(point, kind.name, kind.slope, point.price, stakes)
     return reports
 
 

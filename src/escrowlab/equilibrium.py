@@ -1,29 +1,30 @@
 """Equilibrium analysis of the contract game.
 
-Three independent routes answer the same questions:
+Three routes answer the same questions from the payoffs stated once, the
+leaf forms of `gametree._leaf_table`:
 
-* closed-form node margins, one table of the paper's five constraints as
-  (constant, coeff) forms in the wager, `_margin_table`, named by `CONSTRAINTS`,
+* node margins, the paper's five constraints named by `CONSTRAINTS`, each
+  its owner's leaf form after the honest action less that after the other,
+  honest play below (`_margin_table`),
 * backward induction over the built tree's leaf table, one bottom-up pass
   (`_solve`) that holds each node's outcomes in lists in action order,
 * brute-force enumeration of every pure strategy profile, in one
   bottom-up pass over per-subtree tables (`_table`) that transposes each
   combination of the children's entries once.
 
-The analytic layer is the production surface: `security_report` reads the
-table into the one record per setup, and every other checker reads that
-record or the table (`node_margins` is the report's `slacks` keyed by node
-id); the other two act as oracles in the test suite.
+The margins are the production surface: `security_report` reads them into
+the one record per setup, and every other checker reads that record or the
+margins (`node_margins` is the report's `slacks` keyed by node id).  The
+solvers are oracles in the test suite, and the naive formulas in
+`tests/test_equilibrium.py` are the reference independent of the leaf forms.
 Every value returned is an exact `Fraction`.  Every verdict is decided in
 ints, so strict versus non-strict boundaries are decided exactly, without
-tolerance and without a `Fraction` per comparison.  A sweep row's margin
-forms and wagers are put over one common scale (`trade.scaled`).  Both
-tree solvers read the tree's int leaf table, and the enumeration compares
-each profile's gain with epsilon by cross-multiplication.  A
-`SecurityReport` holds its margins as ints, in the order of
-`CONSTRAINTS`, and its setup: its `slacks` and every verdict, that of
-`check_soundness` and `generic_impossibility` too, are read off the
-margins by position.  Only `lambda_interval`'s bounds are `Fraction`s.
+tolerance and without a `Fraction` per comparison: a sweep row's margins
+share the one scale of its leaf forms and wagers, and the enumeration
+compares each profile's gain with epsilon by cross-multiplication.  Every
+verdict, that of `check_soundness` and `generic_impossibility` too, is read
+off a `SecurityReport`'s int margins; only `lambda_interval`'s bounds are
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ from .gametree import (
     DISPUTE_AFTER_SEND,
     HONEST_PROFILE,
     ROOT,
+    _SHAPE,
     Action,
     DecisionNode,
     GameTree,
     Leaf,
     Party,
     PayoffPair,
+    _leaf_table,
 )
 from .trade import (
     Generic,
@@ -54,7 +57,6 @@ from .trade import (
     TradeParams,
     WagerScheme,
     as_fraction,
-    scaled,
     wager_class,
 )
 
@@ -70,31 +72,50 @@ SELLER_SENDS = "delivery-worth-the-fee"
 #: The constraint names in the margin table's order.
 CONSTRAINTS = (SELLER_COUNTERS, SELLER_FORFEITS, BUYER_ACCEPTS, BUYER_DISPUTES, SELLER_SENDS)
 #: The dispute layer, the table's prefix: the constraints that bound every dishonest deviation.
+#: Its third row, the second plus buyer_value * (1 - gamma), never binds below it and ties it only at gamma = 1.
 DISPUTE_LAYER = CONSTRAINTS[:3]
 #: Each constraint's decision node, in the order of `CONSTRAINTS`.
 _NODES = (DISPUTE_AFTER_SEND, DISPUTE_AFTER_NOSEND, AFTER_SEND, AFTER_NOSEND, ROOT)
 
 
-def _margin_table(params: TradeParams, slope: int = 0, win: Optional[Fraction] = None) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Every decision node's margin as a form (constant, coeff), meaning
-    constant + coeff * wager, ordered as `CONSTRAINTS`, when the arbitration
-    winner nets win + slope * wager (`win` defaults to the price, as in an
-    affine scheme) and the loser loses the wager.  The wager enters the
-    dispute rows alone.
+def _choice(node: DecisionNode, profile: Profile) -> Union[DecisionNode, Leaf]:
+    """The child `profile` picks at `node`; a node the profile leaves out,
+    or a value that is not one of the node's actions, is refused by name."""
+    if node.node_id not in profile:
+        raise ValueError(f"profile has no action at node {node.node_id!r}")
+    action = profile[node.node_id]
+    if not isinstance(action, Action) or action not in node.actions:
+        raise ValueError(f"profile's {action!r} is not an action at node {node.node_id!r}")
+    return node.actions[action]
 
-    Fees enter with the sign of the move they attach to: countering and
-    disputing cost the fee, while the timeout defaults are free.
-    """
-    x, y, g, t = params.price, params.buyer_value, params.arbiter_error, params.fee
-    w = x if win is None else win
-    h = 1 - g  # the chance the arbiter rules for the honest party
-    return (
-        (h * w - t, h * slope - g),
-        (t - g * w, h - g * slope),
-        (y * h + t - g * w, h - g * slope),
-        (x - t, 0),
-        (x - params.seller_value - t, 0),
-    )
+
+def _reached(node: Union[DecisionNode, Leaf], profile: Profile) -> Leaf:
+    """The leaf play reaches when it follows `profile` from `node`."""
+    while isinstance(node, DecisionNode):
+        node = _choice(node, profile)
+    return node
+
+
+def _constraint_leaves(node: DecisionNode) -> tuple[bool, Leaf, Leaf]:
+    """(The owner's index in a payoff pair, the leaf honest play reaches from
+    `node`, the leaf it reaches after the owner's other action)."""
+    (other,) = [child for action, child in node.actions.items() if action is not HONEST_PROFILE[node.node_id]]
+    return node.owner is Party.SELLER, _reached(node, HONEST_PROFILE), _reached(other, HONEST_PROFILE)
+
+
+#: Each constraint's owner index and leaf pair, in the order of `CONSTRAINTS`.
+_CONSTRAINT_LEAVES = [_constraint_leaves(_SHAPE[node_id]) for node_id in _NODES]
+
+
+def _margin_table(params: TradeParams, win: Fraction, slope: int,
+                  stakes: list[Fraction]) -> tuple[list[tuple[int, int]], list[int], int]:
+    """Each constraint's margin as an int form (constant, coeff) in the
+    stake, in the order of `CONSTRAINTS`: its owner's leaf form
+    (`gametree._leaf_table`) after the honest action less that after the
+    other.  Returns (the margin forms, each stake as an int over s, s)."""
+    leaves, wagers, s = _leaf_table(params, win, slope, stakes)
+    pairs = [(leaves[honest][side], leaves[deviation][side]) for side, honest, deviation in _CONSTRAINT_LEAVES]
+    return [(constant - other, coeff - other_coeff) for (constant, coeff), (other, other_coeff) in pairs], wagers, s
 
 
 def node_margins(params: TradeParams, scheme: WagerScheme) -> dict[str, Fraction]:
@@ -147,7 +168,7 @@ class SecurityReport:
     """Summary of the contract's game-theoretic guarantees for one setup.
 
     A report holds its margins and its setup alone.  The margins are the
-    margin table's forms at the report's stake, held as ints:
+    margin forms at the report's stake, held as ints:
     `margins[k] / scale` is the slack of `CONSTRAINTS[k]`.  Every verdict
     is a property read off them: complete (every slack positive, so the
     honest profile is the unique SPE), weak (no slack negative),
@@ -241,26 +262,18 @@ def _reports(
     params: TradeParams,
     scheme_name: str,
     slope: int,
-    win: Optional[Fraction],
+    win: Fraction,
     stakes: list[Fraction],
 ) -> list[SecurityReport]:
-    """The report at each stake, from the margin table whose winner nets
-    win + slope * stake (`_margin_table`).
-
-    The table's forms and the stakes are put over one scale s, so each
-    margin times s * s is an int, and each report holds its margins as
-    those ints; its verdicts are decided in ints when read.
-    """
-    forms = _margin_table(params, slope, win)
-    gamma, fee = params.arbiter_error, params.fee
-    ints, scale = scaled([*itertools.chain.from_iterable(forms), *stakes])
-    size = 2 * len(forms)
-    table = [(constant * scale, coeff) for constant, coeff in zip(ints[0:size:2], ints[1:size:2])]
-    square = scale * scale
+    """The report at each stake, from the margin forms whose winner nets
+    win + slope * stake (`_margin_table`): each margin at a stake is an int
+    over s * s, and its verdicts are decided in ints when read."""
+    margins, wagers, s = _margin_table(params, win, slope, stakes)
+    gamma, fee, square = params.arbiter_error, params.fee, s * s
     return [
-        SecurityReport(tuple([constant + coeff * wager for constant, coeff in table]), square,
+        SecurityReport(tuple([constant + coeff * wager for constant, coeff in margins]), square,
                        gamma, stake, fee, scheme_name)
-        for stake, wager in zip(stakes, ints[size:])
+        for stake, wager in zip(stakes, wagers)
     ]
 
 
@@ -341,15 +354,15 @@ def lambda_interval(
     # Each margin is constant + coeff * wager, and must be > 0 (complete) or
     # >= eps (sound, the dispute layer alone); a zero coeff leaves a
     # condition on the setup alone.
-    forms = _margin_table(params, wager_class(scheme).slope)
+    forms, _, s = _margin_table(params, params.price, wager_class(scheme).slope, [])
     lowers, uppers = [Fraction(0)], []  # wagers must be positive
     for constant, coeff in forms if strict else forms[: len(DISPUTE_LAYER)]:
-        bound = eps - constant
+        bound = eps - Fraction(constant, s * s)
         if coeff == 0:
             if bound > 0 or (strict and bound == 0):
                 return LambdaInterval.nothing()
         else:
-            (lowers if coeff > 0 else uppers).append(bound / coeff)
+            (lowers if coeff > 0 else uppers).append(bound / Fraction(coeff, s))
     lower, upper = max(lowers), min(uppers, default=None)
     interval = LambdaInterval(lower, not strict and lower > 0, upper, not strict and upper is not None)
     return LambdaInterval.nothing() if interval.empty else interval
@@ -419,24 +432,6 @@ def _solve(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int
 # ---------------------------------------------------------------------------
 
 MAX_BRUTE_FORCE_NODES = 20
-
-
-def _choice(node: DecisionNode, profile: Profile) -> Union[DecisionNode, Leaf]:
-    """The child `profile` picks at `node`; a node the profile leaves out,
-    or a value that is not one of the node's actions, is refused by name."""
-    if node.node_id not in profile:
-        raise ValueError(f"profile has no action at node {node.node_id!r}")
-    action = profile[node.node_id]
-    if not isinstance(action, Action) or action not in node.actions:
-        raise ValueError(f"profile's {action!r} is not an action at node {node.node_id!r}")
-    return node.actions[action]
-
-
-def _reached(node: Union[DecisionNode, Leaf], profile: Profile) -> Leaf:
-    """The leaf play reaches when it follows `profile` from `node`."""
-    while isinstance(node, DecisionNode):
-        node = _choice(node, profile)
-    return node
 
 
 def profile_value(tree: GameTree, profile: Profile, node: Optional[DecisionNode] = None) -> PayoffPair:

@@ -20,11 +20,11 @@ seller, and the seller staying silent) are free because a party can always
 reach them by timing out.
 
 The shape and the six leaf paths are built once, at import, from `_TREE`,
-and every tree shares them.  A tree adds its leaf table, `_leaf_table`: the six
-payoffs stated once, less the fees counted once per leaf in `_FEE_MOVES`,
-computed in ints over one scale for the setup's values (`trade.scaled`).
-The tree holds those ints and their scale as its only form of the table;
-`leaf_payoff` makes exact `Fraction`s of one leaf's pair when called.
+and every tree shares them.  `_leaf_table` states the six payoffs once, as
+int forms constant + coeff * stake over one scale (`trade.scaled`), less the
+fees counted once per leaf in `_FEE_MOVES`; `equilibrium` reads the five
+constraint margins off the same forms.  A tree holds them at its scheme's
+stake, its only form of the table; `leaf_payoff` makes one leaf's `Fraction`s.
 """
 
 from __future__ import annotations
@@ -131,37 +131,36 @@ _FEE_MOVES: dict[Leaf, tuple[int, int]] = {
 }
 
 
-def _leaf_table(params: TradeParams, scheme: WagerScheme) -> tuple[dict[Leaf, tuple[int, int]], int]:
-    """The six leaf payoffs as (buyer, seller) int pairs over one scale,
-    each party less the fee once per fee-bearing move of its own on the
-    path (`_FEE_MOVES`): (the pairs by leaf, the scale).
-
-    The setup's values are put over one scale s (`trade.scaled`), so each
-    leaf is stated once as an int pair over s * s and the fees come off in
-    ints."""
-    if not isinstance(params, TradeParams):
-        raise InvalidTradeError("params must be a TradeParams instance")
-    (x, xs, y, g, win, loss, fee), s = scaled([
-        params.price, params.seller_value, params.buyer_value, params.arbiter_error,
-        scheme.win_gain(params), scheme.loss_cost(params), params.fee,
+def _leaf_table(
+    params: TradeParams, win: Fraction, slope: int, stakes: list[Fraction]
+) -> tuple[dict[Leaf, tuple[tuple[int, int], tuple[int, int]]], list[int], int]:
+    """The six leaf payoffs as (buyer, seller) int forms (constant, coeff),
+    meaning constant + coeff * stake, when each disputant stakes `stake`,
+    the arbitration winner nets win + slope * stake and the loser loses
+    the stake; each party less the fee once per fee-bearing move of its own
+    (`_FEE_MOVES`).  The values and stakes go over one scale s
+    (`trade.scaled`): a constant is an int over s * s, a coeff over s.
+    Returns (the forms by leaf, each stake as an int over s, s)."""
+    (x, xs, y, g, win, fee, *wagers), s = scaled([
+        params.price, params.seller_value, params.buyer_value, params.arbiter_error, win, params.fee, *stakes,
     ])
     h = s - g
     table = {
-        Leaf.SEND_ACCEPT: ((y - x) * s, (x - xs) * s),
-        Leaf.SEND_DISPUTE_FORFEIT: (y * s, -xs * s),
+        Leaf.SEND_ACCEPT: (((y - x) * s, 0), ((x - xs) * s, 0)),
+        Leaf.SEND_DISPUTE_FORFEIT: ((y * s, 0), (-xs * s, 0)),
         # The disputing buyer, who has the item, wins with probability g.
-        Leaf.SEND_DISPUTE_COUNTER: (g * (y + win - x) + h * (-x - loss), h * win - g * loss - xs * s),
-        Leaf.NOSEND_ACCEPT: (-x * s, x * s),
-        Leaf.NOSEND_DISPUTE_FORFEIT: (0, 0),
+        Leaf.SEND_DISPUTE_COUNTER: ((g * (y + win - x) - h * x, g * slope - h), (h * win - xs * s, h * slope - g)),
+        Leaf.NOSEND_ACCEPT: ((-x * s, 0), (x * s, 0)),
+        Leaf.NOSEND_DISPUTE_FORFEIT: ((0, 0), (0, 0)),
         # The honest buyer wins with probability 1 - g.
-        Leaf.NOSEND_DISPUTE_COUNTER: (h * (win - x) + g * (-x - loss), g * win - h * loss),
+        Leaf.NOSEND_DISPUTE_COUNTER: ((h * win - x * s, h * slope - g), (g * win, g * slope - h)),
     }
     fee *= s
-    leaves = {
-        leaf: (buyer - _FEE_MOVES[leaf][0] * fee, seller - _FEE_MOVES[leaf][1] * fee)
-        for leaf, (buyer, seller) in table.items()
+    forms = {
+        leaf: ((buyer - _FEE_MOVES[leaf][0] * fee, bk), (seller - _FEE_MOVES[leaf][1] * fee, sk))
+        for leaf, ((buyer, bk), (seller, sk)) in table.items()
     }
-    return leaves, s * s
+    return forms, wagers, s
 
 
 def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerScheme) -> PayoffPair:
@@ -170,9 +169,9 @@ def leaf_payoff(leaf_id: Union[Leaf, str], params: TradeParams, scheme: WagerSch
         leaf = Leaf(leaf_id) if not isinstance(leaf_id, Leaf) else leaf_id
     except ValueError:
         raise ValueError(f"unknown leaf id {leaf_id!r}") from None
-    leaves, scale = _leaf_table(params, scheme)
-    buyer, seller = leaves[leaf]
-    return PayoffPair(Fraction(buyer, scale), Fraction(seller, scale))
+    tree = build_game_tree(params, scheme)
+    buyer, seller = tree.leaves[leaf]
+    return PayoffPair(Fraction(buyer, tree.scale), Fraction(seller, tree.scale))
 
 
 @dataclass(frozen=True)
@@ -220,5 +219,10 @@ class GameTree:
 
 
 def build_game_tree(params: TradeParams, scheme: WagerScheme) -> GameTree:
-    """The contract's game tree: the shared shape and the setup's leaf table."""
-    return GameTree(_SHAPE, *_leaf_table(params, scheme), params, scheme)
+    """The contract's game tree: the shared shape and the leaf forms at the
+    scheme's own stake, the arbitration winner netting `win_gain`."""
+    if not isinstance(params, TradeParams):
+        raise InvalidTradeError("params must be a TradeParams instance")
+    forms, (stake,), s = _leaf_table(params, scheme.win_gain(params), 0, [scheme.loss_cost(params)])
+    leaves = {leaf: (buyer + bk * stake, seller + sk * stake) for leaf, ((buyer, bk), (seller, sk)) in forms.items()}
+    return GameTree(_SHAPE, leaves, s * s, params, scheme)

@@ -290,6 +290,30 @@ def test_solve_of_an_incomplete_setup_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "scheme, eps_max, interval",
+    [("winner_rebate", "27/200", "(73/100, +inf)"), ("withheld", "23/200", "(73/200, 223/200)")],
+)
+def test_solve_of_a_slope_scheme_with_a_fee_is_pinned(capsys, scheme, eps_max, interval):
+    # The winner nets the price plus or minus the wager, and every
+    # non-default move pays the fee.
+    out = run_cli(
+        capsys, "solve", "--x", "3/2", "--y", "4", "--gamma", "1/4", "--tau", "1/100", "--lambda", "1",
+        "--scheme", scheme,
+    )
+    assert out == (
+        "gamma=1/4\n"
+        "lambda=1\n"
+        "tau=1/100\n"
+        f"scheme={scheme}\n"
+        "complete=true\n"
+        f"eps_max={eps_max}\n"
+        "strong=true\n"
+        "weak=true\n"
+        f"complete_interval={interval}\n"
+    )
+
+
 def test_sweep_readme_command_output_is_pinned(capsys):
     out = run_cli(
         capsys, "sweep", "--x", "1", "--y", "2", "--gammas", "0,1/10,1/4,1/2", "--lambdas", "1/2,1,2",

@@ -97,9 +97,11 @@ def test_fair_coin_with_matching_wager_is_weakly_optimal_everywhere():
 
 
 def test_backward_induction_margins_equal_analytic_margins_when_complete():
+    # Capped, so margins that leave no setup complete fail here, not hang.
     rng = Random(23)
-    seen = 0
-    while seen < 30:
+    seen = draws = 0
+    while seen < 30 and draws < 200:
+        draws += 1
         p = draw_params(rng, gamma_hi=Fraction(9, 20))
         scheme = Standard(p.price)
         if not security_report(p, scheme).complete:
@@ -108,6 +110,7 @@ def test_backward_induction_margins_equal_analytic_margins_when_complete():
         solved = backward_induction(build_game_tree(p, scheme))
         assert solved.chosen == HONEST_PROFILE
         assert solved.margins == node_margins(p, scheme)
+    assert seen == 30
 
 
 def test_backward_induction_leaves_no_reference_cycle():
@@ -408,6 +411,28 @@ def test_the_dispute_layer_heads_the_constraint_table():
     # A report's eps_max cell reads the table's first len(DISPUTE_LAYER) margins.
     assert equilibrium.DISPUTE_LAYER == DISPUTE_LAYER
     assert equilibrium.CONSTRAINTS[: len(DISPUTE_LAYER)] == DISPUTE_LAYER
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Standard, WinnerRebate, Withheld, Generic]))
+def test_buyer_accepts_delivery_is_the_forfeit_row_plus_the_buyers_surplus(data, kind):
+    # The third dispute-layer row exceeds the second by y(1 - gamma), so it
+    # never binds below the second and ties it only at gamma = 1.
+    x = data.draw(AMOUNT)
+    gamma = data.draw(st.sampled_from([0, Fraction(1, 2), 1]) | st.fractions(0, 1, max_denominator=60))
+    fee = data.draw(st.just(0) | AMOUNT)
+    xs = x * data.draw(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10))
+    p = TradeParams(price=x, seller_value=xs, buyer_value=x + data.draw(AMOUNT), arbiter_error=gamma, fee=fee)
+    if kind is Generic:
+        loss = data.draw(st.just(0) | AMOUNT)
+        reports = [security_report(p, Generic(data.draw(AMOUNT) - loss, loss))]
+    else:
+        wagers = data.draw(st.lists(AMOUNT, min_size=1, max_size=4))
+        reports = [security_report(p, kind(wager)) for wager in wagers]
+        reports += sweep(p, gammas=[gamma], wagers=wagers, fees=[fee], schemes=[kind])
+    for report in reports:
+        assert report.slacks[BUYER_ACCEPTS] - report.slacks[SELLER_FORFEITS] == p.buyer_value * (1 - gamma)
+        assert (BUYER_ACCEPTS in report.binding) <= (gamma == 1 and SELLER_FORFEITS in report.binding)
 
 
 def test_report_row_shape():
