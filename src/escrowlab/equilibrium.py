@@ -6,11 +6,16 @@ leaf forms of `gametree._leaf_table`:
 * node margins, the paper's five constraints named by `CONSTRAINTS`, each
   its owner's leaf form after the honest action less that after the other,
   honest play below (`_margin_table`),
-* backward induction over the built tree's leaf table, one bottom-up pass
-  (`_solve`) that holds each node's outcomes in lists in action order,
-* brute-force enumeration of every pure strategy profile, in one
-  bottom-up pass over per-subtree tables (`_table`) that transposes each
-  combination of the children's entries once.
+* backward induction over the built tree's leaf table, one step per
+  decision node, children first, from the induction plan
+  (`_induction_plan`),
+* brute-force enumeration of every pure strategy profile: the enumeration
+  plan (`_enumeration_plan`) lists each profile with its gain terms, one
+  per node, and a tree's gains are read off its int leaf table through it.
+
+Both plans index a tree's leaf table.  The shared shape's are built once,
+at import, and a tree of another shape builds its own per call, so no
+recursion runs per tree of the shared shape.
 
 The margins are the production surface: `security_report` reads them into
 the one record per setup, and every other checker reads that record or the
@@ -33,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .gametree import (
     AFTER_NOSEND,
@@ -396,35 +401,51 @@ class SolvedTree:
 
 
 def backward_induction(tree: GameTree) -> SolvedTree:
+    """Solve `tree` by backward induction, one step of its induction plan
+    per decision node, children first: the shared shape's plan is built
+    once, another shape's per call.  A step compares its owner's int
+    payoffs at its children's outcomes in action order: the pick is the
+    honest action when it attains the maximum, else the first maximizer,
+    and its outcome is the pair the pick reaches.  No recursion runs per
+    tree, and only the margins are made `Fraction`s."""
+    steps = _INDUCTION if tree.nodes is _SHAPE else _induction_plan(tree.root, [])
+    outcomes: dict = dict(tree.leaves)  # each leaf's pair, then each node's by id
     chosen: dict[str, Action] = {}
-    margins: dict[str, int] = {}
-    _solve(tree.root, tree.leaves, chosen, margins)
+    margins: dict[str, Fraction] = {}
     scale = tree.scale
-    return SolvedTree(chosen=chosen, margins={node_id: Fraction(margin, scale) for node_id, margin in margins.items()})
+    for node_id, side, children, actions, honest in steps:
+        pairs = [outcomes[child] for child in children]
+        own = [pair[side] for pair in pairs]
+        best = max(own)
+        pick = honest if honest is not None and own[honest] == best else own.index(best)
+        chosen[node_id] = actions[pick]
+        margins[node_id] = Fraction(best - max(own[:pick] + own[pick + 1:], default=best), scale)
+        outcomes[node_id] = pairs[pick]
+    return SolvedTree(chosen=chosen, margins=margins)
 
 
-def _solve(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int]],
-           chosen: dict[str, Action], margins: dict[str, int]) -> tuple[int, int]:
-    """The int payoff pair `node` reaches under backward induction, recording
-    each decision node's pick and int margin below it, children first.  The
-    children's pairs and the owner's values are lists in action order: the
-    pick is the honest action when it attains the maximum, else the first
-    maximizer.  A module-level function, not a closure that calls itself, so
-    a call leaves no reference cycle."""
-    if isinstance(node, Leaf):
-        return leaves[node]
-    outcomes = [_solve(child, leaves, chosen, margins) for child in node.actions.values()]
-    side = node.owner is Party.SELLER  # the owner's index in a payoff pair
-    own = [pair[side] for pair in outcomes]
-    best = max(own)
+def _induction_plan(node: DecisionNode, steps: list[tuple]) -> list[tuple]:
+    """Append one step per decision node of the subtree at `node` to
+    `steps`, children first and in action order, and return `steps`.  A
+    step is (the node's id, its owner's index in a payoff pair, its
+    children's keys in the outcomes, a leaf or a node's id, in action order,
+    its actions, the position of its honest action or None).  A module-level
+    function, not a closure that calls itself, so a call leaves no
+    reference cycle."""
+    children = [*node.actions.values()]
+    for child in children:
+        if isinstance(child, DecisionNode):
+            _induction_plan(child, steps)
     actions = [*node.actions]
     honest = HONEST_PROFILE.get(node.node_id)
-    pick = actions.index(honest) if honest in node.actions else None
-    if pick is None or own[pick] != best:
-        pick = own.index(best)
-    chosen[node.node_id] = actions[pick]
-    margins[node.node_id] = best - max(own[:pick] + own[pick + 1:], default=best)
-    return outcomes[pick]
+    steps.append((node.node_id, node.owner is Party.SELLER,
+                  [child if isinstance(child, Leaf) else child.node_id for child in children],
+                  actions, actions.index(honest) if honest in node.actions else None))
+    return steps
+
+
+#: The shared shape's induction plan.
+_INDUCTION = _induction_plan(_SHAPE[ROOT], [])
 
 
 # ---------------------------------------------------------------------------
@@ -441,47 +462,78 @@ def profile_value(tree: GameTree, profile: Profile, node: Optional[DecisionNode]
     return PayoffPair(Fraction(buyer, tree.scale), Fraction(seller, tree.scale))
 
 
-def _table(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int]]) -> list[tuple]:
-    """One entry per profile of the subtree at `node`, from its children's
-    tables: (the choices as (node id, action) pairs, `node` first; the
-    payoff pair reached; each party's best response; the most any owner in
-    the subtree gains by deviating).  The owner's best response is the best
-    of its children's, a deviation at all its own nodes below; the other
-    party's is that of the child the profile picks.
+def _subtree_entries(node: Union[DecisionNode, Leaf], leaves: dict[Leaf, int],
+                     terms: dict[tuple, int]) -> list[tuple]:
+    """One entry per profile of the subtree at `node`: (the choices as
+    (node id, action) pairs, `node` first; the buyer's position of the leaf
+    reached; each party's deviation positions, its own at the leaves it
+    reaches by re-choosing at all of its nodes in the subtree, the other
+    party held to the profile; each node's gain term, `node` first).
 
-    Each combination of the children's entries is transposed once, and the
-    children's choices joined once, for the node's entries at every action."""
+    Payoffs are positions in a flat list, buyer then seller per leaf, the
+    leaves numbered in `leaves` as first met.  A gain term is (its owner's
+    deviation positions, its owner's position at the leaf reached), numbered
+    in `terms` as first met.  The entries come one combination of the
+    children's entries at a time, the first child's slowest, and within one
+    in action order."""
     if isinstance(node, Leaf):
-        pair = leaves[node]
-        return [((), pair, pair, 0)]
+        at = 2 * leaves.setdefault(node, len(leaves))
+        return [((), at, (frozenset([at]), frozenset([at + 1])), ())]
     side = node.owner is Party.SELLER  # the owner's index in a payoff pair
     moves = [(node.node_id, action) for action in node.actions]
-    table = []
-    for below in itertools.product(*[_table(child, leaves) for child in node.actions.values()]):
-        picks, reached, bests, worsts = zip(*below)
-        choices = sum(picks, ())
-        top = max([best[side] for best in bests])
-        worst_below = max(worsts)
-        for move, pair, best in zip(moves, reached, bests):
-            gain = top - pair[side]
-            response = (best[0], top) if side else (top, best[1])
-            table.append(((move, *choices), pair, response, gain if gain > worst_below else worst_below))
-    return table
+    entries = []
+    for below in itertools.product(*[_subtree_entries(child, leaves, terms) for child in node.actions.values()]):
+        picks, reached, deviations, gains = zip(*below)
+        choices, gains = sum(picks, ()), sum(gains, ())
+        top = frozenset().union(*[deviation[side] for deviation in deviations])
+        for move, at, deviation in zip(moves, reached, deviations):
+            term = terms.setdefault((top, at + side), len(terms))
+            entries.append(((move, *choices), at, (deviation[0], top) if side else (top, deviation[1]), (term, *gains)))
+    return entries
+
+
+def _enumeration_plan(root: DecisionNode) -> tuple:
+    """The enumeration plan of the tree at `root`: (its leaves in the order
+    of the flat payoff list; each profile's choices; each gain term as (its
+    deviation positions, its position at the leaf reached); each profile's
+    gain terms, one per node)."""
+    leaves: dict[Leaf, int] = {}
+    terms: dict[tuple, int] = {}
+    entries = _subtree_entries(root, leaves, terms)
+    return (tuple(leaves), [entry[0] for entry in entries], [(sorted(top), at) for top, at in terms],
+            [entry[3] for entry in entries])
+
+
+#: The shared shape's enumeration plan: 32 profiles over 24 gain terms.
+_ENUMERATION = _enumeration_plan(_SHAPE[ROOT])
+
+
+def _worsts(tree: GameTree) -> Iterator[tuple[tuple, int]]:
+    """Each profile's choices with its worst gain, the most any owner gains
+    by deviating in any subgame, as an int over the tree's scale: the
+    greatest of its gain terms, each its owner's best payoff at its
+    deviation leaves less that at the leaf reached."""
+    order, profiles, terms, rows = _ENUMERATION if tree.nodes is _SHAPE else _enumeration_plan(tree.root)
+    leaves = tree.leaves
+    at = [value for leaf in order for value in leaves[leaf]].__getitem__
+    gains = [max(map(at, deviation)) - at(reached) for deviation, reached in terms]
+    return zip(profiles, [max(map(gains.__getitem__, row)) for row in rows])
 
 
 def profile_epsilon(tree: GameTree, profile: Profile) -> Fraction:
     """Smallest slack at which the profile is a subgame perfect equilibrium.
 
     The maximum, over every subgame, of what its owner gains by deviating at
-    any of its own nodes in it.  Zero means exact subgame perfection.  The
-    profile must give every decision node one of that node's actions.
+    any of its own nodes in it: the profile's worst gain in the enumeration
+    plan (`_worsts`).  Zero means exact subgame perfection.  The profile
+    must give every decision node one of that node's actions.
     """
     for node_id in profile:
         if node_id not in tree.nodes:
             raise ValueError(f"profile names {node_id!r}, not a decision node of the tree")
     for node in tree.decision_nodes():
         _choice(node, profile)
-    worst = next(worst for choices, _, _, worst in _table(tree.root, tree.leaves) if dict(choices) == profile)
+    worst = next(worst for choices, worst in _worsts(tree) if dict(choices) == profile)
     return Fraction(worst, tree.scale)
 
 
@@ -489,9 +541,10 @@ def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
     """Every pure profile that is a subgame perfect epsilon-equilibrium.
 
     epsilon=0 gives the exact SPE set, and a negative one is refused.  Ground
-    truth for the analytic checkers.  One table entry per profile of each
-    subtree, so linear in the profile count, which is exponential in the
-    nodes: capped at 20 of them.  Each profile's worst gain, an int over the
+    truth for the analytic checkers.  The enumeration plan lists every
+    profile with its gain terms; the shared shape's is built once, another
+    shape's per call, and its size is exponential in the nodes: capped at
+    20 of them.  Each profile's worst gain (`_worsts`), an int over the
     tree's scale, is compared with epsilon by cross-multiplication.
     """
     if len(tree.decision_nodes()) > MAX_BRUTE_FORCE_NODES:
@@ -500,7 +553,7 @@ def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
     if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
     bound, denominator = eps.numerator * tree.scale, eps.denominator
-    found = [dict(choices) for choices, _, _, worst in _table(tree.root, tree.leaves) if worst * denominator <= bound]
+    found = [dict(choices) for choices, worst in _worsts(tree) if worst * denominator <= bound]
     if len(found) > 1:
         found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found

@@ -4,6 +4,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
+from typing import Mapping, Union
 
 import pytest
 from hypothesis import given, settings
@@ -848,6 +849,140 @@ def test_backward_induction_matches_the_fraction_backward_induction(data, kind):
     assert solved.chosen == chosen
     assert list(solved.margins.items()) == list(margins.items())
     assert all(type(margin) is Fraction for margin in solved.margins.values())
+
+
+# ---------------------------------------------------------------------------
+# The index plans against the recursive passes they replaced
+# ---------------------------------------------------------------------------
+
+
+def _solve(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int]],
+           chosen: dict[str, Action], margins: dict[str, int]) -> tuple[int, int]:
+    """The int payoff pair `node` reaches under backward induction, recording
+    each decision node's pick and int margin below it, children first.  The
+    children's pairs and the owner's values are lists in action order: the
+    pick is the honest action when it attains the maximum, else the first
+    maximizer.  A module-level function, not a closure that calls itself, so
+    a call leaves no reference cycle."""
+    if isinstance(node, Leaf):
+        return leaves[node]
+    outcomes = [_solve(child, leaves, chosen, margins) for child in node.actions.values()]
+    side = node.owner is Party.SELLER  # the owner's index in a payoff pair
+    own = [pair[side] for pair in outcomes]
+    best = max(own)
+    actions = [*node.actions]
+    honest = HONEST_PROFILE.get(node.node_id)
+    pick = actions.index(honest) if honest in node.actions else None
+    if pick is None or own[pick] != best:
+        pick = own.index(best)
+    chosen[node.node_id] = actions[pick]
+    margins[node.node_id] = best - max(own[:pick] + own[pick + 1:], default=best)
+    return outcomes[pick]
+
+
+def _table(node: Union[DecisionNode, Leaf], leaves: Mapping[Leaf, tuple[int, int]]) -> list[tuple]:
+    """One entry per profile of the subtree at `node`, from its children's
+    tables: (the choices as (node id, action) pairs, `node` first; the
+    payoff pair reached; each party's best response; the most any owner in
+    the subtree gains by deviating).  The owner's best response is the best
+    of its children's, a deviation at all its own nodes below; the other
+    party's is that of the child the profile picks.
+
+    Each combination of the children's entries is transposed once, and the
+    children's choices joined once, for the node's entries at every action."""
+    if isinstance(node, Leaf):
+        pair = leaves[node]
+        return [((), pair, pair, 0)]
+    side = node.owner is Party.SELLER  # the owner's index in a payoff pair
+    moves = [(node.node_id, action) for action in node.actions]
+    table = []
+    for below in itertools.product(*[_table(child, leaves) for child in node.actions.values()]):
+        picks, reached, bests, worsts = zip(*below)
+        choices = sum(picks, ())
+        top = max([best[side] for best in bests])
+        worst_below = max(worsts)
+        for move, pair, best in zip(moves, reached, bests):
+            gain = top - pair[side]
+            response = (best[0], top) if side else (top, best[1])
+            table.append(((move, *choices), pair, response, gain if gain > worst_below else worst_below))
+    return table
+
+
+def table_brute_force_spe(tree, epsilon):
+    """Reference: `brute_force_spe` as it was, reading each profile's worst
+    gain off the subtree tables of `_table`."""
+    eps = Fraction(epsilon)
+    bound, denominator = eps.numerator * tree.scale, eps.denominator
+    found = [dict(choices) for choices, _, _, worst in _table(tree.root, tree.leaves) if worst * denominator <= bound]
+    if len(found) > 1:
+        found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
+    return found
+
+
+def assert_the_plans_match_the_recursive_passes(tree):
+    """`brute_force_spe`, `profile_epsilon` and `backward_induction` on
+    `tree` return what `_table` and `_solve` give, in the same order and
+    with every dict's keys in the same order."""
+    entries = _table(tree.root, tree.leaves)
+    profiles = [dict(choices) for choices, *_ in entries]
+    epsilons = [Fraction(worst, tree.scale) for *_, worst in entries]
+    assert [profile_epsilon(tree, profile) for profile in profiles] == epsilons
+    for eps in [0, *epsilons, 1]:
+        found = brute_force_spe(tree, eps)
+        assert [list(p.items()) for p in found] == [list(p.items()) for p in table_brute_force_spe(tree, eps)], eps
+    chosen, margins = {}, {}
+    _solve(tree.root, tree.leaves, chosen, margins)
+    solved = backward_induction(tree)
+    assert list(solved.chosen.items()) == list(chosen.items())
+    assert list(solved.margins.items()) == [(node_id, Fraction(m, tree.scale)) for node_id, m in margins.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from([Standard, WinnerRebate, Withheld]),
+       fee=st.sampled_from([0, Fraction(1, 100)]))
+def test_the_index_plans_match_the_recursive_passes(data, kind, fee):
+    # Gamma at 0, 1/2, 1 and between, and the wager at the price, put
+    # margins and gains at exactly 0.
+    p = draw_trade(data, fee=fee)
+    tree = build_game_tree(p, kind(data.draw(st.just(p.price) | AMOUNT)))
+    assert_the_plans_match_the_recursive_passes(tree)
+
+
+def test_a_tree_of_another_shape_is_solved_through_its_own_plans():
+    # root (seller): not-send -> D | send -> ask
+    # ask (buyer): accept -> D | dispute -> fight
+    # fight (seller): counter -> C | forfeit -> B
+    # D is reached from two nodes.  With payoffs over scale 2 the buyer is
+    # indifferent at ask (first maximizer: accept), and then so is the
+    # seller at root (honest send, listed second).
+    D, B, C = Leaf.NOSEND_ACCEPT, Leaf.SEND_DISPUTE_FORFEIT, Leaf.SEND_DISPUTE_COUNTER
+    fight = DecisionNode("fight", Party.SELLER, {Action.COUNTER: C, Action.FORFEIT: B})
+    ask = DecisionNode("ask", Party.BUYER, {Action.ACCEPT: D, Action.DISPUTE: fight})
+    root = DecisionNode(ROOT, Party.SELLER, {Action.NOT_SEND: D, Action.SEND: ask})
+    base = build_game_tree(params(), Standard(1))
+    tree = GameTree({ROOT: root, "ask": ask, "fight": fight}, {D: (1, 0), B: (1, 2), C: (3, 1)}, 2,
+                    base.params, base.scheme)
+    assert_the_plans_match_the_recursive_passes(tree)
+
+    solved = backward_induction(tree)
+    assert list(solved.chosen.items()) == [("fight", Action.FORFEIT), ("ask", Action.ACCEPT), (ROOT, Action.SEND)]
+    assert list(solved.margins.items()) == [("fight", Fraction(1, 2)), ("ask", 0), (ROOT, 0)]
+
+    def profile(root_action, ask_action, fight_action):
+        return {ROOT: root_action, "ask": ask_action, "fight": fight_action}
+
+    # Not sending, then disputing and countering: the seller gains 2/2 only
+    # by sending and forfeiting at once; either move alone gains 1/2.
+    late = profile(Action.NOT_SEND, Action.DISPUTE, Action.COUNTER)
+    assert profile_epsilon(tree, late) == 1
+    assert profile_epsilon(tree, profile(Action.SEND, Action.DISPUTE, Action.COUNTER)) == Fraction(1, 2)
+    assert profile_epsilon(tree, profile(Action.SEND, Action.ACCEPT, Action.COUNTER)) == 1
+    exact = [profile(Action.NOT_SEND, Action.ACCEPT, Action.FORFEIT), profile(Action.SEND, Action.ACCEPT, Action.FORFEIT),
+             profile(Action.SEND, Action.DISPUTE, Action.FORFEIT)]
+    assert brute_force_spe(tree) == exact
+    assert [list(p) for p in brute_force_spe(tree)] == [[ROOT, "ask", "fight"]] * 3
+    assert brute_force_spe(tree, Fraction(1, 2)) == [*exact[:2], profile(Action.SEND, Action.DISPUTE, Action.COUNTER), exact[2]]
+    assert len(brute_force_spe(tree, 1)) == 8 and late in brute_force_spe(tree, 1)
 
 
 WAGER = st.one_of(
