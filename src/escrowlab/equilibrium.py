@@ -13,9 +13,9 @@ leaf forms of `gametree._leaf_table`:
   plan (`_enumeration_plan`) lists each profile with its gain terms, one
   per node, and a tree's gains are read off its int leaf table through it.
 
-Both plans index a tree's leaf table.  The shared shape's are built once,
-at import, and a tree of another shape builds its own per call, so no
-recursion runs per tree of the shared shape.
+A tree's shape is `gametree._SHAPE`, so both plans are built once, at
+import, from it, and index every tree's leaf table: no recursion runs per
+tree.
 
 The margins are the production surface: `security_report` reads them into
 the one record per setup, and every other checker reads that record or the
@@ -401,23 +401,21 @@ class SolvedTree:
 
 
 def backward_induction(tree: GameTree) -> SolvedTree:
-    """Solve `tree` by backward induction, one step of its induction plan
-    per decision node, children first: the shared shape's plan is built
-    once, another shape's per call.  A step compares its owner's int
-    payoffs at its children's outcomes in action order: the pick is the
-    honest action when it attains the maximum, else the first maximizer,
-    and its outcome is the pair the pick reaches.  No recursion runs per
-    tree, and only the margins are made `Fraction`s."""
-    steps = _INDUCTION if tree.nodes is _SHAPE else _induction_plan(tree.root, [])
+    """Solve `tree` by backward induction, one step of the induction plan
+    (`_INDUCTION`) per decision node, children first.  A step compares its
+    owner's int payoffs at its children's outcomes in action order: the
+    pick is the honest action when it attains the maximum, else the first
+    maximizer, and its outcome is the pair the pick reaches.  No recursion
+    runs per tree, and only the margins are made `Fraction`s."""
     outcomes: dict = dict(tree.leaves)  # each leaf's pair, then each node's by id
     chosen: dict[str, Action] = {}
     margins: dict[str, Fraction] = {}
     scale = tree.scale
-    for node_id, side, children, actions, honest in steps:
+    for node_id, side, children, actions, honest in _INDUCTION:
         pairs = [outcomes[child] for child in children]
         own = [pair[side] for pair in pairs]
         best = max(own)
-        pick = honest if honest is not None and own[honest] == best else own.index(best)
+        pick = honest if own[honest] == best else own.index(best)
         chosen[node_id] = actions[pick]
         margins[node_id] = Fraction(best - max(own[:pick] + own[pick + 1:], default=best), scale)
         outcomes[node_id] = pairs[pick]
@@ -429,22 +427,21 @@ def _induction_plan(node: DecisionNode, steps: list[tuple]) -> list[tuple]:
     `steps`, children first and in action order, and return `steps`.  A
     step is (the node's id, its owner's index in a payoff pair, its
     children's keys in the outcomes, a leaf or a node's id, in action order,
-    its actions, the position of its honest action or None).  A module-level
-    function, not a closure that calls itself, so a call leaves no
-    reference cycle."""
+    its actions, the position of its honest action).  It runs once, at
+    import, over `_SHAPE`.  A module-level function, not a closure that
+    calls itself, so a call leaves no reference cycle."""
     children = [*node.actions.values()]
     for child in children:
         if isinstance(child, DecisionNode):
             _induction_plan(child, steps)
     actions = [*node.actions]
-    honest = HONEST_PROFILE.get(node.node_id)
     steps.append((node.node_id, node.owner is Party.SELLER,
                   [child if isinstance(child, Leaf) else child.node_id for child in children],
-                  actions, actions.index(honest) if honest in node.actions else None))
+                  actions, actions.index(HONEST_PROFILE[node.node_id])))
     return steps
 
 
-#: The shared shape's induction plan.
+#: The induction plan of `_SHAPE`.
 _INDUCTION = _induction_plan(_SHAPE[ROOT], [])
 
 
@@ -452,13 +449,16 @@ _INDUCTION = _induction_plan(_SHAPE[ROOT], [])
 # Brute-force subgame perfect equilibrium oracle
 # ---------------------------------------------------------------------------
 
-MAX_BRUTE_FORCE_NODES = 20
-
 
 def profile_value(tree: GameTree, profile: Profile, node: Optional[DecisionNode] = None) -> PayoffPair:
     """Payoff vector when play follows `profile` from `node` (default root);
-    only the nodes on the path are read."""
-    buyer, seller = tree.leaves[_reached(tree.root if node is None else node, profile)]
+    only the nodes on the path are read.  A `node` that is not one of the
+    shape's decision nodes, a node id included, is refused by name."""
+    if node is None:
+        node = tree.root
+    elif not (isinstance(node, DecisionNode) and _SHAPE.get(node.node_id) is node):
+        raise ValueError(f"{node!r} is not a decision node of the tree")
+    buyer, seller = tree.leaves[_reached(node, profile)]
     return PayoffPair(Fraction(buyer, tree.scale), Fraction(seller, tree.scale))
 
 
@@ -504,20 +504,22 @@ def _enumeration_plan(root: DecisionNode) -> tuple:
             [entry[3] for entry in entries])
 
 
-#: The shared shape's enumeration plan: 32 profiles over 24 gain terms.
+#: The enumeration plan of `_SHAPE`: 32 profiles over 24 gain terms.
 _ENUMERATION = _enumeration_plan(_SHAPE[ROOT])
+#: Each profile's place in the plan, by its set of (node id, action) choices.
+_PLACES = {frozenset(choices): place for place, choices in enumerate(_ENUMERATION[1])}
 
 
-def _worsts(tree: GameTree) -> Iterator[tuple[tuple, int]]:
-    """Each profile's choices with its worst gain, the most any owner gains
-    by deviating in any subgame, as an int over the tree's scale: the
+def _worsts(tree: GameTree) -> list[int]:
+    """Each profile's worst gain in the plan's order, the most any owner
+    gains by deviating in any subgame, as an int over the tree's scale: the
     greatest of its gain terms, each its owner's best payoff at its
     deviation leaves less that at the leaf reached."""
-    order, profiles, terms, rows = _ENUMERATION if tree.nodes is _SHAPE else _enumeration_plan(tree.root)
+    order, _, terms, rows = _ENUMERATION
     leaves = tree.leaves
     at = [value for leaf in order for value in leaves[leaf]].__getitem__
     gains = [max(map(at, deviation)) - at(reached) for deviation, reached in terms]
-    return zip(profiles, [max(map(gains.__getitem__, row)) for row in rows])
+    return [max(map(gains.__getitem__, row)) for row in rows]
 
 
 def profile_epsilon(tree: GameTree, profile: Profile) -> Fraction:
@@ -525,35 +527,32 @@ def profile_epsilon(tree: GameTree, profile: Profile) -> Fraction:
 
     The maximum, over every subgame, of what its owner gains by deviating at
     any of its own nodes in it: the profile's worst gain in the enumeration
-    plan (`_worsts`).  Zero means exact subgame perfection.  The profile
-    must give every decision node one of that node's actions.
+    plan (`_worsts`), found by its set of choices, whatever their order.
+    Zero means exact subgame perfection.  The profile must give every
+    decision node one of that node's actions, and name no other node.
     """
     for node_id in profile:
-        if node_id not in tree.nodes:
+        if node_id not in _SHAPE:
             raise ValueError(f"profile names {node_id!r}, not a decision node of the tree")
-    for node in tree.decision_nodes():
+    for node in _SHAPE.values():
         _choice(node, profile)
-    worst = next(worst for choices, worst in _worsts(tree) if dict(choices) == profile)
-    return Fraction(worst, tree.scale)
+    return Fraction(_worsts(tree)[_PLACES[frozenset(profile.items())]], tree.scale)
 
 
 def brute_force_spe(tree: GameTree, epsilon=Fraction(0)) -> list[Profile]:
     """Every pure profile that is a subgame perfect epsilon-equilibrium.
 
     epsilon=0 gives the exact SPE set, and a negative one is refused.  Ground
-    truth for the analytic checkers.  The enumeration plan lists every
-    profile with its gain terms; the shared shape's is built once, another
-    shape's per call, and its size is exponential in the nodes: capped at
-    20 of them.  Each profile's worst gain (`_worsts`), an int over the
-    tree's scale, is compared with epsilon by cross-multiplication.
+    truth for the analytic checkers.  The enumeration plan, built once
+    from `_SHAPE`, lists every profile with its gain terms.  Each profile's
+    worst gain (`_worsts`), an int over the tree's scale, is compared with
+    epsilon by cross-multiplication.
     """
-    if len(tree.decision_nodes()) > MAX_BRUTE_FORCE_NODES:
-        raise ValueError(f"tree too large for enumeration (> {MAX_BRUTE_FORCE_NODES} nodes)")
     eps = as_fraction(epsilon)
     if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
     bound, denominator = eps.numerator * tree.scale, eps.denominator
-    found = [dict(choices) for choices, worst in _worsts(tree) if worst * denominator <= bound]
+    found = [dict(choices) for choices, worst in zip(_ENUMERATION[1], _worsts(tree)) if worst * denominator <= bound]
     if len(found) > 1:
         found.sort(key=lambda p: tuple(p[k].value for k in sorted(p)))
     return found

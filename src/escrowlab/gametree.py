@@ -198,24 +198,20 @@ _SHAPE = _shape()
 
 @dataclass(frozen=True)
 class GameTree:
-    """Its decision nodes by id, root first, in `_TREE` order, and its leaf
-    table: each leaf's (buyer, seller) payoffs as ints over `scale`."""
+    """Its leaf table, each leaf's (buyer, seller) payoffs as ints over
+    `scale`, and its setup.  Its shape is `_SHAPE`: `nodes` is the shared
+    read-only map of decision nodes by id, root first, in `_TREE` order."""
 
-    nodes: Mapping[str, DecisionNode] = field(hash=False)
     leaves: Mapping[Leaf, tuple[int, int]] = field(hash=False)
     scale: int
     params: TradeParams
     scheme: WagerScheme
 
-    @property
-    def root(self) -> DecisionNode:
-        return self.nodes[ROOT]
-
-    def decision_nodes(self) -> list[DecisionNode]:
-        return list(self.nodes.values())
+    nodes = _SHAPE
+    root = _SHAPE[ROOT]
 
     def node(self, node_id: str) -> DecisionNode:
-        return self.nodes[node_id]
+        return _SHAPE[node_id]
 
 
 def build_game_tree(params: TradeParams, scheme: WagerScheme) -> GameTree:
@@ -225,4 +221,4 @@ def build_game_tree(params: TradeParams, scheme: WagerScheme) -> GameTree:
         raise InvalidTradeError("params must be a TradeParams instance")
     forms, (stake,), s = _leaf_table(params, scheme.win_gain(params), 0, [scheme.loss_cost(params)])
     leaves = {leaf: (buyer + bk * stake, seller + sk * stake) for leaf, ((buyer, bk), (seller, sk)) in forms.items()}
-    return GameTree(_SHAPE, leaves, s * s, params, scheme)
+    return GameTree(leaves, s * s, params, scheme)

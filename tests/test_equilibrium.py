@@ -266,7 +266,7 @@ def test_oracle_epsilon_requirement_matches_the_analytic_boundary():
 
 def all_profiles(tree):
     """Reference: every pure profile, one action per decision node."""
-    nodes = tree.decision_nodes()
+    nodes = list(tree.nodes.values())
     for combo in itertools.product(*(list(node.actions) for node in nodes)):
         yield {node.node_id: action for node, action in zip(nodes, combo)}
 
@@ -347,20 +347,6 @@ def test_brute_force_refuses_a_negative_epsilon(epsilon, shown):
     with pytest.raises(ValueError, match=f"^epsilon must be >= 0, got {re.escape(shown)}$"):
         brute_force_spe(tree, epsilon)
     assert brute_force_spe(tree, 0) == brute_force_spe(tree, "0") == [HONEST_PROFILE]
-
-
-def test_brute_force_refuses_a_tree_over_the_node_cap():
-    # A chain of 21 decision nodes, each with a leaf and the next node below it.
-    base = build_game_tree(params(), Standard(1))
-    leaf = Leaf.SEND_ACCEPT
-    nodes, below = {}, leaf
-    for k in reversed(range(21)):
-        node_id = ROOT if k == 0 else f"n{k}"
-        below = nodes[node_id] = DecisionNode(node_id, Party.BUYER, {Action.ACCEPT: leaf, Action.DISPUTE: below})
-    tree = GameTree(dict(reversed(nodes.items())), base.leaves, base.scale, base.params, base.scheme)
-    assert len(tree.decision_nodes()) == 21 and tree.root is below
-    with pytest.raises(ValueError, match=r"^tree too large for enumeration \(> 20 nodes\)$"):
-        brute_force_spe(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +717,7 @@ def naive_profile_epsilon(tree, profile):
     the `naive_payoffs`, worked out once per call."""
     payoffs = naive_payoffs(tree)
     worst = Fraction(0)
-    for node in tree.decision_nodes():
+    for node in tree.nodes.values():
         reached = node
         while not isinstance(reached, Leaf):
             reached = reached.actions[profile[reached.node_id]]
@@ -948,41 +934,80 @@ def test_the_index_plans_match_the_recursive_passes(data, kind, fee):
     assert_the_plans_match_the_recursive_passes(tree)
 
 
-def test_a_tree_of_another_shape_is_solved_through_its_own_plans():
-    # root (seller): not-send -> D | send -> ask
-    # ask (buyer): accept -> D | dispute -> fight
-    # fight (seller): counter -> C | forfeit -> B
-    # D is reached from two nodes.  With payoffs over scale 2 the buyer is
-    # indifferent at ask (first maximizer: accept), and then so is the
-    # seller at root (honest send, listed second).
-    D, B, C = Leaf.NOSEND_ACCEPT, Leaf.SEND_DISPUTE_FORFEIT, Leaf.SEND_DISPUTE_COUNTER
-    fight = DecisionNode("fight", Party.SELLER, {Action.COUNTER: C, Action.FORFEIT: B})
-    ask = DecisionNode("ask", Party.BUYER, {Action.ACCEPT: D, Action.DISPUTE: fight})
-    root = DecisionNode(ROOT, Party.SELLER, {Action.NOT_SEND: D, Action.SEND: ask})
+def test_a_hand_set_table_is_solved_through_the_shared_plans():
+    # Leaf payoffs (buyer, seller) over scale 2, set by hand on the shared shape:
+    # - dispute_after_send: the seller forfeits (3 > 1), honest counter no maximizer;
+    # - dispute_after_not_send: the seller is indifferent (0 = 0), so honest
+    #   forfeit, listed second; the first maximizer, counter, would hand the
+    #   buyer 3 and make after_not_send's dispute strict;
+    # - after_not_send: the buyer is indifferent (1 = 1), so honest dispute,
+    #   listed second.
+    L = Leaf
     base = build_game_tree(params(), Standard(1))
-    tree = GameTree({ROOT: root, "ask": ask, "fight": fight}, {D: (1, 0), B: (1, 2), C: (3, 1)}, 2,
-                    base.params, base.scheme)
+    tree = GameTree({L.SEND_ACCEPT: (2, 2), L.SEND_DISPUTE_FORFEIT: (1, 3), L.SEND_DISPUTE_COUNTER: (0, 1),
+                     L.NOSEND_ACCEPT: (1, 0), L.NOSEND_DISPUTE_FORFEIT: (1, 0), L.NOSEND_DISPUTE_COUNTER: (3, 0)},
+                    2, base.params, base.scheme)
     assert_the_plans_match_the_recursive_passes(tree)
 
     solved = backward_induction(tree)
-    assert list(solved.chosen.items()) == [("fight", Action.FORFEIT), ("ask", Action.ACCEPT), (ROOT, Action.SEND)]
-    assert list(solved.margins.items()) == [("fight", Fraction(1, 2)), ("ask", 0), (ROOT, 0)]
+    assert list(solved.chosen.items()) == [
+        (DISPUTE_AFTER_SEND, Action.FORFEIT), (AFTER_SEND, Action.ACCEPT),
+        (DISPUTE_AFTER_NOSEND, Action.FORFEIT), (AFTER_NOSEND, Action.DISPUTE), (ROOT, Action.SEND),
+    ]
+    assert list(solved.margins.items()) == [
+        (DISPUTE_AFTER_SEND, 1), (AFTER_SEND, Fraction(1, 2)), (DISPUTE_AFTER_NOSEND, 0), (AFTER_NOSEND, 0), (ROOT, 1),
+    ]
 
-    def profile(root_action, ask_action, fight_action):
-        return {ROOT: root_action, "ask": ask_action, "fight": fight_action}
+    def profile(*actions):
+        return dict(zip(HONEST_PROFILE, actions))
 
-    # Not sending, then disputing and countering: the seller gains 2/2 only
-    # by sending and forfeiting at once; either move alone gains 1/2.
-    late = profile(Action.NOT_SEND, Action.DISPUTE, Action.COUNTER)
-    assert profile_epsilon(tree, late) == 1
-    assert profile_epsilon(tree, profile(Action.SEND, Action.DISPUTE, Action.COUNTER)) == Fraction(1, 2)
-    assert profile_epsilon(tree, profile(Action.SEND, Action.ACCEPT, Action.COUNTER)) == 1
-    exact = [profile(Action.NOT_SEND, Action.ACCEPT, Action.FORFEIT), profile(Action.SEND, Action.ACCEPT, Action.FORFEIT),
-             profile(Action.SEND, Action.DISPUTE, Action.FORFEIT)]
+    S, N, A, D, C, F = Action.SEND, Action.NOT_SEND, Action.ACCEPT, Action.DISPUTE, Action.COUNTER, Action.FORFEIT
+    # Not sending while the buyer would dispute a delivery and the seller
+    # counter it: the seller reaches 0 and gains 3/2 only by sending and
+    # forfeiting at once; sending alone gains 1/2, forfeiting alone 1.
+    late = profile(N, D, C, A, C)
+    assert profile_epsilon(tree, late) == Fraction(3, 2)
+    assert profile_epsilon(tree, profile(S, D, C, A, C)) == 1
+    assert profile_epsilon(tree, profile(N, D, F, A, C)) == Fraction(3, 2)
+    profiles = list(all_profiles(tree))
+    halves = [2, 2, 2, 2, 2, 0, 0, 0, 2, 2, 2, 2, 2, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]
+    assert [profile_epsilon(tree, p) for p in profiles] == [Fraction(k, 2) for k in halves]
+    exact = [profile(S, A, F, A, F), profile(S, A, F, D, C), profile(S, A, F, D, F)]
     assert brute_force_spe(tree) == exact
-    assert [list(p) for p in brute_force_spe(tree)] == [[ROOT, "ask", "fight"]] * 3
-    assert brute_force_spe(tree, Fraction(1, 2)) == [*exact[:2], profile(Action.SEND, Action.DISPUTE, Action.COUNTER), exact[2]]
-    assert len(brute_force_spe(tree, 1)) == 8 and late in brute_force_spe(tree, 1)
+    assert [list(p) for p in brute_force_spe(tree)] == [list(HONEST_PROFILE)] * 3
+    assert brute_force_spe(tree, Fraction(1, 2)) == [exact[0], profile(S, D, F, A, F), *exact[1:],
+                                                     profile(S, D, F, D, C), profile(S, D, F, D, F)]
+    assert len(brute_force_spe(tree, 1)) == 24 and late not in brute_force_spe(tree, 1)
+    everything = brute_force_spe(tree, Fraction(3, 2))
+    assert len(everything) == 32 and all(p in everything for p in profiles)
+
+
+def test_profile_epsilon_reads_a_profile_whatever_its_key_order():
+    # Every profile `all_profiles` yields has its keys in `_TREE` order, the
+    # enumeration's own; reversed or shuffled, it must read the same epsilon.
+    tree = build_game_tree(params(x=1, y=3, gamma="1/4", fee="1/10"), Standard(1))
+    rng = Random(61)
+    profiles = list(all_profiles(tree))
+    assert len(profiles) == 32 and all(list(p) == list(HONEST_PROFILE) for p in profiles)
+    for profile in profiles:
+        items = list(profile.items())
+        shuffled = items[:]
+        while shuffled == items:
+            rng.shuffle(shuffled)
+        for order in (items[::-1], shuffled):
+            assert profile_epsilon(tree, dict(order)) == profile_epsilon(tree, profile), order
+
+
+@pytest.mark.parametrize(
+    "node", [AFTER_SEND, ROOT, DecisionNode("elsewhere", Party.BUYER, {Action.ACCEPT: Leaf.SEND_ACCEPT})],
+    ids=["a node id", "the root's id", "a node of no tree"],
+)
+def test_profile_value_refuses_a_node_of_another_shape_by_name(node):
+    tree = build_game_tree(params(gamma="1/4"), Standard(1))
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(node))} is not a decision node of the tree$"):
+        profile_value(tree, HONEST_PROFILE, node)
+    deviation = {**HONEST_PROFILE, AFTER_SEND: Action.DISPUTE}
+    assert profile_value(tree, deviation, tree.node(AFTER_SEND)) == profile_value(tree, deviation)
 
 
 WAGER = st.one_of(

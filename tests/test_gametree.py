@@ -104,7 +104,7 @@ def test_unknown_leaf_id_rejected():
 
 def test_tree_shape():
     tree = build_game_tree(TradeParams(price=1, buyer_value=2), Standard(1))
-    nodes = tree.decision_nodes()
+    nodes = list(tree.nodes.values())
     assert len(nodes) == 5
     assert len(tree.leaves) == 6
     assert sum(len(n.actions) for n in nodes) == 10  # edges
