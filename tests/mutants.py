@@ -4,13 +4,15 @@ Run from anywhere: `python tests/mutants.py`.  It copies `src/`, `tests/`
 and `pyproject.toml` to a temporary directory, so pytest's `pythonpath`
 setting points at the copy.  It first runs every named test once on the
 unmutated copy, and they must pass, so a renamed or deleted test is caught.
-It then applies each mutant in turn, runs its tests with
+It then applies each mutant in turn, runs each of its tests on its own with
 `python -m pytest -x -q -p no:cacheprovider` under a time limit and a fixed
 `--hypothesis-seed`, and restores the file.  `hypothesis` runs under a
 profile with no example database and no shrinking: a failing example kills
-the mutant as it is found.  It prints one line per mutant: killed, survived, timed
-out, error, or text not found (the text must occur exactly once).  It exits
-nonzero on any outcome the table does not expect.
+the mutant as it is found.  A mutant is killed only when every one of its
+tests fails, so each test listed for it is shown to kill it.  It prints one
+line per mutant: killed, not killed (followed by each test that passed, timed
+out or hit an error), or text not found (the text must occur exactly once).
+It exits nonzero unless every mutant is killed.
 
 pytest does not collect this file: its name has no `test_` prefix.  A
 change that stops a mutant's text from matching ports the mutant to the
@@ -43,9 +45,8 @@ class Mutant(NamedTuple):
     file: str  # under src/escrowlab
     text: str  # must occur exactly once in the file
     replacement: str
-    tests: tuple[str, ...]  # node ids under tests/
+    tests: tuple[str, ...]  # node ids under tests/, each of which must kill it
     source: str  # the change or roadmap item that named it
-    expect: str = "killed"
 
 
 EQ = "tests/test_equilibrium.py::"
@@ -208,26 +209,28 @@ def main() -> int:
         print(f"baseline: {len(tests)} named tests {baseline} in {time.perf_counter() - start:.1f} s")
         if baseline != "passed":
             return 1
-        unexpected = 0
+        unkilled = 0
         for mutant in MUTANTS:
             path = copy / "src" / "escrowlab" / mutant.file
             original = path.read_text()
             began = time.perf_counter()
+            missed = {}
             if original.count(mutant.text) != 1:
                 outcome = "text not found"
             else:
                 path.write_text(original.replace(mutant.text, mutant.replacement))
                 try:
-                    run = pytest(copy, mutant.tests)
-                    outcome = {"failed": "killed", "passed": "survived"}.get(run, run)
+                    runs = {test: pytest(copy, (test,)) for test in mutant.tests}
                 finally:
                     path.write_text(original)
-            expected = outcome == mutant.expect
-            unexpected += not expected
-            note = "" if expected else f", expected {mutant.expect}"
-            print(f"{outcome:<14} {time.perf_counter() - began:5.1f} s  {mutant.id} ({mutant.source}){note}")
-    print(f"{len(MUTANTS)} mutants, {unexpected} unexpected, {time.perf_counter() - start:.0f} s")
-    return 1 if unexpected else 0
+                missed = {test: run for test, run in runs.items() if run != "failed"}
+                outcome = "not killed" if missed else "killed"
+            unkilled += outcome != "killed"
+            print(f"{outcome:<14} {time.perf_counter() - began:5.1f} s  {mutant.id} ({mutant.source})")
+            for test, run in missed.items():
+                print(f"    {run}: {test}")
+    print(f"{len(MUTANTS)} mutants, {unkilled} not killed, {time.perf_counter() - start:.0f} s")
+    return 1 if unkilled else 0
 
 
 if __name__ == "__main__":
