@@ -200,6 +200,11 @@ class SecurityReport:
 
     CSV_FIELDS = ("gamma", "lambda", "tau", "scheme", "complete", "eps_max", "strong", "weak")
 
+    def __init__(self, margins: tuple[int, ...], scale: int, gamma: Fraction, wager: Fraction, fee: Fraction,
+                 scheme: str) -> None:
+        # One write, not the generated frozen __init__'s six object.__setattr__ calls.
+        self.__dict__.update(margins=margins, scale=scale, gamma=gamma, wager=wager, fee=fee, scheme=scheme)
+
     @property
     def slacks(self) -> dict[str, Fraction]:
         """Each constraint's slack by name, in the table's order."""
@@ -271,15 +276,14 @@ def _reports(
     stakes: list[Fraction],
 ) -> list[SecurityReport]:
     """The report at each stake, from the margin forms whose winner nets
-    win + slope * stake (`_margin_table`): each margin at a stake is an int
-    over s * s, and its verdicts are decided in ints when read."""
-    margins, wagers, s = _margin_table(params, win, slope, stakes)
+    win + slope * stake (`_margin_table`): each form is evaluated down the
+    int wagers as one column, and a report's margins, ints over s * s, are
+    its row across the columns; its verdicts are decided in ints when read."""
+    forms, wagers, s = _margin_table(params, win, slope, stakes)
     gamma, fee, square = params.arbiter_error, params.fee, s * s
-    return [
-        SecurityReport(tuple([constant + coeff * wager for constant, coeff in margins]), square,
-                       gamma, stake, fee, scheme_name)
-        for stake, wager in zip(stakes, wagers)
-    ]
+    columns = [[constant + coeff * wager for wager in wagers] for constant, coeff in forms]
+    return [SecurityReport(margins, square, gamma, stake, fee, scheme_name)
+            for margins, stake in zip(zip(*columns), stakes)]
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,8 @@ def _shape() -> Mapping[str, DecisionNode]:
 
 
 _SHAPE = _shape()
+#: The six leaves, the keys of every tree's leaf table.
+_LEAVES = frozenset(Leaf)
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,20 @@ class GameTree:
 
     nodes = _SHAPE
     root = _SHAPE[ROOT]
+
+    def __post_init__(self) -> None:
+        """Refuse by name a leaf table that does not map exactly the six
+        leaves each to a pair of ints, and a scale that is not a positive
+        int, so the solvers never meet one."""
+        leaves, scale = self.leaves, self.scale
+        try:
+            kinds = {(type(buyer), type(seller)) for buyer, seller in leaves.values()}
+        except (AttributeError, TypeError, ValueError):
+            kinds = None
+        if kinds != {(int, int)} or leaves.keys() != _LEAVES:
+            raise ValueError(f"a game tree's leaves must map the six leaves each to a pair of ints, got {leaves!r}")
+        if type(scale) is not int or scale <= 0:
+            raise ValueError(f"a game tree's scale must be a positive int, got {scale!r}")
 
     def node(self, node_id: str) -> DecisionNode:
         return _SHAPE[node_id]

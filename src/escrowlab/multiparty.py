@@ -7,11 +7,13 @@ and receives at most one withdrawal, so fee-bearing ledger interactions stay
 at four per party however many trades they entered.
 
 Settlement is the composition of independent two-party contracts: each
-trade settles by its row of `contract._SPLITS` at stake = price under the
-standard scheme.  `accept` pays the seller the price, `forfeit` repays the
-buyer price and wager, and a countered dispute is `arbitration:buyer` or
-`arbitration:seller` by its coin matrix entry: the winner is repaid price
-and wager, and the loser's wager pays the arbiter.
+trade settles as a two-party contract would at stake = price under the
+standard scheme, the endings `contract._SPLITS` names.  `multiparty_run`
+does not read that table: three branches of its own settle each trade.
+An accepted trade pays the seller the price, a forfeited one repays the
+buyer price and wager, and a countered dispute is the buyer's or the
+seller's by its coin matrix entry: the winner is repaid price and wager,
+and the loser's wager pays the arbiter.
 
 The n x n grids are only parsed, and their cells are scanned in C.  A bit
 row that is a list of ints and bools is read whole into `bytes`; any other

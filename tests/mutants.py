@@ -56,6 +56,8 @@ EVERY_PROFILE = EQ + "test_every_profile_enters_the_enumeration_once_at_its_own_
 RUN_TRIAL = "tests/test_agents.py::test_run_trial_matches_the_fraction_sums"
 SELLER_TOSS = "tests/test_arbiter.py::test_no_seller_strategy_wins_both_bits_of_the_honest_buyer"
 RAMP = "tests/test_contract.py::test_a_timed_contract_pays_its_leaf_less_its_ramp"
+GENERIC_SUM = "tests/test_identities.py::test_the_seller_dispute_margins_sum_to_the_generic_impossibility_form"
+THIRD_ROW = "tests/test_identities.py::test_the_third_dispute_layer_row_is_the_second_plus_the_buyers_item_value"
 
 
 MUTANTS = (
@@ -120,6 +122,30 @@ MUTANTS = (
         "return node.owner is Party.SELLER, _reached(",
         "return node.owner is Party.BUYER, _reached(",
         (ACCEPTANCE + "test_criterion_1_completeness_boundary_matches_brute_force",), "PR 39 (c)",
+    ),
+    Mutant(
+        "report-columns-zipped-in-reversed-order", "equilibrium.py",
+        "for margins, stake in zip(zip(*columns), stakes)",
+        "for margins, stake in zip(zip(*reversed(columns)), stakes)",
+        (GENERIC_SUM,), "report rows",
+    ),
+    Mutant(
+        "report-stores-the-fee-as-gamma", "equilibrium.py",
+        "gamma=gamma, wager=wager",
+        "gamma=fee, wager=wager",
+        (EQ + "test_a_report_built_any_way_is_frozen_and_shows_its_six_fields_in_order",), "report rows",
+    ),
+    Mutant(
+        "leaf-drops-the-sellers-counter-fee", "gametree.py",
+        "(seller - _FEE_MOVES[leaf][1] * fee, sk)",
+        "(seller - _FEE_MOVES[leaf][1] * fee * (leaf is not Leaf.NOSEND_DISPUTE_COUNTER), sk)",
+        (GENERIC_SUM, THIRD_ROW), "item 23",
+    ),
+    Mutant(
+        "arbitration-leaf-g-and-h-swapped", "gametree.py",
+        "(g * win, g * slope - h)",
+        "(h * win, h * slope - g)",
+        (GENERIC_SUM, THIRD_ROW), "item 23",
     ),
     Mutant(
         "counter-leaf-seller-coeff-sign", "gametree.py",

@@ -1,7 +1,7 @@
 import gc
 import itertools
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from random import Random
 from typing import Mapping, Union
@@ -1076,6 +1076,26 @@ def test_a_report_holds_no_verdict_apart_from_its_margins():
 def test_a_report_is_not_hashable():
     with pytest.raises(TypeError, match="unhashable"):
         hash(security_report(params(), Standard(1)))
+
+
+def test_a_report_built_any_way_is_frozen_and_shows_its_six_fields_in_order():
+    p = params(x=Fraction(3, 2), y=4, gamma=Fraction(1, 4), fee=Fraction(1, 10))
+    single = security_report(p, Standard(2))
+    [swept] = sweep(p, gammas=[p.arbiter_error], wagers=[2], fees=[p.fee])
+    replaced = replace(single, wager=Fraction(3))
+    for report, wager in [(single, 2), (swept, 2), (replaced, 3)]:
+        assert type(report.margins) is tuple and {type(m) for m in report.margins} == {int}
+        assert type(report.scale) is int
+        assert repr(report) == (
+            f"SecurityReport(margins={report.margins!r}, scale={report.scale!r}, gamma=Fraction(1, 4), "
+            f"wager=Fraction({wager}, 1), fee=Fraction(1, 10), scheme='standard')"
+        )
+        for field in fields(SecurityReport):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, field.name, getattr(report, field.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(report, field.name)
+    assert swept == single and replaced != single
 
 
 # ---------------------------------------------------------------------------

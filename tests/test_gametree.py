@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from escrowlab.gametree import (
     _FEE_BEARING,
     Action,
+    GameTree,
     Leaf,
     Party,
     PayoffPair,
@@ -294,3 +296,27 @@ def test_build_game_tree_rejects_non_params():
         build_game_tree({"x": 1}, Standard(1))
     with pytest.raises(InvalidTradeError, match="^params must be a TradeParams instance$"):
         leaf_payoff(Leaf.SEND_ACCEPT, {"x": 1}, Standard(1))
+
+
+def test_a_game_tree_refuses_a_leaf_table_or_scale_the_solvers_cannot_read():
+    tree = build_game_tree(TradeParams(price=1, buyer_value=2, arbiter_error=Fraction(1, 4)), Standard(1))
+    leaves = dict(tree.leaves)
+    tables = [
+        {Leaf.SEND_ACCEPT: (1, 1)},  # five leaves missing
+        {**leaves, "send,accept": (1, 1)},  # a seventh key, a leaf's id
+        {**leaves, Leaf.SEND_ACCEPT: (1.0, 1)},
+        {**leaves, Leaf.SEND_ACCEPT: (1, Fraction(1))},
+        {**leaves, Leaf.SEND_ACCEPT: (True, 1)},
+        {**leaves, Leaf.SEND_ACCEPT: (1, 1, 1)},
+        {**leaves, Leaf.SEND_ACCEPT: 1},
+        [*leaves.items()],  # not a mapping
+    ]
+    for table in tables:
+        with pytest.raises(ValueError, match="^a game tree's leaves must map the six leaves each to a pair of ints, got "):
+            GameTree(table, tree.scale, tree.params, tree.scheme)
+    for scale in (0, -tree.scale, float(tree.scale), Fraction(tree.scale), True, None):
+        with pytest.raises(ValueError, match=f"^a game tree's scale must be a positive int, got {re.escape(repr(scale))}$"):
+            GameTree(leaves, scale, tree.params, tree.scheme)
+    # The six leaves in another order, each pair a list, are accepted.
+    shuffled = GameTree({leaf: list(pair) for leaf, pair in reversed(leaves.items())}, tree.scale, tree.params, tree.scheme)
+    assert {leaf: tuple(pair) for leaf, pair in shuffled.leaves.items()} == leaves

@@ -1,0 +1,68 @@
+"""The paper's closed forms, proven on finite grids rather than sampled.
+
+Every slack of the security report is a polynomial in the trade's inputs
+(x', x, y, gamma, tau, lambda) with degree at most 1 in each of them:
+`gametree._leaf_table` only adds and multiplies, with no branch on a value,
+and each named scheme's win (x + slope * lambda) and loss (lambda) are
+affine in the wager.  A polynomial of degree at most d in each of k
+variables that vanishes on a product grid of d + 1 distinct values per
+variable is zero everywhere: fix all but one variable, and a one-variable
+polynomial of degree at most d with d + 1 roots is zero; induct on k.  So an
+identity below whose two sides have degree at most 1 in each input, checked
+at every point of a grid of two values per input, holds for every rational
+input, not only for the points a `hypothesis` draw happens to reach.
+
+The grid lies inside the valid domain (y > x > x' >= 0, gamma in [0, 1],
+tau >= 0, lambda > 0).  The slacks are read through `agents.sweep`, so each
+margin form's evaluation down a row's wagers is checked at every grid point
+of each affine scheme.
+"""
+
+import itertools
+from fractions import Fraction
+
+from escrowlab.agents import sweep
+from escrowlab.equilibrium import BUYER_ACCEPTS, SELLER_COUNTERS, SELLER_FORFEITS, generic_impossibility
+from escrowlab.trade import TradeParams, wager_class
+
+# Two values per input, one more than every identity's degree bound of 1.
+SELLER_VALUES = (Fraction(0), Fraction(1, 4))
+PRICES = (Fraction(1, 2), Fraction(3, 2))
+BUYER_VALUES = (Fraction(2), Fraction(7, 2))
+GAMMAS = (Fraction(1, 5), Fraction(2, 3))
+FEES = (Fraction(0), Fraction(1, 10))
+WAGERS = (Fraction(1, 3), Fraction(5, 2))
+SCHEMES = ("standard", "winner_rebate", "withheld")
+
+
+def grid_reports():
+    """(The trade, the report) at every point of the product grid, for each
+    affine scheme, the reports read through `sweep`."""
+    points = []
+    for xs, x, y in itertools.product(SELLER_VALUES, PRICES, BUYER_VALUES):
+        trade = TradeParams(price=x, seller_value=xs, buyer_value=y)
+        points += [(trade, report) for report in sweep(trade, GAMMAS, WAGERS, FEES, SCHEMES)]
+    assert len(points) == 2 ** 6 * len(SCHEMES)
+    return points
+
+
+def test_the_seller_dispute_margins_sum_to_the_generic_impossibility_form():
+    # counter + forfeit = (1 - 2 gamma)(omega + ell), omega the winner's net
+    # and ell the loser's stake, the fee cancelling.  Degree at most 1 in each
+    # input on both sides: the slacks as above, and the right side a product
+    # of a form in gamma alone and one in (x, lambda) alone.
+    for trade, report in grid_reports():
+        omega = trade.price + wager_class(report.scheme).slope * report.wager
+        ell, gamma = report.wager, report.gamma
+        slacks = report.slacks
+        assert slacks[SELLER_COUNTERS] + slacks[SELLER_FORFEITS] == (1 - 2 * gamma) * (omega + ell), report
+        assert generic_impossibility(omega, ell, gamma) == (gamma < Fraction(1, 2))
+
+
+def test_the_third_dispute_layer_row_is_the_second_plus_the_buyers_item_value():
+    # buyer-accepts-delivery = dishonest-seller-forfeits + y (1 - gamma).
+    # Degree at most 1 in each input on both sides: the slacks as above, and
+    # y (1 - gamma) a product of a form in y alone and one in gamma alone.
+    for trade, report in grid_reports():
+        slacks = report.slacks
+        assert slacks[BUYER_ACCEPTS] == slacks[SELLER_FORFEITS] + trade.buyer_value * (1 - report.gamma), report
