@@ -78,6 +78,8 @@ class Phase(enum.Enum):
     SETTLED = "settled"
     ABORTED = "aborted"
 
+    __hash__ = object.__hash__  # identity hashing in C, as in `gametree`'s enums
+
 
 #: The timed phases and their defaults: the role whose silence the timeout
 #: charges, and how the contract then ends.  "owner" is whoever owes the

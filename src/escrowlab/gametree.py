@@ -42,6 +42,8 @@ class Party(enum.Enum):
     BUYER = "buyer"
     SELLER = "seller"
 
+    __hash__ = object.__hash__  # identity hashing in C, as equality is identity
+
     def other(self) -> "Party":
         return Party.SELLER if self is Party.BUYER else Party.BUYER
 
@@ -54,6 +56,8 @@ class Action(enum.Enum):
     COUNTER = "counter"
     FORFEIT = "forfeit"
 
+    __hash__ = object.__hash__
+
 
 class Leaf(enum.Enum):
     """The six terminal outcomes, named by the path that reaches them."""
@@ -64,6 +68,8 @@ class Leaf(enum.Enum):
     NOSEND_ACCEPT = "not-send,accept"
     NOSEND_DISPUTE_FORFEIT = "not-send,dispute,forfeit"
     NOSEND_DISPUTE_COUNTER = "not-send,dispute,counter"
+
+    __hash__ = object.__hash__
 
 
 class PayoffPair(NamedTuple):

@@ -2,7 +2,10 @@
 
 All money amounts and probabilities are exact rationals (`fractions.Fraction`)
 so that the strict/non-strict inequality distinctions in the equilibrium
-analysis are decidable without floating-point ties.
+analysis are decidable without floating-point ties.  `TradeParams` and
+`Generic` decide their range checks on each field's int ratio
+(`as_integer_ratio()`, denominator positive) by cross-multiplication, which
+orders two rationals exactly as comparing the `Fraction`s would.
 """
 
 from __future__ import annotations
@@ -57,6 +60,23 @@ def scaled(values: Iterable[Union[int, Fraction]]) -> tuple[list[int], int]:
     return [p * (scale // q) for p, q in ratios], scale
 
 
+_TRADE_FIELDS = ("price", "seller_value", "buyer_value", "arbiter_error", "fee")
+
+
+def _held_ratios(record: object, names: tuple[str, ...]) -> list[tuple[int, int]]:
+    """Each named field of a frozen record as its int ratio (numerator,
+    positive denominator).  A field that is not a `Fraction` is converted by
+    `as_fraction` and set again; a `Fraction` is kept as the same object."""
+    held = record.__dict__
+    ratios = []
+    for name in names:
+        value = held[name]
+        if type(value) is not Fraction:
+            held[name] = value = as_fraction(value)
+        ratios.append(value.as_integer_ratio())
+    return ratios
+
+
 @dataclass(frozen=True)
 class TradeParams:
     """The economic quintuple of a trade.
@@ -68,7 +88,10 @@ class TradeParams:
     fee:          cost of one non-default contract move (0 disables fees)
 
     A trade only makes sense when buyer_value > price > seller_value; anything
-    else is rejected as ill-posed.
+    else is rejected as ill-posed.  Each field is held as a `Fraction`: one
+    that arrives as a `Fraction` is kept as it is, any other is converted by
+    `as_fraction`.  The checks are decided on the fields' int ratios, and a
+    message is formatted only when a check fails.
     """
 
     price: Fraction
@@ -78,18 +101,17 @@ class TradeParams:
     fee: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        for name in ("price", "seller_value", "buyer_value", "arbiter_error", "fee"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if not self.buyer_value > self.price > self.seller_value:
+        (x, xq), (xs, xsq), (y, yq), (g, gq), (fee, _) = _held_ratios(self, _TRADE_FIELDS)
+        if not (y * xq > x * yq and x * xsq > xs * xq):
             raise InvalidTradeError(
                 f"need buyer_value > price > seller_value, got "
                 f"{self.buyer_value} / {self.price} / {self.seller_value}"
             )
-        if self.price <= 0 or self.seller_value < 0:
+        if x <= 0 or xs < 0:
             raise InvalidTradeError("price must be > 0 and seller_value >= 0")
-        if not 0 <= self.arbiter_error <= 1:
+        if not 0 <= g <= gq:
             raise InvalidTradeError(f"arbiter_error must lie in [0, 1], got {self.arbiter_error}")
-        if self.fee < 0:
+        if fee < 0:
             raise InvalidTradeError(f"fee must be >= 0, got {self.fee}")
 
 
@@ -115,7 +137,7 @@ class AffineWager:
     @staticmethod
     def checked(value: Rational) -> Fraction:
         """`value` as an exact wager, refused unless it is > 0."""
-        wager = as_fraction(value)
+        wager = value if type(value) is Fraction else as_fraction(value)
         if wager.numerator <= 0:
             raise InvalidSchemeError(f"wager must be > 0, got {wager}")
         return wager
@@ -168,11 +190,10 @@ class Generic:
     loss_amount: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "win_amount", as_fraction(self.win_amount))
-        object.__setattr__(self, "loss_amount", as_fraction(self.loss_amount))
-        if self.loss_amount < 0:
+        (win, wq), (loss, lq) = _held_ratios(self, ("win_amount", "loss_amount"))
+        if loss < 0:
             raise InvalidSchemeError(f"loss_amount must be >= 0, got {self.loss_amount}")
-        if self.win_amount + self.loss_amount <= 0:
+        if win * lq + loss * wq <= 0:
             raise InvalidSchemeError(
                 "winning must be strictly preferred to losing "
                 f"(win_amount > -loss_amount), got win={self.win_amount} loss={self.loss_amount}"

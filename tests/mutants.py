@@ -58,6 +58,10 @@ SELLER_TOSS = "tests/test_arbiter.py::test_no_seller_strategy_wins_both_bits_of_
 RAMP = "tests/test_contract.py::test_a_timed_contract_pays_its_leaf_less_its_ramp"
 GENERIC_SUM = "tests/test_identities.py::test_the_seller_dispute_margins_sum_to_the_generic_impossibility_form"
 THIRD_ROW = "tests/test_identities.py::test_the_third_dispute_layer_row_is_the_second_plus_the_buyers_item_value"
+TRADE = "tests/test_trade.py::"
+TRADE_CHECKS = TRADE + "test_trade_checks_on_int_ratios_match_the_fraction_comparisons"
+GENERIC_CHECKS = TRADE + "test_generic_checks_on_int_ratios_match_the_fraction_comparisons"
+BOUNDARIES = TRADE + "test_the_range_checks_hold_at_their_boundaries"
 
 
 MUTANTS = (
@@ -190,6 +194,36 @@ MUTANTS = (
         'Phase.DISPUTED: ("seller", "forfeit"),',
         'Phase.DISPUTED: ("buyer", "forfeit"),',
         (RAMP,), "PR 36",
+    ),
+    Mutant(
+        "trade-accepts-a-buyer-value-equal-to-the-price", "trade.py",
+        "y * xq > x * yq",
+        "y * xq >= x * yq",
+        (TRADE_CHECKS, BOUNDARIES, TRADE + "test_ill_posed_trades_rejected[1-0-1]"), "int ratio checks",
+    ),
+    Mutant(
+        "trade-refuses-an-arbiter-that-always-errs", "trade.py",
+        "g <= gq",
+        "g < gq",
+        (TRADE_CHECKS, BOUNDARIES), "int ratio checks",
+    ),
+    Mutant(
+        "trade-refuses-a-zero-fee", "trade.py",
+        "fee < 0",
+        "fee <= 0",
+        (TRADE_CHECKS, BOUNDARIES), "int ratio checks",
+    ),
+    Mutant(
+        "generic-refuses-a-zero-loss", "trade.py",
+        "loss < 0",
+        "loss <= 0",
+        (GENERIC_CHECKS, BOUNDARIES), "int ratio checks",
+    ),
+    Mutant(
+        "converted-field-not-set-again", "trade.py",
+        "held[name] = value = as_fraction(value)",
+        "value = as_fraction(value)",
+        (TRADE_CHECKS, GENERIC_CHECKS, TRADE + "test_params_coerce_to_exact_fractions"), "int ratio checks",
     ),
     Mutant(
         "toss-skips-verify", "arbiter.py",

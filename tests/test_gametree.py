@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -7,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escrowlab.contract import Phase
 from escrowlab.gametree import (
     _FEE_BEARING,
+    _SHAPE,
     Action,
+    DecisionNode,
     GameTree,
     Leaf,
     Party,
@@ -320,3 +325,25 @@ def test_a_game_tree_refuses_a_leaf_table_or_scale_the_solvers_cannot_read():
     # The six leaves in another order, each pair a list, are accepted.
     shuffled = GameTree({leaf: list(pair) for leaf, pair in reversed(leaves.items())}, tree.scale, tree.params, tree.scheme)
     assert {leaf: tuple(pair) for leaf, pair in shuffled.leaves.items()} == leaves
+
+
+@pytest.mark.parametrize("kind", [Party, Action, Leaf, Phase])
+def test_an_enum_member_is_one_object_and_keys_by_identity(kind):
+    # The enums hash by identity (object.__hash__), which agrees with their
+    # identity equality only while every copy of a member is the member.
+    index = {member: place for place, member in enumerate(kind)}
+    members = set(kind)
+    for member in kind:
+        for copied in (pickle.loads(pickle.dumps(member)), copy.deepcopy(member), kind(member.value)):
+            assert copied is member and hash(copied) == hash(member)
+            assert index[copied] == list(kind).index(member) and copied in members
+    assert pickle.loads(pickle.dumps(index)) == index and copy.deepcopy(members) == members
+
+
+def test_the_shared_decision_nodes_stay_hashable():
+    # A node hashes on its id and owner, so a node built from the same fields
+    # is equal to it and finds its entry.
+    for node in _SHAPE.values():
+        twin = DecisionNode(node.node_id, node.owner, node.actions)
+        assert node == node and twin == node and hash(twin) == hash(node)
+        assert {node: node.node_id}[twin] == node.node_id

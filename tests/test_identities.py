@@ -22,8 +22,17 @@ import itertools
 from fractions import Fraction
 
 from escrowlab.agents import sweep
-from escrowlab.equilibrium import BUYER_ACCEPTS, SELLER_COUNTERS, SELLER_FORFEITS, generic_impossibility
+from escrowlab.equilibrium import (
+    BUYER_ACCEPTS,
+    BUYER_DISPUTES,
+    SELLER_COUNTERS,
+    SELLER_FORFEITS,
+    SELLER_SENDS,
+    generic_impossibility,
+)
 from escrowlab.trade import TradeParams, wager_class
+
+from test_equilibrium import NAIVE_NAMES, naive_node_margins
 
 # Two values per input, one more than every identity's degree bound of 1.
 SELLER_VALUES = (Fraction(0), Fraction(1, 4))
@@ -66,3 +75,50 @@ def test_the_third_dispute_layer_row_is_the_second_plus_the_buyers_item_value():
     for trade, report in grid_reports():
         slacks = report.slacks
         assert slacks[BUYER_ACCEPTS] == slacks[SELLER_FORFEITS] + trade.buyer_value * (1 - report.gamma), report
+
+
+#: How each slack holds the fee: the counter, a buyer's dispute and the
+#: seller's send each cost their mover one fee, and the forfeit and the
+#: accept are each the free default against a fee-bearing deviation.
+FEE_SIGNS = {SELLER_COUNTERS: -1, SELLER_FORFEITS: 1, BUYER_ACCEPTS: 1, BUYER_DISPUTES: -1, SELLER_SENDS: -1}
+
+
+def test_each_slack_takes_the_fee_exactly_once():
+    # Criterion 6: slack(tau) = slack(0) + sign * tau, each sign +1 or -1.
+    # Degree at most 1 in each input on both sides: the slacks as above, and
+    # sign * tau linear in tau alone.
+    points = grid_reports()
+    free = {}
+    for trade, report in points:
+        if report.fee == 0:
+            free[trade, report.gamma, report.wager, report.scheme] = report.slacks
+    for trade, report in points:
+        base = free[trade, report.gamma, report.wager, report.scheme]
+        assert report.slacks == {name: base[name] + sign * report.fee for name, sign in FEE_SIGNS.items()}, report
+    assert len(free) == 2 ** 5 * len(SCHEMES)
+
+
+def test_each_slack_is_its_naive_formula():
+    # The five slacks equal `naive_node_margins`, each margin written out by
+    # hand in tests/test_equilibrium.py.  Both sides have degree at most 1
+    # in each input: the formulas multiply gamma into the win and loss, each
+    # affine in (x, lambda), and add x, x', y and tau in linearly.
+    for trade, report in grid_reports():
+        params = TradeParams(trade.price, trade.seller_value, trade.buyer_value, report.gamma, report.fee)
+        naive = naive_node_margins(params, wager_class(report.scheme)(report.wager))
+        assert report.slacks == {NAIVE_NAMES[node]: margin for node, margin in naive.items()}, report
+
+
+def test_the_matching_wagers_counter_row_is_the_strength_bound_less_one_fee():
+    # Criteria 2 and 6: under `Standard` at wager = price, the counter slack
+    # is x (1 - 2 gamma) - tau.  With lambda = x substituted, a slack of
+    # degree at most 1 in x and in lambda has degree at most 2 in x, so the
+    # grid takes three prices; every other input keeps degree at most 1.
+    prices = (*PRICES, Fraction(1))
+    points = 0
+    for xs, x, y in itertools.product(SELLER_VALUES, prices, BUYER_VALUES):
+        trade = TradeParams(price=x, seller_value=xs, buyer_value=y)
+        for report in sweep(trade, GAMMAS, [x], FEES, ["standard"]):
+            assert report.slacks[SELLER_COUNTERS] == x * (1 - 2 * report.gamma) - report.fee, report
+            points += 1
+    assert points == 2 * 3 * 2 * 2 * 2

@@ -247,3 +247,127 @@ def test_scheme_names_are_read_from_one_table(spelling, kind):
     assert lambda_interval(params, spelling) == lambda_interval(params, kind) == lambda_interval(params, scheme)
     with pytest.raises(ValueError, match="unknown scheme"):
         params_from_kv(read_kv(f"x=2\ny=3\nscheme={spelling}x\n"))
+
+
+# ---------------------------------------------------------------------------
+# The range checks on int ratios against the Fraction comparisons they replaced
+# ---------------------------------------------------------------------------
+
+
+def naive_trade_error(price, seller_value, buyer_value, arbiter_error, fee):
+    """Reference: `TradeParams`'s checks as they were, every field through
+    `as_fraction` and every check a `Fraction` comparison; the error it
+    raises as (type, message), or None."""
+    x, xs, y, g, t = map(as_fraction, (price, seller_value, buyer_value, arbiter_error, fee))
+    if not y > x > xs:
+        return InvalidTradeError, f"need buyer_value > price > seller_value, got {y} / {x} / {xs}"
+    if x <= 0 or xs < 0:
+        return InvalidTradeError, "price must be > 0 and seller_value >= 0"
+    if not 0 <= g <= 1:
+        return InvalidTradeError, f"arbiter_error must lie in [0, 1], got {g}"
+    if t < 0:
+        return InvalidTradeError, f"fee must be >= 0, got {t}"
+    return None
+
+
+def naive_generic_error(win_amount, loss_amount):
+    """Reference: `Generic`'s checks as they were, as `naive_trade_error`."""
+    win, loss = as_fraction(win_amount), as_fraction(loss_amount)
+    if loss < 0:
+        return InvalidSchemeError, f"loss_amount must be >= 0, got {loss}"
+    if win + loss <= 0:
+        return InvalidSchemeError, (
+            f"winning must be strictly preferred to losing (win_amount > -loss_amount), got win={win} loss={loss}"
+        )
+    return None
+
+
+STEP = st.fractions(min_value=Fraction(1, 12), max_value=3, max_denominator=12)
+ANY = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+#: Where a value lies from its anchor: above it by a small step, at it, or
+#: anywhere small, as (how, amount).
+PLACES = (
+    STEP.map(lambda step: ("above", step))
+    | st.just(("at", Fraction(0)))
+    | ANY.map(lambda value: ("anywhere", value))
+)
+GAMMAS = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(-1, 2, max_denominator=12)
+FEES = st.just(Fraction(0)) | ANY
+#: How an input is spelled: each of these `as_fraction` reads.
+SPELLINGS = st.sampled_from(["fraction", "int", "string", "float"])
+
+
+def placed(anchor, place):
+    how, amount = place
+    return anchor + amount if how == "above" else anchor if how == "at" else amount
+
+
+def spelled(value, spelling):
+    """`value` as a `Fraction`, an int (when it is whole), a "p/q" string or a float."""
+    if spelling == "int" and value.denominator == 1:
+        return int(value)
+    if spelling == "string":
+        return f"{value.numerator}/{value.denominator}"
+    return float(value) if spelling == "float" else value
+
+
+def held_as_given(record, names, inputs):
+    """Each field holds the `Fraction` its input reads as, and an input that
+    was a `Fraction` is held as the same object."""
+    for name, value in zip(names, inputs):
+        held = getattr(record, name)
+        assert type(held) is Fraction and held == as_fraction(value), name
+        assert type(value) is not Fraction or held is value, name
+
+
+def raised(make):
+    try:
+        return make(), None
+    except (InvalidTradeError, InvalidSchemeError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(places=st.tuples(PLACES, PLACES, PLACES), gamma=GAMMAS, fee=FEES, spellings=st.tuples(*[SPELLINGS] * 5))
+def test_trade_checks_on_int_ratios_match_the_fraction_comparisons(places, gamma, fee, spellings):
+    # Weighted toward each check's boundary: y == x, x == x', x' == 0, x == 0,
+    # gamma in {0, 1} and fee == 0.
+    xs = placed(Fraction(0), places[0])
+    x = placed(xs, places[1])
+    y = placed(x, places[2])
+    inputs = list(map(spelled, (x, xs, y, gamma, fee), spellings))
+    params, error = raised(lambda: TradeParams(*inputs))
+    assert error == naive_trade_error(*inputs)
+    if params is not None:
+        held_as_given(params, ("price", "seller_value", "buyer_value", "arbiter_error", "fee"), inputs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(places=st.tuples(PLACES, PLACES), spellings=st.tuples(SPELLINGS, SPELLINGS))
+def test_generic_checks_on_int_ratios_match_the_fraction_comparisons(places, spellings):
+    # Weighted toward loss == 0 and win == -loss.
+    loss = placed(Fraction(0), places[0])
+    inputs = list(map(spelled, (placed(-loss, places[1]), loss), spellings))
+    scheme, error = raised(lambda: Generic(*inputs))
+    assert error == naive_generic_error(*inputs)
+    if scheme is not None:
+        held_as_given(scheme, ("win_amount", "loss_amount"), inputs)
+
+
+def test_the_range_checks_hold_at_their_boundaries():
+    # Each check at its boundary, on the side it accepts and the side it refuses.
+    TradeParams(price=1, seller_value=0, buyer_value=2, arbiter_error=0, fee=0)
+    TradeParams(price=1, buyer_value=2, arbiter_error=1)
+    Generic(win_amount=1, loss_amount=0)
+    refused = {
+        "need buyer_value > price > seller_value, got 1 / 1 / 0": lambda: TradeParams(price=1, buyer_value=1),
+        "need buyer_value > price > seller_value, got 2 / 1/2 / 1/2": lambda: TradeParams("1/2", "1/2", 2),
+        "arbiter_error must lie in [0, 1], got 13/12": lambda: TradeParams(1, 0, 2, "13/12"),
+        "arbiter_error must lie in [0, 1], got -1/12": lambda: TradeParams(1, 0, 2, "-1/12"),
+        "fee must be >= 0, got -1/12": lambda: TradeParams(1, 0, 2, 0, "-1/12"),
+        "loss_amount must be >= 0, got -1/12": lambda: Generic(1, "-1/12"),
+        "winning must be strictly preferred to losing (win_amount > -loss_amount), got win=-1/2 loss=1/2":
+            lambda: Generic("-1/2", "1/2"),
+    }
+    for message, make in refused.items():
+        assert raised(make)[1][1] == message
