@@ -166,10 +166,12 @@ class EscrowContract:
 
     # -- plumbing ------------------------------------------------------------
 
+    def _pot(self) -> int:
+        return self._wagered + self._books[3] * len(self.liveness_deposits)
+
     def pot_total(self) -> Fraction:
-        _, _, _, deposit, scale = self._books
-        pot = self._wagered + deposit * len(self.liveness_deposits)
-        return Fraction(pot, scale) if pot else _ZERO
+        pot = self._pot()
+        return Fraction(pot, self._books[4]) if pot else _ZERO
 
     def _step(self, role: str, action: str, pot_delta: Fraction, phase: Optional[Phase] = None) -> None:
         """Append the move's record (time, phase, role, action, pot_delta),
@@ -211,7 +213,7 @@ class EscrowContract:
         taken the money.  All of `amount` but an entry's deposit is wagered."""
         party = getattr(self, role)
         _, _, _, deposit, scale = self._books
-        self.ledger.escrow_deposit(party, self.contract_id, amount, contract_move=True, scale=scale)
+        self.ledger.escrow_deposit(party, self.contract_id, amount, scale=scale)
         self._mark_response(party)
         if self.phase is Phase.PROPOSED and deposit:
             self.liveness_deposits[party] = self.liveness_deposit
@@ -312,7 +314,7 @@ class EscrowContract:
         ledger, cid = self.ledger, self.contract_id
         payout, _, _, deposit, scale = self._books
         wagered, deposits = self._wagered, self.liveness_deposits
-        pot = wagered + deposit * len(deposits)
+        pot = self._pot()
         paid, arbitrated, leaves = _SPLITS[how]
         amount = payout if arbitrated else wagered
         if amount:

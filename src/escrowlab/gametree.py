@@ -186,6 +186,17 @@ class DecisionNode:
     owner: Party
     actions: Mapping[Action, Union["DecisionNode", Leaf]] = field(hash=False)
 
+    def __reduce_ex__(self, protocol):
+        """A node of the shared shape pickles and copies as that very node,
+        as an enum member does; any other node as a plain dataclass."""
+        if _SHAPE.get(self.node_id) is self:
+            return _shape_node, (self.node_id,)
+        return super().__reduce_ex__(protocol)
+
+
+def _shape_node(node_id: str) -> DecisionNode:
+    return _SHAPE[node_id]
+
 
 def _shape() -> Mapping[str, DecisionNode]:
     """The tree's shape, built once and shared by every tree: one

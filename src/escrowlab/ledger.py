@@ -18,9 +18,16 @@ one pass over the ledger: near-linear while the amounts share a small lcm,
 quadratic when many contracts each bring a coprime one.  The two sinks are
 entries of one dict beside the balances and the pots.  Reads return
 `Fraction(v, L)`: `balance()`, `pot_balance()`, `fee_sink`,
-`arbiter_sink`, `tau`, `total_funds()` and the read-only copies `balances`
-and `pots`; a single value of zero reads as the shared `_ZERO`, with no
-gcd.  `move_counts` is a read-only view of the live counts.
+`arbiter_sink`, `tau`, `total_funds()` and the read-only copy `pots`; a
+single value of zero reads as the shared `_ZERO`, with no gcd.
+`move_counts` is a read-only view of the live counts.
+
+The ledger alone decides which operation is a contract move, costing its
+party the fee `tau` and counting as one of their moves: `escrow_deposit`
+(its payer's) and `charge_move` always; `escrow_release` only as a
+withdrawal its recipient claims (`contract_move=True`), the fee paid out of
+the proceeds, not as a contract's own payout; `transfer`, `pot_to_arbiter`
+and `burn_from_pot` never.
 
 The conservation invariant is that the sum of all account balances, escrow
 pots, and the two sinks never changes: fees and forfeited liveness deposits
@@ -161,11 +168,6 @@ class Ledger:
         return self._read(self._fee)
 
     @property
-    def balances(self) -> Mapping[str, Fraction]:
-        scale = self._scale
-        return MappingProxyType({name: Fraction(value, scale) for name, value in self._balances.items()})
-
-    @property
     def pots(self) -> Mapping[str, Fraction]:
         scale = self._scale
         return MappingProxyType({pot: Fraction(value, scale) for pot, value in self._pots.items()})
@@ -225,11 +227,9 @@ class Ledger:
             raise UnknownAccountError(name)
 
     def _move(self, party: str, amount: int, contract_move: bool) -> None:
-        """Credit `amount` to a party (a debit when negative); a contract move
-        also costs the party the fee and counts as one of their moves.
-
-        Raises, before any change, if the balance cannot cover it.
-        """
+        """Credit `amount` to a party (a debit when negative), less the fee
+        for a contract move, which counts as one of their moves; raises,
+        before any change, if the balance cannot cover it."""
         old = self._balances.get(party)
         if old is None:
             raise UnknownAccountError(party)
@@ -245,27 +245,25 @@ class Ledger:
 
     # -- fund movement -----------------------------------------------------
 
-    def transfer(self, src: str, dst: str, amount, contract_move: bool = False) -> None:
-        """Move funds between accounts; a contract move also costs the fee."""
+    def transfer(self, src: str, dst: str, amount) -> None:
+        """Move funds between accounts."""
         value = self._int(amount)
         self.require_account(dst)
-        self._move(src, -value, contract_move)
+        self._move(src, -value, False)
         self._balances[dst] += value
 
-    def escrow_deposit(self, party: str, contract_id: str, amount, contract_move: bool = False, *, scale: int = 1) -> None:
+    def escrow_deposit(self, party: str, contract_id: str, amount, *, scale: int = 1) -> None:
         """Pay `amount / scale` into a pot, opening it under a new id."""
         value = self._int(amount, scale=scale)
         pot = self._pots.get(contract_id)
         if pot is None:
             _require_name("pot id", contract_id)
             pot = 0
-        self._move(party, -value, contract_move)
+        self._move(party, -value, True)
         self._pots[contract_id] = pot + value
 
     def escrow_release(self, contract_id: str, party: str, amount, contract_move: bool = False, *, scale: int = 1) -> None:
-        """Pay `amount / scale` out of a pot; a fee-bearing release is a
-        withdrawal claimed by the recipient, who covers the fee out of the
-        proceeds."""
+        """Pay `amount / scale` out of a pot; `contract_move` makes it a withdrawal."""
         value = self._int(amount, scale=scale)
         rest = self._pot_less(contract_id, value)
         self._move(party, value, contract_move)

@@ -123,11 +123,10 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]], 
             if entries.__class__ is not list:  # indexed below, so a one-pass row is copied
                 entries = list(entries)
             row, nums, paid, dens, negative = [_ZERO] * len(entries), [0] * len(entries), [], [], False
-            # The int 0 object, most cells, is passed over in C.
+            # The int 0 object, most cells, is passed over in C; any other
+            # zero is skipped on its numerator below.
             for j in compress(range(len(entries)), map(is_not, entries, repeat(0))):
                 v = entries[j]
-                if v.__class__ is int and not v:  # an int zero that is another object
-                    continue
                 value = v if v.__class__ is Fraction else as_fraction(v)
                 p, q = value.as_integer_ratio()  # the one split of this price
                 if p:
@@ -234,7 +233,7 @@ def multiparty_run(
             if cols:
                 total = sum([xs[j][i] for j in cols] if by_seller else [xs[i][j] for j in cols])
                 try:
-                    ledger.escrow_deposit(parties[i], POT, total, contract_move=True, scale=scale)
+                    ledger.escrow_deposit(parties[i], POT, total, scale=scale)
                 except InsufficientFundsError:
                     steps[i] = []
         return steps

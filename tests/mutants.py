@@ -62,6 +62,11 @@ TRADE = "tests/test_trade.py::"
 TRADE_CHECKS = TRADE + "test_trade_checks_on_int_ratios_match_the_fraction_comparisons"
 GENERIC_CHECKS = TRADE + "test_generic_checks_on_int_ratios_match_the_fraction_comparisons"
 BOUNDARIES = TRADE + "test_the_range_checks_hold_at_their_boundaries"
+LEDGER = "tests/test_ledger.py::"
+INTEGER_PAIRS = LEDGER + "test_integer_pairs_match_the_fraction_ledger"
+MULTIPARTY = "tests/test_multiparty.py::"
+DENSE_LOOP = MULTIPARTY + "test_per_trade_settlement_matches_the_dense_loop"
+INTERVAL_ROOTS = "tests/test_identities.py::test_each_finite_bound_of_the_wager_interval_is_a_root_of_one_margin_form"
 
 
 MUTANTS = (
@@ -224,6 +229,70 @@ MUTANTS = (
         "held[name] = value = as_fraction(value)",
         "value = as_fraction(value)",
         (TRADE_CHECKS, GENERIC_CHECKS, TRADE + "test_params_coerce_to_exact_fractions"), "int ratio checks",
+    ),
+    Mutant(
+        "rescale-leaves-the-fee-unscaled", "ledger.py",
+        "        self._fee *= factor\n",
+        "",
+        (INTEGER_PAIRS, LEDGER + "test_amounts_on_fresh_prime_denominators_stay_exact"), "one fee rule",
+    ),
+    Mutant(
+        "rollback-keeps-the-blocks-scale-and-fee", "ledger.py",
+        "            self._scale, self._fee = scale, fee\n",
+        "",
+        (LEDGER + "test_a_rescale_inside_a_block_that_raises_is_undone",), "one fee rule",
+    ),
+    Mutant(
+        "contract-move-burns-no-fee", "ledger.py",
+        'self._sinks["fee_sink"] += fee',
+        'self._sinks["fee_sink"] += 0',
+        (LEDGER + "test_contract_move_charges_the_fee_to_the_mover",
+         LEDGER + "test_conservation_under_random_operation_sequences"), "one fee rule",
+    ),
+    Mutant(
+        "scheduler-fires-a-stale-entry", "ledger.py",
+        "if live is None or live[0] != due:",
+        "if live is None:",
+        (LEDGER + "test_rearming_one_id_many_times_fires_once_and_keeps_little",
+         LEDGER + "test_heap_scheduler_matches_the_sorted_scan"), "one fee rule",
+    ),
+    Mutant(
+        "batch-keeps-an-unfunded-step", "multiparty.py",
+        "steps[i] = []",
+        "pass",
+        (MULTIPARTY + "test_unfunded_purchases_are_cancelled", MULTIPARTY + "test_unfunded_counters_default_to_forfeit",
+         DENSE_LOOP), "one fee rule",
+    ),
+    Mutant(
+        "counter-wager-reads-the-transposed-price", "multiparty.py",
+        "[xs[j][i] for j in cols] if by_seller",
+        "[xs[i][j] for j in cols] if by_seller",
+        (DENSE_LOOP, MULTIPARTY + "test_random_three_party_batches_compose"), "one fee rule",
+    ),
+    Mutant(
+        "coin-pays-the-loser", "multiparty.py",
+        "credits[j if b[i][j] else i]",
+        "credits[i if b[i][j] else j]",
+        (MULTIPARTY + "test_countered_dispute_settles_by_the_coin", DENSE_LOOP), "one fee rule",
+    ),
+    Mutant(
+        "coin-takes-the-low-bit", "multiparty.py",
+        "bytes(v >> 7 for v in range(256))",
+        "bytes(v & 1 for v in range(256))",
+        (MULTIPARTY + "test_the_drawn_coin_grid_is_n_squared_single_bit_draws[7]",
+         DENSE_LOOP), "one fee rule",
+    ),
+    Mutant(
+        "interval-bound-adds-the-constant", "equilibrium.py",
+        "bound = eps - Fraction(constant, s * s)",
+        "bound = eps + Fraction(constant, s * s)",
+        (INTERVAL_ROOTS,), "item 23",
+    ),
+    Mutant(
+        "interval-lower-bound-is-the-least-root", "equilibrium.py",
+        "lower, upper = max(lowers), min(uppers, default=None)",
+        "lower, upper = min(lowers), min(uppers, default=None)",
+        (INTERVAL_ROOTS,), "item 23",
     ),
     Mutant(
         "toss-skips-verify", "arbiter.py",

@@ -552,7 +552,7 @@ def _replay(sequence):
         except EXPECTED_ERRORS:
             pass
         assert ledger.total_funds() == total
-        assert all(balance >= 0 for balance in ledger.balances.values())
+        assert all(ledger.balance(name) >= 0 for name in ("alice", "bob"))
         assert ledger.pot_balance("c1") >= 0
         assert contract.pot_total() == ledger.pot_balance("c1")
         if contract.phase in TERMINAL_PHASES:
@@ -751,7 +751,7 @@ class NaiveEscrowContract:
         if self.seller_accepted:
             raise WrongPhaseError("already accepted")
         deposit = self.liveness_deposit
-        self.ledger.escrow_deposit(actor, self.contract_id, deposit, contract_move=True)
+        self.ledger.escrow_deposit(actor, self.contract_id, deposit)
         self._mark_response(actor)
         if deposit > 0:
             self.liveness_deposits[actor] = deposit
@@ -764,7 +764,7 @@ class NaiveEscrowContract:
         if not self.seller_accepted:
             raise WrongPhaseError("seller has not accepted yet")
         deposit = self.liveness_deposit
-        self.ledger.escrow_deposit(actor, self.contract_id, self.params.price + deposit, contract_move=True)
+        self.ledger.escrow_deposit(actor, self.contract_id, self.params.price + deposit)
         self._mark_response(actor)
         self.payment_pot += self.params.price
         if deposit > 0:
@@ -784,7 +784,7 @@ class NaiveEscrowContract:
     def dispute(self, actor: str) -> None:
         """Buyer wagers that the item did not arrive (fee-bearing)."""
         self._require(actor, self.buyer, Phase.FUNDED, Phase.DELIVERED_NOTIFIED)
-        self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
+        self.ledger.escrow_deposit(actor, self.contract_id, self.stake)
         self._mark_response(actor)
         self.buyer_wager_pot += self.stake
         self._enter(Phase.DISPUTED)
@@ -793,7 +793,7 @@ class NaiveEscrowContract:
     def counter(self, actor: str) -> None:
         """Seller matches the wager to contest the dispute (fee-bearing)."""
         self._require(actor, self.seller, Phase.DISPUTED)
-        self.ledger.escrow_deposit(actor, self.contract_id, self.stake, contract_move=True)
+        self.ledger.escrow_deposit(actor, self.contract_id, self.stake)
         self._mark_response(actor)
         self.seller_wager_pot += self.stake
         self._enter(Phase.COUNTERED)

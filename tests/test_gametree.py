@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escrowlab.contract import Phase
+from escrowlab.equilibrium import profile_value
 from escrowlab.gametree import (
     _FEE_BEARING,
     _SHAPE,
+    HONEST_PROFILE,
+    ROOT,
     Action,
     DecisionNode,
     GameTree,
@@ -347,3 +350,28 @@ def test_the_shared_decision_nodes_stay_hashable():
         twin = DecisionNode(node.node_id, node.owner, node.actions)
         assert node == node and twin == node and hash(twin) == hash(node)
         assert {node: node.node_id}[twin] == node.node_id
+
+
+def test_a_shared_decision_node_comes_back_from_pickle_and_deepcopy_as_itself():
+    # Like an enum member, each node of the shared shape is one object, so a
+    # copied node still passes the solvers' identity check and reads the
+    # same payoffs through `profile_value`, honest or not.
+    tree = build_game_tree(TradeParams(price=1, seller_value="1/4", buyer_value=2, arbiter_error="1/4", fee="1/10"),
+                           WinnerRebate(Fraction(1, 2)))
+    other = {node_id: next(a for a in node.actions if a is not HONEST_PROFILE[node_id]) for node_id, node in _SHAPE.items()}
+    for node in _SHAPE.values():
+        copies = [pickle.loads(pickle.dumps(node, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*copies, copy.deepcopy(node), copy.copy(node)):
+            assert copied is node
+        for profile in (HONEST_PROFILE, other):
+            assert profile_value(tree, profile, copies[-1]) == profile_value(tree, profile, node)
+    assert pickle.loads(pickle.dumps(tree)).root is tree.root and copy.deepcopy(dict(_SHAPE)) == dict(_SHAPE)
+    # A hand-built node, of another id or a twin of a shared one, copies as a
+    # plain dataclass: an equal node that is not the original, and that
+    # `profile_value` still refuses by name.
+    for built in (DecisionNode("elsewhere", Party.BUYER, {Action.ACCEPT: Leaf.SEND_ACCEPT}),
+                  DecisionNode(ROOT, Party.SELLER, dict(_SHAPE[ROOT].actions))):
+        for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            assert copied == built and copied is not built and copied is not _SHAPE.get(built.node_id)
+            with pytest.raises(ValueError, match="is not a decision node of the tree"):
+                profile_value(tree, HONEST_PROFILE, copied)

@@ -25,10 +25,13 @@ from escrowlab.agents import sweep
 from escrowlab.equilibrium import (
     BUYER_ACCEPTS,
     BUYER_DISPUTES,
+    CONSTRAINTS,
+    DISPUTE_LAYER,
     SELLER_COUNTERS,
     SELLER_FORFEITS,
     SELLER_SENDS,
     generic_impossibility,
+    lambda_interval,
 )
 from escrowlab.trade import TradeParams, wager_class
 
@@ -122,3 +125,47 @@ def test_the_matching_wagers_counter_row_is_the_strength_bound_less_one_fee():
             assert report.slacks[SELLER_COUNTERS] == x * (1 - 2 * report.gamma) - report.fee, report
             points += 1
     assert points == 2 * 3 * 2 * 2 * 2
+
+
+#: The soundness levels the interval is asked for, beside completeness (None).
+EPSILONS = (None, Fraction(1, 20), Fraction(1, 3))
+
+
+def test_each_finite_bound_of_the_wager_interval_is_a_root_of_one_margin_form():
+    # A `lambda_interval` bound is (eps - constant) / coeff for one margin
+    # form constant + coeff * lambda, eps = 0 when complete: a ratio of two
+    # polynomials in the inputs.  Cross-multiplied, the bound is a root:
+    # constant + coeff * bound == eps, for a rising form (coeff > 0) at the
+    # lower bound and a falling one at the upper.  Each form is read off
+    # `naive_node_margins` at two wagers, the margins being affine in the
+    # wager.  Both grid gammas keep every wager-dependent coeff nonzero
+    # ((1 - gamma) * slope - gamma for the counter, 1 - gamma - gamma * slope
+    # for the other two dispute rows), so each root is defined.  At each
+    # bound of a non-empty interval, the lower one included when it is the
+    # positivity bound 0, every form the interval is asked about reads at
+    # least eps: the lower bound is the largest root of a rising form, the
+    # upper the smallest root of a falling one.
+    roots, empty = {1: 0, -1: 0}, 0
+    for xs, x, y in itertools.product(SELLER_VALUES, PRICES, BUYER_VALUES):
+        for gamma, fee, scheme in itertools.product(GAMMAS, FEES, SCHEMES):
+            params = TradeParams(x, xs, y, gamma, fee)
+            one, two = (naive_node_margins(params, wager_class(scheme)(wager)) for wager in (1, 2))
+            forms = {NAIVE_NAMES[node]: (2 * one[node] - two[node], two[node] - one[node]) for node in one}
+            assert all(forms[name][1] for name in DISPUTE_LAYER)
+            for epsilon in EPSILONS:
+                interval = lambda_interval(params, scheme, epsilon)
+                if interval.empty:
+                    empty += 1
+                    continue
+                eps = epsilon or 0
+                asked = [forms[name] for name in (CONSTRAINTS if epsilon is None else DISPUTE_LAYER)]
+                bounds = [(interval.lower, 1)] + ([] if interval.upper is None else [(interval.upper, -1)])
+                for bound, side in bounds:
+                    assert all(constant + coeff * bound >= eps for constant, coeff in asked), (params, scheme, epsilon)
+                    if bound == 0 and side == 1:
+                        continue  # the positivity bound, not a root
+                    assert any(constant + coeff * bound == eps and side * coeff > 0 for constant, coeff in asked), (
+                        params, scheme, epsilon, bound)
+                    roots[side] += 1
+    # 288 intervals: each side's roots checked, and the empty ones skipped.
+    assert (roots[1], roots[-1], empty) == (116, 80, 160)

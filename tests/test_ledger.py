@@ -36,7 +36,7 @@ def test_plain_transfer_moves_exactly_the_amount():
 
 def test_contract_move_charges_the_fee_to_the_mover():
     ledger = fresh_ledger(tau="1/10")
-    ledger.escrow_deposit("buyer", "c1", 1, contract_move=True)
+    ledger.escrow_deposit("buyer", "c1", 1)
     assert ledger.balance("buyer") == Fraction(89, 10)
     assert ledger.pot_balance("c1") == 1
     assert ledger.fee_sink == Fraction(1, 10)
@@ -44,16 +44,20 @@ def test_contract_move_charges_the_fee_to_the_mover():
 
 
 def test_default_moves_charge_nothing():
+    # After one deposit, its one fee: a payout and a transfer charge none.
     ledger = fresh_ledger(tau="1/10")
-    ledger.escrow_deposit("buyer", "c1", 1, contract_move=False)
-    assert ledger.fee_sink == 0
-    assert ledger.move_counts == {}
+    ledger.escrow_deposit("buyer", "c1", 1)
+    ledger.escrow_release("c1", "seller", 1)
+    ledger.transfer("seller", "buyer", 1)
+    assert (ledger.balance("buyer"), ledger.balance("seller")) == (Fraction(99, 10), 10)
+    assert ledger.fee_sink == Fraction(1, 10)
+    assert ledger.move_counts == {"buyer": 1}
 
 
 def test_overdraw_rejected_atomically():
     ledger = fresh_ledger(tau="1/2")
     with pytest.raises(InsufficientFundsError):
-        ledger.escrow_deposit("buyer", "c1", 10, contract_move=True)  # 10 + fee > 10
+        ledger.escrow_deposit("buyer", "c1", 10)  # 10 + fee > 10
     assert ledger.balance("buyer") == 10
     assert ledger.pot_balance("c1") == 0
     assert ledger.fee_sink == 0
@@ -98,7 +102,7 @@ def test_negative_amounts_are_refused_by_one_check(op):
     with pytest.raises(ValueError, match=r"^amount must be >= 0, got -"):
         op(ledger)
     assert ledger.snapshot() == before
-    assert ledger.move_counts == {}
+    assert ledger.move_counts == {"buyer": 1}
 
 
 OPS = st.lists(
@@ -124,12 +128,13 @@ TX_OPS = st.lists(
 
 
 def _apply(ledger, op, party, pot, amount, fee):
+    """One operation; `fee` makes a release a withdrawal."""
     if op == "deposit":
-        ledger.escrow_deposit(party, pot, amount, contract_move=fee)
+        ledger.escrow_deposit(party, pot, amount)
     elif op == "release":
         ledger.escrow_release(pot, party, amount, contract_move=fee)
     elif op == "transfer":
-        ledger.transfer(party, "buyer" if party == "seller" else "seller", amount, contract_move=fee)
+        ledger.transfer(party, "buyer" if party == "seller" else "seller", amount)
     elif op == "arbiter":
         ledger.pot_to_arbiter(pot, amount)
     elif op == "burn":
@@ -146,11 +151,11 @@ def test_conservation_under_random_operation_sequences(ops, tau):
     total = ledger.total_funds()
     for op, party, amount in ops:
         try:
-            _apply(ledger, op, party, "c1", amount, fee=op == "deposit")
+            _apply(ledger, op, party, "c1", amount, fee=False)
         except (InsufficientFundsError, ValueError):
             pass
         assert ledger.total_funds() == total
-        assert all(balance >= 0 for balance in ledger.balances.values())
+        assert all(ledger.balance(name) >= 0 for name in ("buyer", "seller"))
         assert all(pot >= 0 for pot in ledger.pots.values())
 
 
@@ -199,11 +204,11 @@ def test_nested_transactions_undo_their_own_block():
     ledger = fresh_ledger(Fraction(1, 4))
     counts = ledger.move_counts
     with ledger.transaction():
-        ledger.escrow_deposit("buyer", "c1", 2, contract_move=True)
+        ledger.escrow_deposit("buyer", "c1", 2)
         after_outer_move = _fund_state(ledger)
         with pytest.raises(Abort):
             with ledger.transaction():
-                ledger.escrow_deposit("seller", "c1", 3, contract_move=True)
+                ledger.escrow_deposit("seller", "c1", 3)
                 ledger.escrow_release("c1", "buyer", 1, contract_move=True)
                 ledger.pot_to_arbiter("c1", 1)
                 ledger.burn_from_pot("c1", 1)
@@ -223,7 +228,7 @@ def test_nested_transactions_undo_their_own_block():
         with ledger.transaction():
             ledger.escrow_release("c1", "seller", 2, contract_move=True)
             with ledger.transaction():
-                ledger.escrow_deposit("buyer", "c2", 1, contract_move=True)
+                ledger.escrow_deposit("buyer", "c2", 1)
             assert ledger.move_counts == {"buyer": 2, "seller": 2}
             raise Abort
     assert _fund_state(ledger) == before
@@ -292,15 +297,15 @@ class NaiveLedger:
             self.fee_sink += self.tau
             self.move_counts[party] = self.move_counts.get(party, 0) + 1
 
-    def transfer(self, src, dst, amount, contract_move=False):
+    def transfer(self, src, dst, amount):
         value = _naive_amount(amount)
         self._require_account(dst)
-        self._move(src, -value, contract_move)
+        self._move(src, -value, False)
         self.balances[dst] += value
 
-    def escrow_deposit(self, party, contract_id, amount, contract_move=False):
+    def escrow_deposit(self, party, contract_id, amount):
         value = _naive_amount(amount)
-        self._move(party, -value, contract_move)
+        self._move(party, -value, True)
         self.pots[contract_id] = self.pots.get(contract_id, Fraction(0)) + value
 
     def escrow_release(self, contract_id, party, amount, contract_move=False):
@@ -382,8 +387,8 @@ AMOUNT = st.one_of(
 PARTY = st.sampled_from(["a", "a", "b", "b", "ghost"])
 POT = st.sampled_from(["p1", "p2"])
 LEDGER_OP = st.one_of(
-    st.tuples(st.just("transfer"), PARTY, PARTY, AMOUNT, st.booleans()),
-    st.tuples(st.just("escrow_deposit"), PARTY, POT, AMOUNT, st.booleans()),
+    st.tuples(st.just("transfer"), PARTY, PARTY, AMOUNT),
+    st.tuples(st.just("escrow_deposit"), PARTY, POT, AMOUNT),
     st.tuples(st.just("escrow_release"), POT, PARTY, AMOUNT, st.booleans()),
     st.tuples(st.just("charge_move"), PARTY),
     st.tuples(st.just("pot_to_arbiter"), POT, AMOUNT),
@@ -407,7 +412,7 @@ def _fresh_denominators(value, primes):
 
 def _ledger_op(ledger, op):
     name, *args = op
-    if name in ("transfer", "escrow_deposit", "escrow_release"):
+    if name == "escrow_release":
         *args, fee = args
         return getattr(ledger, name)(*args, contract_move=fee)
     return getattr(ledger, name)(*args)
@@ -430,8 +435,14 @@ def _ledger_step(ledger, step):
 
 
 def _ledger_state(ledger):
+    balances = {}
+    for name in ("a", "b", "c"):  # every name the tests open
+        try:
+            balances[name] = ledger.balance(name)
+        except UnknownAccountError:
+            pass
     return (
-        ledger.snapshot(), dict(ledger.move_counts), dict(ledger.balances), dict(ledger.pots),
+        ledger.snapshot(), dict(ledger.move_counts), balances, dict(ledger.pots),
         ledger.fee_sink, ledger.arbiter_sink, ledger.total_funds(), ledger.tau,
     )
 
@@ -487,7 +498,7 @@ def _scaled_op(ledger, step, over_scale):
     the outcome, with the type and message of what it raised."""
     op, party, pot, n, m, s, fee = step
     amount = n if m == 1 else Fraction(n, m)
-    kwargs = {"contract_move": fee} if op.startswith("escrow_") else {}
+    kwargs = {"contract_move": fee} if op == "escrow_release" else {}
     if over_scale:
         kwargs["scale"] = s
     else:
@@ -539,7 +550,7 @@ def test_a_rescale_inside_a_block_that_raises_is_undone():
     for ledger in (ours, naive):
         ledger.open_account("a", 10)
         ledger.open_account("b", Fraction(1, 2))
-        ledger.escrow_deposit("a", "p", Fraction(3, 4), contract_move=True)
+        ledger.escrow_deposit("a", "p", Fraction(3, 4))
     counts = ours.move_counts
 
     # A plain block.
@@ -547,7 +558,7 @@ def test_a_rescale_inside_a_block_that_raises_is_undone():
     for ledger in (ours, naive):
         with pytest.raises(Abort):
             with ledger.transaction():
-                ledger.escrow_deposit("b", "p", Fraction(1, 7), contract_move=True)
+                ledger.escrow_deposit("b", "p", Fraction(1, 7))
                 ledger.pot_to_arbiter("p", Fraction(2, 11))
                 raise Abort
     assert _ledger_state(ours) == before == _ledger_state(naive)
@@ -556,7 +567,7 @@ def test_a_rescale_inside_a_block_that_raises_is_undone():
     # An inner block that raises inside an outer one that completes.
     for ledger in (ours, naive):
         with ledger.transaction():
-            ledger.transfer("a", "b", Fraction(1, 3), contract_move=True)
+            ledger.escrow_deposit("a", "p", Fraction(1, 3))
             after_outer_move = _ledger_state(ledger)
             with pytest.raises(Abort):
                 with ledger.transaction():
@@ -575,13 +586,13 @@ def test_a_rescale_inside_a_block_that_raises_is_undone():
         with pytest.raises(Abort):
             with ledger.transaction():
                 with ledger.transaction():
-                    ledger.escrow_deposit("b", "q", Fraction(5, 11), contract_move=True)
+                    ledger.escrow_deposit("b", "q", Fraction(5, 11))
                 ledger.charge_move("a")
                 raise Abort
     assert _ledger_state(ours) == before == _ledger_state(naive)
     assert counts == seen
     for ledger in (ours, naive):
-        ledger.transfer("b", "a", Fraction(1, 4), contract_move=True)
+        ledger.transfer("b", "a", Fraction(1, 4))
         ledger.burn_from_pot("p", Fraction(1, 4))
     assert _ledger_state(ours) == _ledger_state(naive)
 
@@ -594,12 +605,12 @@ def test_refusals_read_as_the_fraction_ledgers_across_a_rescale():
     steps = [
         ("open_account", "a", Fraction(3, 2)),
         ("open_account", "b", 0),
-        ("escrow_deposit", "a", "p", Fraction(1, 2), True),
-        ("transfer", "a", "b", Fraction(6, 7), True),
+        ("escrow_deposit", "a", "p", Fraction(1, 2)),
+        ("escrow_deposit", "a", "p", Fraction(6, 7)),
         ("escrow_release", "p", "b", Fraction(6, 11), False),
         ("pot_to_arbiter", "p", Fraction(7, 13)),
-        ("escrow_deposit", "b", "p", Fraction(1, 17), False),
-        ("transfer", "a", "b", Fraction(3, 4), True),
+        ("escrow_deposit", "b", "p", Fraction(1, 17)),
+        ("transfer", "a", "b", Fraction(4, 5)),
         ("burn_from_pot", "p", Fraction(4, 7)),
         ("charge_move", "b"),
     ]
@@ -621,7 +632,7 @@ def test_amounts_on_fresh_prime_denominators_stay_exact():
     ledger.open_account("b", 0)
     amounts = [Fraction(1, p) for p in PRIMES[1:60]]
     for amount in amounts:
-        ledger.escrow_deposit("a", "p", amount, contract_move=True)
+        ledger.escrow_deposit("a", "p", amount)
     for amount in reversed(amounts):
         ledger.escrow_release("p", "b", amount)
     assert ledger.pot_balance("p") == 0
@@ -631,14 +642,11 @@ def test_amounts_on_fresh_prime_denominators_stay_exact():
     assert ledger.snapshot().startswith(f"a {ledger.balance('a')}\nb {ledger.balance('b')}\nfee_sink 59/10007\n")
 
 
-def test_balances_and_pots_read_back_as_read_only_fractions():
+def test_pots_read_back_as_read_only_fractions():
     ledger = fresh_ledger()
     ledger.escrow_deposit("buyer", "c1", Fraction(1, 3))
-    assert dict(ledger.balances) == {"buyer": Fraction(29, 3), "seller": 10}
     assert dict(ledger.pots) == {"c1": Fraction(1, 3)}
     assert "c1" in ledger.pots and "c2" not in ledger.pots
-    with pytest.raises(TypeError):
-        ledger.balances["buyer"] = Fraction(100)
     with pytest.raises(TypeError):
         ledger.pots["c1"] = Fraction(0)
     assert ledger.balance("buyer") == Fraction(29, 3)
@@ -661,7 +669,7 @@ def test_a_move_counts_reference_reads_the_counts_a_rollback_restored():
     with pytest.raises(Abort):
         with ledger.transaction():
             ledger.charge_move("buyer")
-            ledger.transfer("seller", "buyer", 1, contract_move=True)
+            ledger.escrow_deposit("seller", "c1", 1)
             assert counts == {"buyer": 1, "seller": 2}
             raise Abort
     assert counts == ledger.move_counts == {"seller": 1}
@@ -864,7 +872,8 @@ def test_a_bool_is_not_an_amount(act):
     with pytest.raises(ValueError, match=r"^an amount must be a number, got (True|False)$"):
         act(ledger)
     assert ledger.snapshot() == before
-    assert "a" not in ledger.balances
+    with pytest.raises(UnknownAccountError):
+        ledger.balance("a")
 
 
 def test_a_zero_denominator_is_refused_by_name_without_effect():
@@ -912,7 +921,9 @@ def test_an_account_cannot_take_a_name_of_the_snapshots_own_lines(name):
     before = ledger.snapshot()
     with pytest.raises(ValueError, match=f"account name '{name}' would read as a snapshot line of its own"):
         ledger.open_account(name, 5)
-    assert ledger.snapshot() == before and name not in ledger.balances
+    assert ledger.snapshot() == before
+    with pytest.raises(UnknownAccountError):
+        ledger.balance(name)
 
 
 def test_a_negative_deposit_has_no_payback():
@@ -942,7 +953,7 @@ def test_a_negative_amount_is_refused_by_name(what):
 
 def test_snapshot_format_is_stable():
     ledger = fresh_ledger(tau="1/10")
-    ledger.escrow_deposit("buyer", "c1", 2, contract_move=True)
+    ledger.escrow_deposit("buyer", "c1", 2)
     ledger.pot_to_arbiter("c1", 1)
     ledger.advance_time(4)
     assert ledger.snapshot() == (

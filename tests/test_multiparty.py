@@ -293,6 +293,19 @@ def test_input_validation():
         multiparty_run(ledger, ["a", "b"], [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])  # no rng
     with pytest.raises(MultipartyError, match=r"^payments entries must be rationals >= 0$"):
         multiparty_run(ledger, ["a", "b"], [[0, True], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
+    # A zero however spelled is no trade: no ledger call, nothing settled,
+    # even where a dispute and a counter are marked; a bool False is refused.
+    for zero in (0, Fraction(0), "0", "0/7", 0.0):
+        recording = RecordingLedger()
+        for name in ("a", "b"):
+            recording.open_account(name, 100)
+        result = multiparty_run(recording, ["a", "b"], [[0, zero], [zero, 0]], [[0, 1], [1, 0]], [[0, 1], [1, 0]],
+                                rng=Random(1))
+        assert recording.calls == [] and recording.move_counts == {}
+        assert (result.payments, result.disputes, result.counters) == (((0, 0), (0, 0)),) * 3
+        assert result.payouts == (0, 0)
+    with pytest.raises(MultipartyError, match=r"^payments entries must be rationals >= 0$"):
+        multiparty_run(ledger, ["a", "b"], [[0, False], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], rng=Random(1))
     # A bit that int() would truncate is refused, in every bit grid.
     for name in ("disputes", "counters", "coin"):
         for bit in (1.7, 0.5, Fraction(1, 2), float("inf"), 1 + 0j):
@@ -387,7 +400,7 @@ def naive(ledger, parties, payments, disputes, counters, rng=None, coin_matrix=N
         if total == 0:
             return False
         try:
-            ledger.escrow_deposit(parties[i], POT, total, contract_move=True)
+            ledger.escrow_deposit(parties[i], POT, total)
         except InsufficientFundsError:
             return True
         return False
