@@ -40,18 +40,24 @@ place.  A pot exists once `open_pot` or a deposit names it; a payout out
 of any other id raises `UnknownPotError`, zero amounts included.
 
 Timeouts fire in (due, id) order, with the clock reading the due instant
-inside each callback.  They are kept in a min-heap: registering and firing
-cost O(log n) in the n pending timeouts.  Cancelling or re-registering an id
-leaves its old heap entry in place, to be skipped when popped; the heap is
-rebuilt from the live entries once stale ones outnumber them.
+inside each callback.  Ticks are whole numbers, so they are kept in one
+bucket per due tick, after hashed timing wheels: a dict from each id to its
+live due, a dict from each due to its bucket {id: callback}, and a min-heap
+of the dues.  Arming, re-arming and cancelling an id are dict operations,
+O(1); a due is pushed, O(log d) in the d pending dues, only when its bucket
+is new.  A bucket that empties is dropped at once, so nothing keeps a
+cancelled callback alive.  `advance_time` fires the earliest bucket in
+sorted id order, O(b log b) for b ids.  A dropped bucket leaves its due on
+the heap, to be skipped when popped; the heap is rebuilt from the buckets
+once it holds twice as many dues as there are buckets, plus 64.
 """
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
@@ -153,11 +159,12 @@ class Ledger:
         #: Contract moves per party, a read-only view that a rollback keeps current.
         self.move_counts: Mapping[str, int] = MappingProxyType(self._move_counts)
         self.time = 0
-        # id -> its live (due, callback); the heap holds (due, id) for these
-        # and for the entries a cancel or a re-registration left stale.
-        # Stale entries hold no callback, so they keep nothing alive.
-        self._timeouts: dict[str, tuple[int, Callable[[], None]]] = {}
-        self._heap: list[tuple[int, str]] = []
+        # id -> its live due; due -> its bucket {id: callback}; a min-heap
+        # of the dues with a bucket, and of dues whose bucket was dropped.
+        self._timeouts: dict[str, int] = {}
+        self._buckets: dict[int, dict[str, Callable[[], None]]] = {}
+        self._dues: list[int] = []
+        self._advancing = False
 
     def _read(self, value: int) -> Fraction:
         """One held int as the `Fraction` it stands for; zero is the shared `_ZERO`."""
@@ -329,16 +336,26 @@ class Ledger:
         _require_whole("due", due)
         if due <= self.time:
             raise ValueError(f"due {due} is not in the future (now {self.time})")
-        self._timeouts[contract_id] = (due, callback)
-        heapq.heappush(self._heap, (due, contract_id))
-        # Rebuild once stale entries outnumber live ones; the slack of 64
-        # spares a small heap a rebuild every few registrations.
-        if len(self._heap) > 2 * len(self._timeouts) + 64:
-            self._heap = [(d, cid) for cid, (d, _) in self._timeouts.items()]
-            heapq.heapify(self._heap)
+        self.cancel_timeout(contract_id)
+        self._timeouts[contract_id] = due
+        bucket = self._buckets.get(due)
+        if bucket is None:
+            bucket = self._buckets[due] = {}
+            dues = self._dues
+            heappush(dues, due)
+            # Rebuild once dropped buckets' dues outnumber the live ones; the
+            # slack of 64 spares a small heap a rebuild every few new dues.
+            if len(dues) > 2 * len(self._buckets) + 64:
+                dues[:] = sorted(self._buckets)
+        bucket[contract_id] = callback
 
     def cancel_timeout(self, contract_id: str) -> None:
-        self._timeouts.pop(contract_id, None)
+        due = self._timeouts.pop(contract_id, None)
+        if due is not None:
+            bucket = self._buckets[due]
+            del bucket[contract_id]
+            if not bucket:
+                del self._buckets[due]
 
     def advance_time(self, ticks: int) -> None:
         """Advance the clock, firing every due timeout exactly once.
@@ -346,24 +363,36 @@ class Ledger:
         Timeouts fire at their due instant, in (due, contract-id) order;
         callbacks may register or cancel timeouts within the window, and
         those follow-ups fire in the same order.  If a callback raises, the
-        clock stays at its due and the later timeouts stay pending.  Each
-        firing costs O(log n) in the pending timeouts.
+        clock stays at its due and the later timeouts stay pending, its own
+        bucket's unfired ids among them.  A callback may not advance the
+        clock itself: that raises `LedgerError`.  Each due costs one heap
+        pop and a sort of its bucket's ids.
         """
         _require_whole("ticks", ticks)
         if ticks <= 0:
             raise ValueError(f"ticks must be > 0, got {ticks}")
+        if self._advancing:
+            raise LedgerError("a timeout callback cannot advance the clock")
         target = self.time + ticks
-        while self._heap and self._heap[0][0] <= target:
-            # An entry is stale if its id has no live timeout at its due.  The
-            # first of equal (due, id) entries fires and removes the live one,
-            # and no registration can reuse a due at or before the clock.
-            due, cid = heapq.heappop(self._heap)
-            live = self._timeouts.get(cid)
-            if live is None or live[0] != due:
-                continue  # cancelled or re-registered since it was pushed
-            _, callback = self._timeouts.pop(cid)
-            self.time = due
-            callback()
+        dues, buckets = self._dues, self._buckets
+        self._advancing = True
+        try:
+            while dues and dues[0] <= target:
+                due = heappop(dues)
+                bucket = buckets.get(due)
+                if bucket is None:
+                    continue  # fired, or dropped when it emptied
+                self.time = due
+                try:
+                    for cid, callback in sorted(bucket.items()):
+                        if cid in bucket:  # not cancelled or re-armed by an earlier callback
+                            self.cancel_timeout(cid)
+                            callback()
+                except BaseException:
+                    heappush(dues, due)  # for the bucket's unfired rest
+                    raise
+        finally:
+            self._advancing = False
         self.time = target
 
     # -- snapshot ------------------------------------------------------------

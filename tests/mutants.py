@@ -4,14 +4,19 @@ Run from anywhere: `python tests/mutants.py`.  It copies `src/`, `tests/`
 and `pyproject.toml` to a temporary directory, so pytest's `pythonpath`
 setting points at the copy.  It first runs every named test once on the
 unmutated copy, and they must pass, so a renamed or deleted test is caught.
-It then applies each mutant in turn, runs each of its tests on its own with
-`python -m pytest -x -q -p no:cacheprovider` under a time limit and a fixed
-`--hypothesis-seed`, and restores the file.  `hypothesis` runs under a
-profile with no example database and no shrinking: a failing example kills
-the mutant as it is found.  A mutant is killed only when every one of its
-tests fails, so each test listed for it is shown to kill it.  It prints one
-line per mutant: killed, not killed (followed by each test that passed, timed
-out or hit an error), or text not found (the text must occur exactly once).
+It then applies each mutant in turn, runs all of its tests in one
+`python -m pytest -q -p no:cacheprovider` process, without `-x`, under a
+time limit and a fixed `--hypothesis-seed`, reads each test's outcome from
+the run's `--junitxml` report, and restores the file.  `hypothesis` runs
+under a profile with no example database and no shrinking: a failing
+example kills the mutant as it is found.  A test fails when one of its
+cases fails and none hits an error; its first failing case skips its other
+parameters.  A mutant is killed only when every one of its tests fails, so
+each test listed for it is shown to kill it; an error, a test the report
+does not name and a run that times out are not kills.  It prints one line
+per mutant: killed, not killed (followed by each test that passed, was
+skipped, timed out, hit an error or did not run), or text not found (the
+text must occur exactly once).
 It exits nonzero unless every mutant is killed.
 
 pytest does not collect this file: its name has no `test_` prefix.  A
@@ -29,15 +34,41 @@ import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
-TIME_LIMIT = 120  # seconds per pytest run
-#: A pytest plugin, written into the copy, that loads the `mutants` profile.
-PROFILE = """from hypothesis import Phase, settings
+TIME_LIMIT = 120  # seconds per pytest run, one per mutant
+#: A pytest plugin, written into the copy, that loads the `mutants` profile
+#: and, once one case of a test named without a parameter fails, skips its
+#: other parameters: one failing case fails it, as `-x` stopped a run of it.
+PLUGIN = """import pytest
+from hypothesis import Phase, settings
 
 settings.register_profile("mutants", database=None, phases=[Phase.explicit, Phase.generate])
+failed = set()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_makereport(item, call):
+    report = yield
+    if report.failed:
+        failed.add(item.nodeid.split("[")[0])
+    return report
+
+
+def pytest_runtest_setup(item):
+    test = item.nodeid.split("[")[0]
+    if test in failed and test in item.config.args:  # named without a parameter
+        pytest.skip("another case of this test failed")
 """
+#: A junit test case's child tags as outcomes, and the outcomes from least to
+#: most severe.  A listed test reads as the most severe outcome among its
+#: cases (every parameter of a test listed without one): any case failing
+#: fails it, and an error, in a case or in a teardown after a failure, is
+#: no kill.
+REPORTED = {"skipped": "skipped", "failure": "failed", "error": "error"}
+SEVERITY = ("passed", "skipped", "failed", "error")
 
 
 class Mutant(NamedTuple):
@@ -251,10 +282,24 @@ MUTANTS = (
     ),
     Mutant(
         "scheduler-fires-a-stale-entry", "ledger.py",
-        "if live is None or live[0] != due:",
-        "if live is None:",
-        (LEDGER + "test_rearming_one_id_many_times_fires_once_and_keeps_little",
+        "if cid in bucket:",
+        "if True:",
+        (LEDGER + "test_a_callback_that_cancels_or_rearms_an_unfired_id_of_its_own_due",
          LEDGER + "test_heap_scheduler_matches_the_sorted_scan"), "one fee rule",
+    ),
+    Mutant(
+        "rearm-leaves-the-id-in-its-old-bucket", "ledger.py",
+        "        self.cancel_timeout(contract_id)\n",
+        "",
+        (LEDGER + "test_rearming_one_id_at_many_distinct_dues_keeps_every_container_small",
+         LEDGER + "test_rearming_one_id_many_times_fires_once_and_keeps_little",
+         LEDGER + "test_a_callback_that_cancels_or_rearms_an_unfired_id_of_its_own_due"), "timeout buckets",
+    ),
+    Mutant(
+        "emptied-bucket-never-dropped", "ledger.py",
+        "            if not bucket:\n                del self._buckets[due]\n",
+        "",
+        (LEDGER + "test_rearming_one_id_at_many_distinct_dues_keeps_every_container_small",), "timeout buckets",
     ),
     Mutant(
         "batch-keeps-an-unfunded-step", "multiparty.py",
@@ -309,20 +354,37 @@ MUTANTS = (
 )
 
 
-def pytest(copy: Path, tests) -> str:
-    """Run `tests` in the copy: passed, failed, timed out or error."""
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-p", "mutants_profile",
-               "--hypothesis-profile=mutants", f"--hypothesis-seed={SEED}", *tests]
+def _junit_key(node: str) -> tuple[str, str]:
+    """A node id as the (classname, name) its test case has in a junit report."""
+    path, *inner = node.split("::")
+    return ".".join([path.removesuffix(".py").replace("/", "."), *inner[:-1]]), inner[-1]
+
+
+def pytest(copy: Path, tests) -> dict[str, str]:
+    """Run `tests` in the copy in one process; each test's outcome: passed,
+    failed, error, skipped, not run, or timed out when the run did."""
+    report = copy / "report.xml"
+    report.unlink(missing_ok=True)
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutants_plugin",
+               "--hypothesis-profile=mutants", f"--hypothesis-seed={SEED}", f"--junitxml={report}", *tests]
     try:
         # No bytecode is written, so a restored file is never read from a mutant's stale cache.
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         run = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIME_LIMIT)
     except subprocess.TimeoutExpired:
-        return "timed out"
-    if run.returncode in (0, 1):
-        return "passed" if run.returncode == 0 else "failed"
-    print(run.stdout[-2000:], run.stderr[-2000:], sep="\n", file=sys.stderr)
-    return "error"
+        return dict.fromkeys(tests, "timed out")
+    if run.returncode not in (0, 1):
+        print(run.stdout[-2000:], run.stderr[-2000:], sep="\n", file=sys.stderr)
+    keys = {_junit_key(test): test for test in tests}
+    cases: dict[str, list[str]] = {test: [] for test in tests}
+    if report.exists():
+        for case in ElementTree.parse(report).iter("testcase"):
+            classname, name = case.get("classname"), case.get("name")
+            test = keys.get((classname, name)) or keys.get((classname, name.split("[")[0]))
+            if test is not None:
+                reported = (REPORTED[child.tag] for child in case if child.tag in REPORTED)
+                cases[test].append(max(reported, key=SEVERITY.index, default="passed"))
+    return {test: max(outcomes, key=SEVERITY.index) if outcomes else "not run" for test, outcomes in cases.items()}
 
 
 def main() -> int:
@@ -332,11 +394,13 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        (copy / "mutants_profile.py").write_text(PROFILE)
+        (copy / "mutants_plugin.py").write_text(PLUGIN)
         tests = sorted({test for mutant in MUTANTS for test in mutant.tests})
-        baseline = pytest(copy, tests)
-        print(f"baseline: {len(tests)} named tests {baseline} in {time.perf_counter() - start:.1f} s")
-        if baseline != "passed":
+        unpassed = {test: run for test, run in pytest(copy, tests).items() if run != "passed"}
+        print(f"baseline: {len(tests)} named tests, {len(unpassed)} not passed, in {time.perf_counter() - start:.1f} s")
+        for test, run in unpassed.items():
+            print(f"    {run}: {test}")
+        if unpassed:
             return 1
         unkilled = 0
         for mutant in MUTANTS:
@@ -349,7 +413,7 @@ def main() -> int:
             else:
                 path.write_text(original.replace(mutant.text, mutant.replacement))
                 try:
-                    runs = {test: pytest(copy, (test,)) for test in mutant.tests}
+                    runs = pytest(copy, mutant.tests)
                 finally:
                     path.write_text(original)
                 missed = {test: run for test, run in runs.items() if run != "failed"}

@@ -1059,6 +1059,78 @@ def test_a_heap_rebuild_inside_a_callback_keeps_the_firing_order():
     assert fired == [("a", 1), ("b", 2), ("c", 2)]
 
 
+def _scheduler_containers(ledger):
+    """Every list and dict the ledger holds, and every one held inside a dict of them."""
+    outer = [v for v in vars(ledger).values() if isinstance(v, (list, dict))]
+    return outer + [v for held in outer if isinstance(held, dict) for v in held.values() if isinstance(v, (list, dict))]
+
+
+def test_rearming_one_id_at_many_distinct_dues_keeps_every_container_small():
+    ledger = fresh_ledger()
+    fired = []
+    for k in range(10_000):
+        ledger.register_timeout("c1", 2 + k, lambda k=k: fired.append((k, ledger.time)))
+        # One live timeout: nothing the scheduler keeps, a bucket of an
+        # earlier due included, may grow past twice that plus 64.
+        assert max(map(len, _scheduler_containers(ledger))) <= 2 * 1 + 64
+    ledger.advance_time(20_000)
+    assert fired == [(9_999, 2 + 9_999)]
+
+
+def test_a_callback_that_cancels_or_rearms_an_unfired_id_of_its_own_due():
+    ledger = fresh_ledger()
+    fired = []
+
+    def first():
+        fired.append(("a", ledger.time))
+        ledger.cancel_timeout("b")
+        ledger.register_timeout("c", 6, lambda: fired.append(("c", ledger.time)))
+
+    ledger.register_timeout("a", 3, first)
+    ledger.register_timeout("b", 3, lambda: fired.append(("b", ledger.time)))
+    ledger.register_timeout("c", 3, lambda: fired.append(("c-old", ledger.time)))
+    ledger.advance_time(4)
+    assert fired == [("a", 3)]
+    ledger.advance_time(4)
+    assert fired == [("a", 3), ("c", 6)]
+    ledger.advance_time(10)
+    assert fired == [("a", 3), ("c", 6)]
+
+
+def test_a_raising_first_callback_of_a_due_leaves_the_other_two_pending_in_id_order():
+    ledger = fresh_ledger()
+    fired = []
+
+    def boom():
+        fired.append(("a", ledger.time))
+        raise Abort
+
+    ledger.register_timeout("c", 4, lambda: fired.append(("c", ledger.time)))
+    ledger.register_timeout("a", 4, boom)
+    ledger.register_timeout("b", 4, lambda: fired.append(("b", ledger.time)))
+    with pytest.raises(Abort):
+        ledger.advance_time(5)
+    assert ledger.time == 4
+    assert fired == [("a", 4)]
+    ledger.advance_time(1)
+    assert fired == [("a", 4), ("b", 4), ("c", 4)]
+    assert ledger.time == 5
+
+
+def test_a_callback_that_advances_the_clock_is_refused():
+    ledger = fresh_ledger()
+    fired = []
+    ledger.register_timeout("a", 1, lambda: ledger.advance_time(3))
+    ledger.register_timeout("b", 2, lambda: fired.append(("b", ledger.time)))
+    # Refused inside the callback, so the outer call stops as at any raise:
+    # the clock at the callback's due, the later timeout still pending.
+    with pytest.raises(LedgerError, match="cannot advance the clock"):
+        ledger.advance_time(2)
+    assert (ledger.time, fired) == (1, [])
+    ledger.advance_time(1)
+    assert (ledger.time, fired) == (2, [("b", 2)])
+
+
 class NaiveClock:
     """The sorted-scan scheduler the ledger used before its heap: every
     firing re-sorts all pending timeouts.  Kept as the reference."""
