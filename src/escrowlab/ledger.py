@@ -39,6 +39,18 @@ dicts, L and the fee on entry and, if the block raises, restoring each in
 place.  A pot exists once `open_pot` or a deposit names it; a payout out
 of any other id raises `UnknownPotError`, zero amounts included.
 
+Each argument is checked once, where it enters: an account name by
+`open_account`, a pot id when `open_pot` or a deposit opens its pot, an
+amount and its scale by `_int`, a timeout id and its due by
+`register_timeout`.  An argument the ledger can see is already checked
+costs one type test and one dict lookup: an `int` amount >= 0 over an
+`int` scale >= 1 goes straight to the divisibility test; a `str` timeout
+id that is already a pot's or an armed timeout's skips the name check; an
+`int` due or tick count skips the whole-tick check.  Every other input, a
+`str` subclass or a scale of 1.0 or True included, takes the full check
+(`_amount`, `_require_name`, `_require_whole`), with the same refusals in
+the same order.
+
 Timeouts fire in (due, id) order, with the clock reading the due instant
 inside each callback.  Ticks are whole numbers, so they are kept in one
 bucket per due tick, after hashed timing wheels: a dict from each id to its
@@ -119,16 +131,15 @@ def _require_name(what: str, name) -> None:
 
 
 def _amount(amount, what: str = "amount", scale: int = 1) -> tuple[int, int]:
-    """The check that an amount over `scale` is not negative, made on its
-    int numerator, and its one conversion to (numerator, denominator), the
-    pair not reduced when `scale` is not 1; `as_fraction` refuses a bool."""
+    """The full check of an amount over `scale`, in order: its one
+    conversion (`as_fraction` refuses a bool), a scale that is not an int
+    >= 1 (1.0 and True included), and a negative int numerator.  Returns
+    (numerator, denominator * scale), not reduced."""
     if type(amount) is not Fraction and type(amount) is not int:
         amount = as_fraction(amount)
-    n, d = amount.numerator, amount.denominator
-    if scale != 1:
-        if type(scale) is not int or scale < 1:
-            raise ValueError(f"scale must be a positive int, got {scale!r}")
-        d *= scale
+    if type(scale) is not int or scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale!r}")
+    n, d = amount.numerator, amount.denominator * scale
     if n < 0:
         raise ValueError(f"{what} must be >= 0, got {Fraction(n, d)}")
     return n, d
@@ -199,9 +210,14 @@ class Ledger:
 
     def _int(self, amount, what: str = "amount", scale: int = 1) -> int:
         """A non-negative amount over `scale` as an int over the ledger's
-        scale.  A denominator that does not divide the ledger's is reduced
-        first, so the rescale it then needs is the one its `Fraction` would."""
-        n, d = _amount(amount, what, scale)
+        scale.  An int >= 0 over an int scale >= 1 is already the checked
+        pair; any other input takes `_amount`'s full check.  A denominator
+        that does not divide the ledger's is reduced first, so the rescale
+        it then needs is the one its `Fraction` would."""
+        if type(amount) is int and amount >= 0 and type(scale) is int and scale >= 1:
+            n, d = amount, scale
+        else:
+            n, d = _amount(amount, what, scale)
         if self._scale % d:
             g = gcd(n, d)
             n, d = n // g, d // g
@@ -331,9 +347,13 @@ class Ledger:
 
     def register_timeout(self, contract_id: str, due: int, callback: Callable[[], None]) -> None:
         """Arm (or re-arm) the id's one timeout; a later registration of the
-        same id replaces the earlier one."""
-        _require_name("timeout id", contract_id)
-        _require_whole("due", due)
+        same id replaces the earlier one.  A `str` id that is already a pot's
+        or an armed timeout's passed the name check when it entered, and an
+        int due is whole; any other takes the full check."""
+        if type(contract_id) is not str or (contract_id not in self._pots and contract_id not in self._timeouts):
+            _require_name("timeout id", contract_id)
+        if type(due) is not int:
+            _require_whole("due", due)
         if due <= self.time:
             raise ValueError(f"due {due} is not in the future (now {self.time})")
         self.cancel_timeout(contract_id)
@@ -368,7 +388,8 @@ class Ledger:
         clock itself: that raises `LedgerError`.  Each due costs one heap
         pop and a sort of its bucket's ids.
         """
-        _require_whole("ticks", ticks)
+        if type(ticks) is not int:
+            _require_whole("ticks", ticks)
         if ticks <= 0:
             raise ValueError(f"ticks must be > 0, got {ticks}")
         if self._advancing:

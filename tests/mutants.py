@@ -95,6 +95,9 @@ GENERIC_CHECKS = TRADE + "test_generic_checks_on_int_ratios_match_the_fraction_c
 BOUNDARIES = TRADE + "test_the_range_checks_hold_at_their_boundaries"
 LEDGER = "tests/test_ledger.py::"
 INTEGER_PAIRS = LEDGER + "test_integer_pairs_match_the_fraction_ledger"
+SCALE_REFUSED = LEDGER + "test_a_scale_that_is_not_a_positive_int_is_refused"
+BAD_NAME = LEDGER + "test_a_name_snapshot_cannot_print_is_refused"
+WHOLE_TICKS = LEDGER + "test_time_is_counted_in_whole_ticks"
 MULTIPARTY = "tests/test_multiparty.py::"
 DENSE_LOOP = MULTIPARTY + "test_per_trade_settlement_matches_the_dense_loop"
 INTERVAL_ROOTS = "tests/test_identities.py::test_each_finite_bound_of_the_wager_interval_is_a_root_of_one_margin_form"
@@ -300,6 +303,49 @@ MUTANTS = (
         "            if not bucket:\n                del self._buckets[due]\n",
         "",
         (LEDGER + "test_rearming_one_id_at_many_distinct_dues_keeps_every_container_small",), "timeout buckets",
+    ),
+    Mutant(
+        "int-amount-path-takes-a-negative-int", "ledger.py",
+        "if type(amount) is int and amount >= 0 and type(scale) is int and scale >= 1:",
+        "if type(amount) is int and type(scale) is int and scale >= 1:",
+        (LEDGER + "test_negative_amounts_are_refused_by_one_check",), "entry checks",
+    ),
+    Mutant(
+        "int-amount-path-takes-a-scale-below-one", "ledger.py",
+        "if type(amount) is int and amount >= 0 and type(scale) is int and scale >= 1:",
+        "if type(amount) is int and amount >= 0 and type(scale) is int:",
+        (SCALE_REFUSED,), "entry checks",
+    ),
+    Mutant(
+        "a-scale-of-one-skips-its-check", "ledger.py",
+        "if type(scale) is not int or scale < 1:",
+        "if scale != 1 and (type(scale) is not int or scale < 1):",
+        (SCALE_REFUSED,), "entry checks",
+    ),
+    Mutant(
+        "known-id-path-takes-a-str-subclass", "ledger.py",
+        "if type(contract_id) is not str or (contract_id not in self._pots and contract_id not in self._timeouts):",
+        "if contract_id not in self._pots and contract_id not in self._timeouts:",
+        (BAD_NAME, LEDGER + "test_a_str_subclass_equal_to_an_open_pots_id_is_refused_as_a_timeout_id"),
+        "entry checks",
+    ),
+    Mutant(
+        "known-id-path-takes-any-str", "ledger.py",
+        "if type(contract_id) is not str or (contract_id not in self._pots and contract_id not in self._timeouts):",
+        "if type(contract_id) is not str:",
+        (BAD_NAME,), "entry checks",
+    ),
+    Mutant(
+        "a-due-that-is-not-an-int-skips-its-check", "ledger.py",
+        '_require_whole("due", due)',
+        "pass",
+        (WHOLE_TICKS,), "entry checks",
+    ),
+    Mutant(
+        "ticks-that-are-not-an-int-skip-their-check", "ledger.py",
+        '_require_whole("ticks", ticks)',
+        "pass",
+        (WHOLE_TICKS,), "entry checks",
     ),
     Mutant(
         "batch-keeps-an-unfunded-step", "multiparty.py",

@@ -1,7 +1,7 @@
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -532,13 +532,145 @@ def test_an_amount_over_a_scale_moves_as_its_fraction(tau, steps):
             assert scaled.snapshot() == before
 
 
-@pytest.mark.parametrize("scale", [0, -3, 2.0, Fraction(2), "2", False])
+@pytest.mark.parametrize("scale", [0, -3, 2.0, Fraction(2), "2", False, 1.0, Fraction(1), True])
 def test_a_scale_that_is_not_a_positive_int_is_refused(scale):
     ledger = fresh_ledger()
     before = ledger.snapshot()
     with pytest.raises(ValueError, match="scale must be a positive int"):
         ledger.escrow_deposit("buyer", "c1", 1, scale=scale)
     assert ledger.snapshot() == before
+
+
+# ---------------------------------------------------------------------------
+# Entry checks against the full checks every argument once took
+# ---------------------------------------------------------------------------
+
+
+class Named(str):
+    """A `str` subclass: equal to, and hashing as, the plain id it spells."""
+
+
+def naive_amount(amount, what="amount", scale=1):
+    """`_amount` as every amount took it before the one-lookup path, with a
+    scale of 1 checked like any other."""
+    if type(amount) is not Fraction and type(amount) is not int:
+        amount = as_fraction(amount)
+    n, d = amount.numerator, amount.denominator
+    if type(scale) is not int or scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale!r}")
+    d *= scale
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0, got {Fraction(n, d)}")
+    return n, d
+
+
+def naive_int(held, amount, what="amount", scale=1):
+    """`Ledger._int` before the one-lookup path, on a ledger at scale `held`:
+    the amount as an int over the scale it leaves the ledger at, and that scale."""
+    n, d = naive_amount(amount, what, scale)
+    if held % d:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if held % d:
+            held = held * d // gcd(held, d)
+    return n * (held // d), held
+
+
+def naive_timeout_checks(now, contract_id, due):
+    """`register_timeout`'s argument checks before the one-lookup path:
+    every id and every due took the full check."""
+    if type(contract_id) is not str or contract_id.split() != [contract_id]:
+        raise ValueError(f"timeout id must be a non-empty string without whitespace, got {contract_id!r}")
+    if not isinstance(due, int) or isinstance(due, bool):
+        raise ValueError(f"due must be a whole number of ticks, got {due!r}")
+    if due <= now:
+        raise ValueError(f"due {due} is not in the future (now {now})")
+
+
+ENTRY_NOW = 5
+ENTRY_FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=36)
+ENTRY_AMOUNTS = st.one_of(
+    st.integers(0, 10**6),
+    st.integers(-(10**6), -1),
+    st.booleans(),
+    ENTRY_FRACTIONS,
+    ENTRY_FRACTIONS.map(lambda f: f"{f.numerator}/{f.denominator}"),
+    st.just("1/0"),
+    st.floats(min_value=-50, max_value=50),
+)
+ENTRY_SCALES = st.one_of(
+    st.just(1),
+    st.integers(2, 60),
+    st.sampled_from([0, -1, -12, True, False, 1.0, Fraction(1), 2.0, Fraction(2)]),
+)
+# The ledger under test holds an open pot "p" and an armed timeout "t".
+ENTRY_IDS = st.one_of(
+    st.sampled_from(["p", "t", "a b", " t", "p\n", "", 7, None, ("p",), Named("p"), Named("t"), Named("new")]),
+    st.text(alphabet="nrs", min_size=1, max_size=3),
+)
+ENTRY_DUES = st.one_of(
+    st.integers(ENTRY_NOW + 1, ENTRY_NOW + 40),
+    st.integers(-3, ENTRY_NOW),
+    st.booleans(),
+    st.floats(min_value=-3, max_value=ENTRY_NOW + 40),
+    st.sampled_from([float(ENTRY_NOW + 3), Fraction(ENTRY_NOW + 3), "9"]),
+)
+ENTRY_STEPS = st.lists(
+    st.tuples(st.just("deposit"), ENTRY_AMOUNTS, ENTRY_SCALES)
+    | st.tuples(st.just("open"), ENTRY_AMOUNTS)
+    | st.tuples(st.just("timeout"), ENTRY_IDS, ENTRY_DUES),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.sampled_from([0, Fraction(1, 4)]), steps=ENTRY_STEPS)
+def test_each_argument_takes_the_full_checks_outcome(tau, steps):
+    # A deposit over a scale, an opening balance and a timeout registration:
+    # the ledger moves the reference's value, at the reference's scale, or
+    # raises its error, type and message, with nothing changed.
+    ledger = Ledger(tau=tau)
+    ledger.open_account("a", 10**9)
+    ledger.open_pot("p")
+    ledger.advance_time(ENTRY_NOW)
+    ledger.register_timeout("t", 50, lambda: None)
+    for k, step in enumerate(steps):
+        before = ledger.snapshot(), dict(ledger._timeouts)
+        held = ledger._scale
+        if step[0] == "timeout":
+            _, cid, due = step
+            expected = outcome(naive_timeout_checks, ledger.time, cid, due)
+            assert outcome(ledger.register_timeout, cid, due, lambda: None) == expected
+            assert ledger.snapshot() == before[0]
+            assert ledger._timeouts == (before[1] if expected[0] is not type(None) else {**before[1], cid: due})
+            continue
+        if step[0] == "deposit":
+            _, amount, scale = step
+            expected = outcome(naive_int, held, amount, "amount", scale)
+            pot = ledger.pot_balance("p")
+            got = outcome(lambda: ledger.escrow_deposit("a", "p", amount, scale=scale))
+        else:
+            _, amount = step
+            expected = outcome(naive_int, held, amount, "opening balance")
+            got = outcome(ledger.open_account, f"o{k}", amount)
+        if expected[0] is tuple:
+            value, scale_after = expected[1]
+            assert got == (type(None), None)
+            moved = ledger.pot_balance("p") - pot if step[0] == "deposit" else ledger.balance(f"o{k}")
+            assert (moved, ledger._scale) == (Fraction(value, scale_after), scale_after)
+        else:
+            assert got == expected
+            assert (ledger.snapshot(), dict(ledger._timeouts), ledger._scale) == (*before, held)
+
+
+def test_a_str_subclass_equal_to_an_open_pots_id_is_refused_as_a_timeout_id():
+    ledger = fresh_ledger()
+    ledger.open_pot("c1")
+    with pytest.raises(ValueError, match=r"^timeout id must be a non-empty string without whitespace, got 'c1'$"):
+        ledger.register_timeout(Named("c1"), 10, lambda: None)
+    assert ledger._timeouts == {}
+    ledger.register_timeout("c1", 10, lambda: None)  # the plain id is armed as before
+    assert ledger._timeouts == {"c1": 10}
 
 
 def test_a_rescale_inside_a_block_that_raises_is_undone():
@@ -896,6 +1028,10 @@ BAD_NAMES = {
     "a deposit into a pot id that is not a str": lambda ledger: ledger.escrow_deposit("buyer", 7, 1),
     "a timeout id that is not a str": lambda ledger: ledger.register_timeout(5, 10, lambda: None),
     "a timeout id with a space": lambda ledger: ledger.register_timeout("c 1", 10, lambda: None),
+    "a str subclass equal to an armed timeout's id": lambda ledger: (
+        ledger.register_timeout("a", 5, lambda: None),
+        ledger.register_timeout(Named("a"), 10, lambda: None),
+    ),
 }
 
 
