@@ -19,7 +19,8 @@ The n x n grids are only parsed, and their cells are scanned in C.  A bit
 row that is a list of ints and bools is read whole into `bytes`; any other
 bit row is read cell by cell.  A payment cell that is the int 0 object is
 passed over by `itertools.compress`; only the other cells reach Python.  A
-grid with other than n rows is refused.  A drawn coin grid is one
+grid with other than n rows is refused, and so is a row that is a `str`,
+which would be read a character at a time.  A drawn coin grid is one
 `getrandbits(32 * n * n)` call whose words each give their top bit, which
 equals n * n `getrandbits(1)` calls: the same coins and the same final rng
 state.  Settlement work is per trade: each buyer keeps the list of sellers
@@ -30,6 +31,15 @@ scale, and every ledger call passes its int with that scale (a deposit its
 step's total, an arbiter payout its trade's price, a withdrawal its
 party's credit), so a batch builds a `Fraction` only for each returned
 payout.
+
+Four passes stay O(n^2): the payment scan, the two bit-grid reads, the n^2
+coin draw (or the coin grid's read) and the four returned grids; every
+other pass is per trade.  The returned grids are built from the rows the
+batch already holds (`_bit_grid`), so their rows may be shared immutable
+tuples: every buyer with no funded purchase shares one all-zero payment
+row, and every zero payout is the one shared `Fraction(0)`.  Drawing one
+coin per countered trade and settling a sparse list of trades would remove
+the rest.
 
 Purchases, dispute wagers and counter wagers follow one deposit rule: in
 index order, each payer deposits the exact sum of its step's prices as one
@@ -85,15 +95,33 @@ class SettlementMatrix:
     payouts: tuple[Fraction, ...]
 
 
-def _bit_grid(n: int, steps: list[list[int]]) -> BitMatrix:
-    """The effective bit grid: a 1 at (i, j) for each j in steps[i]."""
+def _bit_grid(n: int, steps: list[list[int]], given: list[bytes]) -> BitMatrix:
+    """The effective bit grid: a 1 at (i, j) for each j in steps[i].  Each
+    step's columns are distinct 1-bits of its row of the `given` grid, so a
+    step with as many columns as that row has 1-bits is that row; an empty
+    step is one shared all-zero row, and only the other rows are scattered."""
+    zeros = (0,) * n
     rows = []
-    for cols in steps:
-        row = [0] * n
-        for j in cols:
-            row[j] = 1
-        rows.append(tuple(row))
+    for cols, bits in zip(steps, given):
+        if not cols:
+            rows.append(zeros)
+        elif len(cols) == bits.count(1):
+            rows.append(tuple(bits))
+        else:
+            row = [0] * n
+            for j in cols:
+                row[j] = 1
+            rows.append(tuple(row))
     return tuple(rows)
+
+
+def _listed(entries) -> list:
+    """A grid row that is not a list, as a list.  A str would be read a
+    character at a time, so it raises TypeError and its grid refuses it as
+    malformed."""
+    if isinstance(entries, str):
+        raise TypeError("a grid row cannot be a str")
+    return list(entries)
 
 
 def _rows(n: int, rows, name: str, malformed: str) -> list:
@@ -121,7 +149,7 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]], 
     for entries in _rows(n, rows, "payments", malformed):
         try:
             if entries.__class__ is not list:  # indexed below, so a one-pass row is copied
-                entries = list(entries)
+                entries = _listed(entries)
             row, nums, paid, dens, negative = [_ZERO] * len(entries), [0] * len(entries), [], [], False
             # The int 0 object, most cells, is passed over in C; any other
             # zero is skipped on its numerator below.
@@ -174,7 +202,7 @@ def _as_bits(n: int, rows, name: str) -> list[bytes]:
                     continue
         try:
             if entries.__class__ is not list:  # read twice below, so a one-pass row is copied
-                entries = list(entries)
+                entries = _listed(entries)
             row = list(map(int, entries))
         except (TypeError, ValueError, OverflowError):
             raise MultipartyError(malformed) from None
@@ -249,7 +277,7 @@ def multiparty_run(
             for j in cols:
                 disputers[j].append(i)
         countered = deposit([[j for j in buyers if c[i][j]] for i, buyers in enumerate(disputers)], by_seller=True)
-        d, c = _bit_grid(n, disputed), _bit_grid(n, countered)
+        d, c = _bit_grid(n, disputed, d), _bit_grid(n, countered, c)
 
         # Settle every trade as its own two-party outcome; each party's
         # credits are summed, over the batch scale, into its payout.
@@ -269,11 +297,12 @@ def multiparty_run(
             if credits[i] > 0:
                 ledger.escrow_release(POT, party, credits[i], contract_move=True, scale=scale)
 
+    unpaid = (_ZERO,) * n
     return SettlementMatrix(
-        payments=tuple(tuple(row) if paid else (_ZERO,) * n for row, paid in zip(x, sellers)),
+        payments=tuple(tuple(row) if paid else unpaid for row, paid in zip(x, sellers)),
         disputes=d,
         counters=c,
-        coin=tuple(tuple(row) for row in b),
-        payouts=tuple(Fraction(owed, scale) for owed in credits),
+        coin=tuple(map(tuple, b)),
+        payouts=tuple(Fraction(owed, scale) if owed else _ZERO for owed in credits),
     )
 

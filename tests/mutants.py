@@ -100,6 +100,7 @@ BAD_NAME = LEDGER + "test_a_name_snapshot_cannot_print_is_refused"
 WHOLE_TICKS = LEDGER + "test_time_is_counted_in_whole_ticks"
 MULTIPARTY = "tests/test_multiparty.py::"
 DENSE_LOOP = MULTIPARTY + "test_per_trade_settlement_matches_the_dense_loop"
+EFFECTIVE_ROWS = MULTIPARTY + "test_effective_rows_match_the_dense_loop_where_steps_go_unfunded"
 INTERVAL_ROOTS = "tests/test_identities.py::test_each_finite_bound_of_the_wager_interval_is_a_root_of_one_margin_form"
 
 
@@ -372,6 +373,24 @@ MUTANTS = (
         "bytes(v & 1 for v in range(256))",
         (MULTIPARTY + "test_the_drawn_coin_grid_is_n_squared_single_bit_draws[7]",
          DENSE_LOOP), "one fee rule",
+    ),
+    Mutant(
+        "bit-grid-reuses-the-row-whatever-the-count", "multiparty.py",
+        "elif len(cols) == bits.count(1):",
+        "elif True:",
+        (EFFECTIVE_ROWS,), "batch rows",
+    ),
+    Mutant(
+        "bit-grid-returns-the-bytes-row", "multiparty.py",
+        "rows.append(tuple(bits))",
+        "rows.append(bits)",
+        (EFFECTIVE_ROWS,), "batch rows",
+    ),
+    Mutant(
+        "a-str-row-is-read-per-character", "multiparty.py",
+        "if isinstance(entries, str):",
+        "if False:",
+        (MULTIPARTY + "test_a_str_row_is_refused_in_every_grid",), "batch rows",
     ),
     Mutant(
         "interval-bound-adds-the-constant", "equilibrium.py",

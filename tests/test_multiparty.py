@@ -351,6 +351,8 @@ def _dense_matrix(n, rows, name, entry, valid, rule):
     out = []
     for i in range(n):
         try:
+            if isinstance(rows[i], str):  # not read a character at a time
+                raise TypeError("a grid row cannot be a str")
             row = [entry(v) for v in rows[i]]
         except (TypeError, ValueError, OverflowError):
             raise MultipartyError(f"{name} entries must be {rule}") from None
@@ -686,6 +688,57 @@ def test_whole_numbers_and_strings_still_read_as_bits(run):
     ]):
         with pytest.raises(MultipartyError, match=rf"^{name} entries must be 0 or 1$"):
             run(fresh_ledger(["a", "b"]), ["a", "b"], [[0, 1], [0, 0]], disputes, counters, coin_matrix=coin)
+
+
+def test_a_str_row_is_refused_in_every_grid():
+    # Read a character at a time, ["01", "20"] would settle prices 1 and 2
+    # and ["00", "10"] a dispute.
+    messages = {"payments": "rationals >= 0", "disputes": "0 or 1", "counters": "0 or 1", "coin": "0 or 1"}
+    cases = [("payments", (["01", "20"], ["00", "10"], ["00", "00"], None))]
+    for name in messages:
+        for i in (0, 1):
+            grids = {"payments": [[0, 1], [2, 0]], "disputes": [[0, 1], [0, 0]], "counters": [[0, 0], [1, 0]],
+                     "coin": [[0, 1], [0, 0]]}
+            grids[name][i] = "".join(map(str, grids[name][i]))
+            cases.append((name, (grids["payments"], grids["disputes"], grids["counters"], grids["coin"])))
+    for run in (multiparty_run, naive):
+        for name, (payments, disputes, counters, coin) in cases:
+            ledger = RecordingLedger()
+            for party in ("a", "b"):
+                ledger.open_account(party, 100)
+            before = ledger.snapshot()
+            with pytest.raises(MultipartyError, match=rf"^{name} entries must be {messages[name]}$"):
+                run(ledger, ["a", "b"], payments, disputes, counters, rng=Random(1), coin_matrix=coin)
+            assert ledger.calls == [] and ledger.snapshot() == before
+
+
+def test_effective_rows_match_the_dense_loop_where_steps_go_unfunded():
+    # a disputes b and c, and marks d, from whom it buys nothing; b disputes
+    # the one trade it marks; c cannot pay for its purchase from d, and so
+    # cannot pay the wager that counters a's dispute; d pays for its purchase
+    # from a but not for its dispute of it; a's counter of that dispute falls
+    # with it, and a counters b.
+    names = ["a", "b", "c", "d"]
+    payments = [[0, 1, 2, 0], [1, 0, 1, 0], [0, 0, 0, 5], [1, 0, 0, 0]]
+    disputes = [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 1], [1, 0, 0, 0]]
+    counters = [[0, 1, 0, 1], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]
+    endow = dict(zip(names, [10, 10, 1, 1]))
+    outcomes, states = [], []
+    for run in (multiparty_run, naive):
+        rng = Random(3)
+        outcomes.append(_outcome(run, 0, endow, names, payments, disputes, counters, rng=rng))
+        states.append(rng.getstate())
+    assert outcomes[0] == outcomes[1]
+    assert states[0] == states[1]
+    result = outcomes[0][1]
+    assert [[int(bool(v)) for v in row] for row in result.payments] == [[0, 1, 1, 0], [1, 0, 1, 0], [0] * 4, [1, 0, 0, 0]]
+    assert result.disputes == ((0, 1, 1, 0), (1, 0, 0, 0), (0,) * 4, (0,) * 4)
+    assert result.counters == ((0, 1, 0, 0), (1, 0, 0, 0), (0,) * 4, (0,) * 4)
+    for grid in (result.payments, result.disputes, result.counters, result.coin):
+        assert type(grid) is tuple and len(grid) == len(names)
+        for row in grid:
+            assert type(row) is tuple and len(row) == len(names)
+            assert all(type(v) in (int, Fraction) for v in row)
 
 
 @pytest.mark.parametrize("n", [2, 7, 50, 200])
