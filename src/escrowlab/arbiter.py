@@ -109,6 +109,8 @@ Transcript = tuple[tuple[str, str], ...]
 
 #: The exchange, in order: who is asked, for which record.
 _ROUNDS = ((Party.SELLER, "commit", Commit), (Party.BUYER, "bit", Bit), (Party.SELLER, "open", Open))
+#: The party an arbiter's `RULE` record may name, by its name.
+_WINNERS = {party.value: party for party in Party}
 
 
 # ---------------------------------------------------------------------------
@@ -136,25 +138,27 @@ def replay_winner(transcript: Transcript) -> Party:
 def _decide(transcript: Transcript) -> tuple[Party, str]:
     """Winner and basis of an arbiter's rule, a timeout (the other party
     wins) or a completed toss (the seller wins on heads; an opening that
-    fails verification forces tails), the exchange walked against `_ROUNDS`."""
+    fails verification forces tails), the exchange walked against `_ROUNDS`.
+    A transcript is a tuple or a list of records, each a pair of strs."""
+    if not isinstance(transcript, (tuple, list)):
+        raise ValueError(f"transcript {transcript!r} is not a tuple or a list of records")
     if not transcript:
         raise ValueError("empty transcript")
-    sender, line = transcript[0]
-    if line.startswith("RULE "):
-        winner = Party(line[5:])
-        _require_record(transcript, 0, sender == "arbiter")
-        _require_record(transcript, 1, len(transcript) == 1)
-        return winner, BASIS_ORACLE
-
     received = []
-    for k, (sender, line) in enumerate(transcript):
-        _require_record(transcript, k, k < len(_ROUNDS))
+    for k, record in enumerate(transcript):
+        _require_record(transcript, k, isinstance(record, (tuple, list)) and len(record) == 2
+                        and isinstance(record[0], str) and isinstance(record[1], str))
+        sender, line = record
+        if k == 0 and line.startswith("RULE "):
+            winner = _WINNERS.get(line[5:])
+            _require_record(transcript, 0, sender == "arbiter" and winner is not None)
+            _require_record(transcript, 1, len(transcript) == 1)
+            return winner, BASIS_ORACLE
+        _require_record(transcript, k, k < len(_ROUNDS) and sender == _ROUNDS[k][0].value)
         party, _, kind = _ROUNDS[k]
         if line == "TIMEOUT":
-            _require_record(transcript, k, Party(sender) is party)
             _require_record(transcript, k + 1, k + 1 == len(transcript))
             return party.other(), BASIS_TIMEOUT
-        _require_record(transcript, k, sender == party.value)
         msg = parse_message(line)
         _require_record(transcript, k, isinstance(msg, kind) and msg.wire() == line)
         received.append(msg)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .arbiter import Verdict
-from .gametree import Leaf
+from .gametree import Leaf, Party
 from .ledger import _ZERO, Ledger, LedgerError, TimeoutPolicy, _repaid
 from .trade import InvalidSchemeError, TradeParams, WagerScheme, scaled
 
@@ -280,6 +280,8 @@ class EscrowContract:
     def settle_arbitration(self, verdict: Verdict) -> None:
         if self.phase is not Phase.ARBITRATING:
             raise WrongPhaseError(f"no arbitration to settle in {self.phase.value}")
+        if not isinstance(getattr(verdict, "winner", None), Party):
+            raise ContractError(f"a verdict's winner must be a Party, got {verdict!r}")
         self.last_verdict = verdict
         self._end(f"arbitration:{verdict.winner.value}", "contract", "settle")
 

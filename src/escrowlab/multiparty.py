@@ -15,12 +15,14 @@ buyer price and wager, and a countered dispute is the buyer's or the
 seller's by its coin matrix entry: the winner is repaid price and wager,
 and the loser's wager pays the arbiter.
 
-The n x n grids are only parsed, and their cells are scanned in C.  A bit
-row that is a list of ints and bools is read whole into `bytes`; any other
-bit row is read cell by cell.  A payment cell that is the int 0 object is
-passed over by `itertools.compress`; only the other cells reach Python.  A
-grid with other than n rows is refused, and so is a row that is a `str`,
-which would be read a character at a time.  A drawn coin grid is one
+The batch reads ordered input by one rule: `parties`, each grid and each
+grid row must be a `list` or a `tuple`, and anything else (a `str`, a
+mapping, a set, a one-pass iterator) is refused before any entry is read.
+A grid with other than n rows is refused too.  The n x n grids are only
+parsed, and their cells are scanned in C.  A bit row of ints and bools is
+read whole into `bytes`; any other bit row is read cell by cell.  A payment
+cell that is the int 0 object is passed over by `itertools.compress`; only
+the other cells reach Python.  A drawn coin grid is one
 `getrandbits(32 * n * n)` call whose words each give their top bit, which
 equals n * n `getrandbits(1)` calls: the same coins and the same final rng
 state.  Settlement work is per trade: each buyer keeps the list of sellers
@@ -58,7 +60,7 @@ from itertools import compress, repeat
 from math import lcm
 from operator import is_not
 from random import Random
-from typing import Optional, Sequence
+from typing import Optional
 
 from .ledger import _ZERO, InsufficientFundsError, Ledger
 from .trade import as_fraction
@@ -73,6 +75,9 @@ POT = "multiparty"
 #: Byte -> its top bit; applied to the most significant byte of a 32-bit
 #: word, the bit `getrandbits(1)` takes from that word.
 _TOP_BIT = bytes(v >> 7 for v in range(256))
+
+#: The kinds of ordered input a batch reads: its parties, grids and rows.
+_ORDERED = (list, tuple)
 
 
 class MultipartyError(ValueError):
@@ -115,28 +120,18 @@ def _bit_grid(n: int, steps: list[list[int]], given: list[bytes]) -> BitMatrix:
     return tuple(rows)
 
 
-def _listed(entries) -> list:
-    """A grid row that is not a list, as a list.  A str would be read a
-    character at a time, so it raises TypeError and its grid refuses it as
-    malformed."""
-    if isinstance(entries, str):
-        raise TypeError("a grid row cannot be a str")
-    return list(entries)
-
-
-def _rows(n: int, rows, name: str, malformed: str) -> list:
-    """The n rows of an n x n grid, in order.  A grid with any other number
-    of rows is refused before its entries are read; one that cannot be
-    indexed is refused as malformed."""
-    try:
-        out = [rows[i] for i in range(n)]
-        if len(rows) == n:
-            return out
-    except IndexError:
-        pass
-    except (TypeError, ValueError, OverflowError):
-        raise MultipartyError(malformed) from None
-    raise MultipartyError(f"{name} must be {n}x{n}")
+def _rows(n: int, rows, name: str, malformed: str) -> list | tuple:
+    """The n rows of an n x n grid, in order.  A grid that is not a list or
+    a tuple is refused as malformed, then one with any other number of rows,
+    then one with a row that is not a list or a tuple, before any entry is
+    read."""
+    if not isinstance(rows, _ORDERED):
+        raise MultipartyError(malformed)
+    if len(rows) != n:
+        raise MultipartyError(f"{name} must be {n}x{n}")
+    if not all(row.__class__ is list or isinstance(row, _ORDERED) for row in rows):
+        raise MultipartyError(malformed)
+    return rows
 
 
 def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]], list[list[int]], int]:
@@ -148,8 +143,6 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]], 
     grid, sellers, ints, denominators = [], [], [], []
     for entries in _rows(n, rows, "payments", malformed):
         try:
-            if entries.__class__ is not list:  # indexed below, so a one-pass row is copied
-                entries = _listed(entries)
             row, nums, paid, dens, negative = [_ZERO] * len(entries), [0] * len(entries), [], [], False
             # The int 0 object, most cells, is passed over in C; any other
             # zero is skipped on its numerator below.
@@ -185,32 +178,28 @@ def _payment_grid(n: int, rows) -> tuple[list[list[Fraction]], list[list[int]], 
 
 
 def _as_bits(n: int, rows, name: str) -> list[bytes]:
-    """Rows of 0/1 bytes.  A list row of ints and bools is read in C; any
-    other row cell by cell, where a string is parsed and a number must be
-    whole."""
+    """Rows of 0/1 bytes.  A row of ints and bools is read in C; any other
+    row cell by cell, where a string is parsed and a number must be whole,
+    and each cell is checked before the row's length."""
     malformed = f"{name} entries must be 0 or 1"
     out = []
     for entries in _rows(n, rows, name, malformed):
-        if entries.__class__ is list:
-            try:
-                bits = bytes(entries)  # refuses floats, Fractions, complex numbers and strings
-            except (TypeError, ValueError):
-                pass
-            else:
-                if len(bits) == n and bits.count(0) + bits.count(1) == n:
-                    out.append(bits)
-                    continue
         try:
-            if entries.__class__ is not list:  # read twice below, so a one-pass row is copied
-                entries = _listed(entries)
+            bits = bytes(entries)  # refuses floats, Fractions, complex numbers and strings
+        except (TypeError, ValueError):
+            bits = b""  # n >= 2, so it is read cell by cell below
+        if len(bits) == n and bits.count(0) + bits.count(1) == n:
+            out.append(bits)
+            continue
+        try:
             row = list(map(int, entries))
         except (TypeError, ValueError, OverflowError):
             raise MultipartyError(malformed) from None
+        if any(b != v for b, v in zip(row, entries) if not isinstance(v, str)):  # int() truncated it
+            raise MultipartyError(malformed)
         if len(row) != n:
             raise MultipartyError(f"{name} must be {n}x{n}")
-        if not set(row) <= {0, 1} or (
-            row != entries and any(b != v for b, v in zip(row, entries) if not isinstance(v, str))
-        ):
+        if not set(row) <= {0, 1}:
             raise MultipartyError(malformed)
         out.append(bytes(row))
     return out
@@ -218,7 +207,7 @@ def _as_bits(n: int, rows, name: str) -> list[bytes]:
 
 def multiparty_run(
     ledger: Ledger,
-    parties: Sequence[str],
+    parties: list[str] | tuple[str, ...],
     payments,
     disputes,
     counters,
@@ -232,7 +221,8 @@ def multiparty_run(
     supplied explicitly (entry [i][j] settles the trade i bought from j, the
     seller winning on 1).  The batch escrows into the ledger pot `POT`.
     """
-    parties = tuple(parties)
+    if not isinstance(parties, _ORDERED):
+        raise MultipartyError("parties must be a list or a tuple of names")
     n = len(parties)
     if n < 2:
         raise MultipartyError("need at least two parties")

@@ -388,9 +388,42 @@ MUTANTS = (
     ),
     Mutant(
         "a-str-row-is-read-per-character", "multiparty.py",
-        "if isinstance(entries, str):",
-        "if False:",
+        "row.__class__ is list or isinstance(row, _ORDERED) for row in rows",
+        "row.__class__ is list or isinstance(row, (*_ORDERED, str)) for row in rows",
         (MULTIPARTY + "test_a_str_row_is_refused_in_every_grid",), "batch rows",
+    ),
+    Mutant(
+        "a-mapping-row-is-read-as-its-keys", "multiparty.py",
+        "    if not all(row.__class__ is list or isinstance(row, _ORDERED) for row in rows):\n"
+        "        raise MultipartyError(malformed)\n",
+        "",
+        (MULTIPARTY + "test_a_mapping_or_set_row_is_refused_not_read_as_its_keys",), "one ordered-input rule",
+    ),
+    Mutant(
+        "parties-are-read-in-any-order", "multiparty.py",
+        "    if not isinstance(parties, _ORDERED):\n"
+        '        raise MultipartyError("parties must be a list or a tuple of names")\n',
+        "    parties = tuple(parties)\n",
+        (MULTIPARTY + "test_parties_that_are_not_a_list_or_a_tuple_are_refused",), "one ordered-input rule",
+    ),
+    Mutant(
+        "a-bit-cell-is-checked-after-its-row-length", "multiparty.py",
+        "        if any(b != v for b, v in zip(row, entries) if not isinstance(v, str)):  # int() truncated it\n"
+        "            raise MultipartyError(malformed)\n"
+        "        if len(row) != n:\n"
+        '            raise MultipartyError(f"{name} must be {n}x{n}")\n',
+        "        if len(row) != n:\n"
+        '            raise MultipartyError(f"{name} must be {n}x{n}")\n'
+        "        if any(b != v for b, v in zip(row, entries) if not isinstance(v, str)):  # int() truncated it\n"
+        "            raise MultipartyError(malformed)\n",
+        (MULTIPARTY + "test_a_ragged_bit_row_is_checked_cell_by_cell_before_its_length",), "one ordered-input rule",
+    ),
+    Mutant(
+        "a-verdict-of-any-winner-is-settled", "contract.py",
+        'if not isinstance(getattr(verdict, "winner", None), Party):',
+        "if False:",
+        ("tests/test_contract.py::test_a_verdict_whose_winner_is_not_a_party_is_refused_before_it_changes_anything",),
+        "one ordered-input rule",
     ),
     Mutant(
         "interval-bound-adds-the-constant", "equilibrium.py",
@@ -415,6 +448,14 @@ MUTANTS = (
         "return party.other(), BASIS_TIMEOUT",
         "return (party if kind is Open else party.other()), BASIS_TIMEOUT",
         (SELLER_TOSS,), "item 19",
+    ),
+    Mutant(
+        "replay-reads-a-record-that-is-not-a-pair-of-strs", "arbiter.py",
+        "_require_record(transcript, k, isinstance(record, (tuple, list)) and len(record) == 2\n"
+        "                        and isinstance(record[0], str) and isinstance(record[1], str))",
+        "pass",
+        ("tests/test_arbiter.py::test_replay_refuses_a_malformed_record_or_transcript_by_name",),
+        "one ordered-input rule",
     ),
 )
 

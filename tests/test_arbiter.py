@@ -422,8 +422,8 @@ _DIGEST = commit(1, bytes(32)).hex()
 BAD_TRANSCRIPTS = {
     "empty": ((), "empty transcript"),
     "no-opening": ((("seller", f"COMMIT {_DIGEST}"), ("buyer", "BIT 0")), "incomplete transcript"),
-    "rule-for-nobody": ((("arbiter", "RULE nobody"),), "'nobody' is not a valid Party"),
-    "timeout-of-a-non-party": ((("arbiter", "TIMEOUT"),), "'arbiter' is not a valid Party"),
+    "rule-for-nobody": ((("arbiter", "RULE nobody"),), "record 0 ('arbiter', 'RULE nobody') breaks the exchange"),
+    "timeout-of-a-non-party": ((("arbiter", "TIMEOUT"),), "record 0 ('arbiter', 'TIMEOUT') breaks the exchange"),
     "not-a-message": ((("seller", f"COMMIT {_DIGEST}"), ("buyer", "HELLO")), "malformed message 'HELLO'"),
 }
 
@@ -458,6 +458,33 @@ def test_replay_refuses_a_transcript_that_breaks_the_exchange(transcript, bad):
         replay_winner(transcript)
 
 
+#: Transcripts that are not a tuple or a list of pairs of strs, each with
+#: the index of its first bad record, or None when the transcript itself is.
+MALFORMED_TRANSCRIPTS = {
+    "a-line-that-is-an-int": ((("arbiter", 5),), 0),
+    "a-line-that-is-none": ((("seller", None),), 0),
+    "a-record-of-one-field": ((("arbiter",),), 0),
+    "a-record-of-three-fields": ((("arbiter", "RULE buyer", "again"),), 0),
+    "a-record-that-is-a-str": (("arbiter RULE buyer",), 0),
+    "a-sender-that-is-a-party": (((Party.SELLER, f"COMMIT {_DIGEST}"),), 0),
+    "a-bad-record-after-a-commit": ((_COMMIT, ("buyer", 0)), 1),
+    "an-int": (5, None),
+    "a-str": ("RULE buyer", None),
+    "none": (None, None),
+    "a-one-pass-iterator": (iter([("arbiter", "RULE buyer")]), None),
+}
+
+
+@pytest.mark.parametrize("transcript, bad", MALFORMED_TRANSCRIPTS.values(), ids=MALFORMED_TRANSCRIPTS.keys())
+def test_replay_refuses_a_malformed_record_or_transcript_by_name(transcript, bad):
+    if bad is None:
+        message = f"transcript {transcript!r} is not a tuple or a list of records"
+    else:
+        message = f"record {bad} {transcript[bad]!r} breaks the exchange"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replay_winner(transcript)
+
+
 def test_replay_accepts_each_valid_form():
     assert replay_winner((("arbiter", "RULE buyer"),)) is Party.BUYER
     assert replay_winner((("arbiter", "RULE seller"),)) is Party.SELLER
@@ -467,6 +494,7 @@ def test_replay_accepts_each_valid_form():
     assert replay_winner((_COMMIT, ("buyer", "BIT 0"), _OPEN)) is Party.SELLER
     assert replay_winner((_COMMIT, ("buyer", "BIT 1"), _OPEN)) is Party.BUYER
     assert replay_winner((_COMMIT, ("buyer", "BIT 0"), ("seller", f"OPEN 0 {_R.hex()}"))) is Party.BUYER
+    assert replay_winner([["arbiter", "RULE seller"]]) is Party.SELLER  # a list of lists reads as a tuple of pairs
 
 
 def test_message_parsing_rejects_garbage():

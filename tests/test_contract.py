@@ -240,6 +240,24 @@ def test_standard_arbitration_routes_the_loser_wager_to_the_arbiter():
     assert ledger.pot_balance("c1") == 0
 
 
+@pytest.mark.parametrize("winner", ["buyer", None, 0], ids=["a-str", "none", "an-int"])
+def test_a_verdict_whose_winner_is_not_a_party_is_refused_before_it_changes_anything(winner):
+    ledger, c = world()
+    c.accept("bob")
+    c.fund("alice")
+    c.dispute("alice")
+    c.counter("bob")
+    c.begin_arbitration()
+    before, events = ledger.snapshot(), list(c.events)
+    with pytest.raises(ContractError, match="^a verdict's winner must be a Party"):
+        c.settle_arbitration(Verdict(winner, BASIS_ORACLE, (("arbiter", "RULE buyer"),)))
+    assert c.last_verdict is None
+    assert c.phase is Phase.ARBITRATING
+    assert ledger.snapshot() == before and c.events == events
+    c.settle_arbitration(buyer_wins())  # a good verdict still settles it
+    assert c.phase is Phase.SETTLED and ledger.balance("alice") == 100
+
+
 def test_seller_winning_arbitration_collects_price_and_wager_back():
     ledger, c = world()
     c.accept("bob")

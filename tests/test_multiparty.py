@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from random import Random
 
@@ -345,14 +346,22 @@ def test_a_zero_denominator_payment_is_refused_by_name():
     assert ledger.snapshot() == before
 
 
+def _require_ordered(values, message):
+    """The one rule by which parties, grids and rows are read: each is a list
+    or a tuple, and anything else is refused with `message`."""
+    if not isinstance(values, (list, tuple)):
+        raise MultipartyError(message)
+
+
 def _dense_matrix(n, rows, name, entry, valid, rule):
+    _require_ordered(rows, f"{name} entries must be {rule}")
     if len(rows) != n:
         raise MultipartyError(f"{name} must be {n}x{n}")
+    for row in rows:
+        _require_ordered(row, f"{name} entries must be {rule}")
     out = []
     for i in range(n):
         try:
-            if isinstance(rows[i], str):  # not read a character at a time
-                raise TypeError("a grid row cannot be a str")
             row = [entry(v) for v in rows[i]]
         except (TypeError, ValueError, OverflowError):
             raise MultipartyError(f"{name} entries must be {rule}") from None
@@ -378,7 +387,7 @@ def _dense_bits(n, rows, name):
 
 def naive(ledger, parties, payments, disputes, counters, rng=None, coin_matrix=None):
     """Reference: every step walks all n^2 cells of the grid."""
-    parties = tuple(parties)
+    _require_ordered(parties, "parties must be a list or a tuple of names")
     n = len(parties)
     if n < 2:
         raise MultipartyError("need at least two parties")
@@ -532,6 +541,23 @@ def test_per_trade_settlement_matches_the_dense_loop(data, tau):
             rows.pop(data.draw(st.integers(0, n - 1)))
         else:
             rows.append(data.draw(st.sampled_from([[0] * n, [7] * n, list(rows[0])])))
+    # Sometimes one ragged bit row: a cell dropped, or one more cell, a bit or not.
+    extra = data.draw(st.sampled_from([None] * 12 + ["drop", 0, 1, 2, 1.5, 0.5, "x", True]))
+    if extra is not None:
+        bits = data.draw(st.sampled_from([g for g in (disputes, counters, coin) if g is not None]))
+        row = bits[data.draw(st.integers(0, len(bits) - 1))]
+        if extra == "drop":
+            row.pop()
+        else:
+            row.append(extra)
+
+    def kind(rows):  # the grid and each of its rows a list or a tuple
+        shape = data.draw(st.sampled_from([list, tuple]))
+        return shape(data.draw(st.sampled_from([list, tuple]))(row) for row in rows)
+
+    payments, disputes, counters = kind(payments), kind(disputes), kind(counters)
+    if coin is not None:
+        coin = kind(coin)
     seed = data.draw(st.integers(0, 2**16))
     # Short endowments: some steps go unfunded, some withdrawal fees cannot be paid.
     endow = {name: data.draw(st.sampled_from([0, Fraction(1, 2), 1, 3, 6, 20])) for name in names}
@@ -540,8 +566,7 @@ def test_per_trade_settlement_matches_the_dense_loop(data, tau):
     for run in (multiparty_run, naive):
         rng = Random(seed)
         outcomes.append(_outcome(
-            run, tau, endow, names, [list(row) for row in payments], disputes, counters,
-            rng=rng, coin_matrix=coin,
+            run, tau, endow, names, payments, disputes, counters, rng=rng, coin_matrix=coin,
         ))
         states.append(rng.getstate())
     assert outcomes[0] == outcomes[1]
@@ -710,6 +735,86 @@ def test_a_str_row_is_refused_in_every_grid():
             with pytest.raises(MultipartyError, match=rf"^{name} entries must be {messages[name]}$"):
                 run(ledger, ["a", "b"], payments, disputes, counters, rng=Random(1), coin_matrix=coin)
             assert ledger.calls == [] and ledger.snapshot() == before
+
+
+def assert_refused(message, parties, payments, disputes, counters, coin=None, accounts=("a", "b")):
+    """Both implementations refuse the batch with `message`, before any ledger call."""
+    for run in (multiparty_run, naive):
+        ledger = RecordingLedger()
+        for name in accounts:
+            ledger.open_account(name, 10)
+        before = ledger.snapshot()
+        with pytest.raises(MultipartyError, match=f"^{re.escape(message)}$"):
+            run(ledger, parties, payments, disputes, counters, rng=Random(1), coin_matrix=coin)
+        assert ledger.calls == [] and ledger.snapshot() == before
+
+
+def _grids(name, value, row=None):
+    """A 2x2 batch in which a pays b 1, disputes it, b counters and the coin
+    names b, with the grid `name`, or its row `row`, replaced by `value`."""
+    grids = {"payments": [[0, 1], [0, 0]], "disputes": [[0, 1], [0, 0]], "counters": [[0, 0], [1, 0]],
+             "coin": [[0, 1], [0, 0]]}
+    if row is None:
+        grids[name] = value
+    else:
+        grids[name][row] = value
+    return grids["payments"], grids["disputes"], grids["counters"], grids["coin"]
+
+
+GRID_MESSAGES = {"payments": "payments entries must be rationals >= 0", "disputes": "disputes entries must be 0 or 1",
+                 "counters": "counters entries must be 0 or 1", "coin": "coin entries must be 0 or 1"}
+
+
+def test_a_mapping_or_set_row_is_refused_not_read_as_its_keys():
+    # Read as its keys, [{0: 0, 1: 7}, [0, 0]] would settle a price of 1, and
+    # the coin row {1, 0} would read as (0, 1).
+    assert_refused(GRID_MESSAGES["payments"], ["a", "b"], [{0: 0, 1: 7}, [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    assert_refused(GRID_MESSAGES["coin"], ["a", "b"], *_grids("coin", {1, 0}, row=0))
+    for name, message in GRID_MESSAGES.items():
+        for row in ({0: 0, 1: 1}, {0, 1}, frozenset({0})):
+            assert_refused(message, ["a", "b"], *_grids(name, row, row=1))
+
+
+def test_parties_that_are_not_a_list_or_a_tuple_are_refused():
+    # A set settles in hash order; a str is read a character at a time.
+    names = ("alice", "bob", "carol")
+    payments = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    zeros = [[0] * 3 for _ in range(3)]
+    message = "parties must be a list or a tuple of names"
+    for parties in (set(names), frozenset(names), dict.fromkeys(names), iter(names)):
+        assert_refused(message, parties, payments, zeros, zeros, accounts=names)
+    assert_refused(message, "ab", [[0, 1], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    for parties in (list(names), names):  # either kind settles the same batch
+        ledger = fresh_ledger(names, endow=10)
+        multiparty_run(ledger, parties, payments, zeros, zeros, coin_matrix=zeros)
+        assert [ledger.balance(name) for name in names] == [9, 11, 10]
+
+
+def test_a_grid_that_is_not_a_list_or_a_tuple_is_refused_as_malformed():
+    for name, message in GRID_MESSAGES.items():
+        for grid in (
+            {"a": [0, 1], "b": [0, 0]},  # keyed by names
+            {0: [0, 1], 1: [0, 0]},  # keyed by index
+            iter([[0, 0], [0, 0]]),
+            "00",
+        ):
+            assert_refused(message, ["a", "b"], *_grids(name, grid))
+
+
+def test_a_ragged_bit_row_is_checked_cell_by_cell_before_its_length():
+    # A cell that is not whole is malformed whatever the row's length; a
+    # whole cell that is not a bit is reported after the length.
+    for name in ("disputes", "counters", "coin"):
+        for row in ([1.5], (1.5,), [0, 1, 0.5], ["x"]):
+            assert_refused(GRID_MESSAGES[name], ["a", "b"], *_grids(name, row, row=0))
+        for row in ([2], (0, 0, 2), [1, 1, 1]):
+            assert_refused(f"{name} must be 2x2", ["a", "b"], *_grids(name, row, row=0))
+
+
+def test_a_one_pass_row_is_refused():
+    for name, message in GRID_MESSAGES.items():
+        for row in (iter([0, 1]), iter([0, 0]), (v for v in [0, 0])):
+            assert_refused(message, ["a", "b"], *_grids(name, row, row=1))
 
 
 def test_effective_rows_match_the_dense_loop_where_steps_go_unfunded():
