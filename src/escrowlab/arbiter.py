@@ -8,12 +8,14 @@ Two production arbiters:
   commits to a bit, the buyer answers with a bit, and the XOR decides.
 
 Messages are tagged records with a stable one-line wire form, and every
-verdict carries its transcript.  The coin toss decides by the same rule
-that replays a transcript, on the transcript it recorded, so replay always
-re-derives the verdict's winner, including the timeout and invalid-opening
-paths.  Replay accepts only an arbiter's one rule or the exchange in order,
-each record from the party whose turn it is, and refuses by name a
-transcript that breaks it.
+verdict carries its transcript.  One rule, `_message`, reads a record's
+line as the message its round asks for: the coin toss records a reply only
+when that rule accepts its wire line, and replay refuses by name any record
+it does not.  The toss decides by the same rule that replays a transcript,
+on the transcript it recorded, so replay always re-derives the verdict's
+winner, including the timeout and invalid-opening paths.  Replay accepts
+only an arbiter's one rule or the exchange in order, each record from the
+party whose turn it is, and refuses by name a transcript that breaks it.
 """
 
 from __future__ import annotations
@@ -159,8 +161,8 @@ def _decide(transcript: Transcript) -> tuple[Party, str]:
         if line == "TIMEOUT":
             _require_record(transcript, k + 1, k + 1 == len(transcript))
             return party.other(), BASIS_TIMEOUT
-        msg = parse_message(line)
-        _require_record(transcript, k, isinstance(msg, kind) and msg.wire() == line)
+        msg = _message(kind, line)
+        _require_record(transcript, k, msg is not None)
         received.append(msg)
     if len(received) < len(_ROUNDS):
         raise ValueError("incomplete transcript")
@@ -168,6 +170,15 @@ def _decide(transcript: Transcript) -> tuple[Party, str]:
     if verify(committed.digest, opening.bit, opening.randomness):
         return (Party.SELLER if opening.bit ^ bit.value else Party.BUYER), BASIS_COIN
     return Party.BUYER, BASIS_INVALID_OPENING
+
+
+def _message(kind: type, line: str) -> Optional[Message]:
+    """The `kind` message whose own wire line `line` is, or None."""
+    try:
+        msg = parse_message(line)
+    except ValueError:
+        return None
+    return msg if isinstance(msg, kind) and msg.wire() == line else None
 
 
 def _require_record(transcript: Transcript, k: int, ok: bool) -> None:
@@ -287,13 +298,6 @@ class HonestBuyer:
         return None
 
 
-def _round_trips(message: Message) -> bool:
-    try:
-        return parse_message(message.wire()) == message
-    except ValueError:
-        return False
-
-
 def coin_toss_arbitrate(
     seller_channel: Channel,
     buyer_channel: Channel,
@@ -301,28 +305,29 @@ def coin_toss_arbitrate(
 ) -> Verdict:
     """Run the commit / bit / open exchange and decide by XOR.
 
-    A party that stays silent, answers with the wrong record or with one
-    whose wire line does not parse back to it, or (under a policy) answers
-    at or past the timeout forfeits on the spot: the transcript records
-    their TIMEOUT.  An opening that fails verification counts as
-    heads-for-the-buyer rather than a forfeit: the coin is forced to 0.
-    The verdict is the transcript's own: `replay_winner`'s rule decides it.
+    A reply is recorded as its wire line when replay's rule reads that line
+    as the record asked for; a party that stays silent, answers with a
+    reply whose wire line cannot be built or is not the record asked for,
+    or (under a policy) answers at or past the timeout forfeits on the spot:
+    the transcript records their TIMEOUT.  An opening that fails
+    verification counts as heads-for-the-buyer rather than a forfeit: the
+    coin is forced to 0.  The verdict is the transcript's own:
+    `replay_winner`'s rule decides it.
     """
     channels = {Party.SELLER: seller_channel, Party.BUYER: buyer_channel}
     transcript: list[tuple[str, str]] = []
-    for party, request, expected in _ROUNDS:
+    for party, request, kind in _ROUNDS:
         response = channels[party].respond(request, tuple(transcript))
-        ticks = 0
-        if isinstance(response, Late):
-            response, ticks = response.message, response.ticks
-        if (
-            not isinstance(response, expected)
-            or not _round_trips(response)
-            or (policy is not None and ticks >= policy.timeout)
-        ):
+        response, ticks = (response.message, response.ticks) if isinstance(response, Late) else (response, 0)
+        try:
+            line = response.wire()
+            counts = _message(kind, line) is not None and (policy is None or ticks < policy.timeout)
+        except (AttributeError, TypeError, ValueError):  # silence, or a line that cannot be built
+            counts = False
+        if not counts:
             transcript.append((party.value, "TIMEOUT"))
             break
-        transcript.append((party.value, response.wire()))
+        transcript.append((party.value, line))
     record = tuple(transcript)
     winner, basis = _decide(record)
     return Verdict(winner=winner, basis=basis, transcript=record)

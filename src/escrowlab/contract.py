@@ -42,8 +42,8 @@ import enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arbiter import Verdict
-from .gametree import Leaf, Party
+from .arbiter import Verdict, _decide
+from .gametree import Leaf
 from .ledger import _ZERO, Ledger, LedgerError, TimeoutPolicy, _repaid
 from .trade import InvalidSchemeError, TradeParams, WagerScheme, scaled
 
@@ -278,10 +278,16 @@ class EscrowContract:
         self._step("contract", "arbitrate", _ZERO, Phase.ARBITRATING)
 
     def settle_arbitration(self, verdict: Verdict) -> None:
+        """Pay out by `verdict`, refused with `ContractError` before anything
+        changes unless its winner and basis are what its transcript replays to."""
         if self.phase is not Phase.ARBITRATING:
             raise WrongPhaseError(f"no arbitration to settle in {self.phase.value}")
-        if not isinstance(getattr(verdict, "winner", None), Party):
-            raise ContractError(f"a verdict's winner must be a Party, got {verdict!r}")
+        try:
+            replays = _decide(verdict.transcript) == (verdict.winner, verdict.basis)
+        except (AttributeError, ValueError):  # no transcript, or one replay refuses
+            replays = False
+        if not replays:
+            raise ContractError(f"a verdict's winner must be a Party and, with its basis, its transcript's; got {verdict!r}")
         self.last_verdict = verdict
         self._end(f"arbitration:{verdict.winner.value}", "contract", "settle")
 

@@ -87,6 +87,7 @@ EVERY_PROFILE = EQ + "test_every_profile_enters_the_enumeration_once_at_its_own_
 RUN_TRIAL = "tests/test_agents.py::test_run_trial_matches_the_fraction_sums"
 SELLER_TOSS = "tests/test_arbiter.py::test_no_seller_strategy_wins_both_bits_of_the_honest_buyer"
 RAMP = "tests/test_contract.py::test_a_timed_contract_pays_its_leaf_less_its_ramp"
+UNREPLAYED = "tests/test_contract.py::test_a_verdict_its_transcript_does_not_replay_to_is_refused_before_it_changes_anything"
 GENERIC_SUM = "tests/test_identities.py::test_the_seller_dispute_margins_sum_to_the_generic_impossibility_form"
 THIRD_ROW = "tests/test_identities.py::test_the_third_dispute_layer_row_is_the_second_plus_the_buyers_item_value"
 TRADE = "tests/test_trade.py::"
@@ -420,10 +421,16 @@ MUTANTS = (
     ),
     Mutant(
         "a-verdict-of-any-winner-is-settled", "contract.py",
-        'if not isinstance(getattr(verdict, "winner", None), Party):',
+        "if not replays:",
         "if False:",
         ("tests/test_contract.py::test_a_verdict_whose_winner_is_not_a_party_is_refused_before_it_changes_anything",),
         "one ordered-input rule",
+    ),
+    Mutant(
+        "settle-trusts-the-stated-winner", "contract.py",
+        "replays = _decide(verdict.transcript) == (verdict.winner, verdict.basis)",
+        "replays = _decide(verdict.transcript)[1] == verdict.basis",
+        (UNREPLAYED,), "one record rule",
     ),
     Mutant(
         "interval-bound-adds-the-constant", "equilibrium.py",
@@ -456,6 +463,20 @@ MUTANTS = (
         "pass",
         ("tests/test_arbiter.py::test_replay_refuses_a_malformed_record_or_transcript_by_name",),
         "one ordered-input rule",
+    ),
+    Mutant(
+        "toss-records-a-line-replay-refuses", "arbiter.py",
+        "counts = _message(kind, line) is not None and (policy is None or ticks < policy.timeout)",
+        "counts = policy is None or ticks < policy.timeout",
+        ("tests/test_arbiter.py::test_a_response_that_does_not_parse_back_is_its_senders_timeout",),
+        "one record rule",
+    ),
+    Mutant(
+        "toss-lets-an-unspellable-reply-escape", "arbiter.py",
+        "except (AttributeError, TypeError, ValueError):  # silence, or a line that cannot be built",
+        "except ValueError:",
+        ("tests/test_arbiter.py::test_a_response_that_does_not_parse_back_is_its_senders_timeout",),
+        "one record rule",
     ),
 )
 

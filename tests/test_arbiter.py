@@ -22,6 +22,7 @@ from escrowlab.arbiter import (
     Late,
     Open,
     Verdict,
+    _ROUNDS,
     _trial_errs,
     arbiter_errs,
     coin_toss_arbitrate,
@@ -31,7 +32,7 @@ from escrowlab.arbiter import (
     replay_winner,
     verify,
 )
-from escrowlab.contract import propose
+from escrowlab.contract import Phase, propose
 from escrowlab.gametree import Leaf, Party, leaf_payoff
 from escrowlab.ledger import Ledger, TimeoutPolicy
 from escrowlab.trade import Standard, TradeParams, WinnerRebate, as_fraction
@@ -424,7 +425,7 @@ BAD_TRANSCRIPTS = {
     "no-opening": ((("seller", f"COMMIT {_DIGEST}"), ("buyer", "BIT 0")), "incomplete transcript"),
     "rule-for-nobody": ((("arbiter", "RULE nobody"),), "record 0 ('arbiter', 'RULE nobody') breaks the exchange"),
     "timeout-of-a-non-party": ((("arbiter", "TIMEOUT"),), "record 0 ('arbiter', 'TIMEOUT') breaks the exchange"),
-    "not-a-message": ((("seller", f"COMMIT {_DIGEST}"), ("buyer", "HELLO")), "malformed message 'HELLO'"),
+    "not-a-message": ((("seller", f"COMMIT {_DIGEST}"), ("buyer", "HELLO")), "record 1 ('buyer', 'HELLO') breaks the exchange"),
 }
 
 
@@ -554,26 +555,97 @@ class Script:
         return self.answers.get(request)
 
 
-@pytest.mark.parametrize(
-    "seller, buyer",
-    [
-        ({"commit": Commit(commit(1, bytes(32))), "open": Open(1, bytes(32))}, {"bit": Bit(2)}),
-        ({"commit": Commit(commit(1, bytes(32))), "open": Open(7, bytes(32))}, {"bit": Bit(0)}),
-        ({"commit": Commit(b""), "open": Open(1, bytes(32))}, {"bit": Bit(0)}),
-    ],
-    ids=["bit 2", "open 7", "empty commit"],
-)
-def test_a_response_that_does_not_parse_back_is_its_senders_timeout(seller, buyer):
-    verdict = coin_toss_arbitrate(Script(seller), Script(buyer))
+class NoWire:
+    """A reply with no wire line at all."""
+
+
+class WireTakesAnArgument:
+    def wire(self, spelling):
+        return f"BIT {spelling}"
+
+
+class WireRefuses:
+    def wire(self):
+        raise ValueError("no line")
+
+
+_SPELLED = {"commit": Commit(commit(1, bytes(32))), "bit": Bit(0), "open": Open(1, bytes(32))}
+#: Replies that are their sender's timeout, each with the request it
+#: answers: a wire line that does not parse back to the record asked for,
+#: or one that cannot be built.
+FORFEITED = {
+    "bit 2": ("bit", Bit(2)),
+    "open 7": ("open", Open(7, bytes(32))),
+    "empty commit": ("commit", Commit(b"")),
+    "commit of an int": ("commit", Commit(5)),
+    "commit of a str": ("commit", Commit("00")),
+    "open of a str": ("open", Open(1, "ab")),
+    **{f"no wire at {request}": (request, NoWire()) for request in _SPELLED},
+    "a wire that takes an argument": ("bit", WireTakesAnArgument()),
+    "a wire that refuses": ("open", WireRefuses()),
+}
+
+
+def spelled_but(request, reply):
+    """Channels that answer every request with `_SPELLED`'s message but
+    `request`, answered with `reply`."""
+    answers = {**_SPELLED, request: reply}
+    return Script({"commit": answers["commit"], "open": answers["open"]}), Script({"bit": answers["bit"]})
+
+
+@pytest.mark.parametrize("asked, reply", FORFEITED.values(), ids=FORFEITED.keys())
+def test_a_response_that_does_not_parse_back_is_its_senders_timeout(asked, reply):
+    k, sender = next((k, party) for k, (party, request, _) in enumerate(_ROUNDS) if request == asked)
+    verdict = coin_toss_arbitrate(*spelled_but(asked, reply))
     assert verdict.basis == BASIS_TIMEOUT
-    assert verdict.transcript[-1][1] == "TIMEOUT"
-    assert replay_winner(verdict.transcript) is verdict.winner is Party(verdict.transcript[-1][0]).other()
+    assert verdict.transcript[k:] == ((sender.value, "TIMEOUT"),)
+    assert replay_winner(verdict.transcript) is verdict.winner is sender.other()
+    assert verdict == coin_toss_arbitrate(*spelled_but(asked, None))  # as if it had stayed silent
+
+
+@pytest.mark.parametrize("asked, reply", FORFEITED.values(), ids=FORFEITED.keys())
+def test_a_forfeited_reply_settles_the_contract(asked, reply):
+    ledger = Ledger(0)
+    ledger.open_account("buyer", 10)
+    ledger.open_account("seller", 10)
+    params = TradeParams(price=1, seller_value=Fraction(1, 3), buyer_value=2)
+    contract = propose(ledger, "trade", "buyer", "seller", params, Standard(1))
+    contract.accept("seller")
+    contract.fund("buyer")
+    contract.dispute("buyer")
+    contract.counter("seller")
+    verdict = contract.run_arbitration(lambda c: coin_toss_arbitrate(*spelled_but(asked, reply)))
+    assert contract.phase is Phase.SETTLED
+    assert contract.settled_how == f"arbitration:{verdict.winner.value}"
+    assert ledger.pot_balance("trade") == 0
+
+
+class LoudBit(Bit):
+    """A `Bit` of another class whose wire line is the canonical one."""
+
+
+class BitLine:
+    """No message class at all, only the canonical wire line of a bit."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def wire(self):
+        return f"BIT {self.value}"
+
+
+@pytest.mark.parametrize("reply", [LoudBit(1), BitLine(1)], ids=["a bit subclass", "a bare wire line"])
+def test_a_reply_whose_wire_line_replay_accepts_is_recorded_as_that_line(reply):
+    verdict = coin_toss_arbitrate(*spelled_but("bit", reply))
+    assert verdict.transcript[1] == ("buyer", "BIT 1")
+    assert verdict == coin_toss_arbitrate(*spelled_but("bit", Bit(1)))
+    assert (verdict.winner, verdict.basis) == (Party.BUYER, BASIS_COIN)  # coin = 1 xor 1 = 0
 
 
 def round_trips(message):
     try:
         return parse_message(message.wire()) == message
-    except ValueError:
+    except (AttributeError, ValueError):
         return False
 
 
@@ -582,8 +654,10 @@ MESSAGES = st.one_of(
     st.none(),
     st.sampled_from([Commit(commit(1, _R)), Bit(0), Bit(1), Open(1, _R), Open(0, _R)]),
     st.builds(Commit, st.binary(max_size=40)),
+    st.builds(Commit, st.integers() | st.text(max_size=4)),  # no wire line can be built
     st.builds(Bit, st.integers(-2, 3)),
     st.builds(Open, st.integers(-1, 3), st.sampled_from([_R, bytes(32), b"", bytes(16)])),
+    st.builds(Open, st.integers(-1, 3), st.text(max_size=4)),  # no wire line can be built
 )
 RESPONSES = st.one_of(MESSAGES, st.builds(Late, MESSAGES, st.integers(0, 8)))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from escrowlab.arbiter import BASIS_ORACLE, Verdict, oracle_arbitrate
+from escrowlab.arbiter import BASIS_COIN, BASIS_ORACLE, Verdict, oracle_arbitrate
 from escrowlab.contract import (
     ContractError,
     DeadlineExpired,
@@ -256,6 +256,39 @@ def test_a_verdict_whose_winner_is_not_a_party_is_refused_before_it_changes_anyt
     assert ledger.snapshot() == before and c.events == events
     c.settle_arbitration(buyer_wins())  # a good verdict still settles it
     assert c.phase is Phase.SETTLED and ledger.balance("alice") == 100
+
+
+class NoTranscript:
+    """A verdict's winner and basis with no transcript to replay them from."""
+
+    winner, basis = Party.BUYER, BASIS_ORACLE
+
+
+UNREPLAYED_VERDICTS = {
+    "a-winner-its-transcript-does-not-name": Verdict(Party.BUYER, BASIS_ORACLE, (("arbiter", "RULE seller"),)),
+    "a-basis-its-transcript-does-not-name": Verdict(Party.BUYER, BASIS_COIN, (("arbiter", "RULE buyer"),)),
+    "a-transcript-replay-refuses": Verdict(Party.BUYER, BASIS_ORACLE, ()),
+    "no-transcript": NoTranscript(),
+}
+
+
+@pytest.mark.parametrize("verdict", UNREPLAYED_VERDICTS.values(), ids=UNREPLAYED_VERDICTS.keys())
+def test_a_verdict_its_transcript_does_not_replay_to_is_refused_before_it_changes_anything(verdict):
+    ledger, c = world()
+    c.accept("bob")
+    c.fund("alice")
+    c.dispute("alice")
+    c.counter("bob")
+    c.begin_arbitration()
+    before, events = ledger.snapshot(), list(c.events)
+    with pytest.raises(ContractError, match="^a verdict's winner must be a Party"):
+        c.settle_arbitration(verdict)
+    assert c.last_verdict is None
+    assert c.phase is Phase.ARBITRATING
+    assert ledger.snapshot() == before and c.events == events
+    c.settle_arbitration(buyer_wins())  # a good verdict still settles it
+    assert c.settled_how == "arbitration:buyer"
+    assert (ledger.balance("alice"), ledger.balance("bob")) == (100, 99)
 
 
 def test_seller_winning_arbitration_collects_price_and_wager_back():
