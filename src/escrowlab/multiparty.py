@@ -36,12 +36,13 @@ payout.
 
 Four passes stay O(n^2): the payment scan, the two bit-grid reads, the n^2
 coin draw (or the coin grid's read) and the four returned grids; every
-other pass is per trade.  The returned grids are built from the rows the
-batch already holds (`_bit_grid`), so their rows may be shared immutable
-tuples: every buyer with no funded purchase shares one all-zero payment
-row, and every zero payout is the one shared `Fraction(0)`.  Drawing one
-coin per countered trade and settling a sparse list of trades would remove
-the rest.
+other pass is per trade.  The effective dispute and counter grids come
+from the funded steps alone (`_bit_grid`): each row is scattered from its
+step's columns, and every empty step shares one all-zero row.  Every buyer
+with no funded purchase shares one all-zero payment row, and every zero
+payout is the one shared `Fraction(0)`.  Each shared row was measured to
+pay for itself.  Drawing one coin per countered trade and settling a
+sparse list of trades would remove the rest.
 
 Purchases, dispute wagers and counter wagers follow one deposit rule: in
 index order, each payer deposits the exact sum of its step's prices as one
@@ -100,18 +101,15 @@ class SettlementMatrix:
     payouts: tuple[Fraction, ...]
 
 
-def _bit_grid(n: int, steps: list[list[int]], given: list[bytes]) -> BitMatrix:
-    """The effective bit grid: a 1 at (i, j) for each j in steps[i].  Each
-    step's columns are distinct 1-bits of its row of the `given` grid, so a
-    step with as many columns as that row has 1-bits is that row; an empty
-    step is one shared all-zero row, and only the other rows are scattered."""
+def _bit_grid(n: int, steps: list[list[int]]) -> BitMatrix:
+    """The effective bit grid: a 1 at (i, j) for each j in steps[i], built
+    from the funded steps alone.  Every empty step shares one all-zero row;
+    each other row is scattered from its step's columns."""
     zeros = (0,) * n
     rows = []
-    for cols, bits in zip(steps, given):
+    for cols in steps:
         if not cols:
             rows.append(zeros)
-        elif len(cols) == bits.count(1):
-            rows.append(tuple(bits))
         else:
             row = [0] * n
             for j in cols:
@@ -129,7 +127,7 @@ def _rows(n: int, rows, name: str, malformed: str) -> list | tuple:
         raise MultipartyError(malformed)
     if len(rows) != n:
         raise MultipartyError(f"{name} must be {n}x{n}")
-    if not all(row.__class__ is list or isinstance(row, _ORDERED) for row in rows):
+    if not all(isinstance(row, _ORDERED) for row in rows):
         raise MultipartyError(malformed)
     return rows
 
@@ -267,7 +265,7 @@ def multiparty_run(
             for j in cols:
                 disputers[j].append(i)
         countered = deposit([[j for j in buyers if c[i][j]] for i, buyers in enumerate(disputers)], by_seller=True)
-        d, c = _bit_grid(n, disputed, d), _bit_grid(n, countered, c)
+        d, c = _bit_grid(n, disputed), _bit_grid(n, countered)
 
         # Settle every trade as its own two-party outcome; each party's
         # credits are summed, over the batch scale, into its payout.

@@ -65,14 +65,12 @@ _TRADE_FIELDS = ("price", "seller_value", "buyer_value", "arbiter_error", "fee")
 
 def _held_ratios(record: object, names: tuple[str, ...]) -> list[tuple[int, int]]:
     """Each named field of a frozen record as its int ratio (numerator,
-    positive denominator).  A field that is not a `Fraction` is converted by
-    `as_fraction` and set again; a `Fraction` is kept as the same object."""
+    positive denominator).  Each field is set again to its `as_fraction`,
+    which keeps a `Fraction` as the same object and converts any other."""
     held = record.__dict__
     ratios = []
     for name in names:
-        value = held[name]
-        if type(value) is not Fraction:
-            held[name] = value = as_fraction(value)
+        held[name] = value = as_fraction(held[name])
         ratios.append(value.as_integer_ratio())
     return ratios
 
@@ -137,7 +135,7 @@ class AffineWager:
     @staticmethod
     def checked(value: Rational) -> Fraction:
         """`value` as an exact wager, refused unless it is > 0."""
-        wager = value if type(value) is Fraction else as_fraction(value)
+        wager = as_fraction(value)
         if wager.numerator <= 0:
             raise InvalidSchemeError(f"wager must be > 0, got {wager}")
         return wager
