@@ -13,6 +13,10 @@ so a flag and a file key share one default and one error message (sweep's
 --x, --x-seller and --y too); a flag given with --params overrides the
 file's key.  Values may be integers,
 decimals, or ratios.
+
+A line that names a command is read by that command's parser; any other
+line, and one that leaves an argument unrecognized, is read by the top-level
+parser, so each usage line, help text and error is argparse's own.
 """
 
 from __future__ import annotations
@@ -76,9 +80,12 @@ def _grid(flag: str, text: str, parse=as_fraction) -> list:
     return [parse(part) for part in parts]
 
 
-def _read_matrix(path: Path) -> list[list[str]]:
-    """The file's non-blank lines split into cells; the batch checks the shape."""
-    return [line.split() for line in path.read_text().splitlines() if line.strip()]
+def _read_matrix(path: Path) -> list[list]:
+    """The file's non-blank lines split into cells, each cell spelled "0"
+    read as the int 0, which the batch passes over in C; the batch checks
+    the shape and parses every other cell."""
+    lines = path.read_text().splitlines()
+    return [[0 if cell == "0" else cell for cell in line.split()] for line in lines if line.strip()]
 
 
 def cmd_solve(args: argparse.Namespace) -> None:
@@ -121,17 +128,19 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
 
     parties = [f"p{i + 1}" for i in range(n)]
     ledger = Ledger(tau=args.tau)
-    # Parsed here for the endowments; `multiparty_run` parses the grid again.
+    # Parsed here for the endowments; `multiparty_run` parses the grid again,
+    # its traded cells as the Fractions read here and its zeros as int 0.
     payments, sellers, ints, scale = _payment_grid(n, rows)
+    for row, cells, paid in zip(rows, payments, sellers):
+        for j in paid:
+            row[j] = cells[j]
     totals = [Fraction(sum([row[j] for j in paid]), scale) for row, paid in zip(ints, sellers)]
     grand_total = sum(totals)
     for name, row_total in zip(parties, totals):
         ledger.open_account(name, 3 * (row_total + grand_total) + 3 * ledger.tau + 1)
     before = [ledger.balance(name) for name in parties]
 
-    result = multiparty_run(
-        ledger, parties, payments, disputes, counters, rng=Random(args.seed)
-    )
+    result = multiparty_run(ledger, parties, rows, disputes, counters, rng=Random(args.seed))
     for i, name in enumerate(parties):
         delta = ledger.balance(name) - before[i]
         sign = f"+{delta}" if delta.numerator > 0 else str(delta)
@@ -142,8 +151,8 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `escrowlab` argument parser, built on first use and then kept."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `escrowlab` argument parser and, by name, its commands' parsers."""
     parser = argparse.ArgumentParser(
         prog="escrowlab",
         description="Wager-based escrow contract laboratory",
@@ -180,13 +189,28 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--tau", default="0")
     mp.set_defaults(func=cmd_multiparty)
 
-    return parser
+    commands = {"solve": solve, "sweep": sweep_cmd, "simulate": sim, "multiparty": mp}
+    for name, command in commands.items():
+        command.set_defaults(command=name)  # as the top-level parser records it
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The `escrowlab` argument parser, built on first use and then kept."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
     """Run one subcommand; malformed input or an unreadable file ends it with
-    one line, `escrowlab <command>: <message>`, and exit status 1."""
-    args = build_parser().parse_args(argv)
+    one line, `escrowlab <command>: <message>`, and exit status 1.  `argv`
+    defaults to `sys.argv[1:]`.  A line that names a command is read by that
+    command's parser; any other line is read by the top-level parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
+    if command is None or extras:  # argparse's own usage line and error
+        args = parser.parse_args(argv)
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

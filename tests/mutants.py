@@ -104,6 +104,8 @@ DENSE_LOOP = MULTIPARTY + "test_per_trade_settlement_matches_the_dense_loop"
 EFFECTIVE_ROWS = MULTIPARTY + "test_effective_rows_match_the_dense_loop_where_steps_go_unfunded"
 INTERVAL_ROOTS = "tests/test_identities.py::test_each_finite_bound_of_the_wager_interval_is_a_root_of_one_margin_form"
 ONE_LEDGER = "tests/test_one_ledger.py::test_one_ledger_keeps_every_layers_books"
+CLI = "tests/test_cli.py::"
+MALFORMED = CLI + "test_malformed_input_ends_in_one_named_line"
 
 
 MUTANTS = (
@@ -472,6 +474,33 @@ MUTANTS = (
         "except ValueError:",
         ("tests/test_arbiter.py::test_a_response_that_does_not_parse_back_is_its_senders_timeout",),
         "one record rule",
+    ),
+    Mutant(
+        "a-command-line-runs-past-an-unrecognized-argument", "cli.py",
+        "if command is None or extras:",
+        "if command is None:",
+        (CLI + "test_a_line_reads_as_the_nested_parsers_read_it",), "one parse per line",
+    ),
+    Mutant(
+        "grid-reads-an-empty-value", "cli.py",
+        "    if not all(part.strip() for part in parts):\n"
+        '        raise ValueError(f"empty value in --{flag} {text!r}")\n',
+        "",
+        (MALFORMED,), "item 24",
+    ),
+    Mutant(
+        "parameter-file-reads-a-line-without-an-equals-sign", "trade.py",
+        '        if "=" not in line:\n'
+        '            raise ValueError(f"expected key=value, got {raw!r}")\n',
+        "",
+        (MALFORMED,), "item 24",
+    ),
+    Mutant(
+        "batch-admits-a-party-named-twice", "multiparty.py",
+        "    if len(set(parties)) != n:\n"
+        '        raise MultipartyError("party names must be distinct")\n',
+        "",
+        (MULTIPARTY + "test_a_party_named_twice_is_refused",), "item 24",
     ),
 )
 

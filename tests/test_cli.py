@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import escrowlab
-from escrowlab.cli import main
+from escrowlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -250,6 +251,23 @@ def test_multiparty_with_decimal_prices_is_pinned(tmp_path, capsys):
     )
 
 
+def test_a_zero_price_prints_the_same_however_it_is_spelled(tmp_path, capsys):
+    # A cell spelled "0" is read as the int 0; every other spelling is parsed.
+    (tmp_path / "disputes.txt").write_text("0 1 0\n0 0 0\n1 0 0\n")
+    (tmp_path / "counters.txt").write_text("0 0 1\n1 0 0\n0 0 0\n")
+    outs = []
+    for zero in ("0", "00", "0/1", "0.0"):
+        (tmp_path / "pay.txt").write_text(f"{zero} 1 3\n1 {zero} {zero}\n4 1/2 {zero}\n")
+        outs.append(run_cli(
+            capsys, "multiparty",
+            "--matrix", str(tmp_path / "pay.txt"),
+            "--disputes", str(tmp_path / "disputes.txt"),
+            "--counters", str(tmp_path / "counters.txt"),
+            "--tau", "1/10", "--seed", "3",
+        ))
+    assert outs == [outs[0]] * 4 and outs[0].startswith("party p1 payout 9 delta -2/5 fee_moves 4\n")
+
+
 def test_multiparty_rejects_ragged_matrices(tmp_path):
     (tmp_path / "bad.txt").write_text("0 1\n2\n")
     with pytest.raises(SystemExit):
@@ -399,6 +417,10 @@ MALFORMED = {
         ["solve", "--params", "bogus.kv"],
         "escrowlab solve: unknown scheme 'bogus' (known: standard, winner_rebate, withheld, generic)",
     ),
+    "parameter file line without an equals sign": (
+        ["solve", "--params", "spaced.kv"],
+        "escrowlab solve: expected key=value, got 'x 1'",
+    ),
     "unparsable grid": (
         ["sweep", "--x", "1", "--y", "2", "--gammas", "abc"],
         "escrowlab sweep: Invalid literal for Fraction: 'abc'",
@@ -422,6 +444,10 @@ MALFORMED = {
     "wager grid of empty parts": (
         ["sweep", "--x", "1", "--y", "2", "--lambdas", ","],
         "escrowlab sweep: empty value in --lambdas ','",
+    ),
+    "empty part in the wager grid": (
+        ["sweep", "--x", "1", "--y", "2", "--lambdas", "1,,2"],
+        "escrowlab sweep: empty value in --lambdas '1,,2'",
     ),
     "zero in the wager grid": (
         ["sweep", "--x", "1", "--y", "2", "--lambdas", "1,0"],
@@ -481,6 +507,7 @@ MALFORMED = {
 @pytest.mark.parametrize("argv, message", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_ends_in_one_named_line(tmp_path, argv, message):
     (tmp_path / "bogus.kv").write_text("x=1\ny=2\nscheme=bogus\n")
+    (tmp_path / "spaced.kv").write_text("x 1\ny=2\n")
     (tmp_path / "letters.txt").write_text("0 x\n1 0\n")
     (tmp_path / "negative.txt").write_text("0 -5\n0 0\n")
     (tmp_path / "zero.txt").write_text("0 1/0\n0 0\n")
@@ -495,3 +522,62 @@ def test_malformed_input_ends_in_one_named_line(tmp_path, argv, message):
         [sys.executable, "-m", "escrowlab.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert (done.returncode, done.stdout, done.stderr) == (1, "", message + "\n")
+
+
+# Each line as `main` reads it and as the nested parsers read it: the
+# top-level parser's `parse_args`, then the command it names.  Exit status,
+# stdout and stderr must match, and for a line that runs, the namespace its
+# command was given.  argparse words usage lines and errors differently across
+# Python versions, so the reference is argparse on the running Python.
+REFERENCE = {
+    "no arguments": [],
+    "top-level help": ["-h"],
+    "unknown command": ["nosuch"],
+    "double dash first": ["--", "sweep", "--x", "1", "--y", "2"],
+    "trailing positional": ["sweep", "--x", "1", "--y", "2", "--gammas", "0", "extra"],
+    "unknown flag": ["sweep", "--bogus", "3"],
+    "flag after a double dash": ["sweep", "--", "--x", "1"],
+    "flag without its value": ["sweep", "--x", "1", "--y", "2", "--lambdas"],
+    "choice out of range": ["simulate", "--x", "1", "--y", "2", "--seller", "bogus"],
+    "solve help": ["solve", "--help"],
+    "sweep help": ["sweep", "--help"],
+    "simulate help": ["simulate", "--help"],
+    "multiparty help": ["multiparty", "--help"],
+    "solve": ["solve", "--x", "1", "--y", "2", "--gamma", "1/4", "--lambda", "1"],
+    "sweep": ["sweep", "--x", "1", "--y", "2", "--gammas", "0,1/4", "--lambdas", "1/2,1", "--taus", "0,1/10"],
+    "simulate": ["simulate", "--x", "1", "--y", "2", "--buyer", "always-dispute", "--trials", "20", "--seed", "7"],
+    "multiparty": ["multiparty", "--matrix", "pay.txt", "--disputes", "disputes.txt", "--tau", "1/10", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", REFERENCE.values(), ids=REFERENCE.keys())
+def test_a_line_reads_as_the_nested_parsers_read_it(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # fixes the help text's wrapping
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pay.txt").write_text("0 1 3\n1 0 0\n4 1/2 0\n")
+    (tmp_path / "disputes.txt").write_text("0 1 0\n0 0 0\n1 0 0\n")
+    parsed = []  # every parse's namespace; the outermost parse returns last
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recorded(self, *args, **kwargs):
+        namespace, extras = parse_known_args(self, *args, **kwargs)
+        parsed.append(namespace)
+        return namespace, extras
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
+
+    def nested(argv):
+        args = build_parser().parse_args(argv)
+        args.func(args)
+        return 0
+
+    def outcome(run):
+        parsed.clear()
+        try:
+            status, namespace = run(list(argv)), vars(parsed[-1])
+        except SystemExit as exc:
+            status, namespace = exc.code, None
+        out, err = capsys.readouterr()
+        return status, out, err, namespace
+
+    assert outcome(main) == outcome(nested)

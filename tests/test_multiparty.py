@@ -790,6 +790,15 @@ def test_parties_that_are_not_a_list_or_a_tuple_are_refused():
         assert [ledger.balance(name) for name in names] == [9, 11, 10]
 
 
+def test_a_party_named_twice_is_refused():
+    # One account would pay and be paid as two parties.
+    message = "party names must be distinct"
+    zeros = [[0, 0], [0, 0]]
+    assert_refused(message, ["a", "a"], [[0, 1], [0, 0]], zeros, zeros)
+    zeros = [[0] * 3 for _ in range(3)]
+    assert_refused(message, ("a", "b", "a"), [[0, 1, 0], [0, 0, 0], [0, 0, 0]], zeros, zeros)
+
+
 def test_a_grid_that_is_not_a_list_or_a_tuple_is_refused_as_malformed():
     for name, message in GRID_MESSAGES.items():
         for grid in (
