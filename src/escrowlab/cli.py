@@ -80,12 +80,9 @@ def _grid(flag: str, text: str, parse=as_fraction) -> list:
     return [parse(part) for part in parts]
 
 
-def _read_matrix(path: Path) -> list[list]:
-    """The file's non-blank lines split into cells, each cell spelled "0"
-    read as the int 0, which the batch passes over in C; the batch checks
-    the shape and parses every other cell."""
-    lines = path.read_text().splitlines()
-    return [[0 if cell == "0" else cell for cell in line.split()] for line in lines if line.strip()]
+def _read_matrix(path: Path) -> list[list[str]]:
+    """The file's non-blank lines split into cells; the batch checks the shape."""
+    return [line.split() for line in path.read_text().splitlines() if line.strip()]
 
 
 def cmd_solve(args: argparse.Namespace) -> None:
@@ -128,19 +125,17 @@ def cmd_multiparty(args: argparse.Namespace) -> None:
 
     parties = [f"p{i + 1}" for i in range(n)]
     ledger = Ledger(tau=args.tau)
-    # Parsed here for the endowments; `multiparty_run` parses the grid again,
-    # its traded cells as the Fractions read here and its zeros as int 0.
+    # Parsed here for the endowments; `multiparty_run` parses the grid again.
     payments, sellers, ints, scale = _payment_grid(n, rows)
-    for row, cells, paid in zip(rows, payments, sellers):
-        for j in paid:
-            row[j] = cells[j]
     totals = [Fraction(sum([row[j] for j in paid]), scale) for row, paid in zip(ints, sellers)]
     grand_total = sum(totals)
     for name, row_total in zip(parties, totals):
         ledger.open_account(name, 3 * (row_total + grand_total) + 3 * ledger.tau + 1)
     before = [ledger.balance(name) for name in parties]
 
-    result = multiparty_run(ledger, parties, rows, disputes, counters, rng=Random(args.seed))
+    result = multiparty_run(
+        ledger, parties, payments, disputes, counters, rng=Random(args.seed)
+    )
     for i, name in enumerate(parties):
         delta = ledger.balance(name) - before[i]
         sign = f"+{delta}" if delta.numerator > 0 else str(delta)

@@ -252,7 +252,7 @@ def test_multiparty_with_decimal_prices_is_pinned(tmp_path, capsys):
 
 
 def test_a_zero_price_prints_the_same_however_it_is_spelled(tmp_path, capsys):
-    # A cell spelled "0" is read as the int 0; every other spelling is parsed.
+    # A zero price is no trade, whichever way the matrix spells it.
     (tmp_path / "disputes.txt").write_text("0 1 0\n0 0 0\n1 0 0\n")
     (tmp_path / "counters.txt").write_text("0 0 1\n1 0 0\n0 0 0\n")
     outs = []
